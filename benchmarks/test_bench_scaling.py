@@ -3,9 +3,9 @@
 Runs the ``repro.apps.scaling_bench`` smoke harness end to end.  The
 harness enforces the acceptance shape itself — alltoall data correct at
 every rank count, virtual Alltoall wall strictly increasing with P,
-fault storm engaging the retransmit path and inflating the wall, and
-engine parity at the oracle sizes — so this test asserts report
-integrity and the bit-level determinism the committed
+and the fault storm engaging the retransmit path and inflating the
+wall — so this test asserts report integrity and the bit-level
+determinism the committed
 ``BENCH_scaling_smoke.json`` baseline relies on.
 """
 
@@ -40,10 +40,6 @@ def test_scaling_bench_smoke(tmp_path):
     assert storm["retransmits"] > 0
     clean = next(c for c in on_disk["alltoall"] if c["nprocs"] == storm["nprocs"])
     assert storm["wall_virtual"] > clean["wall_virtual"]
-
-    # The embedded differential oracle ran and agreed at every size.
-    assert len(on_disk["parity"]) >= 2
-    assert all(p["identical"] for p in on_disk["parity"])
 
     # Determinism: a second run reproduces everything except host
     # timings bit-for-bit — the property that lets check_regression

@@ -29,7 +29,7 @@ def test_ablation_backward_tabulated(benchmark, setup):
 
 def test_ablation_backward_sumfact(benchmark, setup):
     exp, c = setup
-    result = benchmark(exp.backward_sumfact, c)
+    result = benchmark(exp.backward_sumfact_batched, c)
     np.testing.assert_allclose(result, exp.phi.T @ c, atol=1e-11)
 
 
@@ -40,5 +40,5 @@ def test_ablation_gradient_tabulated(benchmark, setup):
 
 def test_ablation_gradient_sumfact(benchmark, setup):
     exp, c = setup
-    d1, d2 = benchmark(exp.gradient_sumfact, c)
+    d1, d2 = benchmark(exp.gradient_sumfact_batched, c)
     np.testing.assert_allclose(d1, exp.dphi1.T @ c, atol=1e-10)

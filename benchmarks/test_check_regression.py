@@ -95,10 +95,9 @@ def test_main_exit_codes(tmp_path, capsys):
 
 def test_committed_smoke_baselines_exist():
     base_dir = Path(__file__).parent / "baselines"
-    for name in ("BENCH_batched_smoke.json", "BENCH_solve_smoke.json"):
+    for name in ("BENCH_resilience_smoke.json", "BENCH_scaling_smoke.json"):
         doc = json.loads((base_dir / name).read_text())
         assert doc["config"]["smoke"] is True
-        assert doc["charges_identical"] is True
 
 
 LIST_BASELINE = {

@@ -6,8 +6,8 @@ that.  This harness drives the event-driven simmpi scheduler through
 the communication patterns that dominate the paper's solvers — a
 nearest-neighbour ring exchange (the gather-scatter shape) and the
 Fourier-direction Alltoall sweep (NekTar-F's transpose) — at rank
-counts the legacy thread-per-rank engine cannot reach, plus one fault
-storm (loss + stragglers + a degraded link) at an intermediate size.
+counts far beyond the paper's 64, plus one fault storm (loss +
+stragglers + a degraded link) at an intermediate size.
 
 Three kinds of quantities are recorded:
 
@@ -21,10 +21,6 @@ Three kinds of quantities are recorded:
   dispatches ranks shows up here before it shows up anywhere else;
 * **host elapsed times** (``*_s`` keys) — machine-dependent, warn-only
   under the regression gate.
-
-An engine-parity section re-runs the small cases on the legacy thread
-engine and asserts byte-identical virtual clocks and ledgers — the
-differential oracle riding inside the benchmark.
 
 Writes ``BENCH_scaling.json``.  Run as a script::
 
@@ -76,9 +72,6 @@ MYRINET = NetworkModel(
 
 RANKS_FULL = (64, 256, 1024)
 RANKS_SMOKE = (16, 64, 256)
-# Engine parity is only checked at sizes the thread engine handles
-# comfortably (the ISSUE pins the oracle at <= 64 ranks).
-PARITY_MAX_RANKS = 64
 ALLTOALL_DOUBLES = (64, 512)  # per-destination chunk lengths
 RING_ROUNDS = 4
 RING_DOUBLES = 256
@@ -141,10 +134,9 @@ def _fingerprint(cluster):
     }
 
 
-def _run_case(nprocs, rank_fn, faults=None, engine="event", critpath=None):
+def _run_case(nprocs, rank_fn, faults=None, critpath=None):
     cluster = VirtualCluster(
-        nprocs, network=NETWORK, faults=faults, engine=engine,
-        critpath=critpath,
+        nprocs, network=NETWORK, faults=faults, critpath=critpath
     )
     t0 = time.perf_counter()
     with scoped() as registry:
@@ -165,38 +157,7 @@ def _run_case(nprocs, rank_fn, faults=None, engine="event", critpath=None):
             "retransmits": counter("faults.retransmits"),
         }
     )
-    return case, results, cluster
-
-
-def _parity_check(nprocs, rank_fn, faults=None):
-    """Run on both engines; assert byte-identical clocks and ledgers."""
-    per_engine = {}
-    for engine in ("event", "threads"):
-        _case, results, cluster = _run_case(
-            nprocs, rank_fn, faults=faults, engine=engine
-        )
-        per_engine[engine] = {
-            "results": results,
-            "ranks": [
-                (st.wall, st.cpu, st.sent_bytes, st.recv_bytes, st.messages)
-                for st in cluster.ranks
-            ],
-            "traces": cluster.rank_traces(),
-        }
-    ev, th = per_engine["event"], per_engine["threads"]
-    if ev["ranks"] != th["ranks"] or ev["traces"] != th["traces"]:
-        raise AssertionError(
-            f"engine parity broken at {nprocs} ranks: event != threads"
-        )
-    if repr(ev["results"]) != repr(th["results"]):
-        raise AssertionError(
-            f"engine parity broken at {nprocs} ranks: results differ"
-        )
-    return {
-        "nprocs": nprocs,
-        "wall_virtual": max(r[0] for r in ev["ranks"]),
-        "identical": True,
-    }
+    return case, results
 
 
 def run_bench(smoke: bool = False) -> dict:
@@ -221,12 +182,12 @@ def run_bench(smoke: bool = False) -> dict:
     }
     alltoall_rec = None
     for nprocs in rank_counts:
-        case, _res, _cl = _run_case(nprocs, _ring_program())
+        case, _res = _run_case(nprocs, _ring_program())
         results["ring"].append(case)
         # Attach the critical-path recorder at the largest sweep size:
         # that is the point whose makespan the report must explain.
         rec = CritPathRecorder() if nprocs == rank_counts[-1] else None
-        case, res, _cl = _run_case(nprocs, alltoall_program(), critpath=rec)
+        case, res = _run_case(nprocs, alltoall_program(), critpath=rec)
         if rec is not None:
             alltoall_rec = rec
         # Data correctness at every scale: each received sweep sums the
@@ -237,7 +198,7 @@ def run_bench(smoke: bool = False) -> dict:
         results["alltoall"].append(case)
 
     storm_rec = CritPathRecorder()
-    storm_case, _res, _cl = _run_case(
+    storm_case, _res = _run_case(
         storm_ranks, alltoall_program(compute_s=STORM_COMPUTE_S),
         faults=STORM_PLAN, critpath=storm_rec,
     )
@@ -249,18 +210,6 @@ def run_bench(smoke: bool = False) -> dict:
     if storm_case["wall_virtual"] <= clean["wall_virtual"]:
         raise AssertionError("fault storm did not inflate the wall clock")
     results["fault_storm"] = storm_case
-
-    results["parity"] = [
-        _parity_check(n, alltoall_program())
-        for n in rank_counts
-        if n <= PARITY_MAX_RANKS
-    ] + [
-        _parity_check(
-            min(PARITY_MAX_RANKS, storm_ranks),
-            alltoall_program(),
-            faults=STORM_PLAN,
-        )
-    ]
 
     # The tentpole's acceptance shape: virtual Alltoall cost must grow
     # with rank count (the model sees the scaling wall) while the host
@@ -345,8 +294,7 @@ def _summary(results: dict) -> None:
         )
     print(
         f"fault storm P={results['fault_storm']['nprocs']}: "
-        f"{results['fault_storm']['retransmits']:.0f} retransmits; "
-        f"parity cases: {len(results['parity'])} identical"
+        f"{results['fault_storm']['retransmits']:.0f} retransmits"
     )
     cp = results["critpath"]["alltoall"]
     pct = cp["resource_pct"]

@@ -57,9 +57,7 @@ TABLE1_PAPER = {
 TABLE1_MACHINES = list(TABLE1_PAPER)
 
 
-def reduced_solver(
-    m: int = 3, nr: int = 1, order: int = 5, dt: float = 5e-3, batched: bool = True
-):
+def reduced_solver(m: int = 3, nr: int = 1, order: int = 5, dt: float = 5e-3):
     """The reduced-size bluff-body run (same physics, tractable size).
 
     The Table-1 flop-scaling protocol is calibrated against the
@@ -67,7 +65,7 @@ def reduced_solver(
     profile — so the sum-factorised fast path stays off here.
     """
     mesh = bluff_body_mesh(m=m, nr=nr)
-    space = FunctionSpace(mesh, order, sumfact=False, batched=batched)
+    space = FunctionSpace(mesh, order, sumfact=False)
     one = lambda x, y, t: 1.0  # noqa: E731
     zero = lambda x, y, t: 0.0  # noqa: E731
     ns = NavierStokes2D(

@@ -109,7 +109,7 @@ def run_traced(
     bcs = _steady_bluff_bcs()
 
     def rank_fn(comm):
-        space = FunctionSpace(mesh, SMOKE_ORDER, batched=True)
+        space = FunctionSpace(mesh, SMOKE_ORDER)
         # No pressure Dirichlet tag: the k=0 pressure mode (rank 0 only)
         # takes the pinned CondensedOperator path, whose different flop
         # count skews the rank walls — so the next step's transposes
@@ -141,15 +141,14 @@ def run_critpath_pattern(
     Reuses the scaling benchmark's Alltoall sweep program and fabrics
     (the commodity-Ethernet model and its OS-bypass Myrinet-style
     counterpart) so the CLI, the CI smoke and the acceptance test all
-    exercise one code path.  Runs on the event engine only — the thread
-    oracle cannot reach these rank counts.
+    exercise one code path.
     """
     from .scaling_bench import MYRINET, NETWORK, alltoall_program
 
     if pattern != "alltoall":
         raise ValueError(f"unknown pattern {pattern!r} (only 'alltoall')")
     rec = CritPathRecorder()
-    cluster = VirtualCluster(nprocs, NETWORK, engine="event", critpath=rec)
+    cluster = VirtualCluster(nprocs, NETWORK, critpath=rec)
     cluster.run(alltoall_program())
     rec.graph.validate()
     return analyze(rec.graph, swap_nets={"myrinet": MYRINET})

@@ -19,7 +19,6 @@ dense matrices.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
@@ -50,27 +49,17 @@ class CondensedOperator:
         if self.dirichlet.size and self.dirichlet.max() >= self.nb_glob:
             raise ValueError("Dirichlet dofs must be boundary (vertex/edge) dofs")
 
-        self.batched = bool(getattr(space, "batched", False))
-        self._groups: list[dict] = []
+        self._groups, schur = self._setup(elem_mats)
         rows, cols, vals = [], [], []
-        if self.batched:
-            # Group-wise Schur assembly: sign-conjugate and scatter whole
-            # element stacks at once (duplicate COO entries are summed by
-            # tocsr; the grouped entry order only reassociates that sum).
-            for grp, s in zip(*self._setup_batched(elem_mats)):
-                nb, bdofs, bsigns = grp["nb"], grp["bdofs"], grp["bsigns"]
-                ss = bsigns[:, :, None] * s * bsigns[:, None, :]
-                rows.append(np.repeat(bdofs, nb, axis=1).ravel())
-                cols.append(np.tile(bdofs, (1, nb)).ravel())
-                vals.append(ss.ravel())
-        else:
-            schur = self._setup_per_element(elem_mats)
-            for pe, s_e in zip(self._per_elem, schur):
-                nb, bdofs, bsigns = pe["nb"], pe["bdofs"], pe["bsigns"]
-                ss = (bsigns[:, None] * s_e) * bsigns[None, :]
-                rows.append(np.repeat(bdofs, nb))
-                cols.append(np.tile(bdofs, nb))
-                vals.append(ss.ravel())
+        # Group-wise Schur assembly: sign-conjugate and scatter whole
+        # element stacks at once (duplicate COO entries are summed by
+        # tocsr).
+        for grp, s in zip(self._groups, schur):
+            nb, bdofs, bsigns = grp["nb"], grp["bdofs"], grp["bsigns"]
+            ss = bsigns[:, :, None] * s * bsigns[:, None, :]
+            rows.append(np.repeat(bdofs, nb, axis=1).ravel())
+            cols.append(np.tile(bdofs, (1, nb)).ravel())
+            vals.append(ss.ravel())
         s_glob = sp.coo_matrix(
             (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
             shape=(self.nb_glob, self.nb_glob),
@@ -99,54 +88,15 @@ class CondensedOperator:
 
     # -- pre-factorisation ----------------------------------------------------
 
-    def _setup_per_element(self, elem_mats) -> list[np.ndarray]:
-        """Reference path: one scipy Cholesky per element."""
-        dm = self.space.dofmap
-        self._per_elem = []
-        schur = []
-        for e, a in enumerate(elem_mats):
-            exp = dm.expansion(e)
-            nb = len(exp.boundary_modes)
-            if exp.boundary_modes != list(range(nb)):
-                raise ValueError("expansion must order boundary modes first")
-            a = np.asarray(a, dtype=np.float64)
-            abb = a[:nb, :nb]
-            abi = a[:nb, nb:]
-            aii = a[nb:, nb:]
-            ni = aii.shape[0]
-            if ni:
-                chol = sla.cho_factor(aii, lower=True)
-                aii_inv_aib = sla.cho_solve(chol, abi.T)  # (ni, nb)
-                s_e = abb - abi @ aii_inv_aib
-                charge(2.0 * ni * ni * nb + ni**3 / 3.0, 8.0 * (ni + nb) ** 2, "sc-setup")
-            else:
-                chol = None
-                aii_inv_aib = np.zeros((0, nb))
-                s_e = abb
-            self._per_elem.append(
-                {
-                    "abi": abi,
-                    "chol": chol,
-                    "aii_inv_aib": aii_inv_aib,
-                    "bdofs": dm.elem_dofs[e][:nb],
-                    "bsigns": dm.elem_signs[e][:nb],
-                    "idofs": dm.elem_dofs[e][nb:],
-                    "nb": nb,
-                    "ni": ni,
-                }
-            )
-            schur.append(s_e)
-        return schur
+    def _setup(self, elem_mats) -> tuple[list[dict], list[np.ndarray]]:
+        """Group same-shape elements, factor the interior blocks with one
+        stacked Cholesky per group, and eliminate them with stacked
+        solves.  Returns ``(groups, schur)`` with one stacked
+        (ng, nb, nb) Schur complement per group.
 
-    def _setup_batched(self, elem_mats):
-        """Batched path: group same-shape elements, factor the interior
-        blocks with one stacked Cholesky per group, and eliminate them
-        with stacked triangular solves.  Returns ``(groups, schur)`` with
-        one stacked (ng, nb, nb) Schur complement per group.
-
-        Charges per element, in element order, exactly what the
-        per-element path charges (the sc-setup value is not an integer,
-        so a single nb-times charge would round differently).
+        Charges one ``sc-setup`` per element, in element order (the
+        value is not an integer, so a single ng-times charge would
+        round differently).
         """
         dm = self.space.dofmap
         nelem = len(elem_mats)
@@ -156,6 +106,7 @@ class CondensedOperator:
             exp = dm.expansion(e)
             by_exp.setdefault(id(exp), []).append(e)
             exps[id(exp)] = exp
+        groups: list[dict] = []
         group_schur: list[np.ndarray] = []
         setup_charges: list[tuple[float, float] | None] = [None] * nelem
         for key, elems in by_exp.items():
@@ -188,7 +139,7 @@ class CondensedOperator:
                 low = None
                 aii_inv_aib = np.zeros((g, 0, nb))
                 s = abb
-            self._groups.append(
+            groups.append(
                 {
                     "low": low,
                     "linv": None,  # lazy L^{-1}, built on first multi-RHS solve
@@ -206,7 +157,7 @@ class CondensedOperator:
         for e in range(nelem):
             if setup_charges[e] is not None:
                 charge(setup_charges[e][0], setup_charges[e][1], "sc-setup")
-        return self._groups, group_schur
+        return groups, group_schur
 
     @property
     def ndof(self) -> int:
@@ -231,20 +182,16 @@ class CondensedOperator:
         # Condense: gb = rb - sum_e Q_e^T Abi Aii^{-1} fi.
         gb = rhs[: self.nb_glob].copy()
         fi_store: list = []
-        if self.batched:
-            self._condense_batched(rhs, gb, fi_store)
-        else:
-            for pe in self._per_elem:
-                if pe["ni"] == 0:
-                    fi_store.append(None)
-                    continue
-                fi = rhs[pe["idofs"]]
-                fi_store.append(fi)
-                tmp = sla.cho_solve(pe["chol"], fi)
-                corr = np.zeros(pe["nb"])
-                blas.dgemv(1.0, pe["abi"], tmp, 0.0, corr)
-                charge(2.0 * pe["ni"] ** 2, 8.0 * pe["ni"] ** 2, "sc-chol")
-                np.subtract.at(gb, pe["bdofs"], pe["bsigns"] * corr)
+        for grp in self._groups:
+            if grp["ni"] == 0:
+                fi_store.append(None)
+                continue
+            fi = rhs[grp["idofs"]]  # (ng, ni)
+            fi_store.append(fi)
+            tmp = self._cho_solve_group(grp, fi)
+            corr = np.zeros((grp["ng"], grp["nb"]))
+            blas.dgemv_batched(1.0, grp["abi"], tmp, 0.0, corr)
+            np.subtract.at(gb, grp["bdofs"], grp["bsigns"] * corr)
         # Boundary solve.
         if self.dirichlet.size:
             if dirichlet_values is None:
@@ -260,19 +207,16 @@ class CondensedOperator:
         u[self.free] = x
         if self.dirichlet.size:
             u[self.dirichlet] = dirichlet_values
-        # Back-substitute interiors: ui = Aii^{-1} (fi - Aib ub).
-        if self.batched:
-            self._backsub_batched(u, fi_store)
-            return u
-        for pe, fi in zip(self._per_elem, fi_store):
-            if pe["ni"] == 0:
+        # Back-substitute interiors: ui = Aii^{-1} fi - (Aii^{-1} Aib) ub
+        # (interior dofs are unique to their element, so plain
+        # assignment suffices).
+        for grp, fi in zip(self._groups, fi_store):
+            if grp["ni"] == 0:
                 continue
-            ub = pe["bsigns"] * u[pe["bdofs"]]
-            # ui = Aii^{-1} fi - (Aii^{-1} Aib) ub, using the cached blocks.
-            ui = sla.cho_solve(pe["chol"], fi)
-            charge(2.0 * pe["ni"] ** 2, 8.0 * pe["ni"] ** 2, "sc-chol")
-            blas.dgemv(-1.0, pe["aii_inv_aib"], ub, 1.0, ui)
-            u[pe["idofs"]] = ui
+            ub = grp["bsigns"] * u[grp["bdofs"]]
+            ui = self._cho_solve_group(grp, fi)
+            blas.dgemv_batched(-1.0, grp["aii_inv_aib"], ub, 1.0, ui)
+            u[grp["idofs"]] = ui
         return u
 
     # -- multi-RHS (row-stacked) path -----------------------------------------
@@ -291,14 +235,6 @@ class CondensedOperator:
 
     def _solve_many(self, rhs: np.ndarray, dirichlet_values) -> np.ndarray:
         nrhs = rhs.shape[0]
-        if not self.batched:
-            # Per-element reference semantics: column by column.
-            if self.dirichlet.size:
-                dv = self._many_dirichlet(nrhs, dirichlet_values)
-                return np.stack(
-                    [self.solve(rhs[i], dv[i]) for i in range(nrhs)]
-                )
-            return np.stack([self.solve(rhs[i]) for i in range(nrhs)])
         gb = rhs[:, : self.nb_glob].copy()
         fi_store: list = []
         for grp in self._groups:
@@ -338,7 +274,7 @@ class CondensedOperator:
         applied as Level-3 multiplies by the cached L^{-1} (the interior
         blocks are tiny and well-conditioned, so the explicit inverse
         loses nothing).  Two ``dtrsm`` charges price one cho_solve per
-        item-RHS — identical to the per-column path's "sc-chol"."""
+        item-RHS — what :meth:`_cho_solve_group` charges per column."""
         if grp["linv"] is None:
             grp["linv"] = np.linalg.inv(grp["low"])
         y = blas.dtrsm_batched(grp["linv"], b, label="sc-chol")
@@ -361,8 +297,8 @@ class CondensedOperator:
 
     def _cho_solve_group(self, grp: dict, b: np.ndarray) -> np.ndarray:
         """Stacked Aii^{-1} b for one group (forward + backward sweeps of
-        the stacked lower Cholesky factor), charged as the per-element
-        path charges its scipy cho_solve calls."""
+        the stacked lower Cholesky factor), charged as one cho_solve
+        per element."""
         low, ni = grp["low"], grp["ni"]
         y = np.empty_like(b)
         for i in range(ni):
@@ -376,29 +312,3 @@ class CondensedOperator:
             ) / low[:, i, i]
         charge(grp["ng"] * 2.0 * ni * ni, grp["ng"] * 8.0 * ni * ni, "sc-chol")
         return out
-
-    def _condense_batched(
-        self, rhs: np.ndarray, gb: np.ndarray, fi_store: list
-    ) -> None:
-        """Grouped interior elimination of the condense step."""
-        for grp in self._groups:
-            if grp["ni"] == 0:
-                fi_store.append(None)
-                continue
-            fi = rhs[grp["idofs"]]  # (ng, ni)
-            fi_store.append(fi)
-            tmp = self._cho_solve_group(grp, fi)
-            corr = np.zeros((grp["ng"], grp["nb"]))
-            blas.dgemv_batched(1.0, grp["abi"], tmp, 0.0, corr)
-            np.subtract.at(gb, grp["bdofs"], grp["bsigns"] * corr)
-
-    def _backsub_batched(self, u: np.ndarray, fi_store: list) -> None:
-        """Grouped interior back-substitution (interior dofs are unique
-        to their element, so plain assignment suffices)."""
-        for grp, fi in zip(self._groups, fi_store):
-            if grp["ni"] == 0:
-                continue
-            ub = grp["bsigns"] * u[grp["bdofs"]]
-            ui = self._cho_solve_group(grp, fi)
-            blas.dgemv_batched(-1.0, grp["aii_inv_aib"], ub, 1.0, ui)
-            u[grp["idofs"]] = ui

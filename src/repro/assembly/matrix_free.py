@@ -27,13 +27,14 @@ from ..linalg.counters import charge
 
 __all__ = [
     "apply_operator_batched",
+    "check_kind",
     "diagonal_operator_batched",
 ]
 
 KINDS = ("mass", "laplacian", "helmholtz")
 
 
-def _check_kind(kind: str) -> None:
+def check_kind(kind: str) -> None:
     if kind not in KINDS:
         raise ValueError(f"unknown elemental operator kind: {kind!r}")
 
@@ -81,7 +82,7 @@ def apply_operator_batched(
     returns the same-shape stack of elemental operator applications,
     bit-for-bit independent of how many leading axes ride along.
     """
-    _check_kind(kind)
+    check_kind(kind)
     if kind == "mass":
         return _apply_mass(b, local)
     out = _apply_laplacian(b, local)
@@ -99,7 +100,7 @@ def diagonal_operator_batched(b, kind: str, lam: float = 0.0) -> np.ndarray:
     (b1 d1)^2 g21^2 — three adjoint contractions against jw-weighted
     metric products (plus one more for the mass term).
     """
-    _check_kind(kind)
+    check_kind(kind)
     exp = b.exp
     tl = exp.tensor_layout()
     shape = (b.ng, tl.n1, tl.n1)

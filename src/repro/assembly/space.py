@@ -22,14 +22,11 @@ import scipy.sparse as sp
 from ..linalg import blas
 from ..mesh.mapping import GeomFactors
 from ..mesh.mesh2d import Mesh2D
+from . import matrix_free
 from .dofmap import DofMap
 from .operators import (
-    elemental_helmholtz,
     elemental_helmholtz_batched,
-    elemental_laplacian,
     elemental_laplacian_batched,
-    elemental_load,
-    elemental_mass,
     elemental_mass_batched,
 )
 
@@ -47,12 +44,10 @@ class FunctionSpace:
     an explicit ``sumfact=True`` on a mixed mesh fast-paths the quad
     batches and falls back to the tabulated tables on the rest.
 
-    ``batched=True`` (the default) groups same-shape elements into
-    contiguous operand stacks and runs transforms, load vectors,
-    operator setup and static condensation as stacked BLAS-3 calls —
-    same math and identical OpCounter flop/byte charges as the
-    per-element reference path (``batched=False``), minus the Python
-    per-element loop overhead.
+    Same-shape elements are grouped into contiguous operand stacks
+    (:meth:`batches`), so transforms, load vectors, operator setup and
+    static condensation run as stacked BLAS-3 calls that charge the
+    OpCounter exactly what one call per element would.
     """
 
     def __init__(
@@ -61,14 +56,12 @@ class FunctionSpace:
         order: int,
         sumfact: bool | None = None,
         periodic: list[tuple[str, str]] | tuple = (),
-        batched: bool = True,
     ):
         self.mesh = mesh
         self.order = order
         if sumfact is None:
             sumfact = all(e.kind == "quad" for e in mesh.elements)
         self.sumfact = bool(sumfact)
-        self.batched = batched
         self._batches = None
         self._op_mats: dict[tuple, np.ndarray] = {}
         self.dofmap = DofMap(mesh, order, periodic=periodic)
@@ -135,27 +128,14 @@ class FunctionSpace:
         u_hat = np.asarray(u_hat, dtype=np.float64)
         lead = u_hat.shape[:-1]
         out = np.empty(lead + (self.nelem, self.nq))
-        if self.batched:
-            for b in self.batches():
-                local = b.gather(u_hat)
-                if self.sumfact and b.kind == "quad":
-                    vals = b.exp.backward_sumfact_batched(local)
-                else:
-                    vals = np.empty(lead + (b.ng, self.nq))
-                    blas.dgemv_batched(1.0, b.exp.phi, local, 0.0, vals, trans=True)
-                out[..., b.elems, :] = vals
-            return out
-        if lead:
-            for idx in np.ndindex(*lead):
-                out[idx] = self.backward(u_hat[idx])
-            return out
-        for ei in range(self.nelem):
-            exp = self.dofmap.expansion(ei)
-            local = self.dofmap.gather(ei, u_hat)
-            if self.sumfact and self.mesh.elements[ei].kind == "quad":
-                out[ei] = exp.backward_sumfact(local)
+        for b in self.batches():
+            local = b.gather(u_hat)
+            if self.sumfact and b.kind == "quad":
+                vals = b.exp.backward_sumfact_batched(local)
             else:
-                blas.dgemv(1.0, exp.phi, local, 0.0, out[ei], trans=True)
+                vals = np.empty(lead + (b.ng, self.nq))
+                blas.dgemv_batched(1.0, b.exp.phi, local, 0.0, vals, trans=True)
+            out[..., b.elems, :] = vals
         return out
 
     def load_vector(self, values: np.ndarray) -> np.ndarray:
@@ -163,29 +143,16 @@ class FunctionSpace:
         values = np.asarray(values, dtype=np.float64)
         lead = values.shape[:-2]
         rhs = np.zeros(lead + (self.ndof,))
-        if self.batched:
-            if values.shape[-2:] != (self.nelem, self.nq):
-                raise ValueError("values must be given at the quadrature points")
-            for b in self.batches():
-                w = b.jw * values[..., b.elems, :]
-                if self.sumfact and b.kind == "quad":
-                    local = b.exp.iproduct_sumfact_batched(w)
-                else:
-                    local = np.zeros(lead + (b.ng, b.exp.nmodes))
-                    blas.dgemv_batched(1.0, b.exp.phi, w, 0.0, local)
-                b.scatter_add(local, rhs)
-            return rhs
-        if lead:
-            for idx in np.ndindex(*lead):
-                rhs[idx] = self.load_vector(values[idx])
-            return rhs
-        for ei in range(self.nelem):
-            exp = self.dofmap.expansion(ei)
-            if self.sumfact and self.mesh.elements[ei].kind == "quad":
-                local = exp.iproduct_sumfact(self.geom[ei].jw * values[ei])
+        if values.shape[-2:] != (self.nelem, self.nq):
+            raise ValueError("values must be given at the quadrature points")
+        for b in self.batches():
+            w = b.jw * values[..., b.elems, :]
+            if self.sumfact and b.kind == "quad":
+                local = b.exp.iproduct_sumfact_batched(w)
             else:
-                local = elemental_load(exp, self.geom[ei], values[ei])
-            self.dofmap.scatter_add(ei, local, rhs)
+                local = np.zeros(lead + (b.ng, b.exp.nmodes))
+                blas.dgemv_batched(1.0, b.exp.phi, w, 0.0, local)
+            b.scatter_add(local, rhs)
         return rhs
 
     def grad_load_vector(self, fx: np.ndarray, fy: np.ndarray) -> np.ndarray:
@@ -200,52 +167,26 @@ class FunctionSpace:
         fy = np.asarray(fy, dtype=np.float64)
         lead = fx.shape[:-2]
         rhs = np.zeros(lead + (self.ndof,))
-        if self.batched:
-            if fx.shape != fy.shape or fx.shape[-2:] != (self.nelem, self.nq):
-                raise ValueError("fields must be given at the quadrature points")
-            for b in self.batches():
-                # Adjoint of the reference-first gradient: contract the
-                # metric factors into the quadrature fields, then apply
-                # the shared reference-derivative tables — same two
-                # dgemv charges per element as the per-element path
-                # (or two pairs of O(P^3) contractions with sumfact).
-                g = b.jw * fx[..., b.elems, :]
-                h = b.jw * fy[..., b.elems, :]
-                t1 = b.dxi[:, 0, 0] * g + b.dxi[:, 0, 1] * h
-                t2 = b.dxi[:, 1, 0] * g + b.dxi[:, 1, 1] * h
-                if self.sumfact and b.kind == "quad":
-                    local = b.exp.iproduct_sumfact_batched(t1, deriv=1)
-                    local += b.exp.iproduct_sumfact_batched(t2, deriv=2)
-                else:
-                    local = np.zeros(lead + (b.ng, b.exp.nmodes))
-                    blas.dgemv_batched(1.0, b.exp.dphi1, t1, 0.0, local)
-                    blas.dgemv_batched(1.0, b.exp.dphi2, t2, 1.0, local)
-                b.scatter_add(local, rhs)
-            return rhs
-        if lead:
-            for idx in np.ndindex(*lead):
-                rhs[idx] = self.grad_load_vector(fx[idx], fy[idx])
-            return rhs
-        local = None
-        for ei in range(self.nelem):
-            exp = self.dofmap.expansion(ei)
-            gf = self.geom[ei]
-            if self.sumfact and self.mesh.elements[ei].kind == "quad":
-                g = gf.jw * fx[ei]
-                h = gf.jw * fy[ei]
-                t1 = gf.dxi_dx[0, 0] * g + gf.dxi_dx[0, 1] * h
-                t2 = gf.dxi_dx[1, 0] * g + gf.dxi_dx[1, 1] * h
-                local = exp.iproduct_sumfact(t1, deriv=1)
-                local += exp.iproduct_sumfact(t2, deriv=2)
-                self.dofmap.scatter_add(ei, local, rhs)
-                local = None
-                continue
-            dx, dy = gf.physical_gradients(exp.dphi1, exp.dphi2)
-            if local is None or local.size != exp.nmodes:
-                local = np.zeros(exp.nmodes)
-            blas.dgemv(1.0, dx, gf.jw * fx[ei], 0.0, local)
-            blas.dgemv(1.0, dy, gf.jw * fy[ei], 1.0, local)
-            self.dofmap.scatter_add(ei, local, rhs)
+        if fx.shape != fy.shape or fx.shape[-2:] != (self.nelem, self.nq):
+            raise ValueError("fields must be given at the quadrature points")
+        for b in self.batches():
+            # Adjoint of the reference-first gradient: contract the
+            # metric factors into the quadrature fields, then apply the
+            # shared reference-derivative tables — two dgemv charges
+            # per element (or two pairs of O(P^3) contractions with
+            # sumfact).
+            g = b.jw * fx[..., b.elems, :]
+            h = b.jw * fy[..., b.elems, :]
+            t1 = b.dxi[:, 0, 0] * g + b.dxi[:, 0, 1] * h
+            t2 = b.dxi[:, 1, 0] * g + b.dxi[:, 1, 1] * h
+            if self.sumfact and b.kind == "quad":
+                local = b.exp.iproduct_sumfact_batched(t1, deriv=1)
+                local += b.exp.iproduct_sumfact_batched(t2, deriv=2)
+            else:
+                local = np.zeros(lead + (b.ng, b.exp.nmodes))
+                blas.dgemv_batched(1.0, b.exp.dphi1, t1, 0.0, local)
+                blas.dgemv_batched(1.0, b.exp.dphi2, t2, 1.0, local)
+            b.scatter_add(local, rhs)
         return rhs
 
     def forward(self, values: np.ndarray) -> np.ndarray:
@@ -271,38 +212,20 @@ class FunctionSpace:
         lead = u_hat.shape[:-1]
         dudx = np.empty(lead + (self.nelem, self.nq))
         dudy = np.empty(lead + (self.nelem, self.nq))
-        if self.batched:
-            for b in self.batches():
-                local = b.gather(u_hat)
-                if self.sumfact and b.kind == "quad":
-                    d1, d2 = b.exp.gradient_sumfact_batched(local)
-                else:
-                    # Reference-first evaluation: two shared-table dgemv
-                    # per element (as the per-element path charges), with
-                    # the metric factors applied pointwise afterwards.
-                    d1 = np.empty(lead + (b.ng, self.nq))
-                    d2 = np.empty(lead + (b.ng, self.nq))
-                    blas.dgemv_batched(1.0, b.exp.dphi1, local, 0.0, d1, trans=True)
-                    blas.dgemv_batched(1.0, b.exp.dphi2, local, 0.0, d2, trans=True)
-                dudx[..., b.elems, :] = d1 * b.dxi[:, 0, 0] + d2 * b.dxi[:, 1, 0]
-                dudy[..., b.elems, :] = d1 * b.dxi[:, 0, 1] + d2 * b.dxi[:, 1, 1]
-            return dudx, dudy
-        if lead:
-            for idx in np.ndindex(*lead):
-                dudx[idx], dudy[idx] = self.gradient(u_hat[idx])
-            return dudx, dudy
-        for ei in range(self.nelem):
-            exp = self.dofmap.expansion(ei)
-            local = self.dofmap.gather(ei, u_hat)
-            if self.sumfact and self.mesh.elements[ei].kind == "quad":
-                d1, d2 = exp.gradient_sumfact(local)
-                gf = self.geom[ei]
-                dudx[ei] = d1 * gf.dxi_dx[0, 0] + d2 * gf.dxi_dx[1, 0]
-                dudy[ei] = d1 * gf.dxi_dx[0, 1] + d2 * gf.dxi_dx[1, 1]
+        for b in self.batches():
+            local = b.gather(u_hat)
+            if self.sumfact and b.kind == "quad":
+                d1, d2 = b.exp.gradient_sumfact_batched(local)
             else:
-                dx, dy = self.geom[ei].physical_gradients(exp.dphi1, exp.dphi2)
-                blas.dgemv(1.0, dx, local, 0.0, dudx[ei], trans=True)
-                blas.dgemv(1.0, dy, local, 0.0, dudy[ei], trans=True)
+                # Reference-first evaluation: two shared-table dgemv
+                # per element, with the metric factors applied
+                # pointwise afterwards.
+                d1 = np.empty(lead + (b.ng, self.nq))
+                d2 = np.empty(lead + (b.ng, self.nq))
+                blas.dgemv_batched(1.0, b.exp.dphi1, local, 0.0, d1, trans=True)
+                blas.dgemv_batched(1.0, b.exp.dphi2, local, 0.0, d2, trans=True)
+            dudx[..., b.elems, :] = d1 * b.dxi[:, 0, 0] + d2 * b.dxi[:, 1, 0]
+            dudy[..., b.elems, :] = d1 * b.dxi[:, 0, 1] + d2 * b.dxi[:, 1, 1]
         return dudx, dudy
 
     def gradient_of_values(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -313,87 +236,62 @@ class FunctionSpace:
 
     def integrate(self, values: np.ndarray) -> float:
         values = np.asarray(values, dtype=np.float64)
-        if self.batched:
-            total = 0.0
-            for b in self.batches():
-                total += float(np.sum(blas.ddot_batched(b.jw, values[b.elems])))
-            return total
-        return float(
-            sum(blas.ddot(self.geom[ei].jw, values[ei]) for ei in range(self.nelem))
-        )
+        total = 0.0
+        for b in self.batches():
+            total += float(np.sum(blas.ddot_batched(b.jw, values[b.elems])))
+        return total
 
     def norm_l2(self, values: np.ndarray) -> float:
         return float(np.sqrt(max(0.0, self.integrate(np.asarray(values) ** 2))))
 
     # -- assembly ------------------------------------------------------------------
 
+    def _batch_operator_stack(self, b, kind: str, lam: float) -> np.ndarray:
+        """Tabulated (ng, nmodes, nmodes) operator stack of one batch.
+
+        Built in chunks so the (chunk, nmodes, nq) temporaries stay
+        cache-resident: one huge stack per batch is memory-bound and
+        slower than a loop over elements.  Charges are integer
+        per-element counts, so chunking sums them exactly.
+        """
+        mats = np.empty((b.ng, b.exp.nmodes, b.exp.nmodes))
+        chunk = 16
+        for start in range(0, b.ng, chunk):
+            sl = slice(start, start + chunk)
+            if kind == "mass":
+                mats[sl] = elemental_mass_batched(b.exp, b.jw[sl])
+            elif kind == "laplacian":
+                mats[sl] = elemental_laplacian_batched(b.exp, b.jw[sl], b.dxi[sl])
+            else:
+                mats[sl] = elemental_helmholtz_batched(
+                    b.exp, b.jw[sl], b.dxi[sl], lam
+                )
+        return mats
+
     def elemental_matrices(self, kind: str, lam: float = 0.0) -> list[np.ndarray]:
         """Per-element operator matrices, in mesh element order.
 
         ``kind`` is "mass", "laplacian" or "helmholtz" (the latter takes
-        the Helmholtz constant ``lam``).  With ``batched=True`` the
-        matrices are built as stacked dgemm_batched calls per element
-        group; either way the result is the per-element list the
-        condensation and solver layers consume.
+        the Helmholtz constant ``lam``).  The matrices are built as
+        stacked dgemm_batched calls per element batch and handed out as
+        the per-element list the condensation and solver layers consume.
         """
-        if kind not in ("mass", "laplacian", "helmholtz"):
-            raise ValueError(f"unknown elemental operator kind: {kind!r}")
-        if not self.batched:
-            if kind == "mass":
-                return [
-                    elemental_mass(self.dofmap.expansion(ei), self.geom[ei])
-                    for ei in range(self.nelem)
-                ]
-            if kind == "laplacian":
-                return [
-                    elemental_laplacian(self.dofmap.expansion(ei), self.geom[ei])
-                    for ei in range(self.nelem)
-                ]
-            return [
-                elemental_helmholtz(self.dofmap.expansion(ei), self.geom[ei], lam)
-                for ei in range(self.nelem)
-            ]
-        # Chunk the stacks so the (chunk, nmodes, nq) temporaries stay
-        # cache-resident: one huge stack per group is memory-bound and
-        # slower than the per-element loop it replaces.  Charges are
-        # integer per-element counts, so chunking sums them exactly.
-        chunk = 16
+        matrix_free.check_kind(kind)
         mats: list[np.ndarray] = [None] * self.nelem  # type: ignore[list-item]
         for b in self.batches():
-            for start in range(0, b.ng, chunk):
-                sl = slice(start, start + chunk)
-                if kind == "mass":
-                    stack = elemental_mass_batched(b.exp, b.jw[sl])
-                elif kind == "laplacian":
-                    stack = elemental_laplacian_batched(b.exp, b.jw[sl], b.dxi[sl])
-                else:
-                    stack = elemental_helmholtz_batched(b.exp, b.jw[sl], b.dxi[sl], lam)
-                for j, ei in enumerate(b.elems[sl]):
-                    mats[int(ei)] = stack[j]
+            stack = self._batch_operator_stack(b, kind, lam)
+            for j, ei in enumerate(b.elems):
+                mats[int(ei)] = stack[j]
         return mats
 
     def _dense_batch_mats(self, bi: int, kind: str, lam: float) -> np.ndarray:
-        """Tabulated (ng, nmodes, nmodes) operator stack of one batch —
-        the matrix-free path's fallback for non-tensor-product elements,
-        built once per (batch, kind, lam) and cached."""
+        """Operator stack of batch ``bi`` — the matrix-free path's
+        fallback for non-tensor-product elements, built once per
+        (batch, kind, lam) and cached."""
         key = (bi, kind, round(float(lam), 12))
         mats = self._op_mats.get(key)
         if mats is None:
-            b = self.batches()[bi]
-            mats = np.empty((b.ng, b.exp.nmodes, b.exp.nmodes))
-            chunk = 16
-            for start in range(0, b.ng, chunk):
-                sl = slice(start, start + chunk)
-                if kind == "mass":
-                    mats[sl] = elemental_mass_batched(b.exp, b.jw[sl])
-                elif kind == "laplacian":
-                    mats[sl] = elemental_laplacian_batched(
-                        b.exp, b.jw[sl], b.dxi[sl]
-                    )
-                else:
-                    mats[sl] = elemental_helmholtz_batched(
-                        b.exp, b.jw[sl], b.dxi[sl], lam
-                    )
+            mats = self._batch_operator_stack(self.batches()[bi], kind, lam)
             self._op_mats[key] = mats
         return mats
 
@@ -409,10 +307,7 @@ class FunctionSpace:
         elemental stacks.  Leading axes of ``u`` batch through one
         sweep (the block-CG path applies whole RHS blocks at once).
         """
-        from . import matrix_free
-
-        if kind not in ("mass", "laplacian", "helmholtz"):
-            raise ValueError(f"unknown elemental operator kind: {kind!r}")
+        matrix_free.check_kind(kind)
         u = np.asarray(u, dtype=np.float64)
         lead = u.shape[:-1]
         out = np.zeros(lead + (self.ndof,))
@@ -431,10 +326,7 @@ class FunctionSpace:
         """Assembled operator diagonal (Jacobi preconditioner) without
         assembling: sum-factorised on quad batches, tabulated stacks on
         the rest."""
-        from . import matrix_free
-
-        if kind not in ("mass", "laplacian", "helmholtz"):
-            raise ValueError(f"unknown elemental operator kind: {kind!r}")
+        matrix_free.check_kind(kind)
         diag = np.zeros(self.ndof)
         for bi, b in enumerate(self.batches()):
             if self.sumfact and b.kind == "quad":

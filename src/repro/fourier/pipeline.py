@@ -17,7 +17,8 @@ This module is the layout the fused path actually wants:
   blocks (memcpy, not 16-byte scatters) and the real FFTs run along
   axis 0, which pocketfft vectorises across the contiguous point axis.
   NumPy's FFT is layout-independent in values, so results stay
-  *bitwise* identical to the per-field oracle (pinned by tests).
+  *bitwise* identical to field-by-field transpose + FFT (pinned by
+  tests).
 * **persistent send workspaces** — chunk buffers are allocated once
   and refilled every step, eliminating the allocation/page-fault churn
   that dominated the naive path.  Reuse is safe with exactly one

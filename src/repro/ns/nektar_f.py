@@ -36,9 +36,8 @@ from ..assembly.condensation import CondensedOperator
 from ..assembly.global_system import project_dirichlet
 from ..assembly.operators import elemental_mass
 from ..assembly.space import FunctionSpace
-from ..fourier.mapping import transpose_to_modes, transpose_to_points
 from ..fourier.pipeline import FusedFourierPipeline
-from ..fourier.transforms import fft_z, ifft_z, mode_blocks, nmodes_for, wavenumbers
+from ..fourier.transforms import ifft_z, mode_blocks, nmodes_for, wavenumbers
 from ..linalg.counters import OpCounter, charge
 from ..obs import metrics
 from ..obs import tracer as obs
@@ -69,9 +68,6 @@ class NekTarF:
         lz: float = 2.0 * np.pi,
         time_order: int = 2,
         charge_compute: bool = False,
-        blocked_solves: bool = True,
-        steady_bcs: bool | None = None,
-        fused_transpose: bool = True,
     ):
         if nu <= 0 or dt <= 0:
             raise ValueError("nu and dt must be positive")
@@ -83,8 +79,6 @@ class NekTarF:
         self.lz = float(lz)
         self.scheme = stiffly_stable(time_order)
         self.charge_compute = charge_compute
-        self.blocked_solves = bool(blocked_solves)
-        self.fused_transpose = bool(fused_transpose)
         self._pipeline = FusedFourierPipeline()
         self.velocity_bcs = dict(velocity_bcs)
         self.vel_tags = tuple(sorted(velocity_bcs))
@@ -137,9 +131,9 @@ class NekTarF:
         # Dirichlet-value cache: the dof layout above is computed once;
         # the values are cached per (component, local mode) and reused
         # outright when the amplitude function is time-independent
-        # (detected by probing, or forced via ``steady_bcs``).
+        # (detected by probing).
         self._bc_cache: dict[tuple[int, int], tuple[float | None, np.ndarray]] = {}
-        self._bc_steady = self._probe_steady_bcs(steady_bcs)
+        self._bc_steady = self._probe_bc_steady()
 
         nloc = len(self.my_modes)
         self.u_hat = np.zeros((nloc, space.ndof), dtype=np.complex128)
@@ -199,17 +193,15 @@ class NekTarF:
         self._hist_u.clear()
         self._hist_w.clear()
 
-    def _probe_steady_bcs(self, steady_bcs: bool | None) -> dict[int, bool]:
+    def _probe_bc_steady(self) -> dict[int, bool]:
         """Per-component time-independence of the velocity BC amplitudes.
 
-        ``steady_bcs`` forces the answer; otherwise each amplitude is
-        probed at a few boundary points, modes and times — equal values
-        everywhere mean the per-step edge projections can be skipped.
+        Each amplitude is probed at a few boundary points, modes and
+        times — equal values everywhere mean the per-step edge
+        projections can be skipped.
         """
         if not self.vel_tags or not self.my_modes:
             return {c: True for c in range(3)}
-        if steady_bcs is not None:
-            return {c: bool(steady_bcs) for c in range(3)}
         probe_t = (0.0, 0.37, 1.91)
         modes = {self.my_modes[0], self.my_modes[-1]}
         steady = {c: True for c in range(3)}
@@ -303,45 +295,21 @@ class NekTarF:
             uz, vz, wz = ik * u, ik * v, ik * w
             fields = [u, v, w, ux, uy, uz, vx, vy, vz, wx, wy, wz]
             npts = space.nelem * space.nq
-            if self.fused_transpose:
-                # Fast path: all 12 forward fields ride ONE Alltoall
-                # and the 3 products ONE Alltoall back, via the z-major
-                # workspace pipeline.  Data, compute charges and wire
-                # bytes are identical to the per-field loop below —
-                # only the latency terms (and message count) shrink.
-                phys = self._pipeline.to_physical(
-                    comm, [f.reshape(self.nlocal, npts) for f in fields],
-                    self.nz,
-                )  # 12 x (nz, mypts)
-            else:
-                # Per-field differential oracle: one transpose + one
-                # transform per field (the seed's 15-Alltoall layout).
-                phys = []
-                for f in fields:
-                    # (npoints, my_modes) -> transpose -> physical z.
-                    pts = transpose_to_points(
-                        comm, f.reshape(self.nlocal, npts).T
-                    )
-                    phys.append(ifft_z(pts, self.nz))  # (mypts, nz)
+            # All 12 forward fields ride ONE Alltoall and the 3 products
+            # ONE Alltoall back, via the z-major workspace pipeline.
+            phys = self._pipeline.to_physical(
+                comm, [f.reshape(self.nlocal, npts) for f in fields], self.nz
+            )  # 12 x (nz, mypts)
             pu, pv, pw, pux, puy, puz, pvx, pvy, pvz, pwx, pwy, pwz = phys
             nu_p = -(pu * pux + pv * puy + pw * puz)
             nv_p = -(pu * pvx + pv * pvy + pw * pvz)
             nw_p = -(pu * pwx + pv * pwy + pw * pwz)
-            if self.fused_transpose:
-                back = self._pipeline.to_modal(
-                    comm, (nu_p, nv_p, nw_p), npts, self.nz
-                )  # (3, my_modes, npoints)
-                n_modes = back.reshape(
-                    3, self.nlocal, space.nelem, space.nq
-                )
-            else:
-                n_modes = []
-                for f in (nu_p, nv_p, nw_p):
-                    back = transpose_to_modes(comm, fft_z(f), npts)
-                    n_modes.append(
-                        back.T.reshape(self.nlocal, space.nelem, space.nq)
-                    )
-            nu_t, nv_t, nw_t = n_modes
+            back = self._pipeline.to_modal(
+                comm, (nu_p, nv_p, nw_p), npts, self.nz
+            )  # (3, my_modes, npoints)
+            nu_t, nv_t, nw_t = back.reshape(
+                3, self.nlocal, space.nelem, space.nq
+            )
             omega_z = vx - uy
             omega_x = wy - vz
             omega_y = uz - wx
@@ -373,16 +341,11 @@ class NekTarF:
                 )
 
         # Stage 5: per-mode Poisson solves — real and imaginary parts
-        # share the factorisation, so the blocked path sweeps them as one
-        # (2, ndof) RHS block per mode.
+        # share the factorisation, so they are swept as one (2, ndof)
+        # RHS block per mode.
         with stage(4):
-            solve_p = (
-                self._solve_pressure_block
-                if self.blocked_solves
-                else self._solve_pressure
-            )
             for i in range(self.nlocal):
-                self.p_hat[i] = solve_p(i, rhs_p[i])
+                self.p_hat[i] = self._solve_pressure_block(i, rhs_p[i])
 
         # Stage 6: viscous RHS, all local modes at once.
         with stage(5):
@@ -393,49 +356,20 @@ class NekTarF:
             rhs_v = self._load_c(uhy - dt * py) * scale
             rhs_w = self._load_c(uhz - dt * pz) * scale
 
-        # Stage 7: per-mode Helmholtz solves, three components.  The
-        # blocked path stacks all six real solves per mode (3 components
-        # x re/im, all sharing the mode's factorisation) into one
-        # (6, ndof) block.
+        # Stage 7: per-mode Helmholtz solves, three components: all six
+        # real solves per mode (3 components x re/im, all sharing the
+        # mode's factorisation) go as one (6, ndof) block.
         with stage(6):
-            if self.blocked_solves:
-                for i in range(self.nlocal):
-                    self._solve_viscous_block(
-                        i, rhs_u[i], rhs_v[i], rhs_w[i], scheme.gamma0, t_new
-                    )
-            else:
-                for i in range(self.nlocal):
-                    solver = self._viscous_solver(i, scheme.gamma0)
-                    for hat, rhs, comp in (
-                        (self.u_hat, rhs_u, 0),
-                        (self.v_hat, rhs_v, 1),
-                        (self.w_hat, rhs_w, 2),
-                    ):
-                        bc = self._bc_values(comp, i, t_new)
-                        re = solver.solve_rhs(
-                            rhs[i].real, None if bc is None else bc.real
-                        )
-                        im = solver.solve_rhs(
-                            rhs[i].imag, None if bc is None else bc.imag
-                        )
-                        hat[i] = re + 1j * im
+            for i in range(self.nlocal):
+                self._solve_viscous_block(
+                    i, rhs_u[i], rhs_v[i], rhs_w[i], scheme.gamma0, t_new
+                )
 
         self._hist_u.appendleft((u, v, w))
         self._hist_n.appendleft((nu_t, nv_t, nw_t))
         self._hist_w.appendleft((omega_x, omega_y, omega_z))
         self.t = t_new
         self.step_count += 1
-
-    def _solve_pressure(self, i: int, rhs: np.ndarray) -> np.ndarray:
-        solver = self.p_solvers[i]
-        if isinstance(solver, CondensedOperator):
-            return solver.solve(rhs.real, np.zeros(1)) + 1j * solver.solve(
-                rhs.imag, np.zeros(1)
-            )
-        zero = solver.bc_values(None)
-        return solver.solve_rhs(rhs.real, zero) + 1j * solver.solve_rhs(
-            rhs.imag, zero
-        )
 
     def _solve_pressure_block(self, i: int, rhs: np.ndarray) -> np.ndarray:
         """Real + imaginary parts as one (2, ndof) multi-RHS sweep."""

@@ -368,8 +368,8 @@ class CritPathRecorder:
 
     Attach via ``VirtualCluster(..., critpath=recorder)``; after the
     run, ``recorder.graph`` holds the priced DAG.  A new ``run()``
-    starts a fresh graph.  Thread-safe (the thread engine calls hooks
-    from rank threads); under the event engine the lock is uncontended.
+    starts a fresh graph.  Hooks are called from rank threads; the
+    scheduler runs one rank at a time, so the lock is uncontended.
     """
 
     def __init__(self) -> None:

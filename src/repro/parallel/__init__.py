@@ -5,7 +5,7 @@ from .distributed import DistributedHelmholtz
 from .faults import CrashSpec, FaultPlan, RankFailure, RecvTimeout
 from .gs import GatherScatter
 from .sanitizer import DeterminismError, Race, RaceDetector
-from .scheduler import ENGINES, SchedulerDeadlock
+from .scheduler import SchedulerDeadlock
 from .simmpi import VirtualCluster, VirtualComm, payload_bytes
 
 __all__ = [
@@ -14,7 +14,6 @@ __all__ = [
     "GatherScatter",
     "DistributedHelmholtz",
     "payload_bytes",
-    "ENGINES",
     "SchedulerDeadlock",
     "FaultPlan",
     "CrashSpec",

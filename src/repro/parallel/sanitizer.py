@@ -120,7 +120,7 @@ class RaceDetector:
         """All ranks' vector clocks in one snapshot (rank -> clock).
 
         Convenience for finalize-time consumers (trace annotation, the
-        engine parity suite) that compare whole-cluster clock states."""
+        engine golden suite) that compare whole-cluster clock states."""
         with self._lock:
             return {r: tuple(vc) for r, vc in enumerate(self._clocks)}
 

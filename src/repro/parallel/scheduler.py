@@ -1,79 +1,50 @@
 # repro: waive-file[virtual-time] host-side scheduling substrate; rank threads implement the simulated ranks
-"""Execution engines for :class:`~repro.parallel.simmpi.VirtualCluster`.
+"""Execution engine for :class:`~repro.parallel.simmpi.VirtualCluster`.
 
 A virtual cluster needs two things from its host: a way to *suspend* a
 rank whose next virtual event has not happened yet (a ``recv`` with an
 empty mailbox, a collective missing participants), and a way to *wake*
-exactly the ranks whose wait just became satisfiable.  Two engines
-implement that contract:
+exactly the ranks whose wait just became satisfiable.
 
-``event`` (the default)
-    A cooperative, deterministic scheduler.  Each rank runs as a
-    continuation — a parked OS thread that holds the rank's full Python
-    call stack (the only stdlib-portable way to suspend arbitrary
-    synchronous code mid-call; greenlets without the dependency) — but
-    at most ONE continuation executes at any moment.  A single run
-    token is handed directly from the parking rank to the next entry of
-    an O(1) ready deque, wakeups are targeted (a ``send`` readies only
-    its receiver), and the scheduler thread takes over only when the
-    ready deque drains (deadlock / timeout-expiry classification).
-    Cost per blocking operation is O(1) host work, independent of the
-    cluster size, which is what makes 1024-rank clusters cheap: the
-    thread-per-rank engine's broadcast wakeups cost O(P) re-checks per
-    state change, O(P^2) per collective round.
+:class:`EventEngine` is a cooperative, deterministic scheduler.  Each
+rank runs as a continuation — a parked OS thread that holds the rank's
+full Python call stack (the only stdlib-portable way to suspend
+arbitrary synchronous code mid-call; greenlets without the dependency)
+— but at most ONE continuation executes at any moment.  A single run
+token is handed directly from the parking rank to the next entry of an
+O(1) ready deque, wakeups are targeted (a ``send`` readies only its
+receiver), and the scheduler thread takes over only when the ready
+deque drains (deadlock / timeout-expiry classification).  Cost per
+blocking operation is O(1) host work, independent of the cluster size,
+which is what makes 1024-rank clusters cheap.
 
-``threads``
-    The original preemptive engine: one free-running thread per rank
-    synchronised on a shared :class:`threading.Condition`, every state
-    change broadcast with ``notify_all``.  Kept selectable for one
-    release as the differential-testing oracle — the parity suite runs
-    both engines on identical programs and asserts bitwise-identical
-    clocks, charges and traces.
-
-Both engines preserve every simulator contract byte-for-byte: virtual
-clock arithmetic, OpCounter charges, fault injection, the finalize-time
-communication verifier, sanitizer vector clocks and the
-``rank_traces()`` event strings are all computed by
+Every simulator contract — virtual clock arithmetic, OpCounter charges,
+fault injection, the finalize-time communication verifier, sanitizer
+vector clocks and the ``rank_traces()`` event strings — is computed by
 :mod:`~repro.parallel.simmpi` itself; the engine only decides *which
-host thread runs when*.  Because every rank keeps its own OS thread in
-both engines, thread-local machinery (the ambient
+host thread runs when*.  Because every rank keeps its own OS thread,
+thread-local machinery (the ambient
 :class:`~repro.linalg.counters.OpCounter`, the per-rank
 :mod:`repro.obs` tracer installation) works unchanged.
 
 A host-level stall — no rank is runnable, yet the deadlock classifier
 declines to call it a (virtual) deadlock — raises a typed
-:class:`SchedulerDeadlock` carrying a per-rank blocked-state dump,
-instead of hanging the process the way a lost ``Condition`` wakeup
-used to.
+:class:`SchedulerDeadlock` carrying a per-rank blocked-state dump
+instead of hanging the process.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import deque
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Callable
 
 from ..analysis.vocab import RUNTIME_CODES
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .simmpi import VirtualCluster, VirtualComm
 
-__all__ = [
-    "ENGINES",
-    "EventEngine",
-    "SchedulerDeadlock",
-    "ThreadEngine",
-    "make_engine",
-]
-
-#: Engine names accepted by ``VirtualCluster(engine=...)``.
-ENGINES = ("event", "threads")
-
-# Consecutive stale safety-net wakeups (no cluster progress, wait still
-# unsatisfied, every live rank blocked) before the thread engine calls
-# the run host-stalled.  Two strikes so a single slow broadcast never
-# false-positives.
-_STALL_STRIKES = 2
+__all__ = ["EventEngine", "SchedulerDeadlock"]
 
 FailureProbe = Callable[[], BaseException | None]
 WaitEntry = "tuple[str, Callable[[], bool], bool, FailureProbe | None]"
@@ -89,7 +60,7 @@ class SchedulerDeadlock(RuntimeError):
     communication-shaped deadlock still surfaces as that — yet nothing
     can make progress.  It means a scheduler invariant broke (a lost
     wakeup, a monkeypatched or buggy classifier), so instead of hanging
-    the process the engines raise this typed error with a per-rank dump
+    the process the engine raises this typed error with a per-rank dump
     of each blocked rank's wait description.
     """
 
@@ -118,152 +89,6 @@ class _PeerFailure(RuntimeError):
     ``VirtualCluster.run`` re-raises the *root* error, not these."""
 
 
-class _NullMutex:
-    """No-op lock for the cooperative engine: with a single run token
-    there is never a second thread to exclude."""
-
-    def __enter__(self) -> "_NullMutex":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        return None
-
-
-class ThreadEngine:
-    """Preemptive thread-per-rank execution (the legacy oracle).
-
-    All waits share one :class:`threading.Condition`; every state
-    change that can satisfy a wait broadcasts ``notify_all`` and each
-    woken rank re-checks its own predicate.  Correct and simple, but
-    broadcast wakeups cost O(P) per event — the reason this engine caps
-    out near the paper's 64 procs and the event engine exists.
-    """
-
-    name = "threads"
-
-    def __init__(self, cluster: "VirtualCluster"):
-        self.cluster = cluster
-        self.mutex = threading.Condition()
-        # Monotone progress stamp: bumped by every notification.  A
-        # safety-net wakeup that observes no progress while every live
-        # rank is blocked counts toward a SchedulerDeadlock strike.
-        self._progress = 0
-        self._notifies = 0
-
-    # -- notifications (call with the mutex held) ---------------------
-
-    def notify_all(self) -> None:
-        self._progress += 1
-        self._notifies += 1
-        self.mutex.notify_all()
-
-    def notify_rank(self, rank: int) -> None:
-        # A Condition cannot target one waiter; the oracle broadcasts.
-        self.notify_all()
-
-    # -- blocking wait (call with the mutex held) ---------------------
-
-    def wait(
-        self,
-        rank: int,
-        desc: str,
-        predicate: Callable[[], bool],
-        timed: bool = False,
-        failure: FailureProbe | None = None,
-    ) -> bool:
-        cl = self.cluster
-        cl._waiting[rank] = (desc, predicate, timed, failure)
-        strikes = 0
-        try:
-            while not predicate():
-                if failure is not None:
-                    exc = failure()
-                    if exc is not None:
-                        raise exc
-                if cl._deadlock is not None:
-                    raise cl._deadlock
-                if cl._error_flag:
-                    peer = next(
-                        (st.error for st in cl.ranks if st.error is not None),
-                        None,
-                    )
-                    if peer is not None:
-                        raise _PeerFailure(
-                            f"rank {rank}: peer rank failed during {desc}"
-                        ) from peer
-                if rank in cl._timed_out:
-                    cl._timed_out.discard(rank)
-                    return False
-                if cl._check_deadlock():
-                    raise cl._deadlock
-                if rank in cl._timed_out:
-                    # _check_deadlock may have just expired this wait.
-                    cl._timed_out.discard(rank)
-                    return False
-                stamp = self._progress
-                self.mutex.wait(timeout=cl.wait_safety_net_s)
-                if self._progress == stamp and not predicate():
-                    # Stale wakeup: the safety net fired with zero
-                    # cluster activity.  Only a stall if nobody is
-                    # computing either — a rank mid-numpy is progress
-                    # the stamp cannot see.
-                    live_all_blocked = all(
-                        st.done or st.error is not None or r in cl._waiting
-                        for r, st in enumerate(cl.ranks)
-                    )
-                    if live_all_blocked:
-                        strikes += 1
-                        if strikes >= _STALL_STRIKES:
-                            raise SchedulerDeadlock(
-                                {
-                                    r: entry[0]
-                                    for r, entry in sorted(cl._waiting.items())
-                                },
-                                detail=(
-                                    f"thread engine: {strikes} consecutive "
-                                    f"safety-net windows "
-                                    f"({cl.wait_safety_net_s:.3g}s each) "
-                                    "passed with no notification"
-                                ),
-                            )
-                else:
-                    strikes = 0
-            return True
-        finally:
-            cl._waiting.pop(rank, None)
-            cl._timed_out.discard(rank)
-
-    # -- execution ----------------------------------------------------
-
-    def run_ranks(
-        self,
-        comms: "list[VirtualComm]",
-        body: Callable[["VirtualComm"], None],
-    ) -> None:
-        cl = self.cluster
-        self._notifies = 0
-        threads = []
-        for comm in comms:
-
-            def work(comm: "VirtualComm" = comm) -> None:
-                body(comm)
-                with self.mutex:
-                    cl.ranks[comm.rank].done = True
-                    cl._waiting.pop(comm.rank, None)
-                    # A finished rank can strand peers waiting on it.
-                    cl._check_deadlock()
-                    self.notify_all()
-
-            threads.append(threading.Thread(target=work, daemon=True))
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-
-    def stats(self) -> dict[str, float]:
-        return {"scheduler.notifies": float(self._notifies)}
-
-
 # Continuation states.  READY ranks sit in the deque; exactly one rank
 # is RUNNING (it holds the token); BLOCKED ranks are parked inside
 # EventEngine.wait; DONE ranks have returned, crashed or errored.
@@ -282,11 +107,11 @@ class _Continuation:
 
 
 class EventEngine:
-    """Cooperative event-driven scheduler (the default engine).
+    """Cooperative event-driven scheduler.
 
     Exactly one continuation holds the run token at any moment, so the
     simulator's shared state (mailboxes, collectives, ledgers) needs no
-    lock at all — ``mutex`` is a no-op.  Scheduling is deterministic:
+    lock at all.  Scheduling is deterministic:
     ranks start in rank order, wakeups append to a FIFO ready deque in
     a fixed order, and the token is handed directly from the parking
     rank to the next ready rank (one Event signal per block, no
@@ -296,11 +121,8 @@ class EventEngine:
     :class:`SchedulerDeadlock`.
     """
 
-    name = "event"
-
     def __init__(self, cluster: "VirtualCluster"):
         self.cluster = cluster
-        self.mutex = _NullMutex()
         self._conts: list[_Continuation] = []
         self._ready: deque[int] = deque()
         self._sched_go = threading.Event()
@@ -440,9 +262,9 @@ class EventEngine:
         Either the cluster's own logic turns the drain into virtual
         semantics (deadlock error, expired virtual timeouts, crashed
         peers — all of which ready the affected ranks), or the engine
-        declares a host-level stall.  Unlike the thread engine this
-        needs no real-time safety net: with a single token the drain
-        condition is observed exactly, so classification is immediate.
+        declares a host-level stall.  No real-time safety net is
+        needed: with a single token the drain condition is observed
+        exactly, so classification is immediate.
         """
         cl = self.cluster
         if cl._check_deadlock():
@@ -454,8 +276,7 @@ class EventEngine:
             # The classifier expired timed waits or fired a failure
             # probe — someone is runnable again.
             return
-        # Defensive sweep (the event-engine analogue of the thread
-        # engine's safety net): ready any rank whose wait is actually
+        # Defensive sweep: ready any rank whose wait is actually
         # satisfiable, so a lost targeted wakeup degrades to a sweep
         # instead of a stall.
         for rank in sorted(cl._waiting):
@@ -530,14 +351,3 @@ class EventEngine:
             "scheduler.wakeups": float(self._wakeups),
             "scheduler.ready_depth_max": float(self._ready_depth_max),
         }
-
-
-def make_engine(name: str, cluster: "VirtualCluster"):
-    """Engine factory for ``VirtualCluster(engine=...)``."""
-    if name == "event":
-        return EventEngine(cluster)
-    if name == "threads":
-        return ThreadEngine(cluster)
-    raise ValueError(
-        f"unknown engine {name!r} (valid engines: {', '.join(ENGINES)})"
-    )

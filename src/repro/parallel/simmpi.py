@@ -73,7 +73,7 @@ from ..obs import tracer as obs
 from ..obs.critpath import CritPathRecorder
 from .faults import CrashSpec, FaultPlan, RankFailure, RecvTimeout
 from .sanitizer import DeterminismError, RaceDetector
-from .scheduler import ENGINES, SchedulerDeadlock, _PeerFailure, make_engine
+from .scheduler import EventEngine, SchedulerDeadlock, _PeerFailure
 
 __all__ = [
     "CommVerificationError",
@@ -92,12 +92,6 @@ def _code(kind: str) -> str:
     return f" [{RUNTIME_CODES[kind]}]"
 
 _TRACE_LEN = 64
-# Host-side safety net only (thread engine): every state change that
-# can satisfy a wait notifies the condition, so this timeout never
-# shapes virtual or host timing — it exists so a lost-wakeup bug
-# degrades to a typed SchedulerDeadlock (after two stale windows)
-# instead of a hang.  Tunable per cluster via ``wait_safety_net_s``.
-_WAIT_SAFETY_NET_S = 5.0
 
 
 class CommVerificationError(RuntimeError):
@@ -220,16 +214,10 @@ class VirtualCluster:
         trace: obs.Trace | None = None,
         faults: FaultPlan | None = None,
         sanitize: bool = False,
-        engine: str = "event",
         critpath: "CritPathRecorder | None" = None,
     ):
         if nprocs < 1:
             raise ValueError("need at least one rank")
-        if engine not in ENGINES:
-            raise ValueError(
-                f"unknown engine {engine!r} "
-                f"(valid engines: {', '.join(ENGINES)})"
-            )
         self.nprocs = nprocs
         self.network = network
         self.cpu = cpu
@@ -254,15 +242,10 @@ class VirtualCluster:
         # Empty plan == no plan: every fault branch keys off this being
         # None, which is what makes the fault layer provably zero-cost.
         self._plan = None if faults is None or faults.is_empty else faults
-        # Execution engine: "event" (cooperative single-token scheduler,
-        # the default) or "threads" (the legacy preemptive oracle kept
-        # for differential testing).  Engines own all host
-        # synchronisation: `_mutex` is a real Condition under the thread
-        # engine and a no-op under the event engine (single token — no
-        # second thread to exclude).
-        self.engine = engine
-        self._engine = make_engine(engine, self)
-        self._mutex = self._engine.mutex
+        # The cooperative single-token scheduler owns all host
+        # synchronisation: only the token holder touches the shared
+        # state below, so none of it is locked.
+        self._engine = EventEngine(self)
         self._mailbox: dict[tuple[int, int, int], deque] = {}
         self._collectives: dict[tuple[str, int], _Collective] = {}
         self._coll_seq: dict[str, int] = {}
@@ -286,12 +269,6 @@ class VirtualCluster:
         # of rank states in the overwhelmingly common no-error case.
         self._error_flag = False
         self.ranks = [_RankState() for _ in range(nprocs)]
-
-    # Thread-engine safety-net window in host seconds; after two
-    # consecutive windows with no cluster activity and every live rank
-    # blocked, the run aborts with SchedulerDeadlock instead of
-    # spinning forever.  Class attribute so tests can shrink it.
-    wait_safety_net_s: float = _WAIT_SAFETY_NET_S
 
     # -- topology ---------------------------------------------------------------
 
@@ -327,8 +304,8 @@ class VirtualCluster:
         return {r: list(self.ranks[r].trace) for r in ranks}
 
     def _check_deadlock(self) -> bool:
-        """With the mutex held: true iff every live rank is blocked on a
-        condition that cannot become true.  Records the deadlock error."""
+        """True iff every live rank is blocked on a condition that
+        cannot become true.  Records the deadlock error."""
         if self._deadlock is not None:
             return True
         if self._error_flag:
@@ -381,7 +358,7 @@ class VirtualCluster:
         timed: bool = False,
         failure: Callable[[], BaseException | None] | None = None,
     ) -> bool:
-        """With the lock held: wait until ``predicate()``.
+        """Wait until ``predicate()``.
 
         Aborts on peer failure or deadlock; raises the exception
         returned by ``failure()`` when it fires (crashed-peer probes).
@@ -395,9 +372,8 @@ class VirtualCluster:
         satisfy a predicate (message enqueue, collective fill, rank
         completion, crash, timeout expiry) notifies the engine, so
         blocking host time is not quantised by a poll interval.  The
-        mechanics live in the engine: the event engine parks the rank's
-        continuation and hands the run token on; the thread engine
-        waits on the shared condition.
+        mechanics live in the engine, which parks the rank's
+        continuation and hands the run token on.
         """
         return self._engine.wait(rank, desc, predicate, timed, failure)
 
@@ -506,19 +482,18 @@ class VirtualCluster:
 
     def run(self, fn: Callable[["VirtualComm"], Any], *args, **kwargs) -> list[Any]:
         """Run ``fn(comm, *args)`` on every rank; returns per-rank results."""
-        with self._mutex:
-            for st in self.ranks:
-                st.done = False
-                st.error = None
-                st.crashed = False
-            self._waiting.clear()
-            self._timed_out.clear()
-            self._crashed.clear()
-            self._deadlock = None
-            self._error_flag = False
-            if self.sanitize:
-                # Fresh clocks and access log per run.
-                self._sanitizer = RaceDetector(self.nprocs)
+        for st in self.ranks:
+            st.done = False
+            st.error = None
+            st.crashed = False
+        self._waiting.clear()
+        self._timed_out.clear()
+        self._crashed.clear()
+        self._deadlock = None
+        self._error_flag = False
+        if self.sanitize:
+            # Fresh clocks and access log per run.
+            self._sanitizer = RaceDetector(self.nprocs)
         if self._critpath is not None:
             # Fresh event graph per run, anchored at the ranks' current
             # clocks (a reused cluster does not restart at zero).
@@ -556,7 +531,6 @@ class VirtualCluster:
         for _skey, _sval in sorted(self._engine.stats().items()):
             metrics.set_gauge(_skey, _sval)
         if self.trace is not None:
-            self.trace.annotate("cluster.engine", self._engine.name)
             self.trace.annotate("cluster.engine_stats", self._engine.stats())
         errors = [st.error for st in self.ranks if st.error is not None]
         if errors:
@@ -584,10 +558,9 @@ class VirtualCluster:
     def engine_stats(self) -> dict[str, float]:
         """Host-scheduler statistics of the most recent :meth:`run`.
 
-        Engine-specific keys: the event engine reports
-        ``scheduler.switches`` (token hand-offs) and
-        ``scheduler.wakeups`` (ranks readied); the thread engine
-        reports ``scheduler.notifies`` (condition broadcasts).  All
+        ``scheduler.switches`` counts token hand-offs,
+        ``scheduler.wakeups`` ranks readied and
+        ``scheduler.ready_depth_max`` the deepest ready deque.  All
         values are deterministic host-side quantities — they never
         touch the virtual clocks.
         """
@@ -719,13 +692,12 @@ class VirtualComm:
 
     def _do_crash(self) -> None:
         cl = self.cluster
-        with cl._mutex:
-            self._st.crashed = True
-            cl._crashed[self.rank] = self._st.wall
-            self._st.trace.append(f"CRASHED at t={self._st.wall:.6g}")
-            # Broadcast: any rank blocked on the dead rank must wake to
-            # observe the failure through its probe.
-            cl._engine.notify_all()
+        self._st.crashed = True
+        cl._crashed[self.rank] = self._st.wall
+        self._st.trace.append(f"CRASHED at t={self._st.wall:.6g}")
+        # Broadcast: any rank blocked on the dead rank must wake to
+        # observe the failure through its probe.
+        cl._engine.notify_all()
         metrics.inc("faults.crashes")
         tracer = obs.current()
         if tracer is not None:
@@ -739,8 +711,7 @@ class VirtualComm:
         cl = self.cluster
         if cl._plan is None:
             return
-        with cl._mutex:
-            when = cl._crashed.get(peer)
+        when = cl._crashed.get(peer)
         if when is not None:
             raise RankFailure(peer, when)
 
@@ -850,16 +821,14 @@ class VirtualComm:
                         net.cpu_time_for_bytes(nret * nbytes) if nret else 0.0
                     ),
                 )
-        with cl._mutex:
-            self._st.trace.append(f"send -> {dest} tag={tag} ({nbytes}B)")
-            key = (self.rank, dest, tag)
-            cl._mailbox.setdefault(key, deque()).append(
-                (obj, ready, nbytes, vc, cp_node)
-            )
-            # Targeted wakeup: only the receiver's wait can be
-            # satisfied by this enqueue (O(1) under the event engine;
-            # the thread engine broadcasts regardless).
-            cl._engine.notify_rank(dest)
+        self._st.trace.append(f"send -> {dest} tag={tag} ({nbytes}B)")
+        key = (self.rank, dest, tag)
+        cl._mailbox.setdefault(key, deque()).append(
+            (obj, ready, nbytes, vc, cp_node)
+        )
+        # Targeted wakeup: only the receiver's wait can be
+        # satisfied by this enqueue.
+        cl._engine.notify_rank(dest)
         tracer = obs.current()
         if tracer is not None:
             tracer.emit_span(
@@ -921,29 +890,28 @@ class VirtualComm:
         attempts = 0
         cur_timeout = timeout
         while True:
-            with cl._mutex:
-                got = cl._blocking_wait(
-                    self.rank,
-                    desc,
-                    lambda: bool(cl._mailbox.get(key)),
-                    timed=timeout is not None,
-                    failure=crash_probe,
-                )
-                if got:
-                    obj, ready, nbytes, sender_vc, send_node = cl._mailbox[key][0]
-                    if cur_timeout is None or ready <= self._st.wall + cur_timeout:
-                        cl._mailbox[key].popleft()
-                        if not cl._mailbox[key]:
-                            del cl._mailbox[key]
-                        self._st.trace.append(
-                            f"recv <- {source} tag={tag} ({nbytes}B)"
-                        )
-                        if cl._sanitizer is not None and sender_vc is not None:
-                            cl._sanitizer.on_recv(self.rank, sender_vc)
-                        break
-                    # A message exists but completes after the virtual
-                    # deadline: this attempt times out; the message
-                    # stays queued for a later attempt.
+            got = cl._blocking_wait(
+                self.rank,
+                desc,
+                lambda: bool(cl._mailbox.get(key)),
+                timed=timeout is not None,
+                failure=crash_probe,
+            )
+            if got:
+                obj, ready, nbytes, sender_vc, send_node = cl._mailbox[key][0]
+                if cur_timeout is None or ready <= self._st.wall + cur_timeout:
+                    cl._mailbox[key].popleft()
+                    if not cl._mailbox[key]:
+                        del cl._mailbox[key]
+                    self._st.trace.append(
+                        f"recv <- {source} tag={tag} ({nbytes}B)"
+                    )
+                    if cl._sanitizer is not None and sender_vc is not None:
+                        cl._sanitizer.on_recv(self.rank, sender_vc)
+                    break
+                # A message exists but completes after the virtual
+                # deadline: this attempt times out; the message
+                # stays queued for a later attempt.
             # Virtual timeout: burn the deadline on the wall clock.
             assert cur_timeout is not None
             net_t = cl.pair_network(source, self.rank)
@@ -1035,99 +1003,98 @@ class VirtualComm:
         if cl._plan is not None:
             self._maybe_crash()
         t_entry = self._st.wall
-        with cl._mutex:
-            if cl.verify:
-                # My n-th collective must be the same kind as every
-                # other rank's n-th collective (MPI collective-ordering
-                # rule).  The registry records (kind, rank) of the
-                # first rank to enter each global collective slot, so
-                # the check is O(1) per entry instead of scanning all
-                # P rank histories.
-                idx = len(self._st.coll_kinds)
-                if idx < len(cl._coll_order):
-                    okind, orank = cl._coll_order[idx]
-                    if okind != kind:
-                        traces = cl.rank_traces([self.rank, orank])
-                        raise CommVerificationError(
-                            [
-                                f"collective ordering mismatch: rank "
-                                f"{self.rank} enters '{kind}' as its "
-                                f"collective #{idx} but rank {orank} ran "
-                                f"'{okind}' there"
-                                f"{_code('collective_order')}"
-                            ],
-                            traces,
-                        )
-                else:
-                    cl._coll_order.append((kind, self.rank))
-            self._st.coll_kinds.append(kind)
-            seq = cl._coll_seq.get(kind, 0)
-            key = (kind, seq)
-            coll = cl._collectives.get(key)
-            if coll is None or coll.arrived == coll.expected:
-                # Start a new instance (previous one full => next round).
-                if coll is not None and coll.arrived == coll.expected:
-                    seq += 1
-                    cl._coll_seq[kind] = seq
-                    key = (kind, seq)
-                coll = cl._collectives.setdefault(key, _Collective(expected=self.size))
-            self._st.trace.append(f"{kind} #{seq}")
-            coll.data[self.rank] = contribution
-            if entry_size is not None:
-                coll.sizes[self.rank] = entry_size
-            coll.arrived += 1
-            if cl._sanitizer is not None:
-                cl._sanitizer.collective_arrive(key, self.rank)
-            coll.t_start = max(coll.t_start, self._st.wall)
-            cp = cl._critpath
-            if cp is not None:
-                cp.on_collective_arrive(key, self.rank, self._st.wall)
-            if coll.arrived == coll.expected:
-                coll.t_done = pricing(coll.t_start, coll.data, coll.sizes)
-                coll.out = combine(coll.data)
-                cl._coll_seq[kind] = seq + 1
-                if cp is not None:
-                    if breakdown is not None:
-                        comps, meta = breakdown(coll.data, coll.sizes)
-                    else:
-                        comps = {"latency": coll.t_done - coll.t_start}
-                        meta = {"kind": kind, "n": self.size}
-                    cp.on_collective_complete(
-                        key, coll.t_start, coll.t_done, comps, meta
+        if cl.verify:
+            # My n-th collective must be the same kind as every
+            # other rank's n-th collective (MPI collective-ordering
+            # rule).  The registry records (kind, rank) of the
+            # first rank to enter each global collective slot, so
+            # the check is O(1) per entry instead of scanning all
+            # P rank histories.
+            idx = len(self._st.coll_kinds)
+            if idx < len(cl._coll_order):
+                okind, orank = cl._coll_order[idx]
+                if okind != kind:
+                    traces = cl.rank_traces([self.rank, orank])
+                    raise CommVerificationError(
+                        [
+                            f"collective ordering mismatch: rank "
+                            f"{self.rank} enters '{kind}' as its "
+                            f"collective #{idx} but rank {orank} ran "
+                            f"'{okind}' there"
+                            f"{_code('collective_order')}"
+                        ],
+                        traces,
                     )
-                # Everyone parked at this rendezvous is now releasable.
-                cl._engine.notify_all()
             else:
-
-                def crash_probe():
-                    # A collective can never complete once a rank that
-                    # has not yet contributed is dead.
-                    if cl._plan is None:
-                        return None
-                    # sorted(): which dead rank gets reported must not
-                    # depend on crash-registration (thread) order.
-                    for dead, when in sorted(cl._crashed.items()):
-                        if dead not in coll.data:
-                            return RankFailure(dead, when)
-                    return None
-
-                cl._blocking_wait(
-                    self.rank,
-                    f"collective '{kind}' #{seq}",
-                    lambda: coll.arrived >= coll.expected,
-                    failure=crash_probe,
+                cl._coll_order.append((kind, self.rank))
+        self._st.coll_kinds.append(kind)
+        seq = cl._coll_seq.get(kind, 0)
+        key = (kind, seq)
+        coll = cl._collectives.get(key)
+        if coll is None or coll.arrived == coll.expected:
+            # Start a new instance (previous one full => next round).
+            if coll is not None and coll.arrived == coll.expected:
+                seq += 1
+                cl._coll_seq[kind] = seq
+                key = (kind, seq)
+            coll = cl._collectives.setdefault(key, _Collective(expected=self.size))
+        self._st.trace.append(f"{kind} #{seq}")
+        coll.data[self.rank] = contribution
+        if entry_size is not None:
+            coll.sizes[self.rank] = entry_size
+        coll.arrived += 1
+        if cl._sanitizer is not None:
+            cl._sanitizer.collective_arrive(key, self.rank)
+        coll.t_start = max(coll.t_start, self._st.wall)
+        cp = cl._critpath
+        if cp is not None:
+            cp.on_collective_arrive(key, self.rank, self._st.wall)
+        if coll.arrived == coll.expected:
+            coll.t_done = pricing(coll.t_start, coll.data, coll.sizes)
+            coll.out = combine(coll.data)
+            cl._coll_seq[kind] = seq + 1
+            if cp is not None:
+                if breakdown is not None:
+                    comps, meta = breakdown(coll.data, coll.sizes)
+                else:
+                    comps = {"latency": coll.t_done - coll.t_start}
+                    meta = {"kind": kind, "n": self.size}
+                cp.on_collective_complete(
+                    key, coll.t_start, coll.t_done, comps, meta
                 )
-            coll.released += 1
-            out, t_done = coll.out, coll.t_done
-            t_sync = coll.t_start  # final: all ranks have arrived
-            if cl._critpath is not None:
-                cl._critpath.on_collective_release(key, self.rank)
-            if cl._sanitizer is not None:
-                # A completed collective orders every pre-arrival event
-                # on any rank before every post-release event on all.
-                cl._sanitizer.collective_release(key, self.rank)
-            if coll.released == coll.expected:
-                del cl._collectives[(key[0], key[1])]
+            # Everyone parked at this rendezvous is now releasable.
+            cl._engine.notify_all()
+        else:
+
+            def crash_probe():
+                # A collective can never complete once a rank that
+                # has not yet contributed is dead.
+                if cl._plan is None:
+                    return None
+                # sorted(): which dead rank gets reported must not
+                # depend on crash-registration order.
+                for dead, when in sorted(cl._crashed.items()):
+                    if dead not in coll.data:
+                        return RankFailure(dead, when)
+                return None
+
+            cl._blocking_wait(
+                self.rank,
+                f"collective '{kind}' #{seq}",
+                lambda: coll.arrived >= coll.expected,
+                failure=crash_probe,
+            )
+        coll.released += 1
+        out, t_done = coll.out, coll.t_done
+        t_sync = coll.t_start  # final: all ranks have arrived
+        if cl._critpath is not None:
+            cl._critpath.on_collective_release(key, self.rank)
+        if cl._sanitizer is not None:
+            # A completed collective orders every pre-arrival event
+            # on any rank before every post-release event on all.
+            cl._sanitizer.collective_release(key, self.rank)
+        if coll.released == coll.expected:
+            del cl._collectives[(key[0], key[1])]
         waited = max(0.0, t_done - self._st.wall)
         self._st.wall = t_done
         self._st.cpu += cl.network.busy_wait_fraction * waited

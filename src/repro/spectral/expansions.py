@@ -278,21 +278,12 @@ class _TensorLayout:
         self.n1 = n1
         self.np1 = P + 1
 
-    def to_tensor(self, coeffs: Array) -> Array:
-        """Modal vector -> (P+1, P+1) tensor C[p, q]."""
-        c = np.zeros((self.np1, self.np1))
-        c[self.pq[:, 0], self.pq[:, 1]] = coeffs
-        return c
-
     def to_tensor_batched(self, coeffs: Array) -> Array:
         """(..., nmodes) modal stacks -> (..., P+1, P+1) tensor stacks."""
         coeffs = np.asarray(coeffs, dtype=np.float64)
         c = np.zeros(coeffs.shape[:-1] + (self.np1, self.np1))
         c[..., self.pq[:, 0], self.pq[:, 1]] = coeffs
         return c
-
-    def from_tensor(self, c: Array) -> Array:
-        return c[self.pq[:, 0], self.pq[:, 1]]
 
     def from_tensor_batched(self, c: Array) -> Array:
         """(..., P+1, P+1) tensor stacks -> (..., nmodes) modal stacks."""
@@ -304,62 +295,16 @@ class QuadExpansionMixin:
 
     NekTar evaluates transforms and derivatives by two small dense
     contractions per element — O(P^3) instead of the O(P^4) of a
-    tabulated (nmodes x nq) dgemv.  The counted dgemm substrate is used
-    for both contractions, so op accounting stays exact.
+    tabulated (nmodes x nq) dgemv.  Every kernel takes a stack of
+    elements (and any further leading axes) per call; the counted
+    dgemm_batched substrate charges each element's two contractions,
+    so op accounting stays exact.
     """
 
     def tensor_layout(self) -> _TensorLayout:
         if not hasattr(self, "_tensor_layout"):
             self._tensor_layout = _TensorLayout(self)
         return self._tensor_layout
-
-    def _contract(self, c: Array, left: Array, right: Array) -> Array:
-        """out[j, i] = sum_pq C[p, q] left[q, j] right[p, i] via two
-        counted dgemm calls (c is passed as C^T).
-
-        ``right`` tabulates the xi1 (fast, index i) direction, ``left``
-        the xi2 (slow, index j) direction.
-        """
-        from ..linalg import blas
-
-        tl = self.tensor_layout()
-        tmp = np.zeros((tl.np1, tl.n1))
-        blas.dgemm(1.0, c, right, 0.0, tmp)  # tmp[q, i]
-        out = np.zeros((tl.n1, tl.n1))
-        blas.dgemm(1.0, left, tmp, 0.0, out, transa=True)  # out[j, i]
-        return out
-
-    def backward_sumfact(self, coeffs: Array) -> Array:
-        """Equivalent to ``phi.T @ coeffs`` in O(P^3)."""
-        tl = self.tensor_layout()
-        c = tl.to_tensor(np.asarray(coeffs, dtype=np.float64))
-        # values[j, i] = sum_pq C[p, q] b1[p, i] b1[q, j]
-        vals = self._contract(c.T, tl.b1, tl.b1)
-        return vals.ravel()
-
-    def gradient_sumfact(self, coeffs: Array) -> tuple[Array, Array]:
-        """Reference (d/dxi1, d/dxi2) at quadrature points in O(P^3)."""
-        tl = self.tensor_layout()
-        c = tl.to_tensor(np.asarray(coeffs, dtype=np.float64))
-        d1 = self._contract(c.T, tl.b1, tl.d1)  # derivative in xi1
-        d2 = self._contract(c.T, tl.d1, tl.b1)  # derivative in xi2
-        return d1.ravel(), d2.ravel()
-
-    # -- adjoint (inner-product) contractions: quadrature grid -> modes ------
-
-    def _contract_t(self, v: Array, left: Array, right: Array) -> Array:
-        """Adjoint of :meth:`_contract`:
-        out[p, q] = sum_ij right[p, i] left[q, j] V[j, i] via two counted
-        dgemm calls.  ``right`` tabulates xi1 (fast index i), ``left``
-        xi2 (slow index j), exactly as in the forward contraction."""
-        from ..linalg import blas
-
-        tl = self.tensor_layout()
-        tmp = np.zeros((tl.np1, tl.n1))
-        blas.dgemm(1.0, left, v, 0.0, tmp)  # tmp[q, i]
-        out = np.zeros((tl.np1, tl.np1))
-        blas.dgemm(1.0, right, tmp, 0.0, out, transb=True)  # out[p, q]
-        return out
 
     _IPRODUCT_TABLES = {0: ("b1", "b1"), 1: ("d1", "b1"), 2: ("b1", "d1")}
 
@@ -370,31 +315,11 @@ class QuadExpansionMixin:
         r, lft = self._IPRODUCT_TABLES[deriv]
         return getattr(tl, r), getattr(tl, lft)
 
-    def iproduct_sumfact(self, fvals: Array, deriv: int = 0) -> Array:
-        """Inner product of weighted quadrature values against the basis
-        in O(P^3): equivalent to ``phi @ fvals`` (deriv=0),
-        ``dphi1 @ fvals`` (deriv=1) or ``dphi2 @ fvals`` (deriv=2);
-        ``fvals`` must already carry the quadrature/metric weights."""
-        tl = self.tensor_layout()
-        v = np.asarray(fvals, dtype=np.float64).reshape(tl.n1, tl.n1)
-        right, left = self._iproduct_tables(deriv)
-        return tl.from_tensor(self._contract_t(v, left, right))
-
-    def forward_sumfact(self, fvals: Array) -> Array:
-        """L2 projection with the load inner product sum-factorised:
-        same mass solve as :meth:`Expansion2D.forward`, O(P^3) rhs."""
-        fvals = np.asarray(fvals, dtype=np.float64)
-        rhs = self.iproduct_sumfact(self.weights * np.ravel(fvals))
-        n = self.nmodes
-        charge(2.0 * n**3 / 3.0, 8.0 * n * n, "mass-solve")
-        return np.linalg.solve(self.mass_matrix(), rhs)
-
-    # -- stacked (batched) variants: same contractions, whole element
-    # -- groups per call, charged identically per element ------------------
-
     def _contract_batched(self, c: Array, left: Array, right: Array) -> Array:
-        """Stacked :meth:`_contract`: ``c`` is a (..., P+1, P+1) stack of
-        C^T tensors, ``left``/``right`` the shared 1-D factor tables."""
+        """out[..., j, i] = sum_pq C[p, q] left[q, j] right[p, i] via two
+        counted dgemm_batched calls.  ``c`` is a (..., P+1, P+1) stack
+        of C^T tensors; ``right`` tabulates the xi1 (fast, index i)
+        direction, ``left`` the xi2 (slow, index j) direction."""
         from ..linalg import blas
 
         tl = self.tensor_layout()
@@ -405,7 +330,8 @@ class QuadExpansionMixin:
         return out
 
     def backward_sumfact_batched(self, coeffs: Array) -> Array:
-        """(..., nmodes) coefficient stacks -> (..., nq) value stacks."""
+        """(..., nmodes) coefficient stacks -> (..., nq) value stacks;
+        equivalent to ``phi.T @ coeffs`` per element in O(P^3)."""
         tl = self.tensor_layout()
         c = tl.to_tensor_batched(coeffs)
         vals = self._contract_batched(np.swapaxes(c, -1, -2), tl.b1, tl.b1)
@@ -421,9 +347,9 @@ class QuadExpansionMixin:
         return d1.reshape(flat), d2.reshape(flat)
 
     def _contract_t_batched(self, v: Array, left: Array, right: Array) -> Array:
-        """Stacked :meth:`_contract_t`: ``v`` is a (..., nq1d, nq1d)
-        stack of quadrature grids, ``left``/``right`` the shared 1-D
-        factor tables."""
+        """Adjoint of :meth:`_contract_batched`:
+        out[..., p, q] = sum_ij right[p, i] left[q, j] V[j, i] for a
+        (..., nq1d, nq1d) stack ``v`` of quadrature grids."""
         from ..linalg import blas
 
         tl = self.tensor_layout()
@@ -435,7 +361,10 @@ class QuadExpansionMixin:
 
     def iproduct_sumfact_batched(self, fvals: Array, deriv: int = 0) -> Array:
         """(..., nq) weighted value stacks -> (..., nmodes) inner
-        products against the basis (or its reference derivatives)."""
+        products against the basis: ``phi @ fvals`` (deriv=0),
+        ``dphi1 @ fvals`` (deriv=1) or ``dphi2 @ fvals`` (deriv=2) per
+        element in O(P^3); ``fvals`` must already carry the
+        quadrature/metric weights."""
         tl = self.tensor_layout()
         fvals = np.asarray(fvals, dtype=np.float64)
         v = fvals.reshape(fvals.shape[:-1] + (tl.n1, tl.n1))

@@ -124,15 +124,17 @@ def test_space_batched_shape_validation():
         space.load_vector(np.zeros((space.nelem, space.nq + 1)))
     with pytest.raises(ValueError, match="quadrature points"):
         space.grad_load_vector(good, np.zeros((space.nelem + 1, space.nq)))
+    # The per-element switch is gone: it fails as any unknown keyword.
+    with pytest.raises(TypeError, match="batched"):
+        FunctionSpace(rectangle_quads(2, 1), 3, batched=False)
 
 
-@pytest.mark.parametrize("batched", [True, False])
-def test_condensation_error_branches(batched):
+def test_condensation_error_branches():
     from repro.assembly.condensation import CondensedOperator
     from repro.assembly.space import FunctionSpace
     from repro.mesh.generators import rectangle_quads
 
-    space = FunctionSpace(rectangle_quads(2, 2), 4, batched=batched)
+    space = FunctionSpace(rectangle_quads(2, 2), 4)
     mats = space.elemental_matrices("helmholtz", 1.0)
     # Dirichlet dofs must live on the boundary system.
     with pytest.raises(ValueError, match="boundary"):
@@ -140,8 +142,7 @@ def test_condensation_error_branches(batched):
     op = CondensedOperator(space, mats)
     with pytest.raises(ValueError, match="global dofs"):
         op.solve(np.zeros(space.ndof - 1))
-    # A singular interior block must fail loudly in either mode
-    # (scipy re-exports numpy's LinAlgError, so one type covers both).
+    # A singular interior block must fail loudly.
     bad = [m.copy() for m in mats]
     nb = len(space.dofmap.expansion(0).boundary_modes)
     bad[0][nb:, nb:] = 0.0
@@ -149,13 +150,12 @@ def test_condensation_error_branches(batched):
         CondensedOperator(space, bad)
 
 
-@pytest.mark.parametrize("batched", [True, False])
-def test_condensation_rejects_interior_first_ordering(batched, monkeypatch):
+def test_condensation_rejects_interior_first_ordering(monkeypatch):
     from repro.assembly.condensation import CondensedOperator
     from repro.assembly.space import FunctionSpace
     from repro.mesh.generators import rectangle_quads
 
-    space = FunctionSpace(rectangle_quads(1, 1), 3, batched=batched)
+    space = FunctionSpace(rectangle_quads(1, 1), 3)
     mats = space.elemental_matrices("mass")
     exp = space.dofmap.expansion(0)
     bad_order = list(reversed(exp.boundary_modes))

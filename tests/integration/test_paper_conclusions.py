@@ -12,6 +12,8 @@ from repro.apps.nektar_f_bench import step_times as f_times
 from repro.apps.serial_bluff import table1
 from repro.machines.catalog import CPUS, NETWORKS
 
+from ..golden import check
+
 
 def test_1_pc_kernel_level_competitive_but_below_t3e_p2sc():
     """"The single-processor kernel-level performance of the PC is not
@@ -106,12 +108,9 @@ def test_overall_not_by_far():
         assert myr < 2.0 * best, p
 
 
-def test_batching_leaves_cost_tables_unchanged():
-    """Golden regression: the batched execution engine must not move the
-    reproduced per-timestep cost model.  The serial bluff-body stage
-    flops — which also drive the NekTar-F weak-scaling table via
-    ``nektar_f_bench._per_proc_stage_flops`` — must be identical whether
-    the instrumented reduced run executes batched or per-element."""
+def table1_stage_flops():
+    """Paper-size per-stage flops scaled up from the instrumented
+    reduced run, and the Table 1 column they price to."""
     from repro.apps.pricing import price_stages, total_time
     from repro.apps.serial_bluff import (
         TABLE1_MACHINES,
@@ -120,23 +119,18 @@ def test_batching_leaves_cost_tables_unchanged():
     )
     from repro.machines.catalog import MACHINES
 
-    measured_b = measure_reduced(batched=True)
-    measured_p = measure_reduced(batched=False)
-    flops_b = paper_stage_flops(measured_b)
-    flops_p = paper_stage_flops(measured_p)
-    assert flops_b == flops_p
-    # And therefore the priced Table 1 column is unchanged too.
-    for mkey in TABLE1_MACHINES:
-        cpu = MACHINES[mkey].cpu
-        assert total_time(price_stages(cpu, flops_b)) == total_time(
-            price_stages(cpu, flops_p)
-        )
+    flops = paper_stage_flops(measure_reduced())
+    return {
+        "stage_flops": flops,
+        "table1_s": {
+            m: total_time(price_stages(MACHINES[m].cpu, flops))
+            for m in TABLE1_MACHINES
+        },
+    }
 
 
-def test_batching_leaves_nektar_f_step_flops_unchanged():
-    """Golden regression on the 3-D solver itself: a short NekTar-F run
-    charges identical op totals (and produces the same solution) in
-    both execution modes."""
+def nektar_f_step_flops():
+    """Op totals and solution checksums of a short NekTar-F run."""
     import numpy as np
 
     from repro.assembly.space import FunctionSpace
@@ -146,34 +140,45 @@ def test_batching_leaves_nektar_f_step_flops_unchanged():
     from repro.ns.nektar_f import NekTarF
     from repro.parallel.simmpi import VirtualCluster
 
+    def rank_fn(comm):
+        space = FunctionSpace(rectangle_quads(2, 2), 3)
+        one = lambda m, x, y, t: 1.0 if m == 0 else 0.0  # noqa: E731
+        zero = lambda m, x, y, t: 0.0  # noqa: E731
+        bcs = {t: (one, zero, zero) for t in ("left", "top", "bottom")}
+        nf = NekTarF(
+            comm, space, nz=4, nu=0.02, dt=1e-3, velocity_bcs=bcs,
+            pressure_dirichlet=("right",),
+        )
+        nf.set_initial(one, zero, zero)
+        with OpCounter() as c:
+            nf.run(2)
+        snap = c.snapshot()
+        return {
+            "charges": [snap.flops, snap.bytes, snap.label_charges()],
+            "state": [float(np.abs(f).sum()) for f in (nf.u_hat, nf.p_hat)],
+        }
+
     net = NetworkModel("t", latency_us=5, bandwidth=1e9)
+    return VirtualCluster(1, net).run(rank_fn)[0]
 
-    def run(batched):
-        def rank_fn(comm):
-            mesh = rectangle_quads(2, 2)
-            space = FunctionSpace(mesh, 3, batched=batched)
-            one = lambda m, x, y, t: 1.0 if m == 0 else 0.0  # noqa: E731
-            zero = lambda m, x, y, t: 0.0  # noqa: E731
-            bcs = {
-                t: (one, zero, zero) for t in ("left", "top", "bottom")
-            }
-            nf = NekTarF(
-                comm, space, nz=4, nu=0.02, dt=1e-3, velocity_bcs=bcs,
-                pressure_dirichlet=("right",),
-            )
-            nf.set_initial(one, zero, zero)
-            with OpCounter() as c:
-                nf.run(2)
-            return nf.u_hat, nf.p_hat, c.flops, c.bytes, dict(c.by_label)
 
-        return VirtualCluster(1, net).run(rank_fn)[0]
+GOLDEN_SECTIONS = {
+    "paper.table1_stage_flops": table1_stage_flops,
+    "paper.nektar_f_step_flops": nektar_f_step_flops,
+}
 
-    u_b, p_b, fl_b, by_b, lab_b = run(True)
-    u_p, p_p, fl_p, by_p, lab_p = run(False)
-    np.testing.assert_allclose(u_b, u_p, rtol=0.0, atol=1e-11)
-    np.testing.assert_allclose(p_b, p_p, rtol=0.0, atol=1e-10)
-    assert fl_b == fl_p
-    assert by_b == by_p
-    assert {k: v[:2] for k, v in lab_b.items()} == {
-        k: v[:2] for k, v in lab_p.items()
-    }
+
+def test_batching_leaves_cost_tables_unchanged():
+    """Golden regression: the reproduced per-timestep cost model — the
+    serial bluff-body stage flops, which also drive the NekTar-F
+    weak-scaling table via ``nektar_f_bench._per_proc_stage_flops`` —
+    is what the per-element execution path charged."""
+    check("paper.table1_stage_flops", table1_stage_flops())
+
+
+def test_batching_leaves_nektar_f_step_flops_unchanged():
+    """Golden regression on the 3-D solver itself: identical op totals
+    to the per-element path, same solution to round-off."""
+    fp = nektar_f_step_flops()
+    check("paper.nektar_f_step_flops/charges", fp["charges"])
+    check("paper.nektar_f_step_flops/state", fp["state"], rel=1e-9, abs_tol=1e-9)

@@ -175,10 +175,9 @@ def _mixed_program(comm):
     return total
 
 
-@pytest.mark.parametrize("engine", ["event", "threads"])
-def test_recorded_graph_rederives_clocks(engine):
+def test_recorded_graph_rederives_clocks():
     rec = CritPathRecorder()
-    cl = VirtualCluster(6, ETH, critpath=rec, engine=engine)
+    cl = VirtualCluster(6, ETH, critpath=rec)
     cl.run(_mixed_program)
     g = rec.graph
     g.validate()

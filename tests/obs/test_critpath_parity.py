@@ -2,15 +2,14 @@
 
 Mirrors :mod:`tests.obs.test_charge_parity` for the event-graph
 recorder: random terminating communication programs run with and
-without a :class:`~repro.obs.critpath.CritPathRecorder`, on BOTH
-scheduler engines, must produce byte-identical results, virtual
-clocks, byte ledgers, rank traces and sanitizer vector clocks — the
-recorder never perturbs what it measures.  Each recorded graph must
-also re-derive the simulator's clocks from its own edges
-(``validate()``) and fully attribute the makespan.
+without a :class:`~repro.obs.critpath.CritPathRecorder` must produce
+byte-identical results, virtual clocks, byte ledgers, rank traces and
+sanitizer vector clocks — the recorder never perturbs what it
+measures.  Each recorded graph must also re-derive the simulator's
+clocks from its own edges (``validate()``) and fully attribute the
+makespan.
 """
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,6 +19,8 @@ from repro.obs.critpath import CritPathRecorder, critical_path
 from repro.parallel.faults import FaultPlan
 from repro.parallel.simmpi import VirtualCluster
 
+from ..parallel.test_scheduler_properties import _round, _run_program
+
 NET = NetworkModel(
     "critpath-parity-net",
     latency_us=5,
@@ -28,53 +29,14 @@ NET = NetworkModel(
     busy_wait_fraction=0.5,
 )
 
-_round = st.one_of(
-    st.tuples(
-        st.just("shift"), st.integers(0, 1_000_000), st.integers(1, 64)
-    ),
-    st.sampled_from(
-        ["barrier", "allreduce", "alltoall", "bcast", "allgather", "gather"]
-    ),
-)
-
 programs = st.tuples(
     st.integers(2, 16),
     st.lists(_round, min_size=1, max_size=4),
 )
 
 
-def _run_program(comm, program):
-    acc = float(comm.rank)
-    for i, op in enumerate(program):
-        if isinstance(op, tuple):
-            _, stride_seed, ndoubles = op
-            stride = 1 + stride_seed % (comm.size - 1)
-            dest = (comm.rank + stride) % comm.size
-            src = (comm.rank - stride) % comm.size
-            comm.send(dest, np.full(ndoubles, acc), tag=i)
-            acc += float(comm.recv(src, tag=i)[0])
-        elif op == "barrier":
-            comm.barrier()
-        elif op == "allreduce":
-            acc += comm.allreduce(float(comm.rank))
-        elif op == "alltoall":
-            out = comm.alltoall([np.array([acc])] * comm.size)
-            acc += float(sum(c[0] for c in out)) / comm.size
-        elif op == "bcast":
-            acc += comm.bcast(float(acc) if comm.rank == 0 else None)
-        elif op == "allgather":
-            acc += float(sum(comm.allgather(float(comm.rank))))
-        elif op == "gather":
-            got = comm.gather(float(comm.rank))
-            if comm.rank == 0:
-                acc += float(sum(got))
-    return acc, comm.wall, comm.cpu_time
-
-
-def _fingerprint(engine, nprocs, program, recorder):
-    cluster = VirtualCluster(
-        nprocs, NET, sanitize=True, engine=engine, critpath=recorder
-    )
+def _fingerprint(nprocs, program, recorder):
+    cluster = VirtualCluster(nprocs, NET, sanitize=True, critpath=recorder)
     results = cluster.run(_run_program, program)
     return {
         "results": results,
@@ -91,21 +53,18 @@ def _fingerprint(engine, nprocs, program, recorder):
 @given(programs)
 def test_recorder_is_charge_parity_clean_both_engines(case):
     nprocs, program = case
-    for engine in ("event", "threads"):
-        rec = CritPathRecorder()
-        on, cluster = _fingerprint(engine, nprocs, program, rec)
-        off, _ = _fingerprint(engine, nprocs, program, None)
-        for key in on:
-            assert on[key] == off[key], (
-                f"recorder perturbed {key} on the {engine} engine"
-            )
-        # The observer's graph re-derives the clocks it watched.
-        rec.graph.validate()
-        assert rec.graph.makespan() == pytest.approx(
-            cluster.max_wall, rel=1e-9, abs=1e-15
-        )
-        cp = critical_path(rec.graph)
-        assert cp.coverage == pytest.approx(1.0, abs=1e-6)
+    rec = CritPathRecorder()
+    on, cluster = _fingerprint(nprocs, program, rec)
+    off, _ = _fingerprint(nprocs, program, None)
+    for key in on:
+        assert on[key] == off[key], f"recorder perturbed {key}"
+    # The observer's graph re-derives the clocks it watched.
+    rec.graph.validate()
+    assert rec.graph.makespan() == pytest.approx(
+        cluster.max_wall, rel=1e-9, abs=1e-15
+    )
+    cp = critical_path(rec.graph)
+    assert cp.coverage == pytest.approx(1.0, abs=1e-6)
 
 
 @settings(max_examples=8, deadline=None)
@@ -119,20 +78,17 @@ def test_recorder_parity_under_faults(case, seed):
         stragglers={0: 1.5},
         degraded_links={(0, 1 % nprocs): 2.0},
     )
-    for engine in ("event", "threads"):
-        rec = CritPathRecorder()
-        cluster_on = VirtualCluster(
-            nprocs, NET, faults=plan, engine=engine, critpath=rec
-        )
-        res_on = cluster_on.run(_run_program, program)
-        cluster_off = VirtualCluster(nprocs, NET, faults=plan, engine=engine)
-        res_off = cluster_off.run(_run_program, program)
-        assert res_on == res_off
-        assert [s.wall for s in cluster_on.ranks] == [
-            s.wall for s in cluster_off.ranks
-        ]
-        assert [s.cpu for s in cluster_on.ranks] == [
-            s.cpu for s in cluster_off.ranks
-        ]
-        assert cluster_on.rank_traces() == cluster_off.rank_traces()
-        rec.graph.validate()
+    rec = CritPathRecorder()
+    cluster_on = VirtualCluster(nprocs, NET, faults=plan, critpath=rec)
+    res_on = cluster_on.run(_run_program, program)
+    cluster_off = VirtualCluster(nprocs, NET, faults=plan)
+    res_off = cluster_off.run(_run_program, program)
+    assert res_on == res_off
+    assert [s.wall for s in cluster_on.ranks] == [
+        s.wall for s in cluster_off.ranks
+    ]
+    assert [s.cpu for s in cluster_on.ranks] == [
+        s.cpu for s in cluster_off.ranks
+    ]
+    assert cluster_on.rank_traces() == cluster_off.rank_traces()
+    rec.graph.validate()

@@ -1,13 +1,12 @@
-"""Differential engine parity: event scheduler vs thread-engine oracle.
+"""Scheduler goldens: the event engine against the deleted thread oracle.
 
-The event-driven scheduler must preserve every simulator contract
-byte-for-byte.  Each scenario here runs the identical program on both
-engines and asserts bitwise-equal results, per-rank virtual clocks and
-byte ledgers, ``rank_traces()`` event strings, metrics snapshots,
-per-rank obs trace streams, and (where enabled) sanitizer vector
-clocks.  The scenarios are the repo's real workloads: a NekTar-F
+Each scenario runs one of the repo's real workloads — a NekTar-F
 Fourier step, a fault-plan storm (loss + stragglers + degraded link), a
-rank crash, and the Tufo-Fischer gather-scatter assembly.
+rank crash, the Tufo-Fischer gather-scatter assembly, a sanitized
+message graph, a planted deadlock — and pins its full observable state
+(outcome, per-rank virtual clocks and byte ledgers, ``rank_traces()``
+strings, metrics, sanitizer vector clocks) against values recorded from
+the thread-per-rank engine before it was removed.
 """
 
 import numpy as np
@@ -18,10 +17,12 @@ from repro.machines.catalog import CPUS, NETWORKS
 from repro.machines.network import NetworkModel
 from repro.mesh.generators import rectangle_quads
 from repro.ns.nektar_f import NekTarF
-from repro.obs import MetricsRegistry, Trace, use_registry
+from repro.obs import MetricsRegistry, use_registry
 from repro.parallel.faults import CrashSpec, FaultPlan, RankFailure
 from repro.parallel.gs import GatherScatter
 from repro.parallel.simmpi import VirtualCluster
+
+from ..golden import check
 
 NET = NetworkModel(
     "parity-net",
@@ -38,106 +39,50 @@ STORM = FaultPlan(
     degraded_links={(0, 2): 2.5},
 )
 
-# Run-level annotations that legitimately differ between engines (the
-# engine records its own name and scheduler statistics).
-ENGINE_ANNOTATIONS = ("cluster.engine", "cluster.engine_stats")
 
-
-def canon(obj):
-    """Bitwise-comparable canonical form (ndarrays -> dtype/shape/bytes)."""
-    if isinstance(obj, np.ndarray):
-        return ("ndarray", str(obj.dtype), obj.shape, obj.tobytes())
-    if isinstance(obj, (list, tuple)):
-        return tuple(canon(x) for x in obj)
-    if isinstance(obj, dict):
-        return tuple(sorted((canon(k), canon(v)) for k, v in obj.items()))
-    if isinstance(obj, np.generic):
-        return ("scalar", str(obj.dtype), obj.tobytes())
-    return obj
-
-
-def run_fingerprint(
-    engine,
-    nprocs,
-    fn,
-    *,
-    network=NET,
-    cpu=None,
-    faults=None,
-    sanitize=False,
-):
-    """Run ``fn`` on one engine; return the full observable state."""
+def run_fingerprint(nprocs, fn, *, network=NET, cpu=None, faults=None, sanitize=False):
+    """Run ``fn``; return the cluster's full observable state."""
     registry = MetricsRegistry()
-    trace = Trace()
     cluster = VirtualCluster(
-        nprocs,
-        network,
-        cpu=cpu,
-        faults=faults,
-        sanitize=sanitize,
-        trace=trace,
-        engine=engine,
+        nprocs, network, cpu=cpu, faults=faults, sanitize=sanitize
     )
     with use_registry(registry):
         try:
-            results = cluster.run(fn)
-            outcome = ("ok", canon(results))
+            outcome = ["ok", cluster.run(fn)]
         except Exception as exc:
-            outcome = ("raised", type(exc).__name__, str(exc))
+            outcome = ["raised", type(exc).__name__, str(exc)]
     fp = {
         "outcome": outcome,
         "ranks": [
-            (
+            [
                 st.wall,
                 st.cpu,
                 st.sent_bytes,
                 st.recv_bytes,
                 st.messages,
                 st.crashed,
-                tuple(st.coll_kinds),
-            )
+                st.coll_kinds,
+            ]
             for st in cluster.ranks
         ],
         "rank_traces": cluster.rank_traces(),
-        "metrics": canon(
-            {
-                k: v
-                for k, v in registry.snapshot().items()
-                if not k.startswith("scheduler.")
-            }
-        ),
-        "events": {
-            r: [
-                (e.name, e.cat, e.ts, e.dur, e.rank, canon(e.args), e.ph)
-                for e in tr.events
-            ]
-            for r, tr in sorted(trace.tracers.items())
+        # scheduler.* gauges describe the host schedule, not the
+        # simulated program the oracle could vouch for.
+        "metrics": {
+            k: v
+            for k, v in registry.snapshot().items()
+            if not k.startswith("scheduler.")
         },
-        "annotations": canon(
-            {
-                k: v
-                for k, v in trace.annotations.items()
-                if k not in ENGINE_ANNOTATIONS
-            }
-        ),
     }
     if sanitize:
         fp["vector_clocks"] = cluster._sanitizer.clocks()
     return fp
 
 
-def assert_parity(nprocs, fn, **kwargs):
-    event = run_fingerprint("event", nprocs, fn, **kwargs)
-    threads = run_fingerprint("threads", nprocs, fn, **kwargs)
-    for key in event:
-        assert event[key] == threads[key], f"engine mismatch in {key}"
-    return event
-
-
 # -- scenarios ---------------------------------------------------------------------
 
 
-def test_nektar_f_step_parity():
+def nektar_f_step():
     """A real NekTar-F Fourier step: numerics, charges, clocks, traces."""
     mesh = rectangle_quads(2, 1, 0.0, 2 * np.pi, 0.0, np.pi)
 
@@ -166,21 +111,18 @@ def test_nektar_f_step_parity():
             lambda m, x, y, t: 0.0,
         )
         nf.run(1)
-        return nf.u_hat.copy(), comm.wall, comm.cpu_time
+        return float(np.abs(nf.u_hat).sum()), comm.wall, comm.cpu_time
 
-    fp = assert_parity(
+    return run_fingerprint(
         2,
         rank_fn,
         network=NETWORKS["RoadRunner, eth-internode"],
         cpu=CPUS["pentium-ii-450"],
     )
-    assert fp["outcome"][0] == "ok"
-    # The scenario exercised real traffic on both engines.
-    assert all(st[4] > 0 for st in fp["ranks"])
 
 
-def test_fault_storm_parity():
-    """Loss + straggler + degraded link: every fault branch, both engines."""
+def fault_storm():
+    """Loss + straggler + degraded link: every fault branch."""
 
     def rank_fn(comm):
         right = (comm.rank + 1) % comm.size
@@ -194,15 +136,11 @@ def test_fault_storm_parity():
         acc += float(sum(c[0] for c in out))
         return acc, comm.wall, comm.cpu_time
 
-    fp = assert_parity(4, rank_fn, faults=STORM)
-    assert fp["outcome"][0] == "ok"
-    # The storm actually engaged the retransmit path.
-    snapshot = dict(fp["metrics"])
-    assert dict(snapshot["faults.retransmits"])["value"] > 0
+    return run_fingerprint(4, rank_fn, faults=STORM)
 
 
-def test_crash_parity():
-    """A mid-run crash: survivors observe RankFailure identically."""
+def crash():
+    """A mid-run crash: survivors observe RankFailure."""
     plan = FaultPlan(crashes=(CrashSpec(rank=2, at_time=2e-4),))
 
     def rank_fn(comm):
@@ -215,12 +153,10 @@ def test_crash_parity():
         except RankFailure as e:
             return f"lost rank {e.rank}"
 
-    fp = assert_parity(4, rank_fn, faults=plan)
-    assert fp["outcome"][0] == "ok"
-    assert fp["ranks"][2][5] is True  # rank 2 crashed on both engines
+    return run_fingerprint(4, rank_fn, faults=plan)
 
 
-def test_gather_scatter_parity():
+def gather_scatter():
     """Tufo-Fischer assembly: pairwise exchange + tree allreduce."""
 
     def rank_fn(comm):
@@ -229,16 +165,14 @@ def test_gather_scatter_parity():
         ids = sorted({0, 10 + me, 10 + (me - 1) % comm.size})
         gs = GatherScatter(comm, np.array(ids))
         vals = np.arange(1.0, len(ids) + 1) * (me + 1)
-        out = gs.exchange(vals)
-        return out, comm.wall
+        return gs.exchange(vals).tolist(), comm.wall
 
-    fp = assert_parity(4, rank_fn)
-    assert fp["outcome"][0] == "ok"
+    return run_fingerprint(4, rank_fn)
 
 
-def test_sanitize_vector_clock_parity():
+def sanitize_vector_clocks():
     """Vector clocks are a pure function of the message graph, not of
-    host scheduling: both engines must build identical clocks."""
+    host scheduling."""
     shared = {"x": 0.0}
 
     def rank_fn(comm):
@@ -252,28 +186,72 @@ def test_sanitize_vector_clock_parity():
         comm.allreduce(float(comm.rank))
         return comm.wall
 
-    fp = assert_parity(3, rank_fn, sanitize=True)
+    return run_fingerprint(3, rank_fn, sanitize=True)
+
+
+def deadlock_report():
+    """A planted head-to-head deadlock: both ranks receive first."""
+
+    def rank_fn(comm):
+        comm.recv((comm.rank + 1) % comm.size)
+        comm.send((comm.rank + 1) % comm.size, 1.0)
+
+    return run_fingerprint(2, rank_fn)
+
+
+GOLDEN_SECTIONS = {
+    "engine.nektar_f_step": nektar_f_step,
+    "engine.fault_storm": fault_storm,
+    "engine.crash": crash,
+    "engine.gather_scatter": gather_scatter,
+    "engine.sanitize_vector_clocks": sanitize_vector_clocks,
+    "engine.deadlock_report": deadlock_report,
+}
+
+
+def test_nektar_f_step_parity():
+    fp = nektar_f_step()
+    check("engine.nektar_f_step", fp)
     assert fp["outcome"][0] == "ok"
+    assert all(st[4] > 0 for st in fp["ranks"])  # real traffic
+
+
+def test_fault_storm_parity():
+    fp = fault_storm()
+    check("engine.fault_storm", fp)
+    assert fp["outcome"][0] == "ok"
+    assert fp["metrics"]["faults.retransmits"]["value"] > 0
+
+
+def test_crash_parity():
+    fp = crash()
+    check("engine.crash", fp)
+    assert fp["outcome"][0] == "ok"
+    assert fp["ranks"][2][5] is True  # rank 2 crashed
+
+
+def test_gather_scatter_parity():
+    fp = gather_scatter()
+    check("engine.gather_scatter", fp)
+    assert fp["outcome"][0] == "ok"
+
+
+def test_sanitize_vector_clock_parity():
+    fp = sanitize_vector_clocks()
+    check("engine.sanitize_vector_clocks", fp)
     assert len(fp["vector_clocks"]) == 3
 
 
 def test_deadlock_report_parity():
-    """Even the failure diagnostics agree: a planted communication
-    deadlock produces the same CommVerificationError on both engines."""
-
-    def rank_fn(comm):
-        # Both ranks receive first: a classic head-to-head deadlock.
-        comm.recv((comm.rank + 1) % comm.size)
-        comm.send((comm.rank + 1) % comm.size, 1.0)
-
-    event = run_fingerprint("event", 2, rank_fn)
-    threads = run_fingerprint("threads", 2, rank_fn)
-    assert event["outcome"] == threads["outcome"]
-    assert event["outcome"][0] == "raised"
-    assert event["outcome"][1] == "CommVerificationError"
-    assert "deadlock" in event["outcome"][2]
+    """Even the failure diagnostics are pinned: the planted deadlock
+    produces the recorded CommVerificationError text."""
+    fp = deadlock_report()
+    check("engine.deadlock_report", fp)
+    assert fp["outcome"][:2] == ["raised", "CommVerificationError"]
+    assert "deadlock" in fp["outcome"][2]
 
 
 def test_unknown_engine_rejected():
-    with pytest.raises(ValueError, match="unknown engine"):
-        VirtualCluster(2, NET, engine="fibers")
+    """The engine option is gone: it fails as any unknown keyword does."""
+    with pytest.raises(TypeError, match="engine"):
+        VirtualCluster(2, NET, engine="threads")

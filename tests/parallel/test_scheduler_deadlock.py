@@ -3,8 +3,8 @@
 The communication verifier normally diagnoses application-level
 deadlocks (``CommVerificationError``) before the scheduler ever sees a
 stall.  These tests disable that layer to plant a *scheduler-level*
-stall — every rank blocked, no wait satisfiable — and assert that both
-engines refuse to hang: they raise :class:`SchedulerDeadlock` carrying
+stall — every rank blocked, no wait satisfiable — and assert that the
+engine refuses to hang: it raises :class:`SchedulerDeadlock` carrying
 the per-rank blocked-state dump and the ``REPRO014`` runtime code.
 """
 
@@ -23,20 +23,16 @@ def _head_to_head(comm):
     comm.send((comm.rank + 1) % comm.size, 1.0)
 
 
-def _plant(engine):
+def _plant():
     """A cluster whose verifier is blinded, so only the scheduler can
     notice that nothing is runnable."""
-    cluster = VirtualCluster(2, NET, engine=engine)
+    cluster = VirtualCluster(2, NET)
     cluster._check_deadlock = lambda: False  # type: ignore[method-assign]
-    if engine == "threads":
-        # Shrink the safety-net poll so the strike counter trips fast.
-        cluster.wait_safety_net_s = 0.05
     return cluster
 
 
-@pytest.mark.parametrize("engine", ["event", "threads"])
-def test_planted_stall_raises_typed_deadlock(engine):
-    cluster = _plant(engine)
+def test_planted_stall_raises_typed_deadlock():
+    cluster = _plant()
     with pytest.raises(SchedulerDeadlock) as exc_info:
         cluster.run(_head_to_head)
     err = exc_info.value
@@ -54,25 +50,23 @@ def test_event_engine_reports_stall_without_waiting():
     drains — no timeout, no safety-net poll."""
     import time
 
-    cluster = _plant("event")
+    cluster = _plant()
     t0 = time.perf_counter()
     with pytest.raises(SchedulerDeadlock):
         cluster.run(_head_to_head)
-    # Detection is immediate; anything near the thread engine's poll
-    # interval would mean the event engine fell back to timeouts.
+    # Detection is immediate; anything slower would mean the engine
+    # fell back to real-time timeouts.
     assert time.perf_counter() - t0 < 1.0
 
 
 def test_undisturbed_verifier_still_wins():
     """With the verifier active, an application deadlock surfaces as
-    CommVerificationError on both engines — SchedulerDeadlock is the
-    backstop, not the primary diagnosis."""
+    CommVerificationError — SchedulerDeadlock is the backstop, not the
+    primary diagnosis."""
     from repro.parallel.simmpi import CommVerificationError
 
-    for engine in ("event", "threads"):
-        cluster = VirtualCluster(2, NET, engine=engine)
-        with pytest.raises(CommVerificationError, match="deadlock"):
-            cluster.run(_head_to_head)
+    with pytest.raises(CommVerificationError, match="deadlock"):
+        VirtualCluster(2, NET).run(_head_to_head)
 
 
 def test_scheduler_deadlock_is_runtime_error():

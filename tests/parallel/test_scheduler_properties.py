@@ -1,14 +1,17 @@
-"""Hypothesis property tests for the scheduler engines.
+"""Hypothesis property tests for the scheduler engine.
 
 Random-but-terminating communication programs (ring shifts with random
 strides and payloads, interleaved with random collectives) over 2-128
 ranks must:
 
-* terminate on both engines (no hangs, no scheduler stalls);
+* terminate (no hangs, no scheduler stalls);
 * conserve bytes cluster-wide (the verifier's ledger, asserted here
   explicitly as well);
-* produce engine-independent results, virtual clocks, charge ledgers
-  and sanitizer vector clocks.
+* produce virtual clocks that the recorded event graph re-derives from
+  its edges alone (``EventGraph.validate()``: an independent
+  re-computation that knows nothing of host scheduling);
+* reproduce results, clocks, charge ledgers and sanitizer vector clocks
+  bit for bit from run to run.
 
 Programs are terminating by construction — every round is either a
 global collective or a full-ring shift where each rank sends before it
@@ -16,10 +19,12 @@ receives — so any non-termination is an engine bug, not a program bug.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.machines.network import NetworkModel
+from repro.obs.critpath import CritPathRecorder
 from repro.parallel.simmpi import VirtualCluster
 
 NET = NetworkModel(
@@ -76,8 +81,8 @@ def _run_program(comm, program):
     return acc, comm.wall, comm.cpu_time
 
 
-def _fingerprint(engine, nprocs, program):
-    cluster = VirtualCluster(nprocs, NET, sanitize=True, engine=engine)
+def _fingerprint(nprocs, program, recorder=None):
+    cluster = VirtualCluster(nprocs, NET, sanitize=True, critpath=recorder)
     results = cluster.run(_run_program, program)
     sent = sum(st_.sent_bytes for st_ in cluster.ranks)
     recvd = sum(st_.recv_bytes for st_ in cluster.ranks)
@@ -96,16 +101,21 @@ def _fingerprint(engine, nprocs, program):
 @settings(max_examples=25, deadline=None)
 @given(programs)
 def test_random_programs_terminate_with_engine_parity(case):
+    """The engine's clocks agree with the event graph's own derivation
+    (the recorder itself is charge-neutral: see test_critpath_parity)."""
     nprocs, program = case
-    event = _fingerprint("event", nprocs, program)
-    threads = _fingerprint("threads", nprocs, program)
-    assert event == threads
+    rec = CritPathRecorder()
+    fp = _fingerprint(nprocs, program, rec)
+    rec.graph.validate()
+    assert rec.graph.makespan() == pytest.approx(
+        max(r[0] for r in fp["ranks"]), rel=1e-9
+    )
 
 
 @settings(max_examples=10, deadline=None)
 @given(programs)
 def test_event_engine_is_run_to_run_deterministic(case):
     nprocs, program = case
-    first = _fingerprint("event", nprocs, program)
-    second = _fingerprint("event", nprocs, program)
+    first = _fingerprint(nprocs, program)
+    second = _fingerprint(nprocs, program)
     assert first == second

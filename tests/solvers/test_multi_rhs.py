@@ -75,7 +75,7 @@ def assert_matches_columns(op, rhs, dv):
 @settings(max_examples=12, deadline=None)
 def test_condensed_multi_rhs_matches_columns(kind, order, nrhs, bc, seed):
     mesh = make_mesh(kind)
-    space = FunctionSpace(mesh, order, batched=True)
+    space = FunctionSpace(mesh, order)
     mats = space.elemental_matrices("helmholtz", 0.8)
     rng = np.random.default_rng(seed)
     bnd = space.dofmap.boundary_dofs()
@@ -101,7 +101,7 @@ def test_condensed_multi_rhs_matches_columns(kind, order, nrhs, bc, seed):
 @settings(max_examples=12, deadline=None)
 def test_assembled_multi_rhs_matches_columns(kind, order, nrhs, bc, seed):
     mesh = make_mesh(kind)
-    space = FunctionSpace(mesh, order, batched=True)
+    space = FunctionSpace(mesh, order)
     mats = space.elemental_matrices("helmholtz", 1.3)
     rng = np.random.default_rng(seed)
     bnd = space.dofmap.boundary_dofs()
@@ -128,7 +128,7 @@ def test_cg_multi_rhs_matches_columns(kind, order, nrhs, seed):
     """Block-PCG: per-column iterates, counts, and charges must match
     solo PCG exactly (the block loop only fuses the vector updates)."""
     mesh = make_mesh(kind)
-    space = FunctionSpace(mesh, order, batched=True)
+    space = FunctionSpace(mesh, order)
     solver = HelmholtzCG(space, 0.5, ("left", "top"))
     rng = np.random.default_rng(seed)
     rhs = rng.standard_normal((nrhs, space.ndof))
@@ -149,7 +149,7 @@ def test_cg_multi_rhs_matches_columns(kind, order, nrhs, seed):
 
 def test_condensed_multi_rhs_zero_column():
     """An all-zero column rides along without perturbing its neighbours."""
-    space = FunctionSpace(mixed_mesh(), 5, batched=True)
+    space = FunctionSpace(mixed_mesh(), 5)
     mats = space.elemental_matrices("helmholtz", 1.0)
     op = CondensedOperator(space, mats)
     rng = np.random.default_rng(7)
@@ -163,7 +163,7 @@ def test_condensed_multi_rhs_zero_column():
 
 
 def test_cg_multi_rhs_zero_column():
-    space = FunctionSpace(rectangle_quads(2, 2), 4, batched=True)
+    space = FunctionSpace(rectangle_quads(2, 2), 4)
     solver = HelmholtzCG(space, 1.0, ("left",))
     rng = np.random.default_rng(11)
     rhs = rng.standard_normal((3, space.ndof))

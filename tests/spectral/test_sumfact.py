@@ -10,9 +10,9 @@ from repro.spectral.expansions import QuadExpansion
 @settings(max_examples=25, deadline=None)
 def test_backward_sumfact_matches_tabulated(order, seed):
     exp = QuadExpansion(order)
-    c = np.random.default_rng(seed).standard_normal(exp.nmodes)
+    c = np.random.default_rng(seed).standard_normal((3, exp.nmodes))
     np.testing.assert_allclose(
-        exp.backward_sumfact(c), exp.phi.T @ c, rtol=1e-12, atol=1e-12
+        exp.backward_sumfact_batched(c), c @ exp.phi, rtol=1e-12, atol=1e-12
     )
 
 
@@ -20,17 +20,19 @@ def test_backward_sumfact_matches_tabulated(order, seed):
 @settings(max_examples=20, deadline=None)
 def test_gradient_sumfact_matches_tabulated(order, seed):
     exp = QuadExpansion(order)
-    c = np.random.default_rng(seed).standard_normal(exp.nmodes)
-    d1, d2 = exp.gradient_sumfact(c)
-    np.testing.assert_allclose(d1, exp.dphi1.T @ c, rtol=1e-11, atol=1e-11)
-    np.testing.assert_allclose(d2, exp.dphi2.T @ c, rtol=1e-11, atol=1e-11)
+    c = np.random.default_rng(seed).standard_normal((3, exp.nmodes))
+    d1, d2 = exp.gradient_sumfact_batched(c)
+    np.testing.assert_allclose(d1, c @ exp.dphi1, rtol=1e-11, atol=1e-11)
+    np.testing.assert_allclose(d2, c @ exp.dphi2, rtol=1e-11, atol=1e-11)
 
 
 def test_tensor_layout_roundtrip():
     exp = QuadExpansion(5)
     tl = exp.tensor_layout()
     c = np.arange(exp.nmodes, dtype=float)
-    np.testing.assert_array_equal(tl.from_tensor(tl.to_tensor(c)), c)
+    np.testing.assert_array_equal(
+        tl.from_tensor_batched(tl.to_tensor_batched(c)), c
+    )
     # The (p, q) map is a bijection onto the tensor grid.
     seen = {tuple(pq) for pq in tl.pq}
     assert len(seen) == exp.nmodes == (exp.order + 1) ** 2
@@ -47,7 +49,7 @@ def test_sumfact_cheaper_in_flops():
         out = np.zeros(exp.rule.nq)
         blas.dgemv(1.0, exp.phi, c, 0.0, out, trans=True)
     with OpCounter() as fast:
-        exp.backward_sumfact(c)
+        exp.backward_sumfact_batched(c)
     assert fast.flops < 0.55 * slow.flops
 
 
@@ -99,4 +101,4 @@ def test_ns_solver_identical_with_sumfact():
 def test_tri_has_no_sumfact():
     from repro.spectral.expansions import TriExpansion
 
-    assert not hasattr(TriExpansion(3), "backward_sumfact")
+    assert not hasattr(TriExpansion(3), "backward_sumfact_batched")
