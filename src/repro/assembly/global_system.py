@@ -21,8 +21,6 @@ from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from ..linalg.banded import BandedSPDSolver
 from ..linalg.counters import charge
-from ..spectral.basis import bubble
-from ..spectral.jacobi import gauss_jacobi
 
 __all__ = ["AssembledOperator", "project_dirichlet"]
 
@@ -152,43 +150,8 @@ def project_dirichlet(space, tags, fn):
     """Modal boundary coefficients for u = fn(x, y) on the tagged sides.
 
     Returns (dofs, values): the sorted global Dirichlet dofs and the
-    matching prescribed coefficients.  Vertex dofs are nodal; each
-    boundary edge's interior coefficients are the 1-D L2 projection of
-    (fn - linear interpolant) onto the edge bubbles, so any polynomial
-    trace of degree <= order is represented exactly.
+    matching prescribed coefficients.  One-shot form of the space's
+    cached :class:`~repro.assembly.boundary.DirichletPlan`.
     """
-    mesh, dm = space.mesh, space.dofmap
-    P = space.order
-    values: dict[int, float] = {}
-    xg, wg = gauss_jacobi(P + 2)
-    nb = P - 1
-    if nb > 0:
-        bub = np.array([bubble(k, xg) for k in range(nb)])
-        mass_1d = (bub * wg) @ bub.T
-        charge(2.0 * nb * nb * xg.size, 8.0 * (2 * nb * xg.size + nb * nb), "edge-mass")
-    from .boundary import edge_physical_points
-
-    sides = [s for t in tags for s in mesh.boundary_sides(t)]
-    for ei, le in sides:
-        elem = mesh.elements[ei]
-        a, b = elem.edge_vertices(le)
-        lo, hi = (a, b) if a < b else (b, a)
-        xa, xb = mesh.vertices[lo], mesh.vertices[hi]
-        ga, gb = float(fn(*xa)), float(fn(*xb))
-        values[dm.vertex_dof(lo)] = ga
-        values[dm.vertex_dof(hi)] = gb
-        if nb == 0:
-            continue
-        # Canonical edge parametrisation s in [-1, 1], low -> high vertex,
-        # sampled on the true (possibly curved) edge geometry.
-        ex, ey = edge_physical_points(mesh, ei, le, xg)
-        g = np.array([float(fn(x, y)) for x, y in zip(ex, ey)])
-        lin = 0.5 * (1 - xg) * ga + 0.5 * (1 + xg) * gb
-        rhs = bub @ (wg * (g - lin))
-        charge(2.0 * nb * xg.size + 2.0 * nb**3 / 3.0, 8.0 * nb * (xg.size + nb), "edge-project")
-        coeff = np.linalg.solve(mass_1d, rhs)
-        eid = dm.elem_edge_id(ei, le)
-        for k, dof in enumerate(dm.edge_dofs(eid)):
-            values[int(dof)] = float(coeff[k])
-    dofs = np.array(sorted(values), dtype=np.int64)
-    return dofs, np.array([values[d] for d in dofs])
+    plan = space.dirichlet_plan(tags)
+    return plan.dofs, plan.project(fn)

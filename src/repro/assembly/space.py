@@ -23,6 +23,7 @@ from ..linalg import blas
 from ..mesh.mapping import GeomFactors
 from ..mesh.mesh2d import Mesh2D
 from . import matrix_free
+from .boundary import DirichletPlan
 from .dofmap import DofMap
 from .operators import (
     elemental_helmholtz_batched,
@@ -64,6 +65,7 @@ class FunctionSpace:
         self.sumfact = bool(sumfact)
         self._batches = None
         self._op_mats: dict[tuple, np.ndarray] = {}
+        self._dirichlet_plans: dict[tuple[str, ...], DirichletPlan] = {}
         self.dofmap = DofMap(mesh, order, periodic=periodic)
         from ..mesh.curved import make_element_map
 
@@ -114,6 +116,15 @@ class FunctionSpace:
 
             self._batches = build_batches(self)
         return self._batches
+
+    def dirichlet_plan(self, tags) -> DirichletPlan:
+        """The Dirichlet-projection plan of the given boundary tags,
+        built at first request.  A space is a snapshot of its mesh (ALE
+        makes a new one after every move), so the plan is never stale."""
+        tags = tuple(tags)
+        if tags not in self._dirichlet_plans:
+            self._dirichlet_plans[tags] = DirichletPlan(self, tags)
+        return self._dirichlet_plans[tags]
 
     # -- transforms ------------------------------------------------------------
     #

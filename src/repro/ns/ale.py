@@ -27,12 +27,9 @@ from typing import Callable
 
 import numpy as np
 
-from ..assembly.boundary import build_edge_quadrature
+from ..assembly.boundary import EdgeBatch
 from ..assembly.condensation import CondensedOperator
-from ..assembly.global_system import project_dirichlet
-from ..assembly.operators import elemental_mass
 from ..assembly.space import FunctionSpace
-from ..linalg import blas
 from ..solvers.helmholtz import HelmholtzCG
 from ..util.timing import StageTimer
 from .splitting import stiffly_stable
@@ -116,18 +113,7 @@ class ALENavierStokes2D:
             tags = (self.wall_tag,) + self.outer_tags
             self.mesh_solver = HelmholtzCG(self.space, 0.0, tags, tol=self.cg_tol)
         # Pressure-BC machinery on the fresh geometry.
-        self._edge_quads = {
-            tag: build_edge_quadrature(self.space, self.mesh.boundary_sides(tag))
-            for tag in self.vel_tags
-        }
-        self._local_minv: dict[int, np.ndarray] = {}
-        for quads in self._edge_quads.values():
-            for eq in quads:
-                if eq.elem not in self._local_minv:
-                    m = elemental_mass(
-                        self.space.dofmap.expansion(eq.elem), self.space.geom[eq.elem]
-                    )
-                    self._local_minv[eq.elem] = np.linalg.inv(m)
+        self._edges = EdgeBatch(self.space, self.vel_tags)
 
     def set_initial(self, u_fn: BCFn, v_fn: BCFn) -> None:
         xq, yq = self.space.coords()
@@ -163,10 +149,8 @@ class ALENavierStokes2D:
             wy = self._vertex_field_to_quad(vel[:, 1])
             return vel, wx, wy
         # motion == "solve": Laplace solve with body velocity on the wall.
-        bu, bv = self.body_velocity
-        tags = (self.wall_tag,) + self.outer_tags
-        wx_hat = self._solve_mesh_component(0, tags)
-        wy_hat = self._solve_mesh_component(1, tags)
+        wx_hat = self._solve_mesh_component(0)
+        wy_hat = self._solve_mesh_component(1)
         vel = np.stack(
             [
                 self.space.eval_at_vertices(wx_hat),
@@ -176,18 +160,10 @@ class ALENavierStokes2D:
         )
         return vel, self.space.backward(wx_hat), self.space.backward(wy_hat)
 
-    def _solve_mesh_component(self, comp: int, tags) -> np.ndarray:
-        bfn = self.body_velocity[comp]
-        values: dict[int, float] = {}
-        dofs_w, vals_w = project_dirichlet(
-            self.space, (self.wall_tag,), lambda x, y: float(bfn(x, y, self.t))
-        )
-        values.update(zip(dofs_w.tolist(), vals_w.tolist()))
-        for tag in self.outer_tags:
-            dofs_o, vals_o = project_dirichlet(self.space, (tag,), lambda x, y: 0.0)
-            values.update(zip(dofs_o.tolist(), vals_o.tolist()))
-        target = self.mesh_solver.dirichlet_dofs
-        bc = np.array([values[int(d)] for d in target])
+    def _solve_mesh_component(self, comp: int) -> np.ndarray:
+        # The body's velocity on the wall, zero on the outer tags.
+        fns = [self.body_velocity[comp]] + [lambda x, y, t: 0.0] * len(self.outer_tags)
+        bc = self.mesh_solver.bc_values_by_tag(fns, self.t)
         zero = np.zeros((self.space.nelem, self.space.nq))
         w_hat = self.mesh_solver.solve_rhs(self.space.load_vector(zero), bc)
         self.cg_iterations["mesh"] += self.mesh_solver.last_iterations
@@ -264,7 +240,9 @@ class ALENavierStokes2D:
         with self.timer.stage(STAGES[3]):
             rhs_p = space.grad_load_vector(uhx, uhy)
             rhs_p /= dt
-            self._add_pressure_bc(rhs_p, w_extrap, scheme.gamma0, t_new)
+            bcs = [self.velocity_bcs[tag] for tag in self.vel_tags]
+            ubn = self._edges.normal_component(bcs, t_new)
+            self._edges.add_pressure_bc(rhs_p, w_extrap, ubn, self.nu, scheme.gamma0 / dt)
 
         with self.timer.stage(STAGES[4]):
             if self._p_pin is None:
@@ -283,9 +261,10 @@ class ALENavierStokes2D:
 
         with self.timer.stage(STAGES[6]):
             solver = self._viscous_solver(scheme.gamma0)
-            self.u_hat = solver.solve_rhs(rhs_u, self._dirichlet_values(0, t_new))
+            bc = solver.bc_values_by_tag
+            self.u_hat = solver.solve_rhs(rhs_u, bc([b[0] for b in bcs], t_new))
             self.cg_iterations["viscous"] += solver.last_iterations
-            self.v_hat = solver.solve_rhs(rhs_v, self._dirichlet_values(1, t_new))
+            self.v_hat = solver.solve_rhs(rhs_v, bc([b[1] for b in bcs], t_new))
             self.cg_iterations["viscous"] += solver.last_iterations
 
         self._hist_u.appendleft((u_vals, v_vals))
@@ -299,45 +278,6 @@ class ALENavierStokes2D:
         if abs(lam - self.vel_solver.lam) < 1e-12 * max(1.0, lam):
             return self.vel_solver
         return HelmholtzCG(self.space, lam, self.vel_tags, tol=self.cg_tol)
-
-    def _dirichlet_values(self, comp: int, t: float) -> np.ndarray | None:
-        if not self.vel_tags:
-            return None
-        values: dict[int, float] = {}
-        for tag in self.vel_tags:
-            fn = self.velocity_bcs[tag][comp]
-            dofs, vals = project_dirichlet(
-                self.space, (tag,), lambda x, y: fn(x, y, t)
-            )
-            values.update(zip(dofs.tolist(), vals.tolist()))
-        target = self.vel_solver.dirichlet_dofs
-        return np.array([values[int(d)] for d in target])
-
-    def _add_pressure_bc(self, rhs_p, w_extrap, gamma0, t_new) -> None:
-        space, dm = self.space, self.space.dofmap
-        for tag, quads in self._edge_quads.items():
-            fu, fv = self.velocity_bcs[tag]
-            for eq in quads:
-                ei = eq.elem
-                exp = dm.expansion(ei)
-                gf = space.geom[ei]
-                tmp = np.empty(exp.phi.shape[0])
-                blas.dgemv(1.0, exp.phi, gf.jw * w_extrap[ei], 0.0, tmp)
-                w_loc = np.empty_like(tmp)
-                blas.dgemv(1.0, self._local_minv[ei], tmp, 0.0, w_loc)
-                dwdx = np.empty(eq.npts)
-                dwdy = np.empty(eq.npts)
-                blas.dgemv(1.0, eq.dphi_x, w_loc, 0.0, dwdx, trans=True)
-                blas.dgemv(1.0, eq.dphi_y, w_loc, 0.0, dwdy, trans=True)
-                n_curl = eq.nx * dwdy - eq.ny * dwdx
-                ubn = np.array(
-                    [
-                        float(fu(x, y, t_new)) * nx + float(fv(x, y, t_new)) * ny
-                        for x, y, nx, ny in zip(eq.x, eq.y, eq.nx, eq.ny)
-                    ]
-                )
-                term = -self.nu * n_curl - (gamma0 / self.dt) * ubn
-                dm.scatter_add(ei, eq.load(term), rhs_p)
 
     def run(self, nsteps: int) -> None:
         for _ in range(nsteps):

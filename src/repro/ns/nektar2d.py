@@ -24,12 +24,9 @@ from typing import Callable
 
 import numpy as np
 
-from ..assembly.boundary import build_edge_quadrature
+from ..assembly.boundary import EdgeBatch
 from ..assembly.condensation import CondensedOperator
-from ..assembly.global_system import project_dirichlet
-from ..assembly.operators import elemental_mass
 from ..assembly.space import FunctionSpace
-from ..linalg import blas
 from ..linalg.counters import OpCounter, charge
 from ..obs import tracer as obs
 from ..solvers.helmholtz import HelmholtzDirect
@@ -95,20 +92,9 @@ class NavierStokes2D:
             self._p_pin = pin
             self.p_op = CondensedOperator(space, mats, [pin])
 
-        # High-order pressure BC machinery: edge quadrature on the
-        # velocity-Dirichlet boundary plus local mass inverses for the
-        # per-element vorticity projection.
-        self._edge_quads: dict[str, list] = {
-            tag: build_edge_quadrature(space, space.mesh.boundary_sides(tag))
-            for tag in self.vel_tags
-        }
-        self._local_minv: dict[int, np.ndarray] = {}
-        for quads in self._edge_quads.values():
-            for eq in quads:
-                ei = eq.elem
-                if ei not in self._local_minv:
-                    m = elemental_mass(space.dofmap.expansion(ei), space.geom[ei])
-                    self._local_minv[ei] = np.linalg.inv(m)
+        # High-order pressure BC operands on the velocity-Dirichlet boundary.
+        self._edges = EdgeBatch(space, self.vel_tags)
+        self._startup_solvers: dict[float, HelmholtzDirect] = {}
 
         self.t = 0.0
         self.step_count = 0
@@ -133,20 +119,6 @@ class NavierStokes2D:
         self._hist_u.clear()
         self._hist_n.clear()
         self._hist_w.clear()
-
-    def _dirichlet_values(self, comp: int, t: float) -> np.ndarray | None:
-        """Velocity Dirichlet coefficients at time t, merged across tags."""
-        if not self.vel_tags:
-            return None
-        values: dict[int, float] = {}
-        for tag in self.vel_tags:
-            fn = self.velocity_bcs[tag][comp]
-            dofs, vals = project_dirichlet(
-                self.space, (tag,), lambda x, y: fn(x, y, t)
-            )
-            values.update(zip(dofs.tolist(), vals.tolist()))
-        target = self.vel_solver.dirichlet_dofs
-        return np.array([values[int(d)] for d in target])
 
     # -- timestep ----------------------------------------------------------------
 
@@ -193,12 +165,14 @@ class NavierStokes2D:
         # high-order rotational pressure BC surface term
         # oint phi [-nu n.(curl omega)_beta - gamma0 (u_b^{n+1}.n)/dt].
         t_new = self.t + dt
+        bcs = [self.velocity_bcs[tag] for tag in self.vel_tags]
         with self.timer.stage(STAGES[3]), self.stage_ops[STAGES[3]], obs.span(STAGES[3], "stage"):
             rhs_p = space.grad_load_vector(uhx, uhy)
             rhs_p /= dt
             hist_w = [omega] + list(self._hist_w)
             w_extrap = sum(b * h for b, h in zip(scheme.beta, hist_w))
-            self._add_pressure_bc(rhs_p, w_extrap, scheme.gamma0, t_new)
+            ubn = self._edges.normal_component(bcs, t_new)
+            self._edges.add_pressure_bc(rhs_p, w_extrap, ubn, self.nu, scheme.gamma0 / dt)
 
         # Stage 5: Poisson solve for the pressure.
         with self.timer.stage(STAGES[4]), self.stage_ops[STAGES[4]], obs.span(STAGES[4], "stage"):
@@ -222,8 +196,9 @@ class NavierStokes2D:
         # Stage 7: Helmholtz solves for the new velocity.
         with self.timer.stage(STAGES[6]), self.stage_ops[STAGES[6]], obs.span(STAGES[6], "stage"):
             solver = self._viscous_solver(lam_eff)
-            self.u_hat = solver.solve_rhs(rhs_u, self._dirichlet_values(0, t_new))
-            self.v_hat = solver.solve_rhs(rhs_v, self._dirichlet_values(1, t_new))
+            bc = solver.bc_values_by_tag  # project, solve, project, solve: the old order
+            self.u_hat = solver.solve_rhs(rhs_u, bc([b[0] for b in bcs], t_new))
+            self.v_hat = solver.solve_rhs(rhs_v, bc([b[1] for b in bcs], t_new))
 
         self._hist_u.appendleft((u_vals, v_vals))
         self._hist_n.appendleft((nu_term, nv_term))
@@ -231,52 +206,15 @@ class NavierStokes2D:
         self.t = t_new
         self.step_count += 1
 
-    def _add_pressure_bc(
-        self,
-        rhs_p: np.ndarray,
-        w_extrap: np.ndarray,
-        gamma0: float,
-        t_new: float,
-    ) -> None:
-        """Accumulate the rotational pressure-BC surface integral on the
-        velocity-Dirichlet boundary into the Poisson right-hand side."""
-        space, dm = self.space, self.space.dofmap
-        for tag, quads in self._edge_quads.items():
-            fu, fv = self.velocity_bcs[tag]
-            for eq in quads:
-                ei = eq.elem
-                exp = dm.expansion(ei)
-                gf = space.geom[ei]
-                # Local modal projection of the extrapolated vorticity.
-                tmp = np.empty(exp.phi.shape[0])
-                blas.dgemv(1.0, exp.phi, gf.jw * w_extrap[ei], 0.0, tmp)
-                w_loc = np.empty_like(tmp)
-                blas.dgemv(1.0, self._local_minv[ei], tmp, 0.0, w_loc)
-                dwdx = np.empty(eq.npts)
-                dwdy = np.empty(eq.npts)
-                blas.dgemv(1.0, eq.dphi_x, w_loc, 0.0, dwdx, trans=True)
-                blas.dgemv(1.0, eq.dphi_y, w_loc, 0.0, dwdy, trans=True)
-                n_curl = eq.nx * dwdy - eq.ny * dwdx
-                ubn = np.array(
-                    [
-                        float(fu(x, y, t_new)) * nx + float(fv(x, y, t_new)) * ny
-                        for x, y, nx, ny in zip(eq.x, eq.y, eq.nx, eq.ny)
-                    ]
-                )
-                term = -self.nu * n_curl - (gamma0 / self.dt) * ubn
-                dm.scatter_add(ei, eq.load(term), rhs_p)
-
     def _viscous_solver(self, lam_eff: float) -> HelmholtzDirect:
         """Viscous solver for the effective lambda (startup steps use a
         lower-order gamma0; cache the extra factorisation)."""
         if abs(lam_eff - self.vel_solver.lam) < 1e-12 * max(1.0, lam_eff):
             return self.vel_solver
-        cache = getattr(self, "_startup_solvers", {})
         key = round(lam_eff, 9)
-        if key not in cache:
-            cache[key] = HelmholtzDirect(self.space, lam_eff, self.vel_tags)
-            self._startup_solvers = cache
-        return cache[key]
+        if key not in self._startup_solvers:
+            self._startup_solvers[key] = HelmholtzDirect(self.space, lam_eff, self.vel_tags)
+        return self._startup_solvers[key]
 
     def run(self, nsteps: int) -> None:
         for _ in range(nsteps):

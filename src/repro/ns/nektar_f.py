@@ -27,18 +27,17 @@ CPU/wall timings plus Figure 13-14 stage breakdowns.
 from __future__ import annotations
 
 from collections import deque
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
-from ..assembly.boundary import build_edge_quadrature
+from ..assembly.boundary import EdgeBatch
 from ..assembly.condensation import CondensedOperator
-from ..assembly.global_system import project_dirichlet
-from ..assembly.operators import elemental_mass
 from ..assembly.space import FunctionSpace
 from ..fourier.pipeline import FusedFourierPipeline
 from ..fourier.transforms import ifft_z, mode_blocks, nmodes_for, wavenumbers
-from ..linalg.counters import OpCounter, charge
+from ..linalg.counters import OpCounter
 from ..obs import metrics
 from ..obs import tracer as obs
 from ..parallel.simmpi import VirtualComm
@@ -108,31 +107,16 @@ class NekTarF:
                 )
         self._visc_cache: dict[tuple[int, float], HelmholtzDirect] = {}
 
-        # High-order pressure BC machinery (as in the serial solver).
-        self._edge_quads = {
-            tag: build_edge_quadrature(space, space.mesh.boundary_sides(tag))
-            for tag in self.vel_tags
-        }
-        self._local_minv: dict[int, np.ndarray] = {}
-        for quads in self._edge_quads.values():
-            for eq in quads:
-                if eq.elem not in self._local_minv:
-                    m = elemental_mass(
-                        space.dofmap.expansion(eq.elem), space.geom[eq.elem]
-                    )
-                    self._local_minv[eq.elem] = np.linalg.inv(m)
+        # Pressure-BC operands and the velocity tags' Dirichlet plan.
+        self._edges = EdgeBatch(space, self.vel_tags)
         if self.vel_tags:
-            self._dirichlet_dofs, _ = project_dirichlet(
-                space, self.vel_tags, lambda x, y: 0.0
-            )
-        else:
-            self._dirichlet_dofs = np.array([], dtype=np.int64)
+            self._bc_plan = space.dirichlet_plan(self.vel_tags)
+            self._bc_plan.charge_projection()  # the former zero projection
 
-        # Dirichlet-value cache: the dof layout above is computed once;
-        # the values are cached per (component, local mode) and reused
-        # outright when the amplitude function is time-independent
-        # (detected by probing).
+        # Dirichlet values are cached per (component, local mode), u_b . n
+        # at the edge points for all; kept for good when steady (probed).
         self._bc_cache: dict[tuple[int, int], tuple[float | None, np.ndarray]] = {}
+        self._ubn: np.ndarray | None = None
         self._bc_steady = self._probe_bc_steady()
 
         nloc = len(self.my_modes)
@@ -193,31 +177,26 @@ class NekTarF:
         self._hist_u.clear()
         self._hist_w.clear()
 
-    def _probe_bc_steady(self) -> dict[int, bool]:
-        """Per-component time-independence of the velocity BC amplitudes.
+    def _mode_bcs(self, m: int) -> list[tuple]:
+        """Per velocity tag, the (u, v, w) amplitudes of mode m as fn(x, y, t)."""
+        return [tuple(partial(a, m) for a in self.velocity_bcs[tag]) for tag in self.vel_tags]
 
-        Each amplitude is probed at a few boundary points, modes and
-        times — equal values everywhere mean the per-step edge
-        projections can be skipped.
-        """
-        if not self.vel_tags or not self.my_modes:
-            return {c: True for c in range(3)}
-        probe_t = (0.0, 0.37, 1.91)
-        modes = {self.my_modes[0], self.my_modes[-1]}
+    def _probe_bc_steady(self) -> dict[int, bool]:
+        """Per-component time-independence of the velocity BC amplitudes,
+        probed at every sample point of the Dirichlet plan (vertices and
+        edge Gauss points) for the first and last local mode at a few
+        times: where nothing moves, the per-step projections are skipped."""
         steady = {c: True for c in range(3)}
-        for tag in self.vel_tags:
-            pts = []
-            for eq in self._edge_quads[tag][:2]:
-                pts.append((float(eq.x[0]), float(eq.y[0])))
-                pts.append((float(eq.x[-1]), float(eq.y[-1])))
+        if not self.vel_tags or not self.my_modes:
+            return steady
+        for m in sorted({self.my_modes[0], self.my_modes[-1]}):
+            bcs = self._mode_bcs(m)
             for comp in range(3):
-                amp = self.velocity_bcs[tag][comp]
-                steady[comp] = steady[comp] and all(
-                    complex(amp(m, x, y, probe_t[0])) == complex(amp(m, x, y, tt))
-                    for m in modes
-                    for x, y in pts
-                    for tt in probe_t[1:]
+                ref, *later = (
+                    self._bc_plan.sample([b[comp] for b in bcs], t, dtype=np.complex128)
+                    for t in (0.0, 0.37, 1.91)
                 )
+                steady[comp] &= all(np.array_equal(ref, g) for g in later)
         return steady
 
     def _bc_values(self, comp: int, mode_i: int, t: float) -> np.ndarray | None:
@@ -233,27 +212,23 @@ class NekTarF:
             metrics.inc("bc_cache.hits")
             return hit[1]
         metrics.inc("bc_cache.misses")
-        m = self.my_modes[mode_i]
-        re: dict[int, float] = {}
-        im: dict[int, float] = {}
-        for tag in self.vel_tags:
-            amp = self.velocity_bcs[tag][comp]
-            dofs, vals = project_dirichlet(
-                self.space, (tag,), lambda x, y: float(np.real(amp(m, x, y, t)))
-            )
-            re.update(zip(dofs.tolist(), vals.tolist()))
-            dofs, vals = project_dirichlet(
-                self.space, (tag,), lambda x, y: float(np.imag(amp(m, x, y, t)))
-            )
-            im.update(zip(dofs.tolist(), vals.tolist()))
-        out = np.array(
-            [complex(re[int(d)], im[int(d)]) for d in self._dirichlet_dofs]
-        )
+        fns = [b[comp] for b in self._mode_bcs(self.my_modes[mode_i])]
+        out = self._bc_plan.project_by_tag(fns, t, dtype=np.complex128)
         self._bc_cache[(comp, mode_i)] = (
             None if self._bc_steady[comp] else t,
             out,
         )
         return out
+
+    def _wall_normal_velocity(self, t: float) -> np.ndarray:
+        """u_b . n of every local mode at the pressure-BC edge points."""
+        if self._ubn is None or not (self._bc_steady[0] and self._bc_steady[1]):
+            ubn = [
+                self._edges.normal_component(self._mode_bcs(m), t, dtype=np.complex128)
+                for m in self.my_modes
+            ]
+            self._ubn = np.reshape(ubn, (self.nlocal,) + self._edges.x.shape)
+        return self._ubn
 
     def _viscous_solver(self, mode_i: int, gamma0: float) -> HelmholtzDirect:
         k = float(self.k[mode_i])
@@ -329,16 +304,17 @@ class NekTarF:
             wy_e = sum(b * h[1] for b, h in zip(scheme.beta, hist_w))
             wz_e = sum(b * h[2] for b, h in zip(scheme.beta, hist_w))
 
-        # Stage 4: pressure RHS (all local modes at once) + per-mode
-        # rotational pressure BC.
+        # Stage 4: pressure RHS + rotational pressure BC
+        # oint phi [-nu (n . curl omega)_mode - gamma0 (u_b . n)/dt],
+        # all local modes at once.
         with stage(3):
             ik = (1j * self.k)[:, None]
             rhs_p = self._grad_load_c(uhx, uhy) - ik * self._load_c(uhz)
             rhs_p /= dt
-            for i in range(self.nlocal):
-                self._add_pressure_bc(
-                    rhs_p[i], i, wx_e[i], wy_e[i], wz_e[i], scheme.gamma0, t_new
-                )
+            ubn = self._wall_normal_velocity(t_new)
+            self._edges.add_pressure_bc_modes(
+                rhs_p, self.k, wx_e, wy_e, wz_e, ubn, self.nu, scheme.gamma0 / dt
+            )
 
         # Stage 5: per-mode Poisson solves — real and imaginary parts
         # share the factorisation, so they are swept as one (2, ndof)
@@ -422,62 +398,6 @@ class NekTarF:
         self.u_hat[i] = out[0] + 1j * out[1]
         self.v_hat[i] = out[2] + 1j * out[3]
         self.w_hat[i] = out[4] + 1j * out[5]
-
-    # Complex-valued mode arithmetic: the real-only d-BLAS kernels cannot
-    # hold it, so the matvecs stay raw numpy and the complex flop
-    # convention is charged explicitly via _charge_zgemv below.
-    # repro: waive[raw-numpy] complex mode arithmetic, charged via _charge_zgemv
-    def _add_pressure_bc(
-        self, rhs, mode_i, wx_e, wy_e, wz_e, gamma0, t_new
-    ) -> None:
-        """Per-mode rotational pressure BC:
-        oint phi [-nu (n x curl omega)_z-mode - gamma0 (u_b . n)/dt]."""
-
-        def _charge_zgemv(mat: np.ndarray) -> None:
-            # Real (m, n) matrix times complex vector: 4 flops/element
-            # (2 mul + 2 add), matrix traffic + complex vector in/out.
-            m, n = mat.shape
-            charge(4.0 * m * n, 8.0 * m * n + 16.0 * (m + n), "zgemv")
-
-        space, dm = self.space, self.space.dofmap
-        m = self.my_modes[mode_i]
-        kk = 1j * self.k[mode_i]
-        for tag, quads in self._edge_quads.items():
-            fu, fv, _fw = self.velocity_bcs[tag]
-            for eq in quads:
-                ei = eq.elem
-                exp = dm.expansion(ei)
-                gf = space.geom[ei]
-                minv = self._local_minv[ei]
-                # Local modal projections of the vorticity components.
-                for _m in (exp.phi, minv, exp.phi, minv, exp.phi, minv):
-                    _charge_zgemv(_m)
-                wz_loc = minv @ (exp.phi @ (gf.jw * wz_e[ei]))
-                wx_loc = minv @ (exp.phi @ (gf.jw * wx_e[ei]))
-                wy_loc = minv @ (exp.phi @ (gf.jw * wy_e[ei]))
-                for _m in (eq.dphi_x, eq.dphi_y, eq.phi, eq.phi):
-                    _charge_zgemv(_m)
-                dwz_dx = eq.dphi_x.T @ wz_loc
-                dwz_dy = eq.dphi_y.T @ wz_loc
-                wx_edge = eq.phi.T @ wx_loc
-                wy_edge = eq.phi.T @ wy_loc
-                # n . curl(omega), z-Fourier form:
-                #   nx (d omega_z/dy - ik omega_y) + ny (ik omega_x - d omega_z/dx)
-                n_curl = eq.nx * (dwz_dy - kk * wy_edge) + eq.ny * (
-                    kk * wx_edge - dwz_dx
-                )
-                ubn = np.array(
-                    [
-                        complex(fu(m, x, y, t_new)) * nx
-                        + complex(fv(m, x, y, t_new)) * ny
-                        for x, y, nx, ny in zip(eq.x, eq.y, eq.nx, eq.ny)
-                    ]
-                )
-                term = -self.nu * n_curl - (gamma0 / self.dt) * ubn
-                _charge_zgemv(eq.phi)
-                local = eq.phi @ (eq.jw * term)
-                signs = dm.elem_signs[ei]
-                np.add.at(rhs, dm.elem_dofs[ei], signs * local)
 
     def run(
         self,

@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from ..assembly.condensation import CondensedOperator
-from ..assembly.global_system import AssembledOperator, project_dirichlet
+from ..assembly.global_system import AssembledOperator
 from ..assembly.space import FunctionSpace
 from ..linalg.cg import pcg, pcg_block
 from ..linalg.counters import charge
@@ -56,9 +56,9 @@ class _HelmholtzBase:
         self.dirichlet_tags = tuple(dirichlet_tags)
         self._elem_mats: list[np.ndarray] | None = None
         if self.dirichlet_tags:
-            self.dirichlet_dofs, _ = project_dirichlet(
-                space, self.dirichlet_tags, lambda x, y: 0.0
-            )
+            self.bc_plan = space.dirichlet_plan(self.dirichlet_tags)
+            self.bc_plan.charge_projection()  # the zero projection that found the dofs
+            self.dirichlet_dofs = self.bc_plan.dofs
         else:
             self.dirichlet_dofs = np.array([], dtype=np.int64)
         if self.lam == 0.0 and self.dirichlet_dofs.size == 0:
@@ -84,9 +84,11 @@ class _HelmholtzBase:
             return None
         if g is None:
             return np.zeros(self.dirichlet_dofs.size)
-        dofs, vals = project_dirichlet(self.space, self.dirichlet_tags, g)
-        assert np.array_equal(dofs, self.dirichlet_dofs)
-        return vals
+        return self.bc_plan.project(g)
+
+    def bc_values_by_tag(self, fns, *args) -> np.ndarray | None:
+        """As :meth:`bc_values`, one fn(x, y, *args) per tag (a later tag wins a corner)."""
+        return self.bc_plan.project_by_tag(fns, *args) if self.dirichlet_tags else None
 
 
 class HelmholtzDirect(_HelmholtzBase):
