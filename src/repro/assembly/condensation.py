@@ -25,6 +25,7 @@ from scipy.sparse.csgraph import reverse_cuthill_mckee
 from ..linalg import blas
 from ..linalg.banded import BandedSPDSolver
 from ..linalg.counters import charge
+from .global_system import dirichlet_block
 
 __all__ = ["CondensedOperator"]
 
@@ -142,7 +143,7 @@ class CondensedOperator:
             groups.append(
                 {
                     "low": low,
-                    "linv": None,  # lazy L^{-1}, built on first multi-RHS solve
+                    "linv": None,  # lazy L^{-1}, built on first solve
                     "abi": abi,
                     "aii_inv_aib": aii_inv_aib,
                     "bdofs": bdofs,
@@ -168,117 +169,61 @@ class CondensedOperator:
     ) -> np.ndarray:
         """Solve A u = rhs (assembled global load vector).
 
-        ``rhs`` may also be a row-stacked (nrhs, ndof) block — the NS
-        inner loop's multi-RHS path — solved in one batched condense /
-        blocked boundary sweep / batched back-substitution, charging
-        exactly nrhs column-by-column solves.  ``dirichlet_values`` then
-        broadcasts: a single (nd,) vector or one row per RHS.
+        ``rhs`` is one (ndof,) vector or a row-stacked (nrhs, ndof)
+        block (the NS inner loop's multi-RHS path); a vector is a
+        one-row block.  Either way: one batched condense, one boundary
+        ``solve_many``, one batched back-substitution, charging exactly
+        nrhs column-by-column solves.  ``dirichlet_values`` is a single
+        (nd,) vector shared by every row, or one (nrhs, nd) row per RHS.
         """
         rhs = np.asarray(rhs, dtype=np.float64)
-        if rhs.ndim == 2 and rhs.shape[1] == self.ndof:
-            return self._solve_many(rhs, dirichlet_values)
-        if rhs.shape != (self.ndof,):
+        block = rhs[None] if rhs.ndim == 1 else rhs
+        if block.ndim != 2 or block.shape[1] != self.ndof:
             raise ValueError("rhs must cover all global dofs")
+        nrhs = block.shape[0]
+        dv = dirichlet_block(dirichlet_values, nrhs, self.dirichlet.size)
         # Condense: gb = rb - sum_e Q_e^T Abi Aii^{-1} fi.
-        gb = rhs[: self.nb_glob].copy()
-        fi_store: list = []
+        gb = block[:, : self.nb_glob].copy()
+        swept: list[tuple[dict, np.ndarray]] = []  # groups with interiors, Aii^{-1} fi
         for grp in self._groups:
             if grp["ni"] == 0:
-                fi_store.append(None)
                 continue
-            fi = rhs[grp["idofs"]]  # (ng, ni)
-            fi_store.append(fi)
-            tmp = self._cho_solve_group(grp, fi)
-            corr = np.zeros((grp["ng"], grp["nb"]))
-            blas.dgemv_batched(1.0, grp["abi"], tmp, 0.0, corr)
-            np.subtract.at(gb, grp["bdofs"], grp["bsigns"] * corr)
-        # Boundary solve.
-        if self.dirichlet.size:
-            if dirichlet_values is None:
-                dirichlet_values = np.zeros(self.dirichlet.size)
-            dirichlet_values = np.asarray(dirichlet_values, dtype=np.float64)
-            b = gb[self.free] - self.s_fk @ dirichlet_values
-        else:
-            b = gb[self.free]
-        x = np.empty_like(b)
-        if self.solver is not None:
-            x[self.perm] = self.solver.solve(b[self.perm])
-        u = np.zeros(self.ndof)
-        u[self.free] = x
-        if self.dirichlet.size:
-            u[self.dirichlet] = dirichlet_values
-        # Back-substitute interiors: ui = Aii^{-1} fi - (Aii^{-1} Aib) ub
-        # (interior dofs are unique to their element, so plain
-        # assignment suffices).
-        for grp, fi in zip(self._groups, fi_store):
-            if grp["ni"] == 0:
-                continue
-            ub = grp["bsigns"] * u[grp["bdofs"]]
-            ui = self._cho_solve_group(grp, fi)
-            blas.dgemv_batched(-1.0, grp["aii_inv_aib"], ub, 1.0, ui)
-            u[grp["idofs"]] = ui
-        return u
-
-    # -- multi-RHS (row-stacked) path -----------------------------------------
-
-    def _many_dirichlet(self, nrhs: int, dirichlet_values) -> np.ndarray:
-        """Broadcast prescribed values to one (nrhs, nd) row per RHS."""
-        nd = self.dirichlet.size
-        if dirichlet_values is None:
-            return np.zeros((nrhs, nd))
-        dv = np.asarray(dirichlet_values, dtype=np.float64)
-        if dv.ndim == 1:
-            dv = np.broadcast_to(dv, (nrhs, nd))
-        if dv.shape != (nrhs, nd):
-            raise ValueError("dirichlet_values shape mismatch")
-        return dv
-
-    def _solve_many(self, rhs: np.ndarray, dirichlet_values) -> np.ndarray:
-        nrhs = rhs.shape[0]
-        gb = rhs[:, : self.nb_glob].copy()
-        fi_store: list = []
-        for grp in self._groups:
-            if grp["ni"] == 0:
-                fi_store.append(None)
-                continue
-            fi = rhs[:, grp["idofs"]]  # (nrhs, ng, ni)
-            fi_store.append(fi)
-            tmp = self._cho_solve_group_many(grp, fi)
+            if grp["linv"] is None:
+                grp["linv"] = np.linalg.inv(grp["low"])
+            # Aii^{-1} fi over elements x RHS: the two triangular sweeps
+            # as Level-3 multiplies by the cached L^{-1} (the interior
+            # blocks are tiny and well-conditioned, so the explicit
+            # inverse loses nothing); two dtrsm charges price one
+            # cho_solve per item-RHS.
+            y = blas.dtrsm_batched(grp["linv"], block[:, grp["idofs"]], label="sc-chol")
+            ui = blas.dtrsm_batched(grp["linv"], y, trans=True, label="sc-chol")
+            swept.append((grp, ui))
             corr = np.zeros((nrhs, grp["ng"], grp["nb"]))
-            blas.dgemv_batched(1.0, grp["abi"], tmp, 0.0, corr)
+            blas.dgemv_batched(1.0, grp["abi"], ui, 0.0, corr)
             gb -= (self._group_scatter(grp) @ corr.reshape(nrhs, -1).T).T
+        # Boundary solve.
+        b = gb[:, self.free]
         if self.dirichlet.size:
-            dv = self._many_dirichlet(nrhs, dirichlet_values)
-            b = gb[:, self.free] - (self.s_fk @ dv.T).T
-        else:
-            dv = None
-            b = gb[:, self.free]
+            b = b - (self.s_fk @ dv.T).T
         x = np.empty_like(b)
         if self.solver is not None:
             x[:, self.perm] = self.solver.solve_many(b[:, self.perm])
         u = np.zeros((nrhs, self.ndof))
         u[:, self.free] = x
-        if dv is not None:
-            u[:, self.dirichlet] = dv
-        for grp, fi in zip(self._groups, fi_store):
-            if grp["ni"] == 0:
-                continue
+        u[:, self.dirichlet] = dv
+        # Back-substitute interiors: ui = Aii^{-1} fi - (Aii^{-1} Aib) ub
+        # (interior dofs are unique to their element, so plain
+        # assignment suffices).  NekTar sweeps Aii^{-1} fi a second time
+        # here; the cost model prices its algorithm, not ours, so the
+        # array is reused and the two sweeps are charged again.
+        for grp, ui in swept:
             ub = grp["bsigns"] * u[:, grp["bdofs"]]
-            ui = self._cho_solve_group_many(grp, fi)
+            items, n2 = nrhs * grp["ng"], grp["ni"] ** 2
+            charge(items * 1.0 * n2, items * 4.0 * n2, "sc-chol")
+            charge(items * 1.0 * n2, items * 4.0 * n2, "sc-chol")
             blas.dgemv_batched(-1.0, grp["aii_inv_aib"], ub, 1.0, ui)
             u[:, grp["idofs"]] = ui
-        return u
-
-    def _cho_solve_group_many(self, grp: dict, b: np.ndarray) -> np.ndarray:
-        """Stacked Aii^{-1} b over elements x RHS: two triangular sweeps
-        applied as Level-3 multiplies by the cached L^{-1} (the interior
-        blocks are tiny and well-conditioned, so the explicit inverse
-        loses nothing).  Two ``dtrsm`` charges price one cho_solve per
-        item-RHS — what :meth:`_cho_solve_group` charges per column."""
-        if grp["linv"] is None:
-            grp["linv"] = np.linalg.inv(grp["low"])
-        y = blas.dtrsm_batched(grp["linv"], b, label="sc-chol")
-        return blas.dtrsm_batched(grp["linv"], y, trans=True, label="sc-chol")
+        return u[0] if rhs.ndim == 1 else u
 
     def _group_scatter(self, grp: dict) -> sp.csr_matrix:
         """CSR gather/scatter Q_e^T of one group's boundary dofs (signs
@@ -295,20 +240,56 @@ class CondensedOperator:
             )
         return grp["scatter"]
 
-    def _cho_solve_group(self, grp: dict, b: np.ndarray) -> np.ndarray:
-        """Stacked Aii^{-1} b for one group (forward + backward sweeps of
-        the stacked lower Cholesky factor), charged as one cho_solve
-        per element."""
-        low, ni = grp["low"], grp["ni"]
-        y = np.empty_like(b)
-        for i in range(ni):
-            y[:, i] = (
-                b[:, i] - np.einsum("gk,gk->g", low[:, i, :i], y[:, :i])
-            ) / low[:, i, i]
-        out = np.empty_like(b)
-        for i in range(ni - 1, -1, -1):
-            out[:, i] = (
-                y[:, i] - np.einsum("gk,gk->g", low[:, i + 1 :, i], out[:, i + 1 :])
-            ) / low[:, i, i]
-        charge(grp["ng"] * 2.0 * ni * ni, grp["ng"] * 8.0 * ni * ni, "sc-chol")
-        return out
+    def _solve_by_substitution(
+        self, rhs: np.ndarray, dirichlet_values: np.ndarray | None = None
+    ) -> np.ndarray:
+        """:meth:`solve` for one (ndof,) vector with Aii^{-1} fi swept row
+        by row through the stacked Cholesky factor; same charges.
+
+        Kept for :meth:`FunctionSpace.forward`, its only caller, because
+        the L^{-1} path does not pass ``ale_cg``'s golden: the projection
+        seeds that run, whose pinned PCG counts move 260 -> 250 (3.8 %,
+        tolerance 2 %) on the last-bit difference between the two.
+        """
+        rhs = np.asarray(rhs, dtype=np.float64)
+        if rhs.shape != (self.ndof,):
+            raise ValueError("rhs must cover all global dofs")
+        dv = dirichlet_block(dirichlet_values, 1, self.dirichlet.size)[0]
+        gb = rhs[: self.nb_glob].copy()
+        swept: list[tuple[dict, np.ndarray]] = []
+        for grp in self._groups:
+            low, ni = grp["low"], grp["ni"]
+            if ni == 0:
+                continue
+            fi = rhs[grp["idofs"]]  # (ng, ni)
+            y = np.empty_like(fi)
+            for i in range(ni):
+                y[:, i] = (
+                    fi[:, i] - np.einsum("gk,gk->g", low[:, i, :i], y[:, :i])
+                ) / low[:, i, i]
+            ui = np.empty_like(fi)
+            for i in range(ni - 1, -1, -1):
+                ui[:, i] = (
+                    y[:, i] - np.einsum("gk,gk->g", low[:, i + 1 :, i], ui[:, i + 1 :])
+                ) / low[:, i, i]
+            charge(grp["ng"] * 2.0 * ni * ni, grp["ng"] * 8.0 * ni * ni, "sc-chol")
+            swept.append((grp, ui))
+            corr = np.zeros((grp["ng"], grp["nb"]))
+            blas.dgemv_batched(1.0, grp["abi"], ui, 0.0, corr)
+            np.subtract.at(gb, grp["bdofs"], grp["bsigns"] * corr)
+        b = gb[self.free]
+        if self.dirichlet.size:
+            b = b - self.s_fk @ dv
+        x = np.empty_like(b)
+        if self.solver is not None:
+            x[self.perm] = self.solver.solve(b[self.perm])
+        u = np.zeros(self.ndof)
+        u[self.free] = x
+        u[self.dirichlet] = dv
+        for grp, ui in swept:
+            ni = grp["ni"]
+            ub = grp["bsigns"] * u[grp["bdofs"]]
+            charge(grp["ng"] * 2.0 * ni * ni, grp["ng"] * 8.0 * ni * ni, "sc-chol")
+            blas.dgemv_batched(-1.0, grp["aii_inv_aib"], ub, 1.0, ui)
+            u[grp["idofs"]] = ui
+        return u

@@ -86,64 +86,45 @@ class AssembledOperator:
         the (sorted) dirichlet dof list.  Returns the full solution
         vector including the prescribed values.
 
-        A row-stacked (nrhs, ndof) ``rhs`` block is solved in one
-        vectorised lift / blocked banded sweep, charging exactly nrhs
+        ``rhs`` may also be a row-stacked (nrhs, ndof) block (a vector
+        is a one-row block): one vectorised lift and RCM permutation,
+        one banded Cholesky sweep over the block, charging exactly nrhs
         column-by-column solves; ``dirichlet_values`` then broadcasts
         (one shared (nd,) vector or one row per RHS).
         """
         rhs = np.asarray(rhs, dtype=np.float64)
-        if rhs.ndim == 2 and rhs.shape[1] == self.ndof:
-            return self._solve_many(rhs, dirichlet_values)
-        if rhs.shape != (self.ndof,):
+        block = rhs[None] if rhs.ndim == 1 else rhs
+        if block.ndim != 2 or block.shape[1] != self.ndof:
             raise ValueError("rhs must cover all global dofs")
+        nrhs = block.shape[0]
+        dv = dirichlet_block(dirichlet_values, nrhs, self.dirichlet.size)
+        b = block[:, self.free]
         if self.dirichlet.size:
-            if dirichlet_values is None:
-                dirichlet_values = np.zeros(self.dirichlet.size)
-            dirichlet_values = np.asarray(dirichlet_values, dtype=np.float64)
-            if dirichlet_values.shape != (self.dirichlet.size,):
-                raise ValueError("dirichlet_values length mismatch")
-            charge(2.0 * self.a_uk.nnz, 12.0 * self.a_uk.nnz, "dirichlet-lift")
-            b = rhs[self.free] - self.a_uk @ dirichlet_values
-        else:
-            b = rhs[self.free]
-        x_p = self.solver.solve(b[self.perm])
-        x = np.empty_like(b)
-        x[self.perm] = x_p
-        u = np.zeros(self.ndof)
-        u[self.free] = x
-        if self.dirichlet.size:
-            u[self.dirichlet] = dirichlet_values
-        return u
-
-    def _solve_many(self, rhs: np.ndarray, dirichlet_values) -> np.ndarray:
-        """Row-stacked multi-RHS solve: vectorised Dirichlet lift and RCM
-        permutation, one blocked banded Cholesky sweep over the block."""
-        nrhs = rhs.shape[0]
-        dv = None
-        if self.dirichlet.size:
-            if dirichlet_values is None:
-                dv = np.zeros((nrhs, self.dirichlet.size))
-            else:
-                dv = np.asarray(dirichlet_values, dtype=np.float64)
-                if dv.ndim == 1:
-                    dv = np.broadcast_to(dv, (nrhs, self.dirichlet.size))
-                if dv.shape != (nrhs, self.dirichlet.size):
-                    raise ValueError("dirichlet_values shape mismatch")
             charge(
                 nrhs * 2.0 * self.a_uk.nnz,
                 nrhs * 12.0 * self.a_uk.nnz,
                 "dirichlet-lift",
             )
-            b = rhs[:, self.free] - (self.a_uk @ dv.T).T
-        else:
-            b = rhs[:, self.free]
+            b = b - (self.a_uk @ dv.T).T
         x = np.empty_like(b)
         x[:, self.perm] = self.solver.solve_many(b[:, self.perm])
         u = np.zeros((nrhs, self.ndof))
         u[:, self.free] = x
-        if dv is not None:
-            u[:, self.dirichlet] = dv
-        return u
+        u[:, self.dirichlet] = dv
+        return u[0] if rhs.ndim == 1 else u
+
+
+def dirichlet_block(values: np.ndarray | None, nrhs: int, nd: int) -> np.ndarray:
+    """Prescribed values as one (nrhs, nd) row per RHS: ``None`` is zero
+    and a single (nd,) vector is shared by every row."""
+    if values is None:
+        return np.zeros((nrhs, nd))
+    dv = np.asarray(values, dtype=np.float64)
+    if dv.shape == (nd,):
+        dv = np.broadcast_to(dv, (nrhs, nd))
+    if dv.shape != (nrhs, nd):
+        raise ValueError("dirichlet_values shape mismatch")
+    return dv
 
 
 def project_dirichlet(space, tags, fn):

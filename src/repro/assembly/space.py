@@ -209,13 +209,16 @@ class FunctionSpace:
         if self._mass_solver is None:
             self._mass_solver = CondensedOperator(self, self.elemental_matrices("mass"))
         rhs = self.load_vector(values)
+        # Row-by-row substitution, not CondensedOperator.solve: these bits
+        # seed ale_cg's pinned PCG counts (see _solve_by_substitution).
+        solve = self._mass_solver._solve_by_substitution
         lead = values.shape[:-2]
         if lead:
             out = np.empty(lead + (self.ndof,))
             for idx in np.ndindex(*lead):
-                out[idx] = self._mass_solver.solve(rhs[idx])
+                out[idx] = solve(rhs[idx])
             return out
-        return self._mass_solver.solve(rhs)
+        return solve(rhs)
 
     def gradient(self, u_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Physical (du/dx, du/dy) at quadrature points from modal coeffs."""

@@ -17,6 +17,8 @@ paper's "as seen by the user" stance).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .counters import charge
@@ -250,7 +252,7 @@ def dgemv_batched(
         raise ValueError("dgemv_batched: dimension mismatch")
     if op.ndim > 2:
         _check_stack_batch(op, x.shape[:-1], "dgemv_batched")
-    nb = int(np.prod(x.shape[:-1], dtype=np.int64))
+    nb = math.prod(x.shape[:-1])
     if op.ndim == 2:
         # Shared matrix: the whole batch is one tall gemm, X @ op(A)^T.
         res = np.matmul(x, np.swapaxes(op, -1, -2))
@@ -292,7 +294,7 @@ def dtrsm_batched(
         raise ValueError("dtrsm_batched: dimension mismatch")
     if op.ndim > 2:
         _check_stack_batch(op, b.shape[:-1], "dtrsm_batched")
-    nb = int(np.prod(b.shape[:-1], dtype=np.int64))
+    nb = math.prod(b.shape[:-1])
     if op.ndim == 2:
         out = np.matmul(b, np.swapaxes(op, -1, -2))
     else:
@@ -332,7 +334,7 @@ def dgemm_batched(
     for stack in (opa, opb):
         if stack.ndim > 2 and stack.shape[:-2] != lead:
             raise ValueError("dgemm_batched: batch-shape mismatch")
-    nb = int(np.prod(lead, dtype=np.int64))
+    nb = math.prod(lead)
     # np.matmul's stacked path degrades on transposed views; a contiguous
     # copy of a small chunk is cheaper than the strided inner loops.
     if opa.ndim > 2 and not opa.flags.c_contiguous:
@@ -398,7 +400,7 @@ def ddot_batched(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     y = np.asarray(y, dtype=np.float64)
     if x.shape != y.shape or x.ndim < 1:
         raise ValueError("ddot_batched: shape mismatch")
-    nb = int(np.prod(x.shape[:-1], dtype=np.int64))
+    nb = math.prod(x.shape[:-1])
     out = np.einsum("...n,...n->...", x, y)
     charge(nb * 2.0 * x.shape[-1], nb * 16.0 * x.shape[-1], "ddot")
     return out
