@@ -28,6 +28,7 @@ import json
 import sys
 from pathlib import Path
 
+from ..campaign.client import write_results
 from ..campaign.engine import CampaignEngine, campaign_report
 from ..campaign.matrix import smoke_matrix
 from ..campaign.search import load_graphs, search_catalog
@@ -83,9 +84,7 @@ def _cmd_run(args) -> int:
         )
     if args.out:
         report = campaign_report(RunLedger(args.ledger), matrix)
-        with open(args.out, "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_results(report, args.out)
         print(
             f"report: {report['jobs']['completed']}/{report['jobs']['total']} "
             f"complete -> {args.out}"
@@ -115,9 +114,7 @@ def _cmd_search(args) -> int:
             f"predicted {cand['predicted_makespan']:.4g} s  [{mark}]"
         )
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(result, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_results(result, args.out)
     if result["cheapest"] is None:
         print(
             f"no candidate meets target {args.target:.4g} s", file=sys.stderr

@@ -30,13 +30,12 @@ Writes ``BENCH_scaling.json``.  Run as a script::
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 
 import numpy as np
 
-from ..campaign.client import bench_client, run_cli
+from ..campaign.client import bench_client, run_cli, write_results
 from ..machines.network import NetworkModel
 from ..obs import CritPathRecorder, analyze, scoped
 from ..parallel.faults import FaultPlan
@@ -276,9 +275,7 @@ def main(argv=None) -> dict:
     args = parser.parse_args(argv)
     results = run_bench(smoke=args.smoke)
     if args.critpath_out:
-        with open(args.critpath_out, "w") as fh:
-            json.dump(results["critpath"], fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_results(results["critpath"], args.critpath_out)
     return bench_client(
         "scaling_bench", results, args.out, args.ledger, summary=_summary
     )

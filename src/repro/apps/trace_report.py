@@ -37,6 +37,7 @@ import json
 import sys
 
 from ..assembly.space import FunctionSpace
+from ..campaign.client import write_results
 from ..machines.catalog import MACHINES
 from ..mesh.generators import bluff_body_mesh
 from ..ns.nektar_f import NekTarF
@@ -348,9 +349,7 @@ def main(argv=None) -> str:
         )
         print(report)
         if args.critpath_out:
-            with open(args.critpath_out, "w") as fh:
-                json.dump(analysis, fh, indent=2, sort_keys=True)
-                fh.write("\n")
+            write_results(analysis, args.critpath_out)
         if args.report_out:
             with open(args.report_out, "w") as fh:
                 fh.write(report + "\n")
@@ -382,9 +381,7 @@ def main(argv=None) -> str:
             analysis = analyze(recorder.graph, swap_nets=swaps)
             critpath_block = render_critpath_report(analysis)
             if args.critpath_out:
-                with open(args.critpath_out, "w") as fh:
-                    json.dump(analysis, fh, indent=2, sort_keys=True)
-                    fh.write("\n")
+                write_results(analysis, args.critpath_out)
         path = write_chrome_trace(
             trace,
             args.out,
@@ -393,9 +390,7 @@ def main(argv=None) -> str:
         )
         print(f"trace written: {path} (open at https://ui.perfetto.dev)")
         if args.metrics_out:
-            with open(args.metrics_out, "w") as fh:
-                json.dump(registry.snapshot(), fh, indent=2, sort_keys=True)
-                fh.write("\n")
+            write_results(registry.snapshot(), args.metrics_out)
         trace_path = path
     else:
         trace_path = args.trace

@@ -123,3 +123,22 @@ class NetworkModel:
 
     def barrier_time(self, nprocs: int) -> float:
         return self.allreduce_time(nprocs, 8)
+
+    def collective_time(self, kind: str, nprocs: int, nbytes: int) -> float:
+        """The collective price list: seconds for one ``kind`` collective.
+
+        The one table ``simmpi`` prices rendezvous from and the
+        fabric-swap counterfactual re-prices them with.  A barrier is
+        an 8-byte allreduce (pass ``nbytes=8``, as :meth:`barrier_time`
+        does); allgather is priced as an allreduce of the contribution.
+        """
+        if kind == "alltoall":
+            return self.alltoall_time(nprocs, nbytes)
+        if kind in ("barrier", "allgather") or kind.startswith("allreduce"):
+            return self.allreduce_time(nprocs, nbytes)
+        if kind == "bcast":  # binomial tree
+            hops = math.ceil(math.log2(nprocs)) if nprocs > 1 else 0
+            return hops * self.send_time(nbytes)
+        if kind == "gather":  # root receives P-1 messages in turn
+            return (nprocs - 1) * self.send_time(nbytes)
+        raise ValueError(f"unknown collective kind {kind!r}")

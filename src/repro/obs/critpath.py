@@ -32,10 +32,10 @@ of (t(src) + cost(edge))`` (up to float association), so the graph
 collapsed to ``P arrivals -> 1 sync -> 1 release`` (2P+2 edges, not
 P^2), which is what keeps 1024-rank graphs cheap.
 
-The creation order of nodes is a valid topological order under both
-scheduler engines (an edge's source always exists before its target),
-so longest-path and counterfactual re-weighting are single O(V+E)
-passes — no re-run of the cluster.
+The creation order of nodes is a valid topological order (an edge's
+source always exists before its target), so longest-path and
+counterfactual re-weighting are single O(V+E) passes — no re-run of
+the cluster.
 
 Counterfactuals
 ---------------
@@ -461,7 +461,7 @@ class CritPathRecorder:
         nret: int,
         delay: float,
         factor: float,
-        resend_cpu: float = 0.0,
+        resend_cpu: float,
     ) -> int:
         """Record a send; returns the node id the mailbox entry carries."""
         with self._lock:
@@ -617,26 +617,22 @@ class PathSegment:
     rank: int
     stage: str | None
     label: str
-    kind: str
     start: float
-    end: float
-    cpu: float = 0.0
-    overhead: float = 0.0
-    latency: float = 0.0
-    bandwidth: float = 0.0
-    idle: float = 0.0
+    edge: Edge
+
+    @property
+    def kind(self) -> str:
+        return self.edge.kind
+
+    @property
+    def end(self) -> float:
+        return self.start + self.edge.total()
 
     def total(self) -> float:
-        return self.cpu + self.overhead + self.latency + self.bandwidth + self.idle
+        return self.edge.total()
 
     def components(self) -> dict[str, float]:
-        return {
-            "cpu": self.cpu,
-            "overhead": self.overhead,
-            "latency": self.latency,
-            "bandwidth": self.bandwidth,
-            "idle": self.idle,
-        }
+        return self.edge.components()
 
 
 @dataclass
@@ -730,14 +726,8 @@ def critical_path(graph: EventGraph) -> CriticalPath:
                 rank=rank,
                 stage=stage,
                 label=graph.node_label[dst],
-                kind=e.kind,
                 start=t[e.src],
-                end=t[e.src] + e.total(),
-                cpu=e.cpu,
-                overhead=e.overhead,
-                latency=e.latency,
-                bandwidth=e.bandwidth,
-                idle=e.idle,
+                edge=e,
             )
         )
     return CriticalPath(graph, makespan, segments)
@@ -782,20 +772,12 @@ def whatif(
 
 def _swap_collective(e: Edge, new: "NetworkModel", lossy: bool) -> float:
     """Re-priced collective release edge under ``new``."""
-    n, nbytes = e.n, int(e.nbytes)
-    kind = e.kind
-    if kind == "alltoall":
-        base = e.stretch * new.alltoall_time(n, nbytes)
-    elif kind == "barrier":
-        base = new.barrier_time(n)
-    elif kind.startswith("allreduce") or kind == "allgather":
-        base = new.allreduce_time(n, nbytes)
-    elif kind == "bcast":
-        hops = max(0, (n - 1).bit_length()) if n > 1 else 0
-        base = hops * new.send_time(nbytes)
-    elif kind == "gather":
-        base = (n - 1) * new.send_time(nbytes)
-    else:  # unknown kind: keep the recorded wire cost, re-price overhead
+    try:
+        # ``stretch`` is 1.0 (exact) on everything but a degraded Alltoall.
+        base = e.stretch * new.collective_time(e.kind, e.n, int(e.nbytes))
+    except ValueError:
+        # A deserialised graph may carry a kind the table does not
+        # price: keep the recorded wire cost, re-price the overhead.
         base = e.latency + e.bandwidth
     cost = base + new.cpu_time_for_bytes(e.obytes)
     if lossy:

@@ -56,7 +56,6 @@ byte-identical to a cluster constructed without one.
 
 from __future__ import annotations
 
-import math
 import pickle
 import sys
 from collections import deque
@@ -717,9 +716,10 @@ class VirtualComm:
 
     # -- point-to-point ------------------------------------------------------------
 
-    def _check_endpoint(self, peer: int, tag: int, what: str) -> None:
-        """Eager argument validation: fail fast with the offending
-        rank/tag instead of hanging until the deadlock detector fires."""
+    def _check_rank(self, peer: int, what: str) -> None:
+        """Eager argument validation: fail fast with the offending rank
+        instead of hanging until the deadlock detector fires (or, for a
+        collective root, answering wrongly on every rank)."""
         if not isinstance(peer, (int, np.integer)) or isinstance(peer, bool):
             raise ValueError(
                 f"rank {self.rank}: {what} must be an integer rank, "
@@ -730,6 +730,9 @@ class VirtualComm:
                 f"rank {self.rank}: {what} {peer} out of range "
                 f"(valid ranks: 0..{self.size - 1})"
             )
+
+    def _check_endpoint(self, peer: int, tag: int, what: str) -> None:
+        self._check_rank(peer, what)
         if peer == self.rank:
             raise ValueError(
                 f"rank {self.rank}: {what} {peer} is this rank itself"
@@ -753,13 +756,7 @@ class VirtualComm:
         seq = self._send_seq
         self._send_seq = seq + 1
         if plan is None:
-            ready = t_start + net.send_time(nbytes)
-            # Sender occupies the wire (store-and-forward into the NIC)
-            # and pays the protocol stack's CPU cost.
-            self._st.wall += nbytes / net.bandwidth
-            overhead = net.cpu_time_for_bytes(nbytes)
-            self._st.wall += overhead
-            self._st.cpu += overhead
+            factor, nret, delay = 1.0, 0, 0.0
         else:
             factor = plan.link_factor(self.rank, dest)
             nret = (
@@ -768,31 +765,36 @@ class VirtualComm:
                 else 0
             )
             delay = plan.retransmit_delay(nret)
-            wire = factor * (nbytes / net.bandwidth)
-            ready = t_start + delay + factor * net.send_time(nbytes)
-            self._st.wall += wire
-            overhead = net.cpu_time_for_bytes(nbytes)
-            self._st.wall += overhead
-            self._st.cpu += overhead
-            if nret:
-                # TCP retransmit pricing: the blocked sender sits
-                # through the RTO backoff and re-occupies the wire for
-                # each resend (wall); the kernel's extra copies and
-                # checksums burn CPU via cpu_overhead_per_byte.
-                resend_cpu = net.cpu_time_for_bytes(nret * nbytes)
-                self._st.wall += delay + nret * wire + resend_cpu
-                self._st.cpu += resend_cpu
-                metrics.inc("faults.retransmits", nret)
-                metrics.inc("faults.retransmitted_bytes", nret * nbytes)
-                tracer = obs.current()
-                if tracer is not None:
-                    tracer.emit_span(
-                        f"retransmit -> {dest}",
-                        "fault",
-                        t_start,
-                        t_start + delay + nret * wire,
-                        {"bytes": nbytes, "tag": tag, "retransmits": nret},
-                    )
+        # Sender occupies the wire (store-and-forward into the NIC) and
+        # pays the protocol stack's CPU cost.  A healthy link adds
+        # ``0.0`` and multiplies by ``1.0``, both exact, so the clocks
+        # without a fault plan are bit-for-bit the plain Hockney price.
+        wire = factor * (nbytes / net.bandwidth)
+        ready = t_start + delay + factor * net.send_time(nbytes)
+        self._st.wall += wire
+        overhead = net.cpu_time_for_bytes(nbytes)
+        self._st.wall += overhead
+        self._st.cpu += overhead
+        resend_cpu = 0.0
+        if nret:
+            # TCP retransmit pricing: the blocked sender sits through
+            # the RTO backoff and re-occupies the wire for each resend
+            # (wall); the kernel's extra copies and checksums burn CPU
+            # via cpu_overhead_per_byte.
+            resend_cpu = net.cpu_time_for_bytes(nret * nbytes)
+            self._st.wall += delay + nret * wire + resend_cpu
+            self._st.cpu += resend_cpu
+            metrics.inc("faults.retransmits", nret)
+            metrics.inc("faults.retransmitted_bytes", nret * nbytes)
+            tracer = obs.current()
+            if tracer is not None:
+                tracer.emit_span(
+                    f"retransmit -> {dest}",
+                    "fault",
+                    t_start,
+                    t_start + delay + nret * wire,
+                    {"bytes": nbytes, "tag": tag, "retransmits": nret},
+                )
         # Ledger counts each message's logical bytes exactly once;
         # retransmitted copies are priced above but never re-counted,
         # so byte conservation holds under any loss rate.
@@ -804,23 +806,13 @@ class VirtualComm:
         cp = cl._critpath
         cp_node = None
         if cp is not None:
-            if plan is None:
-                cp_node = cp.on_send(
-                    rank=self.rank, dest=dest, tag=tag, nbytes=nbytes,
-                    t_start=t_start, ready=ready,
-                    wire=nbytes / net.bandwidth, overhead=overhead,
-                    nret=0, delay=0.0, factor=1.0,
-                )
-            else:
-                cp_node = cp.on_send(
-                    rank=self.rank, dest=dest, tag=tag, nbytes=nbytes,
-                    t_start=t_start, ready=ready,
-                    wire=wire, overhead=overhead,
-                    nret=nret, delay=delay, factor=factor,
-                    resend_cpu=(
-                        net.cpu_time_for_bytes(nret * nbytes) if nret else 0.0
-                    ),
-                )
+            cp_node = cp.on_send(
+                rank=self.rank, dest=dest, tag=tag, nbytes=nbytes,
+                t_start=t_start, ready=ready,
+                wire=wire, overhead=overhead,
+                nret=nret, delay=delay, factor=factor,
+                resend_cpu=resend_cpu,
+            )
         self._st.trace.append(f"send -> {dest} tag={tag} ({nbytes}B)")
         key = (self.rank, dest, tag)
         cl._mailbox.setdefault(key, deque()).append(
@@ -984,20 +976,24 @@ class VirtualComm:
     # -- collectives -----------------------------------------------------------------
 
     def _collective(
-        self, kind: str, contribution: Any, pricing, combine, entry_size=None,
-        breakdown=None,
+        self, kind: str, contribution: Any, combine, nbytes=0, price=None,
+        entry_size=None,
     ):
         """Generic synchronising collective.
 
-        pricing(t_start, all_data, sizes) -> completion wall time,
-        where ``sizes`` maps rank -> the ``entry_size`` summary it
-        passed (empty unless the collective supplies one);
-        combine(all_data) -> per-rank output (called once).
+        combine(all_data) -> per-rank output (called once).  The last
+        rank to arrive prices the rendezvous from the network's
+        ``collective_time(kind, P, nbytes)`` table; ``nbytes`` may be a
+        function of the gathered data (``bcast``: only the root knows
+        the payload).  With a critical-path recorder attached the
+        duration splits into ``latency`` (the zero-byte evaluation) and
+        ``bandwidth`` (the rest).
 
-        breakdown(data, sizes) -> (components, meta) decomposes the
-        priced duration ``t_done - t_start`` into critical-path
-        resources (must sum to it exactly); only called when a
-        critical-path recorder is attached.
+        A collective with surcharges of its own passes
+        ``price(t_start, sizes, split) -> (t_done, (components, meta)
+        or None)`` instead, where ``sizes`` maps rank -> the
+        ``entry_size`` summary it passed and the decomposition (which
+        must sum to ``t_done - t_start``) is wanted only if ``split``.
         """
         cl = self.cluster
         if cl._plan is not None:
@@ -1050,18 +1046,24 @@ class VirtualComm:
         if cp is not None:
             cp.on_collective_arrive(key, self.rank, self._st.wall)
         if coll.arrived == coll.expected:
-            coll.t_done = pricing(coll.t_start, coll.data, coll.sizes)
+            if price is not None:
+                coll.t_done, split = price(coll.t_start, coll.sizes, cp is not None)
+            else:
+                net = cl.network
+                if callable(nbytes):
+                    nbytes = nbytes(coll.data)
+                total = net.collective_time(kind, self.size, nbytes)
+                coll.t_done = coll.t_start + total
+                if cp is not None:
+                    lat = net.collective_time(kind, self.size, 0)
+                    split = (
+                        {"latency": lat, "bandwidth": total - lat},
+                        {"kind": kind, "n": self.size, "nbytes": nbytes},
+                    )
             coll.out = combine(coll.data)
             cl._coll_seq[kind] = seq + 1
             if cp is not None:
-                if breakdown is not None:
-                    comps, meta = breakdown(coll.data, coll.sizes)
-                else:
-                    comps = {"latency": coll.t_done - coll.t_start}
-                    meta = {"kind": kind, "n": self.size}
-                cp.on_collective_complete(
-                    key, coll.t_start, coll.t_done, comps, meta
-                )
+                cp.on_collective_complete(key, coll.t_start, coll.t_done, *split)
             # Everyone parked at this rendezvous is now releasable.
             cl._engine.notify_all()
         else:
@@ -1121,23 +1123,7 @@ class VirtualComm:
         return out
 
     def barrier(self) -> None:
-        net = self.cluster.network
-
-        def breakdown(data, sizes):
-            total = net.barrier_time(self.size)
-            lat = net.allreduce_time(self.size, 0)
-            return (
-                {"latency": lat, "bandwidth": total - lat},
-                {"kind": "barrier", "n": self.size, "nbytes": 8},
-            )
-
-        self._collective(
-            "barrier",
-            None,
-            lambda t0, data, sizes: t0 + net.barrier_time(self.size),
-            lambda data: None,
-            breakdown=breakdown,
-        )
+        self._collective("barrier", None, lambda data: None, nbytes=8)
 
     def alltoall(self, chunks: list[Any]) -> list[Any]:
         """chunks[d] goes to rank d; returns what every rank sent to us."""
@@ -1163,6 +1149,7 @@ class VirtualComm:
         plan = cl._plan
         stretch = 1.0
         seq_f = 0
+        lossy = False
         if plan is not None:
             # Per-rank alltoall counter; the collective-ordering rule
             # keeps it equal across ranks, so every rank derives the
@@ -1173,56 +1160,51 @@ class VirtualComm:
                 # The pairwise-exchange rounds are gated by the slowest
                 # link in the fabric (O(|degraded_links|), not O(P^2)).
                 stretch = plan.max_link_factor(self.size)
-            if plan.loss_applies(net) and self.size > 1:
-                # This rank's own lost segments cost kernel resend
-                # copies (CPU); the shared completion delay is priced
-                # inside ``pricing`` below.
-                mine = sum(
-                    plan.collective_retransmits("alltoall", seq_f, me, d)
-                    for d in range(self.size)
-                    if d != me
-                )
-                if mine:
-                    self._st.cpu += net.cpu_time_for_bytes(mine * nbytes)
-                    metrics.inc("faults.retransmits", mine)
-                    metrics.inc("faults.retransmitted_bytes", mine * nbytes)
+            lossy = plan.loss_applies(net) and self.size > 1
 
-        def pricing(t0, data, sizes):
+        def resends(s):
+            return [
+                plan.collective_retransmits("alltoall", seq_f, s, d)
+                for d in range(self.size)
+                if d != s
+            ]
+
+        if lossy:
+            # This rank's own lost segments cost kernel resend copies
+            # (CPU); the shared completion delay is priced below.
+            mine = sum(resends(me))
+            if mine:
+                self._st.cpu += net.cpu_time_for_bytes(mine * nbytes)
+                metrics.inc("faults.retransmits", mine)
+                metrics.inc("faults.retransmitted_bytes", mine * nbytes)
+
+        def price(t0, sizes, split):
             # ``sizes`` carries each rank's max chunk size, recorded at
             # arrival — the global max is O(P) here instead of an
             # O(P^2) re-walk of every chunk of every rank.
             m = max(sizes.values()) if sizes else 0
-            t = t0 + stretch * net.alltoall_time(self.size, m) + overhead
-            if plan is not None and plan.loss_applies(net) and self.size > 1:
+            base = stretch * net.alltoall_time(self.size, m)
+            t_done = t0 + base + overhead
+            if lossy:
                 # The synchronising exchange finishes when the slowest
                 # sender clears its serialised rounds: max over sources
                 # of summed RTO backoff plus resend wire occupancy.
                 # Computed from the shared max chunk size so every rank
                 # would price the same completion time.
                 wire = m / net.bandwidth
-                t += max(
-                    sum(
-                        plan.retransmit_delay(nr) + nr * wire
-                        for d in range(self.size)
-                        if d != s
-                        for nr in (
-                            plan.collective_retransmits(
-                                "alltoall", seq_f, s, d
-                            ),
-                        )
-                    )
-                    for s in range(self.size)
-                )
-            return t
 
-        def breakdown(data, sizes):
-            # Mirrors ``pricing`` term by term so the components sum to
-            # the priced duration: latency from a zero-byte evaluation
-            # (rounds x latency, stretch included), the rest of the
-            # base cost is wire occupancy, plus protocol overhead and
-            # the loss surcharge split into RTO idle vs resend wire.
-            m = max(sizes.values()) if sizes else 0
-            base = stretch * net.alltoall_time(self.size, m)
+                def surcharge(rets):
+                    return sum(plan.retransmit_delay(nr) + nr * wire for nr in rets)
+
+                slowest = max(map(resends, range(self.size)), key=surcharge)
+                loss = surcharge(slowest)
+                t_done += loss
+            if not split:
+                return t_done, None
+            # Latency from a zero-byte evaluation (rounds x latency,
+            # stretch included), the rest of the base cost is wire
+            # occupancy, plus protocol overhead and the loss surcharge
+            # split into RTO idle vs resend wire.
             lat = stretch * net.alltoall_time(self.size, 0)
             comps = {"latency": lat, "bandwidth": base - lat, "overhead": overhead}
             meta = {
@@ -1232,54 +1214,25 @@ class VirtualComm:
                 "stretch": stretch,
                 "obytes": copied,
             }
-            if plan is not None and plan.loss_applies(net) and self.size > 1:
-                wire = m / net.bandwidth
-                best = best_delay = 0.0
-                best_res = 0
-                first = True
-                for s in range(self.size):
-                    tot = sum(
-                        plan.retransmit_delay(nr) + nr * wire
-                        for d in range(self.size)
-                        if d != s
-                        for nr in (
-                            plan.collective_retransmits("alltoall", seq_f, s, d),
-                        )
-                    )
-                    if first or tot > best:
-                        first = False
-                        best = tot
-                        rets = [
-                            plan.collective_retransmits("alltoall", seq_f, s, d)
-                            for d in range(self.size)
-                            if d != s
-                        ]
-                        best_delay = sum(plan.retransmit_delay(nr) for nr in rets)
-                        best_res = sum(rets)
-                comps["idle"] = best_delay
-                comps["bandwidth"] += best - best_delay
-                meta["ebytes"] = best_res * m
-            return comps, meta
+            if lossy:
+                rto = sum(plan.retransmit_delay(nr) for nr in slowest)
+                comps["idle"] = rto
+                comps["bandwidth"] += loss - rto
+                meta["ebytes"] = sum(slowest) * m
+            return t_done, (comps, meta)
 
         out = self._collective(
             "alltoall",
             chunks,
-            pricing,
             lambda data: {
                 r: [data[s][r] for s in range(self.size)] for r in sorted(data)
             },
+            price=price,
             entry_size=nbytes,
-            breakdown=breakdown,
         )
         return out[me]
 
     def allreduce(self, value: Any, op: str = "sum") -> Any:
-        net = self.cluster.network
-        nbytes = payload_bytes(value)
-
-        def pricing(t0, data, sizes):
-            return t0 + net.allreduce_time(self.size, nbytes)
-
         def combine(data):
             vals = [data[r] for r in sorted(data)]
             if op == "sum":
@@ -1295,83 +1248,33 @@ class VirtualComm:
                 return min(vals) if not isinstance(vals[0], np.ndarray) else np.minimum.reduce(vals)
             raise ValueError(f"unknown op {op!r}")
 
-        def breakdown(data, sizes):
-            total = net.allreduce_time(self.size, nbytes)
-            lat = net.allreduce_time(self.size, 0)
-            return (
-                {"latency": lat, "bandwidth": total - lat},
-                {"kind": "allreduce", "n": self.size, "nbytes": nbytes},
-            )
-
         return self._collective(
-            f"allreduce-{op}", value, pricing, combine, breakdown=breakdown
+            f"allreduce-{op}", value, combine, nbytes=payload_bytes(value)
         )
 
     def bcast(self, value: Any, root: int = 0) -> Any:
-        net = self.cluster.network
-
-        def pricing(t0, data, sizes):
-            nbytes = payload_bytes(data[root])
-            hops = math.ceil(math.log2(self.size)) if self.size > 1 else 0
-            return t0 + hops * net.send_time(nbytes)
-
-        def breakdown(data, sizes):
-            nbytes = payload_bytes(data[root])
-            hops = math.ceil(math.log2(self.size)) if self.size > 1 else 0
-            total = hops * net.send_time(nbytes)
-            lat = hops * net.send_time(0)
-            return (
-                {"latency": lat, "bandwidth": total - lat},
-                {"kind": "bcast", "n": self.size, "nbytes": nbytes},
-            )
-
+        self._check_rank(root, "root")
         return self._collective(
             "bcast",
             value if self.rank == root else None,
-            pricing,
             lambda data: data[root],
-            breakdown=breakdown,
+            nbytes=lambda data: payload_bytes(data[root]),
         )
 
     def gather(self, value: Any, root: int = 0) -> list[Any] | None:
-        net = self.cluster.network
-        nbytes = payload_bytes(value)
-
-        def pricing(t0, data, sizes):
-            return t0 + (self.size - 1) * net.send_time(nbytes)
-
-        def breakdown(data, sizes):
-            total = (self.size - 1) * net.send_time(nbytes)
-            lat = (self.size - 1) * net.send_time(0)
-            return (
-                {"latency": lat, "bandwidth": total - lat},
-                {"kind": "gather", "n": self.size, "nbytes": nbytes},
-            )
-
+        self._check_rank(root, "root")
         out = self._collective(
-            "gather", value, pricing,
+            "gather",
+            value,
             lambda data: [data[r] for r in sorted(data)],
-            breakdown=breakdown,
+            nbytes=payload_bytes(value),
         )
         return out if self.rank == root else None
 
     def allgather(self, value: Any) -> list[Any]:
-        net = self.cluster.network
-        nbytes = payload_bytes(value)
-
-        def pricing(t0, data, sizes):
-            return t0 + net.allreduce_time(self.size, nbytes)
-
-        def breakdown(data, sizes):
-            total = net.allreduce_time(self.size, nbytes)
-            lat = net.allreduce_time(self.size, 0)
-            return (
-                {"latency": lat, "bandwidth": total - lat},
-                {"kind": "allgather", "n": self.size, "nbytes": nbytes},
-            )
-
         return self._collective(
-            "allgather", value, pricing,
+            "allgather",
+            value,
             lambda data: [data[r] for r in sorted(data)],
-            breakdown=breakdown,
+            nbytes=payload_bytes(value),
         )

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from repro.machines.catalog import NETWORKS
@@ -104,6 +106,55 @@ def test_allreduce_and_barrier():
     assert t8 == pytest.approx(3 * t2, rel=1e-9)  # log2(8)/log2(2) hops
     assert T3E.barrier_time(8) == pytest.approx(t8)
     assert T3E.allreduce_time(1, 8) == 0.0
+
+
+# The collective price list: each kind against the formula that lived in
+# simmpi's per-collective closures (and again in critpath's fabric swap)
+# before NetworkModel.collective_time replaced them.
+_HALF_DUPLEX_ETH = NetworkModel(
+    "half-eth", latency_us=100, bandwidth=10e6, eager_threshold=1024,
+    rendezvous_extra_us=50, full_duplex=False, aggregate_capacity=40e6,
+    cpu_overhead_per_byte=2e-8,
+)
+_FULL_DUPLEX = NetworkModel(
+    "full", latency_us=10, bandwidth=100e6, eager_threshold=1024,
+    rendezvous_extra_us=20,
+)
+_REPLACED_FORMULA = {
+    "alltoall": lambda net, p, n: net.alltoall_time(p, n),
+    **dict.fromkeys(
+        ["barrier", "allgather", "allreduce-sum", "allreduce-max", "allreduce-min"],
+        lambda net, p, n: net.allreduce_time(p, n),
+    ),
+    "bcast": lambda net, p, n: (
+        (math.ceil(math.log2(p)) if p > 1 else 0) * net.send_time(n)
+    ),
+    "gather": lambda net, p, n: (p - 1) * net.send_time(n),
+}
+
+
+@pytest.mark.parametrize("net", [_HALF_DUPLEX_ETH, _FULL_DUPLEX], ids=lambda n: n.name)
+@pytest.mark.parametrize("kind", sorted(_REPLACED_FORMULA))
+def test_collective_time_is_the_formula_it_replaced(net, kind):
+    for nprocs in (1, 2, 5, 64):
+        for nbytes in (0, 8, 1024, 1025, 65536):  # both sides of eager_threshold
+            assert net.collective_time(kind, nprocs, nbytes) == _REPLACED_FORMULA[
+                kind
+            ](net, nprocs, nbytes), (nprocs, nbytes)
+    # A barrier is the 8-byte allreduce barrier_time already is.
+    assert net.collective_time("barrier", 64, 8) == net.barrier_time(64)
+
+
+def test_bcast_hops_match_the_old_fabric_swap_spelling():
+    """critpath's table counted hops as ``(P - 1).bit_length()``."""
+    unit = NetworkModel("unit", latency_us=1e6, bandwidth=1e6)
+    for p in range(1, 1026):
+        assert unit.collective_time("bcast", p, 0) == (p - 1).bit_length()
+
+
+def test_collective_time_rejects_unknown_kind():
+    with pytest.raises(ValueError, match="unknown collective kind 'scan'"):
+        T3E.collective_time("scan", 4, 8)
 
 
 def test_cpu_overhead_only_on_tcp_networks():

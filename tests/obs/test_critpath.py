@@ -175,10 +175,28 @@ def _mixed_program(comm):
     return total
 
 
-def test_recorded_graph_rederives_clocks():
+def _rooted_program(comm):
+    """The collectives ``_mixed_program`` leaves out, off-zero roots."""
+    data = np.arange(2048, dtype=float) + comm.rank  # past eager_threshold
+    comm.compute(1e-4 * (1 + comm.rank % 3))
+    got = comm.bcast(data if comm.rank == 1 else None, root=1)
+    parts = comm.gather(got[: 8 * (comm.rank + 1)], root=2)
+    comm.compute(2e-5 * (len(parts) if parts is not None else 1))
+    ranks = comm.allgather(comm.rank)
+    return comm.allreduce(float(sum(ranks)), op="max")
+
+
+#: Between them, every collective kind ``collective_time`` prices.
+PROGRAMS = pytest.mark.parametrize(
+    "program", [_mixed_program, _rooted_program], ids=lambda f: f.__name__
+)
+
+
+@PROGRAMS
+def test_recorded_graph_rederives_clocks(program):
     rec = CritPathRecorder()
     cl = VirtualCluster(6, ETH, critpath=rec)
-    cl.run(_mixed_program)
+    cl.run(program)
     g = rec.graph
     g.validate()
     assert g.makespan() == pytest.approx(cl.max_wall, rel=1e-9)
@@ -226,12 +244,13 @@ def test_swap_network_matches_rerun_ordering():
     assert predicted_myr == pytest.approx(truth.max_wall, rel=0.05)
 
 
-def test_swap_identity_is_exact():
+@PROGRAMS
+def test_swap_identity_is_exact(program):
     """Swapping to the SAME network must reproduce the recorded makespan
     (the repricing formulas cover every recorded component)."""
     rec = CritPathRecorder()
     cl = VirtualCluster(5, ETH, critpath=rec)
-    cl.run(_mixed_program)
+    cl.run(program)
     assert swap_network(rec.graph, ETH) == pytest.approx(
         rec.graph.makespan(), rel=1e-9
     )
@@ -278,12 +297,23 @@ def test_fault_storm_validates_and_attributes_idle():
     rec = CritPathRecorder()
     cl = VirtualCluster(6, ETH, faults=plan, critpath=rec)
     cl.run(prog)
-    rec.graph.validate()
-    cp = critical_path(rec.graph)
+    g = rec.graph
+    g.validate()
+    # A collective's split comes out of the same pass as its clock, so
+    # the release edge's five components are the priced duration — far
+    # inside validate()'s 1e-6, surcharges and link stretch included.
+    releases = [i for i, kind in enumerate(g.node_kind) if kind == "release"]
+    assert [g.node_label[i] for i in releases] == ["alltoall#0", "barrier#0"]
+    for i in releases:
+        (e,) = g.in_edges[i]
+        assert e.total() == pytest.approx(g.node_t[i] - g.node_t[e.src], rel=1e-12)
+    (a2a,) = g.in_edges[releases[0]]
+    assert a2a.idle > 0.0 and a2a.ebytes > 0.0 and a2a.stretch == 3.0
+    cp = critical_path(g)
     assert cp.coverage == pytest.approx(1.0, abs=1e-6)
     assert cp.by_resource()["idle"] > 0.0, "RTO backoff must be attributed"
     # Wiping the idle (the losses) strictly improves the makespan.
-    assert whatif(rec.graph, idle_scale=0.0) < cp.makespan
+    assert whatif(g, idle_scale=0.0) < cp.makespan
 
 
 def test_stage_attribution_via_stage_scope():

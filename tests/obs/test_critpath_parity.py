@@ -92,3 +92,36 @@ def test_recorder_parity_under_faults(case, seed):
     ]
     assert cluster_on.rank_traces() == cluster_off.rank_traces()
     rec.graph.validate()
+
+
+def test_lossy_alltoall_draws_its_losses_once_recorder_or_not(monkeypatch):
+    """A recorder must not make the Alltoall walk its loss draws again.
+
+    The completion clock and its critical-path split come out of one
+    pass over ``FaultPlan.collective_retransmits``: P(P-1) draws for the
+    shared surcharge plus P-1 per rank for its own resend CPU, recorder
+    or not.  A split that re-derives the surcharge on the side shows up
+    here as extra draws.
+    """
+    nprocs = 8
+    draws = []
+    real = FaultPlan.collective_retransmits
+
+    def counted(self, kind, seq, src, dst):
+        draws.append((kind, seq, src, dst))
+        return real(self, kind, seq, src, dst)
+
+    monkeypatch.setattr(FaultPlan, "collective_retransmits", counted)
+    plan = FaultPlan(seed=11, loss_rate=0.2)
+
+    def prog(comm):
+        comm.alltoall([bytes(64)] * comm.size)
+        return comm.wall
+
+    counts = {}
+    for recorder in (None, CritPathRecorder()):
+        draws.clear()
+        walls = VirtualCluster(nprocs, NET, faults=plan, critpath=recorder).run(prog)
+        counts[recorder is not None] = (len(draws), walls)
+    assert counts[True] == counts[False]
+    assert counts[False][0] == 2 * nprocs * (nprocs - 1)

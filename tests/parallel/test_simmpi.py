@@ -222,6 +222,38 @@ def test_bcast_and_gather():
     assert all(g is None for _, g in res[1:])
 
 
+@pytest.mark.parametrize("nprocs", [1, 3])
+@pytest.mark.parametrize("collective", ["bcast", "gather"])
+def test_collective_root_is_validated_before_the_rendezvous(nprocs, collective):
+    """A bad root fails on the calling rank, eagerly and by name: it used
+    to be a bare KeyError on the last arriver (bcast) or ``None`` on
+    every rank with no error at all (gather)."""
+
+    def fn(comm):
+        call = getattr(comm, collective)
+        top = comm.size - 1
+        for root in (99, comm.size, -1):
+            with pytest.raises(
+                ValueError,
+                match=rf"rank {comm.rank}: root {root} out of range "
+                rf"\(valid ranks: 0\.\.{top}\)",
+            ):
+                call(1.0, root=root)
+        for root in (True, 0.0, "0", None):
+            with pytest.raises(ValueError, match="root must be an integer rank"):
+                call(1.0, root=root)
+        # Nothing above joined a rendezvous; the last rank is a legal
+        # root, np.integer included (mesh code indexes with them).
+        return call(float(comm.rank), root=np.int64(top))
+
+    res = cluster(nprocs).run(fn)
+    if collective == "bcast":
+        assert res == [float(nprocs - 1)] * nprocs
+    else:
+        assert res[:-1] == [None] * (nprocs - 1)
+        assert res[-1] == [float(r) for r in range(nprocs)]
+
+
 def test_allgather():
     def fn(comm):
         return comm.allgather(np.array([float(comm.rank)]))
