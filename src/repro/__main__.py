@@ -32,7 +32,7 @@ Examples (real solver runs):
 Tests and benchmarks:
 
   pytest tests/
-  pytest benchmarks/ --benchmark-only
+  python benchmarks/e2e/run.py --smoke
 """
 
 

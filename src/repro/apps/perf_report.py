@@ -1,8 +1,9 @@
 """Performance-trajectory report over the persistent run ledger.
 
-``benchmarks/check_regression.py`` answers "did this run match the one
-committed baseline?".  This CLI answers the longitudinal question the
-baseline cannot: **how has each configuration behaved across runs?**
+``tests/goldens.json`` answers "did a deterministic value move?" and
+``benchmarks/e2e`` "did host time move?"; both compare against one
+committed state.  This CLI answers the longitudinal question neither
+can: **how has each configuration behaved across runs?**
 It groups the ledger (:mod:`repro.obs.runlog`) by config fingerprint,
 renders each configuration's trajectory — timestamp, git revision,
 headline timings — and flags drift the trend-aware way:
@@ -11,10 +12,10 @@ headline timings — and flags drift the trend-aware way:
   against the *median* of its history — with the latest run itself
   excluded from the reference (self-comparison would dampen real
   regressions), so one noisy run neither fires nor poisons the
-  reference — findings are ``regression`` / ``improvement`` and warn by
-  default.  A two-run history still compares, but its findings are
-  downgraded to ``suspect-*`` severity: one reference sample cannot
-  tell a regression from a noisy first run;
+  reference — findings are ``regression`` / ``improvement``.  A
+  two-run history still compares, but its findings are downgraded to
+  ``suspect-*`` severity: one reference sample cannot tell a
+  regression from a noisy first run;
 * **deterministic values** (virtual clocks, charge counters, critical
   path attribution): any change against the immediately preceding
   record is a ``drift`` finding — on the virtual machine these have no
@@ -27,12 +28,11 @@ Run::
 
     python -m repro.apps.perf_report --ledger RUNLOG.jsonl
         [--bench scaling_bench] [--fingerprint abc123...]
-        [--timing-rtol 0.5] [--strict] [--out perf_report.txt]
+        [--timing-rtol 0.5] [--out perf_report.txt]
 
-``--strict`` exits :data:`~repro.util.cli.EXIT_GATE` (1) when any
-``drift`` or ``regression`` finding fires, turning the report into a
-gate (``suspect-*`` findings warn but do not gate); a missing or
-corrupt ledger is a usage error (exit 2).
+Findings are part of the report, never a gate: the exit code is 0
+whenever the report rendered; a missing or corrupt ledger is a usage
+error (exit 2).
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from pathlib import Path
 
 from ..obs.runlog import RunLedger, iter_timing_drift
 from ..reporting.tables import ascii_table
-from ..util.cli import EXIT_GATE, EXIT_OK, usage_error
+from ..util.cli import EXIT_OK, usage_error
 
 __all__ = ["render_perf_report", "main"]
 
@@ -168,18 +168,13 @@ def main(argv=None) -> int:
         help="relative tolerance for host-timing drift (0.5 = flag 1.5x)",
     )
     parser.add_argument(
-        "--strict",
-        action="store_true",
-        help="exit nonzero on deterministic drift or timing regression",
-    )
-    parser.add_argument(
         "--out", default=None, help="also write the report to a file"
     )
     args = parser.parse_args(argv)
     if not Path(args.ledger).exists():
         return usage_error(f"run ledger not found: {args.ledger}")
     try:
-        report, findings = render_perf_report(
+        report, _findings = render_perf_report(
             RunLedger(args.ledger),
             bench=args.bench,
             fingerprint=args.fingerprint,
@@ -191,9 +186,7 @@ def main(argv=None) -> int:
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(report + "\n")
-    # suspect-* findings (single-sample reference) warn but never gate.
-    bad = [f for f in findings if f["severity"] in ("drift", "regression")]
-    return EXIT_GATE if (args.strict and bad) else EXIT_OK
+    return EXIT_OK
 
 
 if __name__ == "__main__":

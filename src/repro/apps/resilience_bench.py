@@ -18,8 +18,9 @@ Writes ``BENCH_resilience.json``.  Run as a script::
     python -m repro.apps.resilience_bench [--smoke] [--out BENCH_resilience.json]
 
 All recorded quantities are virtual-clock or counter values —
-deterministic properties of the pricing model, hard-gated by
-``benchmarks/check_regression.py`` (no machine-dependent timings).
+deterministic properties of the pricing model, pinned exactly by the
+``smoke.resilience`` section of ``tests/goldens.json`` (no
+machine-dependent timings).
 """
 
 from __future__ import annotations

@@ -13,14 +13,14 @@ Three kinds of quantities are recorded:
 
 * **virtual clocks and charge counters** (``wall_virtual``,
   ``cpu_virtual``, ``comm.*`` / ``faults.*`` counter values) —
-  deterministic properties of the pricing model, hard-gated by
-  ``benchmarks/check_regression.py``;
+  deterministic properties of the pricing model, pinned exactly by
+  the ``smoke.scaling`` section of ``tests/goldens.json``;
 * **host scheduler statistics** (``scheduler.switches`` /
   ``scheduler.wakeups``) — deterministic properties of the cooperative
-  schedule, also hard-gated: an unintended change in how the engine
+  schedule, pinned the same way: an unintended change in how the engine
   dispatches ranks shows up here before it shows up anywhere else;
-* **host elapsed times** (``*_s`` keys) — machine-dependent, warn-only
-  under the regression gate.
+* **host elapsed times** (``*_s`` keys) — machine-dependent, pinned
+  nowhere (``benchmarks/e2e`` measures host time).
 
 Writes ``BENCH_scaling.json``.  Run as a script::
 
@@ -35,7 +35,7 @@ import time
 
 import numpy as np
 
-from ..campaign.client import bench_client, run_cli, write_results
+from ..campaign.client import bench_client, run_cli
 from ..machines.network import NetworkModel
 from ..obs import CritPathRecorder, analyze, scoped
 from ..parallel.faults import FaultPlan
@@ -263,19 +263,12 @@ def main(argv=None) -> dict:
     )
     parser.add_argument("--out", default="BENCH_scaling.json", help="output path")
     parser.add_argument(
-        "--critpath-out",
-        default=None,
-        help="also write the critical-path section to its own JSON",
-    )
-    parser.add_argument(
         "--ledger",
         default=None,
         help="append a run record to this JSONL run ledger",
     )
     args = parser.parse_args(argv)
     results = run_bench(smoke=args.smoke)
-    if args.critpath_out:
-        write_results(results["critpath"], args.critpath_out)
     return bench_client(
         "scaling_bench", results, args.out, args.ledger, summary=_summary
     )

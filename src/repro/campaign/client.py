@@ -1,12 +1,12 @@
 """Thin bench clients: shared plumbing for every bench entry point.
 
-``solve_bench`` / ``resilience_bench`` / ``scaling_bench`` used to each
-carry their own copy of the run-write-ledger-print choreography; the
+``resilience_bench`` / ``scaling_bench`` used to each carry their
+own copy of the run-write-ledger-print choreography; the
 campaign engine makes them thin clients of one shared path so every
 bench records to the same ledger with the same conventions:
 
-* :func:`write_results` — results JSON to disk (sorted, trailing
-  newline, the committed-baseline form);
+* :func:`write_results` — results JSON to disk (sorted keys,
+  two-space indent, trailing newline);
 * :func:`record_to_ledger` — append to the persistent run ledger and
   announce the fingerprint;
 * :func:`bench_client` — the whole choreography for a ``main()`` that
@@ -32,7 +32,7 @@ __all__ = ["write_results", "record_to_ledger", "bench_client", "run_cli"]
 
 
 def write_results(results: dict[str, Any], out_path: str | Path) -> None:
-    """Write a bench results dict in the committed-baseline JSON form."""
+    """Write a bench results dict as sorted, indented JSON."""
     with open(out_path, "w") as fh:
         json.dump(results, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -1,8 +1,8 @@
 """Persistent run ledger: append-only JSONL memory across bench runs.
 
-Every bench CLI run forgets its predecessors — the regression gate
-(``benchmarks/check_regression.py``) only ever compares one fresh
-report against one committed baseline.  The ledger is the cross-run
+Every bench CLI run forgets its predecessors — the golden pins
+(``tests/goldens.json``) only ever compare one fresh report against
+one committed state.  The ledger is the cross-run
 memory underneath the ROADMAP's campaign-engine item: each run appends
 one JSON line keyed by a **config fingerprint** (a stable hash of the
 run's configuration: machine, network, mesh/order, ranks, workload
@@ -113,9 +113,9 @@ def flatten_report(report: Any, prefix: str = "") -> dict[str, Any]:
 def is_timing_key(key: str) -> bool:
     """Host-timing keys: wall-clock quantities whose drift only warns.
 
-    Mirrors the regression gate's convention — ``*_s`` suffixes and
-    speedup ratios are host measurements; everything else in a bench
-    report is treated as deterministic.
+    ``*_s`` suffixes and speedup ratios are host measurements;
+    everything else in a bench report is treated as deterministic
+    (``tests/apps/test_smoke_goldens.py`` pins exactly that remainder).
     """
     leaf = key.rsplit(".", 1)[-1]
     return leaf.endswith("_s") or "speedup" in leaf or "elapsed" in leaf
@@ -352,7 +352,7 @@ def iter_timing_drift(
       still compares, but the finding is downgraded to
       ``suspect-regression`` / ``suspect-improvement``: one reference
       run cannot distinguish "the code regressed" from "the first run
-      was noisy", so strict gates treat these as warnings.
+      was noisy", so the report marks these low-confidence.
     """
     hist = list(history)
     if len(hist) < 2:
@@ -400,11 +400,7 @@ def iter_timing_drift(
         if key not in prev.get("values", {}):
             continue
         ref = prev["values"][key]
-        if isinstance(val, float) and isinstance(ref, (int, float)):
-            changed = val != ref
-        else:
-            changed = val != ref
-        if changed:
+        if val != ref:
             findings.append(
                 {
                     "severity": "drift",

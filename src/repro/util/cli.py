@@ -1,13 +1,13 @@
 """Shared CLI exit-code convention for every bench/report entry point.
 
-Every ``repro.apps`` CLI (and ``benchmarks/check_regression.py``)
-distinguishes three outcomes with distinct exit codes, so CI scripts
-and campaign drivers can tell "the gate fired" apart from "you invoked
-me wrong" without parsing output:
+Every ``repro.apps`` CLI distinguishes three outcomes with distinct
+exit codes, so CI scripts and campaign drivers can tell "the gate
+fired" apart from "you invoked me wrong" without parsing output:
 
 * ``EXIT_OK`` (0)    — ran to completion, no gate failure;
 * ``EXIT_GATE`` (1)  — ran, but a gate/acceptance check failed
-  (``--strict`` drift, regression hard-failure, failed campaign jobs);
+  (a harness's own acceptance shape, failed campaign jobs, an
+  infeasible search target);
 * ``EXIT_USAGE`` (2) — never ran: bad arguments or unreadable/corrupt
   input artifacts.  Matches argparse's own exit code for bad flags.
 

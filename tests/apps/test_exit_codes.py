@@ -6,26 +6,9 @@ apart from "you invoked me wrong" purely by exit code, so the codes
 are pinned here across the different CLI families.
 """
 
-import importlib.util
-import json
-from pathlib import Path
-
-import pytest
-
 from repro.apps import trace_report
 from repro.campaign.client import run_cli
 from repro.util.cli import EXIT_GATE, EXIT_OK, EXIT_USAGE, usage_error
-
-REPO = Path(__file__).resolve().parents[2]
-
-
-def _load_check_regression():
-    path = REPO / "benchmarks" / "check_regression.py"
-    spec = importlib.util.spec_from_file_location("check_regression", path)
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    return mod
-
 
 # ------------------------------------------------------------------ run_cli
 
@@ -53,54 +36,6 @@ def test_run_cli_unreadable_input_is_two(capsys):
 def test_usage_error_helper(capsys):
     assert usage_error("boom") == EXIT_USAGE
     assert capsys.readouterr().err == "error: boom\n"
-
-
-# ------------------------------------------------------- check_regression
-
-
-@pytest.fixture()
-def check_regression():
-    return _load_check_regression()
-
-
-def _bench(tmp_path, name, report):
-    path = tmp_path / name
-    path.write_text(json.dumps(report))
-    return str(path)
-
-
-def test_check_regression_ok_is_zero(check_regression, tmp_path, capsys):
-    rep = {"config": {"n": 4}, "flops": 100, "elapsed_s": 1.0}
-    fresh = _bench(tmp_path, "fresh.json", rep)
-    base = _bench(tmp_path, "base.json", rep)
-    assert check_regression.main([fresh, base]) == EXIT_OK
-    capsys.readouterr()
-
-
-def test_check_regression_gate_is_one(check_regression, tmp_path, capsys):
-    fresh = _bench(tmp_path, "fresh.json", {"flops": 101})
-    base = _bench(tmp_path, "base.json", {"flops": 100})
-    assert check_regression.main([fresh, base]) == EXIT_GATE
-    assert "deterministic metric changed" in capsys.readouterr().out
-
-
-def test_check_regression_missing_file_is_two(
-    check_regression, tmp_path, capsys
-):
-    base = _bench(tmp_path, "base.json", {"flops": 100})
-    rc = check_regression.main([str(tmp_path / "nope.json"), base])
-    assert rc == EXIT_USAGE
-    assert "error:" in capsys.readouterr().err
-
-
-def test_check_regression_unparsable_file_is_two(
-    check_regression, tmp_path, capsys
-):
-    bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    base = _bench(tmp_path, "base.json", {"flops": 100})
-    assert check_regression.main([str(bad), base]) == EXIT_USAGE
-    assert "error:" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------- trace_report

@@ -1,8 +1,10 @@
-"""perf_report CLI: trajectories over the run ledger, drift gating.
+"""perf_report CLI: trajectories over the run ledger, drift findings.
 
 The acceptance scenario: a configuration with a 3-run history plus a
 fourth run whose host timing doubled must be flagged as a regression
-(and ``--strict`` must turn that into a nonzero exit).
+in the report and in the returned findings.  The report never gates:
+deterministic values are gated by ``tests/goldens.json``, host time by
+``benchmarks/e2e``.
 """
 
 import pytest
@@ -80,33 +82,22 @@ def test_filters_by_bench_and_fingerprint(regressed_ledger, tmp_path):
     assert "other_bench" in text and "scaling_bench" not in text
 
 
-def test_main_strict_gates_on_regression(regressed_ledger, capsys, tmp_path):
+def test_main_reports_regression_and_exits_zero(
+    regressed_ledger, capsys, tmp_path
+):
     out = tmp_path / "perf_report.txt"
     rc = perf_report.main(
-        [
-            "--ledger",
-            str(regressed_ledger.path),
-            "--strict",
-            "--out",
-            str(out),
-        ]
+        ["--ledger", str(regressed_ledger.path), "--out", str(out)]
     )
-    assert rc == 1
+    assert rc == 0  # a finding is a line in the report, not a gate
     captured = capsys.readouterr().out
     assert "[regression] elapsed_s" in captured
     assert out.read_text().strip() in captured
 
 
-def test_main_not_strict_returns_zero(regressed_ledger, capsys):
-    assert perf_report.main(["--ledger", str(regressed_ledger.path)]) == 0
-    capsys.readouterr()
-
-
 def test_main_missing_ledger_is_usage_error(tmp_path, capsys):
     # Distinct from a gate failure: the report never ran.
-    rc = perf_report.main(
-        ["--ledger", str(tmp_path / "nope.jsonl"), "--strict"]
-    )
+    rc = perf_report.main(["--ledger", str(tmp_path / "nope.jsonl")])
     assert rc == 2
     assert "run ledger not found" in capsys.readouterr().err
 
@@ -114,7 +105,7 @@ def test_main_missing_ledger_is_usage_error(tmp_path, capsys):
 def test_main_empty_ledger_is_clean(tmp_path, capsys):
     path = tmp_path / "empty.jsonl"
     path.write_text("")
-    rc = perf_report.main(["--ledger", str(path), "--strict"])
+    rc = perf_report.main(["--ledger", str(path)])
     assert rc == 0
     assert "no matching records" in capsys.readouterr().out
 
@@ -122,7 +113,7 @@ def test_main_empty_ledger_is_clean(tmp_path, capsys):
 def test_main_corrupt_ledger_is_usage_error(tmp_path, capsys):
     path = tmp_path / "bad.jsonl"
     path.write_text('{"schema": 1, "bench": "x"\n')
-    rc = perf_report.main(["--ledger", str(path), "--strict"])
+    rc = perf_report.main(["--ledger", str(path)])
     assert rc == 2
     assert "corrupt ledger line" in capsys.readouterr().err
 
@@ -143,8 +134,8 @@ def test_median_reference_excludes_latest_run(tmp_path):
     assert f["severity"] == "regression"
 
 
-def test_two_run_history_downgraded_to_suspect(tmp_path, capsys):
-    # nref=1: a single reference sample compares but cannot gate.
+def test_two_run_history_downgraded_to_suspect(tmp_path):
+    # nref=1: a single reference sample compares at low confidence.
     lg = RunLedger(tmp_path / "lg.jsonl")
     for elapsed in (1.0, 2.0):
         lg.append("scaling_bench", CFG, report={"elapsed_s": elapsed})
@@ -152,9 +143,7 @@ def test_two_run_history_downgraded_to_suspect(tmp_path, capsys):
     assert [f["severity"] for f in findings] == ["suspect-regression"]
     assert findings[0]["nref"] == 1
     assert "1 low-confidence (nref=1) finding(s)" in text
-    # --strict must NOT gate on suspect-* findings.
-    assert perf_report.main(["--ledger", str(lg.path), "--strict"]) == 0
-    capsys.readouterr()
+    assert "0 timing regression(s)" in text
 
 
 def test_shared_fingerprint_histories_not_pooled(tmp_path):

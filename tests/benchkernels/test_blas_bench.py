@@ -32,9 +32,11 @@ def test_x_axis_bytes_except_fig6():
 
 @pytest.mark.parametrize("figure", sorted(FIGURES))
 def test_model_curves_positive(figure):
-    x, y = model_curve("Muses", figure)
-    assert x.shape == y.shape
-    assert np.all(y > 0)
+    # Every machine of both panels (Muses is in each).
+    for panel in ("left", "right"):
+        for x, y in figure_series(figure, panel).values():
+            assert x.shape == y.shape
+            assert np.all(y > 0)
 
 
 def test_figure_series_panels():

@@ -1,11 +1,20 @@
-"""Golden values for paths whose second implementation was deleted.
+"""The repo's pin for every deterministic value outside the e2e harness.
 
-``goldens.json`` holds one section per scenario, recorded at the last
-commit that still had the thread scheduler engine, the per-element
-``FunctionSpace`` path and NekTar-F's per-field / per-RHS loops, each
-section from the oracle its test module is about.  Integers and
-strings must match exactly; floats to 1e-12 relative unless a test
-says why it is looser.
+``goldens.json`` holds one section per scenario.  Integers and strings
+must match exactly; floats to 1e-12 relative unless a test says why it
+is looser (or tighter: the ``smoke.*`` sections are compared with
+``rel=0.0``).  Two kinds of section live here:
+
+* frozen oracles (``engine.*``, ``nektar_f.*``, ``space.*``,
+  ``paper.*``): recorded at the last commit that still had the thread
+  scheduler engine, the per-element ``FunctionSpace`` path and
+  NekTar-F's per-field / per-RHS loops, each from the oracle its test
+  module is about;
+* bench smoke reports (``smoke.*``): every virtual clock, counter and
+  critical-path attribution the scaling, resilience and campaign
+  harnesses print, host timings dropped.
+
+Host *time* is not pinned here: ``benchmarks/e2e`` measures it.
 
 A test module lists its scenarios in ``GOLDEN_SECTIONS`` (section name
 -> zero-argument function returning a JSON-able fingerprint) and
@@ -14,6 +23,7 @@ quantity, ``python -m tests.golden`` re-records every section from the
 working tree; review the diff of ``goldens.json`` like code.
 """
 
+import functools
 import importlib
 import json
 import math
@@ -27,7 +37,13 @@ MODULES = (
     "tests.ns.test_blocked_solves",
     "tests.assembly.test_batched_equivalence",
     "tests.integration.test_paper_conclusions",
+    "tests.apps.test_smoke_goldens",
 )
+
+
+@functools.cache
+def load() -> dict:
+    return json.loads(PATH.read_text())
 
 
 def jsonable(obj):
@@ -59,7 +75,7 @@ def _diff(actual, golden, tol, path, out):
 def check(section: str, actual, rel: float = 1e-12, abs_tol: float = 0.0) -> None:
     """Compare ``actual`` with a section, or with ``section/key/...``
     inside one (for the few values that need their own tolerance)."""
-    golden = json.loads(PATH.read_text())
+    golden = load()
     for part in section.split("/"):
         golden = golden[part]
     problems: list[str] = []

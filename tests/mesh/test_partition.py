@@ -56,6 +56,15 @@ def test_partition_bluff_body_mesh():
         parts = partition_mesh(mesh, nparts, method="multilevel")
         assert imbalance(parts, nparts) <= 1.15
         assert edge_cut(g, parts) < g.number_of_edges() / 2
+    # The partitioner ablation (feeds the ALE gather-scatter volume):
+    # at 8 parts every method cuts something, and multilevel never cuts
+    # more than geometric strips.
+    cuts = {
+        method: edge_cut(g, partition_mesh(mesh, 8, method=method))
+        for method in ("strips", "spectral", "multilevel")
+    }
+    assert min(cuts.values()) > 0
+    assert cuts["multilevel"] <= cuts["strips"]
 
 
 def test_interface_edges_match_cut():
