@@ -22,7 +22,7 @@ only, AST-based):
   failures cite the same codes.
 
 ``python -m repro.analysis src`` runs everything from the command line
-(``--format json|sarif``, ``--baseline``, ``--select``), and the tier-1
+(``--format json|sarif``, ``--select``), and the tier-1
 suite runs it over the whole tree.
 """
 

@@ -1,19 +1,17 @@
 """CLI for the static-analysis suite: ``python -m repro.analysis [paths...]``.
 
-Exits 0 when every checked file is clean (or every finding is covered
-by the baseline), 1 when any unbaselined diagnostic is emitted, 2 on
-usage errors — including a ``--select``/waiver token that names no
-known rule.  Default path is ``src`` when run from the repository root,
-falling back to the installed ``repro`` package tree.
+Exits 0 when every checked file is clean, 1 when any diagnostic is
+emitted, 2 on usage errors — including a ``--select``/waiver token that
+names no known rule.  Default path is ``src`` when run from the
+repository root, falling back to the installed ``repro`` package tree.
 
 ``--format json`` emits one object per diagnostic; ``--format sarif``
 emits a SARIF 2.1.0 log suitable for code-scanning upload.
-``--baseline FILE`` suppresses findings whose fingerprint is recorded
-in the committed baseline (and reports baseline entries that no longer
-fire, so the baseline only ever shrinks); ``--write-baseline`` rewrites
-the file from the current findings.  ``--select RULE[,RULE...]``
-restricts the run to the named rules and forces them in scope on every
-file — the seed audit runs ``--select REPRO004 tests benchmarks``.
+``--select RULE[,RULE...]`` restricts the run to the named rules and
+forces them in scope on every file — the seed audit runs
+``--select REPRO004 tests benchmarks``.  An accepted finding is waived
+where it fires (``# repro: waive[rule] reason``); there is no findings
+baseline file.
 """
 
 from __future__ import annotations
@@ -113,24 +111,6 @@ def _to_sarif(diags: list[Diagnostic]) -> str:
     return json.dumps(log, indent=2)
 
 
-def _load_baseline(path: Path) -> list[str]:
-    data = json.loads(path.read_text(encoding="utf-8"))
-    if not isinstance(data, dict) or "findings" not in data:
-        raise ValueError("baseline must be an object with a 'findings' list")
-    return list(data["findings"])
-
-
-def _write_baseline(path: Path, diags: list[Diagnostic]) -> None:
-    payload = {
-        "comment": (
-            "Fingerprints of accepted pre-existing findings; new findings "
-            "fail the build.  Regenerate with --write-baseline."
-        ),
-        "findings": sorted({d.fingerprint() for d in diags}),
-    }
-    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
@@ -160,17 +140,6 @@ def main(argv: list[str] | None = None) -> int:
         help="comma-separated rule names/codes to run, forced in scope on "
         "every file (audit mode; disables stale-waiver detection)",
     )
-    parser.add_argument(
-        "--baseline",
-        metavar="FILE",
-        help="JSON findings baseline; recorded findings are suppressed, "
-        "stale baseline entries are reported",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="rewrite --baseline FILE from the current findings and exit 0",
-    )
     args = parser.parse_args(argv)
 
     if args.list_rules:
@@ -195,29 +164,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    if args.write_baseline:
-        if not args.baseline:
-            print("error: --write-baseline requires --baseline FILE", file=sys.stderr)
-            return 2
-        _write_baseline(Path(args.baseline), diags)
-        print(f"wrote {len(diags)} finding(s) to {args.baseline}", file=sys.stderr)
-        return 0
-
-    stale_baseline: list[str] = []
-    if args.baseline:
-        baseline_path = Path(args.baseline)
-        if not baseline_path.exists():
-            print(f"error: no such baseline: {args.baseline}", file=sys.stderr)
-            return 2
-        try:
-            accepted = _load_baseline(baseline_path)
-        except (ValueError, json.JSONDecodeError) as exc:
-            print(f"error: bad baseline {args.baseline}: {exc}", file=sys.stderr)
-            return 2
-        fired = {d.fingerprint() for d in diags}
-        stale_baseline = sorted(f for f in accepted if f not in fired)
-        diags = [d for d in diags if d.fingerprint() not in set(accepted)]
-
     if args.format == "json":
         print(_to_json(diags))
     elif args.format == "sarif":
@@ -226,14 +172,10 @@ def main(argv: list[str] | None = None) -> int:
         for d in diags:
             print(d.format())
 
-    failed = False
     if diags:
         print(f"{len(diags)} problem(s) found", file=sys.stderr)
-        failed = True
-    for fp in stale_baseline:
-        print(f"stale baseline entry (no longer fires): {fp}", file=sys.stderr)
-        failed = True
-    return 1 if failed else 0
+        return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -284,10 +284,6 @@ class Diagnostic:
     def format(self) -> str:
         return f"{self.path}:{self.line}:{self.col}: {self.code} [{self.rule}] {self.message}"
 
-    def fingerprint(self) -> str:
-        """Line-insensitive identity used by the findings baseline."""
-        return f"{self.path}::{self.code}::{self.rule}::{self.message}"
-
 
 @dataclass
 class _WaiverEntry:

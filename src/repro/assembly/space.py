@@ -370,18 +370,6 @@ class FunctionSpace:
         )
         return m.tocsr()
 
-    def assembled_diagonal(self, elem_mats: list[np.ndarray]) -> np.ndarray:
-        """Assembled operator diagonal (the ALE solver's Jacobi
-        preconditioner) without forming the global matrix."""
-        diag = np.zeros(self.ndof)
-        for ei, a in enumerate(elem_mats):
-            # Diagonal entries pick up signs squared (= 1); pre-multiplying
-            # by the signs cancels the one scatter_add applies.
-            self.dofmap.scatter_add(
-                ei, self.dofmap.elem_signs[ei] * np.diag(a), diag
-            )
-        return diag
-
     def eval_at_vertices(self, u_hat: np.ndarray) -> np.ndarray:
         """Field values at mesh vertices (vertex dofs are nodal)."""
         return np.asarray(u_hat, dtype=np.float64)[: self.mesh.nvertices]

@@ -187,15 +187,13 @@ def campaign_report(
 
     Built purely from each job's **latest** ledger record, so a campaign
     that was killed and resumed three times reports byte-identically to
-    one uninterrupted run — this is the report the regression gate and
-    the committed smoke baseline consume.  Host timings and the cache
-    hit pattern are intentionally absent: they are run-shaped, not
-    configuration-shaped.
+    one uninterrupted run — this is the report ``tests/goldens.json``
+    pins exactly (section ``smoke.campaign``).  Host timings and the
+    cache hit pattern are intentionally absent: they are run-shaped,
+    not configuration-shaped.
     """
     jobs = expand_matrix(matrix)
-    latest: dict[str, dict[str, Any]] = {}
-    for rec in ledger.records(bench=bench):
-        latest[rec["fingerprint"]] = rec
+    latest = ledger.latest(bench)
     per_job: dict[str, Any] = {}
     analyses: dict[str, dict[str, Any]] = {}
     missing: list[str] = []

@@ -68,11 +68,8 @@ def load_graphs(
     artifact exists on disk.
     """
     artifacts = Path(artifacts_dir)
-    latest: dict[str, dict[str, Any]] = {}
-    for rec in ledger.records(bench=bench):
-        latest[rec["fingerprint"]] = rec
     out = []
-    for fp, rec in latest.items():
+    for fp, rec in ledger.latest(bench).items():
         if rec.get("status", "ok") != "ok":
             continue
         path = artifacts / f"graph-{fp}.json"

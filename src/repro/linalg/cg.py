@@ -5,7 +5,8 @@ solver is predominantly used" in NekTar-ALE.  This CG is written against
 an abstract operator so the same code runs (a) serially on an assembled
 matrix, and (b) in parallel where the operator is element-local matvec
 plus a gather-scatter assembly exchange and the dot products are
-all-reduced (see :mod:`repro.ns.nektar_ale`).
+all-reduced (see :mod:`repro.parallel.distributed`; the serial ALE
+solver is :mod:`repro.ns.ale`).
 
 All vector work goes through :mod:`repro.linalg.blas` so iterations are
 fully op-counted.

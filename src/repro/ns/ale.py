@@ -30,10 +30,11 @@ import numpy as np
 from ..assembly.boundary import EdgeBatch
 from ..assembly.condensation import CondensedOperator
 from ..assembly.space import FunctionSpace
+from ..linalg.counters import OpCounter
 from ..solvers.helmholtz import HelmholtzCG
 from ..util.timing import StageTimer
 from .splitting import stiffly_stable
-from .stages import STAGES
+from .stages import STAGES, StageScope
 
 __all__ = ["ALENavierStokes2D"]
 
@@ -83,6 +84,7 @@ class ALENavierStokes2D:
         self.t = 0.0
         self.step_count = 0
         self.timer = StageTimer()
+        self.stage_ops: dict[str, OpCounter] = {s: OpCounter() for s in STAGES}
         self.cg_iterations: dict[str, int] = {"pressure": 0, "viscous": 0, "mesh": 0}
         self._rebuild_space()
         self.u_hat = np.zeros(self.space.ndof)
@@ -203,9 +205,9 @@ class ALENavierStokes2D:
         # mesh-velocity Helmholtz solve to step 7.
         if self.motion is not None:
             old_xq, old_yq = self.space.coords()
-            with self.timer.stage(STAGES[6]):
+            with StageScope(self, STAGES[6]):
                 vertex_vel, _, _ = self._mesh_velocity()
-            with self.timer.stage(STAGES[1]):
+            with StageScope(self, STAGES[1]):
                 self._move_mesh(vertex_vel)
                 new_xq, new_yq = self.space.coords()
                 wx = (new_xq - old_xq) / dt
@@ -214,11 +216,11 @@ class ALENavierStokes2D:
             wx = wy = 0.0
         space = self.space
 
-        with self.timer.stage(STAGES[0]):
+        with StageScope(self, STAGES[0]):
             u_vals = space.backward(self.u_hat)
             v_vals = space.backward(self.v_hat)
 
-        with self.timer.stage(STAGES[1]):
+        with StageScope(self, STAGES[1]):
             dudx, dudy = space.gradient(self.u_hat)
             dvdx, dvdy = space.gradient(self.v_hat)
             cu = u_vals - wx if self.ale_convection else u_vals
@@ -227,7 +229,7 @@ class ALENavierStokes2D:
             nv_term = -(cu * dvdx + cv * dvdy)
             omega = dvdx - dudy
 
-        with self.timer.stage(STAGES[2]):
+        with StageScope(self, STAGES[2]):
             hist_u = [(u_vals, v_vals)] + list(self._hist_u)
             hist_n = [(nu_term, nv_term)] + list(self._hist_n)
             uhx = sum(a * h[0] for a, h in zip(scheme.alpha, hist_u))
@@ -237,14 +239,14 @@ class ALENavierStokes2D:
             hist_w = [omega] + list(self._hist_w)
             w_extrap = sum(b * h for b, h in zip(scheme.beta, hist_w))
 
-        with self.timer.stage(STAGES[3]):
+        with StageScope(self, STAGES[3]):
             rhs_p = space.grad_load_vector(uhx, uhy)
             rhs_p /= dt
             bcs = [self.velocity_bcs[tag] for tag in self.vel_tags]
             ubn = self._edges.normal_component(bcs, t_new)
             self._edges.add_pressure_bc(rhs_p, w_extrap, ubn, self.nu, scheme.gamma0 / dt)
 
-        with self.timer.stage(STAGES[4]):
+        with StageScope(self, STAGES[4]):
             if self._p_pin is None:
                 self.p_hat = self.p_solver.solve_rhs(
                     rhs_p, np.zeros(self.p_solver.dirichlet_dofs.size)
@@ -253,13 +255,13 @@ class ALENavierStokes2D:
             else:
                 self.p_hat = self.p_op.solve(rhs_p, np.zeros(1))
 
-        with self.timer.stage(STAGES[5]):
+        with StageScope(self, STAGES[5]):
             dpdx, dpdy = space.gradient(self.p_hat)
             scale = 1.0 / (self.nu * dt)
             rhs_u = space.load_vector(uhx - dt * dpdx) * scale
             rhs_v = space.load_vector(uhy - dt * dpdy) * scale
 
-        with self.timer.stage(STAGES[6]):
+        with StageScope(self, STAGES[6]):
             solver = self._viscous_solver(scheme.gamma0)
             bc = solver.bc_values_by_tag
             self.u_hat = solver.solve_rhs(rhs_u, bc([b[0] for b in bcs], t_new))

@@ -28,11 +28,10 @@ from ..assembly.boundary import EdgeBatch
 from ..assembly.condensation import CondensedOperator
 from ..assembly.space import FunctionSpace
 from ..linalg.counters import OpCounter, charge
-from ..obs import tracer as obs
 from ..solvers.helmholtz import HelmholtzDirect
 from ..util.timing import StageTimer
 from .splitting import stiffly_stable
-from .stages import STAGES
+from .stages import STAGES, StageScope
 
 __all__ = ["NavierStokes2D"]
 
@@ -131,12 +130,12 @@ class NavierStokes2D:
         lam_eff = scheme.gamma0 / (self.nu * dt)
 
         # Stage 1: modal -> quadrature transform.
-        with self.timer.stage(STAGES[0]), self.stage_ops[STAGES[0]], obs.span(STAGES[0], "stage"):
+        with StageScope(self, STAGES[0]):
             u_vals = space.backward(self.u_hat)
             v_vals = space.backward(self.v_hat)
 
         # Stage 2: non-linear terms N = -(V . grad) V at quadrature points.
-        with self.timer.stage(STAGES[1]), self.stage_ops[STAGES[1]], obs.span(STAGES[1], "stage"):
+        with StageScope(self, STAGES[1]):
             dudx, dudy = space.gradient(self.u_hat)
             dvdx, dvdy = space.gradient(self.v_hat)
             nu_term = -(u_vals * dudx + v_vals * dudy)
@@ -151,7 +150,7 @@ class NavierStokes2D:
             charge(9.0 * npts, 9.0 * 24.0 * npts)  # pointwise products/sums
 
         # Stage 3: weight-average with previous steps (alpha / beta sums).
-        with self.timer.stage(STAGES[2]), self.stage_ops[STAGES[2]], obs.span(STAGES[2], "stage"):
+        with StageScope(self, STAGES[2]):
             hist_u = [(u_vals, v_vals)] + list(self._hist_u)
             hist_n = [(nu_term, nv_term)] + list(self._hist_n)
             uhx = sum(a * h[0] for a, h in zip(scheme.alpha, hist_u))
@@ -166,7 +165,7 @@ class NavierStokes2D:
         # oint phi [-nu n.(curl omega)_beta - gamma0 (u_b^{n+1}.n)/dt].
         t_new = self.t + dt
         bcs = [self.velocity_bcs[tag] for tag in self.vel_tags]
-        with self.timer.stage(STAGES[3]), self.stage_ops[STAGES[3]], obs.span(STAGES[3], "stage"):
+        with StageScope(self, STAGES[3]):
             rhs_p = space.grad_load_vector(uhx, uhy)
             rhs_p /= dt
             hist_w = [omega] + list(self._hist_w)
@@ -175,7 +174,7 @@ class NavierStokes2D:
             self._edges.add_pressure_bc(rhs_p, w_extrap, ubn, self.nu, scheme.gamma0 / dt)
 
         # Stage 5: Poisson solve for the pressure.
-        with self.timer.stage(STAGES[4]), self.stage_ops[STAGES[4]], obs.span(STAGES[4], "stage"):
+        with StageScope(self, STAGES[4]):
             if self._p_pin is None:
                 self.p_hat = self.p_solver.solve_rhs(
                     rhs_p, self.p_solver.bc_values(None)
@@ -184,7 +183,7 @@ class NavierStokes2D:
                 self.p_hat = self.p_op.solve(rhs_p, np.zeros(1))
 
         # Stage 6: project and set up the Helmholtz RHS.
-        with self.timer.stage(STAGES[5]), self.stage_ops[STAGES[5]], obs.span(STAGES[5], "stage"):
+        with StageScope(self, STAGES[5]):
             dpdx, dpdy = space.gradient(self.p_hat)
             ustar = uhx - dt * dpdx
             vstar = uhy - dt * dpdy
@@ -194,7 +193,7 @@ class NavierStokes2D:
             rhs_v = space.load_vector(vstar) * scale
 
         # Stage 7: Helmholtz solves for the new velocity.
-        with self.timer.stage(STAGES[6]), self.stage_ops[STAGES[6]], obs.span(STAGES[6], "stage"):
+        with StageScope(self, STAGES[6]):
             solver = self._viscous_solver(lam_eff)
             bc = solver.bc_values_by_tag  # project, solve, project, solve: the old order
             self.u_hat = solver.solve_rhs(rhs_u, bc([b[0] for b in bcs], t_new))

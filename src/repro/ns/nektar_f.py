@@ -39,12 +39,11 @@ from ..fourier.pipeline import FusedFourierPipeline
 from ..fourier.transforms import ifft_z, mode_blocks, nmodes_for, wavenumbers
 from ..linalg.counters import OpCounter
 from ..obs import metrics
-from ..obs import tracer as obs
 from ..parallel.simmpi import VirtualComm
 from ..solvers.helmholtz import HelmholtzDirect
 from ..util.timing import StageTimer
 from .splitting import stiffly_stable
-from .stages import STAGES
+from .stages import STAGES, StageScope
 
 __all__ = ["NekTarF"]
 
@@ -130,6 +129,7 @@ class NekTarF:
         self.t = 0.0
         self.step_count = 0
         self.timer = StageTimer()
+        self.stage_ops: dict[str, OpCounter] = {s: OpCounter() for s in STAGES}
         self.virtual = StageTimer()  # simulated machine per-stage cpu/wall
 
     # -- helpers ---------------------------------------------------------------------
@@ -252,17 +252,14 @@ class NekTarF:
         scheme = stiffly_stable(order)
         t_new = self.t + dt
 
-        def stage(idx):
-            return _StageScope(self, STAGES[idx])
-
         # Stage 1: modal -> quadrature.
-        with stage(0):
+        with StageScope(self, STAGES[0]):
             u = self._backward_c(self.u_hat)
             v = self._backward_c(self.v_hat)
             w = self._backward_c(self.w_hat)
 
         # Stage 2: non-linear terms via the distributed transpose.
-        with stage(1):
+        with StageScope(self, STAGES[1]):
             ux, uy = self._gradient_c(self.u_hat)
             vx, vy = self._gradient_c(self.v_hat)
             wx, wy = self._gradient_c(self.w_hat)
@@ -290,7 +287,7 @@ class NekTarF:
             omega_y = uz - wx
 
         # Stage 3: weight-averaging.
-        with stage(2):
+        with StageScope(self, STAGES[2]):
             hist_u = [(u, v, w)] + list(self._hist_u)
             hist_n = [(nu_t, nv_t, nw_t)] + list(self._hist_n)
             uhx = sum(a * h[0] for a, h in zip(scheme.alpha, hist_u))
@@ -307,7 +304,7 @@ class NekTarF:
         # Stage 4: pressure RHS + rotational pressure BC
         # oint phi [-nu (n . curl omega)_mode - gamma0 (u_b . n)/dt],
         # all local modes at once.
-        with stage(3):
+        with StageScope(self, STAGES[3]):
             ik = (1j * self.k)[:, None]
             rhs_p = self._grad_load_c(uhx, uhy) - ik * self._load_c(uhz)
             rhs_p /= dt
@@ -319,12 +316,12 @@ class NekTarF:
         # Stage 5: per-mode Poisson solves — real and imaginary parts
         # share the factorisation, so they are swept as one (2, ndof)
         # RHS block per mode.
-        with stage(4):
+        with StageScope(self, STAGES[4]):
             for i in range(self.nlocal):
                 self.p_hat[i] = self._solve_pressure_block(i, rhs_p[i])
 
         # Stage 6: viscous RHS, all local modes at once.
-        with stage(5):
+        with StageScope(self, STAGES[5]):
             scale = 1.0 / (self.nu * dt)
             px, py = self._gradient_c(self.p_hat)
             pz = (1j * self.k)[:, None, None] * self._backward_c(self.p_hat)
@@ -335,7 +332,7 @@ class NekTarF:
         # Stage 7: per-mode Helmholtz solves, three components: all six
         # real solves per mode (3 components x re/im, all sharing the
         # mode's factorisation) go as one (6, ndof) block.
-        with stage(6):
+        with StageScope(self, STAGES[6]):
             for i in range(self.nlocal):
                 self._solve_viscous_block(
                     i, rhs_u[i], rhs_v[i], rhs_w[i], scheme.gamma0, t_new
@@ -481,54 +478,3 @@ class NekTarF:
         timer = self.virtual if self.charge_compute else self.timer
         return timer.percentages(kind)
 
-
-class _StageScope:
-    """Times a stage on the host AND on the simulated machine.
-
-    Host cpu/wall goes to ``solver.timer``.  If ``charge_compute`` is
-    set, the stage's counted flops are priced on the cluster CPU model
-    and charged to the rank's virtual clock; the stage's virtual
-    cpu/wall deltas (including any communication inside the stage) are
-    recorded in ``solver.virtual``.
-    """
-
-    def __init__(self, solver: NekTarF, name: str):
-        self.solver = solver
-        self.name = name
-
-    def __enter__(self):
-        self._host = self.solver.timer.stage(self.name).__enter__()
-        self._ops = OpCounter().__enter__()
-        self._w0 = self.solver.comm.wall
-        self._c0 = self.solver.comm.cpu_time
-        # Thread-local stage tag: lets stage-attributing observers (the
-        # critical-path recorder) name events by NekTar stage even on
-        # untraced runs.  Charge-neutral.
-        obs.push_stage(self.name)
-        return self
-
-    def __exit__(self, *exc):
-        self._ops.__exit__(*exc)
-        self._host.__exit__(*exc)
-        if self.solver.charge_compute:
-            self.solver.comm.compute_flops(self._ops.flops)
-        obs.pop_stage()
-        cpu = self.solver.comm.cpu_time - self._c0
-        wall = self.solver.comm.wall - self._w0
-        self.solver.virtual.add(self.name, cpu=cpu, wall=wall)
-        tracer = obs.current()
-        if tracer is not None:
-            # Emitted after compute_flops so the span covers the priced
-            # compute; timestamps are the rank's virtual wall clock.
-            tracer.emit_span(
-                self.name,
-                "stage",
-                self._w0,
-                self.solver.comm.wall,
-                {
-                    "cpu": cpu,
-                    "wall": wall,
-                    "flops": self._ops.flops,
-                    "bytes": self._ops.bytes,
-                },
-            )

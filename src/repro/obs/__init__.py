@@ -3,8 +3,10 @@
 One subsystem for every measurement signal the reproduction produces
 (DESIGN.md sections 11 and 16):
 
-* :mod:`repro.obs.tracer` — thread-local nestable span tracer; rank
-  timelines in virtual (``MPI_Wtime``) or host time;
+* :mod:`repro.obs.tracer` — thread-local event sink and stage tag;
+  rank timelines on the installed tracer's clock (virtual
+  ``MPI_Wtime`` on a cluster).  Solver stages reach it only through
+  :class:`repro.ns.stages.StageScope`;
 * :mod:`repro.obs.metrics` — counters / gauges / histograms (message
   sizes, PCG iterations, cache-hit rates);
 * :mod:`repro.obs.export` — Chrome trace-event / Perfetto JSON
@@ -14,9 +16,9 @@ One subsystem for every measurement signal the reproduction produces
 * :mod:`repro.obs.runlog` — persistent append-only run ledger keyed by
   config fingerprint (the cross-run memory under ``perf_report``).
 
-The emit helpers are zero-cost no-ops when nothing is installed and
-never charge the ambient OpCounter, so instrumentation cannot perturb
-the flop/byte accounting it reports on.
+Emitters do nothing when no tracer is installed and never charge the
+ambient OpCounter, so instrumentation cannot perturb the flop/byte
+accounting it reports on.
 """
 
 from .critpath import (
@@ -53,11 +55,8 @@ from .tracer import (
     Tracer,
     current,
     current_stage,
-    emit_span,
     install,
     instant,
-    span,
-    stage_scope,
 )
 
 __all__ = [
@@ -66,11 +65,8 @@ __all__ = [
     "Tracer",
     "current",
     "current_stage",
-    "emit_span",
     "install",
     "instant",
-    "span",
-    "stage_scope",
     "MetricsRegistry",
     "active_registry",
     "hit_rate",

@@ -40,6 +40,7 @@ changes in ``values`` while merely warning on ``timings``.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -75,11 +76,18 @@ def config_fingerprint(config: dict[str, Any]) -> str:
 
 
 def git_rev(root: str | Path | None = None) -> str | None:
-    """Short git revision of the working tree, or None outside a repo."""
+    """Short git revision of the tree at ``root`` (default: the working
+    directory), or None outside a repo.  Resolved once per process and
+    directory: every record carries it, and ``git`` costs 100 appends."""
+    return _git_rev(os.getcwd() if root is None else str(root))
+
+
+@functools.lru_cache(maxsize=None)
+def _git_rev(root: str) -> str | None:
     try:
         out = subprocess.run(
             ["git", "rev-parse", "--short", "HEAD"],
-            cwd=None if root is None else str(root),
+            cwd=root,
             capture_output=True,
             text=True,
             timeout=10,
@@ -246,25 +254,6 @@ class RunLedger:
                 out.append(rec)
         return out
 
-    def history(self, fingerprint: str) -> list[dict[str, Any]]:
-        """Records of one configuration, oldest first."""
-        return self.records(fingerprint=fingerprint)
-
-    def fingerprints(self) -> list[str]:
-        """Distinct fingerprints in first-seen order."""
-        seen: dict[str, None] = {}
-        for rec in self.records():
-            seen.setdefault(rec.get("fingerprint", ""), None)
-        return [f for f in seen if f]
-
-    def grouped(self) -> dict[str, list[dict[str, Any]]]:
-        """fingerprint -> records (oldest first), first-seen order."""
-        groups: dict[str, list[dict[str, Any]]] = {}
-        for rec in self.records():
-            groups.setdefault(rec.get("fingerprint", ""), []).append(rec)
-        groups.pop("", None)
-        return groups
-
     def grouped_by_bench(self) -> dict[tuple[str, str], list[dict[str, Any]]]:
         """(bench, fingerprint) -> records (oldest first), first-seen order.
 
@@ -282,19 +271,31 @@ class RunLedger:
 
     # -- completion index (the campaign engine's resumable store) ----------------
 
+    def latest(self, bench: str | None = None) -> dict[str, dict[str, Any]]:
+        """fingerprint -> its *latest* record, in first-seen order.
+
+        The one place "the latest record of a fingerprint wins" is
+        decided; resume, the campaign report and the catalog search
+        all read it.
+        """
+        out: dict[str, dict[str, Any]] = {}
+        for rec in self.records(bench=bench):
+            fp = rec.get("fingerprint", "")
+            if fp:
+                out[fp] = rec
+        return out
+
     def statuses(self, bench: str | None = None) -> dict[str, str]:
-        """fingerprint -> status of its *latest* record.
+        """fingerprint -> status of its latest record.
 
         Records written before the status field default to ``"ok"``
         (they predate failure recording, and every pre-campaign bench
         appended only after a successful run).
         """
-        out: dict[str, str] = {}
-        for rec in self.records(bench=bench):
-            fp = rec.get("fingerprint", "")
-            if fp:
-                out[fp] = str(rec.get("status", "ok"))
-        return out
+        return {
+            fp: str(rec.get("status", "ok"))
+            for fp, rec in self.latest(bench).items()
+        }
 
     def completed(self, bench: str | None = None) -> set[str]:
         """Fingerprints whose latest record finished ok.

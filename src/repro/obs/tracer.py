@@ -6,9 +6,9 @@ PCG iterations, and simmpi communication events) can emit into one
 :class:`Trace`, tagged with rank and timestamp, without perturbing the
 signal it observes:
 
-* **zero-cost when disabled** — the emit helpers read one thread-local
-  slot and return immediately when no tracer is installed; no objects
-  are allocated and no clocks are read;
+* **zero-cost when disabled** — emitters read one thread-local slot
+  (:func:`current`) and do nothing when no tracer is installed; no
+  objects are allocated and no clocks are read;
 * **charge-neutral** — nothing in this module calls
   :func:`repro.linalg.counters.charge` or a counted BLAS kernel, so
   tracing enabled vs disabled leaves :class:`OpCounter` totals
@@ -22,9 +22,9 @@ serial host runs default to :func:`repro.util.timing.wall_clock`.
 Event categories (the ``cat`` field, stable — the exporter and the
 report CLI key off them):
 
-* ``stage``  — one numbered timestep stage; ``args`` carries the
-  virtual ``cpu``/``wall`` deltas and the stage's OpCounter
-  ``flops``/``bytes`` when the emitter knows them;
+* ``stage``  — one numbered timestep stage, emitted only by
+  :class:`repro.ns.stages.StageScope`; ``args`` carries the stage's
+  ``flops``/``bytes``, plus virtual ``cpu``/``wall`` deltas on a cluster;
 * ``comm``   — one send / recv / collective, with byte counts;
 * ``idle``   — the blocking portion of a recv or collective: the
   cpu/wall gap the paper attributes to network inefficiency;
@@ -47,13 +47,10 @@ __all__ = [
     "Trace",
     "current",
     "install",
-    "span",
     "instant",
-    "emit_span",
     "push_stage",
     "pop_stage",
     "current_stage",
-    "stage_scope",
 ]
 
 _tls = threading.local()
@@ -123,10 +120,6 @@ class Tracer:
             TraceEvent(name, cat, self.clock(), 0.0, self.rank, args, ph="i")
         )
 
-    def span(self, name: str, cat: str = "", **args: Any) -> "_SpanContext":
-        """Context manager timing a span against this tracer's clock."""
-        return _SpanContext(self, name, cat, args or None)
-
     # -- kernel charge sampling ---------------------------------------------------
 
     def kernel_sample(self, flops: float, nbytes: float, label: str) -> None:
@@ -161,45 +154,6 @@ class Tracer:
         return {
             k: (int(v[0]), v[1], v[2]) for k, v in self.kernel_charges.items()
         }
-
-
-class _SpanContext:
-    def __init__(
-        self, tracer: Tracer, name: str, cat: str, args: dict[str, Any] | None
-    ):
-        self._tracer = tracer
-        self._name = name
-        self._cat = cat
-        self._args = args
-        self._t0 = 0.0
-
-    def __enter__(self) -> "_SpanContext":
-        self._t0 = self._tracer.clock()
-        if self._cat == "stage":
-            push_stage(self._name)
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        if self._cat == "stage":
-            pop_stage()
-        self._tracer.emit_span(
-            self._name, self._cat, self._t0, self._tracer.clock(), self._args
-        )
-
-
-class _NoopSpan:
-    """Shared do-nothing context manager (the disabled fast path)."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NoopSpan":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        return None
-
-
-_NOOP = _NoopSpan()
 
 
 @dataclass
@@ -241,8 +195,8 @@ class Trace:
 
 # -- thread-local stage stack ---------------------------------------------------
 #
-# Solver stage scopes announce themselves here whether or not a tracer
-# is installed, so observers that tag events by NekTar stage (the
+# ``StageScope`` announces each solver stage here whether or not a
+# tracer is installed, so observers that tag events by NekTar stage (the
 # critical-path recorder) work on untraced runs too.  Per-thread, like
 # the tracer slot: each rank thread keeps its own stack.
 
@@ -267,32 +221,6 @@ def current_stage() -> str | None:
     """Innermost stage name on this thread, or None outside any stage."""
     stack = getattr(_tls, "stages", None)
     return stack[-1] if stack else None
-
-
-class _StageTag:
-    """Context manager that only maintains the stage stack (the
-    untraced path of ``span(..., cat="stage")``)."""
-
-    __slots__ = ("_name",)
-
-    def __init__(self, name: str):
-        self._name = name
-
-    def __enter__(self) -> "_StageTag":
-        push_stage(self._name)
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        pop_stage()
-
-
-def stage_scope(name: str) -> _StageTag:
-    """Tag this thread as being inside solver stage ``name``.
-
-    Purely a stage-stack annotation: never emits events and never reads
-    a clock, so it is charge-neutral and safe on untraced runs.
-    """
-    return _StageTag(name)
 
 
 # -- thread-local installation -------------------------------------------------
@@ -340,20 +268,7 @@ def install(tracer: Tracer | None) -> _Installation:
     return _Installation(tracer)
 
 
-# -- module-level emit helpers (no-ops when nothing is installed) ---------------
-
-
-def span(name: str, cat: str = "", **args: Any) -> "_SpanContext | _NoopSpan | _StageTag":
-    """Time a span against the installed tracer's clock (no-op if none).
-
-    ``cat="stage"`` spans additionally maintain the thread-local stage
-    stack — even when no tracer is installed — so stage attribution
-    (critical-path recorder) survives untraced runs.
-    """
-    tr = getattr(_tls, "tracer", None)
-    if tr is None:
-        return _StageTag(name) if cat == "stage" else _NOOP
-    return tr.span(name, cat, **args)
+# -- module-level emit helper (a no-op when nothing is installed) ----------------
 
 
 def instant(name: str, cat: str = "", **args: Any) -> None:
@@ -362,15 +277,3 @@ def instant(name: str, cat: str = "", **args: Any) -> None:
     if tr is not None:
         tr.emit_instant(name, cat, args or None)
 
-
-def emit_span(
-    name: str,
-    cat: str,
-    t0: float,
-    t1: float,
-    args: dict[str, Any] | None = None,
-) -> None:
-    """Record an already-timed span (no-op when no tracer is installed)."""
-    tr = getattr(_tls, "tracer", None)
-    if tr is not None:
-        tr.emit_span(name, cat, t0, t1, args)

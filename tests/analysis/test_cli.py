@@ -1,9 +1,9 @@
 """CLI coverage for ``python -m repro.analysis``.
 
 Exercises the argument paths directly through ``main()``: file args,
-``--format json|sarif``, ``--select``, the findings baseline, and
-every exit code (0 clean, 1 findings/stale entries, 2 usage errors —
-including waivers and ``--select`` tokens naming unknown rules).
+``--format json|sarif``, ``--select``, and every exit code (0 clean,
+1 findings, 2 usage errors — including waivers and ``--select`` tokens
+naming unknown rules).
 """
 
 import json
@@ -128,44 +128,3 @@ def test_stale_waiver_exits_nonzero(tmp_path, capsys):
     assert "stale waiver" in out
     assert "REPRO000" in out
 
-
-def test_baseline_suppresses_known_findings(bad_file, tmp_path, capsys):
-    baseline = tmp_path / "baseline.json"
-    assert main([str(bad_file), "--baseline", str(baseline), "--write-baseline"]) == 0
-    capsys.readouterr()
-    # With the finding recorded, the same tree is "clean".
-    assert main([str(bad_file), "--baseline", str(baseline)]) == 0
-    assert capsys.readouterr().out == ""
-
-
-def test_baseline_reports_stale_entries(clean_file, tmp_path, capsys):
-    baseline = tmp_path / "baseline.json"
-    baseline.write_text(
-        json.dumps({"findings": ["gone.py::REPRO001::accounting::old finding"]})
-    )
-    assert main([str(clean_file), "--baseline", str(baseline)]) == 1
-    assert "stale baseline entry" in capsys.readouterr().err
-
-
-def test_baseline_does_not_hide_new_findings(bad_file, tmp_path, capsys):
-    baseline = tmp_path / "baseline.json"
-    baseline.write_text(json.dumps({"findings": []}))
-    assert main([str(bad_file), "--baseline", str(baseline)]) == 1
-    assert "REPRO001" in capsys.readouterr().out
-
-
-def test_missing_baseline_exits_two(clean_file, tmp_path, capsys):
-    assert main([str(clean_file), "--baseline", str(tmp_path / "nope.json")]) == 2
-    assert "no such baseline" in capsys.readouterr().err
-
-
-def test_malformed_baseline_exits_two(clean_file, tmp_path, capsys):
-    baseline = tmp_path / "bad.json"
-    baseline.write_text("[]")
-    assert main([str(clean_file), "--baseline", str(baseline)]) == 2
-    assert "bad baseline" in capsys.readouterr().err
-
-
-def test_write_baseline_requires_baseline_path(clean_file, capsys):
-    assert main([str(clean_file), "--write-baseline"]) == 2
-    assert "--write-baseline requires" in capsys.readouterr().err

@@ -248,7 +248,7 @@ def test_method_charges_golden(name):
 def test_bluff_method_charges_golden():
     fp = bluff_charges()
     check("space.charges.bluff", fp)
-    # BENCH_batched_smoke.json's hard-gated config and (flops, bytes).
+    # Problem shape and per-method (flops, bytes), exact.
     assert (fp["elements"], fp["ndof"]) == (108, 2840)
     baseline = {
         "backward": [117936.0, 297216.0],

@@ -105,17 +105,3 @@ def test_assemble_symmetry_with_sign_flips():
     c = np.zeros(space.ndof)
     c[: space.mesh.nvertices] = 1.0
     np.testing.assert_allclose(a @ c, 0.0, atol=1e-10)
-
-
-def test_assembled_diagonal_matches_assemble():
-    space = FunctionSpace(mixed_mesh(), 3)
-    from repro.assembly.operators import elemental_helmholtz
-
-    mats = [
-        elemental_helmholtz(space.dofmap.expansion(e), space.geom[e], 1.0)
-        for e in range(space.nelem)
-    ]
-    a = space.assemble(mats)
-    np.testing.assert_allclose(
-        space.assembled_diagonal(mats), np.asarray(a.diagonal()), rtol=1e-12
-    )

@@ -164,7 +164,7 @@ def _check_with_state(section, fp):
 def test_blocked_step_matches_reference_with_identical_charges():
     fp = blocked_step()
     _check_with_state("nektar_f.blocked_step", fp)
-    # BENCH_solve_smoke.json's config block.
+    # The problem shape the section was recorded at.
     assert fp["config"] == {"elements": 108, "ndof": 2840, "local_modes": 4}
 
 
@@ -182,7 +182,7 @@ def test_trajectory_golden(nprocs):
     assert totals["alltoalls_per_rank_step"] == 2.0
     assert totals["wire_bytes_total"] == sum(r["recv_bytes"] for r in fp["ranks"])
     if nprocs == 2:
-        # BENCH_fourier_smoke.json's hard-gated "fused" block.
+        # The fused pipeline's whole-run totals, exact.
         assert totals == {
             "alltoalls_per_rank_step": 2.0,
             "virtual_wall_s": 0.008154545454545454,

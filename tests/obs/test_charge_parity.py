@@ -12,11 +12,15 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from types import SimpleNamespace
+
 from repro.linalg import blas
 from repro.linalg.counters import OpCounter, active_counter
+from repro.ns.stages import StageScope
 from repro.obs import MetricsRegistry, use_registry
 from repro.obs import tracer as obs
 from repro.obs.tracer import Tracer
+from repro.util.timing import StageTimer
 
 KERNELS = ("ddot", "daxpy", "dscal", "dvmul", "dnrm2")
 
@@ -82,12 +86,14 @@ def test_sampler_sees_exact_per_label_charges(ops):
 
 def test_tracer_never_charges_ambient_counter():
     tracer = Tracer(sample_every=1)
+    solver = SimpleNamespace(timer=StageTimer(), stage_ops={"s": OpCounter()})
     with OpCounter() as outer:
         with obs.install(tracer):
             assert active_counter() is outer
-            with obs.span("s", "stage"):
+            with StageScope(solver, "s"):
                 obs.instant("i", "pcg")
+            tracer.emit_span("c", "comm", 0.0, 1.0)
             tracer.kernel_sample(10.0, 20.0, "fake")
-    assert outer.flops == 0.0
-    assert outer.bytes == 0.0
-    assert outer.calls == 0
+    assert [e.name for e in tracer.events] == ["i", "s", "c", "fake"]
+    assert outer == OpCounter()
+    assert solver.stage_ops["s"] == OpCounter()

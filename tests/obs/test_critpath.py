@@ -317,19 +317,23 @@ def test_fault_storm_validates_and_attributes_idle():
 
 
 def test_stage_attribution_via_stage_scope():
-    from repro.obs import stage_scope
+    # The recorder reads the thread's stage tag, which StageScope
+    # maintains with exactly these two calls.
+    from repro.obs.tracer import pop_stage, push_stage
 
     def prog(comm):
-        with stage_scope("2:transpose"):
-            comm.alltoall(
-                [np.zeros(16) for _ in range(comm.size)]
-            )
-        with stage_scope("5:solve"):
-            # Compute is attributed at the next event node, so the
-            # join must happen inside the scope (the solver's shape:
-            # collectives live inside their stage spans).
-            comm.compute(1e-3)
-            comm.barrier()
+        push_stage("2:transpose")
+        comm.alltoall(
+            [np.zeros(16) for _ in range(comm.size)]
+        )
+        pop_stage()
+        push_stage("5:solve")
+        # Compute is attributed at the next event node, so the
+        # join must happen inside the scope (the solver's shape:
+        # collectives live inside their stage spans).
+        comm.compute(1e-3)
+        comm.barrier()
+        pop_stage()
         return comm.wall
 
     rec = CritPathRecorder()

@@ -101,8 +101,8 @@ def test_append_and_read_roundtrip(tmp_path):
     # Filters.
     assert lg.records(bench="scaling_bench") == got
     assert lg.records(bench="other") == []
-    assert lg.history(rec["fingerprint"]) == got
-    assert lg.fingerprints() == [rec["fingerprint"]]
+    assert lg.records(fingerprint=rec["fingerprint"]) == got
+    assert lg.records(fingerprint="0" * 16) == []
 
 
 def test_grouping_by_fingerprint(tmp_path):
@@ -111,10 +111,15 @@ def test_grouping_by_fingerprint(tmp_path):
     lg.append("b", CFG, report={"v": 1})
     lg.append("b", other, report={"v": 2})
     lg.append("b", CFG, report={"v": 3})
-    groups = lg.grouped()
-    assert len(groups) == 2
-    fp = config_fingerprint(CFG)
-    assert [r["values"]["v"] for r in groups[fp]] == [1, 3]
+    groups = lg.grouped_by_bench()
+    fp, fp_other = config_fingerprint(CFG), config_fingerprint(other)
+    assert list(groups) == [("b", fp), ("b", fp_other)]
+    assert [r["values"]["v"] for r in groups[("b", fp)]] == [1, 3]
+    # The latest record of a fingerprint wins, keys in first-seen order.
+    latest = lg.latest("b")
+    assert list(latest) == [fp, fp_other]
+    assert [r["values"]["v"] for r in latest.values()] == [3, 2]
+    assert lg.latest("other-bench") == {}
 
 
 def test_corrupt_line_raises(tmp_path):
@@ -130,7 +135,29 @@ def test_corrupt_line_raises(tmp_path):
 def test_missing_ledger_is_empty(tmp_path):
     lg = RunLedger(tmp_path / "nope.jsonl")
     assert lg.records() == []
-    assert lg.fingerprints() == []
+    assert lg.latest() == {}
+
+
+def test_git_rev_resolved_once_per_process(tmp_path, monkeypatch):
+    from repro.obs import runlog
+
+    spawned = []
+    real_run = runlog.subprocess.run
+    monkeypatch.setattr(
+        runlog.subprocess, "run",
+        lambda *a, **kw: spawned.append(kw["cwd"]) or real_run(*a, **kw),
+    )
+    runlog._git_rev.cache_clear()
+    lg = RunLedger(tmp_path / "lg.jsonl")
+    revs = {lg.append("b", dict(CFG, n=i), values={})["git_rev"] for i in range(5)}
+    assert len(spawned) == 1 and len(revs) == 1
+    # Outside any git tree the field is still written, as null (a new
+    # directory is a new lookup, not the cached answer).
+    monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path.parent))
+    monkeypatch.chdir(tmp_path)
+    assert [lg.append("b", CFG, values={})["git_rev"] for _ in range(2)] == [None, None]
+    assert spawned[1:] == [str(tmp_path)]
+    assert lg.records()[-1]["git_rev"] is None
 
 
 def test_append_bench_record_convention(tmp_path):

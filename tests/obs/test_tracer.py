@@ -1,9 +1,13 @@
 import threading
+from types import SimpleNamespace
 
 import pytest
 
+from repro.linalg.counters import OpCounter, charge
+from repro.ns.stages import StageScope
 from repro.obs import tracer as obs
 from repro.obs.tracer import Trace, TraceEvent, Tracer
+from repro.util.timing import StageTimer
 
 
 class FakeClock:
@@ -16,10 +20,7 @@ class FakeClock:
 
 def test_no_tracer_helpers_are_noops():
     assert obs.current() is None
-    with obs.span("anything", "stage"):
-        pass
     obs.instant("nothing", "pcg")
-    obs.emit_span("nothing", "comm", 0.0, 1.0)
     assert obs.current() is None
 
 
@@ -37,18 +38,22 @@ def test_install_and_nesting():
 
 
 def test_span_uses_tracer_clock():
+    # The one timed span left is StageScope's: t0/t1 come from the
+    # installed tracer's clock, whatever domain that is.
     clock = FakeClock(10.0)
     tr = Tracer(rank=3, clock=clock)
+    solver = SimpleNamespace(timer=StageTimer(), stage_ops={"work": OpCounter()})
     with obs.install(tr):
-        with obs.span("work", "stage", step=1):
+        with StageScope(solver, "work"):
+            charge(6.0, 48.0)
             clock.t = 12.5
-    (ev,) = tr.events
+    (ev,) = [e for e in tr.events if e.cat == "stage"]  # + one kernel sample
     assert ev.name == "work"
     assert ev.cat == "stage"
     assert ev.ts == pytest.approx(10.0)
     assert ev.dur == pytest.approx(2.5)
     assert ev.rank == 3
-    assert ev.args == {"step": 1}
+    assert ev.args == {"flops": 6.0, "bytes": 48.0}
     assert ev.ph == "X"
 
 
