@@ -105,14 +105,20 @@ class StageScope:
             scope.__exit__(*exc)
         ops, comm = self._ops, self._comm
         virtual = {}
-        if comm is not None:
-            # Priced before the tag is popped and the span is stamped,
-            # so observers see the compute inside its stage.
-            if self.solver.charge_compute:
-                comm.compute_flops(ops.flops)
-            virtual = {"cpu": comm.cpu_time - self._c0, "wall": comm.wall - self._w0}
-            self.solver.virtual.add(self.name, **virtual)
-        obs.pop_stage()
+        try:
+            if comm is not None:
+                # Priced before the tag is popped and the span is
+                # stamped, so observers see the compute inside its
+                # stage.
+                if self.solver.charge_compute:
+                    comm.compute_flops(ops.flops)
+                virtual = {"cpu": comm.cpu_time - self._c0, "wall": comm.wall - self._w0}
+                self.solver.virtual.add(self.name, **virtual)
+        finally:
+            # Under a fault plan the charge above is where a timed
+            # crash fires: the rank dies here, with its tag popped and
+            # no span for the stage it did not finish.
+            obs.pop_stage()
         if self._tracer is not None:
             args = {**virtual, "flops": ops.flops, "bytes": ops.bytes}
             self._tracer.emit_span(

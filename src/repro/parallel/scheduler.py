@@ -6,24 +6,36 @@ rank whose next virtual event has not happened yet (a ``recv`` with an
 empty mailbox, a collective missing participants), and a way to *wake*
 exactly the ranks whose wait just became satisfiable.
 
-:class:`EventEngine` is a cooperative, deterministic scheduler.  Each
-rank runs as a continuation — a parked OS thread that holds the rank's
-full Python call stack (the only stdlib-portable way to suspend
-arbitrary synchronous code mid-call; greenlets without the dependency)
-— but at most ONE continuation executes at any moment.  A single run
-token is handed directly from the parking rank to the next entry of an
-O(1) ready deque, wakeups are targeted (a ``send`` readies only its
-receiver), and the scheduler thread takes over only when the ready
-deque drains (deadlock / timeout-expiry classification).  Cost per
-blocking operation is O(1) host work, independent of the cluster size,
-which is what makes 1024-rank clusters cheap.
+:class:`EventEngine` is a cooperative, deterministic scheduler.  A
+rank that has to wait is suspended as a continuation — a parked OS
+thread that holds the rank's full Python call stack (the only
+stdlib-portable way to suspend arbitrary synchronous code mid-call;
+greenlets without the dependency) — and at most ONE continuation
+executes at any moment.  A single run token is handed directly from
+the parking rank to the next entry of an O(1) ready deque, wakeups are
+targeted (a ``send`` readies only its receiver), and the scheduler
+thread takes over only when the ready deque drains (deadlock /
+timeout-expiry classification).  Cost per blocking operation is O(1)
+host work, independent of the cluster size, which is what makes
+1024-rank clusters cheap.
+
+A host thread is born only for a rank that has to wait.  A rank whose
+body returns normally lends its thread to the next never-started rank
+at the head of the ready deque (the *adoption rule*, one counted
+hand-off like any other), so a new thread is created only when a rank
+parks while unstarted ranks remain: a P-rank ring of R rounds, in
+which only the first R ranks ever park, runs on min(P, R + 1) threads;
+an all-to-all, where all P block at once, still on P.  A rank that
+ends by injected crash or host error retires its thread, so only
+cleanly unwound threads are reused.
 
 Every simulator contract — virtual clock arithmetic, OpCounter charges,
 fault injection, the finalize-time communication verifier, sanitizer
 vector clocks and the ``rank_traces()`` event strings — is computed by
 :mod:`~repro.parallel.simmpi` itself; the engine only decides *which
-host thread runs when*.  Because every rank keeps its own OS thread,
-thread-local machinery (the ambient
+host thread runs when*.  Because a rank stays on one host thread from
+its first dispatch to its return, and a thread carries one rank at a
+time, thread-local machinery (the ambient
 :class:`~repro.linalg.counters.OpCounter`, the per-rank
 :mod:`repro.obs` tracer installation) works unchanged.
 
@@ -84,26 +96,30 @@ class SchedulerDeadlock(RuntimeError):
 
 
 class _PeerFailure(RuntimeError):
-    """Secondary failure: this rank aborted because another rank died.
+    """Secondary failure: this rank aborted because another rank died,
+    or because the scheduler loop itself raised and the run is being
+    unwound.
 
     ``VirtualCluster.run`` re-raises the *root* error, not these."""
 
 
-# Continuation states.  READY ranks sit in the deque; exactly one rank
+# Continuation states.  NEW ranks sit in the ready deque and have never
+# been dispatched (no host thread carries them yet); READY ranks sit in
+# the deque with their call stack parked on a thread; exactly one rank
 # is RUNNING (it holds the token); BLOCKED ranks are parked inside
 # EventEngine.wait; DONE ranks have returned, crashed or errored.
-_READY, _RUNNING, _BLOCKED, _DONE = range(4)
+_NEW, _READY, _RUNNING, _BLOCKED, _DONE = range(5)
 
 
 class _Continuation:
-    """One rank's parked call stack plus its wake signal."""
+    """One rank's scheduling state plus the wake signal of its parked
+    call stack."""
 
-    __slots__ = ("go", "state", "thread")
+    __slots__ = ("go", "state")
 
     def __init__(self) -> None:
-        self.thread: threading.Thread | None = None
         self.go = threading.Event()
-        self.state = _READY
+        self.state = _NEW
 
 
 class EventEngine:
@@ -125,14 +141,28 @@ class EventEngine:
         self.cluster = cluster
         self._conts: list[_Continuation] = []
         self._ready: deque[int] = deque()
+        # Every host thread the current (or most recent) run started:
+        # what run_ranks joins.  A list, in creation order.
+        self._threads: list[threading.Thread] = []
+        # Set exactly while the scheduler thread holds the run token.
         self._sched_go = threading.Event()
         self._comms: "list[VirtualComm]" = []
         self._body: Callable[["VirtualComm"], None] | None = None
-        self._abort: SchedulerDeadlock | None = None
+        # Set when the scheduler loop raised: no rank parks and no rank
+        # is started any more; every wait raises it instead.
+        self._abort: _PeerFailure | None = None
+        # An engine-side exception on a rank thread (outside the rank
+        # body), handed to the scheduler thread together with the token.
+        self._failure: BaseException | None = None
         self._ndone = 0
         self._switches = 0
         self._wakeups = 0
         self._ready_depth_max = 0
+
+    @property
+    def unfinished(self) -> int:
+        """Ranks that have not yet returned, crashed or errored."""
+        return len(self._conts) - self._ndone
 
     # -- notifications (token holder only) ----------------------------
 
@@ -172,9 +202,13 @@ class EventEngine:
         cl = self.cluster
         cl._waiting[rank] = (desc, predicate, timed, failure)
         try:
-            while not predicate():
+            while True:
                 if self._abort is not None:
+                    # Checked before the predicate: an aborted run
+                    # stops at its next wait, satisfiable or not.
                     raise self._abort
+                if predicate():
+                    return True
                 if failure is not None:
                     exc = failure()
                     if exc is not None:
@@ -194,7 +228,6 @@ class EventEngine:
                     cl._timed_out.discard(rank)
                     return False
                 self._park(rank)
-            return True
         finally:
             cl._waiting.pop(rank, None)
             cl._timed_out.discard(rank)
@@ -212,47 +245,82 @@ class EventEngine:
 
     def _hand_off(self) -> None:
         """Pass the token to the next ready rank, or to the scheduler
-        thread when none is ready (drain: classify or finish)."""
+        thread when none is ready (drain: classify or finish) or the
+        run is being unwound (the scheduler thread wakes the parked
+        ranks itself, and starts no new one)."""
         self._switches += 1
-        if self._ready:
+        if self._ready and self._abort is None:
             rank = self._ready.popleft()
             nxt = self._conts[rank]
-            if nxt.thread is None:
-                # First dispatch: the continuation's thread starts
-                # directly in its body — no initial signal round-trip.
+            if nxt.state == _NEW:
+                # The one place a host thread is born: the token holder
+                # keeps its own thread (it is parking, or it is the
+                # scheduler thread) and the next rank has none yet.
+                # It starts directly in its body — no initial signal
+                # round-trip.
                 nxt.state = _RUNNING
-                nxt.thread = threading.Thread(
+                thread = threading.Thread(
                     target=self._main, args=(rank,), daemon=True
                 )
-                nxt.thread.start()
+                self._threads.append(thread)
+                thread.start()
             else:
                 nxt.go.set()
         else:
             self._sched_go.set()
 
     def _main(self, rank: int) -> None:
-        """Continuation entry point: run the rank body, then finalize
-        and hand the token on.  Runs on the rank's own thread, so all
-        thread-local machinery (OpCounter, obs tracer) is per-rank."""
+        """Host-thread entry point: run rank bodies, one at a time, for
+        as long as the adoption rule allows, then hand the token on.
+
+        A rank stays on this thread from its first dispatch to its
+        return, so all thread-local machinery (OpCounter, obs tracer)
+        is per-rank.  When the body returns normally and the head of
+        the ready deque is a rank that has never run, this thread takes
+        it on — exactly the rank, and exactly the counted hand-off,
+        that a new thread would have been started for.  A rank that
+        ended by injected crash or host error may have left
+        thread-local state behind (a stage tag, an ambient counter), so
+        its thread retires instead.
+        """
         cl = self.cluster
-        assert self._body is not None
-        self._body(self._comms[rank])
-        st = cl.ranks[rank]
-        st.done = True
-        cl._waiting.pop(rank, None)
-        self._conts[rank].state = _DONE
-        self._ndone += 1
-        if self._abort is None:
-            if st.error is not None:
-                # Peers blocked on this rank must wake to observe the
-                # failure (they raise _PeerFailure; run() re-raises the
-                # root error).
-                self.notify_all()
-            elif cl._waiting:
-                # A finished rank can strand peers waiting on it; the
-                # classifier notifies whoever it concerns.
-                cl._check_deadlock()
-        self._hand_off()
+        body = self._body
+        assert body is not None
+        try:
+            while True:
+                body(self._comms[rank])
+                st = cl.ranks[rank]
+                st.done = True
+                cl._waiting.pop(rank, None)
+                self._conts[rank].state = _DONE
+                self._ndone += 1
+                if self._abort is not None:
+                    break
+                if st.error is not None:
+                    # Peers blocked on this rank must wake to observe
+                    # the failure (they raise _PeerFailure; run()
+                    # re-raises the root error).
+                    self.notify_all()
+                    break
+                if cl._waiting:
+                    # A finished rank can strand peers waiting on it;
+                    # the classifier notifies whoever it concerns.
+                    cl._check_deadlock()
+                if st.crashed or not self._ready:
+                    break
+                nxt = self._conts[self._ready[0]]
+                if nxt.state != _NEW:
+                    break
+                self._switches += 1
+                rank = self._ready.popleft()
+                nxt.state = _RUNNING
+            self._hand_off()
+        except BaseException as exc:
+            # Engine-side code raised on this thread (a wait predicate
+            # that raises inside the classifier): the token must not
+            # die with the thread.  The scheduler thread re-raises.
+            self._failure = exc
+            self._sched_go.set()
 
     # -- drain handling -----------------------------------------------
 
@@ -294,54 +362,75 @@ class EventEngine:
             self.notify_all()
             if self._ready:
                 return
-        blocked = {r: entry[0] for r, entry in sorted(cl._waiting.items())}
-        self._abort = SchedulerDeadlock(
-            blocked,
+        # Raised on the scheduler thread; run_ranks unwinds the parked
+        # ranks before it lets the error out.
+        raise SchedulerDeadlock(
+            {r: entry[0] for r, entry in sorted(cl._waiting.items())},
             detail=(
                 "event engine: ready deque drained with "
-                f"{self.cluster.nprocs - self._ndone} rank(s) unfinished"
+                f"{self.unfinished} rank(s) unfinished"
             ),
         )
-        if not blocked:
-            # Nothing is even parked: no continuation can absorb the
-            # abort, so raise it straight from the scheduler thread.
-            raise self._abort
-        # Wake every parked rank; each observes the abort in wait() and
-        # raises it, so the error propagates through the normal
-        # per-rank error path and every thread terminates.
-        self.notify_all()
 
     # -- execution ----------------------------------------------------
+
+    def _unwind(self, exc: BaseException) -> None:
+        """The scheduler loop raised ``exc`` while ranks are parked.
+
+        A parked continuation is a call stack only its own thread can
+        unwind, and ``run_ranks`` joins every thread, so each one is
+        woken — one token at a time, in rank order — to raise the abort
+        out of its wait and end through the normal per-rank error path.
+        Never-started ranks are not started.
+        """
+        abort = _PeerFailure(
+            f"run aborted: the scheduler loop raised {type(exc).__name__}"
+        )
+        abort.__cause__ = exc
+        self._abort = abort
+        # A KeyboardInterrupt can land while a rank holds the token; it
+        # comes back at that rank's next wait or hand-off.
+        self._sched_go.wait()
+        for cont in self._conts:
+            if cont.state in (_READY, _BLOCKED):
+                self._sched_go.clear()
+                cont.go.set()
+                self._sched_go.wait()
 
     def run_ranks(
         self,
         comms: "list[VirtualComm]",
         body: Callable[["VirtualComm"], None],
     ) -> None:
-        cl = self.cluster
-        nprocs = cl.nprocs
+        nprocs = self.cluster.nprocs
         self._comms = comms
         self._body = body
         self._conts = [_Continuation() for _ in range(nprocs)]
         self._ready = deque(range(nprocs))
+        self._threads = []
         self._abort = None
+        self._failure = None
         self._ndone = 0
         self._switches = 0
         self._wakeups = 0
         self._ready_depth_max = nprocs  # everyone starts ready
-        self._sched_go.clear()
+        self._sched_go.set()
         try:
             while self._ndone < nprocs:
                 if not self._ready:
                     self._on_idle()
                     continue
+                self._sched_go.clear()
                 self._hand_off()
                 self._sched_go.wait()
-                self._sched_go.clear()
+                if self._failure is not None:
+                    raise self._failure
+        except BaseException as exc:
+            self._unwind(exc)
+            raise
         finally:
-            for cont in self._conts:
-                if cont.thread is not None:
-                    cont.thread.join()
+            for thread in self._threads:
+                thread.join()
             self._comms = []
             self._body = None
 

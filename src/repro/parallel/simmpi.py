@@ -311,6 +311,15 @@ class VirtualCluster:
             # A real error is propagating; peer-failure handling owns
             # the wakeup, and the root cause must win over "deadlock".
             return False
+        if not self._crashed and len(self._waiting) < self._engine.unfinished:
+            # Exact O(1) exit for the common finish-path call.  Fewer
+            # wait entries than live ranks means some live rank is
+            # computing, so the scan below would reach it and return
+            # False; and with no crash registered this run no failure
+            # probe can fire on the way there (both probes read only
+            # ``_crashed``), so it would notify no one either.  Without
+            # this, P ranks finishing one by one cost O(P^2) scans.
+            return False
         active = [
             r
             for r, st in enumerate(self.ranks)

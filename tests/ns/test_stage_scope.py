@@ -16,6 +16,7 @@ from repro.ns.nektar_f import NekTarF
 from repro.ns.stages import STAGES
 from repro.obs import tracer as obs
 from repro.obs.tracer import Trace
+from repro.parallel.faults import CrashSpec, FaultPlan, RankFailure
 from repro.parallel.simmpi import VirtualCluster
 
 from .test_ale import make_solver, wobble
@@ -138,3 +139,36 @@ def test_stage_tag_is_maintained_without_a_tracer(monkeypatch):
     assert seen == [STAGES[1], STAGES[1], STAGES[5]]
     assert obs.current_stage() is None
 
+
+def test_timed_crash_inside_a_stage_leaves_no_stale_tag():
+    """``StageScope.__exit__`` prices the stage's flops on the virtual
+    CPU, which under a fault plan is where a timed crash fires (the
+    resilience bench's configuration): the dying rank's thread must
+    still end with its stage tag popped, and with no span for the stage
+    it did not finish."""
+    cpu = CPUS["pentium-ii-450"]
+
+    def rank_fn(comm, left):
+        try:
+            _nektar_f(comm).run(2)
+        except RankFailure:
+            pass  # the survivor: its peer died
+        finally:
+            left[comm.rank] = obs.current_stage()
+        return comm.wall
+
+    t_end = VirtualCluster(2, NET, cpu=cpu).run(rank_fn, {})[1]
+    stale, died_mid_step = {}, 0
+    for k in range(1, 40):
+        plan = FaultPlan(crashes=(CrashSpec(rank=1, at_time=k / 40 * t_end),))
+        trace, left = Trace(), {}
+        cluster = VirtualCluster(2, NET, cpu=cpu, faults=plan, trace=trace)
+        cluster.run(rank_fn, left)
+        t_crash = cluster._crashed[1]
+        if left != {0: None, 1: None}:
+            stale[k] = left
+        spans = [e for e in trace.events() if e.cat == "stage" and e.rank == 1]
+        assert all(e.ts + e.dur <= t_crash for e in spans)
+        died_mid_step += len(spans) % len(STAGES) != 0
+    assert not stale
+    assert died_mid_step > 20, "the sweep no longer crashes inside steps"

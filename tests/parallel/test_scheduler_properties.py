@@ -11,7 +11,12 @@ ranks must:
   its edges alone (``EventGraph.validate()``: an independent
   re-computation that knows nothing of host scheduling);
 * reproduce results, clocks, charge ledgers and sanitizer vector clocks
-  bit for bit from run to run.
+  bit for bit from run to run;
+* read the same — results, clocks, ledgers, ``rank_traces()`` strings
+  and engine statistics — whether ranks that never wait share a host
+  thread (the engine's adoption rule) or every rank is started on a
+  thread of its own (the rule it replaced, frozen here as the oracle),
+  with and without a rank crashing mid-program.
 
 Programs are terminating by construction — every round is either a
 global collective or a full-ring shift where each rank sends before it
@@ -25,7 +30,9 @@ from hypothesis import strategies as st
 
 from repro.machines.network import NetworkModel
 from repro.obs.critpath import CritPathRecorder
-from repro.parallel.simmpi import VirtualCluster
+from repro.parallel import scheduler
+from repro.parallel.faults import CrashSpec, FaultPlan, RankFailure
+from repro.parallel.simmpi import CommVerificationError, VirtualCluster
 
 NET = NetworkModel(
     "prop-net",
@@ -37,10 +44,11 @@ NET = NetworkModel(
 
 # One program round: a ring shift (stride seed, payload doubles) or a
 # named global collective.
+_shift = st.tuples(
+    st.just("shift"), st.integers(0, 1_000_000), st.integers(1, 64)
+)
 _round = st.one_of(
-    st.tuples(
-        st.just("shift"), st.integers(0, 1_000_000), st.integers(1, 64)
-    ),
+    _shift,
     st.sampled_from(
         ["barrier", "allreduce", "alltoall", "bcast", "allgather", "gather"]
     ),
@@ -81,14 +89,56 @@ def _run_program(comm, program):
     return acc, comm.wall, comm.cpu_time
 
 
-def _fingerprint(nprocs, program, recorder=None):
-    cluster = VirtualCluster(nprocs, NET, sanitize=True, critpath=recorder)
-    results = cluster.run(_run_program, program)
-    sent = sum(st_.sent_bytes for st_ in cluster.ranks)
-    recvd = sum(st_.recv_bytes for st_ in cluster.ranks)
-    assert sent == recvd, f"byte conservation broken: {sent} != {recvd}"
+def _run_program_or_lose_a_peer(comm, program):
+    try:
+        return _run_program(comm, program)
+    except RankFailure as lost:
+        return "lost", lost.rank, comm.wall, comm.cpu_time
+
+
+class _ThreadPerRankEngine(scheduler.EventEngine):
+    """The dispatch rule before adoption, frozen: a rank that returns
+    always hands the token on, so every rank is started on a thread of
+    its own."""
+
+    def _main(self, rank):
+        cl = self.cluster
+        self._body(self._comms[rank])
+        st_ = cl.ranks[rank]
+        st_.done = True
+        cl._waiting.pop(rank, None)
+        self._conts[rank].state = scheduler._DONE
+        self._ndone += 1
+        if st_.error is not None:
+            self.notify_all()
+        elif cl._waiting:
+            cl._check_deadlock()
+        self._hand_off()
+
+
+def _fingerprint(nprocs, program, recorder=None, faults=None, engine=None):
+    cluster = VirtualCluster(
+        nprocs, NET, sanitize=True, critpath=recorder, faults=faults
+    )
+    if engine is not None:
+        cluster._engine = engine(cluster)
+    try:
+        results = cluster.run(_run_program_or_lose_a_peer, program)
+    except CommVerificationError as exc:
+        # A rank that gave up on a dead peer strands whoever waits on
+        # *it*: under a crash plan the classifier's deadlock report is
+        # a valid outcome.
+        if faults is None:
+            raise
+        results = str(exc)
+    if faults is None:
+        sent = sum(st_.sent_bytes for st_ in cluster.ranks)
+        recvd = sum(st_.recv_bytes for st_ in cluster.ranks)
+        assert sent == recvd, f"byte conservation broken: {sent} != {recvd}"
     return {
         "results": results,
+        "threads": len(cluster._engine._threads),
+        "engine": cluster.engine_stats(),
         "ranks": [
             (st_.wall, st_.cpu, st_.sent_bytes, st_.recv_bytes, st_.messages)
             for st_ in cluster.ranks
@@ -119,3 +169,35 @@ def test_event_engine_is_run_to_run_deterministic(case):
     first = _fingerprint(nprocs, program)
     second = _fingerprint(nprocs, program)
     assert first == second
+
+
+# Threads are shared only until the first collective (every rank is
+# parked there at once), so half the programs open with shifts alone.
+_shifts_first = st.tuples(
+    st.integers(2, 128),
+    st.builds(
+        lambda shifts, rest: shifts + rest,
+        st.lists(_shift, min_size=1, max_size=3),
+        st.lists(_round, max_size=2),
+    ),
+)
+_crashes = st.one_of(
+    st.none(),
+    # (victim seed, virtual crash time); a shift round is ~10 us.
+    st.tuples(st.integers(0, 1_000_000), st.floats(0.0, 5e-5)),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.one_of(programs, _shifts_first), _crashes)
+def test_reused_threads_change_nothing_observable(case, crash):
+    nprocs, program = case
+    plan = None
+    if crash is not None:
+        plan = FaultPlan(
+            crashes=(CrashSpec(rank=crash[0] % nprocs, at_time=crash[1]),)
+        )
+    reused = _fingerprint(nprocs, program, faults=plan)
+    frozen = _fingerprint(nprocs, program, faults=plan, engine=_ThreadPerRankEngine)
+    assert reused.pop("threads") <= frozen.pop("threads") == nprocs
+    assert reused == frozen
