@@ -21,6 +21,8 @@ gather, accumulating scatter with ``np.add.at``).
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 __all__ = ["ElementBatch", "build_batches"]
@@ -54,11 +56,48 @@ class ElementBatch:
         self.signs = np.stack([dofmap.elem_signs[e] for e in elems])
         self.jw = np.stack([geom[e].jw for e in elems])
         self.dxi = np.stack([geom[e].dxi_dx for e in elems])
+        self._scaled_jw: dict[float, np.ndarray] = {}
 
     @property
     def ng(self) -> int:
         """Number of elements in the batch."""
         return self.elems.size
+
+    # -- operands of the matrix-free apply (quad batches) ----------------------
+    #
+    # What repro.assembly.matrix_free.apply_operator_batched reads on
+    # every PCG matvec and that depends on the space only, laid out once
+    # the way the apply consumes it.  Nothing here is written after it
+    # is built, so applies on one space may run concurrently.
+
+    @cached_property
+    def dofs_ct(self) -> np.ndarray:
+        """(ng, P+1, P+1) global dofs in C^T tensor order: the signed
+        gather of ``u`` at ``dofs_ct``, times ``signs_ct``, is the stack
+        of transposed coefficient tensors the contractions start from."""
+        tl = self.exp.tensor_layout()
+        return self.dofs[:, tl.ct_perm].reshape(self.ng, tl.np1, tl.np1)
+
+    @cached_property
+    def signs_ct(self) -> np.ndarray:
+        tl = self.exp.tensor_layout()
+        return self.signs[:, tl.ct_perm].reshape(self.ng, tl.np1, tl.np1)
+
+    @cached_property
+    def dxi_stacks(self) -> tuple[np.ndarray, ...]:
+        """``dxi[:, a, b]`` for (a, b) = (0, 0), (0, 1), (1, 0), (1, 1)
+        as four contiguous (ng, nq) stacks."""
+        return tuple(
+            np.ascontiguousarray(self.dxi[:, a, b]) for a in (0, 1) for b in (0, 1)
+        )
+
+    def scaled_jw(self, scale: float) -> np.ndarray:
+        """``scale * jw`` (the Helmholtz mass term's weights), kept per
+        constant: a space serves a handful of solvers."""
+        w = self._scaled_jw.get(scale)
+        if w is None:
+            w = self._scaled_jw[scale] = scale * self.jw
+        return w
 
     def gather(self, uglobal: np.ndarray) -> np.ndarray:
         """(..., ndof) global coefficients -> (..., ng, nmodes) signed

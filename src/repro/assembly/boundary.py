@@ -24,6 +24,7 @@ call — so states, ledgers and virtual clocks do not see them.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -32,7 +33,9 @@ import numpy as np
 from ..linalg import blas
 from ..linalg.counters import charge
 from ..mesh.curved import make_element_map
+from ..mesh.mapping import vertex_shape
 from ..spectral.basis import bubble
+from ..spectral.expansions import QuadExpansion, TriExpansion
 from ..spectral.jacobi import gauss_jacobi
 from .operators import elemental_mass
 
@@ -52,6 +55,7 @@ _TRI_PARAM = {
     1: (lambda s: (-s, s), +1),
     2: (lambda s: (-np.ones_like(s), s), -1),
 }
+_PARAM = {"tri": _TRI_PARAM, "quad": _QUAD_PARAM}
 
 
 @dataclass
@@ -83,30 +87,49 @@ class EdgeQuadrature:
         return self.phi @ (self.jw * fvals)
 
 
+@functools.cache
+def _reference_edges(kind: str, order: int, n1d: int) -> tuple:
+    """What a side's quadrature owes to the reference element alone, per
+    local edge: the ``n1d`` Gauss points of the edge as (xi1, xi2,
+    vertex shape tables there), their weights, and the order-``order``
+    basis with its reference derivatives there (modes do not depend on
+    the element's own quadrature order, so it is no part of the key).
+    Tabulated once per process and read-only: every space of that kind
+    and order shares it.
+    """
+    s, w = gauss_jacobi(n1d)
+    exp = (TriExpansion if kind == "tri" else QuadExpansion)(order)
+    edges = []
+    for le in range(exp.nedges):
+        xi1, xi2 = _PARAM[kind][le][0](s)
+        shape = vertex_shape(kind, xi1, xi2)
+        basis = exp.eval_basis_full(xi1, xi2)
+        for table in (xi1, xi2, *shape, *basis):
+            table.setflags(write=False)
+        edges.append(((xi1, xi2, shape), w, *basis))
+    return tuple(edges)
+
+
 def build_edge_quadrature(
     space, sides: list[tuple[int, int]], nq: int | None = None
 ) -> list[EdgeQuadrature]:
     """Edge quadrature for the given (element, local_edge) sides."""
     out = []
+    n1d = nq if nq is not None else space.order + 2
     for ei, le in sides:
-        elem = space.mesh.elements[ei]
-        exp = space.dofmap.expansion(ei)
-        n1d = nq if nq is not None else space.order + 2
-        s, w = gauss_jacobi(n1d)
-        table = _TRI_PARAM if elem.kind == "tri" else _QUAD_PARAM
-        param, ccw_sign = table[le]
-        xi1, xi2 = param(s)
+        kind = space.mesh.elements[ei].kind
+        pts, w, phi, d1, d2 = _reference_edges(kind, space.order, n1d)[le]
+        ccw_sign = _PARAM[kind][le][1]
         emap = make_element_map(space.mesh, ei)
-        x, y = emap.x(xi1, xi2)
+        x, y = emap.x(*pts)
         # Tangent along the parameter s by the chain rule on the map.
-        j = emap.jacobian(xi1, xi2)
-        dxi1, dxi2 = _param_derivative(elem.kind, le)
+        j = emap.jacobian(*pts)
+        dxi1, dxi2 = _param_derivative(kind, le)
         tx = j[:, 0, 0] * dxi1 + j[:, 0, 1] * dxi2
         ty = j[:, 1, 0] * dxi1 + j[:, 1, 1] * dxi2
         norm = np.hypot(tx, ty)
         nx = ccw_sign * ty / norm
         ny = -ccw_sign * tx / norm
-        phi, d1, d2 = exp.eval_basis_full(xi1, xi2)
         # Physical derivatives at the edge points.
         det = j[:, 0, 0] * j[:, 1, 1] - j[:, 0, 1] * j[:, 1, 0]
         dxi1_dx = j[:, 1, 1] / det
@@ -144,9 +167,7 @@ def edge_physical_points(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Physical coordinates along an element edge at canonical
     (low->high vertex id) parameter values, honouring curved geometry."""
-    kind = mesh.elements[elem].kind
-    table = _TRI_PARAM if kind == "tri" else _QUAD_PARAM
-    param, _ = table[local_edge]
+    param, _ = _PARAM[mesh.elements[elem].kind][local_edge]
     s = np.asarray(s_canonical, dtype=np.float64)
     if mesh.edge_orientation(elem, local_edge) < 0:
         s = -s

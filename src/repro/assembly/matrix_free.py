@@ -8,10 +8,13 @@ geometric factors pointwise, contract back with the adjoint tables
 (two more O(p^3) contractions).  Nothing elemental is ever assembled,
 so a CG solve needs no setup beyond the batch's metric factors.
 
-All contractions run through the counted ``repro.linalg.blas`` dgemm
-substrate; the pointwise metric stage is charged explicitly under the
-``mfree-metric`` label (the dense oracle buries the same work inside
-its tabulated matrix, so the two paths stay comparable in the ledger).
+The contractions are the ``dgemm_batched`` calls of the sum-factorised
+transforms (``Expansion.backward`` / ``gradient`` /
+``iproduct_sumfact_batched``) and are charged as those calls, one
+``dgemm`` charge each; the pointwise metric stage is charged explicitly
+under the ``mfree-metric`` label (the dense oracle buries the same work
+inside its tabulated matrix, so the two paths stay comparable in the
+ledger).
 
 Operator diagonals (the Jacobi preconditioner) come from the same
 machinery: squaring the 1-D tables elementwise turns the diagonal of
@@ -20,6 +23,8 @@ products — still O(p^3), no matrix formed.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -46,49 +51,106 @@ def _charge_metric(n: float, flops_per_point: float) -> None:
     charge(flops_per_point * n, 16.0 * flops_per_point * n, "mfree-metric")
 
 
-def _apply_mass(b, local: np.ndarray, scale: float = 1.0) -> np.ndarray:
-    """(phi_m, scale * jw * u) per element: backward, weight, adjoint."""
-    vals = b.exp.backward_sumfact_batched(local)
-    # jw multiply (+ optional helmholtz-constant scale): 1-2 flops/point.
-    nppf = 1.0 if scale == 1.0 else 2.0
-    _charge_metric(float(vals.size), nppf)
-    w = b.jw if scale == 1.0 else scale * b.jw
-    return b.exp.iproduct_sumfact_batched(w * vals)
+def _charge_dgemms(nb: int, dgemms) -> None:
+    """Replay what one sum-factorised contraction over ``nb`` elements
+    charged: its two ``dgemm_batched`` calls, in order."""
+    for flops, nbytes in dgemms:
+        charge(nb * flops, nb * nbytes, "dgemm")
 
 
-def _apply_laplacian(b, local: np.ndarray) -> np.ndarray:
-    """Weak Laplacian D^T (jw G) D u: reference gradients, metric
-    contraction, adjoint derivative inner products."""
-    exp = b.exp
-    d1, d2 = exp.gradient_sumfact_batched(local)
-    g = b.dxi  # (ng, 2, 2, nq): dxi[a, b] = d xi_{a+1} / d x_{b+1}
-    dx = d1 * g[:, 0, 0] + d2 * g[:, 1, 0]
-    dy = d1 * g[:, 0, 1] + d2 * g[:, 1, 1]
-    t1 = b.jw * (g[:, 0, 0] * dx + g[:, 0, 1] * dy)
-    t2 = b.jw * (g[:, 1, 0] * dx + g[:, 1, 1] * dy)
-    # dx, dy (3 flops each) + t1, t2 (4 flops each) per point.
-    _charge_metric(float(d1.size), 14.0)
-    out = exp.iproduct_sumfact_batched(t1, deriv=1)
-    out += exp.iproduct_sumfact_batched(t2, deriv=2)
+def _adjoint(tl, nb: int, v: np.ndarray, left: np.ndarray, right: np.ndarray):
+    """out[..., p, q] = sum_ij right[p, i] left[q, j] V[j, i] for a
+    (..., nq) stack of quadrature-point values.  np.matmul's stacked
+    path degrades on transposed views; a contiguous copy of the small
+    intermediate is cheaper than strided inner loops."""
+    tmp = np.matmul(left, v.reshape(v.shape[:-1] + (tl.n1, tl.n1)))
+    out = np.matmul(right, np.ascontiguousarray(np.swapaxes(tmp, -1, -2)))
+    _charge_dgemms(nb, tl.adjoint_charges)
     return out
+
+
+def _laplacian_tensors(b, tl, nb: int, ct: np.ndarray, tb: np.ndarray) -> np.ndarray:
+    """Weak Laplacian D^T (jw G) D u, as (..., P+1, P+1) tensors:
+    reference gradients, metric contraction, adjoint derivative inner
+    products.  ``tb`` is ``ct @ b1``.
+
+    The ``del``s are for the block path: there each dead stack is
+    ~100 KB, and a heap that peaks half a megabyte higher is trimmed at
+    the end of every call and faulted back in by the next (a 6-column
+    apply reads 30 % slower without them).
+    """
+    flat = ct.shape[:-2] + (tl.n1 * tl.n1,)
+    r1 = np.matmul(tl.b1t, np.matmul(ct, tl.d1)).reshape(flat)  # d/dxi1
+    _charge_dgemms(nb, tl.forward_charges)
+    r2 = np.matmul(tl.d1t, tb).reshape(flat)  # d/dxi2
+    _charge_dgemms(nb, tl.forward_charges)
+    g11, g12, g21, g22 = b.dxi_stacks  # g[a][b] = d xi_a / d x_b
+    dx = r1 * g11 + r2 * g21
+    dy = r1 * g12 + r2 * g22
+    del r1, r2
+    t1 = b.jw * (g11 * dx + g12 * dy)
+    t2 = b.jw * (g21 * dx + g22 * dy)
+    del dx, dy
+    # dx, dy (3 flops each) + t1, t2 (4 flops each) per point.
+    _charge_metric(float(t1.size), 14.0)
+    out = _adjoint(tl, nb, t1, tl.b1, tl.d1)
+    del t1
+    out += _adjoint(tl, nb, t2, tl.d1, tl.b1)
+    return out
+
+
+def _mass_tensors(b, tl, nb: int, tb: np.ndarray, scale: float) -> np.ndarray:
+    """(phi_m, scale * jw * u) as (..., P+1, P+1) tensors: backward (the
+    second half of it: ``tb`` is ``ct @ b1``), weight, adjoint."""
+    vals = np.matmul(tl.b1t, tb)
+    vals = vals.reshape(vals.shape[:-2] + (tl.n1 * tl.n1,))
+    _charge_dgemms(nb, tl.forward_charges)
+    # jw multiply (+ optional helmholtz-constant scale): 1-2 flops/point.
+    _charge_metric(float(vals.size), 1.0 if scale == 1.0 else 2.0)
+    w = b.jw if scale == 1.0 else b.scaled_jw(scale)
+    return _adjoint(tl, nb, w * vals, tl.b1, tl.b1)
 
 
 def apply_operator_batched(
-    b, local: np.ndarray, kind: str, lam: float = 0.0
+    b, u: np.ndarray, kind: str, lam: float = 0.0
 ) -> np.ndarray:
-    """Matrix-free A_e @ u over one quad :class:`ElementBatch`.
+    """Matrix-free A_e @ u_e over one quad :class:`ElementBatch`.
 
-    ``local`` is a (..., ng, nmodes) signed-gathered coefficient stack;
-    returns the same-shape stack of elemental operator applications,
-    bit-for-bit independent of how many leading axes ride along.
+    ``u`` is the (..., ndof) global coefficient array; returns the
+    (..., ng, nmodes) stack of elemental operator applications of its
+    signed gather, bit-for-bit independent of how many leading axes
+    ride along.
+
+    One pass: evaluate to the quadrature grid, multiply the metric,
+    contract back.  Everything that does not depend on ``u`` — the 1-D
+    tables, the dofs and signs in C^T tensor order, the metric
+    components as contiguous stacks — sits on the batch and its
+    expansion's tensor layout; every array made here is the call's own,
+    so concurrent applies on one space do not meet.  The arithmetic is
+    that of ``gradient`` / ``backward`` / ``iproduct_sumfact_batched``
+    composed, with ``C^T b1`` (the xi2 derivative leg and the mass
+    term's backward transform both start from it) computed once and the
+    adjoint tensors summed before the one read-out to modal order; the
+    charges are replayed contraction by contraction as that composition
+    made them, so ledgers and kernel samplers do not see the difference.
     """
     check_kind(kind)
+    tl = b.exp.tensor_layout()
+    # (..., ng, P+1, P+1) stack of C^T.  np.take, not u[..., dofs]: with
+    # leading axes the fancy index hands back a transposed-layout array,
+    # and every matmul downstream would run strided.
+    ct = np.take(u, b.dofs_ct, axis=-1)
+    ct *= b.signs_ct
+    nb = math.prod(ct.shape[:-2])
+    # repro: waive[accounting] charged by each term that starts from it, where the composition computed it
+    tb = np.matmul(ct, tl.b1)
     if kind == "mass":
-        return _apply_mass(b, local)
-    out = _apply_laplacian(b, local)
-    if kind == "helmholtz" and lam != 0.0:
-        out += _apply_mass(b, local, scale=lam)
-    return out
+        out = _mass_tensors(b, tl, nb, tb, 1.0)
+    else:
+        out = _laplacian_tensors(b, tl, nb, ct, tb)
+        if kind == "helmholtz" and lam != 0.0:
+            out += _mass_tensors(b, tl, nb, tb, lam)
+    return out[..., tl.pq[:, 0], tl.pq[:, 1]]
 
 
 def diagonal_operator_batched(b, kind: str, lam: float = 0.0) -> np.ndarray:

@@ -20,7 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ..linalg import blas
-from ..mesh.mapping import GeomFactors
+from ..mesh.mapping import GeomFactors, quadrature_reference
 from ..mesh.mesh2d import Mesh2D
 from . import matrix_free
 from .boundary import DirichletPlan
@@ -76,13 +76,7 @@ class FunctionSpace:
             coords = mesh.element_coords(ei)
             emap = make_element_map(mesh, ei)
             self.geom.append(GeomFactors.compute(exp, coords, emap))
-            A, B = exp.rule.points
-            if elem.kind == "tri":
-                xi1 = 0.5 * (1.0 + A) * (1.0 - B) - 1.0
-                xi2 = B
-            else:
-                xi1, xi2 = A, B
-            x, y = emap.x(xi1, xi2)
+            x, y = emap.x(*quadrature_reference(elem.kind, exp.nq1d))
             xq.append(x)
             yq.append(y)
         self.xq = np.array(xq)
@@ -323,16 +317,20 @@ class FunctionSpace:
         """
         matrix_free.check_kind(kind)
         u = np.asarray(u, dtype=np.float64)
+        if u.shape[-1:] != (self.ndof,):
+            # The gathers index: a longer vector would be read short.
+            raise ValueError(
+                f"operator_apply: u must be (..., ndof = {self.ndof}), got {u.shape}"
+            )
         lead = u.shape[:-1]
         out = np.zeros(lead + (self.ndof,))
         for bi, b in enumerate(self.batches()):
-            local = b.gather(u)
             if self.sumfact and b.kind == "quad":
-                res = matrix_free.apply_operator_batched(b, local, kind, lam)
+                res = matrix_free.apply_operator_batched(b, u, kind, lam)
             else:
                 mats = self._dense_batch_mats(bi, kind, lam)
                 res = np.zeros(lead + (b.ng, b.exp.nmodes))
-                blas.dgemv_batched(1.0, mats, local, 0.0, res)
+                blas.dgemv_batched(1.0, mats, b.gather(u), 0.0, res)
             b.scatter_add(res, out)
         return out
 

@@ -123,20 +123,20 @@ class BlendedQuadMap(ElementMap):
             out.append((le, dx, dy, ddx, ddy))
         return out
 
-    def x(self, xi1, xi2):
+    def x(self, xi1, xi2, shape=None):
         xi1 = np.asarray(xi1, dtype=np.float64)
         xi2 = np.asarray(xi2, dtype=np.float64)
-        x, y = super().x(xi1, xi2)
+        x, y = super().x(xi1, xi2, shape)
         for le, dx, dy, _, _ in self._corrections(xi1, xi2):
             b = _BLEND[le](xi1, xi2)
             x = x + b * dx
             y = y + b * dy
         return x, y
 
-    def jacobian(self, xi1, xi2):
+    def jacobian(self, xi1, xi2, shape=None):
         xi1 = np.asarray(xi1, dtype=np.float64)
         xi2 = np.asarray(xi2, dtype=np.float64)
-        j = super().jacobian(xi1, xi2)
+        j = super().jacobian(xi1, xi2, shape)
         for le, dx, dy, ddx, ddy in self._corrections(xi1, xi2):
             b = _BLEND[le](xi1, xi2)
             db1, db2 = _DBLEND[le]

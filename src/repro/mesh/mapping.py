@@ -10,15 +10,55 @@ space.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..spectral.expansions import Expansion2D, TriExpansion
+from ..spectral.quadrature import quad_rule, tri_rule
 
-__all__ = ["ElementMap", "GeomFactors"]
+__all__ = ["ElementMap", "GeomFactors", "quadrature_reference", "vertex_shape"]
 
 Array = np.ndarray
+
+
+def vertex_shape(kind: str, xi1: Array, xi2: Array) -> tuple[Array, Array, Array]:
+    """Vertex shape functions of a "tri" or "quad" and their reference
+    gradients at the given points, each (nverts, npts)."""
+    xi1 = np.asarray(xi1, dtype=np.float64)
+    xi2 = np.asarray(xi2, dtype=np.float64)
+    if kind == "tri":
+        n = np.stack([-0.5 * (xi1 + xi2), 0.5 * (1.0 + xi1), 0.5 * (1.0 + xi2)])
+        d1 = np.stack(
+            [np.full_like(xi1, -0.5), np.full_like(xi1, 0.5), np.zeros_like(xi1)]
+        )
+        d2 = np.stack(
+            [np.full_like(xi1, -0.5), np.zeros_like(xi1), np.full_like(xi1, 0.5)]
+        )
+    else:
+        h0x, h1x = 0.5 * (1 - xi1), 0.5 * (1 + xi1)
+        h0y, h1y = 0.5 * (1 - xi2), 0.5 * (1 + xi2)
+        n = np.stack([h0x * h0y, h1x * h0y, h1x * h1y, h0x * h1y])
+        d1 = np.stack([-0.5 * h0y, 0.5 * h0y, 0.5 * h1y, -0.5 * h1y])
+        d2 = np.stack([-0.5 * h0x, -0.5 * h1x, 0.5 * h1x, 0.5 * h0x])
+    return n, d1, d2
+
+
+@functools.cache
+def quadrature_reference(kind: str, nq1d: int) -> tuple[Array, Array, tuple]:
+    """(xi1, xi2, vertex_shape there) for the ``nq1d``^2 quadrature
+    points of the ``kind`` expansion, in reference (for the triangle:
+    un-collapsed) coordinates.  Tabulated once per process, read-only."""
+    A, B = (tri_rule if kind == "tri" else quad_rule)(nq1d).points
+    if kind == "tri":
+        xi1, xi2 = 0.5 * (1.0 + A) * (1.0 - B) - 1.0, B
+    else:
+        xi1, xi2 = A, B
+    shape = vertex_shape(kind, xi1, xi2)
+    for table in (xi1, xi2, *shape):
+        table.setflags(write=False)
+    return xi1, xi2, shape
 
 
 class ElementMap:
@@ -37,36 +77,17 @@ class ElementMap:
         self.coords = coords
         self.kind = "tri" if coords.shape[0] == 3 else "quad"
 
-    # Vertex shape functions and their reference gradients.
-    def _shape(self, xi1: Array, xi2: Array) -> tuple[Array, Array, Array]:
-        xi1 = np.asarray(xi1, dtype=np.float64)
-        xi2 = np.asarray(xi2, dtype=np.float64)
-        if self.kind == "tri":
-            n = np.stack(
-                [-0.5 * (xi1 + xi2), 0.5 * (1.0 + xi1), 0.5 * (1.0 + xi2)]
-            )
-            d1 = np.stack(
-                [np.full_like(xi1, -0.5), np.full_like(xi1, 0.5), np.zeros_like(xi1)]
-            )
-            d2 = np.stack(
-                [np.full_like(xi1, -0.5), np.zeros_like(xi1), np.full_like(xi1, 0.5)]
-            )
-        else:
-            h0x, h1x = 0.5 * (1 - xi1), 0.5 * (1 + xi1)
-            h0y, h1y = 0.5 * (1 - xi2), 0.5 * (1 + xi2)
-            n = np.stack([h0x * h0y, h1x * h0y, h1x * h1y, h0x * h1y])
-            d1 = np.stack([-0.5 * h0y, 0.5 * h0y, 0.5 * h1y, -0.5 * h1y])
-            d2 = np.stack([-0.5 * h0x, -0.5 * h1x, 0.5 * h1x, 0.5 * h0x])
-        return n, d1, d2
-
-    def x(self, xi1: Array, xi2: Array) -> tuple[Array, Array]:
-        """Physical coordinates of reference points."""
-        n, _, _ = self._shape(xi1, xi2)
+    def x(self, xi1: Array, xi2: Array, shape=None) -> tuple[Array, Array]:
+        """Physical coordinates of reference points.  ``shape``, here and
+        in :meth:`jacobian`, is ``vertex_shape(kind, xi1, xi2)`` when the
+        caller already has it (the tables depend on the points alone, and
+        callers evaluate many elements at one reference point set)."""
+        n, _, _ = shape or vertex_shape(self.kind, xi1, xi2)
         return n.T @ self.coords[:, 0], n.T @ self.coords[:, 1]
 
-    def jacobian(self, xi1: Array, xi2: Array) -> Array:
+    def jacobian(self, xi1: Array, xi2: Array, shape=None) -> Array:
         """J[k] = [[dx/dxi1, dx/dxi2], [dy/dxi1, dy/dxi2]] at each point."""
-        _, d1, d2 = self._shape(xi1, xi2)
+        _, d1, d2 = shape or vertex_shape(self.kind, xi1, xi2)
         npts = np.asarray(xi1).size
         j = np.empty((npts, 2, 2))
         j[:, 0, 0] = d1.T @ self.coords[:, 0]
@@ -109,13 +130,7 @@ class GeomFactors:
             emap = ElementMap(coords)
         if (emap.kind == "tri") != isinstance(expansion, TriExpansion):
             raise ValueError("expansion/element kind mismatch")
-        A, B = expansion.rule.points
-        if isinstance(expansion, TriExpansion):
-            xi1 = 0.5 * (1.0 + A) * (1.0 - B) - 1.0
-            xi2 = B
-        else:
-            xi1, xi2 = A, B
-        j = emap.jacobian(xi1, xi2)
+        j = emap.jacobian(*quadrature_reference(emap.kind, expansion.nq1d))
         det = j[:, 0, 0] * j[:, 1, 1] - j[:, 0, 1] * j[:, 1, 0]
         if np.any(det <= 0.0):
             raise ValueError("element is inverted or degenerate (det J <= 0)")

@@ -169,20 +169,23 @@ class HelmholtzCG(_HelmholtzBase):
             self.diag = np.asarray(self.a_uu.diagonal())
         self.last_iterations = 0
 
+    def _apply_extended(self, dofs: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """Free rows of A @ w, where w is ``values`` on ``dofs`` and zero
+        elsewhere: one global sum-factorised apply, for one vector or a
+        row-stacked block of them."""
+        full = np.zeros(values.shape[:-1] + (self.space.ndof,))
+        full[..., dofs] = values
+        return self.space.operator_apply("helmholtz", full, self.lam)[..., self.free]
+
     def _apply_free(self, v: np.ndarray) -> np.ndarray:
         """A_uu @ v for one vector or a row-stacked block of them.
 
-        Matrix-free: zero-extend the free dofs into a full coefficient
-        vector, run the global sum-factorised apply, restrict back.
-        (Dirichlet columns vanish because the extension is zero there.)
-        Dense: counted CSR spmv, charged like AssembledOperator.
+        Matrix-free: the free dofs extended by zero, so the Dirichlet
+        columns vanish.  Dense: counted CSR spmv, charged like
+        AssembledOperator.
         """
         if self.matrix_free:
-            full = np.zeros(v.shape[:-1] + (self.space.ndof,))
-            full[..., self.free] = v
-            return self.space.operator_apply("helmholtz", full, self.lam)[
-                ..., self.free
-            ]
+            return self._apply_extended(self.free, v)
         charge(
             2.0 * self.a_uu.nnz,
             12.0 * self.a_uu.nnz + 16.0 * v.shape[-1],
@@ -194,16 +197,10 @@ class HelmholtzCG(_HelmholtzBase):
         """rhs_free - A_uk @ dv: move known Dirichlet values to the RHS.
 
         ``rhs_free``/``dv`` may carry one leading block axis.  The
-        matrix-free form extends the boundary values by zero and takes
-        the free rows of one global apply.
+        matrix-free form extends the boundary values by zero.
         """
         if self.matrix_free:
-            ext = np.zeros(dv.shape[:-1] + (self.space.ndof,))
-            ext[..., self.dirichlet_dofs] = dv
-            lift = self.space.operator_apply("helmholtz", ext, self.lam)[
-                ..., self.free
-            ]
-            return rhs_free - lift
+            return rhs_free - self._apply_extended(self.dirichlet_dofs, dv)
         nrhs = dv.shape[0] if dv.ndim == 2 else 1
         charge(
             nrhs * 2.0 * self.a_uk.nnz,

@@ -249,6 +249,12 @@ class Expansion2D:
         return [m.label for m in self.modes]
 
 
+def _dgemm_charge(m: int, n: int, k: int) -> tuple[float, float]:
+    """What :func:`repro.linalg.blas.dgemm_batched` charges per item for
+    an (m x k)(k x n) product."""
+    return 2.0 * m * n * k, 8.0 * (m * k + k * n + 2 * m * n)
+
+
 class _TensorLayout:
     """Sum-factorisation data of a quad expansion (see
     :meth:`QuadExpansion.tensor_layout`)."""
@@ -277,6 +283,25 @@ class _TensorLayout:
                 self.pq[m] = mode.k
         self.n1 = n1
         self.np1 = P + 1
+        # Operands of the matrix-free operator apply
+        # (repro.assembly.matrix_free), fixed with the expansion and so
+        # validated here, not per call.  ``ct_perm`` lists the modes in
+        # C^T tensor order — ``coeffs[..., ct_perm]`` reshaped to
+        # (P+1, P+1) is the transposed tensor, already contiguous — which
+        # needs the modes to fill the tensor exactly.
+        flat = self.pq[:, 1] * self.np1 + self.pq[:, 0]
+        if not np.array_equal(np.sort(flat), np.arange(self.np1**2)):
+            raise ValueError("modes do not fill the (P+1) x (P+1) tensor")
+        self.ct_perm = np.argsort(flat)
+        self.b1t, self.d1t = self.b1.T, self.d1.T
+        for table in (self.b1, self.d1, self.pq, self.ct_perm):
+            table.setflags(write=False)
+        # (flops, bytes) one element is charged for each dgemm of a
+        # forward contraction (C^T @ right, then left^T @ that) and of
+        # an adjoint one (left @ V, then right @ that^T).
+        n, q = self.np1, n1
+        self.forward_charges = (_dgemm_charge(n, q, n), _dgemm_charge(q, q, n))
+        self.adjoint_charges = (_dgemm_charge(n, q, q), _dgemm_charge(n, n, q))
 
     def to_tensor_batched(self, coeffs: Array) -> Array:
         """(..., nmodes) modal stacks -> (..., P+1, P+1) tensor stacks."""

@@ -12,6 +12,8 @@ and quadrature rules that integrate polynomials to the advertised degree.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 from scipy.special import roots_jacobi
 
@@ -72,11 +74,24 @@ def jacobi_derivative(
 
 def gauss_jacobi(n: int, alpha: float = 0.0, beta: float = 0.0):
     """n-point Gauss-Jacobi rule: exact for polynomial degree <= 2n-1
-    against the weight (1-x)^alpha (1+x)^beta on [-1, 1]."""
+    against the weight (1-x)^alpha (1+x)^beta on [-1, 1].
+
+    A rule is a reference-space constant: it is solved for once per
+    process and every caller gets the same two read-only arrays
+    (however the arguments are spelled — ``(4,)``, ``(4, 0, 0)`` and
+    ``(4, 0.0, beta=0.0)`` are one entry).
+    """
+    return _gauss_jacobi(int(n), float(alpha), float(beta))
+
+
+@functools.cache
+def _gauss_jacobi(n: int, alpha: float, beta: float):
     if n < 1:
         raise ValueError("need at least one quadrature point")
-    x, w = roots_jacobi(n, alpha, beta)
-    return np.asarray(x, dtype=np.float64), np.asarray(w, dtype=np.float64)
+    x, w = (np.array(a, dtype=np.float64) for a in roots_jacobi(n, alpha, beta))
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
 
 
 # repro: waive[accounting] one-time quadrature-rule setup, not solver work

@@ -16,6 +16,7 @@ the triangle expansion are always finite.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -49,6 +50,8 @@ class TensorRule2D:
     triangle's Duffy factor already baked into the Jacobi weight).
     Combined weights are stored flattened with the *a* index fastest,
     matching the (nq_a * nq_b) flattening used by the expansions.
+    ``weights`` and ``points`` are tabulated at first use and shared,
+    read-only, by everything that holds the rule.
     """
 
     rule_a: Rule1D
@@ -59,17 +62,21 @@ class TensorRule2D:
     def nq(self) -> int:
         return self.rule_a.n * self.rule_b.n
 
-    @property
+    @cached_property
     def weights(self) -> np.ndarray:
         wa, wb = self.rule_a.weights, self.rule_b.weights
-        return self.scale * np.outer(wb, wa).ravel()
+        w = self.scale * np.outer(wb, wa).ravel()
+        w.setflags(write=False)
+        return w
 
-    @property
+    @cached_property
     def points(self) -> tuple[np.ndarray, np.ndarray]:
         """(a, b) coordinates of all tensor points, a-fastest flattening."""
         pa, pb = self.rule_a.points, self.rule_b.points
         A = np.tile(pa, pb.size)
         B = np.repeat(pb, pa.size)
+        A.setflags(write=False)
+        B.setflags(write=False)
         return A, B
 
     def integrate(self, fvals: np.ndarray) -> float:

@@ -421,3 +421,57 @@ def test_pressure_bc_modes_match_per_side(case):
         batch.add_pressure_bc_modes(got, k, wx, wy, wz, ubn, nu, scale)
     assert_close(got, ref)
     assert_same_charges(ops, ref_ops)
+
+
+# -- process-wide reference tables -----------------------------------------------------
+
+
+def clear_reference_tables():
+    """Put the interpreter back to "no space built yet": every table that
+    depends on the reference element alone is tabulated once per process."""
+    from repro.assembly.boundary import _reference_edges
+    from repro.mesh.mapping import quadrature_reference
+    from repro.spectral.jacobi import _gauss_jacobi
+
+    for cached in (_gauss_jacobi, quadrature_reference, _reference_edges):
+        cached.cache_clear()
+
+
+def geometry_bytes(case: str) -> dict:
+    space, tags = make_space(case)
+    batch = EdgeBatch(space, tags)
+    fields = {"xq": space.xq, "yq": space.yq, "x": batch.x, "y": batch.y}
+    fields.update({f"jw{i}": gf.jw for i, gf in enumerate(space.geom)})
+    fields.update({f"dxi{i}": gf.dxi_dx for i, gf in enumerate(space.geom)})
+    for gi, g in enumerate(batch.groups):
+        for name in ("phi", "dphi_x", "dphi_y", "nx", "ny", "jw", "ejw", "minv"):
+            fields[f"group{gi}.{name}"] = getattr(g, name)
+    return {name: np.ascontiguousarray(a).tobytes() for name, a in fields.items()}
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_space_built_after_a_process_mate_has_the_fresh_interpreter_bytes(case):
+    clear_reference_tables()
+    fresh = geometry_bytes(case)
+    # Other spaces come and go — other orders, kinds and curved maps, and
+    # one that is used — and leave the shared tables as they found them.
+    for other in CASES:
+        space, tags = make_space(other)
+        EdgeBatch(space, tags)
+        space.operator_apply("helmholtz", np.ones(space.ndof), 2.0)
+    assert geometry_bytes(case) == fresh
+
+
+def test_reference_edge_tables_are_read_only():
+    from repro.assembly.boundary import _reference_edges
+    from repro.mesh.mapping import quadrature_reference
+
+    space, tags = make_space("mixed")
+    quads = build_edge_quadrature(space, space.mesh.boundary_sides(tags[0]))
+    with pytest.raises(ValueError, match="read-only"):
+        quads[0].phi[0, 0] = 0.0  # the shared reference table itself
+    for kind in ("tri", "quad"):
+        xi1, xi2, shape = quadrature_reference(kind, 8)
+        (edge_pts, w, *basis), *_ = _reference_edges(kind, 6, 8)
+        for arr in (xi1, xi2, *shape, *edge_pts[:2], *edge_pts[2], w, *basis):
+            assert not arr.flags.writeable

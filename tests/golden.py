@@ -36,6 +36,7 @@ MODULES = (
     "tests.parallel.test_engine_parity",
     "tests.ns.test_blocked_solves",
     "tests.assembly.test_batched_equivalence",
+    "tests.ns.test_ale",
     "tests.integration.test_paper_conclusions",
     "tests.apps.test_smoke_goldens",
 )

@@ -1,10 +1,14 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.mesh.generators import rectangle_quads
 from repro.ns.ale import ALENavierStokes2D
 from repro.ns.exact import TaylorVortex
-from repro.ns.stages import STAGES, group_ale
+from repro.ns.stages import ALE_GROUPS, STAGES, group_ale
+
+from ..golden import check, load
 
 
 def wobble(x0, y0, t, amp=0.05):
@@ -143,3 +147,76 @@ def test_cg_iteration_accounting():
     ns.run(2)
     assert ns.cg_iterations["viscous"] > 0
     assert ns.cg_iterations["mesh"] == 0  # no motion solve requested
+
+
+# -- the pinned trajectory ---------------------------------------------------
+#
+# Three steps of the ``ale_cg`` benchmark's flow (flapping NACA wing,
+# motion="solve", all three PCG solvers) on a smaller mesh.  Recorded on
+# the commit before the matvec/rebuild hoisting of DESIGN.md section
+# 15.3, so it is the tier-1 witness that an ALE-adjacent change kept the
+# arithmetic: the full-shape PCG counts are pinned only out of tier, in
+# benchmarks/e2e/golden.json.
+
+def ale_trajectory():
+    from repro.mesh.generators import wing_mesh
+
+    eps, amp, omega = 1.5e-3, 0.15, 2.0
+
+    def one(x, y, t):
+        return 1.0 + eps * np.sin(x) * np.cos(y)
+
+    def cross(x, y, t):
+        return -eps * np.cos(x) * np.sin(y)
+
+    def zero(x, y, t):
+        return 0.0
+
+    def body_v(x, y, t):
+        return amp * omega * np.cos(omega * t)
+
+    mesh = wing_mesh(4, 1)
+    ns = ALENavierStokes2D(
+        mesh, order=3, nu=0.05, dt=1e-2,
+        velocity_bcs={"inflow": (one, cross), "wall": (zero, body_v)},
+        pressure_dirichlet=("outflow",), motion="solve",
+        body_velocity=(zero, body_v), outer_tags=("inflow", "outflow", "side"),
+    )
+    ns.set_initial(one, cross)
+    ns.run(3)
+    return {
+        "elements": mesh.nelements,
+        "ndof": ns.space.ndof,
+        "cg_iterations": dict(ns.cg_iterations),
+        "kinetic_energy": ns.kinetic_energy(),
+        "stage_ops": {
+            name: [c.flops, c.bytes, c.calls] for name, c in ns.stage_ops.items()
+        },
+        "sha256": {
+            name: hashlib.sha256(getattr(ns, name).tobytes()).hexdigest()
+            for name in ("u_hat", "v_hat", "p_hat")
+        },
+    }
+
+
+GOLDEN_SECTIONS = {"ale.trajectory": ale_trajectory}
+
+
+def test_trajectory_golden():
+    fp = ale_trajectory()
+    golden = load()["ale.trajectory"]
+    assert (fp["elements"], fp["ndof"]) == (golden["elements"], golden["ndof"])
+    assert fp["kinetic_energy"] == pytest.approx(golden["kinetic_energy"], rel=1e-9)
+    # Finite-precision CG turns a last-bit change of its input into a few
+    # iterations: the e2e harness's 2 %, not equality, outside same_bits.
+    for solver, n in golden["cg_iterations"].items():
+        assert fp["cg_iterations"][solver] == pytest.approx(n, rel=0.02)
+    # Group a (stages 1-4 and 6) runs no PCG: its charges do not depend
+    # on bits.
+    for name in ALE_GROUPS["a"]:
+        check(f"ale.trajectory/stage_ops/{name}", fp["stage_ops"][name], rel=0.0)
+
+
+@pytest.mark.same_bits
+def test_trajectory_golden_same_bits():
+    check("ale.trajectory", ale_trajectory(), rel=0.0)

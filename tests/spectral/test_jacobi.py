@@ -125,3 +125,28 @@ def test_gll_weights_positive_and_symmetric():
     assert np.all(w > 0)
     np.testing.assert_allclose(w, w[::-1], rtol=1e-12)
     np.testing.assert_allclose(x, -x[::-1], rtol=1e-12)
+
+
+def test_gauss_jacobi_rules_are_shared_and_read_only():
+    from repro.spectral.jacobi import _gauss_jacobi
+
+    _gauss_jacobi.cache_clear()
+    x, w = gauss_jacobi(5)
+    # Every spelling of (5, 0, 0) is the one entry, so the one pair of arrays.
+    for again in (gauss_jacobi(5, 0, 0), gauss_jacobi(5.0, 0.0, beta=0), gauss_jacobi(n=5)):
+        assert again[0] is x and again[1] is w
+    assert _gauss_jacobi.cache_info().currsize == 1
+    # The rule is every caller's: nobody may write to it.
+    for arr in (x, w):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
+    # A rule tabulated again from scratch has the same bits.
+    _gauss_jacobi.cache_clear()
+    fresh = gauss_jacobi(5)
+    assert fresh[0] is not x
+    np.testing.assert_array_equal(fresh[0], x)
+    np.testing.assert_array_equal(fresh[1], w)
+    with pytest.raises(ValueError):
+        gauss_jacobi(0)  # not cached as a value: raises every time
+    with pytest.raises(ValueError):
+        gauss_jacobi(0)

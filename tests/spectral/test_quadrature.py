@@ -71,3 +71,22 @@ def test_tri_rule_points_avoid_collapsed_vertex():
 def test_weights_positive():
     for r in (quad_rule(4), tri_rule(4)):
         assert np.all(r.weights > 0)
+
+
+@pytest.mark.parametrize("rule_fn", [quad_rule, tri_rule])
+def test_tensor_tables_are_tabulated_once_and_read_only(rule_fn):
+    r = rule_fn(4)
+    assert r.points is r.points and r.weights is r.weights
+    for arr in (*r.points, r.weights):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
+    again = rule_fn(4)
+    for a, b in zip((*r.points, r.weights), (*again.points, again.weights)):
+        np.testing.assert_array_equal(a, b)
+    # The formulas the tables replaced.
+    pa, pb = r.rule_a.points, r.rule_b.points
+    np.testing.assert_array_equal(r.points[0], np.tile(pa, pb.size))
+    np.testing.assert_array_equal(r.points[1], np.repeat(pb, pa.size))
+    np.testing.assert_array_equal(
+        r.weights, r.scale * np.outer(r.rule_b.weights, r.rule_a.weights).ravel()
+    )
