@@ -22,8 +22,8 @@ only, AST-based):
   failures cite the same codes.
 
 ``python -m repro.analysis src`` runs everything from the command line
-(``--format json|sarif``, ``--select``), and the tier-1
-suite runs it over the whole tree.
+(``--format json``, ``--select``), and the tier-1 suite runs it over
+the whole tree.
 """
 
 from .linter import (

@@ -5,8 +5,7 @@ emitted, 2 on usage errors — including a ``--select``/waiver token that
 names no known rule.  Default path is ``src`` when run from the
 repository root, falling back to the installed ``repro`` package tree.
 
-``--format json`` emits one object per diagnostic; ``--format sarif``
-emits a SARIF 2.1.0 log suitable for code-scanning upload.
+``--format json`` emits one object per diagnostic.
 ``--select RULE[,RULE...]`` restricts the run to the named rules and
 forces them in scope on every file — the seed audit runs
 ``--select REPRO004 tests benchmarks``.  An accepted finding is waived
@@ -23,12 +22,6 @@ from pathlib import Path
 
 from .linter import Diagnostic, RULES, lint_paths
 from .vocab import WAIVER_CODE
-
-_SARIF_VERSION = "2.1.0"
-_SARIF_SCHEMA = (
-    "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/"
-    "Schemata/sarif-schema-2.1.0.json"
-)
 
 
 def _default_paths() -> list[str]:
@@ -54,63 +47,6 @@ def _to_json(diags: list[Diagnostic]) -> str:
     )
 
 
-def _to_sarif(diags: list[Diagnostic]) -> str:
-    rules = [
-        {
-            "id": code,
-            "name": rule,
-            "shortDescription": {"text": summary},
-        }
-        for rule, (code, summary) in sorted(RULES.items(), key=lambda kv: kv[1][0])
-    ]
-    rules.insert(
-        0,
-        {
-            "id": WAIVER_CODE,
-            "name": "meta",
-            "shortDescription": {
-                "text": "malformed, unknown or stale waivers and syntax errors"
-            },
-        },
-    )
-    results = [
-        {
-            "ruleId": d.code,
-            "level": "error",
-            "message": {"text": f"[{d.rule}] {d.message}"},
-            "locations": [
-                {
-                    "physicalLocation": {
-                        "artifactLocation": {"uri": d.path},
-                        "region": {
-                            "startLine": d.line,
-                            "startColumn": max(d.col, 0) + 1,
-                        },
-                    }
-                }
-            ],
-        }
-        for d in diags
-    ]
-    log = {
-        "$schema": _SARIF_SCHEMA,
-        "version": _SARIF_VERSION,
-        "runs": [
-            {
-                "tool": {
-                    "driver": {
-                        "name": "repro.analysis",
-                        "informationUri": "https://example.invalid/repro",
-                        "rules": rules,
-                    }
-                },
-                "results": results,
-            }
-        ],
-    }
-    return json.dumps(log, indent=2)
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
@@ -130,7 +66,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--format",
-        choices=("text", "json", "sarif"),
+        choices=("text", "json"),
         default="text",
         help="output format (default: text)",
     )
@@ -166,8 +102,6 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.format == "json":
         print(_to_json(diags))
-    elif args.format == "sarif":
-        print(_to_sarif(diags))
     else:
         for d in diags:
             print(d.format())

@@ -128,9 +128,20 @@ class FunctionSpace:
     # stacked real/imag mode fields of NekTar-F) go through one batched
     # sweep instead of one Python loop per field.
 
+    def _coefficients(self, u: np.ndarray, who: str) -> np.ndarray:
+        """``u`` as a float64 ``(..., ndof)`` array, or ``ValueError``:
+        the gathers index, so a longer vector would be read short (and
+        a shorter one die as an ``IndexError`` inside a fancy index)."""
+        u = np.asarray(u, dtype=np.float64)
+        if u.shape[-1:] != (self.ndof,):
+            raise ValueError(
+                f"{who}: u must be (..., ndof = {self.ndof}), got {u.shape}"
+            )
+        return u
+
     def backward(self, u_hat: np.ndarray) -> np.ndarray:
         """Global modal coefficients -> values at quadrature points."""
-        u_hat = np.asarray(u_hat, dtype=np.float64)
+        u_hat = self._coefficients(u_hat, "backward")
         lead = u_hat.shape[:-1]
         out = np.empty(lead + (self.nelem, self.nq))
         for b in self.batches():
@@ -216,7 +227,7 @@ class FunctionSpace:
 
     def gradient(self, u_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Physical (du/dx, du/dy) at quadrature points from modal coeffs."""
-        u_hat = np.asarray(u_hat, dtype=np.float64)
+        u_hat = self._coefficients(u_hat, "gradient")
         lead = u_hat.shape[:-1]
         dudx = np.empty(lead + (self.nelem, self.nq))
         dudy = np.empty(lead + (self.nelem, self.nq))
@@ -316,12 +327,7 @@ class FunctionSpace:
         sweep (the block-CG path applies whole RHS blocks at once).
         """
         matrix_free.check_kind(kind)
-        u = np.asarray(u, dtype=np.float64)
-        if u.shape[-1:] != (self.ndof,):
-            # The gathers index: a longer vector would be read short.
-            raise ValueError(
-                f"operator_apply: u must be (..., ndof = {self.ndof}), got {u.shape}"
-            )
+        u = self._coefficients(u, "operator_apply")
         lead = u.shape[:-1]
         out = np.zeros(lead + (self.ndof,))
         for bi, b in enumerate(self.batches()):

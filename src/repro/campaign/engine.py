@@ -146,7 +146,7 @@ class CampaignEngine:
             if self.artifacts_dir is not None:
                 self.artifacts_dir.mkdir(parents=True, exist_ok=True)
                 with self._graph_path(job).open("w") as fh:
-                    json.dump(payload["graph"], fh, sort_keys=True)
+                    fh.write(json.dumps(payload["graph"], sort_keys=True))
             with lock:
                 if abort.is_set():
                     return

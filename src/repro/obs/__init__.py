@@ -40,13 +40,11 @@ from .export import (
 )
 from .metrics import (
     MetricsRegistry,
-    active_registry,
     hit_rate,
     inc,
     observe,
     scoped,
     set_gauge,
-    use_registry,
 )
 from .runlog import RunLedger, config_fingerprint
 from .tracer import (
@@ -68,13 +66,11 @@ __all__ = [
     "install",
     "instant",
     "MetricsRegistry",
-    "active_registry",
     "hit_rate",
     "inc",
     "observe",
     "scoped",
     "set_gauge",
-    "use_registry",
     "idle_by_peer",
     "load_chrome_trace",
     "stage_breakdown",

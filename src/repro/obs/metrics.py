@@ -6,7 +6,7 @@ belong on a timeline — message-size histograms, PCG iteration counts,
 cache-hit rates for the Dirichlet-value and factor-slab caches.
 
 The module-level helpers (:func:`inc`, :func:`observe`, :func:`set_gauge`)
-are no-ops unless a registry is activated with :func:`use_registry`, so
+are no-ops unless a registry is activated with :func:`scoped`, so
 instrumented hot paths pay one global read when metrics are off.  The
 registry is process-global (not thread-local) on purpose: simmpi rank
 threads aggregate into the same instruments, which take an internal
@@ -20,15 +20,12 @@ flop/byte accounting byte-identical.
 from __future__ import annotations
 
 import threading
-from typing import Iterator
 
 __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "active_registry",
-    "use_registry",
     "scoped",
     "inc",
     "observe",
@@ -191,11 +188,6 @@ class MetricsRegistry:
 # -- process-global activation --------------------------------------------------
 
 
-def active_registry() -> MetricsRegistry | None:
-    """The activated registry, or None (metrics disabled)."""
-    return _active
-
-
 class _RegistryScope:
     def __init__(self, registry: MetricsRegistry):
         self._registry = registry
@@ -214,11 +206,6 @@ class _RegistryScope:
             _active = self._prev
 
 
-def use_registry(registry: MetricsRegistry | None = None) -> _RegistryScope:
-    """Activate a registry for the duration of a ``with`` block."""
-    return _RegistryScope(registry if registry is not None else MetricsRegistry())
-
-
 def scoped(registry: MetricsRegistry | None = None) -> _RegistryScope:
     """Activate a *freshly reset* registry for one measurement scope.
 
@@ -234,27 +221,24 @@ def scoped(registry: MetricsRegistry | None = None) -> _RegistryScope:
     return _RegistryScope(registry)
 
 
-def _instruments() -> Iterator[MetricsRegistry]:
-    reg = _active
-    if reg is not None:
-        yield reg
-
-
 def inc(name: str, amount: float = 1.0) -> None:
     """Bump a counter in the active registry (no-op when disabled)."""
-    for reg in _instruments():
+    reg = _active
+    if reg is not None:
         reg.counter(name).inc(amount)
 
 
 def observe(name: str, value: float) -> None:
     """Record a histogram observation (no-op when disabled)."""
-    for reg in _instruments():
+    reg = _active
+    if reg is not None:
         reg.histogram(name).observe(value)
 
 
 def set_gauge(name: str, value: float) -> None:
     """Set a gauge (no-op when disabled)."""
-    for reg in _instruments():
+    reg = _active
+    if reg is not None:
         reg.gauge(name).set(value)
 
 

@@ -27,6 +27,12 @@ Tables 2-3:
 Everything is seeded and deterministic: the retransmit count of message
 ``n`` from rank ``s`` to rank ``d`` with tag ``t`` is a pure function
 of ``(seed, s, d, t, n)``, so a faulty run replays bit-for-bit.
+Because the draws are pure, who makes them is a question of host cost
+only: inside a collective instance each ``(source, dest)`` loss is
+drawn once, by the source rank at entry (for its own resend CPU), and
+the row travels to the rendezvous where the last arriver prices the
+shared completion delay from the P rows
+(:meth:`VirtualComm.alltoall`).  Nothing is cached on the plan.
 
 An **empty plan is provably zero-cost**: ``VirtualCluster`` skips every
 fault branch when the plan is empty, so clocks and charge accounting
@@ -36,6 +42,7 @@ stay byte-identical to a run without the fault layer.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import TYPE_CHECKING, Mapping
 
 if TYPE_CHECKING:
@@ -132,6 +139,13 @@ def _next(h: int) -> tuple[int, float]:
     x = (x * 0x94D049BB133111EB) & _MASK64
     x ^= x >> 31
     return h, (x >> 11) / float(1 << 53)
+
+
+@lru_cache(maxsize=None)
+def _kind_tag(kind: str) -> int:
+    """The tag slot of a collective kind's draw chain: its UTF-8 bytes
+    hashed — once per kind, not once per draw."""
+    return _mix(*kind.encode("utf-8"))
 
 
 @dataclass(frozen=True)
@@ -240,8 +254,7 @@ class FaultPlan:
         """
         if self.loss_rate <= 0.0:
             return 0
-        tag = _mix(*kind.encode("utf-8"))
-        return self.retransmits(src, dst, tag, seq)
+        return self.retransmits(src, dst, _kind_tag(kind), seq)
 
     # -- degradation / stragglers ------------------------------------------------
 

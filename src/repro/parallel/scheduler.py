@@ -29,6 +29,29 @@ an all-to-all, where all P block at once, still on P.  A rank that
 ends by injected crash or host error retires its thread, so only
 cleanly unwound threads are reused.
 
+A birth is one ``clone`` and a hand-off is one lock.  Host threads are
+raw ``_thread.start_new_thread`` threads, not ``threading.Thread``
+objects: ``Thread.start()`` does not return until the newborn has set
+its ``_started`` Event, so the *parking* rank slept on the new thread
+and was woken again just to park — three runnable threads where the
+contract is one, which under sustained load turns every hand-off into
+a cross-CPU wake-up (DESIGN.md section 14.1 has the numbers).  A parked
+rank waits on a bare lock used as a binary semaphore, not on a
+``threading.Event``.  What follows from running without
+``Thread._bootstrap``:
+
+* ``run_ranks`` joins a :class:`_JoinHandle` per host thread — a lock
+  the thread's outermost ``finally`` releases — kept in
+  ``EventEngine._threads`` in creation order;
+* ``threading.current_thread()`` inside a rank body yields a dummy
+  thread object, and ``threading.enumerate()`` / ``active_count()`` do
+  not list host threads (``_thread._count()`` counts them);
+  thread-*locals* are unaffected;
+* the entry point installs the process-wide ``threading.settrace`` /
+  ``setprofile`` hooks itself, so coverage, debuggers and ``cProfile``
+  still see rank bodies, and it hands any escaping exception to the
+  scheduler thread rather than to ``sys.unraisablehook``.
+
 Every simulator contract — virtual clock arithmetic, OpCounter charges,
 fault injection, the finalize-time communication verifier, sanitizer
 vector clocks and the ``rank_traces()`` event strings — is computed by
@@ -47,6 +70,8 @@ instead of hanging the process.
 
 from __future__ import annotations
 
+import _thread
+import sys
 import threading
 from collections import deque
 from typing import TYPE_CHECKING, Callable
@@ -113,13 +138,40 @@ _NEW, _READY, _RUNNING, _BLOCKED, _DONE = range(5)
 
 class _Continuation:
     """One rank's scheduling state plus the wake signal of its parked
-    call stack."""
+    call stack.
+
+    ``go`` is a bare lock used as a binary semaphore, born taken:
+    ``release`` readies the rank (exactly once per park — the states
+    guarantee it), ``acquire`` parks it and re-arms the signal in the
+    same call."""
 
     __slots__ = ("go", "state")
 
     def __init__(self) -> None:
-        self.go = threading.Event()
+        self.go = _thread.allocate_lock()
+        self.go.acquire()
         self.state = _NEW
+
+
+class _JoinHandle:
+    """What ``run_ranks`` joins for one raw host thread: a lock, born
+    taken, that the thread's outermost ``finally`` releases."""
+
+    __slots__ = ("_running",)
+
+    def __init__(self) -> None:
+        self._running = _thread.allocate_lock()
+        self._running.acquire()
+
+    def retire(self) -> None:
+        self._running.release()
+
+    def is_alive(self) -> bool:
+        return self._running.locked()
+
+    def join(self) -> None:
+        self._running.acquire()
+        self._running.release()
 
 
 class EventEngine:
@@ -130,7 +182,7 @@ class EventEngine:
     lock at all.  Scheduling is deterministic:
     ranks start in rank order, wakeups append to a FIFO ready deque in
     a fixed order, and the token is handed directly from the parking
-    rank to the next ready rank (one Event signal per block, no
+    rank to the next ready rank (one lock release per block, no
     scheduler-thread bounce).  The scheduler thread regains control
     only when the ready deque drains, where it either classifies the
     situation through the cluster's deadlock/timeout logic or raises
@@ -141,9 +193,9 @@ class EventEngine:
         self.cluster = cluster
         self._conts: list[_Continuation] = []
         self._ready: deque[int] = deque()
-        # Every host thread the current (or most recent) run started:
-        # what run_ranks joins.  A list, in creation order.
-        self._threads: list[threading.Thread] = []
+        # One join handle per host thread the current (or most recent)
+        # run started: what run_ranks joins.  A list, in creation order.
+        self._threads: list[_JoinHandle] = []
         # Set exactly while the scheduler thread holds the run token.
         self._sched_go = threading.Event()
         self._comms: "list[VirtualComm]" = []
@@ -239,8 +291,7 @@ class EventEngine:
         cont = self._conts[rank]
         cont.state = _BLOCKED
         self._hand_off()
-        cont.go.wait()
-        cont.go.clear()
+        cont.go.acquire()
         cont.state = _RUNNING
 
     def _hand_off(self) -> None:
@@ -256,22 +307,39 @@ class EventEngine:
                 # The one place a host thread is born: the token holder
                 # keeps its own thread (it is parking, or it is the
                 # scheduler thread) and the next rank has none yet.
-                # It starts directly in its body — no initial signal
-                # round-trip.
+                # It starts directly in its body — a raw thread, so
+                # there is no start handshake for this thread to sleep
+                # on before it parks (module docstring).
                 nxt.state = _RUNNING
-                thread = threading.Thread(
-                    target=self._main, args=(rank,), daemon=True
-                )
-                self._threads.append(thread)
-                thread.start()
+                handle = _JoinHandle()
+                self._threads.append(handle)
+                _thread.start_new_thread(self._thread_main, (rank, handle))
             else:
-                nxt.go.set()
+                nxt.go.release()
         else:
             self._sched_go.set()
 
+    def _thread_main(self, rank: int, handle: _JoinHandle) -> None:
+        """Raw host-thread entry point: what ``Thread._bootstrap`` did
+        for a rank body, done by hand (module docstring).  The hooks
+        take effect from the next frame, which is ``_main``; the join
+        handle is released last, whatever happened."""
+        try:
+            sys.settrace(threading.gettrace())
+            sys.setprofile(threading.getprofile())
+            self._main(rank)
+        except BaseException as exc:
+            # Engine-side code raised on this thread (a wait predicate
+            # that raises inside the classifier): the token must not
+            # die with the thread.  The scheduler thread re-raises.
+            self._failure = exc
+            self._sched_go.set()
+        finally:
+            handle.retire()
+
     def _main(self, rank: int) -> None:
-        """Host-thread entry point: run rank bodies, one at a time, for
-        as long as the adoption rule allows, then hand the token on.
+        """Run rank bodies on this host thread, one at a time, for as
+        long as the adoption rule allows, then hand the token on.
 
         A rank stays on this thread from its first dispatch to its
         return, so all thread-local machinery (OpCounter, obs tracer)
@@ -286,41 +354,34 @@ class EventEngine:
         cl = self.cluster
         body = self._body
         assert body is not None
-        try:
-            while True:
-                body(self._comms[rank])
-                st = cl.ranks[rank]
-                st.done = True
-                cl._waiting.pop(rank, None)
-                self._conts[rank].state = _DONE
-                self._ndone += 1
-                if self._abort is not None:
-                    break
-                if st.error is not None:
-                    # Peers blocked on this rank must wake to observe
-                    # the failure (they raise _PeerFailure; run()
-                    # re-raises the root error).
-                    self.notify_all()
-                    break
-                if cl._waiting:
-                    # A finished rank can strand peers waiting on it;
-                    # the classifier notifies whoever it concerns.
-                    cl._check_deadlock()
-                if st.crashed or not self._ready:
-                    break
-                nxt = self._conts[self._ready[0]]
-                if nxt.state != _NEW:
-                    break
-                self._switches += 1
-                rank = self._ready.popleft()
-                nxt.state = _RUNNING
-            self._hand_off()
-        except BaseException as exc:
-            # Engine-side code raised on this thread (a wait predicate
-            # that raises inside the classifier): the token must not
-            # die with the thread.  The scheduler thread re-raises.
-            self._failure = exc
-            self._sched_go.set()
+        while True:
+            body(self._comms[rank])
+            st = cl.ranks[rank]
+            st.done = True
+            cl._waiting.pop(rank, None)
+            self._conts[rank].state = _DONE
+            self._ndone += 1
+            if self._abort is not None:
+                break
+            if st.error is not None:
+                # Peers blocked on this rank must wake to observe
+                # the failure (they raise _PeerFailure; run()
+                # re-raises the root error).
+                self.notify_all()
+                break
+            if cl._waiting:
+                # A finished rank can strand peers waiting on it;
+                # the classifier notifies whoever it concerns.
+                cl._check_deadlock()
+            if st.crashed or not self._ready:
+                break
+            nxt = self._conts[self._ready[0]]
+            if nxt.state != _NEW:
+                break
+            self._switches += 1
+            rank = self._ready.popleft()
+            nxt.state = _RUNNING
+        self._hand_off()
 
     # -- drain handling -----------------------------------------------
 
@@ -394,7 +455,7 @@ class EventEngine:
         for cont in self._conts:
             if cont.state in (_READY, _BLOCKED):
                 self._sched_go.clear()
-                cont.go.set()
+                cont.go.release()
                 self._sched_go.wait()
 
     def run_ranks(

@@ -92,6 +92,17 @@ def _code(kind: str) -> str:
 
 _TRACE_LEN = 64
 
+# The per-rank trace ring holds event tuples ``(what, *fields)``; they
+# become the documented strings only when somebody reads them
+# (``VirtualCluster.rank_traces``) — which is when a run dies or a trace
+# is exported, not once per message.
+_TRACE_FORMATS = {
+    "send": "send -> {} tag={} ({}B)",
+    "recv": "recv <- {} tag={} ({}B)",
+    "collective": "{} #{}",
+    "crashed": "CRASHED at t={:.6g}",
+}
+
 
 class CommVerificationError(RuntimeError):
     """A communication invariant was violated.
@@ -187,10 +198,12 @@ class _Collective:
     expected: int
     arrived: int = 0
     data: dict[int, Any] = field(default_factory=dict)
-    # rank -> per-rank payload summary (e.g. alltoall's max chunk size),
-    # recorded at arrival so pricing never has to re-walk the payloads
-    # of every rank (that walk is O(P^2) in an alltoall).
-    sizes: dict[int, int] = field(default_factory=dict)
+    # rank -> what that rank's arrival contributes to the price (for
+    # alltoall: its max chunk size and its row of loss draws), recorded
+    # at arrival so pricing never has to re-walk the payloads, or
+    # re-draw the losses, of every rank (both are O(P^2) walks).  Gone
+    # with the instance.
+    sizes: dict[int, Any] = field(default_factory=dict)
     t_start: float = 0.0
     t_done: float = 0.0
     released: int = 0
@@ -288,7 +301,8 @@ class VirtualCluster:
         (attached to :class:`CommVerificationError`) and the trace
         exporter (attached to each rank's thread metadata in the Chrome
         trace JSON).  Each rank keeps a bounded ring of the last
-        ``_TRACE_LEN`` events; the event strings are:
+        ``_TRACE_LEN`` events, stored as tuples and formatted here, on
+        read; the event strings are:
 
         * ``"send -> D tag=T (NB)"`` — point-to-point send to rank D,
           N payload bytes;
@@ -296,11 +310,19 @@ class VirtualCluster:
         * ``"KIND #SEQ"`` — collective entry (``barrier``,
           ``alltoall``, ``allreduce-OP``, ``bcast``, ``gather``,
           ``allgather``), with its per-kind sequence number;
+        * ``"CRASHED at t=T"`` — the rank died per the fault plan at
+          virtual time T;
         * ``"BLOCKED: DESC"`` — appended by the deadlock detector to
           each rank blocked at abort time.
         """
         ranks = range(self.nprocs) if ranks is None else ranks
-        return {r: list(self.ranks[r].trace) for r in ranks}
+        return {
+            r: [
+                _TRACE_FORMATS[what].format(*fields)
+                for what, *fields in self.ranks[r].trace
+            ]
+            for r in ranks
+        }
 
     def _check_deadlock(self) -> bool:
         """True iff every live rank is blocked on a condition that
@@ -702,7 +724,7 @@ class VirtualComm:
         cl = self.cluster
         self._st.crashed = True
         cl._crashed[self.rank] = self._st.wall
-        self._st.trace.append(f"CRASHED at t={self._st.wall:.6g}")
+        self._st.trace.append(("crashed", self._st.wall))
         # Broadcast: any rank blocked on the dead rank must wake to
         # observe the failure through its probe.
         cl._engine.notify_all()
@@ -741,6 +763,14 @@ class VirtualComm:
             )
 
     def _check_endpoint(self, peer: int, tag: int, what: str) -> None:
+        if (
+            type(peer) is int
+            and type(tag) is int
+            and 0 <= peer < self.cluster.nprocs
+            and peer != self.rank
+            and tag >= 0
+        ):
+            return  # what every send/recv of a correct program passes
         self._check_rank(peer, what)
         if peer == self.rank:
             raise ValueError(
@@ -759,6 +789,7 @@ class VirtualComm:
         if plan is not None:
             self._maybe_crash()
             self._check_peer_alive(dest)
+        tracer = obs.current()
         net = cl.pair_network(self.rank, dest)
         nbytes = payload_bytes(obj)
         t_start = self._st.wall
@@ -795,7 +826,6 @@ class VirtualComm:
             self._st.cpu += resend_cpu
             metrics.inc("faults.retransmits", nret)
             metrics.inc("faults.retransmitted_bytes", nret * nbytes)
-            tracer = obs.current()
             if tracer is not None:
                 tracer.emit_span(
                     f"retransmit -> {dest}",
@@ -822,7 +852,7 @@ class VirtualComm:
                 nret=nret, delay=delay, factor=factor,
                 resend_cpu=resend_cpu,
             )
-        self._st.trace.append(f"send -> {dest} tag={tag} ({nbytes}B)")
+        self._st.trace.append(("send", dest, tag, nbytes))
         key = (self.rank, dest, tag)
         cl._mailbox.setdefault(key, deque()).append(
             (obj, ready, nbytes, vc, cp_node)
@@ -830,7 +860,6 @@ class VirtualComm:
         # Targeted wakeup: only the receiver's wait can be
         # satisfied by this enqueue.
         cl._engine.notify_rank(dest)
-        tracer = obs.current()
         if tracer is not None:
             tracer.emit_span(
                 f"send -> {dest}",
@@ -878,35 +907,23 @@ class VirtualComm:
             self._maybe_crash()
         key = (source, self.rank, tag)
         t_entry = self._st.wall
-
-        def crash_probe():
-            if plan is None:
-                return None
-            when = cl._crashed.get(source)
-            if when is not None and not cl._mailbox.get(key):
-                return RankFailure(source, when)
-            return None
-
-        desc = f"recv(source={source}, tag={tag})"
         attempts = 0
         cur_timeout = timeout
         while True:
-            got = cl._blocking_wait(
-                self.rank,
-                desc,
-                lambda: bool(cl._mailbox.get(key)),
-                timed=timeout is not None,
-                failure=crash_probe,
-            )
-            if got:
-                obj, ready, nbytes, sender_vc, send_node = cl._mailbox[key][0]
+            # A message that is already there is taken without a wait
+            # entry — unless the run is being unwound: an aborted run
+            # stops at its next wait, satisfiable or not.
+            queue = cl._mailbox.get(key)
+            if (queue and cl._engine._abort is None) or self._await_message(
+                source, tag, timed=timeout is not None
+            ):
+                queue = cl._mailbox[key]
+                obj, ready, nbytes, sender_vc, send_node = queue[0]
                 if cur_timeout is None or ready <= self._st.wall + cur_timeout:
-                    cl._mailbox[key].popleft()
-                    if not cl._mailbox[key]:
+                    queue.popleft()
+                    if not queue:
                         del cl._mailbox[key]
-                    self._st.trace.append(
-                        f"recv <- {source} tag={tag} ({nbytes}B)"
-                    )
+                    self._st.trace.append(("recv", source, tag, nbytes))
                     if cl._sanitizer is not None and sender_vc is not None:
                         cl._sanitizer.on_recv(self.rank, sender_vc)
                     break
@@ -977,6 +994,28 @@ class VirtualComm:
         metrics.inc("comm.bytes_recv", nbytes)
         return obj
 
+    def _await_message(self, source: int, tag: int, timed: bool) -> bool:
+        """Park until ``source``'s next message with ``tag`` is in the
+        mailbox; ``False`` if a virtual timeout expired first."""
+        cl = self.cluster
+        key = (source, self.rank, tag)
+
+        def crash_probe():
+            if cl._plan is None:
+                return None
+            when = cl._crashed.get(source)
+            if when is not None and not cl._mailbox.get(key):
+                return RankFailure(source, when)
+            return None
+
+        return cl._blocking_wait(
+            self.rank,
+            f"recv(source={source}, tag={tag})",
+            lambda: bool(cl._mailbox.get(key)),
+            timed=timed,
+            failure=crash_probe,
+        )
+
     def sendrecv(self, dest: int, obj: Any, source: int, tag: int = 0) -> Any:
         """Exchange with distinct partners without deadlock."""
         self.send(dest, obj, tag)
@@ -1043,7 +1082,7 @@ class VirtualComm:
                 cl._coll_seq[kind] = seq
                 key = (kind, seq)
             coll = cl._collectives.setdefault(key, _Collective(expected=self.size))
-        self._st.trace.append(f"{kind} #{seq}")
+        self._st.trace.append(("collective", kind, seq))
         coll.data[self.rank] = contribution
         if entry_size is not None:
             coll.sizes[self.rank] = entry_size
@@ -1171,27 +1210,29 @@ class VirtualComm:
                 stretch = plan.max_link_factor(self.size)
             lossy = plan.loss_applies(net) and self.size > 1
 
-        def resends(s):
-            return [
-                plan.collective_retransmits("alltoall", seq_f, s, d)
-                for d in range(self.size)
-                if d != s
-            ]
-
+        resends: list[int] = []
         if lossy:
-            # This rank's own lost segments cost kernel resend copies
-            # (CPU); the shared completion delay is priced below.
-            mine = sum(resends(me))
+            # This rank's row of loss draws, made once: its own lost
+            # segments cost kernel resend copies (CPU) here, and the
+            # row goes to the rendezvous with the chunk size, where the
+            # last arriver prices the shared completion delay from the
+            # P rows — one draw per (source, dest) pair per instance.
+            resends = [
+                plan.collective_retransmits("alltoall", seq_f, me, d)
+                for d in range(self.size)
+                if d != me
+            ]
+            mine = sum(resends)
             if mine:
                 self._st.cpu += net.cpu_time_for_bytes(mine * nbytes)
                 metrics.inc("faults.retransmits", mine)
                 metrics.inc("faults.retransmitted_bytes", mine * nbytes)
 
         def price(t0, sizes, split):
-            # ``sizes`` carries each rank's max chunk size, recorded at
-            # arrival — the global max is O(P) here instead of an
-            # O(P^2) re-walk of every chunk of every rank.
-            m = max(sizes.values()) if sizes else 0
+            # ``sizes`` carries each rank's (max chunk size, loss row),
+            # recorded at arrival — the global max is O(P) here instead
+            # of an O(P^2) re-walk of every chunk of every rank.
+            m = max((size for size, _ in sizes.values()), default=0)
             base = stretch * net.alltoall_time(self.size, m)
             t_done = t0 + base + overhead
             if lossy:
@@ -1205,7 +1246,10 @@ class VirtualComm:
                 def surcharge(rets):
                     return sum(plan.retransmit_delay(nr) + nr * wire for nr in rets)
 
-                slowest = max(map(resends, range(self.size)), key=surcharge)
+                # Rows in source order: ties go to the lowest source.
+                slowest = max(
+                    (sizes[s][1] for s in range(self.size)), key=surcharge
+                )
                 loss = surcharge(slowest)
                 t_done += loss
             if not split:
@@ -1237,7 +1281,7 @@ class VirtualComm:
                 r: [data[s][r] for s in range(self.size)] for r in sorted(data)
             },
             price=price,
-            entry_size=nbytes,
+            entry_size=(nbytes, resends),
         )
         return out[me]
 

@@ -1,7 +1,7 @@
 """CLI coverage for ``python -m repro.analysis``.
 
 Exercises the argument paths directly through ``main()``: file args,
-``--format json|sarif``, ``--select``, and every exit code (0 clean,
+``--format json``, ``--select``, and every exit code (0 clean,
 1 findings, 2 usage errors — including waivers and ``--select`` tokens
 naming unknown rules).
 """
@@ -61,25 +61,6 @@ def test_format_json(bad_file, capsys):
     assert d["rule"] == "accounting"
     assert d["line"] == 5
     assert d["path"].endswith("injected.py")
-
-
-def test_format_sarif(bad_file, capsys):
-    assert main([str(bad_file), "--format", "sarif"]) == 1
-    log = json.loads(capsys.readouterr().out)
-    assert log["version"] == "2.1.0"
-    run = log["runs"][0]
-    rule_ids = {r["id"] for r in run["tool"]["driver"]["rules"]}
-    # The SARIF rule table carries the whole catalog, REPRO000 included.
-    assert {"REPRO000", "REPRO001", "REPRO006", "REPRO010", "REPRO013"} <= rule_ids
-    result = run["results"][0]
-    assert result["ruleId"] == "REPRO001"
-    assert result["locations"][0]["physicalLocation"]["region"]["startLine"] == 5
-
-
-def test_format_sarif_clean_run_has_empty_results(clean_file, capsys):
-    assert main([str(clean_file), "--format", "sarif"]) == 0
-    log = json.loads(capsys.readouterr().out)
-    assert log["runs"][0]["results"] == []
 
 
 def test_list_rules_includes_new_catalog(capsys):

@@ -17,6 +17,7 @@ order, so
   survive a last-bit change of a matvec).
 """
 
+import re
 import sys
 import threading
 
@@ -195,6 +196,25 @@ def test_operator_apply_rejects_a_wrong_trailing_size(lead, extra):
     u = np.ones(lead + (space.ndof + extra,))
     with pytest.raises(ValueError, match=f"ndof = {space.ndof}"):
         space.operator_apply("helmholtz", u, 1.0)
+
+
+@pytest.mark.parametrize("sumfact", [True, False])
+@pytest.mark.parametrize("extra", [5, -1])
+@pytest.mark.parametrize("lead", [(), (2,), (2, 3)])
+def test_backward_and_gradient_reject_a_wrong_trailing_size(lead, extra, sumfact):
+    # Same check, same message as operator_apply: ``ndof + 5`` used to be
+    # accepted and read short — values of some *other* field, no error.
+    space = FunctionSpace(rectangle_quads(2, 2), 3, sumfact=sumfact)
+    u = np.ones(lead + (space.ndof + extra,))
+    shape = re.escape(str(u.shape))
+    for name in ("backward", "gradient"):
+        with pytest.raises(
+            ValueError, match=f"^{name}: u must be .*ndof = {space.ndof}.*got {shape}$"
+        ):
+            getattr(space, name)(u)
+    ok = np.ones(lead + (space.ndof,))
+    assert space.backward(ok).shape == lead + (space.nelem, space.nq)
+    assert [g.shape for g in space.gradient(ok)] == [lead + (space.nelem, space.nq)] * 2
 
 
 def test_operator_apply_rejects_a_wrong_trailing_size_on_the_dense_path():

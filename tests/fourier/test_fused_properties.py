@@ -21,7 +21,7 @@ from repro.fourier.pipeline import FusedFourierPipeline
 from repro.fourier.transforms import fft_z, ifft_z, mode_blocks
 from repro.linalg.counters import OpCounter
 from repro.machines.network import NetworkModel
-from repro.obs import MetricsRegistry, Trace, use_registry
+from repro.obs import MetricsRegistry, Trace, scoped
 from repro.parallel.simmpi import VirtualCluster
 
 NET = NetworkModel("t", latency_us=5, bandwidth=1e9)
@@ -67,7 +67,7 @@ def test_fused_transpose_property(nf, nprocs, ppr, nmodes, seed):
         return pts
 
     registry = MetricsRegistry()
-    with use_registry(registry):
+    with scoped(registry):
         res = VirtualCluster(nprocs, NET).run(fn)
     # All modes present exactly once across ranks.
     full = np.concatenate(res, axis=-2)
@@ -126,7 +126,7 @@ def _transpose_fingerprint(nf, nprocs, nmodes, npoints, seed):
     registry = MetricsRegistry()
     trace = Trace()
     cluster = VirtualCluster(nprocs, NET, sanitize=True, trace=trace)
-    with use_registry(registry):
+    with scoped(registry):
         results = cluster.run(fn)
     return {
         "results": results,
@@ -196,7 +196,7 @@ def test_pipeline_matches_compositional_path(nf, nprocs, nz, seed):
         return True
 
     registry = MetricsRegistry()
-    with use_registry(registry):
+    with scoped(registry):
         VirtualCluster(nprocs, NET).run(fn)
     snap = registry.snapshot()
     # 2 rounds x (2 pipeline + 2 oracle) collectives per rank.

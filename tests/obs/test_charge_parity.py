@@ -17,7 +17,7 @@ from types import SimpleNamespace
 from repro.linalg import blas
 from repro.linalg.counters import OpCounter, active_counter
 from repro.ns.stages import StageScope
-from repro.obs import MetricsRegistry, use_registry
+from repro.obs import MetricsRegistry, scoped
 from repro.obs import tracer as obs
 from repro.obs.tracer import Tracer
 from repro.util.timing import StageTimer
@@ -56,7 +56,7 @@ def _run_kernels(ops: list[tuple[str, int]]) -> OpCounter:
 def test_tracing_leaves_charges_byte_identical(ops, sample_every):
     plain = _run_kernels(ops)
     tracer = Tracer(rank=0, sample_every=sample_every)
-    with use_registry(MetricsRegistry()), obs.install(tracer):
+    with scoped(MetricsRegistry()), obs.install(tracer):
         traced = _run_kernels(ops)
     assert traced.flops == plain.flops
     assert traced.bytes == plain.bytes

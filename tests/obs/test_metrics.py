@@ -1,7 +1,23 @@
+import threading
+
 import pytest
 
 from repro.obs import metrics
 from repro.obs.metrics import Histogram, MetricsRegistry
+
+
+def _counted_by(*registries):
+    """Which of ``registries`` one ``metrics.inc`` lands in (``None``:
+    in none of them — metrics are off, or another registry is active)."""
+
+    def probes():
+        return [r.snapshot().get("probe", {}).get("value", 0.0) for r in registries]
+
+    before = probes()
+    metrics.inc("probe")
+    hit = [r for r, b, a in zip(registries, before, probes()) if a == b + 1.0]
+    assert len(hit) <= 1
+    return hit[0] if hit else None
 
 
 def test_counter_and_gauge():
@@ -58,29 +74,56 @@ def test_hit_rate():
 
 
 def test_module_helpers_noop_when_disabled():
-    assert metrics.active_registry() is None
+    bystander = MetricsRegistry()  # exists, was never activated
     metrics.inc("x")
     metrics.observe("y", 1.0)
     metrics.set_gauge("z", 2.0)
     assert metrics.hit_rate("x") is None
-    assert metrics.active_registry() is None
+    assert _counted_by(bystander) is None
+    assert bystander.snapshot() == {}
 
 
-def test_use_registry_activates_and_restores():
-    with metrics.use_registry() as reg:
-        assert metrics.active_registry() is reg
+def test_scoped_activates_and_restores():
+    with metrics.scoped() as reg:
         metrics.inc("n", 2)
         metrics.observe("h", 8.0)
         metrics.set_gauge("g", 1.5)
         inner = MetricsRegistry()
-        with metrics.use_registry(inner):
-            assert metrics.active_registry() is inner
+        with metrics.scoped(inner):
+            assert _counted_by(reg, inner) is inner
             metrics.inc("n")
-        assert metrics.active_registry() is reg
-    assert metrics.active_registry() is None
-    assert reg.snapshot()["n"]["value"] == 2.0
+        assert _counted_by(reg, inner) is reg
+    assert _counted_by(reg, inner) is None
+    snap = reg.snapshot()
+    assert snap["n"]["value"] == 2.0
+    assert snap["h"]["count"] == 1 and snap["h"]["sum"] == 8.0
+    assert snap["g"]["value"] == 1.5
     assert inner.snapshot()["n"]["value"] == 1.0
     assert metrics.hit_rate("anything") is None
+
+
+def test_helpers_from_two_threads_count_into_the_one_active_registry():
+    """The registry is process-global on purpose: rank threads and the
+    campaign's workers aggregate into whatever scope is open."""
+    per_thread, nthreads = 2000, 2
+    start = threading.Barrier(nthreads)
+
+    def bump():
+        start.wait(10.0)
+        for _ in range(per_thread):
+            metrics.inc("n")
+            metrics.observe("h", 2.0)
+
+    with metrics.scoped() as reg:
+        threads = [threading.Thread(target=bump) for _ in range(nthreads)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(30.0)
+        assert not any(t.is_alive() for t in threads)
+    snap = reg.snapshot()
+    assert snap["n"]["value"] == per_thread * nthreads
+    assert snap["h"]["count"] == per_thread * nthreads
 
 
 def test_registry_reset_returns_to_birth_state():
@@ -98,10 +141,10 @@ def test_registry_reset_returns_to_birth_state():
 def test_scoped_fresh_registry_per_scope():
     with metrics.scoped() as first:
         metrics.inc("n", 2)
-        assert metrics.active_registry() is first
+        assert _counted_by(first) is first
     with metrics.scoped() as second:
         metrics.inc("n", 5)
-    assert metrics.active_registry() is None
+    assert _counted_by(first, second) is None
     # Back-to-back scopes never bleed counters into each other.
     assert first is not second
     assert first.snapshot()["n"]["value"] == 2.0

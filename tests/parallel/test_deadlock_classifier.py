@@ -86,7 +86,7 @@ def _plant(kinds, error_flag):
     cl._error_flag = error_flag
     for r, (kind, seed) in enumerate(kinds):
         cont, rank_state = eng._conts[r], cl.ranks[r]
-        rank_state.trace.append(f"send -> {seed % n} tag=0 (8B)")
+        rank_state.trace.append(("send", seed % n, 0, 8))
         if kind in ("done", "crashed"):
             rank_state.done = True
             cont.state = scheduler._DONE

@@ -17,7 +17,7 @@ from repro.machines.catalog import CPUS, NETWORKS
 from repro.machines.network import NetworkModel
 from repro.mesh.generators import rectangle_quads
 from repro.ns.nektar_f import NekTarF
-from repro.obs import MetricsRegistry, use_registry
+from repro.obs import MetricsRegistry, scoped
 from repro.parallel.faults import CrashSpec, FaultPlan, RankFailure
 from repro.parallel.gs import GatherScatter
 from repro.parallel.simmpi import VirtualCluster
@@ -46,7 +46,7 @@ def run_fingerprint(nprocs, fn, *, network=NET, cpu=None, faults=None, sanitize=
     cluster = VirtualCluster(
         nprocs, network, cpu=cpu, faults=faults, sanitize=sanitize
     )
-    with use_registry(registry):
+    with scoped(registry):
         try:
             outcome = ["ok", cluster.run(fn)]
         except Exception as exc:

@@ -6,7 +6,7 @@ import pytest
 
 from repro.machines.catalog import NETWORKS
 from repro.machines.network import NetworkModel
-from repro.obs import MetricsRegistry, use_registry
+from repro.obs import MetricsRegistry, scoped
 from repro.parallel.faults import CrashSpec, FaultPlan, RankFailure, RecvTimeout
 from repro.parallel.simmpi import (
     _TRACE_LEN,
@@ -123,7 +123,7 @@ def test_send_retransmits_charge_wall_cpu_and_counters():
 
     base = VirtualCluster(2, ETH).run(rank_fn)
     registry = MetricsRegistry()
-    with use_registry(registry):
+    with scoped(registry):
         lossy = VirtualCluster(2, ETH, faults=plan).run(rank_fn)
     snap = registry.snapshot()
     nret = snap["faults.retransmits"]["value"]
@@ -132,7 +132,7 @@ def test_send_retransmits_charge_wall_cpu_and_counters():
     assert lossy[0][0] > base[0][0]  # sender wall stalls through RTOs
     assert lossy[0][1] > base[0][1]  # kernel resend copies burn CPU
     # Replays are bit-identical.
-    with use_registry(MetricsRegistry()):
+    with scoped(MetricsRegistry()):
         assert VirtualCluster(2, ETH, faults=plan).run(rank_fn) == lossy
 
 

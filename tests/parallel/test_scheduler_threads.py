@@ -4,10 +4,19 @@ scheduler loop fails.
 
 Thread counts are deterministic — they follow from which ranks park
 while never-started ranks remain — so they are asserted with ``==``.
-They are read from ``EventEngine._threads``, the list ``run_ranks``
-joins, not from ``engine_stats()`` (pinned whole in the goldens).
+They are read from ``EventEngine._threads``, the list of join handles
+``run_ranks`` joins, not from ``engine_stats()`` (pinned whole in the
+goldens).
+
+Host threads are raw ``_thread`` threads: they never enter
+``threading._active``, so ``threading.active_count()`` cannot see one
+that leaked (and a rank body that calls ``threading.current_thread()``
+leaves a dummy entry behind that is not a leak).  The leak check reads
+``_thread._count()``, the interpreter's own count of running threads.
 """
 
+import _thread
+import itertools
 import threading
 import time
 
@@ -18,19 +27,30 @@ from repro.linalg.counters import OpCounter, active_counter
 from repro.machines.network import NetworkModel
 from repro.obs import tracer as obs
 from repro.parallel.faults import CrashSpec, FaultPlan
+from repro.parallel.scheduler import EventEngine
 from repro.parallel.simmpi import VirtualCluster
 
 NET = NetworkModel("threads-net", latency_us=10, bandwidth=100e6)
 
 
+def _no_thread_outlives(cluster, before, seconds=5.0):
+    """Every join handle is released and the interpreter's thread count
+    is back at ``before``.  A handle is released by the thread's last
+    ``finally``; the interpreter drops its count a few instructions
+    later, hence the short poll."""
+    assert not any(t.is_alive() for t in cluster._engine._threads)
+    deadline = time.perf_counter() + seconds
+    while _thread._count() != before and time.perf_counter() < deadline:
+        time.sleep(0.001)
+    assert _thread._count() == before
+
+
 def _threads_used(nprocs, rank_fn, **kwargs):
-    before = threading.active_count()
+    before = _thread._count()
     cluster = VirtualCluster(nprocs, NET, **kwargs)
     results = cluster.run(rank_fn)
-    threads = cluster._engine._threads
-    assert not any(t.is_alive() for t in threads)
-    assert threading.active_count() == before
-    return len(threads), results
+    _no_thread_outlives(cluster, before)
+    return len(cluster._engine._threads), results
 
 
 @pytest.mark.parametrize(
@@ -76,10 +96,15 @@ def test_every_rank_starts_on_a_thread_with_clean_thread_locals():
     thread retires with the tag and the counter it leaves behind."""
     plan = FaultPlan(crashes=(CrashSpec(rank=3, at_time=1e-4),))
     seen = {}
+    # A carrier is its ident plus its birth order: the OS recycles the
+    # ident of a retired thread, a thread-local dies with its thread.
+    births, born = itertools.count(), threading.local()
 
     def rank_fn(comm):
+        if not hasattr(born, "order"):
+            born.order = next(births)
         seen[comm.rank] = (
-            threading.current_thread(),
+            (threading.get_ident(), born.order),
             obs.current(),
             obs.current_stage(),
             active_counter(),
@@ -93,8 +118,53 @@ def test_every_rank_starts_on_a_thread_with_clean_thread_locals():
     assert used == 2
     carriers = [seen[r][0] for r in range(8)]
     assert len(set(carriers[:4])) == 1 and len(set(carriers[4:])) == 1
-    assert carriers[3] is not carriers[4]
+    assert carriers[3] != carriers[4]
     assert [seen[r][1:] for r in range(8)] == [(None, None, None)] * 8
+
+
+def test_current_thread_inside_a_rank_is_a_dummy_and_is_not_a_leak():
+    """``Thread._bootstrap`` never ran for a host thread, so
+    ``threading.current_thread()`` hands a rank body a dummy object —
+    which ``threading`` keeps listed after the thread is gone.  The
+    leak check must neither count that entry nor be satisfied by it."""
+    kinds = {}
+
+    def rank_fn(comm):
+        kinds[comm.rank] = type(threading.current_thread())
+        comm.barrier()
+
+    used, _ = _threads_used(4, rank_fn)
+    assert used == 4
+    assert set(kinds.values()) == {threading._DummyThread}
+
+
+@pytest.mark.parametrize("nprocs", [8, pytest.param(1024, marks=pytest.mark.scaling)])
+@pytest.mark.parametrize("kind", ["profile", "trace"])
+def test_hook_installed_before_run_sees_the_rank_body_on_every_host_thread(
+    kind, nprocs
+):
+    """``threading.setprofile`` / ``settrace`` promise the hook to every
+    thread started afterwards; the raw entry point has to keep that
+    promise itself (coverage, debuggers and ``cProfile`` rely on it)."""
+
+    def rank_fn(comm):
+        comm.barrier()  # all P threads are alive at once: P idents
+
+    seen = set()
+
+    def hook(frame, event, arg):
+        if event == "call" and frame.f_code is rank_fn.__code__:
+            seen.add(threading.get_ident())
+
+    install = getattr(threading, f"set{kind}")
+    previous = getattr(threading, f"get{kind}")()
+    install(hook)
+    try:
+        used, _ = _threads_used(nprocs, rank_fn)
+    finally:
+        install(previous)
+    assert used == nprocs
+    assert len(seen) == nprocs
 
 
 # -- no failure of the scheduler loop leaves a thread parked ------------
@@ -140,8 +210,7 @@ def _raises_on_call(n):
 def _assert_unwound(cluster, raised, seconds, before):
     assert isinstance(raised, _Boom), raised
     assert seconds < 1.0
-    assert not any(t.is_alive() for t in cluster._engine._threads)
-    assert threading.active_count() == before
+    _no_thread_outlives(cluster, before)
 
 
 def test_predicate_raising_on_the_scheduler_thread_unwinds_parked_ranks():
@@ -149,7 +218,7 @@ def test_predicate_raising_on_the_scheduler_thread_unwinds_parked_ranks():
     re-evaluates the predicate on the scheduler thread (call 3)."""
     predicate = _raises_on_call(3)
     cluster = VirtualCluster(2, NET)
-    before = threading.active_count()
+    before = _thread._count()
     raised, seconds = _returns_within(
         lambda: cluster.run(
             lambda comm: cluster._blocking_wait(comm.rank, "planted", predicate)
@@ -172,7 +241,7 @@ def test_predicate_raising_on_a_rank_thread_unwinds_parked_ranks():
             comm.cluster._blocking_wait(comm.rank, "planted", predicate)
 
     cluster = VirtualCluster(3, NET)
-    before = threading.active_count()
+    before = _thread._count()
     raised, seconds = _returns_within(lambda: cluster.run(rank_fn))
     _assert_unwound(cluster, raised, seconds, before)
     assert len(cluster._engine._threads) == 3
@@ -201,10 +270,30 @@ def test_interrupt_while_a_rank_holds_the_token_starts_no_further_rank():
 
     cluster = VirtualCluster(8, NET)
     cluster._engine._sched_go = InterruptedOnce()
-    before = threading.active_count()
+    before = _thread._count()
     raised, seconds = _returns_within(lambda: cluster.run(rank_fn))
     assert isinstance(raised, KeyboardInterrupt)
     assert seconds < 1.0
     assert started == [0]
     assert len(cluster._engine._threads) == 1
-    assert threading.active_count() == before
+    _no_thread_outlives(cluster, before)
+
+
+def test_host_thread_that_dies_before_its_first_rank_still_releases_its_handle(
+    monkeypatch,
+):
+    """``run_ranks`` joins every handle in a ``finally``: one that a
+    dying thread did not release would hang the run for good.  The
+    release sits outside everything that can raise, and the failure
+    comes back to the caller with the token."""
+
+    def dies(self, rank):
+        raise _Boom(f"host thread of rank {rank}")
+
+    monkeypatch.setattr(EventEngine, "_main", dies)
+    cluster = VirtualCluster(4, NET)
+    before = _thread._count()
+    raised, seconds = _returns_within(lambda: cluster.run(lambda comm: None))
+    _assert_unwound(cluster, raised, seconds, before)
+    assert str(raised) == "host thread of rank 0"
+    assert len(cluster._engine._threads) == 1

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.machines.network import NetworkModel
-from repro.obs import MetricsRegistry, Trace, use_registry
+from repro.obs import MetricsRegistry, Trace, scoped
 from repro.parallel.simmpi import VirtualCluster
 
 NET = NetworkModel("test", latency_us=10, bandwidth=1e8, busy_wait_fraction=0.5)
@@ -26,7 +26,7 @@ def _run_exchange(trace=None, registry=None):
         return comm.wall
 
     if registry is not None:
-        with use_registry(registry):
+        with scoped(registry):
             return cl, cl.run(work)
     return cl, cl.run(work)
 
