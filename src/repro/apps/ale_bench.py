@@ -2,10 +2,13 @@
 
 The paper's strong-scaling case: a flapping NACA 4420 wing, 15,870
 elements at polynomial order 4, 4,062,720 degrees of freedom, Re=1000.
-The solver is iterative (diagonally preconditioned CG) with the
-Tufo-Fischer gather-scatter interface — per CG iteration the only
-communication is a pairwise/binary-tree interface exchange plus two
-allreduce inner products; *no Alltoall* (Section 4.2.2).
+The paper's solver is iterative (diagonally preconditioned CG) behind
+a gather-scatter interface: per CG iteration the only communication is
+a pairwise/binary-tree interface exchange plus two allreduce inner
+products; *no Alltoall* (Section 4.2.2).  This module prices that
+communication pattern as a closed formula.  It runs no solver,
+partitioner or message, and its stage fractions and iteration counts
+are typed in from the figures (EXPERIMENTS.md "Calibration inventory").
 
 Model composition per step and processor:
 

@@ -2,14 +2,13 @@
 
 from .mapping import point_chunks, transpose_to_modes, transpose_to_points
 from .pipeline import FusedFourierPipeline
-from .transforms import dz_hat, fft_z, ifft_z, mode_blocks, nmodes_for, wavenumbers
+from .transforms import fft_z, ifft_z, mode_blocks, nmodes_for, wavenumbers
 
 __all__ = [
     "nmodes_for",
     "wavenumbers",
     "fft_z",
     "ifft_z",
-    "dz_hat",
     "mode_blocks",
     "point_chunks",
     "transpose_to_points",

@@ -18,7 +18,6 @@ __all__ = [
     "wavenumbers",
     "fft_z",
     "ifft_z",
-    "dz_hat",
     "mode_blocks",
 ]
 
@@ -92,12 +91,6 @@ def ifft_z(modes: np.ndarray, nz: int) -> np.ndarray:
     full[..., nm:] = 0.0
     _charge_irfft(int(np.prod(modes.shape[:-1], dtype=np.int64)), nz)
     return np.fft.irfft(full, n=nz, axis=-1)
-
-
-def dz_hat(modes: np.ndarray, nz: int, lz: float = 2.0 * np.pi) -> np.ndarray:
-    """Spectral d/dz in mode space: multiply mode m by i k_m."""
-    k = wavenumbers(nz, lz)
-    return modes * (1j * k)
 
 
 def mode_blocks(nmodes: int, nprocs: int) -> list[range]:

@@ -2,11 +2,12 @@
 
 Section 4.2.2: "a diagonally preconditioned conjugate gradient iterative
 solver is predominantly used" in NekTar-ALE.  This CG is written against
-an abstract operator so the same code runs (a) serially on an assembled
-matrix, and (b) in parallel where the operator is element-local matvec
-plus a gather-scatter assembly exchange and the dot products are
-all-reduced (see :mod:`repro.parallel.distributed`; the serial ALE
-solver is :mod:`repro.ns.ale`).
+an abstract operator; its one caller,
+:class:`repro.solvers.helmholtz.HelmholtzCG`, hands it an assembled
+matrix or the matrix-free apply, serially, for the ALE solver
+(:mod:`repro.ns.ale`).  There is no partitioned CG in the tree: the
+per-iteration communication behind Table 3 is a priced model
+(:mod:`repro.apps.ale_bench`), not a run.
 
 All vector work goes through :mod:`repro.linalg.blas` so iterations are
 fully op-counted.
@@ -24,8 +25,6 @@ from ..obs import tracer as obs
 from . import blas
 
 __all__ = ["CGResult", "pcg", "pcg_block"]
-
-DotFn = Callable[[np.ndarray, np.ndarray], float]
 
 
 @dataclass
@@ -64,7 +63,6 @@ def pcg(
     x0: np.ndarray | None = None,
     tol: float = 1.0e-10,
     maxiter: int | None = None,
-    dot: DotFn | None = None,
 ) -> CGResult:
     """Solve A x = b with Jacobi-preconditioned CG.
 
@@ -74,10 +72,6 @@ def pcg(
         The operator; must return a new array (or a buffer it owns).
     diag:
         The (assembled) diagonal of A for the Jacobi preconditioner.
-    dot:
-        Inner product; defaults to :func:`repro.linalg.blas.ddot`.  A
-        parallel caller passes a dot that all-reduces, which is the only
-        communication CG needs besides the matvec.
     """
     b = np.asarray(b, dtype=np.float64)
     diag = np.asarray(diag, dtype=np.float64)
@@ -86,8 +80,6 @@ def pcg(
     n = b.size
     if maxiter is None:
         maxiter = 10 * n + 100
-    if dot is None:
-        dot = blas.ddot
 
     inv_diag = 1.0 / diag
     x = np.zeros(n) if x0 is None else np.array(x0, dtype=np.float64)
@@ -96,7 +88,7 @@ def pcg(
     z = np.empty(n)
     blas.dvmul(inv_diag, r, z)
     p = z.copy()
-    rz = dot(r, z)
+    rz = blas.ddot(r, z)
 
     bnorm = blas.dnrm2(b)
     if bnorm == 0.0:
@@ -107,14 +99,14 @@ def pcg(
         if resid <= tol:
             return _observe(CGResult(x, it - 1, resid, True))
         ap = apply_a(p)
-        pap = dot(p, ap)
+        pap = blas.ddot(p, ap)
         if pap <= 0.0:
             raise np.linalg.LinAlgError("pcg: operator not positive definite")
         alpha = rz / pap
         blas.daxpy(alpha, p, x)
         blas.daxpy(-alpha, ap, r)
         blas.dvmul(inv_diag, r, z)
-        rz_new = dot(r, z)
+        rz_new = blas.ddot(r, z)
         beta = rz_new / rz
         rz = rz_new
         # p = z + beta p
@@ -131,7 +123,6 @@ def pcg_block(
     diag: np.ndarray,
     tol: float = 1.0e-10,
     maxiter: int | None = None,
-    dot: DotFn | None = None,
     apply_block: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> list[CGResult]:
     """Block-Jacobi-PCG over a row-stacked (nrhs, n) RHS block.
@@ -160,8 +151,6 @@ def pcg_block(
     nrhs, n = b.shape
     if maxiter is None:
         maxiter = 10 * n + 100
-    if dot is None:
-        dot = blas.ddot
 
     inv_diag = 1.0 / diag
     results: list[CGResult | None] = [None] * nrhs
@@ -170,7 +159,7 @@ def pcg_block(
     z = np.empty((nrhs, n))
     blas.dvmul_batched(inv_diag, r, z)
     p = z.copy()
-    rz = np.array([dot(r[j], z[j]) for j in range(nrhs)])
+    rz = np.array([blas.ddot(r[j], z[j]) for j in range(nrhs)])
     bnorm = np.array([blas.dnrm2(b[j]) for j in range(nrhs)])
     idx = np.arange(nrhs)
     for j in np.nonzero(bnorm == 0.0)[0]:
@@ -205,14 +194,14 @@ def pcg_block(
             ap = np.empty_like(p)
             for j in range(idx.size):
                 ap[j] = apply_a(p[j])
-        pap = np.array([dot(p[j], ap[j]) for j in range(idx.size)])
+        pap = np.array([blas.ddot(p[j], ap[j]) for j in range(idx.size)])
         if np.any(pap <= 0.0):
             raise np.linalg.LinAlgError("pcg: operator not positive definite")
         alpha = rz / pap
         blas.daxpy_batched(alpha, p, x)
         blas.daxpy_batched(-alpha, ap, r)
         blas.dvmul_batched(inv_diag, r, z)
-        rz_new = np.array([dot(r[j], z[j]) for j in range(idx.size)])
+        rz_new = np.array([blas.ddot(r[j], z[j]) for j in range(idx.size)])
         beta = rz_new / rz
         rz = rz_new
         # p = z + beta p, row-wise.

@@ -1,4 +1,4 @@
-"""Mesh substrate: unstructured 2-D meshes, generators, mappings, partitioner."""
+"""Mesh substrate: unstructured 2-D meshes, generators, mappings."""
 
 from .curved import BlendedQuadMap, circular_arc, make_element_map
 from .generators import (
@@ -14,13 +14,6 @@ from .generators import (
 )
 from .mapping import ElementMap, GeomFactors
 from .mesh2d import QUAD_EDGES, TRI_EDGES, Edge, Element, Mesh2D
-from .partition import (
-    edge_cut,
-    imbalance,
-    interface_edges,
-    partition_graph,
-    partition_mesh,
-)
 
 __all__ = [
     "Mesh2D",
@@ -42,9 +35,4 @@ __all__ = [
     "BlendedQuadMap",
     "circular_arc",
     "make_element_map",
-    "partition_mesh",
-    "partition_graph",
-    "edge_cut",
-    "imbalance",
-    "interface_edges",
 ]

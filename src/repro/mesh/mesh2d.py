@@ -5,7 +5,7 @@ meshes, consisting of structured or unstructured grids or a combination
 of both" (Section 1.3).  :class:`Mesh2D` stores vertices, mixed
 tri/quad elements, derives the global edge table with orientations
 (needed for C0 assembly sign flips), detects the boundary, and exposes
-the element dual graph the partitioner works on.
+the element dual graph.
 
 Local conventions (must match :mod:`repro.spectral.expansions`):
 
@@ -190,19 +190,11 @@ class Mesh2D:
     # -- graphs -------------------------------------------------------------------
 
     def dual_graph(self) -> nx.Graph:
-        """Element adjacency graph (shared edge => graph edge),
-        the structure METIS partitions in the paper."""
+        """Element adjacency graph (shared edge => graph edge)."""
         g = nx.Graph()
         g.add_nodes_from(range(self.nelements))
         for edge in self.edges:
             if len(edge.elements) == 2:
                 (e0, _), (e1, _) = edge.elements
                 g.add_edge(e0, e1)
-        return g
-
-    def vertex_graph(self) -> nx.Graph:
-        g = nx.Graph()
-        g.add_nodes_from(range(self.nvertices))
-        for edge in self.edges:
-            g.add_edge(*edge.vertices)
         return g

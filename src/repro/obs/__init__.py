@@ -40,7 +40,6 @@ from .export import (
 )
 from .metrics import (
     MetricsRegistry,
-    hit_rate,
     inc,
     observe,
     scoped,
@@ -66,7 +65,6 @@ __all__ = [
     "install",
     "instant",
     "MetricsRegistry",
-    "hit_rate",
     "inc",
     "observe",
     "scoped",

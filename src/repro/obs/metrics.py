@@ -30,7 +30,6 @@ __all__ = [
     "inc",
     "observe",
     "set_gauge",
-    "hit_rate",
 ]
 
 _active: "MetricsRegistry | None" = None
@@ -240,9 +239,3 @@ def set_gauge(name: str, value: float) -> None:
     reg = _active
     if reg is not None:
         reg.gauge(name).set(value)
-
-
-def hit_rate(prefix: str) -> float | None:
-    """Hit rate from the active registry, or None when disabled/empty."""
-    reg = _active
-    return None if reg is None else reg.hit_rate(prefix)

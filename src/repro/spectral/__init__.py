@@ -10,17 +10,9 @@ from .basis import (
     modified_a_deriv,
 )
 from .expansions import Expansion2D, Mode, QuadExpansion, TriExpansion
-from .expansions3d import (
-    HexExpansion,
-    PrismExpansion,
-    TetExpansion,
-    dubiner_tri,
-    tet_mode_count,
-)
 from .jacobi import (
     gauss_jacobi,
     gauss_lobatto_jacobi,
-    gauss_lobatto_legendre,
     jacobi,
     jacobi_derivative,
 )
@@ -31,7 +23,6 @@ __all__ = [
     "jacobi_derivative",
     "gauss_jacobi",
     "gauss_lobatto_jacobi",
-    "gauss_lobatto_legendre",
     "Rule1D",
     "TensorRule2D",
     "quad_rule",
@@ -47,9 +38,4 @@ __all__ = [
     "Expansion2D",
     "QuadExpansion",
     "TriExpansion",
-    "HexExpansion",
-    "PrismExpansion",
-    "TetExpansion",
-    "dubiner_tri",
-    "tet_mode_count",
 ]

@@ -22,7 +22,6 @@ __all__ = [
     "jacobi_derivative",
     "gauss_jacobi",
     "gauss_lobatto_jacobi",
-    "gauss_lobatto_legendre",
 ]
 
 
@@ -131,8 +130,3 @@ def gauss_lobatto_jacobi(n: int, alpha: float = 0.0, beta: float = 0.0):
         x = np.concatenate(([-1.0], np.sort(xi), [1.0]))
     w = _weights_by_moment_matching(x, alpha, beta)
     return x, w
-
-
-def gauss_lobatto_legendre(n: int):
-    """Gauss-Lobatto-Legendre rule (the alpha = beta = 0 special case)."""
-    return gauss_lobatto_jacobi(n, 0.0, 0.0)

@@ -1,19 +1,10 @@
-"""Shared utilities: clocks, stage timers, unit conversions."""
+"""Shared utilities: clocks and stage timers."""
 
 from .timing import StageRecord, StageTimer, cpu_clock, wall_clock
-from .units import DOUBLE, GIGA, KIB, MEGA, MIB, mb_per_s, mflop_per_s, usec
 
 __all__ = [
     "StageRecord",
     "StageTimer",
     "cpu_clock",
     "wall_clock",
-    "DOUBLE",
-    "GIGA",
-    "KIB",
-    "MEGA",
-    "MIB",
-    "mb_per_s",
-    "mflop_per_s",
-    "usec",
 ]

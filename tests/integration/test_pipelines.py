@@ -113,36 +113,6 @@ def test_nektar_f_network_choice_changes_wall_not_results():
     assert eth_gap > myr_gap
 
 
-def test_partitioner_feeds_distributed_solver():
-    """METIS-style partition -> gather-scatter -> distributed CG on the
-    actual bluff-body mesh partitions."""
-    from repro.mesh.partition import edge_cut, partition_mesh
-    from repro.parallel.distributed import DistributedHelmholtz
-    from repro.solvers.helmholtz import HelmholtzCG
-
-    mesh = bluff_body_mesh(m=3, nr=1)
-    parts = partition_mesh(mesh, 4, method="multilevel")
-    g = mesh.dual_graph()
-    assert edge_cut(g, parts) < g.number_of_edges() / 2
-
-    def rank_fn(comm):
-        space = FunctionSpace(mesh, 3)
-        dh = DistributedHelmholtz(comm, space, parts, 1.0, ("inflow",), tol=1e-10)
-        xq, yq = space.coords()
-        rhs = dh.assemble_rhs(np.exp(-0.5 * (xq**2 + yq**2)))
-        x = dh.solve(rhs)
-        return dh.local_dofs, x
-
-    net = NETWORKS["RoadRunner, myr-internode"]
-    res = VirtualCluster(4, net).run(rank_fn)
-    space = FunctionSpace(mesh, 3)
-    serial = HelmholtzCG(space, 1.0, ("inflow",), tol=1e-10)
-    xq, yq = space.coords()
-    u_ref = serial.solve(np.exp(-0.5 * (xq**2 + yq**2)))
-    for dofs, x in res:
-        np.testing.assert_allclose(x, u_ref[dofs], atol=1e-6)
-
-
 def test_table_drivers_consistent_with_catalog():
     """The app drivers consume the same catalog objects the kernel
     figures use — ensure names stay linked."""

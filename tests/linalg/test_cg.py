@@ -66,20 +66,6 @@ def test_pcg_rejects_indefinite_operator():
         pcg(lambda v: a @ v, np.ones(4), np.ones(4))
 
 
-def test_pcg_custom_dot_used():
-    calls = []
-
-    def mydot(x, y):
-        calls.append(1)
-        return float(np.dot(x, y))
-
-    a = random_spd(8, 9)
-    b = np.ones(8)
-    res = pcg(lambda v: a @ v, b, np.diag(a), dot=mydot, tol=1e-10)
-    assert res.converged
-    assert len(calls) >= res.iterations  # one rz + one pAp per iteration
-
-
 def test_pcg_jacobi_preconditioner_helps_on_scaled_system():
     # Badly scaled diagonal system: Jacobi preconditioning solves in O(1) iters.
     d = np.logspace(0, 8, 40)

@@ -93,9 +93,3 @@ def test_dual_graph():
     assert g.number_of_nodes() == 2
     assert g.number_of_edges() == 1
     assert g.has_edge(0, 1)
-
-
-def test_vertex_graph():
-    g = two_quads().vertex_graph()
-    assert g.number_of_nodes() == 6
-    assert g.number_of_edges() == 7

@@ -2,7 +2,7 @@
 
 Each scenario runs one of the repo's real workloads — a NekTar-F
 Fourier step, a fault-plan storm (loss + stragglers + degraded link), a
-rank crash, the Tufo-Fischer gather-scatter assembly, a sanitized
+rank crash, a pairwise exchange + tree allreduce program, a sanitized
 message graph, a planted deadlock — and pins its full observable state
 (outcome, per-rank virtual clocks and byte ledgers, ``rank_traces()``
 strings, metrics, sanitizer vector clocks) against values recorded from
@@ -19,7 +19,6 @@ from repro.mesh.generators import rectangle_quads
 from repro.ns.nektar_f import NekTarF
 from repro.obs import MetricsRegistry, scoped
 from repro.parallel.faults import CrashSpec, FaultPlan, RankFailure
-from repro.parallel.gs import GatherScatter
 from repro.parallel.simmpi import VirtualCluster
 
 from ..golden import check
@@ -157,15 +156,25 @@ def crash():
 
 
 def gather_scatter():
-    """Tufo-Fischer assembly: pairwise exchange + tree allreduce."""
+    """Sum-assembly of shared dofs as a communication program: id
+    allgather, pairwise exchanges, tree allreduce of the cross-point."""
 
     def rank_fn(comm):
         # dof 0 is a cross-point (all ranks); dof 10+r pairs r with r+1.
         me = comm.rank
-        ids = sorted({0, 10 + me, 10 + (me - 1) % comm.size})
-        gs = GatherScatter(comm, np.array(ids))
+        prev, nxt = (me - 1) % comm.size, (me + 1) % comm.size
+        ids = sorted({0, 10 + me, 10 + prev})
         vals = np.arange(1.0, len(ids) + 1) * (me + 1)
-        return gs.exchange(vals).tolist(), comm.wall
+        comm.allgather(np.array(ids, dtype=np.int64))
+        # partner -> index of the dof shared with it, ascending partner.
+        plan = sorted([(nxt, ids.index(10 + me)), (prev, ids.index(10 + prev))])
+        out = vals.copy()
+        for partner, i in plan:
+            comm.send(partner, vals[i : i + 1], tag=71)
+        for partner, i in plan:
+            out[i] += comm.recv(partner, tag=71)[0]
+        out[0] = comm.allreduce(vals[:1].copy(), op="sum")[0]
+        return out.tolist(), comm.wall
 
     return run_fingerprint(4, rank_fn)
 
