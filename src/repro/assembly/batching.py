@@ -14,9 +14,9 @@ element.
 With uniform polynomial order the grouping key collapses to the element
 kind ("tri"/"quad"), but the key is kept general so variable-order
 spaces batch correctly when they arrive.  Batches preserve element
-order within each group, and gather/scatter reproduce the per-element
-:class:`~repro.assembly.dofmap.DofMap` semantics exactly (signed
-gather, accumulating scatter with ``np.add.at``).
+order within each group, and the signed gather here and the signed,
+accumulating assembly in ``FunctionSpace._assemble`` reproduce the
+per-element :class:`~repro.assembly.dofmap.DofMap` semantics exactly.
 """
 
 from __future__ import annotations
@@ -63,12 +63,13 @@ class ElementBatch:
         """Number of elements in the batch."""
         return self.elems.size
 
-    # -- operands of the matrix-free apply (quad batches) ----------------------
+    # -- operands of the one-pass transforms and matrix-free apply ------------
     #
-    # What repro.assembly.matrix_free.apply_operator_batched reads on
-    # every PCG matvec and that depends on the space only, laid out once
-    # the way the apply consumes it.  Nothing here is written after it
-    # is built, so applies on one space may run concurrently.
+    # What FunctionSpace.backward / gradient / load_vector /
+    # grad_load_vector and repro.assembly.matrix_free.apply_operator_batched
+    # read on every call and that depends on the space only, laid out
+    # once the way they consume it.  Nothing here is written after it is
+    # built, so calls on one space may run concurrently.
 
     @cached_property
     def dofs_ct(self) -> np.ndarray:
@@ -104,16 +105,6 @@ class ElementBatch:
         element-local coefficients, all elements at once."""
         uglobal = np.asarray(uglobal, dtype=np.float64)
         return uglobal[..., self.dofs] * self.signs
-
-    def scatter_add(self, ulocal: np.ndarray, uglobal: np.ndarray) -> None:
-        """Accumulate (..., ng, nmodes) signed local values into the
-        (..., ndof) global vector(s)."""
-        lead = ulocal.shape[:-2]
-        if lead:
-            for idx in np.ndindex(*lead):
-                np.add.at(uglobal[idx], self.dofs, self.signs * ulocal[idx])
-        else:
-            np.add.at(uglobal, self.dofs, self.signs * ulocal)
 
 
 def build_batches(space) -> list[ElementBatch]:

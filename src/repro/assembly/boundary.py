@@ -287,7 +287,8 @@ class EdgeBatch:
     ``x, y, nx, ny`` are (nsides, npts) over all sides.  ``groups`` has,
     per element kind, its ``ns`` sides stacked: ``sel`` (positions in
     the side order), ``elems``; the elements' basis ``exp_phi`` (ns,
-    nmodes, nq), weights ``ejw`` (ns, nq), inverse mass ``minv`` (ns, nmodes, nmodes);
+    nmodes, nq; ``exp_phi_c`` is the same stack as complex), weights
+    ``ejw`` (ns, nq), inverse mass ``minv`` (ns, nmodes, nmodes);
     the :class:`EdgeQuadrature` fields ``phi, dphi_x, dphi_y`` (ns,
     nmodes, npts) and ``nx, ny, jw`` (ns, npts); ``dofs, signs``.  The
     surface term is two short functions over them, real field and
@@ -322,11 +323,16 @@ class EdgeBatch:
             # exp_phi is a zero-stride stack, not a shared matrix: the
             # stacked kernels then run one dgemv per side as the loops
             # did (a shared matrix would go through dgemm: other bits).
+            # exp_phi_c is the same stack as the complex operand the
+            # mode form's zgemv needs: cast once here, not by every
+            # matmul (three per step) over all ns copies.
+            stacked = (len(sel),) + phi.shape
             self.groups.append(
                 SimpleNamespace(
                     sel=np.array(sel),
                     elems=elems,
-                    exp_phi=np.broadcast_to(phi, (len(sel),) + phi.shape),
+                    exp_phi=np.broadcast_to(phi, stacked),
+                    exp_phi_c=np.broadcast_to(phi.astype(np.complex128), stacked),
                     ejw=np.array([space.geom[e].jw for e in elems]),
                     minv=np.linalg.inv([mass[e] for e in elems]),
                     dofs=np.array([dm.elem_dofs[e] for e in elems]),
@@ -378,7 +384,7 @@ class EdgeBatch:
         for g in self.groups:
             phi_t, dx_t, dy_t = (np.swapaxes(a, 1, 2) for a in (g.phi, g.dphi_x, g.dphi_y))
             wz_loc, wx_loc, wy_loc = (
-                charged_zgemv(g.minv, charged_zgemv(g.exp_phi, g.ejw * w[:, g.elems]))
+                charged_zgemv(g.minv, charged_zgemv(g.exp_phi_c, g.ejw * w[:, g.elems]))
                 for w in (wz, wx, wy)
             )
             dwz_dx, dwz_dy = charged_zgemv(dx_t, wz_loc), charged_zgemv(dy_t, wz_loc)

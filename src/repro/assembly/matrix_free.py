@@ -8,13 +8,14 @@ geometric factors pointwise, contract back with the adjoint tables
 (two more O(p^3) contractions).  Nothing elemental is ever assembled,
 so a CG solve needs no setup beyond the batch's metric factors.
 
-The contractions are the ``dgemm_batched`` calls of the sum-factorised
-transforms (``Expansion.backward`` / ``gradient`` /
-``iproduct_sumfact_batched``) and are charged as those calls, one
-``dgemm`` charge each; the pointwise metric stage is charged explicitly
-under the ``mfree-metric`` label (the dense oracle buries the same work
-inside its tabulated matrix, so the two paths stay comparable in the
-ledger).
+The contractions are those of the sum-factorised transforms
+(``FunctionSpace.backward`` / ``gradient`` / ``load_vector`` /
+``grad_load_vector``, which run on the same helpers: ``_coefficient_tensors``,
+``_forward``, ``_adjoint``): two ``np.matmul``s each, charged as the two
+counted ``dgemm`` calls they once were; the pointwise metric stage is
+charged explicitly under the ``mfree-metric`` label (the dense oracle
+buries the same work inside its tabulated matrix, so the two paths stay
+comparable in the ledger).
 
 Operator diagonals (the Jacobi preconditioner) come from the same
 machinery: squaring the 1-D tables elementwise turns the diagonal of
@@ -58,6 +59,27 @@ def _charge_dgemms(nb: int, dgemms) -> None:
         charge(nb * flops, nb * nbytes, "dgemm")
 
 
+def _coefficient_tensors(b, u: np.ndarray) -> np.ndarray:
+    """(..., ndof) global coefficients -> the (..., ng, P+1, P+1) stack of
+    signed C^T tensors every forward contraction starts from.  np.take,
+    not u[..., dofs]: with leading axes the fancy index hands back a
+    transposed-layout array, and every matmul downstream would run
+    strided."""
+    ct = np.take(u, b.dofs_ct, axis=-1)
+    ct *= b.signs_ct
+    return ct
+
+
+def _forward(tl, nb: int, ct: np.ndarray, right: np.ndarray, left_t: np.ndarray):
+    """out[..., j * n1 + i] = sum_pq C[p, q] left[q, j] right[p, i] for a
+    stack ``ct`` of C^T tensors: (..., nq) values at the quadrature
+    points.  ``right`` tabulates the xi1 (fast, index i) direction,
+    ``left_t`` is the transposed table of the xi2 (slow, j) direction."""
+    out = np.matmul(left_t, np.matmul(ct, right))
+    _charge_dgemms(nb, tl.forward_charges)
+    return out.reshape(out.shape[:-2] + (tl.n1 * tl.n1,))
+
+
 def _adjoint(tl, nb: int, v: np.ndarray, left: np.ndarray, right: np.ndarray):
     """out[..., p, q] = sum_ij right[p, i] left[q, j] V[j, i] for a
     (..., nq) stack of quadrature-point values.  np.matmul's stacked
@@ -79,10 +101,8 @@ def _laplacian_tensors(b, tl, nb: int, ct: np.ndarray, tb: np.ndarray) -> np.nda
     the end of every call and faulted back in by the next (a 6-column
     apply reads 30 % slower without them).
     """
-    flat = ct.shape[:-2] + (tl.n1 * tl.n1,)
-    r1 = np.matmul(tl.b1t, np.matmul(ct, tl.d1)).reshape(flat)  # d/dxi1
-    _charge_dgemms(nb, tl.forward_charges)
-    r2 = np.matmul(tl.d1t, tb).reshape(flat)  # d/dxi2
+    r1 = _forward(tl, nb, ct, tl.d1, tl.b1t)  # d/dxi1
+    r2 = np.matmul(tl.d1t, tb).reshape(r1.shape)  # d/dxi2
     _charge_dgemms(nb, tl.forward_charges)
     g11, g12, g21, g22 = b.dxi_stacks  # g[a][b] = d xi_a / d x_b
     dx = r1 * g11 + r2 * g21
@@ -127,7 +147,7 @@ def apply_operator_batched(
     components as contiguous stacks — sits on the batch and its
     expansion's tensor layout; every array made here is the call's own,
     so concurrent applies on one space do not meet.  The arithmetic is
-    that of ``gradient`` / ``backward`` / ``iproduct_sumfact_batched``
+    that of a gradient / backward transform and a weak right-hand side
     composed, with ``C^T b1`` (the xi2 derivative leg and the mass
     term's backward transform both start from it) computed once and the
     adjoint tensors summed before the one read-out to modal order; the
@@ -136,11 +156,7 @@ def apply_operator_batched(
     """
     check_kind(kind)
     tl = b.exp.tensor_layout()
-    # (..., ng, P+1, P+1) stack of C^T.  np.take, not u[..., dofs]: with
-    # leading axes the fancy index hands back a transposed-layout array,
-    # and every matmul downstream would run strided.
-    ct = np.take(u, b.dofs_ct, axis=-1)
-    ct *= b.signs_ct
+    ct = _coefficient_tensors(b, u)
     nb = math.prod(ct.shape[:-2])
     # repro: waive[accounting] charged by each term that starts from it, where the composition computed it
     tb = np.matmul(ct, tl.b1)
@@ -163,24 +179,23 @@ def diagonal_operator_batched(b, kind: str, lam: float = 0.0) -> np.ndarray:
     metric products (plus one more for the mass term).
     """
     check_kind(kind)
-    exp = b.exp
-    tl = exp.tensor_layout()
-    shape = (b.ng, tl.n1, tl.n1)
+    tl = b.exp.tensor_layout()
     b2 = tl.b1 * tl.b1
     d2 = tl.d1 * tl.d1
     bd = tl.b1 * tl.d1
-    g, jw = b.dxi, b.jw
+    jw = b.jw
     if kind == "mass":
-        out = exp._contract_t_batched(jw.reshape(shape), b2, b2)
-        return tl.from_tensor_batched(out)
-    w_aa = jw * (g[:, 0, 0] ** 2 + g[:, 0, 1] ** 2)
-    w_ab = 2.0 * jw * (g[:, 0, 0] * g[:, 1, 0] + g[:, 0, 1] * g[:, 1, 1])
-    w_bb = jw * (g[:, 1, 0] ** 2 + g[:, 1, 1] ** 2)
-    # Metric products: 3 weighted quadratic forms, ~12 flops per point.
-    _charge_metric(float(jw.size), 12.0)
-    out = exp._contract_t_batched(w_aa.reshape(shape), b2, d2)
-    out += exp._contract_t_batched(w_ab.reshape(shape), bd, bd)
-    out += exp._contract_t_batched(w_bb.reshape(shape), d2, b2)
-    if kind == "helmholtz" and lam != 0.0:
-        out += lam * exp._contract_t_batched(jw.reshape(shape), b2, b2)
-    return tl.from_tensor_batched(out)
+        out = _adjoint(tl, b.ng, jw, b2, b2)
+    else:
+        g11, g12, g21, g22 = b.dxi_stacks
+        w_aa = jw * (g11**2 + g12**2)
+        w_ab = 2.0 * jw * (g11 * g21 + g12 * g22)
+        w_bb = jw * (g21**2 + g22**2)
+        # Metric products: 3 weighted quadratic forms, ~12 flops per point.
+        _charge_metric(float(jw.size), 12.0)
+        out = _adjoint(tl, b.ng, w_aa, b2, d2)
+        out += _adjoint(tl, b.ng, w_ab, bd, bd)
+        out += _adjoint(tl, b.ng, w_bb, d2, b2)
+        if kind == "helmholtz" and lam != 0.0:
+            out += lam * _adjoint(tl, b.ng, jw, b2, b2)
+    return out[..., tl.pq[:, 0], tl.pq[:, 1]]

@@ -16,6 +16,8 @@ C0 vector of length ``ndof``.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import scipy.sparse as sp
 
@@ -32,6 +34,17 @@ from .operators import (
 )
 
 __all__ = ["FunctionSpace"]
+
+
+def _real_array(a, who: str, name: str) -> np.ndarray:
+    """``a`` as float64.  A complex array is refused, not cast: the cast
+    keeps the real part and drops the rest without an error."""
+    if np.iscomplexobj(a):
+        raise ValueError(
+            f"{who}: {name} is complex; the transforms are real — pass the real "
+            f"and imaginary parts as two fields, np.stack([{name}.real, {name}.imag])"
+        )
+    return np.asarray(a, dtype=np.float64)
 
 
 class FunctionSpace:
@@ -64,6 +77,7 @@ class FunctionSpace:
             sumfact = all(e.kind == "quad" for e in mesh.elements)
         self.sumfact = bool(sumfact)
         self._batches = None
+        self._flat_dofs = None
         self._op_mats: dict[tuple, np.ndarray] = {}
         self._dirichlet_plans: dict[tuple[str, ...], DirichletPlan] = {}
         self.dofmap = DofMap(mesh, order, periodic=periodic)
@@ -132,44 +146,109 @@ class FunctionSpace:
         """``u`` as a float64 ``(..., ndof)`` array, or ``ValueError``:
         the gathers index, so a longer vector would be read short (and
         a shorter one die as an ``IndexError`` inside a fancy index)."""
-        u = np.asarray(u, dtype=np.float64)
+        u = _real_array(u, who, "u")
         if u.shape[-1:] != (self.ndof,):
             raise ValueError(
                 f"{who}: u must be (..., ndof = {self.ndof}), got {u.shape}"
             )
         return u
 
+    def _quadrature_values(self, values: np.ndarray, who: str, name: str) -> np.ndarray:
+        """``values`` as a float64 ``(..., nelem, nq)`` array, or
+        ``ValueError``."""
+        values = _real_array(values, who, name)
+        if values.shape[-2:] != (self.nelem, self.nq):
+            raise ValueError(
+                f"{who}: {name} must be given at the quadrature points, "
+                f"(..., nelem = {self.nelem}, nq = {self.nq}), got {values.shape}"
+            )
+        return values
+
+    # A space whose elements all share one shape has one batch, and that
+    # batch's ``elems`` is ``arange(nelem)``: its stacks *are* the
+    # (..., nelem, nq) arrays, and the transforms read and return them
+    # whole instead of through an ``[..., b.elems, :]`` copy.
+
+    def _batch_values(self, b, values: np.ndarray) -> np.ndarray:
+        """The (..., ng, nq) rows of ``values`` on the elements of ``b``."""
+        return values if b.ng == self.nelem else values[..., b.elems, :]
+
+    def _by_element(self, parts: list[np.ndarray]) -> np.ndarray:
+        """Per-batch (..., ng, nq) stacks -> (..., nelem, nq) in mesh
+        element order."""
+        if len(parts) == 1:
+            return parts[0]
+        out = np.empty(parts[0].shape[:-2] + (self.nelem, self.nq))
+        for b, vals in zip(self.batches(), parts):
+            out[..., b.elems, :] = vals
+        return out
+
+    def _assemble(self, parts: list[np.ndarray]) -> np.ndarray:
+        """Per-batch (..., ng, nmodes) element-local stacks -> a fresh
+        (..., ndof) global vector: signed, accumulated.
+
+        One ``np.bincount`` per leading index over all batches' entries
+        in batch order.  ``bincount`` adds its weights from left to
+        right into a vector that starts at zero, which is what an
+        ``np.add.at`` sweep over the batches does to a zeroed vector:
+        the same sum per dof, to the bit.  Only a *fresh* vector can be
+        built this way — accumulating into one that already holds
+        values (the pressure boundary term) stays an ``np.add.at``.
+        """
+        batches = self.batches()
+        if self._flat_dofs is None:
+            self._flat_dofs = np.concatenate([b.dofs.ravel() for b in batches])
+        lead = parts[0].shape[:-2]
+        signed = [(b.signs * loc).reshape(lead + (-1,)) for b, loc in zip(batches, parts)]
+        weights = signed[0] if len(signed) == 1 else np.concatenate(signed, axis=-1)
+        if not lead:
+            return np.bincount(self._flat_dofs, weights=weights, minlength=self.ndof)
+        out = np.empty(lead + (self.ndof,))
+        for idx in np.ndindex(*lead):
+            out[idx] = np.bincount(
+                self._flat_dofs, weights=weights[idx], minlength=self.ndof
+            )
+        return out
+
+    # On quad batches under ``sumfact`` each transform is one pass over
+    # operands hoisted on the batch and its expansion's tensor layout
+    # (``dofs_ct`` / ``signs_ct`` / ``dxi_stacks``; ``b1`` / ``d1`` and
+    # their transposes; ``pq``), through the contraction helpers of
+    # :mod:`.matrix_free`, which charge each contraction as the two
+    # counted ``dgemm`` calls it once was (DESIGN.md section 15.3).
+
     def backward(self, u_hat: np.ndarray) -> np.ndarray:
         """Global modal coefficients -> values at quadrature points."""
         u_hat = self._coefficients(u_hat, "backward")
         lead = u_hat.shape[:-1]
-        out = np.empty(lead + (self.nelem, self.nq))
+        parts = []
         for b in self.batches():
-            local = b.gather(u_hat)
             if self.sumfact and b.kind == "quad":
-                vals = b.exp.backward_sumfact_batched(local)
+                tl = b.exp.tensor_layout()
+                ct = matrix_free._coefficient_tensors(b, u_hat)
+                vals = matrix_free._forward(tl, math.prod(lead) * b.ng, ct, tl.b1, tl.b1t)
             else:
                 vals = np.empty(lead + (b.ng, self.nq))
-                blas.dgemv_batched(1.0, b.exp.phi, local, 0.0, vals, trans=True)
-            out[..., b.elems, :] = vals
-        return out
+                blas.dgemv_batched(1.0, b.exp.phi, b.gather(u_hat), 0.0, vals, trans=True)
+            parts.append(vals)
+        return self._by_element(parts)
 
     def load_vector(self, values: np.ndarray) -> np.ndarray:
         """Assembled (f, phi_i) for f at quadrature points."""
-        values = np.asarray(values, dtype=np.float64)
+        values = self._quadrature_values(values, "load_vector", "values")
         lead = values.shape[:-2]
-        rhs = np.zeros(lead + (self.ndof,))
-        if values.shape[-2:] != (self.nelem, self.nq):
-            raise ValueError("values must be given at the quadrature points")
+        parts = []
         for b in self.batches():
-            w = b.jw * values[..., b.elems, :]
+            w = b.jw * self._batch_values(b, values)
             if self.sumfact and b.kind == "quad":
-                local = b.exp.iproduct_sumfact_batched(w)
+                tl = b.exp.tensor_layout()
+                out = matrix_free._adjoint(tl, math.prod(lead) * b.ng, w, tl.b1, tl.b1)
+                local = out[..., tl.pq[:, 0], tl.pq[:, 1]]
             else:
                 local = np.zeros(lead + (b.ng, b.exp.nmodes))
                 blas.dgemv_batched(1.0, b.exp.phi, w, 0.0, local)
-            b.scatter_add(local, rhs)
-        return rhs
+            parts.append(local)
+        return self._assemble(parts)
 
     def grad_load_vector(self, fx: np.ndarray, fy: np.ndarray) -> np.ndarray:
         """Assembled (fx, dphi_i/dx) + (fy, dphi_i/dy).
@@ -179,31 +258,37 @@ class FunctionSpace:
         dp/dn = u_hat . n / dt, the boundary terms cancel and
         (grad p, grad phi) = (u_hat, grad phi) / dt.
         """
-        fx = np.asarray(fx, dtype=np.float64)
-        fy = np.asarray(fy, dtype=np.float64)
+        fx = self._quadrature_values(fx, "grad_load_vector", "fx")
+        fy = self._quadrature_values(fy, "grad_load_vector", "fy")
+        if fx.shape != fy.shape:
+            raise ValueError(
+                f"grad_load_vector: fx {fx.shape} and fy {fy.shape} must have one shape"
+            )
         lead = fx.shape[:-2]
-        rhs = np.zeros(lead + (self.ndof,))
-        if fx.shape != fy.shape or fx.shape[-2:] != (self.nelem, self.nq):
-            raise ValueError("fields must be given at the quadrature points")
+        parts = []
         for b in self.batches():
             # Adjoint of the reference-first gradient: contract the
             # metric factors into the quadrature fields, then apply the
             # shared reference-derivative tables — two dgemv charges
             # per element (or two pairs of O(P^3) contractions with
             # sumfact).
-            g = b.jw * fx[..., b.elems, :]
-            h = b.jw * fy[..., b.elems, :]
-            t1 = b.dxi[:, 0, 0] * g + b.dxi[:, 0, 1] * h
-            t2 = b.dxi[:, 1, 0] * g + b.dxi[:, 1, 1] * h
+            g = b.jw * self._batch_values(b, fx)
+            h = b.jw * self._batch_values(b, fy)
+            g11, g12, g21, g22 = b.dxi_stacks
+            t1 = g11 * g + g12 * h
+            t2 = g21 * g + g22 * h
             if self.sumfact and b.kind == "quad":
-                local = b.exp.iproduct_sumfact_batched(t1, deriv=1)
-                local += b.exp.iproduct_sumfact_batched(t2, deriv=2)
+                tl = b.exp.tensor_layout()
+                nb = math.prod(lead) * b.ng
+                out = matrix_free._adjoint(tl, nb, t1, tl.b1, tl.d1)
+                out += matrix_free._adjoint(tl, nb, t2, tl.d1, tl.b1)
+                local = out[..., tl.pq[:, 0], tl.pq[:, 1]]
             else:
                 local = np.zeros(lead + (b.ng, b.exp.nmodes))
                 blas.dgemv_batched(1.0, b.exp.dphi1, t1, 0.0, local)
                 blas.dgemv_batched(1.0, b.exp.dphi2, t2, 1.0, local)
-            b.scatter_add(local, rhs)
-        return rhs
+            parts.append(local)
+        return self._assemble(parts)
 
     def forward(self, values: np.ndarray) -> np.ndarray:
         """Global L2 projection: values -> modal coefficients (condensed
@@ -229,23 +314,28 @@ class FunctionSpace:
         """Physical (du/dx, du/dy) at quadrature points from modal coeffs."""
         u_hat = self._coefficients(u_hat, "gradient")
         lead = u_hat.shape[:-1]
-        dudx = np.empty(lead + (self.nelem, self.nq))
-        dudy = np.empty(lead + (self.nelem, self.nq))
+        dudx, dudy = [], []
         for b in self.batches():
-            local = b.gather(u_hat)
+            # Reference-first evaluation: the shared reference-derivative
+            # tables (two dgemv per element, or two pairs of O(P^3)
+            # contractions with sumfact), with the metric factors
+            # applied pointwise afterwards.
             if self.sumfact and b.kind == "quad":
-                d1, d2 = b.exp.gradient_sumfact_batched(local)
+                tl = b.exp.tensor_layout()
+                ct = matrix_free._coefficient_tensors(b, u_hat)
+                nb = math.prod(lead) * b.ng
+                d1 = matrix_free._forward(tl, nb, ct, tl.d1, tl.b1t)
+                d2 = matrix_free._forward(tl, nb, ct, tl.b1, tl.d1t)
             else:
-                # Reference-first evaluation: two shared-table dgemv
-                # per element, with the metric factors applied
-                # pointwise afterwards.
+                local = b.gather(u_hat)
                 d1 = np.empty(lead + (b.ng, self.nq))
                 d2 = np.empty(lead + (b.ng, self.nq))
                 blas.dgemv_batched(1.0, b.exp.dphi1, local, 0.0, d1, trans=True)
                 blas.dgemv_batched(1.0, b.exp.dphi2, local, 0.0, d2, trans=True)
-            dudx[..., b.elems, :] = d1 * b.dxi[:, 0, 0] + d2 * b.dxi[:, 1, 0]
-            dudy[..., b.elems, :] = d1 * b.dxi[:, 0, 1] + d2 * b.dxi[:, 1, 1]
-        return dudx, dudy
+            g11, g12, g21, g22 = b.dxi_stacks
+            dudx.append(d1 * g11 + d2 * g21)
+            dudy.append(d1 * g12 + d2 * g22)
+        return self._by_element(dudx), self._by_element(dudy)
 
     def gradient_of_values(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Gradient of a quadrature-space field (projects first)."""
@@ -329,7 +419,7 @@ class FunctionSpace:
         matrix_free.check_kind(kind)
         u = self._coefficients(u, "operator_apply")
         lead = u.shape[:-1]
-        out = np.zeros(lead + (self.ndof,))
+        parts = []
         for bi, b in enumerate(self.batches()):
             if self.sumfact and b.kind == "quad":
                 res = matrix_free.apply_operator_batched(b, u, kind, lam)
@@ -337,15 +427,15 @@ class FunctionSpace:
                 mats = self._dense_batch_mats(bi, kind, lam)
                 res = np.zeros(lead + (b.ng, b.exp.nmodes))
                 blas.dgemv_batched(1.0, mats, b.gather(u), 0.0, res)
-            b.scatter_add(res, out)
-        return out
+            parts.append(res)
+        return self._assemble(parts)
 
     def operator_diagonal(self, kind: str, lam: float = 0.0) -> np.ndarray:
         """Assembled operator diagonal (Jacobi preconditioner) without
         assembling: sum-factorised on quad batches, tabulated stacks on
         the rest."""
         matrix_free.check_kind(kind)
-        diag = np.zeros(self.ndof)
+        parts = []
         for bi, b in enumerate(self.batches()):
             if self.sumfact and b.kind == "quad":
                 d = matrix_free.diagonal_operator_batched(b, kind, lam)
@@ -353,9 +443,9 @@ class FunctionSpace:
                 mats = self._dense_batch_mats(bi, kind, lam)
                 d = np.diagonal(mats, axis1=-2, axis2=-1)
             # Signs square to one on the diagonal; pre-multiplying
-            # cancels the one scatter_add applies.
-            b.scatter_add(b.signs * d, diag)
-        return diag
+            # cancels the one the assembly applies.
+            parts.append(b.signs * d)
+        return self._assemble(parts)
 
     def assemble(self, elem_mats: list[np.ndarray]) -> sp.csr_matrix:
         """Scatter elemental matrices into the global sparse operator."""

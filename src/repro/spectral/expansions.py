@@ -283,9 +283,9 @@ class _TensorLayout:
                 self.pq[m] = mode.k
         self.n1 = n1
         self.np1 = P + 1
-        # Operands of the matrix-free operator apply
-        # (repro.assembly.matrix_free), fixed with the expansion and so
-        # validated here, not per call.  ``ct_perm`` lists the modes in
+        # Operands of the sum-factorised transforms and operator apply
+        # (repro.assembly.space / matrix_free), fixed with the expansion
+        # and so validated here, not per call.  ``ct_perm`` lists the modes in
         # C^T tensor order — ``coeffs[..., ct_perm]`` reshaped to
         # (P+1, P+1) is the transposed tensor, already contiguous — which
         # needs the modes to fill the tensor exactly.
@@ -303,98 +303,24 @@ class _TensorLayout:
         self.forward_charges = (_dgemm_charge(n, q, n), _dgemm_charge(q, q, n))
         self.adjoint_charges = (_dgemm_charge(n, q, q), _dgemm_charge(n, n, q))
 
-    def to_tensor_batched(self, coeffs: Array) -> Array:
-        """(..., nmodes) modal stacks -> (..., P+1, P+1) tensor stacks."""
-        coeffs = np.asarray(coeffs, dtype=np.float64)
-        c = np.zeros(coeffs.shape[:-1] + (self.np1, self.np1))
-        c[..., self.pq[:, 0], self.pq[:, 1]] = coeffs
-        return c
-
-    def from_tensor_batched(self, c: Array) -> Array:
-        """(..., P+1, P+1) tensor stacks -> (..., nmodes) modal stacks."""
-        return c[..., self.pq[:, 0], self.pq[:, 1]]
-
 
 class QuadExpansionMixin:
-    """Sum-factorised evaluation for tensor-product (quad) expansions.
+    """Sum-factorisation data of tensor-product (quad) expansions.
 
     NekTar evaluates transforms and derivatives by two small dense
     contractions per element — O(P^3) instead of the O(P^4) of a
-    tabulated (nmodes x nq) dgemv.  Every kernel takes a stack of
-    elements (and any further leading axes) per call; the counted
-    dgemm_batched substrate charges each element's two contractions,
-    so op accounting stays exact.
+    tabulated (nmodes x nq) dgemv.  The expansion owns what those
+    contractions read (:meth:`tensor_layout`: the 1-D tables, the mode
+    <-> tensor index maps, the per-element charge of each dgemm); the
+    contractions themselves run over whole element batches in
+    :mod:`repro.assembly.matrix_free` and
+    :class:`~repro.assembly.space.FunctionSpace`.
     """
 
     def tensor_layout(self) -> _TensorLayout:
         if not hasattr(self, "_tensor_layout"):
             self._tensor_layout = _TensorLayout(self)
         return self._tensor_layout
-
-    _IPRODUCT_TABLES = {0: ("b1", "b1"), 1: ("d1", "b1"), 2: ("b1", "d1")}
-
-    def _iproduct_tables(self, deriv: int) -> tuple[Array, Array]:
-        """(right, left) 1-D factor tables of the basis (deriv=0) or of
-        its reference derivative d/dxi1 (deriv=1) / d/dxi2 (deriv=2)."""
-        tl = self.tensor_layout()
-        r, lft = self._IPRODUCT_TABLES[deriv]
-        return getattr(tl, r), getattr(tl, lft)
-
-    def _contract_batched(self, c: Array, left: Array, right: Array) -> Array:
-        """out[..., j, i] = sum_pq C[p, q] left[q, j] right[p, i] via two
-        counted dgemm_batched calls.  ``c`` is a (..., P+1, P+1) stack
-        of C^T tensors; ``right`` tabulates the xi1 (fast, index i)
-        direction, ``left`` the xi2 (slow, index j) direction."""
-        from ..linalg import blas
-
-        tl = self.tensor_layout()
-        tmp = np.zeros(c.shape[:-2] + (tl.np1, tl.n1))
-        blas.dgemm_batched(1.0, c, right, 0.0, tmp)
-        out = np.zeros(c.shape[:-2] + (tl.n1, tl.n1))
-        blas.dgemm_batched(1.0, left, tmp, 0.0, out, transa=True)
-        return out
-
-    def backward_sumfact_batched(self, coeffs: Array) -> Array:
-        """(..., nmodes) coefficient stacks -> (..., nq) value stacks;
-        equivalent to ``phi.T @ coeffs`` per element in O(P^3)."""
-        tl = self.tensor_layout()
-        c = tl.to_tensor_batched(coeffs)
-        vals = self._contract_batched(np.swapaxes(c, -1, -2), tl.b1, tl.b1)
-        return vals.reshape(c.shape[:-2] + (tl.n1 * tl.n1,))
-
-    def gradient_sumfact_batched(self, coeffs: Array) -> tuple[Array, Array]:
-        """Stacked reference derivatives at the quadrature points."""
-        tl = self.tensor_layout()
-        ct = np.swapaxes(tl.to_tensor_batched(coeffs), -1, -2)
-        d1 = self._contract_batched(ct, tl.b1, tl.d1)
-        d2 = self._contract_batched(ct, tl.d1, tl.b1)
-        flat = ct.shape[:-2] + (tl.n1 * tl.n1,)
-        return d1.reshape(flat), d2.reshape(flat)
-
-    def _contract_t_batched(self, v: Array, left: Array, right: Array) -> Array:
-        """Adjoint of :meth:`_contract_batched`:
-        out[..., p, q] = sum_ij right[p, i] left[q, j] V[j, i] for a
-        (..., nq1d, nq1d) stack ``v`` of quadrature grids."""
-        from ..linalg import blas
-
-        tl = self.tensor_layout()
-        tmp = np.zeros(v.shape[:-2] + (tl.np1, tl.n1))
-        blas.dgemm_batched(1.0, left, v, 0.0, tmp)
-        out = np.zeros(v.shape[:-2] + (tl.np1, tl.np1))
-        blas.dgemm_batched(1.0, right, tmp, 0.0, out, transb=True)
-        return out
-
-    def iproduct_sumfact_batched(self, fvals: Array, deriv: int = 0) -> Array:
-        """(..., nq) weighted value stacks -> (..., nmodes) inner
-        products against the basis: ``phi @ fvals`` (deriv=0),
-        ``dphi1 @ fvals`` (deriv=1) or ``dphi2 @ fvals`` (deriv=2) per
-        element in O(P^3); ``fvals`` must already carry the
-        quadrature/metric weights."""
-        tl = self.tensor_layout()
-        fvals = np.asarray(fvals, dtype=np.float64)
-        v = fvals.reshape(fvals.shape[:-1] + (tl.n1, tl.n1))
-        right, left = self._iproduct_tables(deriv)
-        return tl.from_tensor_batched(self._contract_t_batched(v, left, right))
 
 
 class QuadExpansion(QuadExpansionMixin, Expansion2D):

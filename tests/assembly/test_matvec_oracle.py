@@ -3,9 +3,11 @@
 ``oracle_apply`` is ``assembly/matrix_free.py``'s ``_apply_mass`` /
 ``_apply_laplacian`` / ``apply_operator_batched`` as they stood before
 the hoisting of DESIGN.md section 15.3: per call, a signed gather, the
-expansion's public sum-factorised kernels (``backward`` / ``gradient`` /
+expansion's sum-factorised kernels (``backward`` / ``gradient`` /
 ``iproduct_sumfact_batched``, one counted ``dgemm_batched`` per
-contraction leg), strided metric views and ``scale * jw``.  The apply in
+contraction leg — since deleted from ``src/`` and kept, frozen, in
+``_sumfact_oracle.py``), strided metric views, ``scale * jw`` and an
+``np.add.at`` scatter.  The apply in
 ``src/`` hands the same operands to the same ``matmul`` calls in the same
 order, so
 
@@ -25,37 +27,40 @@ import numpy as np
 import pytest
 
 from repro.assembly.space import FunctionSpace
-from repro.linalg.counters import OpCounter, charge, set_kernel_sampler
+from repro.linalg.counters import OpCounter, set_kernel_sampler
 from repro.mesh.generators import annulus_mesh, bluff_body_mesh, rectangle_quads
 
+from ._sumfact_oracle import (
+    _charge_metric,
+    backward_sumfact_batched,
+    gradient_sumfact_batched,
+    iproduct_sumfact_batched,
+    scatter_add,
+)
 from .test_space import mixed_mesh
 
 # -- the frozen per-call bodies ------------------------------------------------
 
 
-def _charge_metric(n, flops_per_point):
-    charge(flops_per_point * n, 16.0 * flops_per_point * n, "mfree-metric")
-
-
 def _apply_mass(b, local, scale=1.0):
-    vals = b.exp.backward_sumfact_batched(local)
+    vals = backward_sumfact_batched(b.exp, local)
     nppf = 1.0 if scale == 1.0 else 2.0
     _charge_metric(float(vals.size), nppf)
     w = b.jw if scale == 1.0 else scale * b.jw
-    return b.exp.iproduct_sumfact_batched(w * vals)
+    return iproduct_sumfact_batched(b.exp, w * vals)
 
 
 def _apply_laplacian(b, local):
     exp = b.exp
-    d1, d2 = exp.gradient_sumfact_batched(local)
+    d1, d2 = gradient_sumfact_batched(exp, local)
     g = b.dxi
     dx = d1 * g[:, 0, 0] + d2 * g[:, 1, 0]
     dy = d1 * g[:, 0, 1] + d2 * g[:, 1, 1]
     t1 = b.jw * (g[:, 0, 0] * dx + g[:, 0, 1] * dy)
     t2 = b.jw * (g[:, 1, 0] * dx + g[:, 1, 1] * dy)
     _charge_metric(float(d1.size), 14.0)
-    out = exp.iproduct_sumfact_batched(t1, deriv=1)
-    out += exp.iproduct_sumfact_batched(t2, deriv=2)
+    out = iproduct_sumfact_batched(exp, t1, deriv=1)
+    out += iproduct_sumfact_batched(exp, t2, deriv=2)
     return out
 
 
@@ -72,7 +77,7 @@ def oracle_apply(space, kind, u, lam=0.0):
             res = _apply_laplacian(b, local)
             if kind == "helmholtz" and lam != 0.0:
                 res += _apply_mass(b, local, scale=lam)
-        b.scatter_add(res, out)
+        scatter_add(b, res, out)
     return out
 
 
