@@ -218,11 +218,9 @@ _SEEDABLE_CTORS = {
 _BLAS_KERNELS = {
     "dcopy",
     "daxpy",
-    "daxpy_batched",
     "ddot",
     "ddot_batched",
     "dscal",
-    "dscal_batched",
     "dnrm2",
     "dgemv",
     "dgemv_batched",
@@ -230,9 +228,6 @@ _BLAS_KERNELS = {
     "dgemm_batched",
     "dtrsm_batched",
     "dvmul",
-    "dvmul_batched",
-    "dvadd",
-    "dsvtvp",
 }
 # Counted non-blas kernels: the z-direction real FFT pair charges the
 # ambient counter itself (split rfft/irfft pricing), so calling it is

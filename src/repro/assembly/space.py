@@ -337,10 +337,6 @@ class FunctionSpace:
             dudy.append(d1 * g12 + d2 * g22)
         return self._by_element(dudx), self._by_element(dudy)
 
-    def gradient_of_values(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Gradient of a quadrature-space field (projects first)."""
-        return self.gradient(self.forward(values))
-
     # -- integrals ---------------------------------------------------------------
 
     def integrate(self, values: np.ndarray) -> float:
@@ -414,7 +410,7 @@ class FunctionSpace:
         Quad batches apply by sum-factorisation — O(P^3) per element,
         nothing assembled; other batches fall back to cached tabulated
         elemental stacks.  Leading axes of ``u`` batch through one
-        sweep (the block-CG path applies whole RHS blocks at once).
+        sweep.
         """
         matrix_free.check_kind(kind)
         u = self._coefficients(u, "operator_apply")

@@ -9,8 +9,6 @@ from .blas import (
     dgemv,
     dnrm2,
     dscal,
-    dsvtvp,
-    dvadd,
     dvmul,
 )
 from .cg import CGResult, pcg
@@ -28,8 +26,6 @@ __all__ = [
     "dgemv",
     "dgemm",
     "dvmul",
-    "dvadd",
-    "dsvtvp",
     "CGResult",
     "pcg",
     "OpCounter",

@@ -210,8 +210,3 @@ class BandedSPDSolver:
             sol, _ = trtrs(ds[:mb], rhst.T, lower=1, trans=1)
             x[:, i0 : i0 + mb] = sol.T
         return x
-
-    @property
-    def solve_flops(self) -> float:
-        """Flops of one single-RHS solve (for the analytic cost models)."""
-        return 4.0 * self.n * self.kd

@@ -26,11 +26,9 @@ from .counters import charge
 __all__ = [
     "dcopy",
     "daxpy",
-    "daxpy_batched",
     "ddot",
     "ddot_batched",
     "dscal",
-    "dscal_batched",
     "dnrm2",
     "dgemv",
     "dgemv_batched",
@@ -38,9 +36,6 @@ __all__ = [
     "dgemm_batched",
     "dtrsm_batched",
     "dvmul",
-    "dvmul_batched",
-    "dvadd",
-    "dsvtvp",
     "flop_count",
     "byte_count",
 ]
@@ -164,23 +159,6 @@ def dvmul(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
     x, y, z = _as1d(x), _as1d(y), _as1d(z)
     np.multiply(x, y, out=z)
     charge(1.0 * x.size, 24.0 * x.size, "dvmul")
-    return z
-
-
-def dvadd(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """z = x + y elementwise."""
-    x, y, z = _as1d(x), _as1d(y), _as1d(z)
-    np.add(x, y, out=z)
-    charge(1.0 * x.size, 24.0 * x.size, "dvadd")
-    return z
-
-
-def dsvtvp(alpha: float, x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """z = alpha * x + y (scalar times vector plus vector)."""
-    x, y, z = _as1d(x), _as1d(y), _as1d(z)
-    np.multiply(x, alpha, out=z)
-    z += y
-    charge(2.0 * x.size, 24.0 * x.size, "dsvtvp")
     return z
 
 
@@ -350,47 +328,6 @@ def dgemm_batched(
         c += alpha * np.matmul(opa, opb)
     charge(nb * 2.0 * m * n * k, nb * 8.0 * (m * k + k * n + 2 * m * n), "dgemm")
     return c
-
-
-def daxpy_batched(alpha: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Row-wise daxpy: y[i] += alpha[i] * x[i], in place, over (nb, n)
-    slabs.  Row i is bitwise the per-row ``daxpy`` (no reassociation),
-    and the charge is exactly nb per-row calls'."""
-    alpha = np.asarray(alpha, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    if y.dtype != np.float64:
-        raise ValueError("daxpy_batched: y must be float64")
-    if x.ndim != 2 or x.shape != y.shape or alpha.shape != (x.shape[0],):
-        raise ValueError("daxpy_batched: shape mismatch")
-    y += alpha[:, None] * x
-    charge(x.shape[0] * 2.0 * x.shape[1], x.shape[0] * 24.0 * x.shape[1], "daxpy")
-    return y
-
-
-def dscal_batched(alpha: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Row-wise dscal: x[i] *= alpha[i], in place, over a (nb, n) slab."""
-    alpha = np.asarray(alpha, dtype=np.float64)
-    if x.dtype != np.float64:
-        raise ValueError("dscal_batched: x must be float64")
-    if x.ndim != 2 or alpha.shape != (x.shape[0],):
-        raise ValueError("dscal_batched: shape mismatch")
-    x *= alpha[:, None]
-    charge(x.shape[0] * 1.0 * x.shape[1], x.shape[0] * 16.0 * x.shape[1], "dscal")
-    return x
-
-
-def dvmul_batched(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Row-wise dvmul: z[i] = x * y[i] (``x`` shared 1-D or a matching
-    (nb, n) slab), in place into z."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if z.dtype != np.float64:
-        raise ValueError("dvmul_batched: z must be float64")
-    if y.ndim != 2 or z.shape != y.shape or x.shape not in (y.shape, y.shape[1:]):
-        raise ValueError("dvmul_batched: shape mismatch")
-    np.multiply(x, y, out=z)
-    charge(y.shape[0] * 1.0 * y.shape[1], y.shape[0] * 24.0 * y.shape[1], "dvmul")
-    return z
 
 
 def ddot_batched(x: np.ndarray, y: np.ndarray) -> np.ndarray:

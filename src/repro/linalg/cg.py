@@ -3,8 +3,8 @@
 Section 4.2.2: "a diagonally preconditioned conjugate gradient iterative
 solver is predominantly used" in NekTar-ALE.  This CG is written against
 an abstract operator; its one caller,
-:class:`repro.solvers.helmholtz.HelmholtzCG`, hands it an assembled
-matrix or the matrix-free apply, serially, for the ALE solver
+:class:`repro.solvers.helmholtz.HelmholtzCG`, hands it the space's
+elemental operator apply, serially, for the ALE solver
 (:mod:`repro.ns.ale`).  There is no partitioned CG in the tree: the
 per-iteration communication behind Table 3 is a priced model
 (:mod:`repro.apps.ale_bench`), not a run.
@@ -123,96 +123,11 @@ def pcg_block(
     diag: np.ndarray,
     tol: float = 1.0e-10,
     maxiter: int | None = None,
-    apply_block: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> list[CGResult]:
-    """Block-Jacobi-PCG over a row-stacked (nrhs, n) RHS block.
-
-    Each row runs the *identical* iteration to :func:`pcg` — the scalar
-    reductions use the same BLAS calls on contiguous row views and the
-    elementwise updates are the row-wise batched kernels, so every
-    column's iterates, iteration count, and OpCounter charges are
-    bit-for-bit what ``nrhs`` separate :func:`pcg` calls produce.  The
-    interpreter-level loop fusion (one batched daxpy/dvmul/dscal per
-    iteration instead of one per column) is the whole optimisation.
-    Converged columns are compacted out so they stop iterating — and
-    stop being charged — at exactly the solo path's iteration count.
-
-    ``apply_block``, when given, applies the operator to the whole
-    (k, n) row block in one sweep (the matrix-free sum-factorised
-    apply batches its leading axes); it must produce the same values
-    and charges as k row-wise ``apply_a`` calls.
-    """
-    b = np.ascontiguousarray(np.asarray(b, dtype=np.float64))
-    diag = np.asarray(diag, dtype=np.float64)
+    """:func:`pcg` over each row of a row-stacked (nrhs, n) RHS block:
+    every row's iterates, iteration count and OpCounter charges are
+    those of a separate :func:`pcg` call, because it is one."""
+    b = np.asarray(b, dtype=np.float64)
     if b.ndim != 2:
         raise ValueError("pcg_block: expected a (nrhs, n) RHS block")
-    if np.any(diag <= 0.0):
-        raise ValueError("pcg: preconditioner diagonal must be positive (SPD A)")
-    nrhs, n = b.shape
-    if maxiter is None:
-        maxiter = 10 * n + 100
-
-    inv_diag = 1.0 / diag
-    results: list[CGResult | None] = [None] * nrhs
-    x = np.zeros((nrhs, n))
-    r = b.copy()
-    z = np.empty((nrhs, n))
-    blas.dvmul_batched(inv_diag, r, z)
-    p = z.copy()
-    rz = np.array([blas.ddot(r[j], z[j]) for j in range(nrhs)])
-    bnorm = np.array([blas.dnrm2(b[j]) for j in range(nrhs)])
-    idx = np.arange(nrhs)
-    for j in np.nonzero(bnorm == 0.0)[0]:
-        results[j] = _observe(CGResult(np.zeros(n), 0, 0.0, True))
-
-    def compact(keep: np.ndarray):
-        nonlocal x, r, z, p, rz, bnorm, idx
-        x, r, z, p = x[keep], r[keep], z[keep], p[keep]
-        rz, bnorm, idx = rz[keep], bnorm[keep], idx[keep]
-
-    active = bnorm != 0.0
-    if not np.all(active):
-        compact(active)
-    if idx.size == 0:
-        return results  # type: ignore[return-value]
-    resid = np.array([blas.dnrm2(r[j]) for j in range(idx.size)]) / bnorm
-
-    for it in range(1, maxiter + 1):
-        conv = resid <= tol
-        if np.any(conv):
-            for j in np.nonzero(conv)[0]:
-                results[idx[j]] = _observe(
-                    CGResult(x[j].copy(), it - 1, resid[j], True)
-                )
-            compact(~conv)
-            resid = resid[~conv]
-            if idx.size == 0:
-                return results  # type: ignore[return-value]
-        if apply_block is not None:
-            ap = np.ascontiguousarray(apply_block(p))
-        else:
-            ap = np.empty_like(p)
-            for j in range(idx.size):
-                ap[j] = apply_a(p[j])
-        pap = np.array([blas.ddot(p[j], ap[j]) for j in range(idx.size)])
-        if np.any(pap <= 0.0):
-            raise np.linalg.LinAlgError("pcg: operator not positive definite")
-        alpha = rz / pap
-        blas.daxpy_batched(alpha, p, x)
-        blas.daxpy_batched(-alpha, ap, r)
-        blas.dvmul_batched(inv_diag, r, z)
-        rz_new = np.array([blas.ddot(r[j], z[j]) for j in range(idx.size)])
-        beta = rz_new / rz
-        rz = rz_new
-        # p = z + beta p, row-wise.
-        blas.dscal_batched(beta, p)
-        blas.daxpy_batched(np.ones(idx.size), z, p)
-        resid = np.array(
-            [blas.dnrm2(r[j]) for j in range(idx.size)]
-        ) / bnorm
-
-    for j in range(idx.size):
-        results[idx[j]] = _observe(
-            CGResult(x[j].copy(), maxiter, resid[j], bool(resid[j] <= tol))
-        )
-    return results  # type: ignore[return-value]
+    return [pcg(apply_a, row, diag, tol=tol, maxiter=maxiter) for row in b]

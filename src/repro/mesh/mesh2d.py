@@ -172,12 +172,6 @@ class Mesh2D:
         """(nverts, 2) vertex coordinates of one element."""
         return self.vertices[list(self.elements[elem].vertices)]
 
-    def centroids(self) -> np.ndarray:
-        out = np.empty((self.nelements, 2))
-        for i in range(self.nelements):
-            out[i] = self.element_coords(i).mean(axis=0)
-        return out
-
     def element_areas(self) -> np.ndarray:
         """Signed (shoelace) areas; positive for counterclockwise elements."""
         out = np.empty(self.nelements)

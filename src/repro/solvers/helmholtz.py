@@ -6,12 +6,13 @@ The two workhorse solves of the splitting scheme (paper stages 5 and 7):
 
 with Dirichlet conditions on tagged boundary parts and natural
 (zero-flux Neumann) conditions elsewhere — the paper's outflow/side
-treatment for the bluff-body runs.  Two backends:
+treatment for the bluff-body runs.  Two solvers, one implementation
+each:
 
-* :class:`HelmholtzDirect` — banded Cholesky, factored once (NekTar's
-  serial and NekTar-F path),
+* :class:`HelmholtzDirect` — static condensation + banded Cholesky,
+  factored once (NekTar's serial and NekTar-F path),
 * :class:`HelmholtzCG` — diagonally preconditioned conjugate gradient
-  (NekTar-ALE's path).
+  on the space's elemental operator apply (NekTar-ALE's path).
 """
 
 from __future__ import annotations
@@ -21,10 +22,9 @@ from typing import Callable
 import numpy as np
 
 from ..assembly.condensation import CondensedOperator
-from ..assembly.global_system import AssembledOperator
+from ..assembly.global_system import dirichlet_block
 from ..assembly.space import FunctionSpace
 from ..linalg.cg import pcg, pcg_block
-from ..linalg.counters import charge
 
 __all__ = ["HelmholtzDirect", "HelmholtzCG", "solve_poisson"]
 
@@ -43,7 +43,7 @@ def _sample(space: FunctionSpace, fn: ScalarFn | np.ndarray) -> np.ndarray:
 
 
 class _HelmholtzBase:
-    """Shared setup: elemental matrices + Dirichlet bookkeeping."""
+    """Shared setup: Dirichlet bookkeeping."""
 
     def __init__(
         self,
@@ -54,7 +54,6 @@ class _HelmholtzBase:
         self.space = space
         self.lam = float(lam)
         self.dirichlet_tags = tuple(dirichlet_tags)
-        self._elem_mats: list[np.ndarray] | None = None
         if self.dirichlet_tags:
             self.bc_plan = space.dirichlet_plan(self.dirichlet_tags)
             self.bc_plan.charge_projection()  # the zero projection that found the dofs
@@ -66,14 +65,6 @@ class _HelmholtzBase:
                 "pure-Neumann Poisson problem is singular; fix a Dirichlet "
                 "part or use lam > 0"
             )
-
-    @property
-    def elem_mats(self) -> list[np.ndarray]:
-        """Tabulated elemental matrices, built on first access only —
-        the matrix-free CG backend never touches them."""
-        if self._elem_mats is None:
-            self._elem_mats = self.space.elemental_matrices("helmholtz", self.lam)
-        return self._elem_mats
 
     def rhs_for(self, f: ScalarFn | np.ndarray) -> np.ndarray:
         """Assembled load vector of the forcing (weak form of -lap u + lam u = f)."""
@@ -92,14 +83,14 @@ class _HelmholtzBase:
 
 
 class HelmholtzDirect(_HelmholtzBase):
-    """Direct backend: static condensation + banded boundary solve
-    (NekTar's structure; Figure 10).  Set ``condense=False`` for the
-    plain full-banded factorisation."""
+    """Direct solver: static condensation + banded boundary solve
+    (NekTar's structure; Figure 10) over the tabulated elemental
+    matrices ``elem_mats``."""
 
-    def __init__(self, space, lam=0.0, dirichlet_tags=(), condense=True):
+    def __init__(self, space, lam=0.0, dirichlet_tags=()):
         super().__init__(space, lam, dirichlet_tags)
-        cls = CondensedOperator if condense else AssembledOperator
-        self.op = cls(space, self.elem_mats, self.dirichlet_dofs)
+        self.elem_mats = space.elemental_matrices("helmholtz", self.lam)
+        self.op = CondensedOperator(space, self.elem_mats, self.dirichlet_dofs)
 
     def solve(
         self, f: ScalarFn | np.ndarray, g: ScalarFn | None = None
@@ -121,95 +112,41 @@ class HelmholtzDirect(_HelmholtzBase):
 
 
 class HelmholtzCG(_HelmholtzBase):
-    """Jacobi-preconditioned CG backend (the NekTar-ALE solver).
+    """Jacobi-preconditioned CG (the NekTar-ALE solver).
 
-    ``matrix_free`` selects how the CG matvec runs:
-
-    * ``False`` — assemble the global sparse operator once and apply it
-      as a counted CSR spmv (the original path; kept as the oracle),
-    * ``True`` — never assemble anything: each matvec is the
-      sum-factorised elemental apply of
-      :meth:`FunctionSpace.operator_apply` (O(P^3) per quad element)
-      and the Jacobi diagonal comes from
-      :meth:`FunctionSpace.operator_diagonal`.
-
-    The default (``None``) follows ``space.sumfact``, so all-quad
-    meshes go matrix-free automatically.  Both paths produce the same
-    solutions to solver tolerance; their ledger profiles differ
-    ("spmv" vs the sum-factorised "dgemm"/"mfree-metric" charges).
+    Nothing is assembled: each matvec is
+    :meth:`FunctionSpace.operator_apply` — the sum-factorised elemental
+    apply on quad batches (O(P^3) per element), the cached elemental
+    stacks on triangle batches — and the Jacobi diagonal is
+    :meth:`FunctionSpace.operator_diagonal`.
     """
 
-    def __init__(
-        self,
-        space,
-        lam=0.0,
-        dirichlet_tags=(),
-        tol=1e-10,
-        maxiter=None,
-        matrix_free: bool | None = None,
-    ):
+    def __init__(self, space, lam=0.0, dirichlet_tags=(), tol=1e-10, maxiter=None):
         super().__init__(space, lam, dirichlet_tags)
         self.tol = tol
         self.maxiter = maxiter
-        if matrix_free is None:
-            matrix_free = space.sumfact
-        self.matrix_free = bool(matrix_free)
         mask = np.ones(space.ndof, dtype=bool)
         mask[self.dirichlet_dofs] = False
         self.free = np.nonzero(mask)[0]
-        if self.matrix_free:
-            self.a_full = self.a_uu = self.a_uk = None
-            self.diag = space.operator_diagonal("helmholtz", self.lam)[self.free]
-        else:
-            self.a_full = space.assemble(self.elem_mats)
-            self.a_uu = self.a_full[np.ix_(self.free, self.free)].tocsr()
-            self.a_uk = self.a_full[
-                np.ix_(self.free, self.dirichlet_dofs)
-            ].tocsr()
-            self.diag = np.asarray(self.a_uu.diagonal())
+        self.diag = space.operator_diagonal("helmholtz", self.lam)[self.free]
         self.last_iterations = 0
 
     def _apply_extended(self, dofs: np.ndarray, values: np.ndarray) -> np.ndarray:
         """Free rows of A @ w, where w is ``values`` on ``dofs`` and zero
-        elsewhere: one global sum-factorised apply, for one vector or a
-        row-stacked block of them."""
+        elsewhere: one global elemental apply."""
         full = np.zeros(values.shape[:-1] + (self.space.ndof,))
         full[..., dofs] = values
         return self.space.operator_apply("helmholtz", full, self.lam)[..., self.free]
 
     def _apply_free(self, v: np.ndarray) -> np.ndarray:
-        """A_uu @ v for one vector or a row-stacked block of them.
-
-        Matrix-free: the free dofs extended by zero, so the Dirichlet
-        columns vanish.  Dense: counted CSR spmv, charged like
-        AssembledOperator.
-        """
-        if self.matrix_free:
-            return self._apply_extended(self.free, v)
-        charge(
-            2.0 * self.a_uu.nnz,
-            12.0 * self.a_uu.nnz + 16.0 * v.shape[-1],
-            "spmv",
-        )
-        return self.a_uu @ v
+        """A_uu @ v: the free dofs extended by zero, so the Dirichlet
+        columns vanish."""
+        return self._apply_extended(self.free, v)
 
     def _lift(self, rhs_free: np.ndarray, dv: np.ndarray) -> np.ndarray:
-        """rhs_free - A_uk @ dv: move known Dirichlet values to the RHS.
-
-        ``rhs_free``/``dv`` may carry one leading block axis.  The
-        matrix-free form extends the boundary values by zero.
-        """
-        if self.matrix_free:
-            return rhs_free - self._apply_extended(self.dirichlet_dofs, dv)
-        nrhs = dv.shape[0] if dv.ndim == 2 else 1
-        charge(
-            nrhs * 2.0 * self.a_uk.nnz,
-            nrhs * 12.0 * self.a_uk.nnz,
-            "dirichlet-lift",
-        )
-        if dv.ndim == 2:
-            return rhs_free - (self.a_uk @ dv.T).T
-        return rhs_free - self.a_uk @ dv
+        """rhs_free - A_uk @ dv: move known Dirichlet values to the RHS
+        by extending them by zero."""
+        return rhs_free - self._apply_extended(self.dirichlet_dofs, dv)
 
     def solve(self, f, g=None) -> np.ndarray:
         return self.solve_rhs(self.rhs_for(f), self.bc_values(g))
@@ -218,10 +155,9 @@ class HelmholtzCG(_HelmholtzBase):
         rhs = np.asarray(rhs, dtype=np.float64)
         if rhs.ndim == 2:
             return self._solve_rhs_many(rhs, dirichlet_values)
+        dv = dirichlet_block(dirichlet_values, 1, self.dirichlet_dofs.size)[0]
         if self.dirichlet_dofs.size:
-            if dirichlet_values is None:
-                dirichlet_values = np.zeros(self.dirichlet_dofs.size)
-            b = self._lift(rhs[self.free], np.asarray(dirichlet_values))
+            b = self._lift(rhs[self.free], dv)
         else:
             b = rhs[self.free]
         res = pcg(
@@ -239,37 +175,21 @@ class HelmholtzCG(_HelmholtzBase):
         self.last_iterations = res.iterations
         u = np.zeros(self.space.ndof)
         u[self.free] = res.x
-        if self.dirichlet_dofs.size:
-            u[self.dirichlet_dofs] = dirichlet_values
+        u[self.dirichlet_dofs] = dv
         return u
 
     def _solve_rhs_many(self, rhs: np.ndarray, dirichlet_values) -> np.ndarray:
-        """Row-stacked multi-RHS path: one block-Jacobi-PCG sweep whose
-        per-column iterates and charges match ``nrhs`` solo solves; the
-        matrix-free backend applies the whole block per iteration in a
-        single batched elemental sweep."""
+        """Row-stacked multi-RHS path: the rows, iteration counts and
+        charges of ``nrhs`` single solves."""
         nrhs = rhs.shape[0]
-        dv = None
+        dv = dirichlet_block(dirichlet_values, nrhs, self.dirichlet_dofs.size)
+        b = rhs[:, self.free]
         if self.dirichlet_dofs.size:
-            nd = self.dirichlet_dofs.size
-            if dirichlet_values is None:
-                dv = np.zeros((nrhs, nd))
-            else:
-                dv = np.asarray(dirichlet_values, dtype=np.float64)
-                if dv.ndim == 1:
-                    dv = np.broadcast_to(dv, (nrhs, nd))
-                if dv.shape != (nrhs, nd):
-                    raise ValueError("dirichlet_values shape mismatch")
-            b = self._lift(rhs[:, self.free], dv)
-        else:
-            b = rhs[:, self.free]
+            # Row by row: a stacked apply runs another dgemv kernel on
+            # triangle batches, and CG amplifies its last bits.
+            b = np.stack([self._lift(row, v) for row, v in zip(b, dv)])
         results = pcg_block(
-            self._apply_free,
-            b,
-            self.diag,
-            tol=self.tol,
-            maxiter=self.maxiter,
-            apply_block=self._apply_free if self.matrix_free else None,
+            self._apply_free, b, self.diag, tol=self.tol, maxiter=self.maxiter
         )
         bad = [res for res in results if not res.converged]
         if bad:
@@ -280,8 +200,7 @@ class HelmholtzCG(_HelmholtzBase):
         self.last_iterations = max(res.iterations for res in results)
         u = np.zeros((nrhs, self.space.ndof))
         u[:, self.free] = np.stack([res.x for res in results])
-        if dv is not None:
-            u[:, self.dirichlet_dofs] = dv
+        u[:, self.dirichlet_dofs] = dv
         return u
 
 
@@ -290,10 +209,6 @@ def solve_poisson(
     f: ScalarFn | np.ndarray,
     dirichlet_tags: tuple[str, ...],
     g: ScalarFn | None = None,
-    backend: str = "direct",
 ) -> np.ndarray:
-    """One-shot Poisson solve: -lap u = f, u = g on tagged boundaries."""
-    cls = {"direct": HelmholtzDirect, "cg": HelmholtzCG}.get(backend)
-    if cls is None:
-        raise ValueError(f"unknown backend {backend!r}")
-    return cls(space, 0.0, tuple(dirichlet_tags)).solve(f, g)
+    """One-shot direct Poisson solve: -lap u = f, u = g on tagged boundaries."""
+    return HelmholtzDirect(space, 0.0, tuple(dirichlet_tags)).solve(f, g)

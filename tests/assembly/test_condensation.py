@@ -157,8 +157,11 @@ def test_vector_solve_is_the_one_row_block_solve(mesh, bc):
 @pytest.mark.parametrize("condense", [True, False])
 def test_dirichlet_values_shape_is_a_typed_error(condense):
     space = FunctionSpace(rectangle_quads(2, 2), 4)
-    solver = HelmholtzDirect(space, 1.0, ("left", "top"), condense=condense)
+    solver = HelmholtzDirect(space, 1.0, ("left", "top"))
     nd = solver.dirichlet_dofs.size
+    solve_rhs = solver.solve_rhs
+    if not condense:  # the full-banded reference takes the same values
+        solve_rhs = AssembledOperator(space, solver.elem_mats, solver.dirichlet_dofs).solve
     rng = np.random.default_rng(4)
     rhs, g = rng.standard_normal((3, space.ndof)), rng.standard_normal((3, nd))
     for bad_rhs, bad in [
@@ -171,14 +174,14 @@ def test_dirichlet_values_shape_is_a_typed_error(condense):
         (rhs, g[:, :-1]),
     ]:
         with pytest.raises(ValueError, match="dirichlet_values shape mismatch"):
-            solver.solve_rhs(bad_rhs, bad)
+            solve_rhs(bad_rhs, bad)
     # None is zero, a vector is shared by every row, a block is a row per RHS.
     same = np.testing.assert_array_equal
-    same(solver.solve_rhs(rhs, None), solver.solve_rhs(rhs, np.zeros(nd)))
-    same(solver.solve_rhs(rhs[0], None), solver.solve_rhs(rhs[0], np.zeros(nd)))
-    same(solver.solve_rhs(rhs, g[0]), solver.solve_rhs(rhs, np.tile(g[0], (3, 1))))
+    same(solve_rhs(rhs, None), solve_rhs(rhs, np.zeros(nd)))
+    same(solve_rhs(rhs[0], None), solve_rhs(rhs[0], np.zeros(nd)))
+    same(solve_rhs(rhs, g[0]), solve_rhs(rhs, np.tile(g[0], (3, 1))))
     np.testing.assert_allclose(  # one row of a block: another BLAS kernel, not bits
-        solver.solve_rhs(rhs, g)[2], solver.solve_rhs(rhs[2], g[2]), rtol=0.0, atol=1e-11
+        solve_rhs(rhs, g)[2], solve_rhs(rhs[2], g[2]), rtol=0.0, atol=1e-11
     )
 
 

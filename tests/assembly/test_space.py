@@ -63,15 +63,6 @@ def test_gradient_of_linear_field():
     np.testing.assert_allclose(dudy, -2.0, atol=1e-9)
 
 
-def test_gradient_of_values_smooth():
-    space = FunctionSpace(rectangle_quads(2, 2), 6)
-    xq, yq = space.coords()
-    f = np.sin(xq) * yq
-    dudx, dudy = space.gradient_of_values(f)
-    np.testing.assert_allclose(dudx, np.cos(xq) * yq, atol=1e-5)
-    np.testing.assert_allclose(dudy, np.sin(xq), atol=1e-5)
-
-
 def test_load_vector_against_integral():
     space = FunctionSpace(rectangle_quads(2, 1), 3)
     ones = np.ones((space.nelem, space.nq))

@@ -87,9 +87,3 @@ def test_solve_charges_ops():
         solver.solve(np.ones(20))
     assert c.flops == pytest.approx(4.0 * 20 * 4)
     assert c.by_label and "dpbtrs" in c.by_label
-
-
-def test_solve_flops_property():
-    a = spd_banded(12, 3)
-    solver = BandedSPDSolver.from_dense(a)
-    assert solver.solve_flops == pytest.approx(4.0 * 12 * 3)

@@ -113,10 +113,6 @@ def test_vector_kernels():
     z = np.empty(3)
     blas.dvmul(x, y, z)
     np.testing.assert_array_equal(z, [4.0, 10.0, 18.0])
-    blas.dvadd(x, y, z)
-    np.testing.assert_array_equal(z, [5.0, 7.0, 9.0])
-    blas.dsvtvp(2.0, x, y, z)
-    np.testing.assert_array_equal(z, [6.0, 9.0, 12.0])
 
 
 def test_analytic_counts_match_kernels():

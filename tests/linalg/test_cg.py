@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.linalg.cg import pcg
+from repro.linalg.cg import pcg, pcg_block
 
 
 def random_spd(n: int, seed: int) -> np.ndarray:
@@ -74,3 +74,17 @@ def test_pcg_jacobi_preconditioner_helps_on_scaled_system():
     assert res.converged
     assert res.iterations <= 5
     np.testing.assert_allclose(d * res.x, b, rtol=1e-8)
+
+
+def test_pcg_block_is_one_pcg_per_row():
+    a = random_spd(8, 5)
+    b = np.random.default_rng(6).standard_normal((3, 8))
+    b[1] = 0.0
+    results = pcg_block(lambda v: a @ v, b, np.diag(a), tol=1e-12)
+    for row, res in zip(b, results):
+        solo = pcg(lambda v: a @ v, row, np.diag(a), tol=1e-12)
+        np.testing.assert_array_equal(res.x, solo.x)
+        assert (res.iterations, res.residual) == (solo.iterations, solo.residual)
+    assert results[1].iterations == 0
+    with pytest.raises(ValueError, match="RHS block"):
+        pcg_block(lambda v: a @ v, b[0], np.diag(a))

@@ -114,10 +114,24 @@ def test_pure_neumann_poisson_rejected():
         HelmholtzDirect(space, 0.0, ())
 
 
-def test_unknown_backend_rejected():
-    space = FunctionSpace(rectangle_quads(1, 1), 2)
-    with pytest.raises(ValueError):
-        solve_poisson(space, lambda x, y: 1.0, ("left",), backend="magic")
+@pytest.mark.parametrize(
+    "tags,bad",
+    [
+        (("left",), 2.0),  # a scalar and a length-1 array would broadcast
+        (("left",), np.array([2.0])),  # over all 7 dofs of the side
+        (("left",), np.zeros(8)),  # one too many
+        ((), np.array([2.0])),  # values with no Dirichlet part to take them
+    ],
+    ids=["scalar", "length-1", "over-long", "no-dirichlet-part"],
+)
+@pytest.mark.parametrize("solver_cls", [HelmholtzDirect, HelmholtzCG])
+def test_dirichlet_values_shape_mismatch_rejected(solver_cls, tags, bad):
+    space = FunctionSpace(rectangle_quads(2, 2), 3)
+    solver = solver_cls(space, 1.0, tags)
+    assert solver.dirichlet_dofs.size == (7 if tags else 0)
+    for rhs in (np.ones(space.ndof), np.ones((2, space.ndof))):
+        with pytest.raises(ValueError, match="dirichlet_values shape mismatch"):
+            solver.solve_rhs(rhs, bad)
 
 
 def test_cg_reports_nonconvergence():

@@ -1,25 +1,30 @@
-"""Matrix-free operator apply / diagonal / CG vs the assembled oracle.
+"""Elemental operator apply / diagonal / CG vs the assembled references.
 
-The sum-factorised apply must agree with the dense tabulated path to
+The sum-factorised apply must agree with the assembled matrix to
 solver precision across orders 4..12 on quad meshes, fall back cleanly
-on mixed quad/tri meshes, and cost decisively fewer flops per apply.
+on mixed quad/tri meshes, and cost decisively fewer flops per apply;
+:class:`HelmholtzCG` on it must reach :class:`HelmholtzDirect`'s answer
+on every element mix, and a row-stacked block must be its rows.
 """
 
 import numpy as np
 import pytest
 
+from repro.assembly.global_system import AssembledOperator
 from repro.assembly.space import FunctionSpace
 from repro.linalg.counters import OpCounter
 from repro.mesh.generators import rectangle_quads, rectangle_tris
 from repro.mesh.mesh2d import Mesh2D
-from repro.solvers.helmholtz import HelmholtzCG
+from repro.obs import tracer as obs
+from repro.solvers.helmholtz import HelmholtzCG, HelmholtzDirect
 
 
 def mixed_mesh() -> Mesh2D:
     verts = np.array(
         [[0, 0], [1, 0], [1, 1], [0, 1], [2, 0], [2, 1]], dtype=np.float64
     )
-    return Mesh2D(verts, [(0, 1, 2, 3), (1, 4, 2), (4, 5, 2)])
+    tags = {"left": [(0, 3)], "bottom": [(0, 0), (1, 0)]}
+    return Mesh2D(verts, [(0, 1, 2, 3), (1, 4, 2), (4, 5, 2)], tags)
 
 
 @pytest.mark.parametrize("order", [4, 6, 8, 10, 12])
@@ -77,62 +82,117 @@ def test_operator_apply_mixed_mesh_fallback():
     )
 
 
+MESHES = {
+    "quad": lambda: rectangle_quads(2, 2, 0.0, 1.0, 0.5, 2.0),
+    "tri": lambda: rectangle_tris(2, 2),
+    "mixed": mixed_mesh,
+}
+
+
+@pytest.mark.parametrize("mesh", MESHES)
+def test_operator_apply_matches_assembled_matvec(mesh):
+    """The space answers the matvec itself on every element mix: the
+    same product as the CSR reference, the same Jacobi diagonal."""
+    space = FunctionSpace(MESHES[mesh](), 6)
+    assert space.sumfact == (mesh == "quad")
+    ref = AssembledOperator(space, space.elemental_matrices("helmholtz", 1.5))
+    u = np.random.default_rng(13).standard_normal(space.ndof)
+    want = ref.matvec(u)
+    np.testing.assert_allclose(
+        space.operator_apply("helmholtz", u, 1.5),
+        want,
+        rtol=0.0,
+        atol=1e-10 * max(1.0, float(np.max(np.abs(want)))),
+    )
+    np.testing.assert_allclose(
+        space.operator_diagonal("helmholtz", 1.5),
+        np.asarray(ref.a_full.diagonal()),
+        rtol=1e-10,
+        atol=1e-10,
+    )
+
+
 @pytest.mark.parametrize("order", [4, 6, 8, 10, 12])
 def test_helmholtz_cg_matrix_free_matches_dense(order):
-    """Both CG backends solve the same manufactured problem to the same
-    answer; the matrix-free one never assembles a matrix."""
+    """CG on the elemental apply and the condensed direct solve reach the
+    same answer to a manufactured problem."""
     lam = 3.0
     u_exact = lambda x, y: np.cos(np.pi * x) * np.cos(np.pi * y)  # noqa: E731
     f = lambda x, y: (2 * np.pi**2 + lam) * u_exact(x, y)  # noqa: E731
     space = FunctionSpace(rectangle_quads(2, 2, 0, 1, 0, 1), order)
     tags = ("left", "right")
-    mf = HelmholtzCG(space, lam, tags, matrix_free=True)
-    dense = HelmholtzCG(space, lam, tags, matrix_free=False)
-    assert mf.a_uu is None and dense.a_uu is not None
-    np.testing.assert_allclose(mf.diag, dense.diag, rtol=1e-10, atol=1e-12)
-    u_mf = mf.solve(f, u_exact)
-    u_d = dense.solve(f, u_exact)
+    u_cg = HelmholtzCG(space, lam, tags).solve(f, u_exact)
+    u_d = HelmholtzDirect(space, lam, tags).solve(f, u_exact)
     scale = float(np.max(np.abs(u_d))) or 1.0
-    np.testing.assert_allclose(u_mf, u_d, rtol=0.0, atol=1e-7 * scale)
-
-
-def test_helmholtz_cg_matrix_free_default_follows_sumfact():
-    quad = FunctionSpace(rectangle_quads(2, 1), 4)
-    assert HelmholtzCG(quad, 1.0).matrix_free
-    tri = FunctionSpace(rectangle_tris(2, 1), 4)
-    assert not HelmholtzCG(tri, 1.0).matrix_free
+    np.testing.assert_allclose(u_cg, u_d, rtol=0.0, atol=1e-7 * scale)
 
 
 def test_helmholtz_cg_matrix_free_block_solve():
-    """Multi-RHS path: the matrix-free block apply returns the same
-    solutions as column-by-column dense solves."""
+    """Multi-RHS path: the block solve returns the same solutions as
+    column-by-column direct solves."""
     lam = 1.5
     space = FunctionSpace(rectangle_quads(2, 2), 6)
     tags = ("left", "right", "top", "bottom")
     rng = np.random.default_rng(5)
     rhs = rng.standard_normal((3, space.ndof))
-    mf = HelmholtzCG(space, lam, tags, matrix_free=True)
-    dense = HelmholtzCG(space, lam, tags, matrix_free=False)
-    nd = mf.dirichlet_dofs.size
-    dv = rng.standard_normal((3, nd))
-    u_mf = mf.solve_rhs(rhs, dv)
-    u_d = np.stack([dense.solve_rhs(rhs[i], dv[i]) for i in range(3)])
+    cg = HelmholtzCG(space, lam, tags)
+    direct = HelmholtzDirect(space, lam, tags)
+    dv = rng.standard_normal((3, cg.dirichlet_dofs.size))
+    u_cg = cg.solve_rhs(rhs, dv)
+    u_d = np.stack([direct.solve_rhs(rhs[i], dv[i]) for i in range(3)])
     scale = float(np.max(np.abs(u_d))) or 1.0
-    np.testing.assert_allclose(u_mf, u_d, rtol=0.0, atol=1e-7 * scale)
+    np.testing.assert_allclose(u_cg, u_d, rtol=0.0, atol=1e-7 * scale)
 
 
 def test_helmholtz_cg_matrix_free_on_mixed_mesh():
-    """Explicit matrix-free on a mixed mesh exercises the tri fallback
-    inside operator_apply; solutions match the dense backend."""
+    """Sum-factorisation on a mixed mesh exercises the tri fallback
+    inside operator_apply; solutions match the direct solver."""
     lam = 2.0  # lam > 0: the all-Neumann problem is non-singular
     space = FunctionSpace(mixed_mesh(), 5, sumfact=True)
-    mf = HelmholtzCG(space, lam, matrix_free=True)
-    dense = HelmholtzCG(space, lam, matrix_free=False)
     f = lambda x, y: np.sin(x) * np.cos(y)  # noqa: E731
-    u_mf = mf.solve(f)
-    u_d = dense.solve(f)
+    u_cg = HelmholtzCG(space, lam).solve(f)
+    u_d = HelmholtzDirect(space, lam).solve(f)
     scale = float(np.max(np.abs(u_d))) or 1.0
-    np.testing.assert_allclose(u_mf, u_d, rtol=0.0, atol=1e-7 * scale)
+    np.testing.assert_allclose(u_cg, u_d, rtol=0.0, atol=1e-7 * scale)
+
+
+def _counted_solves(solve):
+    """Run ``solve`` under a counter and a tracer: its result, the
+    per-label charges and the iteration count of every PCG it ran."""
+    tr = obs.Tracer()
+    with obs.install(tr), OpCounter() as c:
+        out = solve()
+    iters = [e.args["iterations"] for e in tr.events if e.name == "pcg"]
+    return out, c.snapshot().label_charges(), iters
+
+
+@pytest.mark.parametrize("mesh", ["tri", "mixed"])
+def test_helmholtz_cg_on_triangles_converges_and_a_block_is_its_rows(mesh):
+    """Off the quad meshes CG still never assembles: it reaches the
+    direct answer through counted ``dgemv`` applies, and a row-stacked
+    block is exactly ``nrhs`` single solves (a zero row included)."""
+    lam, tags = 1.5, ("left", "bottom")
+    space = FunctionSpace(MESHES[mesh](), 6)
+    cg = HelmholtzCG(space, lam, tags, tol=1e-13)
+    rng = np.random.default_rng(17)
+    rhs = rng.standard_normal((4, space.ndof))
+    rhs[2] = 0.0
+    dv = rng.standard_normal((4, cg.dirichlet_dofs.size))
+    dv[2] = 0.0
+
+    u_block, block_charges, block_iters = _counted_solves(lambda: cg.solve_rhs(rhs, dv))
+    assert cg.last_iterations == max(block_iters)
+    u_rows, row_charges, row_iters = _counted_solves(
+        lambda: np.stack([cg.solve_rhs(rhs[i], dv[i]) for i in range(4)])
+    )
+    assert np.array_equal(u_block, u_rows)
+    assert block_iters == row_iters and block_iters[2] == 0
+    assert block_charges == row_charges
+    assert "dgemv" in block_charges
+    assert not {"spmv", "dirichlet-lift"} & set(block_charges)
+
+    u_d = HelmholtzDirect(space, lam, tags).solve_rhs(rhs, dv)
+    np.testing.assert_allclose(u_block, u_d, rtol=0.0, atol=1e-9 * np.abs(u_d).max())
 
 
 def _apply_charges(order, sumfact):
@@ -157,16 +217,3 @@ def test_matrix_free_apply_complexity_class():
     assert f12 / f6 < 8.0  # O(p^3): ~2^3 per order doubling
     assert g12 / g6 > 10.0  # O(p^4): ~2^4 per order doubling
     assert b12 < 0.6 * c12  # memory-bound win at paper-relevant order
-
-
-def test_matrix_free_setup_charges():
-    """Golden setup pin: the matrix-free CG backend skips elemental
-    matrices and assembly entirely — construction charges under 5% of
-    the dense backend's flops (diagonal contractions only)."""
-    mesh = rectangle_quads(3, 3)
-    with OpCounter() as mf:
-        HelmholtzCG(FunctionSpace(mesh, 8), 1.0, ("left",), matrix_free=True)
-    with OpCounter() as dense:
-        HelmholtzCG(FunctionSpace(mesh, 8), 1.0, ("left",), matrix_free=False)
-    assert mf.flops < 0.05 * dense.flops
-    assert mf.bytes < 0.25 * dense.bytes

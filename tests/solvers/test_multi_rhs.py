@@ -1,7 +1,7 @@
 """Property tests: multi-RHS solves == column-by-column reference.
 
-The multi-RHS engine (batched condensation, blocked banded sweeps,
-block-Jacobi-PCG) must be a pure wall-clock optimisation: on randomised
+The multi-RHS engine (batched condensation, blocked banded sweeps, one
+PCG per row) must be a pure wall-clock optimisation: on randomised
 mixed tri/quad meshes across orders 2..8, a row-stacked solve must match
 solving the columns one by one to 1e-12 and charge byte-for-byte
 identical OpCounter flop/byte totals (in total and per label; call
@@ -125,8 +125,8 @@ def test_assembled_multi_rhs_matches_columns(kind, order, nrhs, bc, seed):
 )
 @settings(max_examples=10, deadline=None)
 def test_cg_multi_rhs_matches_columns(kind, order, nrhs, seed):
-    """Block-PCG: per-column iterates, counts, and charges must match
-    solo PCG exactly (the block loop only fuses the vector updates)."""
+    """A row-stacked CG solve: per-column iterates, counts, and charges
+    must match solo PCG exactly."""
     mesh = make_mesh(kind)
     space = FunctionSpace(mesh, order)
     solver = HelmholtzCG(space, 0.5, ("left", "top"))

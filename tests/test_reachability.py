@@ -8,10 +8,16 @@ through the package ``__init__`` to the module that defines ``name``,
 so a re-export alone keeps nothing alive; imports inside function
 bodies count.  A module only its own tests call fails here: delete it,
 give it a caller, or allowlist it with the reason.
+
+The benchmark's tracer also pins names *inside* modules: its
+``WRAP_TABLE`` lists the functions and methods it wraps with ``getattr``,
+so a rename under ``src/`` breaks the traced smoke.  The table is read
+here as a literal (no import of the harness) and every entry resolved.
 """
 
 import ast
-from functools import cache
+import importlib
+from functools import cache, reduce
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -98,3 +104,26 @@ def test_every_module_is_reached_by_an_app_an_example_or_the_benchmark():
 def test_allowlist_is_not_stale():
     stale = {m for m in ALLOWED if m not in _shipped() or m in _reached()}
     assert not stale, f"allowlisted but reached or gone: {sorted(stale)}"
+
+
+def test_every_name_the_benchmark_tracer_wraps_resolves():
+    tree = ast.parse((ROOT / "benchmarks" / "e2e" / "tracing.py").read_text())
+    (table,) = (
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.AnnAssign) and getattr(node.target, "id", "") == "WRAP_TABLE"
+    )
+    pinned = [
+        (module, name)
+        for modules in table.values()
+        for module, names in modules.items()
+        for name in names
+    ]
+    assert pinned
+    missing = []
+    for module, name in pinned:
+        try:
+            reduce(getattr, name.split("."), importlib.import_module(module))
+        except (ImportError, AttributeError):
+            missing.append(f"{module}:{name}")
+    assert not missing, f"benchmarks/e2e/tracing.py wraps names src/ no longer has: {missing}"
