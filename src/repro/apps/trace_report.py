@@ -265,7 +265,7 @@ def _metrics_summary(registry: MetricsRegistry) -> str:
             )
         else:
             lines.append(f"  {name}: {entry['value']}")
-    for prefix in ("bc_cache", "visc_cache", "slab_cache"):
+    for prefix in ("bc_cache", "visc_cache"):
         rate = registry.hit_rate(prefix)
         if rate is not None:
             lines.append(f"  {prefix} hit rate: {100.0 * rate:.1f}%")

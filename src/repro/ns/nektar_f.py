@@ -104,7 +104,9 @@ class NekTarF:
                 self.p_solvers.append(
                     CondensedOperator(space, mats, [self._p_pin])
                 )
-        self._visc_cache: dict[tuple[int, float], HelmholtzDirect] = {}
+        # The current viscous operator of each local mode, keyed by its
+        # rounded lambda (the startup step's gamma0 differs).
+        self._visc_cache: dict[int, tuple[float, HelmholtzDirect]] = {}
 
         # Pressure-BC operands and the velocity tags' Dirichlet plan.
         self._edges = EdgeBatch(space, self.vel_tags)
@@ -233,13 +235,18 @@ class NekTarF:
     def _viscous_solver(self, mode_i: int, gamma0: float) -> HelmholtzDirect:
         k = float(self.k[mode_i])
         lam = gamma0 / (self.nu * self.dt) + k * k
-        key = (mode_i, round(lam, 9))
-        if key not in self._visc_cache:
-            metrics.inc("visc_cache.misses")
-            self._visc_cache[key] = HelmholtzDirect(self.space, lam, self.vel_tags)
-        else:
+        key = round(lam, 9)
+        held = self._visc_cache.get(mode_i)
+        if held is not None and held[0] == key:
             metrics.inc("visc_cache.hits")
-        return self._visc_cache[key]
+            return held[1]
+        metrics.inc("visc_cache.misses")
+        # Free the stale operator before its successor is built.
+        del held
+        self._visc_cache.pop(mode_i, None)
+        solver = HelmholtzDirect(self.space, lam, self.vel_tags)
+        self._visc_cache[mode_i] = (key, solver)
+        return solver
 
     # -- the timestep ------------------------------------------------------------------
 

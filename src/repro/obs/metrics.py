@@ -3,7 +3,7 @@
 The second leg of the observability layer (the first is the span tracer
 of :mod:`repro.obs.tracer`): low-rate aggregate signals that do not
 belong on a timeline — message-size histograms, PCG iteration counts,
-cache-hit rates for the Dirichlet-value and factor-slab caches.
+cache-hit rates for the Dirichlet-value and viscous-operator caches.
 
 The module-level helpers (:func:`inc`, :func:`observe`, :func:`set_gauge`)
 are no-ops unless a registry is activated with :func:`scoped`, so

@@ -105,8 +105,8 @@ class HelmholtzDirect(_HelmholtzBase):
 
         ``rhs`` may be a single (ndof,) vector or a row-stacked
         (nrhs, ndof) block — the operator layer runs stacked blocks
-        through the batched condense / blocked banded sweep, charging
-        exactly nrhs single-RHS solves.
+        through the batched condense and one multi-RHS ``dpbtrs``,
+        charging exactly nrhs single-RHS solves.
         """
         return self.op.solve(rhs, dirichlet_values)
 

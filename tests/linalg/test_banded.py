@@ -80,6 +80,26 @@ def test_solve_before_factorise_rejected():
         s.solve(np.ones(3))
 
 
+@pytest.mark.parametrize("nrhs", [1, 2, 6, 12])
+def test_solve_many_is_its_columns(nrhs):
+    """A row-stacked solve at a paper-size band (kd >= 128, n >= 256) is
+    nrhs single solves to the bit, under one charge of the same total."""
+    n, kd = 300, 130
+    rng = np.random.default_rng(nrhs)
+    ab = rng.uniform(-1.0, 1.0, (kd + 1, n))
+    ab[kd] = 2.0 * kd + 2.0  # diagonal dominance: SPD
+    solver = BandedSPDSolver.from_banded(ab)
+    b = rng.standard_normal((nrhs, n))
+    with OpCounter() as cm:
+        x = solver.solve_many(b)
+    with OpCounter() as cc:
+        cols = np.stack([solver.solve(b[i]) for i in range(nrhs)])
+    assert x.shape == (nrhs, n)
+    assert np.array_equal(x, cols)
+    assert cm.by_label["dpbtrs"][:2] == cc.by_label["dpbtrs"][:2]
+    assert cm.calls == 1
+
+
 def test_solve_charges_ops():
     a = spd_banded(20, 4)
     solver = BandedSPDSolver.from_dense(a)

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -7,8 +10,10 @@ from repro.machines.network import NetworkModel
 from repro.mesh.generators import rectangle_quads
 from repro.ns.exact import Kovasznay
 from repro.ns.nektar2d import NavierStokes2D
+from repro.ns import nektar_f
 from repro.ns.nektar_f import NekTarF
 from repro.ns.stages import STAGES
+from repro.obs import scoped
 from repro.parallel.simmpi import VirtualCluster
 
 NET = NetworkModel("t", latency_us=5, bandwidth=1e9)
@@ -195,3 +200,37 @@ def test_virtual_stage_timings_with_charging():
     assert set(pct) == set(STAGES)
     # The alltoall-heavy stage 2 must carry communication cost.
     assert virt.records["2:nonlinear"].wall > virt.records["2:nonlinear"].cpu
+
+
+def test_viscous_cache_holds_the_current_operator_only(monkeypatch):
+    """The order-1 startup operator is dropped when the order-2 one is
+    built: one viscous operator per local mode stays alive."""
+    bel = Beltrami(nu=0.1)
+    mesh = rectangle_quads(1, 1, 0.0, 2 * np.pi, 0.0, 2 * np.pi)
+    tags = ("left", "right", "top", "bottom")
+    real = nektar_f.HelmholtzDirect
+    built = []
+
+    def tracked(*args, **kw):
+        op = real(*args, **kw)
+        built.append(weakref.ref(op))
+        return op
+
+    def rank_fn(comm):
+        space = FunctionSpace(mesh, 4)
+        bcs = {t: (bel.u_amp, bel.v_amp, bel.w_amp) for t in tags}
+        nf = NekTarF(comm, space, nz=8, nu=bel.nu, dt=5e-3, velocity_bcs=bcs, time_order=2)
+        nf.set_initial(bel.u_amp, bel.v_amp, bel.w_amp)
+        monkeypatch.setattr(nektar_f, "HelmholtzDirect", tracked)  # viscous only
+        nf.run(3)
+        gc.collect()
+        return nf.nlocal, sum(ref() is not None for ref in built)
+
+    with scoped() as registry:
+        ((nlocal, alive),) = VirtualCluster(1, NET).run(rank_fn)
+    snap = registry.snapshot()
+    assert nlocal == 4
+    assert len(built) == 2 * nlocal
+    assert alive == nlocal
+    assert snap["visc_cache.misses"]["value"] == 2 * nlocal
+    assert snap["visc_cache.hits"]["value"] == nlocal

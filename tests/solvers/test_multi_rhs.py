@@ -1,7 +1,7 @@
 """Property tests: multi-RHS solves == column-by-column reference.
 
-The multi-RHS engine (batched condensation, blocked banded sweeps, one
-PCG per row) must be a pure wall-clock optimisation: on randomised
+The multi-RHS engine (batched condensation, one multi-RHS ``dpbtrs``,
+one PCG per row) must be a pure wall-clock optimisation: on randomised
 mixed tri/quad meshes across orders 2..8, a row-stacked solve must match
 solving the columns one by one to 1e-12 and charge byte-for-byte
 identical OpCounter flop/byte totals (in total and per label; call
