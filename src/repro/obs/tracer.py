@@ -53,9 +53,18 @@ __all__ = [
     "current_stage",
 ]
 
-_tls = threading.local()
-
 ClockFn = Callable[[], float]
+
+
+class _Slots(threading.local):
+    """Per-thread slots; an unset one reads its class-level ``None``
+    (see ``repro.linalg.counters._Slots``)."""
+
+    tracer: "Tracer | None" = None
+    stages: list[str] | None = None
+
+
+_tls = _Slots()
 
 
 @dataclass
@@ -203,7 +212,7 @@ class Trace:
 
 def push_stage(name: str) -> None:
     """Enter a named solver stage on this thread (nests)."""
-    stack = getattr(_tls, "stages", None)
+    stack = _tls.stages
     if stack is None:
         _tls.stages = [name]
     else:
@@ -212,14 +221,14 @@ def push_stage(name: str) -> None:
 
 def pop_stage() -> None:
     """Leave the innermost stage scope (no-op when the stack is empty)."""
-    stack = getattr(_tls, "stages", None)
+    stack = _tls.stages
     if stack:
         stack.pop()
 
 
 def current_stage() -> str | None:
     """Innermost stage name on this thread, or None outside any stage."""
-    stack = getattr(_tls, "stages", None)
+    stack = _tls.stages
     return stack[-1] if stack else None
 
 
@@ -228,7 +237,7 @@ def current_stage() -> str | None:
 
 def current() -> Tracer | None:
     """The tracer installed on this thread, or None."""
-    return getattr(_tls, "tracer", None)
+    return _tls.tracer
 
 
 class _Installation:
@@ -242,7 +251,7 @@ class _Installation:
     def __enter__(self) -> Tracer | None:
         from ..linalg import counters
 
-        self._prev = getattr(_tls, "tracer", None)
+        self._prev = _tls.tracer
         _tls.tracer = self._tracer
         counters.set_kernel_sampler(
             None if self._tracer is None else self._tracer.kernel_sample
@@ -273,7 +282,7 @@ def install(tracer: Tracer | None) -> _Installation:
 
 def instant(name: str, cat: str = "", **args: Any) -> None:
     """Emit an instant event (no-op when no tracer is installed)."""
-    tr = getattr(_tls, "tracer", None)
+    tr = _tls.tracer
     if tr is not None:
         tr.emit_instant(name, cat, args or None)
 

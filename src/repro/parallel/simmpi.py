@@ -60,6 +60,7 @@ import pickle
 import sys
 from collections import deque
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Any, Callable
 
 import numpy as np
@@ -150,16 +151,17 @@ def payload_bytes(obj: Any) -> int:
     """Wire size of a message payload.
 
     Numpy arrays (including 0-d) and scalars are priced at their true
-    ``nbytes``; ``bool`` is one byte; python ints/floats are one 8-byte
-    word; sequences and dicts — homogeneous, mixed, or nested — are
-    priced recursively element by element.  Anything else falls back to
-    its pickled size.
+    ``nbytes``, and so is a ``memoryview`` (whose ``len()`` counts only
+    its first axis); ``bool`` is one byte; python ints/floats are one
+    8-byte word; sequences and dicts — homogeneous, mixed, or nested —
+    are priced recursively element by element.  Anything else falls
+    back to its pickled size.
     """
     if isinstance(obj, np.ndarray):
         return int(obj.nbytes)
-    if isinstance(obj, np.generic):
+    if isinstance(obj, (np.generic, memoryview)):
         return int(obj.nbytes)
-    if isinstance(obj, (bytes, bytearray, memoryview)):
+    if isinstance(obj, (bytes, bytearray)):
         return len(obj)
     if isinstance(obj, bool):  # before int: bool subclasses int
         return 1
@@ -1180,7 +1182,13 @@ class VirtualComm:
         cl = self.cluster
         net = cl.network
         me = self.rank
-        nbytes = max((payload_bytes(c) for c in chunks), default=0)
+        # Type dispatch, not a second path: for exact ndarrays
+        # ``payload_bytes`` *is* ``.nbytes``, read here without a
+        # Python-level call per chunk.
+        if set(map(type, chunks)) <= {np.ndarray}:
+            nbytes = max(map(attrgetter("nbytes"), chunks))
+        else:
+            nbytes = max(map(payload_bytes, chunks))
         # P-1 peers each cost a send-side and a receive-side pass
         # through the protocol stack; a single rank still pays the MPI
         # self-copy (mirroring NetworkModel.alltoall_time's pricing).
@@ -1274,12 +1282,12 @@ class VirtualComm:
                 meta["ebytes"] = sum(slowest) * m
             return t_done, (comps, meta)
 
+        # The P x P transpose is one ``zip``: row r of the result holds
+        # chunk r of every source, in source order.
         out = self._collective(
             "alltoall",
             chunks,
-            lambda data: {
-                r: [data[s][r] for s in range(self.size)] for r in sorted(data)
-            },
+            lambda data: list(map(list, zip(*[data[s] for s in range(self.size)]))),
             price=price,
             entry_size=(nbytes, resends),
         )

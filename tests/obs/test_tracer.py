@@ -131,6 +131,47 @@ def test_installation_is_thread_local():
     assert seen["inner"] is None
 
 
+def test_fresh_raw_thread_reads_empty_slots():
+    """A raw ``_thread`` thread (what simmpi ranks run on) that never
+    set a slot sees ``None`` everywhere and charges nothing — even while
+    the spawning thread has a counter, a tracer and a stage active."""
+    import _thread
+
+    from repro.linalg.counters import active_counter
+
+    seen = {}
+    finished = _thread.allocate_lock()
+    finished.acquire()
+
+    def worker():
+        try:
+            charge(5.0, 40.0, "fresh")
+            seen["reads"] = (active_counter(), obs.current(), obs.current_stage())
+            obs.instant("nothing", "pcg")
+            obs.push_stage("worker")
+            seen["own_stage"] = obs.current_stage()
+            obs.pop_stage()
+        except BaseException as exc:  # surfaced on the main thread below
+            seen["error"] = exc
+        finally:
+            finished.release()
+
+    tr = Tracer(rank=0, sample_every=1)
+    with OpCounter() as c, obs.install(tr):
+        obs.push_stage("main")
+        try:
+            _thread.start_new_thread(worker, ())
+            finished.acquire()
+            assert obs.current_stage() == "main"
+        finally:
+            obs.pop_stage()
+    assert "error" not in seen, seen.get("error")
+    assert seen["reads"] == (None, None, None)
+    assert seen["own_stage"] == "worker"
+    assert (c.flops, c.calls) == (0.0, 0)
+    assert tr.kernel_totals() == {} and tr.events == []
+
+
 def test_install_hooks_kernel_sampler():
     from repro.linalg import blas, counters
     import numpy as np

@@ -181,6 +181,15 @@ def test_payload_bytes_zero_d_arrays():
     assert payload_bytes(np.array(1, dtype=np.int16)) == 2
 
 
+def test_payload_bytes_memoryview_prices_its_bytes_not_its_first_axis():
+    # len() of a memoryview counts only its first axis: (3, 4) doubles
+    # are 96 bytes on the wire, not 3.
+    assert payload_bytes(memoryview(np.zeros((3, 4)))) == 96
+    assert payload_bytes(memoryview(np.zeros(5, dtype=np.int16))) == 10
+    assert payload_bytes(memoryview(b"abc")) == 3
+    assert payload_bytes(b"abc") == payload_bytes(bytearray(b"abc")) == 3
+
+
 def test_payload_bytes_sequences_consistent():
     # Homogeneous, mixed and nested sequences all price element-wise.
     assert payload_bytes((1.0, 2.0, 3)) == 24
