@@ -18,7 +18,8 @@ Run::
 
 Exit codes follow the shared convention (:mod:`repro.util.cli`):
 0 = clean, 1 = gate failure (failed jobs; infeasible search target),
-2 = usage error (missing ledger/matrix/artifacts).
+2 = usage error (missing ledger/matrix/artifacts, a corrupt graph
+artifact).
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from pathlib import Path
 from ..campaign.client import write_results
 from ..campaign.engine import CampaignEngine, campaign_report
 from ..campaign.matrix import smoke_matrix
-from ..campaign.search import load_graphs, search_catalog
+from ..campaign.search import GraphArtifactError, load_graphs, search_catalog
 from ..obs.runlog import RunLedger
 from ..util.cli import EXIT_GATE, EXIT_OK, usage_error
 
@@ -101,7 +102,10 @@ def _cmd_search(args) -> int:
         return usage_error(f"run ledger not found: {args.ledger}")
     if not Path(args.artifacts).is_dir():
         return usage_error(f"artifacts dir not found: {args.artifacts}")
-    entries = load_graphs(RunLedger(args.ledger), args.artifacts)
+    try:
+        entries = load_graphs(RunLedger(args.ledger), args.artifacts)
+    except GraphArtifactError as exc:
+        return usage_error(str(exc))
     if not entries:
         return usage_error(
             f"no recorded graphs under {args.artifacts} for this ledger"

@@ -17,7 +17,9 @@ ledger *is* the state:
 * **attribution** — every job records its event graph; the engine
   aggregates per-job ``analyze()`` summaries across the campaign
   (:func:`~repro.obs.critpath.aggregate_analyses`) and can persist the
-  graphs for ``campaign search``.
+  graphs for ``campaign search`` — each written to a temporary file in
+  the artifacts directory and renamed into place, so neither a failed
+  write nor a reader in another process ever meets a torn artifact.
 
 Host wall-clock (queue time, per-job elapsed) rides in ``timings``
 where the drift detector merely warns; everything gated is virtual.
@@ -26,6 +28,7 @@ where the drift detector merely warns; everything gated is virtual.
 from __future__ import annotations
 
 import json
+import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -145,8 +148,9 @@ class CampaignEngine:
                 return
             if self.artifacts_dir is not None:
                 self.artifacts_dir.mkdir(parents=True, exist_ok=True)
-                with self._graph_path(job).open("w") as fh:
-                    fh.write(json.dumps(payload["graph"], sort_keys=True))
+                _write_atomic(
+                    self._graph_path(job), json.dumps(payload["graph"], sort_keys=True)
+                )
             with lock:
                 if abort.is_set():
                     return
@@ -178,6 +182,19 @@ class CampaignEngine:
             "aggregate": aggregate_analyses(analyses),
             "campaign_elapsed_s": time.perf_counter() - t0,
         }
+
+
+def _write_atomic(path: Path, text: str) -> None:
+    """Replace ``path`` with ``text`` in one rename: the old bytes stand
+    until the new ones are complete.  The temporary name is private to
+    this process and thread."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def campaign_report(

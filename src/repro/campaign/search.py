@@ -5,10 +5,11 @@ paper's Section 5 question — what is the cheapest hardware that is
 still fast enough? — **without re-running anything**.  Each catalog
 candidate (a machine + fabric pair with a 1999 per-processor price) is
 priced against the recorded graphs by counterfactual re-weighting:
-:func:`~repro.obs.critpath.swap_network` re-prices every communication
-edge under the candidate's fabric, and its ``cpu_scale`` scales the
-compute edges by the ratio of the recorded machine's application rate
-to the candidate's.
+every communication edge is re-priced under the candidate's fabric, and
+the compute edges are scaled by the ratio of the recorded machine's
+application rate to the candidate's.  All (graph, candidate) pairs are
+one weight matrix over the graphs taken as one, priced in one sweep
+(:func:`~repro.obs.critpath.swap_makespans`).
 
 The result reproduces the paper's cost ordering: Ethernet nodes are
 cheaper but slower, Myrinet costs ~$1.8k/node more and buys its keep
@@ -24,10 +25,15 @@ from typing import Any
 
 from ..apps.cost_of_ownership import PRICES_1999
 from ..machines.catalog import MACHINES, NETWORKS
-from ..obs.critpath import EventGraph, swap_network
+from ..obs.critpath import EventGraph, swap_makespans
 from ..obs.runlog import RunLedger
 
-__all__ = ["CATALOG_CANDIDATES", "load_graphs", "search_catalog"]
+__all__ = [
+    "CATALOG_CANDIDATES",
+    "GraphArtifactError",
+    "load_graphs",
+    "search_catalog",
+]
 
 #: Catalog candidates: machine + fabric + 1999 per-processor price.
 CATALOG_CANDIDATES: tuple[dict[str, Any], ...] = (
@@ -58,6 +64,10 @@ CATALOG_CANDIDATES: tuple[dict[str, Any], ...] = (
 )
 
 
+class GraphArtifactError(ValueError):
+    """A recorded graph artifact that cannot be read back."""
+
+
 def load_graphs(
     ledger: RunLedger, artifacts_dir: str | Path, bench: str = "campaign"
 ) -> list[dict[str, Any]]:
@@ -75,8 +85,12 @@ def load_graphs(
         path = artifacts / f"graph-{fp}.json"
         if not path.exists():
             continue
-        with path.open() as fh:
-            graph = EventGraph.from_dict(json.load(fh))
+        try:
+            graph = EventGraph.from_dict(json.loads(path.read_text()))
+        except (OSError, ValueError) as exc:
+            raise GraphArtifactError(
+                f"corrupt graph artifact {path}: {exc}"
+            ) from exc
         out.append(
             {"fingerprint": fp, "config": rec.get("config", {}), "graph": graph}
         )
@@ -112,15 +126,22 @@ def search_catalog(
     if not entries:
         raise ValueError("no recorded graphs to search over")
     ranked = []
-    for cand in sorted(candidates, key=lambda c: c["price_per_proc"]):
-        new_net = NETWORKS[cand["network"]]
+    cands = sorted(candidates, key=lambda c: c["price_per_proc"])
+    predicted = swap_makespans(
+        [entry["graph"] for entry in entries],
+        [
+            (
+                NETWORKS[cand["network"]],
+                [_cpu_scale(e["config"]["machine"], cand["machine"]) for e in entries],
+            )
+            for cand in cands
+        ],
+    )
+    nprocs = max(int(e["config"].get("nprocs", 1)) for e in entries)
+    for cand, makespans in zip(cands, predicted):
         total = 0.0
-        nprocs = 0
-        for entry in entries:
-            cfg = entry["config"]
-            scale = _cpu_scale(cfg["machine"], cand["machine"])
-            total += swap_network(entry["graph"], new_net, cpu_scale=scale)
-            nprocs = max(nprocs, int(cfg.get("nprocs", 1)))
+        for makespan in makespans:  # entry order, as one sum
+            total += makespan
         price = cand["price_per_proc"] * max(1, nprocs)
         ranked.append(
             {

@@ -6,7 +6,9 @@ apart from "you invoked me wrong" purely by exit code, so the codes
 are pinned here across the different CLI families.
 """
 
-from repro.apps import trace_report
+import json
+
+from repro.apps import campaign, trace_report
 from repro.campaign.client import run_cli
 from repro.util.cli import EXIT_GATE, EXIT_OK, EXIT_USAGE, usage_error
 
@@ -52,3 +54,41 @@ def test_trace_report_corrupt_trace_is_two(tmp_path, capsys):
     bad.write_text("{corrupt")
     assert trace_report.cli(["--trace", str(bad)]) == EXIT_USAGE
     assert "error:" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------- campaign search
+
+
+def _recorded_graph(tmp_path):
+    """A one-job campaign with its graph artifact: (search argv, artifact)."""
+    matrix = tmp_path / "matrix.json"
+    matrix.write_text(json.dumps({
+        "nprocs": 2, "machines": ["RoadRunner"],
+        "networks": ["RoadRunner, eth-internode"], "fault_plans": ["none"],
+        "workloads": [{"workload": "ring", "rounds": 2, "ndoubles": 8}],
+    }))
+    ledger, art = str(tmp_path / "RUNLOG.jsonl"), tmp_path / "graphs"
+    run = ["run", "--ledger", ledger, "--matrix", str(matrix), "--artifacts", str(art)]
+    assert campaign.main(run) == EXIT_OK
+    (graph,) = art.glob("graph-*.json")
+    return ["search", "--ledger", ledger, "--artifacts", str(art), "--target", "inf"], graph
+
+
+def test_campaign_search_truncated_graph_is_two(tmp_path, capsys):
+    argv, graph = _recorded_graph(tmp_path)
+    graph.write_text(graph.read_text()[:200])
+    capsys.readouterr()
+    assert campaign.main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: corrupt graph artifact") and graph.name in err
+
+
+def test_campaign_search_short_edge_row_is_two(tmp_path, capsys):
+    argv, graph = _recorded_graph(tmp_path)
+    data = json.loads(graph.read_text())
+    data["edges"][3] = data["edges"][3][:10]
+    graph.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert campaign.main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert graph.name in err and "edge row 3" in err

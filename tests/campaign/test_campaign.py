@@ -144,6 +144,44 @@ def test_campaign_runs_all_jobs_and_shares_cache(tmp_path):
     assert len(list((tmp_path / "g").glob("graph-*.json"))) == 8
 
 
+def test_failed_artifact_rewrite_leaves_the_old_bytes(tmp_path, monkeypatch):
+    """A graph artifact is replaced whole or not at all: a rewrite that
+    dies half-way leaves the complete old file, and no stray temp file."""
+    matrix = dict(
+        SMALL,
+        networks=SMALL["networks"][:1],
+        fault_plans=["none"],
+        workloads=SMALL["workloads"][:1],
+    )
+    art = tmp_path / "g"
+    CampaignEngine(tmp_path / "a.jsonl", matrix, artifacts_dir=art).run()
+    (path,) = art.glob("graph-*.json")
+    before = path.read_bytes()
+
+    real = CampaignEngine._run_job
+
+    def poisoned(self, job):
+        payload = real(self, job)
+        payload["graph"]["poison"] = object()  # not JSON: dumps dies
+        return payload
+
+    with monkeypatch.context() as mp:
+        mp.setattr(CampaignEngine, "_run_job", poisoned)
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            CampaignEngine(tmp_path / "b.jsonl", matrix, artifacts_dir=art).run()
+    assert path.read_bytes() == before
+    assert [p.name for p in art.iterdir()] == [path.name]
+
+    def no_rename(src, dst):
+        raise OSError("disk gone")
+
+    monkeypatch.setattr("repro.campaign.engine.os.replace", no_rename)
+    with pytest.raises(OSError, match="disk gone"):
+        CampaignEngine(tmp_path / "c.jsonl", matrix, artifacts_dir=art).run()
+    assert path.read_bytes() == before
+    assert [p.name for p in art.iterdir()] == [path.name]
+
+
 def test_campaign_records_planted_rank_failure_as_failed(tmp_path):
     matrix = dict(SMALL, fault_plans=["none", "crash"])
     eng = CampaignEngine(tmp_path / "lg.jsonl", matrix, workers=2)

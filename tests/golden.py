@@ -39,6 +39,7 @@ MODULES = (
     "tests.ns.test_ale",
     "tests.integration.test_paper_conclusions",
     "tests.apps.test_smoke_goldens",
+    "tests.obs.test_critpath_reprice",
 )
 
 
