@@ -5,11 +5,12 @@ Protocol:
 1. Run the *real* serial solver (:class:`repro.ns.NavierStokes2D`) on a
    reduced bluff-body mesh for a few timesteps with full per-stage
    flop instrumentation.
-2. Scale the per-stage flop counts to the paper's configuration (902
-   elements, polynomial order 8, ~230k dof): vector/transform stages
-   scale with the dof count; the banded-solve stages scale with
-   dof x bandwidth, with the paper-size bandwidth obtained from the
-   RCM-reordered sparsity pattern of the *actual* paper-size dof map.
+2. Scale the per-stage flop counts to the paper's size (902 elements,
+   polynomial order 8, ~230k dof) through the statistics of an actual
+   paper-size dof map — a 1 216-element bluff-body mesh at order 8:
+   vector/transform stages scale with the dof count; the banded-solve
+   stages scale with dof x bandwidth, the bandwidth obtained from the
+   RCM-reordered sparsity pattern of that dof map.
 3. Price the paper-size stages on every machine's CPU model
    (:mod:`repro.apps.pricing`) — Table 1; the per-stage shares are
    Figure 12.
@@ -100,36 +101,67 @@ def measure_reduced(steps: int = 3, warmup: int = 2, **kw) -> dict:
     }
 
 
+def _boundary_dofs(dm: DofMap) -> list[np.ndarray]:
+    """Per element kind, the (n, nb_e) stack of its elements' boundary
+    (vertex + edge) dofs."""
+    return [st.dofs[:, : len(st.exp.boundary_modes)] for st in dm.stacks]
+
+
+def _condensed_pattern(dm: DofMap):
+    """Sparsity pattern of the statically condensed boundary system.
+
+    It is the union of one dense clique per element over the element's
+    boundary dofs, i.e. ``E^T E`` for the element x boundary-dof
+    incidence matrix ``E`` (entries count the elements sharing a pair);
+    returned in canonical CSR form (sorted indices).
+    """
+    import scipy.sparse as sp
+
+    bdofs = _boundary_dofs(dm)
+    nbe = np.concatenate([np.full(b.shape[0], b.shape[1]) for b in bdofs])
+    indptr = np.concatenate(([0], np.cumsum(nbe)))
+    cols = np.concatenate([b.ravel() for b in bdofs])
+    incidence = sp.csr_matrix(
+        (np.ones(cols.size), cols, indptr), shape=(nbe.size, dm.nboundary)
+    )
+    # E^T E is symmetric, so the product's CSC arrays are its CSR ones:
+    # transposing is free where a CSC -> CSR conversion is not.
+    pattern = (incidence.T @ incidence).T.tocsr()
+    pattern.sort_indices()
+    return pattern
+
+
+def _rcm_bandwidth(pattern, bdofs: list[np.ndarray]) -> tuple[np.ndarray, int]:
+    """RCM permutation of ``pattern`` and the half-bandwidth it leaves.
+
+    The pattern is a union of element cliques, so the widest entry of
+    the permuted matrix is the largest spread of one element's boundary
+    dofs in the new numbering: a min/max per element, no permuted copy.
+    """
+    from scipy.sparse.csgraph import reverse_cuthill_mckee
+
+    perm = np.asarray(reverse_cuthill_mckee(pattern, symmetric_mode=True))
+    new = np.empty_like(perm)
+    new[perm] = np.arange(perm.size, dtype=perm.dtype)
+    kd = max(int((new[b].max(axis=1) - new[b].min(axis=1)).max()) for b in bdofs)
+    return perm, kd
+
+
 def _paper_dofmap_stats(order: int = 8) -> dict:
     """Statistics of the actual paper-size discretisation.
 
-    Builds the real ~900-element mesh and dof map at order 8, assembles
-    the *sparsity pattern* of the statically condensed boundary system,
-    and measures its RCM bandwidth — no matrices, so this is cheap.
+    Builds the real 1 216-element mesh (78 592 dof per field at order
+    8) and its dof map, forms the ~1.06M-entry sparsity pattern of the
+    statically condensed boundary system, and measures its RCM
+    bandwidth, all as whole-array operations over the dof map's
+    per-kind stacks.
     """
-    import scipy.sparse as sp
-    from scipy.sparse.csgraph import reverse_cuthill_mckee
-
-    mesh = bluff_body_mesh(m=8, nr=4, refine=2)  # lands near 900 elements
+    # 1 216 elements: Table 1 is scaled from this mesh, Table 2 prices
+    # the paper's 902 (EXPERIMENTS, "Known deviations" 5).
+    mesh = bluff_body_mesh(m=8, nr=4, refine=2)
     dm = DofMap(mesh, order)
     nb = dm.nboundary
-    rows, cols = [], []
-    for e in range(mesh.nelements):
-        exp = dm.expansion(e)
-        d = dm.elem_dofs[e][: len(exp.boundary_modes)]
-        n = d.size
-        rows.append(np.repeat(d, n))
-        cols.append(np.tile(d, n))
-    pat = sp.coo_matrix(
-        (
-            np.ones(sum(r.size for r in rows)),
-            (np.concatenate(rows), np.concatenate(cols)),
-        ),
-        shape=(nb, nb),
-    ).tocsr()
-    perm = np.asarray(reverse_cuthill_mckee(pat, symmetric_mode=True))
-    p = pat[np.ix_(perm, perm)].tocoo()
-    kd = int(np.abs(p.row - p.col).max())
+    _perm, kd = _rcm_bandwidth(_condensed_pattern(dm), _boundary_dofs(dm))
     nmodes = (order + 1) ** 2
     ni = (order - 1) ** 2
     nbe = nmodes - ni

@@ -12,11 +12,12 @@ stacked level-3 calls per field instead of one level-2 call per
 element.
 
 With uniform polynomial order the grouping key collapses to the element
-kind ("tri"/"quad"), but the key is kept general so variable-order
-spaces batch correctly when they arrive.  Batches preserve element
-order within each group, and the signed gather here and the signed,
-accumulating assembly in ``FunctionSpace._assemble`` reproduce the
-per-element :class:`~repro.assembly.dofmap.DofMap` semantics exactly.
+kind ("tri"/"quad"), so a batch is one of the dof map's per-kind stacks
+(:class:`~repro.assembly.dofmap.KindStack`) plus its elements' metric.
+Batches preserve element order within each group, and the signed
+gather here and the signed, accumulating assembly in
+``FunctionSpace._assemble`` reproduce the per-element
+:class:`~repro.assembly.dofmap.DofMap` semantics exactly.
 """
 
 from __future__ import annotations
@@ -40,7 +41,8 @@ class ElementBatch:
     elems:
         (ng,) element indices, in mesh element order.
     dofs, signs:
-        (ng, nmodes) stacked global dof numbers and C0 edge signs.
+        (ng, nmodes) stacked global dof numbers and C0 edge signs: the
+        dof map's read-only stacks of the kind, not copies.
     jw:
         (ng, nq) stacked physical quadrature weights.
     dxi:
@@ -48,14 +50,14 @@ class ElementBatch:
         (``dxi[e, i, j]`` is d(xi_i)/d(x_j) on element ``elems[e]``).
     """
 
-    def __init__(self, kind, exp, elems, dofmap, geom):
-        self.kind = kind
-        self.exp = exp
-        self.elems = np.asarray(elems, dtype=np.int64)
-        self.dofs = np.stack([dofmap.elem_dofs[e] for e in elems])
-        self.signs = np.stack([dofmap.elem_signs[e] for e in elems])
-        self.jw = np.stack([geom[e].jw for e in elems])
-        self.dxi = np.stack([geom[e].dxi_dx for e in elems])
+    def __init__(self, stack, geom):
+        self.kind = stack.kind
+        self.exp = stack.exp
+        self.elems = stack.elems
+        self.dofs = stack.dofs
+        self.signs = stack.signs
+        self.jw = np.stack([geom[e].jw for e in self.elems])
+        self.dxi = np.stack([geom[e].dxi_dx for e in self.elems])
         self._scaled_jw: dict[float, np.ndarray] = {}
 
     @property
@@ -108,28 +110,11 @@ class ElementBatch:
 
 
 def build_batches(space) -> list[ElementBatch]:
-    """Group a space's elements by (shape, order, quadrature).
+    """One batch per element kind of the space's dof map.
 
-    Batches come out in first-appearance order and keep mesh element
-    order within each group, so per-element results reassembled from
-    batches line up with the sequential loops they replace.
+    A kind has one expansion, so it is one (shape, order, quadrature)
+    group.  Batches come out in first-appearance order and keep mesh
+    element order within each group, so per-element results reassembled
+    from batches line up with the sequential loops they replace.
     """
-    groups: dict[tuple, list[int]] = {}
-    order: list[tuple] = []
-    for ei, elem in enumerate(space.mesh.elements):
-        exp = space.dofmap.expansion(ei)
-        key = (elem.kind, exp.order, exp.nq1d)
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(ei)
-    return [
-        ElementBatch(
-            key[0],
-            space.dofmap.expansion(groups[key][0]),
-            groups[key],
-            space.dofmap,
-            space.geom,
-        )
-        for key in order
-    ]
+    return [ElementBatch(stack, space.geom) for stack in space.dofmap.stacks]

@@ -327,6 +327,7 @@ class EdgeBatch:
             # mode form's zgemv needs: cast once here, not by every
             # matmul (three per step) over all ns copies.
             stacked = (len(sel),) + phi.shape
+            dofs, signs = dm.rows(elems)
             self.groups.append(
                 SimpleNamespace(
                     sel=np.array(sel),
@@ -335,8 +336,8 @@ class EdgeBatch:
                     exp_phi_c=np.broadcast_to(phi.astype(np.complex128), stacked),
                     ejw=np.array([space.geom[e].jw for e in elems]),
                     minv=np.linalg.inv([mass[e] for e in elems]),
-                    dofs=np.array([dm.elem_dofs[e] for e in elems]),
-                    signs=np.array([dm.elem_signs[e] for e in elems]),
+                    dofs=dofs,
+                    signs=signs,
                     **{n: stack(n, sel) for n in ("phi", "dphi_x", "dphi_y", "nx", "ny", "jw")},
                 )
             )

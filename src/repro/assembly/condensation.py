@@ -90,28 +90,21 @@ class CondensedOperator:
     # -- pre-factorisation ----------------------------------------------------
 
     def _setup(self, elem_mats) -> tuple[list[dict], list[np.ndarray]]:
-        """Group same-shape elements, factor the interior blocks with one
-        stacked Cholesky per group, and eliminate them with stacked
-        solves.  Returns ``(groups, schur)`` with one stacked
+        """Per element kind (one group per dof-map stack), factor the
+        interior blocks with one stacked Cholesky and eliminate them with
+        stacked solves.  Returns ``(groups, schur)`` with one stacked
         (ng, nb, nb) Schur complement per group.
 
         Charges one ``sc-setup`` per element, in element order (the
         value is not an integer, so a single ng-times charge would
         round differently).
         """
-        dm = self.space.dofmap
         nelem = len(elem_mats)
-        by_exp: dict[int, list[int]] = {}
-        exps: dict[int, object] = {}
-        for e in range(nelem):
-            exp = dm.expansion(e)
-            by_exp.setdefault(id(exp), []).append(e)
-            exps[id(exp)] = exp
         groups: list[dict] = []
         group_schur: list[np.ndarray] = []
         setup_charges: list[tuple[float, float] | None] = [None] * nelem
-        for key, elems in by_exp.items():
-            exp = exps[key]
+        for stack in self.space.dofmap.stacks:
+            exp, elems = stack.exp, stack.elems
             nb = len(exp.boundary_modes)
             if exp.boundary_modes != list(range(nb)):
                 raise ValueError("expansion must order boundary modes first")
@@ -121,9 +114,9 @@ class CondensedOperator:
             aii = a[:, nb:, nb:]
             ni = aii.shape[-1]
             g = len(elems)
-            bdofs = np.stack([dm.elem_dofs[e][:nb] for e in elems])
-            bsigns = np.stack([dm.elem_signs[e][:nb] for e in elems])
-            idofs = np.stack([dm.elem_dofs[e][nb:] for e in elems])
+            bdofs = np.ascontiguousarray(stack.dofs[:, :nb])
+            bsigns = np.ascontiguousarray(stack.signs[:, :nb])
+            idofs = np.ascontiguousarray(stack.dofs[:, nb:])
             if ni:
                 low = np.linalg.cholesky(aii)  # stacked dpotrf, lower
                 # Aii X = Aib, one stacked LAPACK solve (the interior

@@ -12,13 +12,33 @@ canonical one flips the sign of its odd edge modes
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from ..mesh.mesh2d import Mesh2D
 from ..spectral.basis import edge_reversal_sign
 from ..spectral.expansions import Expansion2D, QuadExpansion, TriExpansion
 
-__all__ = ["DofMap"]
+__all__ = ["DofMap", "KindStack"]
+
+
+class KindStack(NamedTuple):
+    """The numbering of one element kind, rows in mesh element order.
+
+    ``elems`` are the kind's (n,) mesh element ids, ``dofs`` / ``signs``
+    (n, nmodes) global dofs and C0 edge signs (+-1.0), ``edge_ids``
+    (n, nedges) dof-map edge ids.  The arrays are read-only (a space is
+    shared by the campaign's worker threads), and
+    ``DofMap.elem_dofs[e]`` / ``elem_signs[e]`` are row views of them.
+    """
+
+    kind: str
+    exp: Expansion2D
+    elems: np.ndarray
+    dofs: np.ndarray
+    signs: np.ndarray
+    edge_ids: np.ndarray
 
 
 class DofMap:
@@ -132,81 +152,101 @@ class DofMap:
         self._edge_class = [efind(e) for e in range(mesh.nedges)]
         self.vrep_raw = np.array([find(v) for v in range(mesh.nvertices)])
         # Compress representatives to 0..n_classes-1.
-        reps = np.unique(self.vrep_raw)
-        lut = {int(r): i for i, r in enumerate(reps)}
-        self.vrep = np.array([lut[int(r)] for r in self.vrep_raw], dtype=np.int64)
+        reps, vrep = np.unique(self.vrep_raw, return_inverse=True)
+        self.vrep = vrep.astype(np.int64)
         self.n_vertex_dofs = reps.size
 
-    def _edge_tables(self):
-        """Edge numbering over *identified* edges.
-
-        Distinct physical edges stay distinct unless explicitly matched
-        by a periodic pair (endpoint reps alone would wrongly collapse
-        parallel edges on small tori).  Canonical direction of each
-        (merged) edge is low -> high in vertex-representative space —
-        consistent on both faces of a periodic pair by construction.
-        """
-        mesh = self.mesh
-        classes = sorted(set(self._edge_class))
-        class_id = {c: i for i, c in enumerate(classes)}
-        elem_edge_ids: list[list[int]] = []
-        elem_edge_orient: list[list[int]] = []
-        for ei, elem in enumerate(mesh.elements):
-            ids, orients = [], []
-            for le in range(elem.nedges):
-                a, b = elem.edge_vertices(le)
-                ra, rb = int(self.vrep[a]), int(self.vrep[b])
-                if ra == rb:
-                    raise ValueError(
-                        "degenerate periodic identification (an edge's "
-                        "endpoints are identified; use >= 2 cells per "
-                        "periodic direction)"
-                    )
-                ids.append(class_id[self._edge_class[mesh.elem_edges[ei][le]]])
-                orients.append(1 if ra < rb else -1)
-            elem_edge_ids.append(ids)
-            elem_edge_orient.append(orients)
-        return class_id, elem_edge_ids, elem_edge_orient
-
     def _number(self) -> None:
+        """Number every element kind in one pass over its stacks.
+
+        Edges are numbered over *identified* edges: distinct physical
+        edges stay distinct unless explicitly matched by a periodic pair
+        (endpoint reps alone would wrongly collapse parallel edges on
+        small tori).  The canonical direction of each (merged) edge is
+        low -> high in vertex-representative space — consistent on both
+        faces of a periodic pair by construction.  Interior dofs run on
+        in mesh element order.
+        """
         mesh, P = self.mesh, self.order
         n_edge_dofs = P - 1
-        table, elem_edge_ids, elem_edge_orient = self._edge_tables()
-        self._edge_ids = elem_edge_ids
-        self.n_edges = len(table)
+        edge_class = np.asarray(self._edge_class, dtype=np.int64)
+        classes = np.unique(edge_class)
+        self.n_edges = classes.size
         self.vertex_offset = 0
         self.edge_offset = self.n_vertex_dofs
         self.interior_offset = self.edge_offset + n_edge_dofs * self.n_edges
 
-        self.elem_dofs: list[np.ndarray] = []
-        self.elem_signs: list[np.ndarray] = []
-        int_cursor = self.interior_offset
+        groups: dict[str, list[int]] = {}
         for ei, elem in enumerate(mesh.elements):
-            exp = self.expansions[elem.kind]
-            dofs = np.empty(exp.nmodes, dtype=np.int64)
-            signs = np.ones(exp.nmodes)
-            for v, mid in enumerate(exp.vertex_modes):
-                dofs[mid] = self.vrep[elem.vertices[v]]
-            for le in range(elem.nedges):
-                eid = elem_edge_ids[ei][le]
-                orient = elem_edge_orient[ei][le]
-                base = self.edge_offset + eid * n_edge_dofs
-                for k, mid in enumerate(exp.edge_modes(le)):
-                    dofs[mid] = base + k
-                    if orient < 0:
-                        signs[mid] = edge_reversal_sign(k)
-            for mid in exp.interior_modes:
-                dofs[mid] = int_cursor
-                int_cursor += 1
-            self.elem_dofs.append(dofs)
-            self.elem_signs.append(signs)
-        self.ndof = int_cursor
+            groups.setdefault(elem.kind, []).append(ei)
+        ni = np.empty(mesh.nelements, dtype=np.int64)
+        for kind, elems in groups.items():
+            ni[elems] = len(self.expansions[kind].interior_modes)
+        first_interior = self.interior_offset + np.cumsum(ni) - ni
+        self.ndof = int(self.interior_offset + ni.sum())
         self.nboundary = self.interior_offset
+
+        flip = np.array([edge_reversal_sign(k) for k in range(n_edge_dofs)], dtype=np.float64)
+        self.stacks: list[KindStack] = []
+        for kind, elem_list in groups.items():
+            exp = self.expansions[kind]
+            local = np.array(mesh.elements[elem_list[0]].local_edges)
+            rep = self.vrep[np.array([mesh.elements[e].vertices for e in elem_list])]
+            ra, rb = rep[:, local[:, 0]], rep[:, local[:, 1]]
+            if (ra == rb).any():
+                raise ValueError(
+                    "degenerate periodic identification (an edge's "
+                    "endpoints are identified; use >= 2 cells per "
+                    "periodic direction)"
+                )
+            mesh_edges = np.array([mesh.elem_edges[e] for e in elem_list])
+            eid = np.searchsorted(classes, edge_class[mesh_edges])
+            elems = np.array(elem_list, dtype=np.int64)
+            edge_modes = exp.edge_mode_table
+            dofs = np.empty((elems.size, exp.nmodes), dtype=np.int64)
+            signs = np.ones((elems.size, exp.nmodes))
+            dofs[:, exp.vertex_modes] = rep
+            dofs[:, edge_modes] = (
+                self.edge_offset + eid[:, :, None] * n_edge_dofs + np.arange(n_edge_dofs)
+            )
+            # A side running against its edge's canonical direction.
+            signs[:, edge_modes] = np.where((ra > rb)[:, :, None], flip, 1.0)
+            interior = exp.interior_modes
+            dofs[:, interior] = first_interior[elems, None] + np.arange(len(interior))
+            for table in (elems, dofs, signs, eid):
+                table.setflags(write=False)
+            self.stacks.append(KindStack(kind, exp, elems, dofs, signs, eid))
+
+        # Where each element's row sits: stack index and row within it.
+        self._stack_of = np.empty(mesh.nelements, dtype=np.int64)
+        self._row_of = np.empty(mesh.nelements, dtype=np.int64)
+        for i, st in enumerate(self.stacks):
+            self._stack_of[st.elems] = i
+            self._row_of[st.elems] = np.arange(st.elems.size)
+        order = np.argsort(np.concatenate([st.elems for st in self.stacks]))
+
+        def in_mesh_order(name: str) -> list[np.ndarray]:
+            flat = [row for st in self.stacks for row in getattr(st, name)]
+            return [flat[i] for i in order]
+
+        self.elem_dofs: list[np.ndarray] = in_mesh_order("dofs")
+        self.elem_signs: list[np.ndarray] = in_mesh_order("signs")
+        self._edge_ids: list[np.ndarray] = in_mesh_order("edge_ids")
 
     # -- queries -------------------------------------------------------------
 
     def expansion(self, elem: int) -> Expansion2D:
         return self.expansions[self.mesh.elements[elem].kind]
+
+    def rows(self, elems) -> tuple[np.ndarray, np.ndarray]:
+        """(len(elems), nmodes) dofs and signs of same-kind elements
+        (repeats allowed), gathered from their kind's stacks."""
+        elems = np.asarray(elems, dtype=np.int64)
+        which = np.unique(self._stack_of[elems])
+        if which.size != 1:
+            raise ValueError("rows() takes a non-empty set of same-kind elements")
+        st, r = self.stacks[which[0]], self._row_of[elems]
+        return st.dofs[r], st.signs[r]
 
     def vertex_dof(self, v: int) -> int:
         """Global dof of mesh vertex v (its periodic representative)."""
@@ -215,7 +255,7 @@ class DofMap:
     def elem_edge_id(self, elem: int, local_edge: int) -> int:
         """Dof-map edge id of an element side (identified edges for
         periodic meshes)."""
-        return self._edge_ids[elem][local_edge]
+        return int(self._edge_ids[elem][local_edge])
 
     def edge_dofs(self, eid: int) -> np.ndarray:
         """Global dofs interior to dof-map edge ``eid`` (canonical order)."""
@@ -253,7 +293,5 @@ class DofMap:
 
     def multiplicity(self) -> np.ndarray:
         """How many elements touch each global dof (1 for interiors)."""
-        mult = np.zeros(self.ndof)
-        for ei in range(self.mesh.nelements):
-            np.add.at(mult, self.elem_dofs[ei], 1.0)
-        return mult
+        flat = np.concatenate([st.dofs.ravel() for st in self.stacks])
+        return np.bincount(flat, minlength=self.ndof).astype(np.float64)

@@ -102,6 +102,7 @@ class Expansion2D:
         self.nq1d = nq if nq is not None else order + 2
         self.rule: TensorRule2D = self._make_rule(self.nq1d)
         self.modes: list[Mode] = self._build_modes()
+        self._index_modes()
         self._tabulate()
 
     # -- subclass hooks ------------------------------------------------------
@@ -121,6 +122,27 @@ class Expansion2D:
     ) -> tuple[Array, Array]:
         """Chain rule (a, b)-factors -> (d/dxi1, d/dxi2) at points (A, B)."""
         raise NotImplementedError
+
+    # -- mode-id tables ------------------------------------------------------
+
+    def _index_modes(self) -> None:
+        """Mode ids by kind, computed once from the mode list.
+
+        ``edge_mode_table[e, k]`` is the id of edge ``e``'s mode ``k``
+        (a read-only ``(nedges, P-1)`` array: an expansion is shared by
+        every element of its kind, and a space by the campaign's worker
+        threads).
+        """
+        kinds = [m.kind for m in self.modes]
+        self._vertex_modes = [i for i, k in enumerate(kinds) if k == "vertex"]
+        self._interior_modes = [i for i, k in enumerate(kinds) if k == "interior"]
+        self._boundary_modes = [i for i, k in enumerate(kinds) if k != "interior"]
+        table = np.empty((self.nedges, self.order - 1), dtype=np.int64)
+        for i, m in enumerate(self.modes):
+            if m.kind == "edge":
+                table[m.entity, m.k] = i
+        table.setflags(write=False)
+        self.edge_mode_table = table
 
     # -- tabulation on the quadrature grid ------------------------------------
 
@@ -144,28 +166,25 @@ class Expansion2D:
     def nmodes(self) -> int:
         return len(self.modes)
 
+    # The getters hand out copies of the tables built at construction.
+
     @property
     def vertex_modes(self) -> list[int]:
-        return [i for i, m in enumerate(self.modes) if m.kind == "vertex"]
+        return list(self._vertex_modes)
 
     @property
     def interior_modes(self) -> list[int]:
-        return [i for i, m in enumerate(self.modes) if m.kind == "interior"]
+        return list(self._interior_modes)
 
     @property
     def boundary_modes(self) -> list[int]:
-        return [i for i, m in enumerate(self.modes) if m.kind != "interior"]
+        return list(self._boundary_modes)
 
     def edge_modes(self, edge: int) -> list[int]:
         """Edge-interior mode ids of local edge ``edge``, ascending k."""
         if not 0 <= edge < self.nedges:
             raise ValueError(f"edge {edge} out of range")
-        ids = [
-            (m.k, i)
-            for i, m in enumerate(self.modes)
-            if m.kind == "edge" and m.entity == edge
-        ]
-        return [i for _, i in sorted(ids)]
+        return self.edge_mode_table[edge].tolist()
 
     def mass_matrix(self) -> Array:
         """Reference-element mass matrix (exact by quadrature)."""

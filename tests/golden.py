@@ -40,6 +40,7 @@ MODULES = (
     "tests.integration.test_paper_conclusions",
     "tests.apps.test_smoke_goldens",
     "tests.obs.test_critpath_reprice",
+    "tests.assembly.test_dofmap_oracle",
 )
 
 
