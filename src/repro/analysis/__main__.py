@@ -8,7 +8,7 @@ repository root, falling back to the installed ``repro`` package tree.
 ``--format json`` emits one object per diagnostic.
 ``--select RULE[,RULE...]`` restricts the run to the named rules and
 forces them in scope on every file — the seed audit runs
-``--select REPRO004 tests benchmarks``.  An accepted finding is waived
+``--select REPRO004 tests benchmarks examples``.  An accepted finding is waived
 where it fires (``# repro: waive[rule] reason``); there is no findings
 baseline file.
 """
@@ -20,8 +20,7 @@ import json
 import sys
 from pathlib import Path
 
-from .linter import Diagnostic, RULES, lint_paths
-from .vocab import WAIVER_CODE
+from .linter import RULES, WAIVER_CODE, Diagnostic, lint_paths
 
 
 def _default_paths() -> list[str]:
@@ -51,8 +50,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
         description="Static-analysis suite: accounting/virtual-time/raw-numpy "
-        "invariants, determinism sanitizer (REPRO004-006) and "
-        "communication-protocol checker (REPRO010-013).",
+        "invariants (REPRO001-003) and determinism rules (REPRO004-006).",
     )
     parser.add_argument(
         "paths",

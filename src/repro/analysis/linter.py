@@ -1,8 +1,11 @@
 """AST-based invariant linter (stdlib only).
 
 Six repo-specific rules, each scoped to the packages where its
-invariant is load-bearing, plus the communication-protocol rules of
-:mod:`repro.analysis.protocol` which run through the same driver:
+invariant is load-bearing and no runtime check can stand in for it.
+Communication defects (unmatched sends, deadlocks, collective
+mismatches, lost bytes) are not here: the finalize-time verifier
+(:meth:`repro.parallel.simmpi.VirtualCluster.verify_communication`)
+catches them on every run and tags them with its own runtime codes.
 
 ``accounting`` (REPRO001)
     In ``linalg/``, ``spectral/``, ``assembly/`` and ``fourier/``, any
@@ -59,7 +62,7 @@ The comment may sit on any line of the flagged *statement* (including
 the closing line of a wrapped call), the line above the statement, or
 on (or above) the enclosing ``def`` — including above its decorators.
 Rules may be named by name or by code (``waive[REPRO003]``).  A whole
-file opts out of one rule with::
+file opts out of one rule with a comment on any line of it::
 
     # repro: waive-file[virtual-time] virtual-time substrate implementation
 
@@ -77,16 +80,59 @@ import tokenize
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .vocab import RULES, WAIVER_CODE, name_for
-
 __all__ = [
     "RULES",
+    "WAIVER_CODE",
     "Diagnostic",
+    "name_for",
     "lint_source",
     "lint_file",
     "lint_files",
     "lint_paths",
 ]
+
+#: Diagnostic code for meta-problems: malformed/unknown/stale waivers
+#: and syntax errors — problems with the analysis inputs themselves.
+WAIVER_CODE = "REPRO000"
+
+#: rule name -> (code, one-line summary).
+RULES: dict[str, tuple[str, str]] = {
+    "accounting": (
+        "REPRO001",
+        "hot-path kernels must charge the ambient OpCounter",
+    ),
+    "virtual-time": (
+        "REPRO002",
+        "virtual-time rank code must not touch real clocks or raw threads",
+    ),
+    "raw-numpy": (
+        "REPRO003",
+        "hot paths must use the counted repro.linalg.blas kernels",
+    ),
+    "unseeded-rng": (
+        "REPRO004",
+        "random draws must come from an explicitly seeded generator",
+    ),
+    "wall-clock": (
+        "REPRO005",
+        "priced numeric code must not read host clocks",
+    ),
+    "unordered-iteration": (
+        "REPRO006",
+        "rank-keyed dicts and sets must be iterated in sorted order",
+    ),
+}
+
+_CODE_TO_NAME = {code: name for name, (code, _) in RULES.items()}
+
+
+def name_for(token: str) -> str | None:
+    """Normalise a waiver token (rule name or REPROxxx code) to a rule
+    name, or None if it names no known rule."""
+    if token in RULES:
+        return token
+    return _CODE_TO_NAME.get(token)
+
 
 ACCOUNTING_PACKAGES = {"linalg", "spectral", "assembly", "fourier"}
 VIRTUAL_TIME_PACKAGES = {"ns", "parallel"}
@@ -400,13 +446,6 @@ class _ImportTable:
                 self.objects[name] = f"numpy.random.{alias.name}"
             elif mod in ("scipy.linalg", "scipy"):
                 self.objects[name] = f"scipy.linalg.{alias.name}"
-            elif mod.endswith("faults") and alias.name in (
-                "FaultPlan",
-                "CrashSpec",
-                "RankFailure",
-                "RecvTimeout",
-            ):
-                self.objects[name] = f"repro.parallel.faults.{alias.name}"
             elif alias.name == "blas" and (mod.endswith("linalg") or mod == ""):
                 # from ..linalg import blas / from . import blas
                 self.modules[name] = "repro.linalg.blas"
@@ -739,7 +778,6 @@ class _FileContext:
 
     def __init__(self, path: str, source: str):
         self.path = path
-        self.source = source
         self.pkg = _repro_package(path)
         self.waivers = _parse_waivers(source)
         self.tree: ast.Module | None = None
@@ -804,7 +842,7 @@ def _diag(ctx: _FileContext, line: int, col: int, rule: str, message: str) -> Di
 
 
 def _lint_ctx(ctx: _FileContext, select: set[str] | None) -> list[Diagnostic]:
-    """Per-file rules (the protocol rules run in :mod:`.protocol`)."""
+    """Every rule over one file."""
     diags: list[Diagnostic] = []
     for line, col, msg in ctx.waivers.problems:
         diags.append(Diagnostic(ctx.path, line, col, WAIVER_CODE, "waiver", msg))
@@ -974,20 +1012,9 @@ def _normalize_select(select) -> set[str] | None:
 
 
 def _run(ctxs: list[_FileContext], select: set[str] | None) -> list[Diagnostic]:
-    from . import protocol  # late import: protocol imports this module
-
     diags: list[Diagnostic] = []
-    sites: list[protocol.CommSite] = []
-    ctx_by_path: dict[str, _FileContext] = {}
     for ctx in ctxs:
-        ctx_by_path[ctx.path] = ctx
         diags.extend(_lint_ctx(ctx, select))
-        if ctx.tree is not None:
-            file_diags, file_sites = protocol.check_ctx(ctx, select)
-            diags.extend(file_diags)
-            sites.extend(file_sites)
-    if select is None or "tag-pairing" in select:
-        diags.extend(protocol.pair_sites(sites, ctx_by_path))
     if select is None:
         # Stale-waiver detection needs the full rule set to have run.
         for ctx in ctxs:
@@ -1011,8 +1038,7 @@ def lint_source(source: str, path: str, select=None) -> list[Diagnostic]:
     """Lint one file's source text; ``path`` determines the rule scope.
 
     ``select`` restricts the run to the given rule names/codes and
-    forces them in scope on every file (audit mode).  Tag pairing
-    (REPRO010) is resolved within the single file.
+    forces them in scope on every file (audit mode).
     """
     return _run([_FileContext(path, source)], _normalize_select(select))
 
@@ -1023,7 +1049,7 @@ def lint_file(path: str | Path, select=None) -> list[Diagnostic]:
 
 
 def lint_files(files, select=None) -> list[Diagnostic]:
-    """Lint the given files as one corpus (tag pairing spans them all)."""
+    """Lint the given files."""
     ctxs = [
         _FileContext(str(p), Path(p).read_text(encoding="utf-8")) for p in files
     ]

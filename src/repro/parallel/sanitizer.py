@@ -27,8 +27,6 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 
-from ..analysis.vocab import RUNTIME_CODES
-
 __all__ = ["Access", "DeterminismError", "Race", "RaceDetector"]
 
 
@@ -51,13 +49,12 @@ class Race:
     second: Access
 
     def describe(self) -> str:
-        code = RUNTIME_CODES["race"]
         return (
             f"data race on {self.label}: rank {self.first.rank} "
             f"{self.first.op} at {self.first.site} (vc={self.first.vc}) and "
             f"rank {self.second.rank} {self.second.op} at "
             f"{self.second.site} (vc={self.second.vc}) are unordered by "
-            f"happens-before [{code}]"
+            "happens-before [REPRO006]"
         )
 
 

@@ -76,8 +76,6 @@ import threading
 from collections import deque
 from typing import TYPE_CHECKING, Callable
 
-from ..analysis.vocab import RUNTIME_CODES
-
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .simmpi import VirtualCluster, VirtualComm
 
@@ -105,7 +103,7 @@ class SchedulerDeadlock(RuntimeError):
         self.blocked = dict(blocked)
         lines = [
             "scheduler stall: no rank is runnable and no blocked wait can "
-            f"complete [{RUNTIME_CODES['scheduler_stall']}]"
+            "complete [REPRO014]"
         ]
         if detail:
             lines.append(detail)

@@ -65,7 +65,6 @@ from typing import Any, Callable
 
 import numpy as np
 
-from ..analysis.vocab import RUNTIME_CODES
 from ..machines.cpu import CPUModel
 from ..machines.network import NetworkModel
 from ..obs import metrics
@@ -85,11 +84,19 @@ __all__ = [
 ]
 
 
+# Runtime diagnostic code of each finding kind the verifier raises.
+_CODES = {
+    "unmatched_send": "REPRO010",
+    "deadlock": "REPRO011",
+    "collective_order": "REPRO011",
+    "incomplete_collective": "REPRO011",
+    "byte_conservation": "REPRO013",
+}
+
+
 def _code(kind: str) -> str:
-    """Shared-vocabulary suffix for runtime verifier problems, e.g.
-    `` [REPRO010]`` — appended so static and runtime findings about the
-    same defect class cite one diagnostic code."""
-    return f" [{RUNTIME_CODES[kind]}]"
+    """Diagnostic-code suffix of a verifier problem, e.g. `` [REPRO010]``."""
+    return f" [{_CODES[kind]}]"
 
 _TRACE_LEN = 64
 

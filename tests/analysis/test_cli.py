@@ -63,12 +63,26 @@ def test_format_json(bad_file, capsys):
     assert d["path"].endswith("injected.py")
 
 
-def test_list_rules_includes_new_catalog(capsys):
+def test_list_rules_includes_new_catalog(tmp_path, capsys):
     assert main(["--list-rules"]) == 0
     out = capsys.readouterr().out
-    for code in ("REPRO000", "REPRO004", "REPRO005", "REPRO006",
-                 "REPRO010", "REPRO011", "REPRO012", "REPRO013"):
-        assert code in out
+    for n in range(7):
+        assert f"REPRO00{n}" in out
+    # REPRO010-013 are runtime verifier codes only, not static rules.
+    for code in ("REPRO010", "REPRO011", "REPRO012", "REPRO013"):
+        assert code not in out
+
+    pkg = tmp_path / "src" / "repro" / "ns"
+    pkg.mkdir(parents=True)
+    f = pkg / "waived.py"
+    f.write_text("x = 1\n")
+    assert main([str(f), "--select", "tag-pairing"]) == 2
+    assert "unknown rule" in capsys.readouterr().err
+    f.write_text("x = 1  # repro: waive[REPRO010] peer uses dynamic tags\n")
+    assert main([str(f)]) == 1
+    out = capsys.readouterr().out
+    assert "REPRO000" in out
+    assert "unknown rule(s): ['REPRO010']" in out
 
 
 def test_select_restricts_and_forces_scope(tmp_path, capsys):

@@ -301,10 +301,6 @@ def test_rule_registry():
         "unseeded-rng",
         "wall-clock",
         "unordered-iteration",
-        "tag-pairing",
-        "rank-conditional-collective",
-        "unguarded-recv",
-        "uncounted-payload",
     }
     codes = [code for code, _ in RULES.values()]
     assert len(set(codes)) == len(RULES)

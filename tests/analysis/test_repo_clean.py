@@ -7,6 +7,7 @@ ordinary test run with its file/line diagnostic in the assertion
 message.  Injection tests then prove the check actually bites.
 """
 
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -85,3 +86,35 @@ def test_injected_wall_clock_in_rank_fn_fails_lint(tmp_path):
     diags = lint_paths([tmp_path])
     assert [d.code for d in diags] == ["REPRO002"]
     assert diags[0].line == 5
+
+
+# Every package the benchmarks/e2e workloads import at their roots.
+WORKLOAD_ROOTS = (
+    "repro.apps",
+    "repro.apps.serial_bluff",
+    "repro.ns.nektar_f",
+    "repro.ns.ale",
+    "repro.apps.scaling_bench",
+    "repro.campaign",
+    "repro.campaign.search",
+)
+
+
+def test_simulator_does_not_load_the_static_suite():
+    """The runtime codes live at their raise sites, so running a
+    workload never imports the linter."""
+    code = (
+        "import importlib, sys\n"
+        f"for root in {WORKLOAD_ROOTS!r}:\n"
+        "    importlib.import_module(root)\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m == 'repro.analysis' or m.startswith('repro.analysis.')))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -37,6 +37,12 @@ def test_unmatched_send_detected_at_finalize():
     assert "rank 0 -> rank 1 tag=7" in msg
     assert "byte conservation" in msg  # 32 sent, 0 received
     assert any("send -> 1 tag=7" in e for e in exc.value.rank_traces[0])
+    # Each finding carries its runtime diagnostic code.
+    problems = exc.value.problems
+    unmatched = [p for p in problems if p.startswith("unmatched send")]
+    assert unmatched and all(p.endswith(" [REPRO010]") for p in unmatched)
+    bytes_ = [p for p in problems if p.startswith("byte conservation")]
+    assert bytes_ and all(p.endswith(" [REPRO013]") for p in bytes_)
 
 
 def test_unmatched_send_problems_are_structured():
@@ -99,6 +105,7 @@ def test_deadlock_detected_with_rank_trace():
         cluster(2).run(fn)
     msg = str(exc.value)
     assert "deadlock" in msg
+    assert exc.value.problems[0] == "deadlock: every live rank is blocked [REPRO011]"
     assert "rank 0 blocked in recv" in msg
     assert "rank 1 blocked in recv" in msg
 
@@ -125,6 +132,10 @@ def test_collective_order_mismatch_detected():
     with pytest.raises(CommVerificationError) as exc:
         cluster(2).run(fn)
     assert "collective ordering mismatch" in str(exc.value)
+    mismatch = [
+        p for p in exc.value.problems if p.startswith("collective ordering mismatch")
+    ]
+    assert mismatch and all(p.endswith(" [REPRO011]") for p in mismatch)
 
 
 def test_collective_count_mismatch_is_caught():

@@ -45,7 +45,7 @@ def test_planted_cross_rank_race_detected():
     msg = str(exc.value)
     assert "data race" in msg
     assert "result-table" in msg
-    assert "REPRO006" in msg  # shared vocabulary with the static rule
+    assert "REPRO006" in msg  # the race detector's runtime code
     assert exc.value.races
     race = exc.value.races[0]
     assert {race.first.rank, race.second.rank} == {0, 1}
