@@ -202,8 +202,12 @@ def paper_stage_flops(measured: dict | None = None) -> dict[str, float]:
     if default_run:
         if "paper_flops" in _CACHE:
             return dict(_CACHE["paper_flops"])
-        measured = _CACHE.setdefault("measured", measure_reduced())
-    stats_p = _CACHE.setdefault("paper_stats", _paper_dofmap_stats())
+        if "measured" not in _CACHE:
+            _CACHE["measured"] = measure_reduced()
+        measured = _CACHE["measured"]
+    if "paper_stats" not in _CACHE:
+        _CACHE["paper_stats"] = _paper_dofmap_stats()
+    stats_p = _CACHE["paper_stats"]
     ns = measured["solver"]
     order_r = measured["order"]
     stats_r = {

@@ -26,6 +26,7 @@ from ..linalg import blas
 from ..linalg.banded import BandedSPDSolver
 from ..linalg.counters import charge
 from .global_system import dirichlet_block
+from .space import ElementalMatrices
 
 __all__ = ["CondensedOperator"]
 
@@ -50,7 +51,7 @@ class CondensedOperator:
         if self.dirichlet.size and self.dirichlet.max() >= self.nb_glob:
             raise ValueError("Dirichlet dofs must be boundary (vertex/edge) dofs")
 
-        self._groups, schur = self._setup(elem_mats)
+        self._groups, schur = self._setup(ElementalMatrices.of(dm, elem_mats))
         rows, cols, vals = [], [], []
         # Group-wise Schur assembly: sign-conjugate and scatter whole
         # element stacks at once (duplicate COO entries are summed by
@@ -89,26 +90,30 @@ class CondensedOperator:
 
     # -- pre-factorisation ----------------------------------------------------
 
-    def _setup(self, elem_mats) -> tuple[list[dict], list[np.ndarray]]:
+    def _setup(self, mats) -> tuple[list[dict], list[np.ndarray]]:
         """Per element kind (one group per dof-map stack), factor the
         interior blocks with one stacked Cholesky and eliminate them with
         stacked solves.  Returns ``(groups, schur)`` with one stacked
         (ng, nb, nb) Schur complement per group.
 
+        ``mats`` is an :class:`~repro.assembly.space.ElementalMatrices`;
+        its kind stacks are sliced, not copied, and a group keeps only
+        what a solve reads: ``abi`` (copied out, so no view pins the
+        stack), ``aii_inv_aib``, the interior factor ``low`` and, after
+        the first solve, ``linv``.
+
         Charges one ``sc-setup`` per element, in element order (the
         value is not an integer, so a single ng-times charge would
         round differently).
         """
-        nelem = len(elem_mats)
         groups: list[dict] = []
         group_schur: list[np.ndarray] = []
-        setup_charges: list[tuple[float, float] | None] = [None] * nelem
-        for stack in self.space.dofmap.stacks:
+        setup_charges: list[tuple[float, float] | None] = [None] * self.space.nelem
+        for stack, a in zip(self.space.dofmap.stacks, mats.stacks):
             exp, elems = stack.exp, stack.elems
             nb = len(exp.boundary_modes)
             if exp.boundary_modes != list(range(nb)):
                 raise ValueError("expansion must order boundary modes first")
-            a = np.stack([np.asarray(elem_mats[e], dtype=np.float64) for e in elems])
             abb = a[:, :nb, :nb]
             abi = a[:, :nb, nb:]
             aii = a[:, nb:, nb:]
@@ -137,7 +142,7 @@ class CondensedOperator:
                 {
                     "low": low,
                     "linv": None,  # lazy L^{-1}, built on first solve
-                    "abi": abi,
+                    "abi": abi.copy(),
                     "aii_inv_aib": aii_inv_aib,
                     "bdofs": bdofs,
                     "bsigns": bsigns,
@@ -148,9 +153,9 @@ class CondensedOperator:
                 }
             )
             group_schur.append(s)
-        for e in range(nelem):
-            if setup_charges[e] is not None:
-                charge(setup_charges[e][0], setup_charges[e][1], "sc-setup")
+        for charges in setup_charges:
+            if charges is not None:
+                charge(charges[0], charges[1], "sc-setup")
         return groups, group_schur
 
     @property

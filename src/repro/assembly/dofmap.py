@@ -23,6 +23,9 @@ from ..spectral.expansions import Expansion2D, QuadExpansion, TriExpansion
 __all__ = ["DofMap", "KindStack"]
 
 
+_EXPANSIONS = {"tri": TriExpansion, "quad": QuadExpansion}
+
+
 class KindStack(NamedTuple):
     """The numbering of one element kind, rows in mesh element order.
 
@@ -62,9 +65,11 @@ class DofMap:
         self.mesh = mesh
         self.order = order
         self.periodic = tuple(periodic)
+        # One expansion per element kind the mesh has, no more: an
+        # all-quad mesh builds no triangle tables.
         self.expansions: dict[str, Expansion2D] = {
-            "tri": TriExpansion(order),
-            "quad": QuadExpansion(order),
+            kind: _EXPANSIONS[kind](order)
+            for kind in dict.fromkeys(e.kind for e in mesh.elements)
         }
         self._build_identifications()
         self._number()

@@ -17,6 +17,7 @@ C0 vector of length ``ndof``.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -34,7 +35,7 @@ from .operators import (
     elemental_mass_batched,
 )
 
-__all__ = ["FunctionSpace"]
+__all__ = ["ElementalMatrices", "FunctionSpace"]
 
 
 def _real_array(a, who: str, name: str) -> np.ndarray:
@@ -46,6 +47,45 @@ def _real_array(a, who: str, name: str) -> np.ndarray:
             f"and imaginary parts as two fields, np.stack([{name}.real, {name}.imag])"
         )
     return np.asarray(a, dtype=np.float64)
+
+
+class ElementalMatrices(Sequence):
+    """Per-element operator matrices held as one stack per element kind.
+
+    ``stacks[i]`` is the (n, nmodes, nmodes) stack of the dof map's
+    ``i``-th kind stack, rows in its ``elems`` order (batch ``i`` of the
+    space: the stack :meth:`FunctionSpace._batch_operator_stack`
+    builds).  Item ``e`` is element ``e``'s row of its stack, a view,
+    so the sequence reads as the per-element list in mesh element
+    order; a batch-wise consumer (static condensation) slices
+    ``stacks`` instead and copies only what it keeps.
+    """
+
+    def __init__(self, dofmap: DofMap, stacks):
+        self.dofmap = dofmap
+        self.stacks = tuple(stacks)
+
+    @classmethod
+    def of(cls, dofmap: DofMap, mats) -> "ElementalMatrices":
+        """``mats`` as kind stacks of ``dofmap``, the way ``np.asarray``
+        converts its input: an instance on the same dof map is returned
+        as is, a per-element sequence is stacked once per kind."""
+        if isinstance(mats, cls) and mats.dofmap is dofmap:
+            return mats
+        return cls(
+            dofmap,
+            [
+                np.stack([np.asarray(mats[e], dtype=np.float64) for e in st.elems])
+                for st in dofmap.stacks
+            ],
+        )
+
+    def __len__(self) -> int:
+        return self.dofmap.mesh.nelements
+
+    def __getitem__(self, e) -> np.ndarray:
+        dm = self.dofmap
+        return self.stacks[dm._stack_of[e]][dm._row_of[e]]
 
 
 class FunctionSpace:
@@ -377,21 +417,19 @@ class FunctionSpace:
                 )
         return mats
 
-    def elemental_matrices(self, kind: str, lam: float = 0.0) -> list[np.ndarray]:
+    def elemental_matrices(self, kind: str, lam: float = 0.0) -> ElementalMatrices:
         """Per-element operator matrices, in mesh element order.
 
         ``kind`` is "mass", "laplacian" or "helmholtz" (the latter takes
         the Helmholtz constant ``lam``).  The matrices are built as
         stacked dgemm_batched calls per element batch and handed out as
-        the per-element list the condensation and solver layers consume.
+        those batch stacks (``.stacks``), indexable per element.
         """
         matrix_free.check_kind(kind)
-        mats: list[np.ndarray] = [None] * self.nelem  # type: ignore[list-item]
-        for b in self.batches():
-            stack = self._batch_operator_stack(b, kind, lam)
-            for j, ei in enumerate(b.elems):
-                mats[int(ei)] = stack[j]
-        return mats
+        return ElementalMatrices(
+            self.dofmap,
+            [self._batch_operator_stack(b, kind, lam) for b in self.batches()],
+        )
 
     def _dense_batch_mats(self, bi: int, kind: str, lam: float) -> np.ndarray:
         """Operator stack of batch ``bi`` — the matrix-free path's

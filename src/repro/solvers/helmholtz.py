@@ -85,12 +85,24 @@ class _HelmholtzBase:
 class HelmholtzDirect(_HelmholtzBase):
     """Direct solver: static condensation + banded boundary solve
     (NekTar's structure; Figure 10) over the tabulated elemental
-    matrices ``elem_mats``."""
+    Helmholtz matrices.
+
+    The solver keeps only the condensed operator ``op``: the elemental
+    stacks it is built from are dropped once it is set up (DESIGN.md
+    section 9, "What a condensed operator keeps").
+    """
 
     def __init__(self, space, lam=0.0, dirichlet_tags=()):
         super().__init__(space, lam, dirichlet_tags)
-        self.elem_mats = space.elemental_matrices("helmholtz", self.lam)
-        self.op = CondensedOperator(space, self.elem_mats, self.dirichlet_dofs)
+        self.op = CondensedOperator(
+            space, space.elemental_matrices("helmholtz", self.lam), self.dirichlet_dofs
+        )
+
+    @property
+    def elem_mats(self):
+        """The elemental matrices the operator was built from, rebuilt
+        (and charged) on every access: the solver does not keep them."""
+        return self.space.elemental_matrices("helmholtz", self.lam)
 
     def solve(
         self, f: ScalarFn | np.ndarray, g: ScalarFn | None = None

@@ -45,6 +45,32 @@ def test_paper_stage_flops_larger_than_reduced():
         assert paper[s] > measured["stage_flops"][s]
 
 
+def test_paper_stage_flops_builds_each_cached_input_once(monkeypatch, measured):
+    """An explicit ``measured`` reuses the cached paper-size statistics,
+    and the default run measures once: nothing cached is rebuilt."""
+    from repro.apps import serial_bluff
+
+    calls = {"stats": 0, "measure": 0}
+    real_stats = serial_bluff._paper_dofmap_stats
+
+    def stats(*args, **kw):
+        calls["stats"] += 1
+        return real_stats(*args, **kw)
+
+    def measure(*args, **kw):
+        calls["measure"] += 1
+        return measured
+
+    monkeypatch.setattr(serial_bluff, "_CACHE", {})
+    monkeypatch.setattr(serial_bluff, "_paper_dofmap_stats", stats)
+    monkeypatch.setattr(serial_bluff, "measure_reduced", measure)
+    first = paper_stage_flops(measured)
+    assert paper_stage_flops(measured) == first
+    assert paper_stage_flops() == first
+    assert paper_stage_flops() == first
+    assert calls == {"stats": 1, "measure": 1}
+
+
 def test_table1_reproduces_paper_ordering():
     rows = {name: model for name, model, _ in table1()}
     # Normalised to the PII anchor.

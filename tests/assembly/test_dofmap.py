@@ -31,6 +31,16 @@ def test_dof_counts_tris():
     assert dm.ndof == mesh.nvertices + (P - 1) * mesh.nedges + nint * mesh.nelements
 
 
+def test_expansions_only_for_the_kinds_the_mesh_has():
+    from .test_batched_equivalence import mixed_mesh
+
+    assert list(DofMap(rectangle_quads(2, 1), 8).expansions) == ["quad"]
+    assert list(DofMap(rectangle_tris(2, 1), 8).expansions) == ["tri"]
+    dm = DofMap(mixed_mesh(), 3)
+    assert list(dm.expansions) == ["quad", "tri"]
+    assert [st.exp for st in dm.stacks] == [dm.expansions["quad"], dm.expansions["tri"]]
+
+
 def test_order_one_rejected():
     with pytest.raises(ValueError):
         DofMap(rectangle_quads(1, 1), 1)
