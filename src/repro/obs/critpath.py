@@ -58,9 +58,12 @@ bandwidth, remove-straggler via per-rank cpu scaling);
 participant counts stashed on each edge — no re-run of the cluster.
 
 Charge parity: the recorder reads rank state and appends to its own
-lists — it never touches virtual clocks, byte ledgers, the OpCounter,
-or sanitizer vector clocks (pinned byte-identical by the tier-1
-hypothesis tests, like the tracer and the race detector).
+lists — it never touches virtual clocks, byte ledgers or the OpCounter
+(pinned byte-identical by the tier-1 hypothesis tests, like the
+tracer).  The same graph is the race sanitizer's happens-before order:
+``VirtualCluster(sanitize=True)`` attaches a recorder, and
+:func:`repro.parallel.sanitizer.happens_before` derives vector clocks
+from its node kinds and edges.
 """
 
 from __future__ import annotations
@@ -579,6 +582,10 @@ class CritPathRecorder:
         self._arrivals: dict[tuple[str, int], list[int]] = {}
         # collective key -> (release node, remaining releases)
         self._release: dict[tuple[str, int], list[int]] = {}
+        # Declared shared accesses of a sanitized run, in host order:
+        # (rank, rank's last node, op, label, site, obj).  Not part of
+        # the graph; ``repro.parallel.sanitizer`` reads them with it.
+        self.accesses: list[tuple] = []
 
     # -- run lifecycle ---------------------------------------------------------
 
@@ -588,6 +595,7 @@ class CritPathRecorder:
         self._msg.clear()
         self._arrivals.clear()
         self._release.clear()
+        self.accesses = []
         self._pending = [[0.0] * 5 for _ in range(cluster.nprocs)]
         self._last = [
             g.add_node(r, "start", "start", cluster.ranks[r].wall)
@@ -705,6 +713,10 @@ class CritPathRecorder:
                 node, send_node, 0.0, overhead, lat, wire, delay, "message",
                 mbytes, factor * mbytes, mbytes, 0, 1.0, factor,
             ))
+
+    def on_access(self, rank: int, op: str, label: str | None, site: str, obj: Any) -> None:
+        """A declared shared access, placed after the rank's last node."""
+        self.accesses.append((rank, self._last[rank], op, label, site, obj))
 
     def on_wait_burn(self, rank: int, seconds: float) -> None:
         """An expired virtual recv timeout burned wall time as idle."""

@@ -1,8 +1,9 @@
 """Parallel substrate: virtual-time MPI (simmpi), fault injection,
-and the runtime determinism sanitizer."""
+and the runtime determinism sanitizer (a race query on the run's
+event graph)."""
 
 from .faults import CrashSpec, FaultPlan, RankFailure, RecvTimeout
-from .sanitizer import DeterminismError, Race, RaceDetector
+from .sanitizer import DeterminismError, Race
 from .scheduler import SchedulerDeadlock
 from .simmpi import VirtualCluster, VirtualComm, payload_bytes
 
@@ -17,5 +18,4 @@ __all__ = [
     "RecvTimeout",
     "DeterminismError",
     "Race",
-    "RaceDetector",
 ]

@@ -1,33 +1,44 @@
-# repro: waive-file[virtual-time] host-side bookkeeping lock; never touches the virtual clocks
-"""Runtime determinism sanitizer: vector-clock race detection.
+"""Runtime determinism sanitizer: data races as a query on the event graph.
 
 The static rules REPRO004–REPRO006 ban the *sources* of
 nondeterminism the AST can see; this module catches the ones it can't —
 two ranks touching the same Python object without a message or
-collective ordering the accesses.  ``VirtualCluster(sanitize=True)``
-builds per-rank vector clocks from the virtual-time message graph that
-already exists (every ``send`` piggybacks the sender's clock, every
-``recv`` joins it, every collective joins all participants), and rank
-code declares shared-object accesses with
-:meth:`~repro.parallel.simmpi.VirtualComm.shared_read` /
-``shared_write``.  At finalize, any cross-rank pair of accesses to the
-same object with at least one write and vector clocks unordered by
-happens-before is reported as a race (:class:`DeterminismError`, code
-REPRO006 — the runtime twin of the unordered-iteration rule).
+collective ordering the accesses.  Rank code declares shared-object
+accesses with :meth:`~repro.parallel.simmpi.VirtualComm.shared_read` /
+``shared_write``; ``VirtualCluster(sanitize=True)`` records them next to
+the happens-before event graph its
+:class:`~repro.obs.critpath.CritPathRecorder` already builds, and at
+finalize :func:`happens_before` derives every vector clock from that one
+graph.  Any cross-rank pair of accesses to the same object with at least
+one write and vector clocks unordered by happens-before is a race
+(:class:`DeterminismError`, code REPRO006 — the runtime twin of the
+unordered-iteration rule).
 
-Charge parity is a hard contract: the detector maintains its own host
-lock and its own state, and none of its hooks read or write the
-per-rank virtual wall/cpu clocks, byte ledgers or the ambient
-OpCounter.  A sanitized run produces byte-identical virtual clocks and
-op counts to an unsanitized one (locked by a property test).
+Clock discipline (standard vector clocks): every event — a send, a
+completed recv, a collective arrival, the rank's own collective release,
+a declared access — ticks the acting rank's own component, so two
+accesses on different ranks compare as ordered only when an actual
+message chain or collective connects them.  In the graph a send, recv
+or arrival is a rank-owned node; a release is the collective's shared
+``release`` node, ticked by the rank whose next local edge leaves it.
+
+Charge parity: nothing here runs before the ranks have returned, and
+the recorder is a pure observer, so a sanitized run's virtual clocks,
+byte ledgers and op counts equal an unsanitized run's.
 """
 
 from __future__ import annotations
 
-import threading
+from collections import Counter
 from dataclasses import dataclass
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-__all__ = ["Access", "DeterminismError", "Race", "RaceDetector"]
+import numpy as np
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..obs.critpath import EventGraph
+
+__all__ = ["Access", "DeterminismError", "HappensBefore", "Race", "happens_before"]
 
 
 @dataclass(frozen=True)
@@ -68,115 +79,100 @@ class DeterminismError(RuntimeError):
         super().__init__("\n".join(lines))
 
 
-def _leq(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+class HappensBefore(NamedTuple):
+    """What one run's event graph says about its shared accesses."""
+
+    clocks: dict[int, tuple[int, ...]]  # rank -> vector clock at finish
+    accesses: list[Access]  # in declaration order
+    races: list[Race]
 
 
-def _ordered(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
-    return _leq(a, b) or _leq(b, a)
+def happens_before(graph: "EventGraph", table: Sequence[tuple]) -> HappensBefore:
+    """Vector clocks and races of a finished run.
 
-
-class RaceDetector:
-    """Per-run vector clocks plus the shared-access log.
-
-    Clock discipline (standard vector clocks): every recorded event —
-    a send, a completed recv, a collective arrival/release, a declared
-    shared access — first ticks the rank's own component, so two
-    accesses on different ranks can only compare as ordered when an
-    actual message chain connects them.
+    ``table`` holds the run's declared accesses as
+    ``(rank, rank's last graph node, op, label, site, obj)`` rows in
+    host order.  Each rank-owned node is seeded with the rank's tick
+    count there; one max-only sweep over the graph's levels gives every
+    node's vector clock, and an access's clock is its last node's with
+    the own component advanced to the access's tick.
     """
+    c = graph._columns()
+    kind, owner = graph.node_kind, graph.node_rank
+    local = c.code == 0
+    prev = dict(zip(c.dst[local].tolist(), c.src[local].tolist()))
+    naccess = Counter((r, last) for r, last, *_ in table)
+    count = [0] * graph.nprocs
+    tick = np.zeros(len(kind), dtype=np.int32)
+    final = [0] * graph.nprocs
+    after: dict[tuple[int, int], int] = {}  # (rank, node) -> ticks just after it
+    for node, r in enumerate(owner):
+        if r < 0:
+            continue
+        p = prev.get(node)
+        if p is not None:
+            after[r, p] = k = count[r] + (kind[p] == "release")
+            count[r] = k + naccess[r, p] + (kind[node] in ("send", "recv", "arrive"))
+        tick[node] = count[r]
+        final[r] = node
+    levels = c.plan()
+    row, nrows = _rows(c, levels, [last for _r, last, *_ in table] + final)
+    vc = np.zeros((nrows, graph.nprocs), dtype=np.int32)
+    born = np.flatnonzero((c.depth == 0) & (c.rank >= 0))
+    vc[row[born], c.rank[born]] = tick[born]
+    for _lo, _hi, src, tgt, starts in levels:
+        x = vc.take(row[src], axis=0)
+        if starts is not None:  # some target has several in-edges
+            x = np.maximum.reduceat(x, starts, axis=0)
+        # No in-edge knows more of a rank than the rank's own tick.
+        i = np.flatnonzero(c.rank[tgt] >= 0)
+        x[i, c.rank[tgt[i]]] = tick[tgt[i]]
+        vc[row[tgt]] = x
 
-    def __init__(self, nprocs: int):
-        self.nprocs = nprocs
-        # Host-side lock only: hook latency never reaches virtual time.
-        self._lock = threading.Lock()
-        self._clocks = [[0] * nprocs for _ in range(nprocs)]
-        # id(obj) -> (label, [Access, ...])
-        self._accesses: dict[int, tuple[str, list[Access]]] = {}
-        self._races: list[Race] = []
-        # collective key -> {rank: vc snapshot at arrival}
-        self._coll_vcs: dict[tuple[str, int], dict[int, tuple[int, ...]]] = {}
-        self._coll_released: dict[tuple[str, int], int] = {}
+    accesses: list[Access] = []
+    races: list[Race] = []
+    logs: dict[int, tuple[str, list[Access]]] = {}
+    seen: Counter = Counter()
+    for r, last, op, label, site, obj in table:
+        seen[r, last] += 1
+        clock = vc[row[last]].tolist()
+        clock[r] = after[r, last] + seen[r, last]
+        access = Access(rank=r, op=op, vc=tuple(clock), site=site)
+        accesses.append(access)
+        # Identity is the key; the table holds ``obj``, so no id is
+        # reused while the run's accesses are compared.
+        key = id(obj)
+        name, log = logs.setdefault(key, (label or f"{type(obj).__name__}@0x{key:x}", []))
+        # ``prior`` ran first on the host, so the only order the graph
+        # can hold is prior -> access: the access has seen its tick.
+        for prior in log:
+            if prior.rank == r or "write" not in (prior.op, op):
+                continue
+            if access.vc[prior.rank] < prior.vc[prior.rank]:
+                races.append(Race(label=name, first=prior, second=access))
+        log.append(access)
+    clocks = {r: tuple(v) for r, v in enumerate(vc[row[final]].tolist())}
+    return HappensBefore(clocks, accesses, races)
 
-    # -- clock maintenance --------------------------------------------
 
-    def _tick(self, rank: int) -> None:
-        self._clocks[rank][rank] += 1
-
-    def _merge(self, rank: int, other: tuple[int, ...]) -> None:
-        mine = self._clocks[rank]
-        for i, v in enumerate(other):
-            if v > mine[i]:
-                mine[i] = v
-
-    def clock(self, rank: int) -> tuple[int, ...]:
-        with self._lock:
-            return tuple(self._clocks[rank])
-
-    def clocks(self) -> dict[int, tuple[int, ...]]:
-        """All ranks' vector clocks in one snapshot (rank -> clock).
-
-        Convenience for finalize-time consumers (trace annotation, the
-        engine golden suite) that compare whole-cluster clock states."""
-        with self._lock:
-            return {r: tuple(vc) for r, vc in enumerate(self._clocks)}
-
-    # -- hooks called by simmpi ---------------------------------------
-
-    def on_send(self, rank: int) -> tuple[int, ...]:
-        """Tick and snapshot the sender's clock (piggybacked on the
-        message)."""
-        with self._lock:
-            self._tick(rank)
-            return tuple(self._clocks[rank])
-
-    def on_recv(self, rank: int, sender_vc: tuple[int, ...]) -> None:
-        """Join the piggybacked clock into the receiver's."""
-        with self._lock:
-            self._merge(rank, sender_vc)
-            self._tick(rank)
-
-    def collective_arrive(self, key: tuple[str, int], rank: int) -> None:
-        with self._lock:
-            self._tick(rank)
-            self._coll_vcs.setdefault(key, {})[rank] = tuple(self._clocks[rank])
-
-    def collective_release(self, key: tuple[str, int], rank: int) -> None:
-        """Join every participant's arrival clock: a completed
-        collective orders everything before it on any rank before
-        everything after it on every rank."""
-        with self._lock:
-            for vc in self._coll_vcs[key].values():
-                self._merge(rank, vc)
-            self._tick(rank)
-            done = self._coll_released.get(key, 0) + 1
-            if done == self.nprocs:
-                del self._coll_vcs[key]
-                self._coll_released.pop(key, None)
-            else:
-                self._coll_released[key] = done
-
-    # -- shared-object accesses ---------------------------------------
-
-    def record(self, rank: int, obj, op: str, label: str | None, site: str) -> None:
-        if op not in ("read", "write"):
-            raise ValueError(f"op must be 'read' or 'write', got {op!r}")
-        with self._lock:
-            self._tick(rank)
-            vc = tuple(self._clocks[rank])
-            access = Access(rank=rank, op=op, vc=vc, site=site)
-            key = id(obj)
-            name = label or f"{type(obj).__name__}@0x{key:x}"
-            _, log = self._accesses.setdefault(key, (name, []))
-            for prior in log:
-                if prior.rank == rank:
-                    continue
-                if prior.op != "write" and op != "write":
-                    continue
-                if not _ordered(prior.vc, vc):
-                    self._races.append(Race(label=name, first=prior, second=access))
-            log.append(access)
-
-    def races(self) -> list[Race]:
-        with self._lock:
-            return list(self._races)
+def _rows(c, levels: list[tuple], keep: list[int]) -> tuple[np.ndarray, int]:
+    """A clock-table row per node, handed on at the level of its deepest
+    out-edge target (a level gathers before it scatters), or one level
+    on for a node without out-edges; ``keep``'s rows are never handed on.
+    The table holds about one level's rows, not one per node."""
+    free_at = c.depth + 1
+    np.maximum.at(free_at, c.src, c.depth[c.dst])
+    free_at[keep] = len(levels) + 2
+    order = np.argsort(free_at, kind="stable")
+    cuts = np.searchsorted(free_at[order], np.arange(len(levels) + 3))
+    row = np.empty(len(free_at), dtype=np.int64)
+    nrows, spare = 0, []
+    for d, tgt in enumerate([np.flatnonzero(c.depth == 0)] + [lv[3] for lv in levels]):
+        spare += row[order[cuts[d] : cuts[d + 1]]].tolist()
+        need = len(tgt) - len(spare)
+        if need > 0:
+            spare += range(nrows, nrows + need)
+            nrows += need
+        row[tgt] = spare[len(spare) - len(tgt) :]
+        del spare[len(spare) - len(tgt) :]
+    return row, nrows

@@ -53,10 +53,10 @@ rank waits on a bare lock used as a binary semaphore, not on a
   scheduler thread rather than to ``sys.unraisablehook``.
 
 Every simulator contract — virtual clock arithmetic, OpCounter charges,
-fault injection, the finalize-time communication verifier, sanitizer
-vector clocks and the ``rank_traces()`` event strings — is computed by
-:mod:`~repro.parallel.simmpi` itself; the engine only decides *which
-host thread runs when*.  Because a rank stays on one host thread from
+fault injection, the finalize-time communication verifier, the event
+graph the race sanitizer queries and the ``rank_traces()`` event
+strings — is computed by :mod:`~repro.parallel.simmpi` and its
+observers; the engine only decides *which host thread runs when*.  Because a rank stays on one host thread from
 its first dispatch to its return, and a thread carries one rank at a
 time, thread-local machinery (the ambient
 :class:`~repro.linalg.counters.OpCounter`, the per-rank

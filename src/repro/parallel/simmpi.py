@@ -71,7 +71,7 @@ from ..obs import metrics
 from ..obs import tracer as obs
 from ..obs.critpath import CritPathRecorder
 from .faults import CrashSpec, FaultPlan, RankFailure, RecvTimeout
-from .sanitizer import DeterminismError, RaceDetector
+from .sanitizer import DeterminismError, HappensBefore, happens_before
 from .scheduler import EventEngine, SchedulerDeadlock, _PeerFailure
 
 __all__ = [
@@ -247,19 +247,18 @@ class VirtualCluster:
         self.verify = verify
         self.trace = trace
         self.faults = faults
-        # Race-detector mode: piggyback vector clocks on the message
-        # graph and check declared shared accesses for happens-before
-        # ordering.  Charge-parity contract: the detector never touches
-        # the virtual clocks, byte ledgers or the OpCounter.
-        self.sanitize = sanitize
-        self._sanitizer: RaceDetector | None = (
-            RaceDetector(nprocs) if sanitize else None
-        )
         # Critical-path recorder: a pure observer of the priced event
         # graph (repro.obs.critpath).  Same charge-parity contract as
-        # the tracer and the sanitizer: never touches virtual clocks,
-        # byte ledgers or the OpCounter.
+        # the tracer: never touches virtual clocks, byte ledgers or the
+        # OpCounter.  Sanitizing needs the graph, so it attaches one
+        # when the caller passed none, and also logs declared shared
+        # accesses into it; the race check is a query on the graph at
+        # finalize (``happens_before``, the last sanitized run's).
+        self.sanitize = sanitize
+        if sanitize and critpath is None:
+            critpath = CritPathRecorder()
         self._critpath = critpath
+        self.happens_before: HappensBefore | None = None
         # Empty plan == no plan: every fault branch keys off this being
         # None, which is what makes the fault layer provably zero-cost.
         self._plan = None if faults is None or faults.is_empty else faults
@@ -435,7 +434,7 @@ class VirtualCluster:
         crashed = set(self._crashed)
         undelivered = 0.0
         for (src, dst, tag), q in sorted(self._mailbox.items()):
-            for _obj, _ready, nbytes, _vc, _cp in q:
+            for _obj, _ready, nbytes, _cp in q:
                 undelivered += nbytes
                 msg = (
                     f"rank {src} -> rank {dst} tag={tag} "
@@ -530,9 +529,7 @@ class VirtualCluster:
         self._crashed.clear()
         self._deadlock = None
         self._error_flag = False
-        if self.sanitize:
-            # Fresh clocks and access log per run.
-            self._sanitizer = RaceDetector(self.nprocs)
+        self.happens_before = None
         if self._critpath is not None:
             # Fresh event graph per run, anchored at the ranks' current
             # clocks (a reused cluster does not restart at zero).
@@ -558,11 +555,18 @@ class VirtualCluster:
                 st.error = exc
                 self._error_flag = True
 
-        self._engine.run_ranks(comms, body)
+        try:
+            self._engine.run_ranks(comms, body)
+        finally:  # also when the scheduler aborts: no declared object outlives its run
+            if self.sanitize:
+                table, self._critpath.accesses = self._critpath.accesses, []
         if self._critpath is not None:
             # Close every rank's final compute segment (including
             # crashed ranks, frozen at their crash clocks).
             self._critpath.on_run_finish(self)
+        if self.sanitize:
+            # Derived also when a rank raised, so its clocks stay inspectable.
+            self.happens_before = happens_before(self._critpath.graph, table)
         # Host-scheduler statistics as first-class obs signals, so
         # perf_report/trace_report show them uniformly (no-ops when no
         # registry is active).  Deterministic host-side counts: they
@@ -576,16 +580,13 @@ class VirtualCluster:
             # Prefer the root cause over secondary peer-failure aborts.
             roots = [e for e in errors if not isinstance(e, _PeerFailure)]
             raise roots[0] if roots else errors[0]
-        if self._sanitizer is not None:
-            races = self._sanitizer.races()
+        if self.happens_before is not None:
+            clocks, _accesses, races = self.happens_before
             metrics.inc("sanitize.races", len(races))
             if self.trace is not None:
                 self.trace.annotate(
                     "sanitize.vector_clocks",
-                    {
-                        r: list(self._sanitizer.clock(r))
-                        for r in range(self.nprocs)
-                    },
+                    {r: list(vc) for r, vc in clocks.items()},
                 )
                 self.trace.annotate("sanitize.races", len(races))
             if races:
@@ -699,21 +700,21 @@ class VirtualComm:
     # -- sanitizer ------------------------------------------------------------------
 
     def _record_shared(self, obj: Any, op: str, label: str | None) -> None:
-        det = self.cluster._sanitizer
-        if det is None:
+        cl = self.cluster
+        if not cl.sanitize:
             return
         frame = sys._getframe(2)
         site = f"{frame.f_code.co_filename}:{frame.f_lineno}"
-        det.record(self.rank, obj, op, label, site)
+        cl._critpath.on_access(self.rank, op, label, site, obj)
 
     def shared_read(self, obj: Any, label: str | None = None) -> Any:
         """Declare a read of an object other ranks may also touch.
 
         Returns ``obj`` unchanged.  A no-op (zero virtual cost) unless
         the cluster runs with ``sanitize=True``, in which case the
-        access joins the vector-clock race check: a cross-rank write to
-        the same object with no happens-before edge to this read is
-        reported as a data race at finalize.
+        access joins the race check: a cross-rank write to the same
+        object that the run's event graph does not order against this
+        read is reported as a data race at finalize.
         """
         self._record_shared(obj, "read", label)
         return obj
@@ -848,9 +849,6 @@ class VirtualComm:
         # so byte conservation holds under any loss rate.
         self._st.sent_bytes += nbytes
         self._st.messages += 1
-        det = cl._sanitizer
-        # Piggybacked vector clock: pure detector state, never priced.
-        vc = None if det is None else det.on_send(self.rank)
         cp = cl._critpath
         cp_node = None
         if cp is not None:
@@ -864,7 +862,7 @@ class VirtualComm:
         self._st.trace.append(("send", dest, tag, nbytes))
         key = (self.rank, dest, tag)
         cl._mailbox.setdefault(key, deque()).append(
-            (obj, ready, nbytes, vc, cp_node)
+            (obj, ready, nbytes, cp_node)
         )
         # Targeted wakeup: only the receiver's wait can be
         # satisfied by this enqueue.
@@ -927,14 +925,12 @@ class VirtualComm:
                 source, tag, timed=timeout is not None
             ):
                 queue = cl._mailbox[key]
-                obj, ready, nbytes, sender_vc, send_node = queue[0]
+                obj, ready, nbytes, send_node = queue[0]
                 if cur_timeout is None or ready <= self._st.wall + cur_timeout:
                     queue.popleft()
                     if not queue:
                         del cl._mailbox[key]
                     self._st.trace.append(("recv", source, tag, nbytes))
-                    if cl._sanitizer is not None and sender_vc is not None:
-                        cl._sanitizer.on_recv(self.rank, sender_vc)
                     break
                 # A message exists but completes after the virtual
                 # deadline: this attempt times out; the message
@@ -1096,8 +1092,6 @@ class VirtualComm:
         if entry_size is not None:
             coll.sizes[self.rank] = entry_size
         coll.arrived += 1
-        if cl._sanitizer is not None:
-            cl._sanitizer.collective_arrive(key, self.rank)
         coll.t_start = max(coll.t_start, self._st.wall)
         cp = cl._critpath
         if cp is not None:
@@ -1148,10 +1142,6 @@ class VirtualComm:
         t_sync = coll.t_start  # final: all ranks have arrived
         if cl._critpath is not None:
             cl._critpath.on_collective_release(key, self.rank)
-        if cl._sanitizer is not None:
-            # A completed collective orders every pre-arrival event
-            # on any rank before every post-release event on all.
-            cl._sanitizer.collective_release(key, self.rank)
         if coll.released == coll.expected:
             del cl._collectives[(key[0], key[1])]
         waited = max(0.0, t_done - self._st.wall)

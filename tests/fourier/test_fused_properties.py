@@ -139,7 +139,7 @@ def _transpose_fingerprint(nf, nprocs, nmodes, npoints, seed):
             (k, tuple(sorted(v.items())))
             for k, v in registry.snapshot().items()
         ),
-        "vector_clocks": cluster._sanitizer.clocks(),
+        "vector_clocks": cluster.happens_before.clocks,
     }
 
 

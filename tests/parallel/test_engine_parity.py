@@ -74,7 +74,7 @@ def run_fingerprint(nprocs, fn, *, network=NET, cpu=None, faults=None, sanitize=
         },
     }
     if sanitize:
-        fp["vector_clocks"] = cluster._sanitizer.clocks()
+        fp["vector_clocks"] = cluster.happens_before.clocks
     return fp
 
 

@@ -1,24 +1,36 @@
-"""Tests for the runtime determinism sanitizer (vector-clock races).
+"""Tests for the runtime determinism sanitizer (races on the event graph).
 
 Covers the acceptance criteria: a deliberately planted cross-rank
-unordered mutation is detected (negative test), and a ``sanitize=True``
+unordered mutation is detected (negative test), a ``sanitize=True``
 run is charge-parity clean — byte-identical virtual clocks and
-OpCounter totals vs. an unsanitized run (property test).
+OpCounter totals vs. an unsanitized run (property test) — and the
+graph query reads the same clocks, races and error text as the
+vector-clock detector it replaced (``_race_oracle``, replayed from the
+rank traces of random programs).
 """
+
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.apps import scaling_bench
 from repro.apps.resilience_bench import CPU_NAME, SMOKE, _solver
+from repro.apps.scaling_bench import _ring_program, alltoall_program
 from repro.linalg import blas
 from repro.linalg.counters import OpCounter
 from repro.machines.catalog import CPUS, NETWORKS
 from repro.machines.network import NetworkModel
+from repro.obs.critpath import CritPathRecorder
 from repro.obs.tracer import Trace
-from repro.parallel.sanitizer import DeterminismError, RaceDetector
-from repro.parallel.simmpi import VirtualCluster
+from repro.parallel.faults import CrashSpec, FaultPlan
+from repro.parallel.sanitizer import DeterminismError, _rows
+from repro.parallel.simmpi import CommVerificationError, VirtualCluster
+
+from ._race_oracle import replay
+from .test_scheduler_properties import NET, _run_program_or_lose_a_peer, programs
 
 FAST = NetworkModel("test-net", latency_us=10, bandwidth=100e6)
 
@@ -147,24 +159,39 @@ def test_detector_state_resets_between_runs():
     assert cl.run(clean) == [0, 1]  # prior run's races don't leak
 
 
-# ---------------------------------------------------- detector unit behavior
+# ------------------------------------------- vector clocks from the graph
 
 
 def test_vector_clock_message_ordering():
-    det = RaceDetector(2)
-    det.record(0, "obj-a", "write", "a", "site0")
-    vc = det.on_send(0)
-    det.on_recv(1, vc)
-    det.record(1, "obj-a", "write", "a", "site1")
-    assert det.races() == []
+    target = object()
+
+    def fn(comm):
+        if comm.rank == 0:
+            comm.shared_write(target, label="a")
+            comm.send(1, b"token")
+        else:
+            comm.recv(0)
+            comm.shared_write(target, label="a")
+
+    cl = cluster(2, sanitize=True)
+    cl.run(fn)
+    clocks, accesses, races = cl.happens_before
+    assert races == []
+    # write ticks rank 0 to 1, its send to 2; rank 1's recv joins (2, 0)
+    # and ticks, and its write ticks again.
+    assert [a.vc for a in accesses] == [(1, 0), (2, 2)]
+    assert clocks == {0: (2, 0), 1: (2, 2)}
 
 
 def test_vector_clock_concurrent_writes_race():
-    det = RaceDetector(2)
     target = object()
-    det.record(0, target, "write", None, "site0")
-    det.record(1, target, "write", None, "site1")
-    races = det.races()
+
+    def fn(comm):
+        comm.shared_write(target)
+
+    with pytest.raises(DeterminismError) as exc:
+        cluster(2, sanitize=True).run(fn)
+    races = exc.value.races
     assert len(races) == 1
     assert races[0].first.op == races[0].second.op == "write"
 
@@ -172,17 +199,189 @@ def test_vector_clock_concurrent_writes_race():
 def test_equal_looking_clocks_from_different_ranks_are_concurrent():
     # Every access ticks the rank's own component first, so two fresh
     # ranks can never produce comparable clocks by accident.
-    det = RaceDetector(3)
     target = object()
-    det.record(0, target, "write", None, "s0")
-    det.record(2, target, "write", None, "s2")
-    assert len(det.races()) == 1
+
+    def fn(comm):
+        if comm.rank != 1:
+            comm.shared_write(target)
+
+    with pytest.raises(DeterminismError) as exc:
+        cluster(3, sanitize=True).run(fn)
+    (race,) = exc.value.races
+    assert (race.first.vc, race.second.vc) == ((1, 0, 0), (0, 0, 1))
 
 
-def test_detector_rejects_bad_op():
-    det = RaceDetector(2)
-    with pytest.raises(ValueError):
-        det.record(0, object(), "mutate", None, "s")
+def test_private_short_lived_objects_do_not_race():
+    # Each rank declares a write to a list only it ever sees.  Freed
+    # right after, its address can come back on the next rank; the
+    # access table holds every declared object until finalize, so no
+    # two live objects share an identity.
+    def fn(comm):
+        comm.shared_write([comm.rank])
+
+    cl = cluster(8, sanitize=True)
+    cl.run(fn)
+    assert len(cl.happens_before.accesses) == 8
+    assert cl.happens_before.races == []
+
+
+def test_an_aborted_run_keeps_no_stale_clocks_or_objects(monkeypatch):
+    # A run the scheduler aborts (``run_ranks`` raising) has no query
+    # result: the previous run's clocks do not linger on the cluster,
+    # and none of the aborted run's declared objects stay alive.
+    class Box:
+        pass
+
+    def fn(comm):
+        comm.shared_write(box)
+
+    box = Box()
+    alive = weakref.ref(box)
+    cl = cluster(2, sanitize=True)
+    with pytest.raises(DeterminismError):
+        cl.run(fn)
+    assert cl.happens_before.races
+    real = cl._engine.run_ranks
+
+    def aborted(comms, body):
+        real(comms, body)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cl._engine, "run_ranks", aborted)
+    with pytest.raises(KeyboardInterrupt):
+        cl.run(fn)
+    assert cl.happens_before is None
+    assert cl._critpath.accesses == []
+    del box
+    assert alive() is None
+
+
+def test_the_clock_table_holds_a_level_not_a_run():
+    # The query hands a node's row on once no later level reads it, so
+    # a twenty times longer run sweeps through no more rows.
+    def rows(steps):
+        rec = CritPathRecorder()
+
+        def fn(comm):
+            for _ in range(steps):
+                comm.send((comm.rank + 1) % comm.size, comm.rank)
+                comm.recv((comm.rank - 1) % comm.size)
+                comm.alltoall([comm.rank] * comm.size)
+
+        cluster(8, critpath=rec).run(fn)
+        c = rec.graph._columns()
+        return len(c.depth), _rows(c, c.plan(), [])[1]
+
+    (short, few), (long, more) = rows(1), rows(20)
+    assert long > 10 * short
+    assert more == few <= 2 * 8
+
+
+def test_sanitized_graph_equals_the_recorders_graph():
+    # Sanitizing attaches a recorder of its own, or reads the one it is
+    # given; without declared accesses the graph is the same either way.
+    def fn(comm):
+        comm.send((comm.rank + 1) % comm.size, comm.rank)
+        comm.recv((comm.rank - 1) % comm.size)
+        comm.allreduce(1.0)
+
+    mine = CritPathRecorder()
+    cluster(3, sanitize=True, critpath=mine).run(fn)
+    plain = CritPathRecorder()
+    cluster(3, critpath=plain).run(fn)
+    assert mine.graph.to_dict() == plain.graph.to_dict()
+    assert cluster(3, sanitize=True)._critpath is not None
+
+
+# ------------------------------------------------ the frozen detector
+
+
+def _declare(comm, obj, op):
+    return getattr(comm, f"shared_{op}")(obj)
+
+
+_DECLARE_SITE = f"{__file__}:{_declare.__code__.co_firstlineno + 1}"
+
+_accesses = st.lists(
+    st.tuples(
+        st.integers(0, 5),  # round (clipped to the program's length)
+        st.integers(0, 1_000_000),  # rank seed
+        st.integers(0, 2),  # which shared object
+        st.sampled_from(["read", "write"]),
+    ),
+    max_size=12,
+)
+
+
+def _check_against_oracle(nprocs, program, plan, faults=None):
+    objs = [[], {}, object()]
+    log = []
+    todo = {}
+    for rnd, seed, k, op in plan:
+        todo.setdefault((min(rnd, len(program)), seed % nprocs), []).append((k, op))
+
+    def touch(comm, i):
+        for k, op in todo.get((i, comm.rank), ()):
+            pos = len(comm.cluster.ranks[comm.rank].trace)
+            log.append((comm.rank, pos, objs[k], op, None, _DECLARE_SITE))
+            _declare(comm, objs[k], op)
+
+    cl = VirtualCluster(nprocs, NET, sanitize=True, faults=faults)
+    try:
+        cl.run(_run_program_or_lose_a_peer, program, touch)
+        raised = None
+    except (DeterminismError, CommVerificationError) as exc:
+        raised = exc
+    det, clocks = replay(nprocs, cl.rank_traces(), log)
+    hb = cl.happens_before
+    assert hb.clocks == det.clocks()
+    assert [a.vc for a in hb.accesses] == clocks
+    assert hb.races == det.races()
+    if isinstance(raised, DeterminismError) or (raised is None and det.races()):
+        assert str(raised) == str(DeterminismError(det.races()))
+
+
+@settings(max_examples=25, deadline=None)
+@given(programs, _accesses)
+def test_graph_query_matches_the_frozen_detector(case, plan):
+    nprocs, program = case
+    _check_against_oracle(nprocs, program, plan)
+
+
+@settings(max_examples=25, deadline=None)
+@given(programs, _accesses, st.integers(0, 1_000_000), st.floats(0.0, 5e-5))
+def test_graph_query_matches_the_frozen_detector_with_a_crash(case, plan, victim, at):
+    nprocs, program = case
+    crash = CrashSpec(rank=victim % nprocs, at_time=at)
+    _check_against_oracle(nprocs, program, plan, FaultPlan(crashes=(crash,)))
+
+
+@pytest.mark.scaling
+def test_512_rank_ring_and_alltoall_clocks_and_races():
+    planted, token = object(), object()
+    ring, exchange = _ring_program(4), alltoall_program((64,))
+    last = 511
+
+    def fn(comm):
+        if comm.rank in (0, last):
+            comm.shared_write(planted, label="planted")
+        if comm.rank == last:
+            comm.shared_write(token, label="token")  # before sending to 0
+        ring(comm)
+        if comm.rank == 0:
+            comm.shared_write(token, label="token")  # after receiving
+        return exchange(comm)  # ends in a barrier
+
+    cl = VirtualCluster(last + 1, scaling_bench.NETWORK, sanitize=True)
+    with pytest.raises(DeterminismError) as exc:
+        cl.run(fn)
+    (race,) = exc.value.races
+    assert race.label == "planted"
+    assert {race.first.rank, race.second.rank} == {0, last}
+    vc = np.array([cl.happens_before.clocks[r] for r in range(last + 1)])
+    own = np.diag(vc)
+    off = ~np.eye(last + 1, dtype=bool)
+    assert (vc == own[None, :] - 1)[off].all()
 
 
 # ------------------------------------------------------------- charge parity

@@ -60,10 +60,15 @@ programs = st.tuples(
 )
 
 
-def _run_program(comm, program):
-    """Execute one generated program; returns a numeric checksum."""
+def _run_program(comm, program, touch=None):
+    """Execute one generated program; returns a numeric checksum.
+
+    ``touch(comm, i)``, if given, runs before round ``i`` and once
+    after the last (``i == len(program)``)."""
     acc = float(comm.rank)
     for i, op in enumerate(program):
+        if touch is not None:
+            touch(comm, i)
         if isinstance(op, tuple):
             _, stride_seed, ndoubles = op
             stride = 1 + stride_seed % (comm.size - 1)
@@ -86,12 +91,14 @@ def _run_program(comm, program):
             got = comm.gather(float(comm.rank))
             if comm.rank == 0:
                 acc += float(sum(got))
+    if touch is not None:
+        touch(comm, len(program))
     return acc, comm.wall, comm.cpu_time
 
 
-def _run_program_or_lose_a_peer(comm, program):
+def _run_program_or_lose_a_peer(comm, program, touch=None):
     try:
-        return _run_program(comm, program)
+        return _run_program(comm, program, touch)
     except RankFailure as lost:
         return "lost", lost.rank, comm.wall, comm.cpu_time
 
@@ -144,7 +151,7 @@ def _fingerprint(nprocs, program, recorder=None, faults=None, engine=None):
             for st_ in cluster.ranks
         ],
         "traces": cluster.rank_traces(),
-        "clocks": cluster._sanitizer.clocks(),
+        "clocks": cluster.happens_before.clocks,
     }
 
 
