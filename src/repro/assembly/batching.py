@@ -26,6 +26,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .matrix_free import _element_middle
+
 __all__ = ["ElementBatch", "build_batches"]
 
 
@@ -48,6 +50,11 @@ class ElementBatch:
     dxi:
         (ng, 2, 2, nq) stacked inverse-Jacobian factors
         (``dxi[e, i, j]`` is d(xi_i)/d(x_j) on element ``elems[e]``).
+
+    A quad batch also lays out, at first use, what the sum-factorised
+    calls read in their element-middle layout (``dofs_em``,
+    ``signs_em``, ``readout``, ``dxi_em``, ``jw_em``, ``scaled_jw``;
+    :mod:`repro.assembly.matrix_free`).
     """
 
     def __init__(self, stack, geom):
@@ -73,22 +80,38 @@ class ElementBatch:
     # What FunctionSpace.backward / gradient / load_vector /
     # grad_load_vector and repro.assembly.matrix_free.apply_operator_batched
     # read on every call and that depends on the space only, laid out
-    # once the way they consume it.  Nothing here is written after it is
-    # built, so calls on one space may run concurrently (the ``scaled_jw``
-    # and ``tapes`` caches gain entries, but never change one).
+    # once the way they consume it.  The sum-factorised contractions run
+    # on element-middle blocks (slow, element, fast): a coefficient
+    # tensor block is (P+1, ng, P+1) with index [q, e, p], a quadrature
+    # block (n1, ng, n1) with index [j, e, i] (DESIGN.md section 15.3).
+    # Nothing here is written after it is built, so calls on one space
+    # may run concurrently (the ``scaled_jw`` and ``tapes`` caches gain
+    # entries, but never change one).
 
     @cached_property
-    def dofs_ct(self) -> np.ndarray:
-        """(ng, P+1, P+1) global dofs in C^T tensor order: the signed
-        gather of ``u`` at ``dofs_ct``, times ``signs_ct``, is the stack
-        of transposed coefficient tensors the contractions start from."""
-        tl = self.exp.tensor_layout()
-        return self.dofs[:, tl.ct_perm].reshape(self.ng, tl.np1, tl.np1)
+    def dofs_em(self) -> np.ndarray:
+        """(P+1, ng, P+1) global dofs in element-middle C^T order: the
+        signed gather of ``u`` at ``dofs_em``, times ``signs_em``, is the
+        block of transposed coefficient tensors the contractions start
+        from (``[q, e, p]`` holds element e's mode (p, q))."""
+        return self._tensor_block(self.dofs)
 
     @cached_property
-    def signs_ct(self) -> np.ndarray:
+    def signs_em(self) -> np.ndarray:
+        return self._tensor_block(self.signs)
+
+    def _tensor_block(self, table: np.ndarray) -> np.ndarray:
         tl = self.exp.tensor_layout()
-        return self.signs[:, tl.ct_perm].reshape(self.ng, tl.np1, tl.np1)
+        ct = table[:, tl.ct_perm].reshape(self.ng, tl.np1, tl.np1)
+        return np.ascontiguousarray(ct.transpose(1, 0, 2))
+
+    @cached_property
+    def readout(self) -> np.ndarray:
+        """(ng, nmodes) positions of each element's modes in a flattened
+        (P+1, ng, P+1) tensor block: the one read-out to modal order."""
+        tl = self.exp.tensor_layout()
+        e = np.arange(self.ng)[:, None]
+        return (tl.pq[:, 1] * self.ng + e) * tl.np1 + tl.pq[:, 0]
 
     @cached_property
     def dxi_stacks(self) -> tuple[np.ndarray, ...]:
@@ -98,12 +121,23 @@ class ElementBatch:
             np.ascontiguousarray(self.dxi[:, a, b]) for a in (0, 1) for b in (0, 1)
         )
 
+    @cached_property
+    def dxi_em(self) -> tuple[np.ndarray, ...]:
+        """``dxi_stacks`` as element-middle (1, n1, ng, n1) blocks."""
+        tl = self.exp.tensor_layout()
+        return tuple(_element_middle(tl, g) for g in self.dxi_stacks)
+
+    @cached_property
+    def jw_em(self) -> np.ndarray:
+        """``jw`` as an element-middle (1, n1, ng, n1) block."""
+        return _element_middle(self.exp.tensor_layout(), self.jw)
+
     def scaled_jw(self, scale: float) -> np.ndarray:
-        """``scale * jw`` (the Helmholtz mass term's weights), kept per
-        constant: a space serves a handful of solvers."""
+        """``scale * jw_em`` (the Helmholtz mass term's weights), kept
+        per constant: a space serves a handful of solvers."""
         w = self._scaled_jw.get(scale)
         if w is None:
-            w = self._scaled_jw[scale] = scale * self.jw
+            w = self._scaled_jw[scale] = scale * self.jw_em
         return w
 
     def gather(self, uglobal: np.ndarray) -> np.ndarray:

@@ -11,13 +11,19 @@ so a CG solve needs no setup beyond the batch's metric factors.
 The contractions are those of the sum-factorised transforms
 (``FunctionSpace.backward`` / ``gradient`` / ``load_vector`` /
 ``grad_load_vector``, which run on the same helpers: ``_coefficient_tensors``,
-``_forward``, ``_adjoint``): two ``np.matmul``s each, charged as the two
-counted ``dgemm`` calls they once were; the pointwise metric stage is
-charged under the ``mfree-metric`` label (the dense oracle buries the
-same work inside its tabulated matrix, so the two paths stay comparable
-in the ledger).  The helpers charge nothing themselves: every call that
-runs them charges its whole sequence at once, a tape (:func:`call_tape`)
-recorded on first use and cached on the batch.
+``_forward``, ``_adjoint``).  They run on element-middle blocks —
+``(lead, slow, element, fast)``, the batch's elements between the two
+tensor axes — so each leg is one GEMM over the whole batch, not one
+small matmul per element: ``_fast`` contracts the fast axis as one
+``(L·a·ng, k) @ (k, m)`` product, ``_slow`` the slow axis as one
+``(m, a) @ (a, ng·k)`` product per leading row.  Every contraction is
+charged as the two counted ``dgemm`` calls it once was; the pointwise
+metric stage is charged under the ``mfree-metric`` label (the dense
+oracle buries the same work inside its tabulated matrix, so the two
+paths stay comparable in the ledger).  The helpers charge nothing
+themselves: every call that runs them charges its whole sequence at
+once, a tape (:func:`call_tape`) recorded on first use and cached on
+the batch.
 
 Operator diagonals (the Jacobi preconditioner) come from the same
 machinery: squaring the 1-D tables elementwise turns the diagonal of
@@ -112,71 +118,112 @@ def _mass_flops(kind: str, lam: float) -> float:
     return 0.0
 
 
+def _element_middle(tl, v: np.ndarray) -> np.ndarray:
+    """(..., ng, nq) quadrature values -> the contiguous (L, n1, ng, n1)
+    element-middle block the contractions read (``[l, j, e, i]``; L is
+    the product of the leading axes, 1 for none)."""
+    ng = v.shape[-2]
+    block = v.reshape(math.prod(v.shape[:-2]), ng, tl.n1, tl.n1)
+    return np.ascontiguousarray(block.transpose(0, 2, 1, 3))
+
+
+def _element_last(x: np.ndarray, lead: tuple) -> np.ndarray:
+    """An (L, n1, ng, n1) block of quadrature values -> the transforms'
+    public (*lead, ng, nq) layout (one transposed copy)."""
+    _, n1, ng, _ = x.shape
+    return x.transpose(0, 2, 1, 3).reshape(lead + (ng, n1 * n1))
+
+
+def _modal(b, out: np.ndarray, lead: tuple) -> np.ndarray:
+    """An (L, P+1, ng, P+1) block of adjoint tensors -> the
+    (*lead, ng, nmodes) modal stack: one read-out through
+    ``b.readout``."""
+    flat = out.reshape(out.shape[0], math.prod(out.shape[1:]))
+    return np.take(flat, b.readout, axis=1).reshape(lead + b.readout.shape)
+
+
 def _coefficient_tensors(b, u: np.ndarray) -> np.ndarray:
-    """(..., ndof) global coefficients -> the (..., ng, P+1, P+1) stack of
-    signed C^T tensors every forward contraction starts from.  np.take,
-    not u[..., dofs]: with leading axes the fancy index hands back a
-    transposed-layout array, and every matmul downstream would run
-    strided."""
-    ct = np.take(u, b.dofs_ct, axis=-1)
-    ct *= b.signs_ct
-    return ct
+    """(..., ndof) global coefficients -> the (L, P+1, ng, P+1)
+    element-middle block of signed C^T tensors every forward contraction
+    starts from (``[l, q, e, p]`` is mode (p, q) of element e).
+    ``np.take`` at ``b.dofs_em`` hands back a fresh contiguous block,
+    whatever the strides of ``u``."""
+    ct = np.take(u, b.dofs_em, axis=-1)
+    ct *= b.signs_em
+    return ct.reshape((math.prod(u.shape[:-1]),) + b.dofs_em.shape)
 
 
-# repro: waive[accounting] charged by its caller's call_tape (apply_operator_batched, FunctionSpace.backward / gradient)
-def _forward(tl, ct: np.ndarray, right: np.ndarray, left_t: np.ndarray):
-    """out[..., j * n1 + i] = sum_pq C[p, q] left[q, j] right[p, i] for a
-    stack ``ct`` of C^T tensors: (..., nq) values at the quadrature
+# repro: waive[accounting] charged by its caller's call_tape (apply_operator_batched, diagonal_operator_batched, the FunctionSpace transforms)
+def _fast(x: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """``x[l, a, e, k]`` contracted with ``table[k, m]`` along the fast
+    axis, (L, a, ng, k) -> (L, a, ng, m): one (L·a·ng, k) @ (k, m)
+    GEMM (a transposed ``table`` view goes in as BLAS's transpose
+    flag)."""
+    L, a, ng, k = x.shape
+    return (x.reshape(L * a * ng, k) @ table).reshape(L, a, ng, table.shape[1])
+
+
+# repro: waive[accounting] charged by its caller's call_tape (apply_operator_batched, diagonal_operator_batched, the FunctionSpace transforms)
+def _slow(table: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``table[m, a]`` contracted with ``x[l, a, e, k]`` along the slow
+    axis, (L, a, ng, k) -> (L, m, ng, k): one (m, a) @ (a, ng·k) GEMM
+    per leading row."""
+    L, a, ng, k = x.shape
+    out = np.matmul(table, x.reshape(L, a, ng * k))
+    return out.reshape(L, table.shape[0], ng, k)
+
+
+def _forward(ct: np.ndarray, right: np.ndarray, left_t: np.ndarray) -> np.ndarray:
+    """out[l, j, e, i] = sum_pq C[p, q] left[q, j] right[p, i] for a block
+    ``ct`` of C^T tensors: the (L, n1, ng, n1) values at the quadrature
     points.  ``right`` tabulates the xi1 (fast, index i) direction,
-    ``left_t`` is the transposed table of the xi2 (slow, j) direction."""
-    out = np.matmul(left_t, np.matmul(ct, right))
-    return out.reshape(out.shape[:-2] + (tl.n1 * tl.n1,))
+    ``left_t`` is the transposed table of the xi2 (slow, j) direction;
+    the fast axis is contracted first."""
+    return _slow(left_t, _fast(ct, right))
 
 
-# repro: waive[accounting] charged by its caller's call_tape (apply_operator_batched, diagonal_operator_batched, FunctionSpace.load_vector / grad_load_vector)
-def _adjoint(tl, v: np.ndarray, left: np.ndarray, right: np.ndarray):
-    """out[..., p, q] = sum_ij right[p, i] left[q, j] V[j, i] for a
-    (..., nq) stack of quadrature-point values.  np.matmul's stacked
-    path degrades on transposed views; a contiguous copy of the small
-    intermediate is cheaper than strided inner loops."""
-    tmp = np.matmul(left, v.reshape(v.shape[:-1] + (tl.n1, tl.n1)))
-    return np.matmul(right, np.ascontiguousarray(np.swapaxes(tmp, -1, -2)))
+def _adjoint(v: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """out[l, q, e, p] = sum_ij right[p, i] left[q, j] V[j, i] for an
+    (L, n1, ng, n1) block of quadrature-point values: an (L, P+1, ng,
+    P+1) block of C^T tensors.  The slow axis (``left``) is contracted
+    first, then the fast one (``right``): the order the frozen kernels
+    summed in, so the bits match them (the other order moves the last
+    bits, and with them the ALE solver's pinned PCG counts)."""
+    return _fast(_slow(left, v), right.T)
 
 
-# repro: waive[accounting] charged by apply_operator_batched's call_tape
 def _laplacian_tensors(b, tl, ct: np.ndarray, tb: np.ndarray) -> np.ndarray:
-    """Weak Laplacian D^T (jw G) D u, as (..., P+1, P+1) tensors:
+    """Weak Laplacian D^T (jw G) D u, as an (L, P+1, ng, P+1) block:
     reference gradients, metric contraction, adjoint derivative inner
-    products.  ``tb`` is ``ct @ b1``.
+    products.  ``tb`` is ``ct`` contracted with ``b1``.
 
-    The ``del``s are for the block path: there each dead stack is
+    The ``del``s are for the block path: there each dead block is
     ~100 KB, and a heap that peaks half a megabyte higher is trimmed at
     the end of every call and faulted back in by the next (a 6-column
     apply reads 30 % slower without them).
     """
-    r1 = _forward(tl, ct, tl.d1, tl.b1t)  # d/dxi1
-    r2 = np.matmul(tl.d1t, tb).reshape(r1.shape)  # d/dxi2
-    g11, g12, g21, g22 = b.dxi_stacks  # g[a][b] = d xi_a / d x_b
+    r1 = _forward(ct, tl.d1, tl.b1t)  # d/dxi1
+    r2 = _slow(tl.d1t, tb)  # d/dxi2
+    g11, g12, g21, g22 = b.dxi_em  # g[a][b] = d xi_a / d x_b
     dx = r1 * g11 + r2 * g21
     dy = r1 * g12 + r2 * g22
     del r1, r2
-    t1 = b.jw * (g11 * dx + g12 * dy)
-    t2 = b.jw * (g21 * dx + g22 * dy)
+    t1 = b.jw_em * (g11 * dx + g12 * dy)
+    t2 = b.jw_em * (g21 * dx + g22 * dy)
     del dx, dy
-    out = _adjoint(tl, t1, tl.b1, tl.d1)
+    out = _adjoint(t1, tl.b1, tl.d1)
     del t1
-    out += _adjoint(tl, t2, tl.d1, tl.b1)
+    out += _adjoint(t2, tl.d1, tl.b1)
     return out
 
 
-# repro: waive[accounting] charged by apply_operator_batched's call_tape
 def _mass_tensors(b, tl, tb: np.ndarray, scale: float) -> np.ndarray:
-    """(phi_m, scale * jw * u) as (..., P+1, P+1) tensors: backward (the
-    second half of it: ``tb`` is ``ct @ b1``), weight, adjoint."""
-    vals = np.matmul(tl.b1t, tb)
-    vals = vals.reshape(vals.shape[:-2] + (tl.n1 * tl.n1,))
-    w = b.jw if scale == 1.0 else b.scaled_jw(scale)
-    return _adjoint(tl, w * vals, tl.b1, tl.b1)
+    """(phi_m, scale * jw * u) as an (L, P+1, ng, P+1) block: backward
+    (the second half of it: ``tb`` is ``ct`` contracted with ``b1``),
+    weight, adjoint."""
+    vals = _slow(tl.b1t, tb)
+    w = b.jw_em if scale == 1.0 else b.scaled_jw(scale)
+    return _adjoint(w * vals, tl.b1, tl.b1)
 
 
 def apply_operator_batched(
@@ -191,8 +238,8 @@ def apply_operator_batched(
 
     One pass: evaluate to the quadrature grid, multiply the metric,
     contract back.  Everything that does not depend on ``u`` — the 1-D
-    tables, the dofs and signs in C^T tensor order, the metric
-    components as contiguous stacks, the charge tape — sits on the batch
+    tables, the dofs, signs and metric as element-middle blocks, the
+    read-out table, the charge tape — sits on the batch
     and its expansion's tensor layout; every array made here is the
     call's own, so concurrent applies on one space do not meet.  The
     arithmetic is that of a gradient / backward transform and a weak
@@ -207,7 +254,7 @@ def apply_operator_batched(
     check_kind(kind)
     tl = b.exp.tensor_layout()
     ct = _coefficient_tensors(b, u)
-    tb = np.matmul(ct, tl.b1)
+    tb = _fast(ct, tl.b1)
     mass = _mass_flops(kind, lam)
     if kind == "mass":
         out = _mass_tensors(b, tl, tb, 1.0)
@@ -216,7 +263,7 @@ def apply_operator_batched(
         if mass:
             out += _mass_tensors(b, tl, tb, lam)
     charge_tape(call_tape(b, math.prod(u.shape[:-1]), kind, mass))
-    return out[..., tl.pq[:, 0], tl.pq[:, 1]]
+    return _modal(b, out, u.shape[:-1])
 
 
 def diagonal_operator_batched(b, kind: str, lam: float = 0.0) -> np.ndarray:
@@ -233,21 +280,21 @@ def diagonal_operator_batched(b, kind: str, lam: float = 0.0) -> np.ndarray:
     b2 = tl.b1 * tl.b1
     d2 = tl.d1 * tl.d1
     bd = tl.b1 * tl.d1
-    jw = b.jw
+    jw = b.jw_em
     if kind == "mass":
-        out = _adjoint(tl, jw, b2, b2)
+        out = _adjoint(jw, b2, b2)
         call = "diagonal mass"
     else:
-        g11, g12, g21, g22 = b.dxi_stacks
+        g11, g12, g21, g22 = b.dxi_em
         w_aa = jw * (g11**2 + g12**2)
         w_ab = 2.0 * jw * (g11 * g21 + g12 * g22)
         w_bb = jw * (g21**2 + g22**2)
-        out = _adjoint(tl, w_aa, b2, d2)
-        out += _adjoint(tl, w_ab, bd, bd)
-        out += _adjoint(tl, w_bb, d2, b2)
+        out = _adjoint(w_aa, b2, d2)
+        out += _adjoint(w_ab, bd, bd)
+        out += _adjoint(w_bb, d2, b2)
         call = "diagonal laplacian"
         if kind == "helmholtz" and lam != 0.0:
-            out += lam * _adjoint(tl, jw, b2, b2)
+            out += lam * _adjoint(jw, b2, b2)
             call = "diagonal helmholtz"
     charge_tape(call_tape(b, 1, call))
-    return out[..., tl.pq[:, 0], tl.pq[:, 1]]
+    return _modal(b, out, ())

@@ -240,7 +240,9 @@ class FunctionSpace:
         if self._flat_dofs is None:
             self._flat_dofs = np.concatenate([b.dofs.ravel() for b in batches])
         lead = parts[0].shape[:-2]
-        signed = [(b.signs * loc).reshape(lead + (-1,)) for b, loc in zip(batches, parts)]
+        signed = [
+            (b.signs * loc).reshape(lead + (b.signs.size,)) for b, loc in zip(batches, parts)
+        ]
         weights = signed[0] if len(signed) == 1 else np.concatenate(signed, axis=-1)
         if not lead:
             return np.bincount(self._flat_dofs, weights=weights, minlength=self.ndof)
@@ -253,9 +255,11 @@ class FunctionSpace:
 
     # On quad batches under ``sumfact`` each transform is one pass over
     # operands hoisted on the batch and its expansion's tensor layout
-    # (``dofs_ct`` / ``signs_ct`` / ``dxi_stacks``; ``b1`` / ``d1`` and
-    # their transposes; ``pq``), through the contraction helpers of
-    # :mod:`.matrix_free`.  The helpers charge nothing: each branch
+    # (``dofs_em`` / ``signs_em`` / ``readout`` / ``dxi_stacks``; ``b1`` /
+    # ``d1`` and their transposes), through the contraction helpers of
+    # :mod:`.matrix_free`.  Those run on element-middle blocks, one GEMM
+    # per leg; each transform converts once between them and its public
+    # (..., nelem, nq) layout.  The helpers charge nothing: each branch
     # charges the batch's tape for the call, every contraction as the
     # two counted ``dgemm`` calls it once was (DESIGN.md section 15.3).
 
@@ -268,7 +272,9 @@ class FunctionSpace:
             if self.sumfact and b.kind == "quad":
                 tl = b.exp.tensor_layout()
                 ct = matrix_free._coefficient_tensors(b, u_hat)
-                vals = matrix_free._forward(tl, ct, tl.b1, tl.b1t)
+                vals = matrix_free._element_last(
+                    matrix_free._forward(ct, tl.b1, tl.b1t), lead
+                )
                 charge_tape(matrix_free.call_tape(b, math.prod(lead), "backward"))
             else:
                 vals = np.empty(lead + (b.ng, self.nq))
@@ -285,9 +291,10 @@ class FunctionSpace:
             w = b.jw * self._batch_values(b, values)
             if self.sumfact and b.kind == "quad":
                 tl = b.exp.tensor_layout()
-                out = matrix_free._adjoint(tl, w, tl.b1, tl.b1)
+                w = matrix_free._element_middle(tl, w)
+                out = matrix_free._adjoint(w, tl.b1, tl.b1)
                 charge_tape(matrix_free.call_tape(b, math.prod(lead), "load_vector"))
-                local = out[..., tl.pq[:, 0], tl.pq[:, 1]]
+                local = matrix_free._modal(b, out, lead)
             else:
                 local = np.zeros(lead + (b.ng, b.exp.nmodes))
                 blas.dgemv_batched(1.0, b.exp.phi, w, 0.0, local)
@@ -323,10 +330,12 @@ class FunctionSpace:
             t2 = g21 * g + g22 * h
             if self.sumfact and b.kind == "quad":
                 tl = b.exp.tensor_layout()
-                out = matrix_free._adjoint(tl, t1, tl.b1, tl.d1)
-                out += matrix_free._adjoint(tl, t2, tl.d1, tl.b1)
+                t1 = matrix_free._element_middle(tl, t1)
+                t2 = matrix_free._element_middle(tl, t2)
+                out = matrix_free._adjoint(t1, tl.b1, tl.d1)
+                out += matrix_free._adjoint(t2, tl.d1, tl.b1)
                 charge_tape(matrix_free.call_tape(b, math.prod(lead), "grad_load_vector"))
-                local = out[..., tl.pq[:, 0], tl.pq[:, 1]]
+                local = matrix_free._modal(b, out, lead)
             else:
                 local = np.zeros(lead + (b.ng, b.exp.nmodes))
                 blas.dgemv_batched(1.0, b.exp.dphi1, t1, 0.0, local)
@@ -367,8 +376,8 @@ class FunctionSpace:
             if self.sumfact and b.kind == "quad":
                 tl = b.exp.tensor_layout()
                 ct = matrix_free._coefficient_tensors(b, u_hat)
-                d1 = matrix_free._forward(tl, ct, tl.d1, tl.b1t)
-                d2 = matrix_free._forward(tl, ct, tl.b1, tl.d1t)
+                d1 = matrix_free._element_last(matrix_free._forward(ct, tl.d1, tl.b1t), lead)
+                d2 = matrix_free._element_last(matrix_free._forward(ct, tl.b1, tl.d1t), lead)
                 charge_tape(matrix_free.call_tape(b, math.prod(lead), "gradient"))
             else:
                 local = b.gather(u_hat)

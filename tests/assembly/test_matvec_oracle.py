@@ -8,8 +8,9 @@ expansion's sum-factorised kernels (``backward`` / ``gradient`` /
 contraction leg — since deleted from ``src/`` and kept, frozen, in
 ``_sumfact_oracle.py``), strided metric views, ``scale * jw`` and an
 ``np.add.at`` scatter.  The apply in
-``src/`` hands the same operands to the same ``matmul`` calls in the same
-order, so
+``src/`` forms the same products and sums them in the same order (one
+GEMM per contraction leg over an element-middle block where the oracle
+makes one small product per element), so
 
 * every charge — the ``(flops, bytes, label)`` sequence a kernel sampler
   sees and the ``OpCounter`` snapshot with its call counts — is equal,
@@ -27,6 +28,7 @@ import numpy as np
 import pytest
 
 from repro.assembly.space import FunctionSpace
+from repro.linalg import blas
 from repro.linalg.counters import OpCounter, set_kernel_sampler
 from repro.mesh.generators import annulus_mesh, bluff_body_mesh, rectangle_quads
 
@@ -65,13 +67,16 @@ def _apply_laplacian(b, local):
 
 
 def oracle_apply(space, kind, u, lam=0.0):
-    """``FunctionSpace.operator_apply`` over the quad batches, old body."""
+    """``FunctionSpace.operator_apply``, old body.  A triangle batch
+    applies the live tabulated stack: that branch is not under test."""
     u = np.asarray(u, dtype=np.float64)
     out = np.zeros(u.shape[:-1] + (space.ndof,))
-    for b in space.batches():
-        assert b.kind == "quad"
+    for bi, b in enumerate(space.batches()):
         local = b.gather(u)
-        if kind == "mass":
+        if b.kind != "quad":
+            res = np.zeros(local.shape)
+            blas.dgemv_batched(1.0, space._dense_batch_mats(bi, kind, lam), local, 0.0, res)
+        elif kind == "mass":
             res = _apply_mass(b, local)
         else:
             res = _apply_laplacian(b, local)
@@ -87,6 +92,8 @@ MESHES = {
     "straight": lambda: rectangle_quads(3, 2, 0.0, 1.0, 0.5, 2.0),
     "curved-wall": lambda: bluff_body_mesh(m=2, nr=1, curved=True),
     "curved-annulus": lambda: annulus_mesh(6, 1),
+    # A one-element quad batch (ng = 1) beside two triangles.
+    "one-quad": mixed_mesh,
 }
 # Order 1 is below what the expansions accept (no edge or interior modes).
 ORDERS = [2, 3, 4, 5, 6]
@@ -114,12 +121,12 @@ def observed(fn):
 
 
 def cases(mesh_name, order):
-    space = FunctionSpace(MESHES[mesh_name](), order)
-    assert space.sumfact
+    space = FunctionSpace(MESHES[mesh_name](), order, sumfact=True)
     rng = np.random.default_rng(100 * order + len(mesh_name))
     for lead in LEADS:
         u = rng.standard_normal(lead + (space.ndof,))
         for kind, lam in KIND_LAM:
+            space.operator_apply(kind, u, lam)  # builds a triangle batch's cached stack
             got = observed(lambda: space.operator_apply(kind, u, lam))
             want = observed(lambda: oracle_apply(space, kind, u, lam))
             yield (lead, kind, lam), got, want

@@ -96,3 +96,20 @@ def test_assemble_symmetry_with_sign_flips():
     c = np.zeros(space.ndof)
     c[: space.mesh.nvertices] = 1.0
     np.testing.assert_allclose(a @ c, 0.0, atol=1e-10)
+
+
+@pytest.mark.parametrize("lead", [(0,), (2, 0), (0, 3)])
+@pytest.mark.parametrize("sumfact", [True, False])
+def test_transforms_take_an_empty_leading_axis(lead, sumfact):
+    # A NekTar-F rank with more ranks than Fourier modes holds no mode:
+    # its transforms see a size-0 leading axis and must hand back the
+    # matching empty shapes.
+    space = FunctionSpace(mixed_mesh(), 3, sumfact=sumfact)
+    u = np.zeros(lead + (space.ndof,))
+    f = np.zeros(lead + (space.nelem, space.nq))
+    fields = lead + (space.nelem, space.nq)
+    assert space.backward(u).shape == fields
+    assert [g.shape for g in space.gradient(u)] == [fields, fields]
+    assert space.load_vector(f).shape == u.shape
+    assert space.grad_load_vector(f, f).shape == u.shape
+    assert space.operator_apply("helmholtz", u, 2.0).shape == u.shape

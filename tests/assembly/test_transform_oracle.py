@@ -3,8 +3,9 @@
 ``FunctionSpace.backward`` / ``gradient`` / ``load_vector`` /
 ``grad_load_vector`` (and ``operator_diagonal``) against their bodies
 before DESIGN.md section 15.3's hoisting reached them, kept frozen in
-``_sumfact_oracle.py``.  The live code hands the same operands to the
-same ``matmul`` calls in the same order, replays the charges of the
+``_sumfact_oracle.py``.  The live code forms the same products and
+sums them in the same order (one GEMM per contraction leg over an
+element-middle block), replays the charges of the
 ``dgemm_batched`` calls it no longer makes, and assembles a fresh vector
 with one ordered ``np.bincount`` where the oracle sweeps ``np.add.at``, so
 
@@ -35,6 +36,7 @@ from repro.mesh.mesh2d import Mesh2D
 
 from . import _sumfact_oracle as oracle
 from .test_matvec_oracle import observed
+from .test_space import mixed_mesh
 
 
 def interleaved_mesh() -> Mesh2D:
@@ -56,6 +58,8 @@ SPACES = {
         {"periodic": [("left", "right"), ("bottom", "top")]},
     ),
     "mixed-sumfact": (interleaved_mesh, {"sumfact": True}),
+    # A one-element quad batch (ng = 1) beside two triangles.
+    "one-quad": (mixed_mesh, {"sumfact": True}),
     # The tabulated branch shares the whole-array reads and the assembly.
     "mixed-dense": (interleaved_mesh, {}),
     "tri-dense": (lambda: rectangle_tris(2, 2), {}),
@@ -157,10 +161,11 @@ KIND_LAM = [
 
 
 @pytest.mark.parametrize("order", ORDERS)
-@pytest.mark.parametrize("name", ["straight", "curved-wall", "periodic"])
+@pytest.mark.parametrize("name", ["straight", "curved-wall", "periodic", "one-quad"])
 def test_operator_diagonal_matches_frozen_kernels(name, order):
     space = make_space(name, order)
     for kind, lam in KIND_LAM:
+        space.operator_diagonal(kind, lam)  # builds a triangle batch's cached stack
         got, got_seq, got_snap = observed(lambda: space.operator_diagonal(kind, lam))
         want, want_seq, want_snap = observed(lambda: oracle.operator_diagonal(space, kind, lam))
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13 * np.max(np.abs(want)))
@@ -170,7 +175,7 @@ def test_operator_diagonal_matches_frozen_kernels(name, order):
 
 @pytest.mark.same_bits
 @pytest.mark.parametrize("order", ORDERS)
-@pytest.mark.parametrize("name", ["straight", "curved-wall", "periodic"])
+@pytest.mark.parametrize("name", ["straight", "curved-wall", "periodic", "one-quad"])
 def test_operator_diagonal_same_bits_as_frozen_kernels(name, order):
     space = make_space(name, order)
     for kind, lam in KIND_LAM:

@@ -164,6 +164,31 @@ def test_mode_distribution_and_shapes():
         assert shape[0] == 1
 
 
+def test_more_ranks_than_modes_step_to_the_same_energy():
+    # nz = 4 is two Fourier modes: on 3 or 4 ranks some rank holds none,
+    # and every transform it makes runs on an empty leading axis.
+    bel = Beltrami(nu=0.2)
+    mesh = rectangle_quads(2, 2, 0.0, 2 * np.pi, 0.0, 2 * np.pi)
+    tags = ("left", "right", "top", "bottom")
+
+    def rank_fn(comm):
+        space = FunctionSpace(mesh, 4)
+        bcs = {t: (bel.u_amp, bel.v_amp, bel.w_amp) for t in tags}
+        nf = NekTarF(comm, space, nz=4, nu=bel.nu, dt=5e-3, velocity_bcs=bcs)
+        nf.set_initial(bel.u_amp, bel.v_amp, bel.w_amp)
+        nf.run(2)
+        return len(nf.my_modes), nf.kinetic_energy()
+
+    energies = {}
+    for procs in (1, 2, 3, 4):
+        res = VirtualCluster(procs, NET).run(rank_fn)
+        assert sum(n for n, _ in res) == 2
+        energies[procs] = res[0][1]
+    assert 0 in [n for n, _ in res]
+    for procs in (2, 3, 4):
+        assert energies[procs] == pytest.approx(energies[1], rel=1e-12, abs=0.0)
+
+
 def test_invalid_parameters():
     mesh = rectangle_quads(1, 1)
 
