@@ -33,7 +33,7 @@ import numpy as np
 
 from ..assembly.space import FunctionSpace
 from ..campaign.client import bench_client, run_cli
-from ..io.writers import NekTarFCheckpoint
+from ..io.writers import Checkpoint
 from ..machines.catalog import CPUS, NETWORKS
 from ..mesh.generators import rectangle_quads
 from ..ns.nektar_f import NekTarF
@@ -147,7 +147,7 @@ def _crash_restart(cfg):
         survived = VirtualCluster(
             2, network=network, cpu=CPUS[CPU_NAME], faults=plan
         ).run(faulty)
-        restart_step = NekTarFCheckpoint.latest_step(ckpt_dir, 2)
+        restart_step = Checkpoint.latest_step(ckpt_dir, 2)
 
         def restarted(comm):
             nf = _solver(comm, cfg)

@@ -1,15 +1,5 @@
 """Field output (legacy VTK) and solver checkpointing."""
 
-from .writers import (
-    Checkpoint,
-    NekTarFCheckpoint,
-    vertex_velocity_fields,
-    write_vtk,
-)
+from .writers import Checkpoint, vertex_velocity_fields, write_vtk
 
-__all__ = [
-    "write_vtk",
-    "Checkpoint",
-    "NekTarFCheckpoint",
-    "vertex_velocity_fields",
-]
+__all__ = ["write_vtk", "Checkpoint", "vertex_velocity_fields"]

@@ -3,19 +3,20 @@
 * :func:`write_vtk` — legacy-ASCII VTK unstructured-grid files of
   vertex fields (loads in ParaView/VisIt), the standard way downstream
   users inspect a wake.
-* :class:`Checkpoint` — .npz save/restore of a solver state (modal
-  coefficients, time, step count, mesh vertices for ALE runs), so long
-  DNS campaigns — "250 hours of CPU time per processor" in the paper's
-  production run — can restart.
-* :class:`NekTarFCheckpoint` — per-rank .npz checkpoints of the full
-  NekTar-F time-stepping state (coefficients *and* the stiffly-stable
-  histories), written every ``k`` steps so a crashed parallel run can
-  restart from the last complete set and continue bit-for-bit.
+* :class:`Checkpoint` — per-rank .npz checkpoints of the full
+  time-stepping state of any of the three solvers (modal coefficients,
+  time, step count, the stiffly-stable history, and the mesh vertices
+  of a moving-mesh run), so long DNS campaigns — "250 hours of CPU
+  time per processor" in the paper's production run — and crashed
+  parallel runs restart from the last complete set and continue
+  bit-for-bit.
 """
 
 from __future__ import annotations
 
+import os
 import re
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,7 @@ import numpy as np
 from ..assembly.space import FunctionSpace
 from ..mesh.mesh2d import Mesh2D
 
-__all__ = ["write_vtk", "Checkpoint", "NekTarFCheckpoint"]
+__all__ = ["write_vtk", "Checkpoint"]
 
 _VTK_CELL = {3: 5, 4: 9}  # triangle, quad
 
@@ -73,82 +74,54 @@ def write_vtk(
 
 
 class Checkpoint:
-    """Save/restore solver state to a .npz archive."""
+    """Per-rank .npz checkpoints of any solver's full stepping state.
 
-    FIELDS = ("u_hat", "v_hat", "p_hat")
-
-    @staticmethod
-    def save(path: str | Path, solver) -> Path:
-        path = Path(path)
-        data = {f: getattr(solver, f) for f in Checkpoint.FIELDS}
-        data["t"] = np.array(solver.t)
-        data["step_count"] = np.array(solver.step_count)
-        data["vertices"] = solver.space.mesh.vertices
-        np.savez(path, **data)
-        return path if path.suffix == ".npz" else path.with_suffix(path.suffix + ".npz")
-
-    @staticmethod
-    def load(path: str | Path, solver) -> None:
-        """Restore state in place; the solver must be built on a mesh
-        with the same topology (vertex positions are restored for ALE)."""
-        with np.load(Path(path)) as data:
-            for f in Checkpoint.FIELDS:
-                arr = data[f]
-                if arr.shape != getattr(solver, f).shape:
-                    raise ValueError(
-                        f"checkpoint field {f} has shape {arr.shape}, "
-                        f"solver expects {getattr(solver, f).shape}"
-                    )
-                setattr(solver, f, arr.copy())
-            solver.t = float(data["t"])
-            solver.step_count = int(data["step_count"])
-            verts = data["vertices"]
-            if verts.shape == solver.space.mesh.vertices.shape:
-                solver.space.mesh.vertices[:] = verts
-
-
-class NekTarFCheckpoint:
-    """Per-rank .npz checkpoints of the full NekTar-F stepping state.
-
-    Unlike :class:`Checkpoint` (serial, fields only), this serialises
-    everything the multi-step stiffly-stable scheme needs to continue
-    **bit-for-bit**: the four modal coefficient arrays plus the
-    velocity, non-linear-term and vorticity histories (whose lengths
-    also encode the scheme's startup ramp).  One file per rank per
-    checkpointed step; a step is *restartable* only once every rank's
-    file exists, so :meth:`latest_step` reports the newest complete
-    set — a crash mid-write simply leaves an incomplete set that
-    restart skips.
+    A file holds what the scheme needs to continue **bit-for-bit**: the
+    solver's modal fields, ``t``, ``step_count`` and its
+    :class:`~repro.ns.splitting.SplittingHistory` (whose length encodes
+    the start-up ramp); also a moving mesh's vertices (the geometry is
+    rebuilt on restore) and NekTar-F's mode block (the layout check).
+    One file per rank per step, a serial solver being rank 0 of 1.  A
+    file is written under a temporary name and renamed into place, and
+    :meth:`latest_step` reports the newest step whose every rank file
+    exists, so a crash between rank files leaves a set restart skips.
     """
 
     HATS = ("u_hat", "v_hat", "w_hat", "p_hat")
-    HISTS = ("_hist_u", "_hist_n", "_hist_w")
-    _NAME = re.compile(r"nektarf_step(\d+)_rank(\d+)\.npz$")
+    _NAME = re.compile(r"checkpoint_step(\d+)_rank(\d+)\.npz$")
 
     @staticmethod
     def path(directory: str | Path, step: int, rank: int) -> Path:
-        return Path(directory) / f"nektarf_step{step:08d}_rank{rank:04d}.npz"
+        return Path(directory) / f"checkpoint_step{step:08d}_rank{rank:04d}.npz"
+
+    @staticmethod
+    def _rank(solver) -> tuple[int, int]:
+        """(rank, size) of the solver's communicator; serial is (0, 1)."""
+        comm = getattr(solver, "comm", None)
+        return (0, 1) if comm is None else (comm.rank, comm.size)
 
     @staticmethod
     def save(directory: str | Path, solver) -> Path:
         """Write this rank's state at the solver's current step."""
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
-        data = {h: getattr(solver, h) for h in NekTarFCheckpoint.HATS}
-        data["t"] = np.array(solver.t)
-        data["step_count"] = np.array(solver.step_count)
-        data["my_modes"] = np.asarray(solver.my_modes, dtype=np.int64)
-        for name in NekTarFCheckpoint.HISTS:
-            hist = getattr(solver, name)
-            data[f"{name}_len"] = np.array(len(hist))
-            # Deque iteration order is newest-first; each entry is a
-            # component tuple of same-shape arrays, stacked for storage.
-            for j, entry in enumerate(hist):
-                data[f"{name}_{j}"] = np.stack(entry)
-        path = NekTarFCheckpoint.path(
-            directory, solver.step_count, solver.comm.rank
-        )
-        np.savez(path, **data)
+        data = {h: getattr(solver, h) for h in Checkpoint.HATS if hasattr(solver, h)}
+        data.update(t=solver.t, step_count=solver.step_count)
+        if hasattr(solver, "my_modes"):
+            data["my_modes"] = np.asarray(solver.my_modes, dtype=np.int64)
+        if hasattr(solver, "set_vertices"):
+            data["vertices"] = solver.mesh.vertices
+        history = solver.history
+        data.update(time_order=history.target.order, history_len=len(history))
+        # Newest entry first; each part's components stacked.
+        for j, entry in enumerate(history.entries):
+            for part, comps in zip("unw", entry):
+                data[f"history_{j}_{part}"] = np.stack(comps)
+        path = Checkpoint.path(directory, solver.step_count, Checkpoint._rank(solver)[0])
+        tmp = path.with_name(path.name + ".tmp")
+        with open(tmp, "wb") as f:
+            np.savez(f, **data)
+        os.replace(tmp, path)
         return path
 
     @staticmethod
@@ -156,55 +129,72 @@ class NekTarFCheckpoint:
         """Restore this rank's state in place; returns the step restored.
 
         ``step=None`` picks the newest complete set in ``directory``.
+        The solver must be built like the one that saved it (same mesh
+        topology, order and rank layout).
         """
+        rank, size = Checkpoint._rank(solver)
         if step is None:
-            step = NekTarFCheckpoint.latest_step(directory, solver.comm.size)
+            step = Checkpoint.latest_step(directory, size)
             if step is None:
                 raise FileNotFoundError(
-                    f"no complete {solver.comm.size}-rank checkpoint set "
-                    f"in {directory}"
+                    f"no complete {size}-rank checkpoint set in {directory}"
                 )
-        path = NekTarFCheckpoint.path(directory, step, solver.comm.rank)
-        with np.load(path) as data:
-            if data["my_modes"].tolist() != list(solver.my_modes):
+        path = Checkpoint.path(directory, step, rank)
+        data = Checkpoint._read(path)
+        if "my_modes" in data and data["my_modes"].tolist() != list(solver.my_modes):
+            raise ValueError(
+                f"checkpoint {path.name} holds modes "
+                f"{data['my_modes'].tolist()}, solver owns "
+                f"{list(solver.my_modes)} (rank layout changed?)"
+            )
+        hats = [h for h in Checkpoint.HATS if hasattr(solver, h)]
+        for h in hats:
+            shape = data[h].shape if h in data else None
+            if shape != getattr(solver, h).shape:
                 raise ValueError(
-                    f"checkpoint {path.name} holds modes "
-                    f"{data['my_modes'].tolist()}, solver owns "
-                    f"{list(solver.my_modes)} (rank layout changed?)"
+                    f"checkpoint field {h} has shape {shape}, "
+                    f"solver expects {getattr(solver, h).shape}"
                 )
-            for h in NekTarFCheckpoint.HATS:
-                arr = data[h]
-                if arr.shape != getattr(solver, h).shape:
-                    raise ValueError(
-                        f"checkpoint field {h} has shape {arr.shape}, "
-                        f"solver expects {getattr(solver, h).shape}"
-                    )
-                setattr(solver, h, arr.copy())
-            for name in NekTarFCheckpoint.HISTS:
-                hist = getattr(solver, name)
-                hist.clear()
-                for j in range(int(data[f"{name}_len"])):
-                    stacked = data[f"{name}_{j}"]
-                    hist.append(tuple(c.copy() for c in stacked))
-            solver.t = float(data["t"])
-            solver.step_count = int(data["step_count"])
+        history, nhist = solver.history, int(data["history_len"])
+        order = history.target.order
+        if nhist > order:
+            raise ValueError(
+                f"checkpoint {path.name} holds {nhist} history entries of an "
+                f"order-{int(data['time_order'])} scheme; the solver's "
+                f"order-{order} scheme keeps at most {order}"
+            )
+        for h in hats:
+            setattr(solver, h, data[h])
+        solver.t = float(data["t"])
+        solver.step_count = int(data["step_count"])
+        if "vertices" in data:
+            solver.set_vertices(data["vertices"])
+        history.clear()
+        for j in reversed(range(nhist)):  # oldest first, as they were pushed
+            history.push(*(tuple(data[f"history_{j}_{part}"]) for part in "unw"))
         return step
+
+    @staticmethod
+    def _read(path: Path) -> dict[str, np.ndarray]:
+        """Every array of one rank file; ValueError naming an unreadable one."""
+        try:
+            with np.load(path) as data:
+                return {k: data[k] for k in data.files}
+        except (EOFError, ValueError, zipfile.BadZipFile) as e:
+            raise ValueError(
+                f"checkpoint file {path} is not a readable .npz ({e})"
+            ) from e
 
     @staticmethod
     def latest_step(directory: str | Path, nranks: int) -> int | None:
         """Newest step for which all ``nranks`` rank files exist."""
         found: dict[int, set[int]] = {}
-        directory = Path(directory)
-        if not directory.is_dir():
-            return None
-        for p in directory.glob("nektarf_step*_rank*.npz"):
-            m = NekTarFCheckpoint._NAME.match(p.name)
+        for p in Path(directory).glob("checkpoint_step*_rank*.npz"):
+            m = Checkpoint._NAME.match(p.name)
             if m:
                 found.setdefault(int(m.group(1)), set()).add(int(m.group(2)))
-        complete = [
-            s for s, ranks in found.items() if ranks >= set(range(nranks))
-        ]
-        return max(complete) if complete else None
+        complete = [s for s, ranks in found.items() if ranks >= set(range(nranks))]
+        return max(complete, default=None)
 
 
 def vertex_velocity_fields(space: FunctionSpace, u_hat, v_hat) -> dict:

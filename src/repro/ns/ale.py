@@ -22,7 +22,6 @@ Two mesh-motion modes:
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Callable
 
 import numpy as np
@@ -33,7 +32,7 @@ from ..assembly.space import FunctionSpace
 from ..linalg.counters import OpCounter
 from ..solvers.helmholtz import HelmholtzCG
 from ..util.timing import StageTimer
-from .splitting import stiffly_stable
+from .splitting import SplittingHistory
 from .stages import STAGES, StageScope
 
 __all__ = ["ALENavierStokes2D"]
@@ -67,7 +66,8 @@ class ALENavierStokes2D:
         self.order = order
         self.nu = float(nu)
         self.dt = float(dt)
-        self.scheme = stiffly_stable(time_order)
+        self.history = SplittingHistory(time_order)
+        self.scheme = self.history.target
         self.velocity_bcs = dict(velocity_bcs)
         self.vel_tags = tuple(sorted(velocity_bcs))
         self.pressure_dirichlet = tuple(pressure_dirichlet)
@@ -90,9 +90,6 @@ class ALENavierStokes2D:
         self.u_hat = np.zeros(self.space.ndof)
         self.v_hat = np.zeros(self.space.ndof)
         self.p_hat = np.zeros(self.space.ndof)
-        self._hist_u: deque = deque(maxlen=self.scheme.order)
-        self._hist_n: deque = deque(maxlen=self.scheme.order)
-        self._hist_w: deque = deque(maxlen=self.scheme.order)
 
     # -- geometry ---------------------------------------------------------------
 
@@ -123,9 +120,7 @@ class ALENavierStokes2D:
         vf = np.vectorize(lambda x, y: float(v_fn(x, y, 0.0)), otypes=[np.float64])
         self.u_hat = self.space.forward(uf(xq, yq))
         self.v_hat = self.space.forward(vf(xq, yq))
-        self._hist_u.clear()
-        self._hist_n.clear()
-        self._hist_w.clear()
+        self.history.clear()
 
     # -- mesh velocity -----------------------------------------------------------
 
@@ -188,15 +183,19 @@ class ALENavierStokes2D:
         else:
             new = self.mesh.vertices + self.dt * vertex_vel
         # Field coefficients ride along with the mesh (ALE description).
-        self.mesh.vertices[:] = new
+        self.set_vertices(new)
+
+    def set_vertices(self, vertices: np.ndarray) -> None:
+        """Move the mesh to ``vertices`` and rebuild the space, solvers
+        and edge batch on it (also how a checkpoint restores geometry)."""
+        self.mesh.vertices[:] = vertices
         self._rebuild_space()
 
     # -- timestep --------------------------------------------------------------------
 
     def step(self) -> None:
         dt = self.dt
-        order = max(1, min(self.scheme.order, len(self._hist_u) + 1))
-        scheme = stiffly_stable(order)
+        scheme = self.history.scheme()
         t_new = self.t + dt
 
         # ALE-specific work first: advance the mesh to t^{n+1} and form
@@ -230,14 +229,9 @@ class ALENavierStokes2D:
             omega = dvdx - dudy
 
         with StageScope(self, STAGES[2]):
-            hist_u = [(u_vals, v_vals)] + list(self._hist_u)
-            hist_n = [(nu_term, nv_term)] + list(self._hist_n)
-            uhx = sum(a * h[0] for a, h in zip(scheme.alpha, hist_u))
-            uhy = sum(a * h[1] for a, h in zip(scheme.alpha, hist_u))
-            uhx = uhx + dt * sum(b * h[0] for b, h in zip(scheme.beta, hist_n))
-            uhy = uhy + dt * sum(b * h[1] for b, h in zip(scheme.beta, hist_n))
-            hist_w = [omega] + list(self._hist_w)
-            w_extrap = sum(b * h for b, h in zip(scheme.beta, hist_w))
+            vel, nl = (u_vals, v_vals), (nu_term, nv_term)
+            uhx, uhy = self.history.extrapolate(vel, nl, dt)
+            (w_extrap,) = self.history.vorticity((omega,))
 
         with StageScope(self, STAGES[3]):
             rhs_p = space.grad_load_vector(uhx, uhy)
@@ -269,9 +263,7 @@ class ALENavierStokes2D:
             self.v_hat = solver.solve_rhs(rhs_v, bc([b[1] for b in bcs], t_new))
             self.cg_iterations["viscous"] += solver.last_iterations
 
-        self._hist_u.appendleft((u_vals, v_vals))
-        self._hist_n.appendleft((nu_term, nv_term))
-        self._hist_w.appendleft(omega)
+        self.history.push(vel, nl, (omega,))
         self.t = t_new
         self.step_count += 1
 

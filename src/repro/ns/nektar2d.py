@@ -19,7 +19,6 @@ machine models price into Table 1.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Callable
 
 import numpy as np
@@ -30,7 +29,7 @@ from ..assembly.space import FunctionSpace
 from ..linalg.counters import OpCounter, charge
 from ..solvers.helmholtz import HelmholtzDirect
 from ..util.timing import StageTimer
-from .splitting import stiffly_stable
+from .splitting import SplittingHistory
 from .stages import STAGES, StageScope
 
 __all__ = ["NavierStokes2D"]
@@ -76,7 +75,8 @@ class NavierStokes2D:
         self.space = space
         self.nu = float(nu)
         self.dt = float(dt)
-        self.scheme = stiffly_stable(time_order)
+        self.history = SplittingHistory(time_order)
+        self.scheme = self.history.target
         self.velocity_bcs = dict(velocity_bcs)
         self.vel_tags = tuple(sorted(self.velocity_bcs))
 
@@ -100,11 +100,6 @@ class NavierStokes2D:
         self.u_hat = np.zeros(space.ndof)
         self.v_hat = np.zeros(space.ndof)
         self.p_hat = np.zeros(space.ndof)
-        # Histories, newest first: velocity values, nonlinear terms and
-        # vorticity (for the rotational pressure boundary condition).
-        self._hist_u: deque = deque(maxlen=self.scheme.order)
-        self._hist_n: deque = deque(maxlen=self.scheme.order)
-        self._hist_w: deque = deque(maxlen=self.scheme.order)
         self.timer = StageTimer()
         self.stage_ops: dict[str, OpCounter] = {s: OpCounter() for s in STAGES}
 
@@ -115,18 +110,14 @@ class NavierStokes2D:
         xq, yq = self.space.coords()
         self.u_hat = self.space.forward(u_fn(xq, yq, 0.0) * np.ones_like(xq))
         self.v_hat = self.space.forward(v_fn(xq, yq, 0.0) * np.ones_like(xq))
-        self._hist_u.clear()
-        self._hist_n.clear()
-        self._hist_w.clear()
+        self.history.clear()
 
     # -- timestep ----------------------------------------------------------------
 
     def step(self) -> None:
         """Advance one timestep through the seven stages."""
         space, dt = self.space, self.dt
-        # Startup ramp: use the highest order the history supports.
-        order = max(1, min(self.scheme.order, len(self._hist_u) + 1))
-        scheme = stiffly_stable(order) if order != self.scheme.order else self.scheme
+        scheme = self.history.scheme()
         lam_eff = scheme.gamma0 / (self.nu * dt)
 
         # Stage 1: modal -> quadrature transform.
@@ -151,14 +142,11 @@ class NavierStokes2D:
 
         # Stage 3: weight-average with previous steps (alpha / beta sums).
         with StageScope(self, STAGES[2]):
-            hist_u = [(u_vals, v_vals)] + list(self._hist_u)
-            hist_n = [(nu_term, nv_term)] + list(self._hist_n)
-            uhx = sum(a * h[0] for a, h in zip(scheme.alpha, hist_u))
-            uhy = sum(a * h[1] for a, h in zip(scheme.alpha, hist_u))
-            uhx = uhx + dt * sum(b * h[0] for b, h in zip(scheme.beta, hist_n))
-            uhy = uhy + dt * sum(b * h[1] for b, h in zip(scheme.beta, hist_n))
+            vel, nl = (u_vals, v_vals), (nu_term, nv_term)
+            uhx, uhy = self.history.extrapolate(vel, nl, dt)
             npts = uhx.size
-            charge((8.0 * order + 4.0) * npts, (8.0 * order + 4.0) * 16.0 * npts)
+            k = scheme.order
+            charge((8.0 * k + 4.0) * npts, (8.0 * k + 4.0) * 16.0 * npts)
 
         # Stage 4: weak pressure-Poisson RHS, (u_hat, grad phi)/dt, plus the
         # high-order rotational pressure BC surface term
@@ -168,8 +156,7 @@ class NavierStokes2D:
         with StageScope(self, STAGES[3]):
             rhs_p = space.grad_load_vector(uhx, uhy)
             rhs_p /= dt
-            hist_w = [omega] + list(self._hist_w)
-            w_extrap = sum(b * h for b, h in zip(scheme.beta, hist_w))
+            (w_extrap,) = self.history.vorticity((omega,))
             ubn = self._edges.normal_component(bcs, t_new)
             self._edges.add_pressure_bc(rhs_p, w_extrap, ubn, self.nu, scheme.gamma0 / dt)
 
@@ -199,9 +186,7 @@ class NavierStokes2D:
             self.u_hat = solver.solve_rhs(rhs_u, bc([b[0] for b in bcs], t_new))
             self.v_hat = solver.solve_rhs(rhs_v, bc([b[1] for b in bcs], t_new))
 
-        self._hist_u.appendleft((u_vals, v_vals))
-        self._hist_n.appendleft((nu_term, nv_term))
-        self._hist_w.appendleft(omega)
+        self.history.push(vel, nl, (omega,))
         self.t = t_new
         self.step_count += 1
 

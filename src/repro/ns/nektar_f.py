@@ -26,7 +26,6 @@ CPU/wall timings plus Figure 13-14 stage breakdowns.
 
 from __future__ import annotations
 
-from collections import deque
 from functools import partial
 from typing import Callable
 
@@ -37,12 +36,13 @@ from ..assembly.condensation import CondensedOperator
 from ..assembly.space import FunctionSpace
 from ..fourier.pipeline import FusedFourierPipeline
 from ..fourier.transforms import ifft_z, mode_blocks, nmodes_for, wavenumbers
+from ..io.writers import Checkpoint
 from ..linalg.counters import OpCounter
 from ..obs import metrics
 from ..parallel.simmpi import VirtualComm
 from ..solvers.helmholtz import HelmholtzDirect
 from ..util.timing import StageTimer
-from .splitting import stiffly_stable
+from .splitting import SplittingHistory
 from .stages import STAGES, StageScope
 
 __all__ = ["NekTarF"]
@@ -75,7 +75,8 @@ class NekTarF:
         self.nu = float(nu)
         self.dt = float(dt)
         self.lz = float(lz)
-        self.scheme = stiffly_stable(time_order)
+        self.history = SplittingHistory(time_order)
+        self.scheme = self.history.target
         self.charge_compute = charge_compute
         self._pipeline = FusedFourierPipeline()
         self.velocity_bcs = dict(velocity_bcs)
@@ -125,9 +126,6 @@ class NekTarF:
         self.v_hat = np.zeros_like(self.u_hat)
         self.w_hat = np.zeros_like(self.u_hat)
         self.p_hat = np.zeros_like(self.u_hat)
-        self._hist_n: deque = deque(maxlen=self.scheme.order)
-        self._hist_u: deque = deque(maxlen=self.scheme.order)
-        self._hist_w: deque = deque(maxlen=self.scheme.order)
         self.t = 0.0
         self.step_count = 0
         self.timer = StageTimer()
@@ -175,9 +173,7 @@ class NekTarF:
                 hat[i] = self.space.forward(vals.real) + 1j * self.space.forward(
                     vals.imag
                 )
-        self._hist_n.clear()
-        self._hist_u.clear()
-        self._hist_w.clear()
+        self.history.clear()
 
     def _mode_bcs(self, m: int) -> list[tuple]:
         """Per velocity tag, the (u, v, w) amplitudes of mode m as fn(x, y, t)."""
@@ -255,8 +251,7 @@ class NekTarF:
         # Announce the step boundary to the fault layer (no-op without
         # a FaultPlan): CrashSpec(at_step=k) fires at the top of step k.
         comm.mark_step(self.step_count)
-        order = max(1, min(self.scheme.order, len(self._hist_u) + 1))
-        scheme = stiffly_stable(order)
+        scheme = self.history.scheme()
         t_new = self.t + dt
 
         # Stage 1: modal -> quadrature.
@@ -295,18 +290,10 @@ class NekTarF:
 
         # Stage 3: weight-averaging.
         with StageScope(self, STAGES[2]):
-            hist_u = [(u, v, w)] + list(self._hist_u)
-            hist_n = [(nu_t, nv_t, nw_t)] + list(self._hist_n)
-            uhx = sum(a * h[0] for a, h in zip(scheme.alpha, hist_u))
-            uhy = sum(a * h[1] for a, h in zip(scheme.alpha, hist_u))
-            uhz = sum(a * h[2] for a, h in zip(scheme.alpha, hist_u))
-            uhx = uhx + dt * sum(b * h[0] for b, h in zip(scheme.beta, hist_n))
-            uhy = uhy + dt * sum(b * h[1] for b, h in zip(scheme.beta, hist_n))
-            uhz = uhz + dt * sum(b * h[2] for b, h in zip(scheme.beta, hist_n))
-            hist_w = [(omega_x, omega_y, omega_z)] + list(self._hist_w)
-            wx_e = sum(b * h[0] for b, h in zip(scheme.beta, hist_w))
-            wy_e = sum(b * h[1] for b, h in zip(scheme.beta, hist_w))
-            wz_e = sum(b * h[2] for b, h in zip(scheme.beta, hist_w))
+            vel, nl = (u, v, w), (nu_t, nv_t, nw_t)
+            vort = (omega_x, omega_y, omega_z)
+            uhx, uhy, uhz = self.history.extrapolate(vel, nl, dt)
+            wx_e, wy_e, wz_e = self.history.vorticity(vort)
 
         # Stage 4: pressure RHS + rotational pressure BC
         # oint phi [-nu (n . curl omega)_mode - gamma0 (u_b . n)/dt],
@@ -345,9 +332,7 @@ class NekTarF:
                     i, rhs_u[i], rhs_v[i], rhs_w[i], scheme.gamma0, t_new
                 )
 
-        self._hist_u.appendleft((u, v, w))
-        self._hist_n.appendleft((nu_t, nv_t, nw_t))
-        self._hist_w.appendleft((omega_x, omega_y, omega_z))
+        self.history.push(vel, nl, vort)
         self.t = t_new
         self.step_count += 1
 
@@ -413,7 +398,7 @@ class NekTarF:
 
         With ``checkpoint_every=k``, each rank writes its state to
         ``checkpoint_dir`` whenever ``step_count`` is a multiple of k
-        (see :class:`repro.io.NekTarFCheckpoint`).  Checkpoint I/O is
+        (see :class:`repro.io.Checkpoint`).  Checkpoint I/O is
         host-side and not priced on the virtual clocks.
         """
         if (checkpoint_every is None) != (checkpoint_dir is None):
@@ -428,18 +413,14 @@ class NekTarF:
                 self.save_checkpoint(checkpoint_dir)
 
     def save_checkpoint(self, directory: str) -> None:
-        """Write this rank's full stepping state (see NekTarFCheckpoint)."""
-        from ..io.writers import NekTarFCheckpoint
-
-        NekTarFCheckpoint.save(directory, self)
+        """Write this rank's full stepping state (see :class:`Checkpoint`)."""
+        Checkpoint.save(directory, self)
 
     def restore_checkpoint(self, directory: str, step: int | None = None) -> int:
         """Restore from the newest complete checkpoint set (or ``step``);
         returns the step restored.  Continuation is bit-for-bit on
-        fault-free runs: coefficients and scheme histories both round-trip."""
-        from ..io.writers import NekTarFCheckpoint
-
-        return NekTarFCheckpoint.load(directory, self, step)
+        fault-free runs: coefficients and scheme history both round-trip."""
+        return Checkpoint.load(directory, self, step)
 
     # -- diagnostics -----------------------------------------------------------------
 

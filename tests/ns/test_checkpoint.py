@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.assembly.space import FunctionSpace
-from repro.io.writers import NekTarFCheckpoint
+from repro.io.writers import Checkpoint
 from repro.machines.network import NetworkModel
 from repro.mesh.generators import rectangle_quads
 from repro.ns.nektar_f import NekTarF
@@ -50,7 +50,7 @@ def test_restart_is_bitwise_identical(tmp_path):
         nf = _make_solver(comm, bel)
         step = nf.restore_checkpoint(str(tmp_path), step=3)
         assert step == 3 and nf.step_count == 3
-        assert len(nf._hist_u) == nf.scheme.order
+        assert len(nf.history) == nf.scheme.order
         nf.run(3)
         return _state(nf)
 
@@ -72,13 +72,13 @@ def test_latest_step_needs_complete_rank_set(tmp_path):
         nf.run(4, checkpoint_every=2, checkpoint_dir=str(tmp_path))
 
     VirtualCluster(2, NET).run(rank_fn)
-    assert NekTarFCheckpoint.latest_step(tmp_path, 2) == 4
+    assert Checkpoint.latest_step(tmp_path, 2) == 4
     # A crash mid-write leaves an incomplete newest set: restart skips it.
-    NekTarFCheckpoint.path(tmp_path, 4, 1).unlink()
-    assert NekTarFCheckpoint.latest_step(tmp_path, 2) == 2
-    NekTarFCheckpoint.path(tmp_path, 2, 0).unlink()
-    assert NekTarFCheckpoint.latest_step(tmp_path, 2) is None
-    assert NekTarFCheckpoint.latest_step(tmp_path / "nope", 2) is None
+    Checkpoint.path(tmp_path, 4, 1).unlink()
+    assert Checkpoint.latest_step(tmp_path, 2) == 2
+    Checkpoint.path(tmp_path, 2, 0).unlink()
+    assert Checkpoint.latest_step(tmp_path, 2) is None
+    assert Checkpoint.latest_step(tmp_path / "nope", 2) is None
 
 
 def test_restore_rejects_changed_layout(tmp_path):
@@ -97,6 +97,44 @@ def test_restore_rejects_changed_layout(tmp_path):
     # 1-rank solver owns all modes; rank 0's 2-rank file holds half.
     with pytest.raises(ValueError, match="rank layout"):
         VirtualCluster(1, NET).run(reread)
+
+
+def test_restore_rejects_a_longer_history_than_the_solver_order(tmp_path):
+    """An order-3 history must not lose its newest entry to an order-2
+    solver's shorter history: the restore raises, naming both orders."""
+    bel = Beltrami(nu=0.1)
+
+    def write(comm):
+        nf = _make_solver(comm, bel, order=3)
+        nf.run(3, checkpoint_every=3, checkpoint_dir=str(tmp_path))
+
+    VirtualCluster(1, NET).run(write)
+
+    def reread(comm):
+        nf = _make_solver(comm, bel, order=2)
+        nf.restore_checkpoint(str(tmp_path), step=3)
+
+    with pytest.raises(ValueError, match="order-3 scheme.*order-2 scheme"):
+        VirtualCluster(1, NET).run(reread)
+
+
+def test_unreadable_rank_file_raises_a_value_error_naming_it(tmp_path):
+    bel = Beltrami(nu=0.1)
+
+    def write(comm):
+        nf = _make_solver(comm, bel)
+        nf.run(2, checkpoint_every=2, checkpoint_dir=str(tmp_path))
+
+    VirtualCluster(2, NET).run(write)
+    (rank1,) = tmp_path.glob("*step*2_rank0001.npz")
+    rank1.write_bytes(rank1.read_bytes()[: rank1.stat().st_size // 2])
+
+    def reread(comm):
+        nf = _make_solver(comm, bel)
+        nf.restore_checkpoint(str(tmp_path))
+
+    with pytest.raises(ValueError, match=rank1.name):
+        VirtualCluster(2, NET).run(reread)
 
 
 def test_run_checkpoint_arg_validation():
@@ -138,7 +176,7 @@ def test_crash_restart_recovers_fault_free_fields(tmp_path):
     res = VirtualCluster(2, NET, faults=plan).run(faulty)
     assert res[0] == "lost rank 1"
     assert res[1] is None  # the crashed rank produced no result
-    last = NekTarFCheckpoint.latest_step(tmp_path, 2)
+    last = Checkpoint.latest_step(tmp_path, 2)
     assert last == 4  # checkpoints at steps 2 and 4 both completed
 
     def restarted(comm):

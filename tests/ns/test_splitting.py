@@ -1,6 +1,6 @@
 import pytest
 
-from repro.ns.splitting import stiffly_stable
+from repro.ns.splitting import SplittingHistory, stiffly_stable
 
 
 def test_table_order2_matches_paper():
@@ -50,3 +50,26 @@ def test_invalid_order():
         stiffly_stable(0)
     with pytest.raises(ValueError):
         stiffly_stable(4)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_history_ramps_up_and_extrapolates_linear_data_exactly(order):
+    # The start-up ramp runs orders 1, 2, ..., J and then stays at J;
+    # at most J entries are kept, newest first.  On data linear in the
+    # step index the beta sums extrapolate exactly once J >= 2, and the
+    # alpha sums reproduce gamma0 * u for constant data.
+    h = SplittingHistory(order)
+    for n in range(order + 2):
+        s = h.scheme()
+        assert s == stiffly_stable(min(n + 1, order))
+        u, nl, w = (1.0, 2.0), (0.0, 0.0), (float(n),)
+        uh = h.extrapolate(u, nl, dt=0.1)
+        assert uh == pytest.approx((s.gamma0, 2.0 * s.gamma0))
+        (w_e,) = h.vorticity(w)
+        if s.order >= 2:
+            assert w_e == pytest.approx(n + 1.0)
+        h.push(u, nl, w)
+        assert len(h) == min(n + 1, order)
+        assert h.entries[0] == (u, nl, w)
+    h.clear()
+    assert len(h) == 0 and h.scheme().order == 1
