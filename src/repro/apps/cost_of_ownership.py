@@ -7,10 +7,11 @@ for high number of processor simulations."  This driver turns the
 reproduced Table 1/2 performance into performance-per-dollar using
 documented 1999 list-price estimates.
 
-Prices are order-of-magnitude 1999 figures (the paper gives only the
-Muses number, "less than $10,000"): commodity nodes ~$2.5k each, a
-Myrinet NIC+switch share ~$1.8k/node, and supercomputers at their
-published per-node system prices.  The point of the exercise is the
+Prices (``PRICES_1999``, kept in :mod:`repro.machines.catalog` beside
+the machines they price) are order-of-magnitude 1999 figures (the paper
+gives only the Muses number, "less than $10,000"): commodity nodes
+~$2.5k each, a Myrinet NIC+switch share ~$1.8k/node, and supercomputers
+at their published per-node system prices.  The point of the exercise is the
 *ratio structure* — PC clusters win by an order of magnitude on
 price/performance — which is robust to these estimates.
 
@@ -19,27 +20,13 @@ Run: ``python -m repro.apps.cost_of_ownership``.
 
 from __future__ import annotations
 
-from ..machines.catalog import MACHINES
+from ..machines.catalog import MACHINES, PRICES_1999
 from ..reporting.tables import ascii_table
 from .nektar_f_bench import step_times
 from .serial_bluff import paper_stage_flops
 from .pricing import price_stages, total_time
 
 __all__ = ["PRICES_1999", "serial_cost_table", "parallel_cost_table", "main"]
-
-# Estimated 1999 cost per processor, US$ (documented assumptions above).
-PRICES_1999 = {
-    "Muses": 2_500,  # $10k / 4 nodes, per the paper
-    "RoadRunner-eth": 2_800,  # commodity node + ethernet share
-    "RoadRunner-myr": 4_600,  # + Myrinet NIC and switch share
-    "SP2-Silver": 40_000,
-    "SP2-Thin2": 35_000,
-    "P2SC": 45_000,
-    "Onyx2": 50_000,
-    "NCSA": 45_000,
-    "AP3000": 35_000,
-    "T3E": 60_000,
-}
 
 
 def serial_cost_table() -> list[tuple]:

@@ -240,15 +240,16 @@ def paper_stage_flops(measured: dict | None = None) -> dict[str, float]:
     return dict(out)
 
 
-def table1(normalize: bool = True) -> list[tuple]:
-    """Rows: (machine, model s/step, paper s/step)."""
+def table1() -> list[tuple]:
+    """Rows: (machine, model s/step, paper s/step), the model times
+    normalised to the paper's Muses time."""
     flops = paper_stage_flops()
     rows = []
     model_times = {}
     for mkey in TABLE1_MACHINES:
         cpu = MACHINES[mkey].cpu
         model_times[mkey] = total_time(price_stages(cpu, flops))
-    scale = TABLE1_PAPER["Muses"] / model_times["Muses"] if normalize else 1.0
+    scale = TABLE1_PAPER["Muses"] / model_times["Muses"]
     for mkey in TABLE1_MACHINES:
         rows.append(
             (

@@ -23,8 +23,7 @@ import json
 from pathlib import Path
 from typing import Any
 
-from ..apps.cost_of_ownership import PRICES_1999
-from ..machines.catalog import MACHINES, NETWORKS
+from ..machines.catalog import MACHINES, NETWORKS, PRICES_1999
 from ..obs.critpath import EventGraph, swap_makespans
 from ..obs.runlog import RunLedger
 
@@ -112,9 +111,8 @@ def _cpu_scale(recorded_machine: str, candidate_machine: str) -> float:
 def search_catalog(
     entries: list[dict[str, Any]],
     target_makespan: float,
-    candidates: tuple[dict[str, Any], ...] = CATALOG_CANDIDATES,
 ) -> dict[str, Any]:
-    """Price every candidate against the recorded graphs.
+    """Price every :data:`CATALOG_CANDIDATES` entry against the recorded graphs.
 
     ``entries`` is :func:`load_graphs` output.  For each candidate the
     campaign's predicted makespan is the **sum** over jobs (the
@@ -126,7 +124,7 @@ def search_catalog(
     if not entries:
         raise ValueError("no recorded graphs to search over")
     ranked = []
-    cands = sorted(candidates, key=lambda c: c["price_per_proc"])
+    cands = sorted(CATALOG_CANDIDATES, key=lambda c: c["price_per_proc"])
     predicted = swap_makespans(
         [entry["graph"] for entry in entries],
         [

@@ -40,8 +40,8 @@ __all__ = [
 HELMHOLTZ_STEPS = 3
 
 
-def round_sig(x: float, digits: int = 6) -> float:
-    """Round to significant digits: the cross-platform check-value form.
+def round_sig(x: float) -> float:
+    """Round to 6 significant digits: the cross-platform check-value form.
 
     Solution norms from dense factorizations may differ in the last
     couple of bits across BLAS builds; 6 significant digits is far
@@ -52,7 +52,7 @@ def round_sig(x: float, digits: int = 6) -> float:
         return float(x)
     from math import floor, log10
 
-    return float(round(x, digits - 1 - floor(log10(abs(x)))))
+    return float(round(x, 5 - floor(log10(abs(x)))))
 
 
 def _ring(params: dict[str, Any], machine: str, cache: OperatorCache):

@@ -24,6 +24,7 @@ __all__ = [
     "CPUS",
     "NETWORKS",
     "MACHINES",
+    "PRICES_1999",
     "machine",
     "network",
     "BLAS_FIGURE_MACHINES",
@@ -383,6 +384,22 @@ MACHINES: dict[str, MachineSpec] = {
         max_procs=1024,
         notes="pseudo-vector CPUs; 3-D crossbar",
     ),
+}
+
+# Estimated 1999 cost per processor, US$, keyed by machine (and fabric
+# where it changes the price); the estimates are documented in
+# repro.apps.cost_of_ownership.
+PRICES_1999 = {
+    "Muses": 2_500,  # $10k / 4 nodes, per the paper
+    "RoadRunner-eth": 2_800,  # commodity node + ethernet share
+    "RoadRunner-myr": 4_600,  # + Myrinet NIC and switch share
+    "SP2-Silver": 40_000,
+    "SP2-Thin2": 35_000,
+    "P2SC": 45_000,
+    "Onyx2": 50_000,
+    "NCSA": 45_000,
+    "AP3000": 35_000,
+    "T3E": 60_000,
 }
 
 # Figure line-ups (which systems appear in which plot).

@@ -27,10 +27,9 @@ from typing import Callable
 import numpy as np
 
 from ..assembly.boundary import EdgeBatch
-from ..assembly.condensation import CondensedOperator
 from ..assembly.space import FunctionSpace
 from ..linalg.counters import OpCounter
-from ..solvers.helmholtz import HelmholtzCG
+from ..solvers.helmholtz import HelmholtzCG, pressure_operator
 from ..util.timing import StageTimer
 from .splitting import SplittingHistory
 from .stages import STAGES, StageScope
@@ -39,6 +38,9 @@ __all__ = ["ALENavierStokes2D"]
 
 BCFn = Callable[[float, float, float], float]
 MotionFn = Callable[[float, float, float], tuple[float, float]]
+
+#: Relative residual every PCG solve of the step stops at.
+CG_TOL = 1e-9
 
 
 class ALENavierStokes2D:
@@ -57,7 +59,6 @@ class ALENavierStokes2D:
         wall_tag: str = "wall",
         outer_tags: tuple[str, ...] = (),
         time_order: int = 2,
-        cg_tol: float = 1e-9,
         ale_convection: bool = True,
     ):
         if nu <= 0 or dt <= 0:
@@ -71,7 +72,6 @@ class ALENavierStokes2D:
         self.velocity_bcs = dict(velocity_bcs)
         self.vel_tags = tuple(sorted(velocity_bcs))
         self.pressure_dirichlet = tuple(pressure_dirichlet)
-        self.cg_tol = cg_tol
         self.ale_convection = ale_convection
         self.motion = motion
         self.body_velocity = body_velocity
@@ -97,20 +97,15 @@ class ALENavierStokes2D:
         """Recompute all geometry-dependent objects on the current mesh."""
         self.space = FunctionSpace(self.mesh, self.order)
         lam = self.scheme.gamma0 / (self.nu * self.dt)
-        self.vel_solver = HelmholtzCG(self.space, lam, self.vel_tags, tol=self.cg_tol)
+        self.vel_solver = HelmholtzCG(self.space, lam, self.vel_tags, tol=CG_TOL)
         if self.pressure_dirichlet:
-            self.p_solver = HelmholtzCG(
-                self.space, 0.0, self.pressure_dirichlet, tol=self.cg_tol
-            )
-            self._p_pin = None
+            self.p_solver = HelmholtzCG(self.space, 0.0, self.pressure_dirichlet, tol=CG_TOL)
         else:
-            # Pin one dof: assemble the Laplacian once per geometry.
-            mats = self.space.elemental_matrices("laplacian")
-            self._p_pin = int(self.space.dofmap.boundary_dofs()[0])
-            self.p_op = CondensedOperator(self.space, mats, [self._p_pin])
+            # The pinned Laplacian, factored once per geometry.
+            self.p_op = pressure_operator(self.space)
         if self.motion == "solve":
             tags = (self.wall_tag,) + self.outer_tags
-            self.mesh_solver = HelmholtzCG(self.space, 0.0, tags, tol=self.cg_tol)
+            self.mesh_solver = HelmholtzCG(self.space, 0.0, tags, tol=CG_TOL)
         # Pressure-BC machinery on the fresh geometry.
         self._edges = EdgeBatch(self.space, self.vel_tags)
 
@@ -241,13 +236,11 @@ class ALENavierStokes2D:
             self._edges.add_pressure_bc(rhs_p, w_extrap, ubn, self.nu, scheme.gamma0 / dt)
 
         with StageScope(self, STAGES[4]):
-            if self._p_pin is None:
-                self.p_hat = self.p_solver.solve_rhs(
-                    rhs_p, np.zeros(self.p_solver.dirichlet_dofs.size)
-                )
+            if self.pressure_dirichlet:
+                self.p_hat = self.p_solver.solve_rhs(rhs_p)
                 self.cg_iterations["pressure"] += self.p_solver.last_iterations
             else:
-                self.p_hat = self.p_op.solve(rhs_p, np.zeros(1))
+                self.p_hat = self.p_op.solve(rhs_p)
 
         with StageScope(self, STAGES[5]):
             dpdx, dpdy = space.gradient(self.p_hat)
@@ -271,7 +264,7 @@ class ALENavierStokes2D:
         lam = gamma0 / (self.nu * self.dt)
         if abs(lam - self.vel_solver.lam) < 1e-12 * max(1.0, lam):
             return self.vel_solver
-        return HelmholtzCG(self.space, lam, self.vel_tags, tol=self.cg_tol)
+        return HelmholtzCG(self.space, lam, self.vel_tags, tol=CG_TOL)
 
     def run(self, nsteps: int) -> None:
         for _ in range(nsteps):

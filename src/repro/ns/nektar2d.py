@@ -24,10 +24,9 @@ from typing import Callable
 import numpy as np
 
 from ..assembly.boundary import EdgeBatch
-from ..assembly.condensation import CondensedOperator
 from ..assembly.space import FunctionSpace
 from ..linalg.counters import OpCounter, charge
-from ..solvers.helmholtz import HelmholtzDirect
+from ..solvers.helmholtz import HelmholtzDirect, ViscousHolder, pressure_operator
 from ..util.timing import StageTimer
 from .splitting import SplittingHistory
 from .stages import STAGES, StageScope
@@ -80,20 +79,13 @@ class NavierStokes2D:
         self.velocity_bcs = dict(velocity_bcs)
         self.vel_tags = tuple(sorted(self.velocity_bcs))
 
-        lam = self.scheme.gamma0 / (self.nu * self.dt)
-        self.vel_solver = HelmholtzDirect(space, lam, self.vel_tags)
-        if pressure_dirichlet:
-            self.p_solver = HelmholtzDirect(space, 0.0, tuple(pressure_dirichlet))
-            self._p_pin = None
-        else:
-            mats = space.elemental_matrices("laplacian")
-            pin = int(space.dofmap.boundary_dofs()[0])
-            self._p_pin = pin
-            self.p_op = CondensedOperator(space, mats, [pin])
+        # The viscous solver is built in stage 7 of the step that first
+        # needs its lambda; the start-up one is freed first.
+        self._viscous = ViscousHolder(space, self.vel_tags)
+        self.p_op = pressure_operator(space, tuple(pressure_dirichlet))
 
         # High-order pressure BC operands on the velocity-Dirichlet boundary.
         self._edges = EdgeBatch(space, self.vel_tags)
-        self._startup_solvers: dict[float, HelmholtzDirect] = {}
 
         self.t = 0.0
         self.step_count = 0
@@ -102,6 +94,11 @@ class NavierStokes2D:
         self.p_hat = np.zeros(space.ndof)
         self.timer = StageTimer()
         self.stage_ops: dict[str, OpCounter] = {s: OpCounter() for s in STAGES}
+
+    @property
+    def vel_solver(self) -> HelmholtzDirect | None:
+        """The current viscous solver (``None`` before the first step)."""
+        return self._viscous.current
 
     # -- setup -----------------------------------------------------------------
 
@@ -162,12 +159,7 @@ class NavierStokes2D:
 
         # Stage 5: Poisson solve for the pressure.
         with StageScope(self, STAGES[4]):
-            if self._p_pin is None:
-                self.p_hat = self.p_solver.solve_rhs(
-                    rhs_p, self.p_solver.bc_values(None)
-                )
-            else:
-                self.p_hat = self.p_op.solve(rhs_p, np.zeros(1))
+            self.p_hat = self.p_op.solve(rhs_p)
 
         # Stage 6: project and set up the Helmholtz RHS.
         with StageScope(self, STAGES[5]):
@@ -181,7 +173,7 @@ class NavierStokes2D:
 
         # Stage 7: Helmholtz solves for the new velocity.
         with StageScope(self, STAGES[6]):
-            solver = self._viscous_solver(lam_eff)
+            solver = self._viscous.solver(lam_eff)
             bc = solver.bc_values_by_tag  # project, solve, project, solve: the old order
             self.u_hat = solver.solve_rhs(rhs_u, bc([b[0] for b in bcs], t_new))
             self.v_hat = solver.solve_rhs(rhs_v, bc([b[1] for b in bcs], t_new))
@@ -189,16 +181,6 @@ class NavierStokes2D:
         self.history.push(vel, nl, (omega,))
         self.t = t_new
         self.step_count += 1
-
-    def _viscous_solver(self, lam_eff: float) -> HelmholtzDirect:
-        """Viscous solver for the effective lambda (startup steps use a
-        lower-order gamma0; cache the extra factorisation)."""
-        if abs(lam_eff - self.vel_solver.lam) < 1e-12 * max(1.0, lam_eff):
-            return self.vel_solver
-        key = round(lam_eff, 9)
-        if key not in self._startup_solvers:
-            self._startup_solvers[key] = HelmholtzDirect(self.space, lam_eff, self.vel_tags)
-        return self._startup_solvers[key]
 
     def run(self, nsteps: int) -> None:
         for _ in range(nsteps):

@@ -32,7 +32,6 @@ from typing import Callable
 import numpy as np
 
 from ..assembly.boundary import EdgeBatch
-from ..assembly.condensation import CondensedOperator
 from ..assembly.space import FunctionSpace
 from ..fourier.pipeline import FusedFourierPipeline
 from ..fourier.transforms import ifft_z, mode_blocks, nmodes_for, wavenumbers
@@ -40,7 +39,7 @@ from ..io.writers import Checkpoint
 from ..linalg.counters import OpCounter
 from ..obs import metrics
 from ..parallel.simmpi import VirtualComm
-from ..solvers.helmholtz import HelmholtzDirect
+from ..solvers.helmholtz import ViscousHolder, pressure_operator
 from ..util.timing import StageTimer
 from .splitting import SplittingHistory
 from .stages import STAGES, StageScope
@@ -88,26 +87,13 @@ class NekTarF:
         self.my_modes = list(mode_blocks(nm, comm.size)[comm.rank])
         self.k = self.all_k[self.my_modes]
 
-        # Per-local-mode solvers; real/imag share these factorizations.
-        self.p_solvers: list = []
-        self._p_pin = None
-        for m, k in zip(self.my_modes, self.k):
-            lam = float(k * k)
-            if self.pressure_dirichlet:
-                self.p_solvers.append(
-                    HelmholtzDirect(space, lam, self.pressure_dirichlet)
-                )
-            elif lam > 0.0:
-                self.p_solvers.append(HelmholtzDirect(space, lam))
-            else:
-                mats = space.elemental_matrices("laplacian")
-                self._p_pin = int(space.dofmap.boundary_dofs()[0])
-                self.p_solvers.append(
-                    CondensedOperator(space, mats, [self._p_pin])
-                )
-        # The current viscous operator of each local mode, keyed by its
-        # rounded lambda (the startup step's gamma0 differs).
-        self._visc_cache: dict[int, tuple[float, HelmholtzDirect]] = {}
+        # Per-local-mode operators; real/imag share these factorizations.
+        self.p_ops = [
+            pressure_operator(space, self.pressure_dirichlet, float(k * k)) for k in self.k
+        ]
+        # The current viscous solver of each local mode (the startup
+        # step's gamma0 differs).
+        self._viscous = [ViscousHolder(space, self.vel_tags) for _ in self.my_modes]
 
         # Pressure-BC operands and the velocity tags' Dirichlet plan.
         self._edges = EdgeBatch(space, self.vel_tags)
@@ -228,22 +214,6 @@ class NekTarF:
             self._ubn = np.reshape(ubn, (self.nlocal,) + self._edges.x.shape)
         return self._ubn
 
-    def _viscous_solver(self, mode_i: int, gamma0: float) -> HelmholtzDirect:
-        k = float(self.k[mode_i])
-        lam = gamma0 / (self.nu * self.dt) + k * k
-        key = round(lam, 9)
-        held = self._visc_cache.get(mode_i)
-        if held is not None and held[0] == key:
-            metrics.inc("visc_cache.hits")
-            return held[1]
-        metrics.inc("visc_cache.misses")
-        # Free the stale operator before its successor is built.
-        del held
-        self._visc_cache.pop(mode_i, None)
-        solver = HelmholtzDirect(self.space, lam, self.vel_tags)
-        self._visc_cache[mode_i] = (key, solver)
-        return solver
-
     # -- the timestep ------------------------------------------------------------------
 
     def step(self) -> None:
@@ -338,12 +308,7 @@ class NekTarF:
 
     def _solve_pressure_block(self, i: int, rhs: np.ndarray) -> np.ndarray:
         """Real + imaginary parts as one (2, ndof) multi-RHS sweep."""
-        solver = self.p_solvers[i]
-        block = np.stack([rhs.real, rhs.imag])
-        if isinstance(solver, CondensedOperator):
-            out = solver.solve(block, np.zeros(1))
-        else:
-            out = solver.solve_rhs(block, solver.bc_values(None))
+        out = self.p_ops[i].solve(np.stack([rhs.real, rhs.imag]))
         return out[0] + 1j * out[1]
 
     def _solve_viscous_block(
@@ -358,7 +323,8 @@ class NekTarF:
         """All six real Helmholtz solves of one mode (u, v, w x re/im)
         as a single (6, ndof) multi-RHS sweep through the shared
         factorisation."""
-        solver = self._viscous_solver(i, gamma0)
+        k = float(self.k[i])
+        solver = self._viscous[i].solver(gamma0 / (self.nu * self.dt) + k * k)
         block = np.stack(
             [
                 rhs_u.real,

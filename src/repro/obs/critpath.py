@@ -1054,7 +1054,6 @@ def analyze(
     graph: EventGraph,
     swap_nets: dict[str, "NetworkModel"] | None = None,
     straggler_scale: dict[int, float] | None = None,
-    top_k: int = 8,
 ) -> dict[str, Any]:
     """Critical path + attribution + standard counterfactual suite.
 
@@ -1062,6 +1061,7 @@ def analyze(
     hence deterministic and regression-gateable).  ``swap_nets`` maps
     display name -> NetworkModel for fabric-swap counterfactuals;
     ``straggler_scale`` maps rank -> cpu scale for remove-straggler.
+    ``top_segments`` lists the path's eight longest segments.
     The recorded run and every counterfactual are rows of one weight
     matrix, priced in one sweep.
     """
@@ -1105,7 +1105,7 @@ def analyze(
                 "pct": 100.0 * s.total() / makespan if makespan > 0 else 0.0,
                 "components": s.components(),
             }
-            for s in path.top_segments(top_k)
+            for s in path.top_segments(8)
         ],
         "counterfactuals": counter,
     }

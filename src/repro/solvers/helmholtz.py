@@ -13,6 +13,10 @@ each:
   factored once (NekTar's serial and NekTar-F path),
 * :class:`HelmholtzCG` — diagonally preconditioned conjugate gradient
   on the space's elemental operator apply (NekTar-ALE's path).
+
+and the set-up the Navier-Stokes solvers share: :func:`pressure_operator`
+picks the condensed operator of a pressure solve, and
+:class:`ViscousHolder` keeps one viscous solver alive at a time.
 """
 
 from __future__ import annotations
@@ -24,9 +28,16 @@ import numpy as np
 from ..assembly.condensation import CondensedOperator
 from ..assembly.global_system import dirichlet_block
 from ..assembly.space import FunctionSpace
-from ..linalg.cg import pcg, pcg_block
+from ..linalg.cg import pcg
+from ..obs import metrics
 
-__all__ = ["HelmholtzDirect", "HelmholtzCG", "solve_poisson"]
+__all__ = [
+    "HelmholtzDirect",
+    "HelmholtzCG",
+    "ViscousHolder",
+    "pressure_operator",
+    "solve_poisson",
+]
 
 ScalarFn = Callable[[float, float], float]
 
@@ -164,56 +175,73 @@ class HelmholtzCG(_HelmholtzBase):
         return self.solve_rhs(self.rhs_for(f), self.bc_values(g))
 
     def solve_rhs(self, rhs, dirichlet_values=None) -> np.ndarray:
+        """Solve with a pre-assembled global load vector: one (ndof,)
+        vector or a row-stacked (nrhs, ndof) block.  A vector is a
+        one-row block and each row is one :func:`pcg` call, so a block
+        has the rows, iteration counts and charges of ``nrhs`` single
+        solves; ``last_iterations`` is the largest row count."""
         rhs = np.asarray(rhs, dtype=np.float64)
-        if rhs.ndim == 2:
-            return self._solve_rhs_many(rhs, dirichlet_values)
-        dv = dirichlet_block(dirichlet_values, 1, self.dirichlet_dofs.size)[0]
-        if self.dirichlet_dofs.size:
-            b = self._lift(rhs[self.free], dv)
-        else:
-            b = rhs[self.free]
-        res = pcg(
-            self._apply_free,
-            b,
-            self.diag,
-            tol=self.tol,
-            maxiter=self.maxiter,
-        )
-        if not res.converged:
-            raise RuntimeError(
-                f"CG failed to converge: residual {res.residual:.3e} "
-                f"after {res.iterations} iterations"
-            )
-        self.last_iterations = res.iterations
-        u = np.zeros(self.space.ndof)
-        u[self.free] = res.x
-        u[self.dirichlet_dofs] = dv
-        return u
+        block = rhs[None] if rhs.ndim == 1 else rhs
+        if block.ndim != 2 or block.shape[1] != self.space.ndof:
+            raise ValueError("rhs must cover all global dofs")
+        dv = dirichlet_block(dirichlet_values, block.shape[0], self.dirichlet_dofs.size)
+        u = np.zeros(block.shape)
+        iterations = []
+        for row, v, out in zip(block, dv, u):
+            b = row[self.free]
+            if self.dirichlet_dofs.size:
+                b = self._lift(b, v)
+            res = pcg(self._apply_free, b, self.diag, tol=self.tol, maxiter=self.maxiter)
+            if not res.converged:
+                raise RuntimeError(
+                    f"CG failed to converge: residual {res.residual:.3e} "
+                    f"after {res.iterations} iterations"
+                )
+            out[self.free] = res.x
+            out[self.dirichlet_dofs] = v
+            iterations.append(res.iterations)
+        self.last_iterations = max(iterations)
+        return u[0] if rhs.ndim == 1 else u
 
-    def _solve_rhs_many(self, rhs: np.ndarray, dirichlet_values) -> np.ndarray:
-        """Row-stacked multi-RHS path: the rows, iteration counts and
-        charges of ``nrhs`` single solves."""
-        nrhs = rhs.shape[0]
-        dv = dirichlet_block(dirichlet_values, nrhs, self.dirichlet_dofs.size)
-        b = rhs[:, self.free]
-        if self.dirichlet_dofs.size:
-            # Row by row: a stacked apply runs another dgemv kernel on
-            # triangle batches, and CG amplifies its last bits.
-            b = np.stack([self._lift(row, v) for row, v in zip(b, dv)])
-        results = pcg_block(
-            self._apply_free, b, self.diag, tol=self.tol, maxiter=self.maxiter
-        )
-        bad = [res for res in results if not res.converged]
-        if bad:
-            raise RuntimeError(
-                f"CG failed to converge: residual {bad[0].residual:.3e} "
-                f"after {bad[0].iterations} iterations"
-            )
-        self.last_iterations = max(res.iterations for res in results)
-        u = np.zeros((nrhs, self.space.ndof))
-        u[:, self.free] = np.stack([res.x for res in results])
-        u[:, self.dirichlet_dofs] = dv
-        return u
+
+def pressure_operator(
+    space: FunctionSpace, dirichlet_tags: tuple[str, ...] = (), lam: float = 0.0
+) -> CondensedOperator:
+    """The condensed operator of a pressure solve, (L + lam M) p = rhs
+    with p = 0 on the tagged boundary parts: :class:`HelmholtzDirect`'s
+    when there is a Dirichlet part or lam > 0, else (an enclosed flow's
+    singular Poisson problem) the Laplacian with the first boundary dof
+    pinned.  ``op.solve(rhs)`` imposes the zero values."""
+    if dirichlet_tags or lam > 0.0:
+        return HelmholtzDirect(space, lam, dirichlet_tags).op
+    pin = int(space.dofmap.boundary_dofs()[0])
+    return CondensedOperator(space, space.elemental_matrices("laplacian"), [pin])
+
+
+class ViscousHolder:
+    """The one live viscous solver of a Navier-Stokes solver (or of one
+    of its Fourier modes), keyed by its rounded lambda: the start-up
+    steps' lower-order gamma0 is another key.  A stale solver is freed
+    before its successor is built, so two factorisations are never
+    alive at once (DESIGN.md section 10)."""
+
+    def __init__(self, space: FunctionSpace, dirichlet_tags: tuple[str, ...]):
+        self.space = space
+        self.dirichlet_tags = dirichlet_tags
+        self.key: float | None = None
+        self.current: HelmholtzDirect | None = None
+
+    def solver(self, lam: float) -> HelmholtzDirect:
+        """The held solver if ``lam`` rounds to its key, else a new one."""
+        key = round(lam, 9)
+        if key == self.key:
+            metrics.inc("visc_cache.hits")
+            return self.current
+        metrics.inc("visc_cache.misses")
+        self.current = None  # free the stale solver before its successor is built
+        self.current = HelmholtzDirect(self.space, lam, self.dirichlet_tags)
+        self.key = key
+        return self.current
 
 
 def solve_poisson(

@@ -12,6 +12,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import repro
 from repro.analysis import lint_paths
 
@@ -100,15 +102,26 @@ WORKLOAD_ROOTS = (
 )
 
 
-def test_simulator_does_not_load_the_static_suite():
-    """The runtime codes live at their raise sites, so running a
-    workload never imports the linter."""
+@pytest.mark.parametrize(
+    "roots,banned",
+    [
+        # The runtime codes live at their raise sites, so running a
+        # workload never imports the linter.
+        (WORKLOAD_ROOTS, ("repro.analysis",)),
+        # The campaign search prices catalog machines from the catalog
+        # itself, not through the paper drivers and the solvers.
+        (("repro.campaign", "repro.campaign.search"), ("repro.apps", "repro.ns")),
+    ],
+    ids=["static-suite", "campaign-without-apps-and-ns"],
+)
+def test_workload_roots_do_not_load(roots, banned):
     code = (
         "import importlib, sys\n"
-        f"for root in {WORKLOAD_ROOTS!r}:\n"
+        f"for root in {roots!r}:\n"
         "    importlib.import_module(root)\n"
+        f"banned = {banned!r}\n"
         "print(sorted(m for m in sys.modules\n"
-        "             if m == 'repro.analysis' or m.startswith('repro.analysis.')))\n"
+        "             if any(m == b or m.startswith(b + '.') for b in banned)))\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code],

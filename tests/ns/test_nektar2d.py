@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -6,6 +9,7 @@ from repro.mesh.generators import rectangle_quads
 from repro.ns.exact import Kovasznay, TaylorVortex
 from repro.ns.nektar2d import NavierStokes2D
 from repro.ns.stages import STAGES
+from repro.obs import scoped
 
 
 def kovasznay_solver(P=7, dt=2e-3):
@@ -136,9 +140,26 @@ def test_stage_instrumentation():
 def test_pressure_pin_path():
     # All-Dirichlet velocity boundaries with no pressure tag uses the pin.
     ns, tv, _ = taylor_solver(P=5, dt=2e-3)
-    assert ns._p_pin is not None
+    assert ns.p_op.dirichlet.size == 1
     ns.run(2)
     assert np.isfinite(ns.p_hat).all()
+
+
+def test_one_viscous_operator_after_the_startup_ramp():
+    """The order-1 start-up solver is freed before the order-2 one is
+    built in step 2, and neither exists before the first step."""
+    ns, _, _ = kovasznay_solver(P=4)
+    assert ns.vel_solver is None
+    with scoped() as registry:
+        ns.step()
+        first = weakref.ref(ns.vel_solver)
+        ns.run(2)
+        gc.collect()
+    assert first() is None
+    assert ns.vel_solver.lam == pytest.approx(ns.scheme.gamma0 / (ns.nu * ns.dt))
+    snap = registry.snapshot()
+    assert snap["visc_cache.misses"]["value"] == 2
+    assert snap["visc_cache.hits"]["value"] == 1
 
 
 def test_step_counter_and_time():

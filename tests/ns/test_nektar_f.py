@@ -10,11 +10,11 @@ from repro.machines.network import NetworkModel
 from repro.mesh.generators import rectangle_quads
 from repro.ns.exact import Kovasznay
 from repro.ns.nektar2d import NavierStokes2D
-from repro.ns import nektar_f
 from repro.ns.nektar_f import NekTarF
 from repro.ns.stages import STAGES
 from repro.obs import scoped
 from repro.parallel.simmpi import VirtualCluster
+from repro.solvers import helmholtz
 
 NET = NetworkModel("t", latency_us=5, bandwidth=1e9)
 
@@ -233,7 +233,7 @@ def test_viscous_cache_holds_the_current_operator_only(monkeypatch):
     bel = Beltrami(nu=0.1)
     mesh = rectangle_quads(1, 1, 0.0, 2 * np.pi, 0.0, 2 * np.pi)
     tags = ("left", "right", "top", "bottom")
-    real = nektar_f.HelmholtzDirect
+    real = helmholtz.HelmholtzDirect
     built = []
 
     def tracked(*args, **kw):
@@ -246,7 +246,7 @@ def test_viscous_cache_holds_the_current_operator_only(monkeypatch):
         bcs = {t: (bel.u_amp, bel.v_amp, bel.w_amp) for t in tags}
         nf = NekTarF(comm, space, nz=8, nu=bel.nu, dt=5e-3, velocity_bcs=bcs, time_order=2)
         nf.set_initial(bel.u_amp, bel.v_amp, bel.w_amp)
-        monkeypatch.setattr(nektar_f, "HelmholtzDirect", tracked)  # viscous only
+        monkeypatch.setattr(helmholtz, "HelmholtzDirect", tracked)  # viscous only
         nf.run(3)
         gc.collect()
         return nf.nlocal, sum(ref() is not None for ref in built)

@@ -161,6 +161,21 @@ def test_dirichlet_values_shape_mismatch_rejected(solver_cls, tags, bad):
             solver.solve_rhs(rhs, bad)
 
 
+@pytest.mark.parametrize(
+    "shape",
+    [lambda n: (n + 1,), lambda n: (2, n + 1), lambda n: (n - 1,)],
+    ids=["long-vector", "long-block", "short-vector"],
+)
+@pytest.mark.parametrize("solver_cls", [HelmholtzDirect, HelmholtzCG])
+def test_rhs_of_the_wrong_length_rejected(solver_cls, shape):
+    """A load vector must cover exactly the global dofs: neither solver
+    reads a long one short."""
+    space = FunctionSpace(rectangle_quads(2, 2), 3)
+    solver = solver_cls(space, 1.0, ("left",))
+    with pytest.raises(ValueError, match="rhs must cover all global dofs"):
+        solver.solve_rhs(np.ones(shape(space.ndof)))
+
+
 def test_cg_reports_nonconvergence():
     f = lambda x, y: 1.0  # noqa: E731
     space = FunctionSpace(rectangle_quads(3, 3), 4)
