@@ -20,12 +20,11 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from ..linalg import blas
 from ..linalg.banded import BandedSPDSolver
 from ..linalg.counters import charge
-from .global_system import dirichlet_block
+from .global_system import dirichlet_block, rcm_band
 from .space import ElementalMatrices
 
 __all__ = ["CondensedOperator"]
@@ -52,26 +51,12 @@ class CondensedOperator:
             raise ValueError("Dirichlet dofs must be boundary (vertex/edge) dofs")
 
         self._groups, schur = self._setup(ElementalMatrices.of(dm, elem_mats))
-        rows, cols, vals = [], [], []
-        # Group-wise Schur assembly: sign-conjugate and scatter whole
-        # element stacks at once (duplicate COO entries are summed by
-        # tocsr).
-        for grp, s in zip(self._groups, schur):
-            nb, bdofs, bsigns = grp["nb"], grp["bdofs"], grp["bsigns"]
-            ss = bsigns[:, :, None] * s * bsigns[:, None, :]
-            rows.append(np.repeat(bdofs, nb, axis=1).ravel())
-            cols.append(np.tile(bdofs, (1, nb)).ravel())
-            vals.append(ss.ravel())
-        s_glob = sp.coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(self.nb_glob, self.nb_glob),
-        ).tocsr()
-
-        mask = np.ones(self.nb_glob, dtype=bool)
-        mask[self.dirichlet] = False
-        self.free = np.nonzero(mask)[0]
+        s_glob = self._assemble_schur(schur)
+        del schur
+        self.free = np.setdiff1d(np.arange(self.nb_glob), self.dirichlet)
         s_ff = s_glob[np.ix_(self.free, self.free)].tocsr()
         self.s_fk = s_glob[np.ix_(self.free, self.dirichlet)].tocsr()
+        del s_glob
         if self.free.size == 0:
             # Every boundary dof is prescribed: nothing to factor, the
             # solve is pure interior back-substitution.
@@ -79,14 +64,25 @@ class CondensedOperator:
             self.solver = None
             self.bandwidth = 0
             return
-        self.perm = np.asarray(reverse_cuthill_mckee(s_ff, symmetric_mode=True))
-        p = s_ff[np.ix_(self.perm, self.perm)].tocoo()
-        kd = int(np.abs(p.row - p.col).max()) if p.nnz else 0
-        ab = np.zeros((kd + 1, self.free.size))
-        up = p.row <= p.col
-        ab[kd + p.row[up] - p.col[up], p.col[up]] = p.data[up]
+        self.perm, ab = rcm_band(s_ff)
+        del s_ff  # only the band reaches the factorisation, which owns it
         self.solver = BandedSPDSolver.from_banded(ab)
-        self.bandwidth = kd
+        self.bandwidth = self.solver.kd
+
+    def _assemble_schur(self, schur: list[np.ndarray]) -> sp.csr_matrix:
+        """Global boundary Schur complement: whole element stacks sign-
+        conjugated and scattered at once (tocsr sums duplicate entries)."""
+        rows, cols, vals = [], [], []
+        for grp, s in zip(self._groups, schur):
+            nb, bdofs, bsigns = grp["nb"], grp["bdofs"], grp["bsigns"]
+            ss = bsigns[:, :, None] * s * bsigns[:, None, :]
+            rows.append(np.repeat(bdofs, nb, axis=1).ravel())
+            cols.append(np.tile(bdofs, (1, nb)).ravel())
+            vals.append(ss.ravel())
+        return sp.coo_matrix(
+            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+            shape=(self.nb_glob, self.nb_glob),
+        ).tocsr()
 
     # -- pre-factorisation ----------------------------------------------------
 

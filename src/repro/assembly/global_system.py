@@ -48,22 +48,11 @@ class AssembledOperator:
             self.dirichlet.min() < 0 or self.dirichlet.max() >= ndof
         ):
             raise ValueError("dirichlet dof out of range")
-        mask = np.ones(ndof, dtype=bool)
-        mask[self.dirichlet] = False
-        self.free = np.nonzero(mask)[0]
-        a_uu = self.a_full[np.ix_(self.free, self.free)].tocsr()
+        self.free = np.setdiff1d(np.arange(ndof), self.dirichlet)
         self.a_uk = self.a_full[np.ix_(self.free, self.dirichlet)].tocsr()
-        # Bandwidth-minimising reordering of the free dofs.
-        self.perm = np.asarray(reverse_cuthill_mckee(a_uu, symmetric_mode=True))
-        a_p = a_uu[np.ix_(self.perm, self.perm)].tocoo()
-        kd = int(np.abs(a_p.row - a_p.col).max()) if a_p.nnz else 0
-        nfree = self.free.size
-        ab = np.zeros((kd + 1, nfree))
-        up = a_p.row <= a_p.col
-        ab[kd + a_p.row[up] - a_p.col[up], a_p.col[up]] = a_p.data[up]
-        # Duplicate COO entries would need summing; csr->coo is canonical.
+        self.perm, ab = rcm_band(self.a_full[np.ix_(self.free, self.free)].tocsr())
         self.solver = BandedSPDSolver.from_banded(ab)
-        self.bandwidth = kd
+        self.bandwidth = self.solver.kd
 
     @property
     def ndof(self) -> int:
@@ -112,6 +101,19 @@ class AssembledOperator:
         u[:, self.free] = x
         u[:, self.dirichlet] = dv
         return u[0] if rhs.ndim == 1 else u
+
+
+def rcm_band(a) -> tuple[np.ndarray, np.ndarray]:
+    """Reverse Cuthill-McKee order ``perm`` of symmetric CSR ``a`` and the
+    permuted upper band ``ab``, Fortran-ordered so that ``from_banded``
+    factors it in place; the permuted copy dies here."""
+    perm = np.asarray(reverse_cuthill_mckee(a, symmetric_mode=True))
+    p = a[np.ix_(perm, perm)].tocoo()  # canonical: no duplicates to sum
+    kd = int(np.abs(p.row - p.col).max()) if p.nnz else 0
+    ab = np.zeros((kd + 1, a.shape[0]), order="F")
+    up = p.row <= p.col
+    ab[kd + p.row[up] - p.col[up], p.col[up]] = p.data[up]
+    return perm, ab
 
 
 def dirichlet_block(values: np.ndarray | None, nrhs: int, nd: int) -> np.ndarray:

@@ -136,7 +136,6 @@ class FunctionSpace:
             yq.append(y)
         self.xq = np.array(xq)
         self.yq = np.array(yq)
-        self._mass_solver = None
 
     # -- sizes ---------------------------------------------------------------
 
@@ -345,23 +344,25 @@ class FunctionSpace:
 
     def forward(self, values: np.ndarray) -> np.ndarray:
         """Global L2 projection: values -> modal coefficients (condensed
-        mass solve, like every other direct solve in the code)."""
+        mass solve, like every other direct solve in the code).
+
+        The mass operator lives for this one call: set-up, then one
+        :meth:`load_vector` and one solve per leading row, in row order.
+        A stacked call is the per-row calls, bits and charges, less their
+        repeated set-ups, so project a whole state at once."""
         from .condensation import CondensedOperator
 
-        values = np.asarray(values, dtype=np.float64)
-        if self._mass_solver is None:
-            self._mass_solver = CondensedOperator(self, self.elemental_matrices("mass"))
-        rhs = self.load_vector(values)
-        # Row-by-row substitution, not CondensedOperator.solve: these bits
-        # seed ale_cg's pinned PCG counts (see _solve_by_substitution).
-        solve = self._mass_solver._solve_by_substitution
+        values = self._quadrature_values(values, "forward", "values")
         lead = values.shape[:-2]
-        if lead:
-            out = np.empty(lead + (self.ndof,))
-            for idx in np.ndindex(*lead):
-                out[idx] = solve(rhs[idx])
+        out = np.empty(lead + (self.ndof,))
+        if out.size == 0:
             return out
-        return solve(rhs)
+        mass = CondensedOperator(self, self.elemental_matrices("mass"))
+        for idx in np.ndindex(*lead):
+            # Substitution, not CondensedOperator.solve: these bits seed
+            # ale_cg's pinned PCG counts (see _solve_by_substitution).
+            out[idx] = mass._solve_by_substitution(self.load_vector(values[idx]))
+        return out
 
     def gradient(self, u_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Physical (du/dx, du/dy) at quadrature points from modal coeffs."""

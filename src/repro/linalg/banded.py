@@ -87,10 +87,17 @@ class BandedSPDSolver:
 
     @classmethod
     def from_banded(cls, ab: np.ndarray) -> "BandedSPDSolver":
+        """Factor the upper band ``ab`` (:func:`to_banded`'s layout).
+
+        A writeable Fortran-ordered float64 ``ab`` is factored in place and
+        owned by the solver from then on: the caller must not reuse it.
+        Any other layout (C-ordered, one-row included) is copied first and
+        left as it was.  The factor is the same to the bit either way."""
         ab = np.asarray(ab, dtype=np.float64)
         kd, n = ab.shape[0] - 1, ab.shape[1]
         self = cls(n=n, kd=kd)
-        self._cb = sla.cholesky_banded(ab, lower=False, check_finite=False)
+        own = ab.flags.f_contiguous and ab.flags.writeable and not ab.flags.c_contiguous
+        self._cb = sla.cholesky_banded(ab, overwrite_ab=own, lower=False, check_finite=False)
         charge(float(n) * kd * kd, 8.0 * (kd + 1) * n, "dpbtrf")
         return self
 

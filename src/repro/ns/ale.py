@@ -113,8 +113,7 @@ class ALENavierStokes2D:
         xq, yq = self.space.coords()
         uf = np.vectorize(lambda x, y: float(u_fn(x, y, 0.0)), otypes=[np.float64])
         vf = np.vectorize(lambda x, y: float(v_fn(x, y, 0.0)), otypes=[np.float64])
-        self.u_hat = self.space.forward(uf(xq, yq))
-        self.v_hat = self.space.forward(vf(xq, yq))
+        self.u_hat, self.v_hat = self.space.forward(np.stack([uf(xq, yq), vf(xq, yq)]))
         self.history.clear()
 
     # -- mesh velocity -----------------------------------------------------------

@@ -105,8 +105,10 @@ class NavierStokes2D:
     def set_initial(self, u_fn: BCFn, v_fn: BCFn) -> None:
         """Project the initial velocity (functions of x, y, t=0)."""
         xq, yq = self.space.coords()
-        self.u_hat = self.space.forward(u_fn(xq, yq, 0.0) * np.ones_like(xq))
-        self.v_hat = self.space.forward(v_fn(xq, yq, 0.0) * np.ones_like(xq))
+        ones = np.ones_like(xq)
+        self.u_hat, self.v_hat = self.space.forward(
+            np.stack([u_fn(xq, yq, 0.0) * ones, v_fn(xq, yq, 0.0) * ones])
+        )
         self.history.clear()
 
     # -- timestep ----------------------------------------------------------------

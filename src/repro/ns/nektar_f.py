@@ -151,14 +151,16 @@ class NekTarF:
     def set_initial(self, u_amp: AmpFn, v_amp: AmpFn, w_amp: AmpFn) -> None:
         """Project initial modal amplitudes (complex functions of x, y)."""
         xq, yq = self.space.coords()
+        vals = np.empty((len(self.my_modes), 3) + xq.shape, dtype=np.complex128)
         for i, m in enumerate(self.my_modes):
-            for hat, amp in ((self.u_hat, u_amp), (self.v_hat, v_amp), (self.w_hat, w_amp)):
-                vals = np.vectorize(
+            for c, amp in enumerate((u_amp, v_amp, w_amp)):
+                vals[i, c] = np.vectorize(
                     lambda x, y: complex(amp(m, x, y, 0.0)), otypes=[np.complex128]
                 )(xq, yq)
-                hat[i] = self.space.forward(vals.real) + 1j * self.space.forward(
-                    vals.imag
-                )
+        # One projection, rows in mode -> (u, v, w) -> (re, im) order.
+        out = self.space.forward(np.stack([vals.real, vals.imag], axis=2))
+        for c, hat in enumerate((self.u_hat, self.v_hat, self.w_hat)):
+            hat[:] = out[:, c, 0] + 1j * out[:, c, 1]
         self.history.clear()
 
     def _mode_bcs(self, m: int) -> list[tuple]:

@@ -18,7 +18,7 @@ from repro.assembly.condensation import CondensedOperator
 from repro.assembly.global_system import AssembledOperator
 from repro.assembly.operators import elemental_helmholtz, elemental_load, elemental_mass
 from repro.assembly.space import FunctionSpace
-from repro.linalg.counters import OpCounter
+from repro.linalg.counters import OpCounter, charge, set_kernel_sampler
 from repro.mesh.generators import bluff_body_mesh, rectangle_quads, rectangle_tris
 from repro.mesh.mesh2d import Mesh2D
 
@@ -69,6 +69,38 @@ def per_element_matrices(space, fn, *args):
 def assert_same_charges(ca: OpCounter, cb: OpCounter) -> None:
     assert ca.snapshot().totals() == cb.snapshot().totals()
     assert ca.snapshot().label_charges() == cb.snapshot().label_charges()
+
+
+def observed(fn):
+    """(result, sampler sequence, counter snapshot) of one call."""
+    seq = []
+    set_kernel_sampler(lambda flops, nbytes, label: seq.append((flops, nbytes, label)))
+    try:
+        with OpCounter() as counter:
+            result = fn()
+    finally:
+        set_kernel_sampler(None)
+    return result, seq, counter.snapshot()
+
+
+def mass_setup(space):
+    """The set-up :meth:`FunctionSpace.forward` pays on every call."""
+    return CondensedOperator(space, space.elemental_matrices("mass"))
+
+
+def cut_once(seq: list, part: list) -> list:
+    """``seq`` with its one contiguous run equal to ``part`` cut out."""
+    n = len(part)
+    hits = [i for i in range(len(seq) - n + 1) if seq[i : i + n] == part]
+    assert len(hits) == 1
+    return seq[: hits[0]] + seq[hits[0] + n :]
+
+
+def replayed(seq: list) -> OpCounter:
+    with OpCounter() as counter:
+        for entry in seq:
+            charge(*entry)
+    return counter
 
 
 @given(
@@ -136,7 +168,8 @@ def test_condensation_matches_per_element(kind, order, lam, seed):
 @settings(max_examples=10, deadline=None)
 def test_multi_field_matches_single_field(order, nfields, seed):
     """Leading batch axes give exactly the stacked single-field results
-    and charge exactly ``nfields`` single-field sweeps."""
+    and, net of ``forward``'s mass set-ups, charge exactly ``nfields``
+    single-field sweeps."""
     space = FunctionSpace(mixed_mesh(), order)
     u = np.random.default_rng(seed).standard_normal((nfields, space.ndof))
 
@@ -152,16 +185,19 @@ def test_multi_field_matches_single_field(order, nfields, seed):
             space.forward(vals),
         )
 
-    space.forward(space.backward(u[0]))  # build the mass solver up front
-    with OpCounter() as cm:
-        multi = sweep(u)
+    _, setup, _ = observed(lambda: mass_setup(space))
+    multi, seq_m, snap_m = observed(lambda: sweep(u))
     assert multi[0].shape == (nfields, space.nelem, space.nq)
-    with OpCounter() as cs:
-        singles = [sweep(u[i]) for i in range(nfields)]
-    for i, single in enumerate(singles):
+    assert snap_m == replayed(seq_m).snapshot()
+    runs = [observed(lambda i=i: sweep(u[i])) for i in range(nfields)]
+    for i, (single, _, _) in enumerate(runs):
         for m, s in zip(multi, single):
             np.testing.assert_allclose(m[i], s, rtol=0.0, atol=1e-12)
-    assert_same_charges(cm, cs)
+    # ``forward`` builds its mass operator per call: the stacked sweep
+    # pays one set-up and the singles one each.  Net of those set-ups,
+    # the charges are exactly ``nfields`` single-field sweeps.
+    singles_net = [entry for _, seq, _ in runs for entry in cut_once(seq, setup)]
+    assert_same_charges(replayed(cut_once(seq_m, setup)), replayed(singles_net))
 
 
 def test_forward_projection_matches_per_element():

@@ -29,11 +29,11 @@ import pytest
 from repro.assembly.condensation import CondensedOperator
 from repro.assembly.space import ElementalMatrices, FunctionSpace
 from repro.linalg.banded import BandedSPDSolver
-from repro.linalg.counters import OpCounter, charge, set_kernel_sampler
+from repro.linalg.counters import charge
 from repro.mesh.generators import rectangle_quads, rectangle_tris
 from repro.solvers.helmholtz import HelmholtzDirect
 
-from .test_batched_equivalence import mixed_mesh
+from .test_batched_equivalence import mixed_mesh, observed
 
 
 class RestackingOperator(CondensedOperator):
@@ -100,18 +100,6 @@ MESHES = {
 ORDERS = [2, 3, 4, 5, 6, 7, 8]
 # Prescribed boundary dofs: none, every third, all (``solver is None``).
 PRESCRIBED = {"none": lambda nb: [], "some": lambda nb: range(0, nb, 3), "all": range}
-
-
-def observed(fn):
-    """(result, sampler sequence, counter snapshot) of one call."""
-    seq = []
-    set_kernel_sampler(lambda flops, nbytes, label: seq.append((flops, nbytes, label)))
-    try:
-        with OpCounter() as counter:
-            result = fn()
-    finally:
-        set_kernel_sampler(None)
-    return result, seq, counter.snapshot()
 
 
 def built(cls, space, dirichlet, monkeypatch):
