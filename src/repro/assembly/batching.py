@@ -122,10 +122,14 @@ class ElementBatch:
         )
 
     @cached_property
-    def dxi_em(self) -> tuple[np.ndarray, ...]:
-        """``dxi_stacks`` as element-middle (1, n1, ng, n1) blocks."""
+    def dxi_em(self) -> np.ndarray:
+        """``dxi`` as one contiguous (2, 2, 1, n1, ng, n1) block of
+        element-middle factors: ``dxi_em[a, b]`` is d(xi_a)/d(x_b), so
+        ``dxi_em[0]``, ``dxi_em[1]``, ``dxi_em[:, 0]`` and
+        ``dxi_em[:, 1]`` are the metric stage's stacked operands as views."""
         tl = self.exp.tensor_layout()
-        return tuple(_element_middle(tl, g) for g in self.dxi_stacks)
+        block = _element_middle(tl, self.dxi.transpose(1, 2, 0, 3))
+        return block.reshape((2, 2, 1) + block.shape[1:])
 
     @cached_property
     def jw_em(self) -> np.ndarray:

@@ -155,22 +155,23 @@ def _coefficient_tensors(b, u: np.ndarray) -> np.ndarray:
 
 # repro: waive[accounting] charged by its caller's call_tape (apply_operator_batched, diagonal_operator_batched, the FunctionSpace transforms)
 def _fast(x: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """``x[l, a, e, k]`` contracted with ``table[k, m]`` along the fast
-    axis, (L, a, ng, k) -> (L, a, ng, m): one (L·a·ng, k) @ (k, m)
-    GEMM (a transposed ``table`` view goes in as BLAS's transpose
-    flag)."""
-    L, a, ng, k = x.shape
-    return (x.reshape(L * a * ng, k) @ table).reshape(L, a, ng, table.shape[1])
+    """``x[..., l, a, e, k]`` contracted with ``table[..., k, m]`` along
+    the fast axis, (..., L, a, ng, k) -> (..., L, a, ng, m): one
+    (L·a·ng, k) @ (k, m) GEMM per stacked table (a transposed ``table``
+    view goes in as BLAS's transpose flag)."""
+    L, a, ng, k = x.shape[-4:]
+    out = x.reshape(x.shape[:-4] + (L * a * ng, k)) @ table
+    return out.reshape(out.shape[:-2] + (L, a, ng, table.shape[-1]))
 
 
 # repro: waive[accounting] charged by its caller's call_tape (apply_operator_batched, diagonal_operator_batched, the FunctionSpace transforms)
 def _slow(table: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``table[m, a]`` contracted with ``x[l, a, e, k]`` along the slow
-    axis, (L, a, ng, k) -> (L, m, ng, k): one (m, a) @ (a, ng·k) GEMM
-    per leading row."""
-    L, a, ng, k = x.shape
-    out = np.matmul(table, x.reshape(L, a, ng * k))
-    return out.reshape(L, table.shape[0], ng, k)
+    """``table[..., m, a]`` contracted with ``x[..., l, a, e, k]`` along
+    the slow axis, (..., L, a, ng, k) -> (..., L, m, ng, k): one
+    (m, a) @ (a, ng·k) GEMM per stacked table and leading row."""
+    L, a, ng, k = x.shape[-4:]
+    out = np.matmul(table[..., None, :, :], x.reshape(x.shape[:-4] + (L, a, ng * k)))
+    return out.reshape(out.shape[:-3] + (L, table.shape[-2], ng, k))
 
 
 def _forward(ct: np.ndarray, right: np.ndarray, left_t: np.ndarray) -> np.ndarray:
@@ -178,7 +179,8 @@ def _forward(ct: np.ndarray, right: np.ndarray, left_t: np.ndarray) -> np.ndarra
     ``ct`` of C^T tensors: the (L, n1, ng, n1) values at the quadrature
     points.  ``right`` tabulates the xi1 (fast, index i) direction,
     ``left_t`` is the transposed table of the xi2 (slow, j) direction;
-    the fast axis is contracted first."""
+    the fast axis is contracted first.  Stacked tables give a stack of
+    value blocks, one per table pair."""
     return _slow(left_t, _fast(ct, right))
 
 
@@ -192,40 +194,6 @@ def _adjoint(v: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
     return _fast(_slow(left, v), right.T)
 
 
-def _laplacian_tensors(b, tl, ct: np.ndarray, tb: np.ndarray) -> np.ndarray:
-    """Weak Laplacian D^T (jw G) D u, as an (L, P+1, ng, P+1) block:
-    reference gradients, metric contraction, adjoint derivative inner
-    products.  ``tb`` is ``ct`` contracted with ``b1``.
-
-    The ``del``s are for the block path: there each dead block is
-    ~100 KB, and a heap that peaks half a megabyte higher is trimmed at
-    the end of every call and faulted back in by the next (a 6-column
-    apply reads 30 % slower without them).
-    """
-    r1 = _forward(ct, tl.d1, tl.b1t)  # d/dxi1
-    r2 = _slow(tl.d1t, tb)  # d/dxi2
-    g11, g12, g21, g22 = b.dxi_em  # g[a][b] = d xi_a / d x_b
-    dx = r1 * g11 + r2 * g21
-    dy = r1 * g12 + r2 * g22
-    del r1, r2
-    t1 = b.jw_em * (g11 * dx + g12 * dy)
-    t2 = b.jw_em * (g21 * dx + g22 * dy)
-    del dx, dy
-    out = _adjoint(t1, tl.b1, tl.d1)
-    del t1
-    out += _adjoint(t2, tl.d1, tl.b1)
-    return out
-
-
-def _mass_tensors(b, tl, tb: np.ndarray, scale: float) -> np.ndarray:
-    """(phi_m, scale * jw * u) as an (L, P+1, ng, P+1) block: backward
-    (the second half of it: ``tb`` is ``ct`` contracted with ``b1``),
-    weight, adjoint."""
-    vals = _slow(tl.b1t, tb)
-    w = b.jw_em if scale == 1.0 else b.scaled_jw(scale)
-    return _adjoint(w * vals, tl.b1, tl.b1)
-
-
 def apply_operator_batched(
     b, u: np.ndarray, kind: str, lam: float = 0.0
 ) -> np.ndarray:
@@ -237,31 +205,56 @@ def apply_operator_batched(
     ride along.
 
     One pass: evaluate to the quadrature grid, multiply the metric,
-    contract back.  Everything that does not depend on ``u`` — the 1-D
-    tables, the dofs, signs and metric as element-middle blocks, the
-    read-out table, the charge tape — sits on the batch
-    and its expansion's tensor layout; every array made here is the
-    call's own, so concurrent applies on one space do not meet.  The
-    arithmetic is that of a gradient / backward transform and a weak
-    right-hand side composed, with ``C^T b1`` (the xi2 derivative leg and
-    the mass term's backward transform both start from it) computed once
-    and the adjoint tensors summed before the one read-out to modal
-    order; the tape charges contraction by contraction what that
-    composition charged (the shared product at both places that used to
-    compute it), so ledgers and kernel samplers do not see the
-    difference.
+    contract back.  Everything that does not depend on ``u`` — the
+    stacked 1-D tables, the dofs, signs and metric as element-middle
+    blocks, the read-out table, the charge tape — sits on the batch and
+    its expansion's tensor layout; every array made here is the call's
+    own, so concurrent applies on one space do not meet.
+
+    The legs — the xi2 derivative, the xi1 derivative and the mass
+    term, the entries of ``tl.bdb`` / ``tl.dbb_t`` — run side by side:
+    each contraction stage is one stacked matmul (one dgemm per leg,
+    of the shape a lone leg's call has), and the metric stage works on
+    stacked blocks.  The per-point products and sums, and the summing
+    of the adjoint tensors before the one read-out to modal order, are
+    those of a gradient / backward transform and a weak right-hand
+    side composed; the tape charges contraction by contraction what that
+    composition charged (``C^T b1``, which two legs start from, at both
+    places), so ledgers and kernel samplers do not see the difference.
+
+    The metric stage writes over the value stack it reads, and the
+    ``del``s drop each dead stack before the next one is made: on the
+    block path a stack is hundreds of KB, and a heap that peaks higher
+    is trimmed at the end of every call and faulted back in by the next.
     """
     check_kind(kind)
     tl = b.exp.tensor_layout()
-    ct = _coefficient_tensors(b, u)
-    tb = _fast(ct, tl.b1)
     mass = _mass_flops(kind, lam)
+    legs = slice(2, 3) if kind == "mass" else slice(0, 3 if mass else 2)
+    fwd, back = tl.bdb[legs], tl.dbb_t[legs]
+    vals = _forward(_coefficient_tensors(b, u), fwd, back)
+    if kind != "mass":
+        g = b.dxi_em  # g[a, b] = d xi_a / d x_b
+        # (dx, dy) = r1 (g11, g12) + r2 (g21, g22), r1 = vals[1], r2 = vals[0]
+        d = vals[1] * g[0]
+        d += vals[0] * g[1]
+        # (t1, t2) = jw ((g11, g21) dx + (g12, g22) dy), over r2 and r1
+        t = vals[:2]
+        np.multiply(g[:, 0], d[0], out=t)
+        t += g[:, 1] * d[1]
+        t *= b.jw_em
+        del d
+    if mass:
+        scale = 1.0 if kind == "mass" else lam
+        vals[-1] *= b.jw_em if scale == 1.0 else b.scaled_jw(scale)
+    z = _fast(_slow(fwd, vals), back)
+    del vals
     if kind == "mass":
-        out = _mass_tensors(b, tl, tb, 1.0)
+        out = z[0]
     else:
-        out = _laplacian_tensors(b, tl, ct, tb)
+        out = z[0] + z[1]
         if mass:
-            out += _mass_tensors(b, tl, tb, lam)
+            out += z[2]
     charge_tape(call_tape(b, math.prod(u.shape[:-1]), kind, mass))
     return _modal(b, out, u.shape[:-1])
 
@@ -285,7 +278,7 @@ def diagonal_operator_batched(b, kind: str, lam: float = 0.0) -> np.ndarray:
         out = _adjoint(jw, b2, b2)
         call = "diagonal mass"
     else:
-        g11, g12, g21, g22 = b.dxi_em
+        (g11, g12), (g21, g22) = b.dxi_em
         w_aa = jw * (g11**2 + g12**2)
         w_ab = 2.0 * jw * (g11 * g21 + g12 * g22)
         w_bb = jw * (g21**2 + g22**2)

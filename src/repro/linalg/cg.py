@@ -19,6 +19,7 @@ built once per solve from the kernels' own formulas
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -134,7 +135,7 @@ def pcg(
         # p = z + beta p
         p *= beta
         p += z
-        resid = float(np.linalg.norm(r)) / bnorm
+        resid = math.sqrt(r.dot(r)) / bnorm  # np.linalg.norm's own expression
         charge_tape(tape)
 
     return _observe(CGResult(x, maxiter, resid, resid <= tol))

@@ -6,7 +6,10 @@ The paper times every application with one protocol — ``clock()`` and
 solver (Figure 12), NekTar-F (Figures 13-14) and NekTar-ALE (Figures
 15-16) therefore all open each stage with :class:`StageScope`, so
 their host timers, per-stage op counts, stage tags, virtual-machine
-charges and trace spans come from the same instrument.
+charges and trace spans come from the same instrument.  A stage sums
+its own charges in a counter of its own only when something reads
+them — a virtual CPU that prices the stage, or a tracer's span — so an
+unpriced, untraced stage's charges walk one counter fewer.
 """
 
 from __future__ import annotations
@@ -71,9 +74,14 @@ class StageScope:
     * with a tracer installed, one ``stage`` span on the tracer's clock
       with args ``flops``/``bytes``, plus ``cpu``/``wall`` when virtual.
 
-    This entry's charges are summed from zero in a counter of their
-    own: some charges are thirds, so a difference of two ``stage_ops``
-    totals would price a stage by what had been charged before it.
+    A priced or traced entry sums its charges from zero in a counter of
+    its own: some charges are thirds, so a difference of two
+    ``stage_ops`` totals would price a stage by what had been charged
+    before it.  Any other entry opens no such counter (every charge
+    walks each open counter, and nothing would read it), so inside it
+    the innermost counter is ``solver.stage_ops[name]`` itself; either
+    way ``stage_ops`` and every enclosing counter receive the same
+    charges in the same order.
     """
 
     def __init__(self, solver, name: str):
@@ -90,12 +98,11 @@ class StageScope:
             self._w0 = comm.wall
             self._c0 = comm.cpu_time
         obs.push_stage(self.name)
-        self._ops = OpCounter()
-        self._scopes = (
-            solver.timer.stage(self.name),
-            solver.stage_ops[self.name],
-            self._ops,
-        )
+        self._scopes: list = [solver.timer.stage(self.name), solver.stage_ops[self.name]]
+        priced = comm is not None and solver.charge_compute
+        self._ops = OpCounter() if tracer is not None or priced else None
+        if self._ops is not None:
+            self._scopes.append(self._ops)
         for scope in self._scopes:
             scope.__enter__()
         return self
@@ -110,7 +117,7 @@ class StageScope:
                 # Priced before the tag is popped and the span is
                 # stamped, so observers see the compute inside its
                 # stage.
-                if self.solver.charge_compute:
+                if ops is not None and self.solver.charge_compute:
                     comm.compute_flops(ops.flops)
                 virtual = {"cpu": comm.cpu_time - self._c0, "wall": comm.wall - self._w0}
                 self.solver.virtual.add(self.name, **virtual)
@@ -119,7 +126,7 @@ class StageScope:
             # crash fires: the rank dies here, with its tag popped and
             # no span for the stage it did not finish.
             obs.pop_stage()
-        if self._tracer is not None:
+        if self._tracer is not None and ops is not None:
             args = {**virtual, "flops": ops.flops, "bytes": ops.bytes}
             self._tracer.emit_span(
                 self.name, "stage", self._t0, self._tracer.clock(), args

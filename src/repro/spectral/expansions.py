@@ -313,7 +313,15 @@ class _TensorLayout:
             raise ValueError("modes do not fill the (P+1) x (P+1) tensor")
         self.ct_perm = np.argsort(flat)
         self.b1t, self.d1t = self.b1.T, self.d1.T
-        for table in (self.b1, self.d1, self.pq, self.ct_perm):
+        # The operator apply's stacked tables, one entry per leg (the
+        # xi2 derivative, the xi1 derivative, the mass term): a forward
+        # contraction runs fast through ``bdb`` and slow through
+        # ``dbb_t``, an adjoint one slow through ``bdb`` and fast
+        # through ``dbb_t``.  Contiguous, transposes included, so each
+        # leg is one dgemm of a stacked matmul.
+        self.bdb = np.stack([self.b1, self.d1, self.b1])
+        self.dbb_t = np.stack([self.d1t, self.b1t, self.b1t])
+        for table in (self.b1, self.d1, self.pq, self.ct_perm, self.bdb, self.dbb_t):
             table.setflags(write=False)
         # (flops, bytes) one element is charged for each dgemm of a
         # forward contraction (C^T @ right, then left^T @ that) and of

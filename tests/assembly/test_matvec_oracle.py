@@ -20,6 +20,7 @@ makes one small product per element), so
   survive a last-bit change of a matvec).
 """
 
+import math
 import re
 import sys
 import threading
@@ -27,6 +28,7 @@ import threading
 import numpy as np
 import pytest
 
+from repro.assembly import matrix_free
 from repro.assembly.space import FunctionSpace
 from repro.linalg import blas
 from repro.linalg.counters import OpCounter, set_kernel_sampler
@@ -102,7 +104,8 @@ KIND_LAM = [
     for kind in ("mass", "laplacian", "helmholtz")
     for lam in (0.0, 1.0, 3000.0)
 ]
-LEADS = [(), (2,), (2, 3)]
+# A NekTar-F rank that holds no Fourier mode applies on a size-0 axis.
+LEADS = [(), (2,), (2, 3), (0,), (2, 0)]
 
 
 def observed(fn):
@@ -138,7 +141,7 @@ def test_apply_matches_frozen_composition(mesh_name, order):
     for key, (got, got_seq, got_snap), (want, want_seq, want_snap) in cases(
         mesh_name, order
     ):
-        scale = float(np.max(np.abs(want))) or 1.0
+        scale = float(np.max(np.abs(want), initial=0.0)) or 1.0
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13 * scale, err_msg=str(key))
         assert got_seq == want_seq, key
         assert got_snap == want_snap, key  # totals, per label, and calls
@@ -150,6 +153,66 @@ def test_apply_matches_frozen_composition(mesh_name, order):
 def test_apply_same_bits_as_frozen_composition(mesh_name, order):
     for key, (got, _, _), (want, _, _) in cases(mesh_name, order):
         assert got.tobytes() == want.tobytes(), key
+
+
+# -- the stacked contractions --------------------------------------------------
+
+
+def same_bits(got, want):
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.same_bits
+@pytest.mark.parametrize("order", [2, 3, 4, 5, 6, 7, 8])
+def test_stacked_matmul_is_the_per_table_products_bit_for_bit(order):
+    """Each contraction stage of the apply is one stacked ``np.matmul``
+    over the layout's ``bdb`` / ``dbb_t`` tables.  Its bits rest on
+    numpy making one dgemm per stacked matrix, of the (m, n, k) a lone
+    table's 2-D product has, and on a contiguous transposed table
+    giving what a transposed view (BLAS's transpose flag) gives.  A
+    numpy or BLAS build that breaks either fails here, by name, rather
+    than as drift of the ALE solver's PCG counts."""
+    space = FunctionSpace(rectangle_quads(3, 3), order)
+    (b,) = space.batches()
+    tl = b.exp.tensor_layout()
+    a, k, ng = tl.np1, tl.n1, b.ng
+    legs = (tl.b1, tl.d1, tl.b1)  # bdb entry by entry; dbb_t is (d1, b1, b1) transposed
+    views = (tl.d1.T, tl.b1.T, tl.b1.T)
+    rng = np.random.default_rng(order)
+    for lead in ((), (2,), (2, 3)):
+        L = math.prod(lead)
+        ct = rng.standard_normal((L, a, ng, a))
+        got = matrix_free._fast(ct, tl.bdb)  # forward, fast axis
+        for s, table in enumerate(legs):
+            assert same_bits(got[s], (ct.reshape(L * a * ng, a) @ table).reshape(L, a, ng, k))
+        x = rng.standard_normal((3, L, a, ng, k))
+        got = matrix_free._slow(tl.dbb_t, x)  # forward, slow axis
+        for s, row in np.ndindex(3, L):
+            want = views[s] @ x[s, row].reshape(a, ng * k)
+            assert same_bits(got[s, row], want.reshape(k, ng, k)), (lead, s, row)
+        y = rng.standard_normal((3, L, k, ng, k))
+        got = matrix_free._slow(tl.bdb, y)  # adjoint, slow axis
+        for s, row in np.ndindex(3, L):
+            want = legs[s] @ y[s, row].reshape(k, ng * k)
+            assert same_bits(got[s, row], want.reshape(a, ng, k)), (lead, s, row)
+        z = rng.standard_normal((3, L, a, ng, k))
+        got = matrix_free._fast(z, tl.dbb_t)  # adjoint, fast axis
+        for s, view in enumerate(views):
+            want = z[s].reshape(L * a * ng, k) @ view
+            assert same_bits(got[s], want.reshape(L, a, ng, a)), (lead, s)
+
+
+def test_metric_factors_are_one_block_the_metric_stage_views():
+    space = FunctionSpace(annulus_mesh(6, 1), 4)
+    (b,) = space.batches()
+    tl = b.exp.tensor_layout()
+    g = b.dxi_em
+    assert g.shape == (2, 2, 1, tl.n1, b.ng, tl.n1) and g.flags.c_contiguous
+    for i, j in np.ndindex(2, 2):
+        want = matrix_free._element_middle(tl, b.dxi[:, i, j])
+        assert same_bits(g[i, j], want)
+    for stack in (g[0], g[1], g[:, 0], g[:, 1]):  # what the apply's metric stage reads
+        assert np.shares_memory(stack, g)
 
 
 def test_mixed_mesh_triangles_still_use_the_tabulated_stacks():

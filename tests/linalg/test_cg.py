@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.linalg.cg import pcg, pcg_block
 from repro.linalg.counters import OpCounter
@@ -120,3 +123,24 @@ def test_pcg_block_is_one_pcg_per_row():
     assert results[1].iterations == 0
     with pytest.raises(ValueError, match="RHS block"):
         pcg_block(lambda v: a @ v, b[0], np.diag(a))
+
+
+@given(
+    hnp.arrays(
+        np.float64,
+        st.integers(0, 40),
+        elements=st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True),
+    )
+)
+@example(np.zeros(5))
+@example(np.full(7, 5e-324))  # subnormals: r.r underflows to zero
+@example(np.full(3, 1e300))  # r.r overflows to inf
+@example(np.array([1e154, 3e-160, -0.0]))
+@settings(max_examples=200, deadline=None)
+def test_residual_norm_is_linalg_norm_bit_for_bit(r):
+    """pcg's residual norm, math.sqrt(r.dot(r)), is what np.linalg.norm
+    evaluates for a 1-D float64 array, so iterates and counts do not
+    move by a bit."""
+    with np.errstate(over="ignore"):
+        got, want = np.float64(math.sqrt(r.dot(r))), np.float64(np.linalg.norm(r))
+    assert got.tobytes() == want.tobytes()

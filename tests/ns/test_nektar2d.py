@@ -12,15 +12,23 @@ from repro.ns.stages import STAGES
 from repro.obs import scoped
 
 
-def kovasznay_solver(P=7, dt=2e-3):
+def kovasznay_solver(P=7, dt=2e-3, outflow=True):
+    """Kovasznay's domain and data.  With ``outflow`` the right side is
+    a natural outflow with p = 0 there, which Kovasznay flow does not
+    satisfy (du/dx != 0 at x = 1): the solver relaxes to a steady state
+    of its own, ~1e-3 away in L2.  Without it the velocity is Dirichlet
+    on all four sides and the pressure pinned, the set-up of
+    ``test_kovasznay.py``, where Kovasznay flow is the discrete steady
+    state to the spatial error."""
     kv = Kovasznay(40.0)
     mesh = rectangle_quads(2, 2, -0.5, 1.0, -0.5, 0.5)
     space = FunctionSpace(mesh, P)
     bc_u = lambda x, y, t: float(kv.u(x, y))  # noqa: E731
     bc_v = lambda x, y, t: float(kv.v(x, y))  # noqa: E731
-    bcs = {t: (bc_u, bc_v) for t in ("left", "top", "bottom")}
+    tags = ("left", "top", "bottom") if outflow else ("left", "right", "top", "bottom")
+    bcs = {t: (bc_u, bc_v) for t in tags}
     ns = NavierStokes2D(
-        space, kv.nu, dt, bcs, pressure_dirichlet=("right",), time_order=2
+        space, kv.nu, dt, bcs, pressure_dirichlet=("right",) if outflow else (), time_order=2
     )
     ns.set_initial(lambda x, y, t: kv.u(x, y), lambda x, y, t: kv.v(x, y))
     return ns, kv, space
@@ -47,22 +55,25 @@ def test_invalid_parameters():
 
 
 def test_kovasznay_stays_on_exact_solution():
-    # Initialised at the exact steady solution, the solver must stay there.
-    ns, kv, space = kovasznay_solver(P=7, dt=2e-3)
+    # Initialised at the exact steady solution, the solver must stay
+    # there: with Dirichlet velocity on every side it is the discrete
+    # steady state, up to the P = 7 spatial error (3.8e-7 in u, 9.2e-7
+    # in v after 20 steps).
+    ns, kv, space = kovasznay_solver(P=7, dt=2e-3, outflow=False)
     xq, yq = space.coords()
     ns.run(20)
     u, v = ns.velocity()
     err_u = space.norm_l2(u - kv.u(xq, yq))
     err_v = space.norm_l2(v - kv.v(xq, yq))
-    # Splitting error floor at dt = 2e-3; the flow must not drift away.
-    assert err_u < 1e-3
-    assert err_v < 1e-3
+    assert err_u < 1e-5
+    assert err_v < 1e-5
 
 
 def test_kovasznay_convergence_from_perturbed_state():
-    ns, kv, space = kovasznay_solver(P=6, dt=2e-3)
+    ns, kv, space = kovasznay_solver(P=6, dt=2e-3, outflow=False)
     xq, yq = space.coords()
-    # Perturb the initial state; the flow should relax towards Kovasznay.
+    # Perturb the initial state; the flow should relax back to Kovasznay,
+    # its discrete steady state.
     ns.set_initial(
         lambda x, y, t: kv.u(x, y) + 0.05 * np.sin(np.pi * y),
         lambda x, y, t: kv.v(x, y),

@@ -3,21 +3,24 @@
 counts, tag the thread with their stage and emit the same stage spans.
 """
 
+import contextlib
+
 import numpy as np
 import pytest
 
 from repro.apps.serial_bluff import reduced_solver
 from repro.assembly.space import FunctionSpace
-from repro.linalg.counters import OpCounter
+from repro.linalg.counters import OpCounter, active_counter, charge
 from repro.machines.catalog import CPUS
 from repro.machines.network import NetworkModel
 from repro.mesh.generators import rectangle_quads
 from repro.ns.nektar_f import NekTarF
-from repro.ns.stages import STAGES
+from repro.ns.stages import STAGES, StageScope
 from repro.obs import tracer as obs
 from repro.obs.tracer import Trace
 from repro.parallel.faults import CrashSpec, FaultPlan, RankFailure
 from repro.parallel.simmpi import VirtualCluster
+from repro.util.timing import StageTimer
 
 from .test_ale import make_solver, wobble
 
@@ -172,3 +175,84 @@ def test_timed_crash_inside_a_stage_leaves_no_stale_tag():
         died_mid_step += len(spans) % len(STAGES) != 0
     assert not stale
     assert died_mid_step > 20, "the sweep no longer crashes inside steps"
+
+
+class _Comm:
+    """What StageScope reads off a rank's comm, recording what it prices."""
+
+    wall = cpu_time = 0.0
+
+    def __init__(self):
+        self.priced = []
+
+    def compute_flops(self, flops):
+        self.priced.append(flops)
+
+
+class _Probe:
+    """The attributes StageScope reads off a solver."""
+
+    def __init__(self, comm=None, charge_compute=False):
+        self.comm, self.charge_compute = comm, charge_compute
+        self.timer, self.virtual = StageTimer(), StageTimer()
+        self.stage_ops = {s: OpCounter() for s in STAGES}
+
+
+# Thirds, so a sum from zero and a difference of running totals differ.
+CHARGES = [(1.0 / 3.0, 8.0 / 3.0, "a"), (2.0 / 3.0, 1.0, "b")] * 5
+
+
+@pytest.mark.parametrize("comm", [None, _Comm()], ids=["host", "unpriced-rank"])
+def test_an_unread_stage_charges_stage_ops_directly(comm):
+    probe = _Probe(comm)
+    name = STAGES[4]
+    with OpCounter() as outer:
+        with StageScope(probe, name):
+            inner = active_counter()
+            for entry in CHARGES:
+                charge(*entry)
+    assert inner is probe.stage_ops[name]
+    assert outer.snapshot() == probe.stage_ops[name].snapshot()
+    assert comm is None or comm.priced == []
+
+
+def test_ale_stages_charge_stage_ops_directly(monkeypatch):
+    ns = _ale()
+    ns.motion = None  # static mesh: the space outlives the step
+    seen = []
+    gradient = ns.space.gradient
+
+    def probed_gradient(u_hat):
+        seen.append(active_counter())
+        return gradient(u_hat)
+
+    monkeypatch.setattr(ns.space, "gradient", probed_gradient)
+    ns.step()
+    want = [ns.stage_ops[s] for s in (STAGES[1], STAGES[1], STAGES[5])]
+    assert [id(c) for c in seen] == [id(c) for c in want]
+
+
+@pytest.mark.parametrize(
+    "traced, priced", [(True, False), (False, True), (True, True)],
+    ids=["traced", "priced", "both"],
+)
+def test_a_read_stage_sums_its_own_charges_from_zero(traced, priced):
+    comm = _Comm()
+    probe = _Probe(comm, charge_compute=priced)
+    name = STAGES[4]
+    for counter in probe.stage_ops.values():
+        counter.flops = counter.bytes = 1e15 / 3.0
+    with OpCounter() as fresh:
+        for entry in CHARGES:
+            charge(*entry)
+    trace = Trace()
+    with obs.install(trace.rank_tracer(0)) if traced else contextlib.nullcontext():
+        with StageScope(probe, name):
+            assert active_counter() is not probe.stage_ops[name]
+            for entry in CHARGES:
+                charge(*entry)
+    assert comm.priced == ([fresh.flops] if priced else [])
+    spans = [e.args for e in trace.events() if e.cat == "stage"]
+    want = [{"cpu": 0.0, "wall": 0.0, "flops": fresh.flops, "bytes": fresh.bytes}]
+    assert spans == (want if traced else [])
+    assert probe.stage_ops[name].calls == len(CHARGES)
