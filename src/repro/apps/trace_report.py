@@ -47,7 +47,7 @@ from ..obs import (
     Trace,
     TraceEvent,
     analyze,
-    idle_by_peer,
+    idle_by_rank,
     load_chrome_trace,
     render_critpath_report,
     scoped,
@@ -243,7 +243,7 @@ def _roofline_table(events: list[TraceEvent], machine: str) -> str:
 def _idle_table(events: list[TraceEvent]) -> str:
     rows = [
         [f"rank {r}", f"{s:.4g}"]
-        for r, s in sorted(idle_by_peer(events).items())
+        for r, s in sorted(idle_by_rank(events).items())
     ]
     if not rows:
         rows = [["(none)", "0"]]

@@ -19,6 +19,28 @@ One subsystem for every measurement signal the reproduction produces
 Emitters do nothing when no tracer is installed and never charge the
 ambient OpCounter, so instrumentation cannot perturb the flop/byte
 accounting it reports on.
+
+A virtual cluster's communication reaches this package through one
+record, ``VirtualCluster.event_log``: kept for a run a tracer, a
+critical-path recorder or the race sanitizer reads, one tuple per priced
+event in host order, holding the values the pricing used.  After the
+ranks are done :func:`repro.obs.tracer.spans_from_log` draws spans from
+it and :meth:`CritPathRecorder.on_run_finish` replays it into the event
+graph and the declared-access table.  Its rows:
+
+* ``("send", rank, stage, dest, tag, nbytes, t_start, ready, wire,
+  overhead, nret, delay, factor, resend_cpu, t_after)``;
+* ``("timeout", rank, source, tag, t0, timeout, attempt)``;
+* ``("recv", rank, stage, source, tag, nbytes, t_entry, t_busy_end,
+  t_after, overhead, waited, busy_wait_fraction, send_row)``;
+* a collective: ``("arrive", rank, stage, kind, seq, t)`` per rank,
+  ``("complete", kind, seq, t_start, t_done, components, meta)`` by
+  the last arriver, ``("release", rank, kind, seq, t_entry, t_sync,
+  t_done, waited, busy_wait_fraction)`` per rank;
+* ``("crash", rank, t)`` and ``("access", rank, op, name, site, key)``
+
+where ``stage`` is the rank's solver stage, ``send_row`` the matching
+send's row and ``key`` the declared object's id.
 """
 
 from .critpath import (
@@ -32,7 +54,7 @@ from .critpath import (
     whatif,
 )
 from .export import (
-    idle_by_peer,
+    idle_by_rank,
     load_chrome_trace,
     stage_breakdown,
     to_chrome_trace,
@@ -69,7 +91,7 @@ __all__ = [
     "observe",
     "scoped",
     "set_gauge",
-    "idle_by_peer",
+    "idle_by_rank",
     "load_chrome_trace",
     "stage_breakdown",
     "to_chrome_trace",

@@ -57,10 +57,11 @@ bandwidth, remove-straggler via per-rank cpu scaling);
 :class:`~repro.machines.network.NetworkModel` using the byte counts and
 participant counts stashed on each edge — no re-run of the cluster.
 
-Charge parity: the recorder reads rank state and appends to its own
-lists — it never touches virtual clocks, byte ledgers or the OpCounter
-(pinned byte-identical by the tier-1 hypothesis tests, like the
-tracer).  The same graph is the race sanitizer's happens-before order:
+Charge parity holds by construction: the recorder builds the graph
+after the ranks are done, by replaying the cluster's event log
+(``VirtualCluster.event_log``, one row per priced event, in host
+order), so nothing it does can reach the run's clocks, byte ledgers or
+OpCounter.  The same graph is the race sanitizer's happens-before order:
 ``VirtualCluster(sanitize=True)`` attaches a recorder, and
 :func:`repro.parallel.sanitizer.happens_before` derives vector clocks
 from its node kinds and edges.
@@ -74,8 +75,6 @@ from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Iterator, NamedTuple, Sequence
 
 import numpy as np
-
-from .tracer import current_stage
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..machines.network import NetworkModel
@@ -552,7 +551,7 @@ def _makespans(t: np.ndarray, parts: list[_Columns]) -> list[list[float]]:
 
 
 # ---------------------------------------------------------------------------
-# Recorder (the simmpi hook surface)
+# Recorder (a replay of the cluster's event log)
 # ---------------------------------------------------------------------------
 
 
@@ -561,10 +560,11 @@ class CritPathRecorder:
 
     Attach via ``VirtualCluster(..., critpath=recorder)``; after the
     run, ``recorder.graph`` holds the priced DAG.  A new ``run()``
-    starts a fresh graph.  Hooks are called from rank threads, but the
-    scheduler runs one rank at a time, so they never interleave.  Each
-    hook appends node columns and plain edge rows; nothing per edge is
-    an object.
+    starts a fresh graph.  The cluster calls :meth:`on_run_begin` before
+    its ranks start and :meth:`on_run_finish` after they are done, which
+    replays the run's event log (``VirtualCluster.event_log``) row by
+    row, in host order; each row appends node columns and plain edge
+    rows; nothing per edge is an object.
     """
 
     def __init__(self) -> None:
@@ -575,15 +575,15 @@ class CritPathRecorder:
         # wire occupancy, protocol overhead and RTO/timeout idle land on
         # the *next* local edge.
         self._pending: list[list[float]] = []
-        # send node -> (latency, wire, rto_idle, nbytes, factor) of the
-        # in-flight message; consumed by the matching recv.
-        self._msg: dict[int, tuple[float, float, float, float, float]] = {}
+        # send row -> (send node, latency, wire, rto_idle, nbytes,
+        # factor) of the in-flight message; consumed by the matching recv.
+        self._msg: dict[int, tuple[int, float, float, float, float, float]] = {}
         # collective key -> arrival nodes
         self._arrivals: dict[tuple[str, int], list[int]] = {}
         # collective key -> (release node, remaining releases)
         self._release: dict[tuple[str, int], list[int]] = {}
         # Declared shared accesses of a sanitized run, in host order:
-        # (rank, rank's last node, op, label, site, obj).  Not part of
+        # (rank, rank's last node, op, name, site, key).  Not part of
         # the graph; ``repro.parallel.sanitizer`` reads them with it.
         self.accesses: list[tuple] = []
 
@@ -603,9 +603,24 @@ class CritPathRecorder:
         ]
 
     def on_run_finish(self, cluster: "VirtualCluster") -> None:
+        """Replay the run's event log, then close every rank's final
+        compute segment (crashed ranks' at their crash clocks)."""
         g = self.graph
         if g is None:
             return
+        replay = {
+            "recv": self._recv,
+            "timeout": self._timeout,
+            "arrive": self._arrive,
+            "complete": self._complete,
+            "release": self._released,
+            "access": self._access,
+        }
+        for i, (what, *fields) in enumerate(cluster.event_log or ()):
+            if what == "send":
+                self._msg[i] = self._send(*fields)
+            elif what in replay:
+                replay[what](*fields)
         for r in range(cluster.nprocs):
             wall = cluster.ranks[r].wall
             self._event(r, "finish", "finish", wall, wall, None)
@@ -656,30 +671,12 @@ class CritPathRecorder:
 
     # -- point-to-point --------------------------------------------------------
 
-    def on_send(
-        self,
-        *,
-        rank: int,
-        dest: int,
-        tag: int,
-        nbytes: float,
-        t_start: float,
-        ready: float,
-        wire: float,
-        overhead: float,
-        nret: int,
-        delay: float,
-        factor: float,
-        resend_cpu: float,
-    ) -> int:
-        """Record a send; returns the node id the mailbox entry carries."""
-        node = self._event(
-            rank, "send", f"send->{dest} tag={tag}", t_start, t_start, current_stage()
-        )
-        # Message-edge split: ready = t_start + delay + factor *
-        # send_time(nbytes); the wire term is factor * nbytes/bw,
-        # the remainder is latency (plus any rendezvous handshake).
-        self._msg[node] = (ready - t_start - delay - wire, wire, delay, nbytes, factor)
+    def _send(
+        self, rank, stage, dest, tag, nbytes, t_start, ready, wire, overhead,
+        nret, delay, factor, resend_cpu, _t_after,
+    ) -> tuple:
+        """A send node; returns the message the matching recv consumes."""
+        node = self._event(rank, "send", f"send->{dest} tag={tag}", t_start, t_start, stage)
         # Sender-side wall costs accrue onto the next local edge: wire
         # occupancy for each copy, protocol CPU (plus kernel resend
         # copies), RTO backoff as idle.
@@ -689,53 +686,45 @@ class CritPathRecorder:
         p[2] += delay
         p[3] += factor * nbytes * (1 + nret)
         p[4] += nbytes * (1 + nret)
-        return node
+        # Message-edge split: ready = t_start + delay + factor *
+        # send_time(nbytes); the wire term is factor * nbytes/bw,
+        # the remainder is latency (plus any rendezvous handshake).
+        return (node, ready - t_start - delay - wire, wire, delay, nbytes, factor)
 
-    def on_recv(
-        self,
-        *,
-        rank: int,
-        source: int,
-        tag: int,
-        nbytes: float,
-        t_busy_end: float,
-        t_after: float,
-        overhead: float,
-        send_node: int | None,
+    def _recv(
+        self, rank, stage, source, tag, nbytes, _t_entry, t_busy_end, t_after,
+        overhead, _waited, _bwf, send_row,
     ) -> None:
+        msg = None if send_row is None else self._msg.pop(send_row)
         node = self._event(
             rank, "recv", f"recv<-{source} tag={tag}", t_after, t_busy_end,
-            current_stage(), overhead, nbytes, send_node,
+            stage, overhead, nbytes, None if msg is None else msg[0],
         )
-        if send_node is not None:
-            lat, wire, delay, mbytes, factor = self._msg.pop(send_node)
+        if msg is not None:
+            send_node, lat, wire, delay, mbytes, factor = msg
             self.graph.edges.append((
                 node, send_node, 0.0, overhead, lat, wire, delay, "message",
                 mbytes, factor * mbytes, mbytes, 0, 1.0, factor,
             ))
 
-    def on_access(self, rank: int, op: str, label: str | None, site: str, obj: Any) -> None:
+    def _access(self, rank: int, op: str, name: str, site: str, key: int) -> None:
         """A declared shared access, placed after the rank's last node."""
-        self.accesses.append((rank, self._last[rank], op, label, site, obj))
+        self.accesses.append((rank, self._last[rank], op, name, site, key))
 
-    def on_wait_burn(self, rank: int, seconds: float) -> None:
+    def _timeout(self, rank, _source, _tag, _t0, timeout, _attempt) -> None:
         """An expired virtual recv timeout burned wall time as idle."""
-        if self.graph is not None:
-            self._pending[rank][2] += seconds
+        self._pending[rank][2] += timeout
 
     # -- collectives -----------------------------------------------------------
 
-    def on_collective_arrive(
-        self, key: tuple[str, int], rank: int, t_arrive: float
-    ) -> None:
-        node = self._event(
-            rank, "arrive", f"{key[0]}#{key[1]}", t_arrive, t_arrive, current_stage()
-        )
-        self._arrivals.setdefault(key, []).append(node)
+    def _arrive(self, rank: int, stage: str | None, kind: str, seq: int, t: float) -> None:
+        node = self._event(rank, "arrive", f"{kind}#{seq}", t, t, stage)
+        self._arrivals.setdefault((kind, seq), []).append(node)
 
-    def on_collective_complete(
+    def _complete(
         self,
-        key: tuple[str, int],
+        kind: str,
+        seq: int,
         t_start: float,
         t_done: float,
         components: dict[str, float],
@@ -749,8 +738,8 @@ class CritPathRecorder:
         """
         g = self.graph
         depth = g.node_depth
-        label = f"{key[0]}#{key[1]}"
-        arrivals = self._arrivals.pop(key, [])
+        label = f"{kind}#{seq}"
+        arrivals = self._arrivals.pop((kind, seq), [])
         sync = g.add_node(-1, "sync", label, t_start)
         g.edges.extend([(sync, a, *_SYNC_TAIL) for a in arrivals])
         if arrivals:
@@ -759,22 +748,18 @@ class CritPathRecorder:
         depth[release] = depth[sync] + 1
         g.edges.append((
             release, sync, *(components.get(r, 0.0) for r in RESOURCES),
-            str(meta.get("kind", key[0])),
+            str(meta.get("kind", kind)),
             *(float(meta.get(f, 0.0)) for f in ("nbytes", "ebytes", "obytes")),
             int(meta.get("n", g.nprocs)), float(meta.get("stretch", 1.0)), 1.0,
         ))
-        self._release[key] = [release, g.nprocs]
+        self._release[kind, seq] = [release, g.nprocs]
 
-    def on_collective_release(self, key: tuple[str, int], rank: int) -> None:
-        if self.graph is None:
-            return
-        entry = self._release.get(key)
-        if entry is None:  # defensive: release without completion
-            return
+    def _released(self, rank: int, kind: str, seq: int, *_span) -> None:
+        entry = self._release[kind, seq]  # its completion row came first
         self._last[rank] = entry[0]
         entry[1] -= 1
         if entry[1] <= 0:
-            del self._release[key]
+            del self._release[kind, seq]
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ __all__ = [
     "write_chrome_trace",
     "load_chrome_trace",
     "stage_breakdown",
-    "idle_by_peer",
+    "idle_by_rank",
 ]
 
 _US = 1.0e6  # seconds -> trace-event microseconds
@@ -163,8 +163,8 @@ def stage_breakdown(
     return timer
 
 
-def idle_by_peer(events: list[TraceEvent]) -> dict[int, float]:
-    """Total idle-wait seconds per rank (sum of ``idle`` span durations)."""
+def idle_by_rank(events: list[TraceEvent]) -> dict[int, float]:
+    """Total idle-wait seconds per waiting rank (sum of its ``idle`` span durations)."""
     out: dict[int, float] = {}
     for ev in events:
         if ev.cat == "idle" and ev.ph == "X":

@@ -2,9 +2,11 @@
 
 Every measurement signal the reproduction already collects
 (:class:`~repro.util.timing.StageTimer` stages, BLAS kernel charges,
-PCG iterations, and simmpi communication events) can emit into one
+PCG iterations, and simmpi communication events) lands in one
 :class:`Trace`, tagged with rank and timestamp, without perturbing the
-signal it observes:
+signal it observes.  Solver-side signals are emitted as they happen;
+a virtual cluster's communication events are drawn after its run, from
+the run's event log (:func:`spans_from_log`):
 
 * **zero-cost when disabled** — emitters read one thread-local slot
   (:func:`current`) and do nothing when no tracer is installed; no
@@ -28,6 +30,7 @@ report CLI key off them):
 * ``comm``   — one send / recv / collective, with byte counts;
 * ``idle``   — the blocking portion of a recv or collective: the
   cpu/wall gap the paper attributes to network inefficiency;
+* ``fault``  — a retransmitted send, an expired recv timeout, a crash;
 * ``kernel`` — a sampled BLAS charge (one event every
   ``sample_every`` charges per label, cumulative totals in ``args``);
 * ``pcg``    — one converged PCG solve (iterations, residual).
@@ -51,6 +54,7 @@ __all__ = [
     "push_stage",
     "pop_stage",
     "current_stage",
+    "spans_from_log",
 ]
 
 ClockFn = Callable[[], float]
@@ -202,11 +206,55 @@ class Trace:
         return len(self.tracers)
 
 
+def spans_from_log(trace: Trace, log: list[tuple]) -> None:
+    """Draw a virtual-cluster run's comm, idle and fault spans and its
+    crash instants from the run's event log, onto the rank tracks.
+
+    ``log`` is ``VirtualCluster.event_log``, rows as :mod:`repro.obs`
+    lists them.  A recv's idle span covers the blocking that ended it: it
+    starts after any expired timeout attempts, each of which is a fault
+    span of its own.  Ranks' solver stages were emitted live;
+    :meth:`Trace.events` orders the two by timestamp.
+    """
+    for row in log:
+        what, rank = row[0], row[1]
+        if what in ("arrive", "complete", "access"):
+            continue  # the event graph's rows
+        tr = trace.rank_tracer(rank)
+        span = tr.emit_span
+        if what == "send":
+            dest, tag, nbytes, t0 = row[3:7]
+            wire, nret, delay, t1 = row[8], row[10], row[11], row[14]
+            if nret:
+                args = {"bytes": nbytes, "tag": tag, "retransmits": nret}
+                span(f"retransmit -> {dest}", "fault", t0, t0 + delay + nret * wire, args)
+            span(f"send -> {dest}", "comm", t0, t1, {"bytes": nbytes, "tag": tag, "dest": dest})
+        elif what == "timeout":
+            _, _, source, tag, t0, timeout, attempt = row
+            args = {"tag": tag, "attempt": attempt, "timeout": timeout}
+            span(f"timeout: recv <- {source}", "fault", t0, t0 + timeout, args)
+        elif what == "recv":
+            source, tag, nbytes, t_entry, t_busy_end, t1, _, waited, bwf = row[3:12]
+            if waited > 0.0:
+                args = {"bytes": nbytes, "source": source, "busy_wait_fraction": bwf}
+                span(f"wait: recv <- {source}", "idle", t_busy_end, t_busy_end + waited, args)
+            args = {"bytes": nbytes, "tag": tag, "source": source, "waited": waited}
+            span(f"recv <- {source}", "comm", t_entry, t1, args)
+        elif what == "release":
+            _, _, kind, seq, t_entry, t_sync, t_done, waited, bwf = row
+            if t_sync > t_entry:  # an early arriver waits for the last rank
+                span(f"wait: {kind}", "idle", t_entry, t_sync, {"busy_wait_fraction": bwf})
+            span(kind, "comm", t_entry, t_done, {"seq": seq, "waited": waited})
+        elif what == "crash":
+            args = {"rank": rank, "t": row[2]}
+            tr.events.append(TraceEvent("crash", "fault", row[2], 0.0, rank, args, ph="i"))
+
+
 # -- thread-local stage stack ---------------------------------------------------
 #
 # ``StageScope`` announces each solver stage here whether or not a
-# tracer is installed, so observers that tag events by NekTar stage (the
-# critical-path recorder) work on untraced runs too.  Per-thread, like
+# tracer is installed, so events tagged by NekTar stage (simmpi's event
+# log, for the critical-path recorder) carry it on untraced runs too.  Per-thread, like
 # the tracer slot: each rank thread keeps its own stack.
 
 

@@ -5,9 +5,9 @@ nondeterminism the AST can see; this module catches the ones it can't —
 two ranks touching the same Python object without a message or
 collective ordering the accesses.  Rank code declares shared-object
 accesses with :meth:`~repro.parallel.simmpi.VirtualComm.shared_read` /
-``shared_write``; ``VirtualCluster(sanitize=True)`` records them next to
-the happens-before event graph its
-:class:`~repro.obs.critpath.CritPathRecorder` already builds, and at
+``shared_write``; ``VirtualCluster(sanitize=True)`` logs them with the run's other
+events; its :class:`~repro.obs.critpath.CritPathRecorder` replays the
+log into the happens-before event graph and the access table, and at
 finalize :func:`happens_before` derives every vector clock from that one
 graph.  Any cross-rank pair of accesses to the same object with at least
 one write and vector clocks unordered by happens-before is a race
@@ -22,9 +22,9 @@ message chain or collective connects them.  In the graph a send, recv
 or arrival is a rank-owned node; a release is the collective's shared
 ``release`` node, ticked by the rank whose next local edge leaves it.
 
-Charge parity: nothing here runs before the ranks have returned, and
-the recorder is a pure observer, so a sanitized run's virtual clocks,
-byte ledgers and op counts equal an unsanitized run's.
+Charge parity: nothing here, and nothing in the recorder, runs before
+the ranks have returned, so a sanitized run's virtual clocks, byte
+ledgers and op counts equal an unsanitized run's.
 """
 
 from __future__ import annotations
@@ -91,8 +91,10 @@ def happens_before(graph: "EventGraph", table: Sequence[tuple]) -> HappensBefore
     """Vector clocks and races of a finished run.
 
     ``table`` holds the run's declared accesses as
-    ``(rank, rank's last graph node, op, label, site, obj)`` rows in
-    host order.  Each rank-owned node is seeded with the rank's tick
+    ``(rank, rank's last graph node, op, name, site, key)`` rows in
+    host order: ``key`` is the object's id (the run's communicators
+    keep every declared object alive, so no id is reused) and ``name``
+    its label.  Each rank-owned node is seeded with the rank's tick
     count there; one max-only sweep over the graph's levels gives every
     node's vector clock, and an access's clock is its last node's with
     the own component advanced to the access's tick.
@@ -133,16 +135,14 @@ def happens_before(graph: "EventGraph", table: Sequence[tuple]) -> HappensBefore
     races: list[Race] = []
     logs: dict[int, tuple[str, list[Access]]] = {}
     seen: Counter = Counter()
-    for r, last, op, label, site, obj in table:
+    for r, last, op, name, site, key in table:
         seen[r, last] += 1
         clock = vc[row[last]].tolist()
         clock[r] = after[r, last] + seen[r, last]
         access = Access(rank=r, op=op, vc=tuple(clock), site=site)
         accesses.append(access)
-        # Identity is the key; the table holds ``obj``, so no id is
-        # reused while the run's accesses are compared.
-        key = id(obj)
-        name, log = logs.setdefault(key, (label or f"{type(obj).__name__}@0x{key:x}", []))
+        # An object's first declaration names it.
+        name, log = logs.setdefault(key, (name, []))
         # ``prior`` ran first on the host, so the only order the graph
         # can hold is prior -> access: the access has seen its tick.
         for prior in log:

@@ -52,6 +52,18 @@ surviving ranks observe a typed
 with it (pending messages it sent earlier still deliver).  With an
 empty plan every fault branch is skipped, so clocks and accounting are
 byte-identical to a cluster constructed without one.
+
+Observers
+---------
+A tracer (``trace=``), a critical-path recorder (``critpath=``) and the
+race sanitizer (``sanitize=True``) read a run only after its ranks are
+done, from ``VirtualCluster.event_log``: one tuple per priced event, in
+host order, holding the values the pricing used.  Comm/idle/fault spans
+(:func:`repro.obs.tracer.spans_from_log`), the event graph and the
+access table (``CritPathRecorder.on_run_finish``) are views of it, so
+no observer can perturb a clock.  An unobserved run keeps no log, only
+the verifier's ring of each rank's last 64 events.  The row layouts are
+listed in :mod:`repro.obs`.
 """
 
 from __future__ import annotations
@@ -70,6 +82,7 @@ from ..machines.network import NetworkModel
 from ..obs import metrics
 from ..obs import tracer as obs
 from ..obs.critpath import CritPathRecorder
+from ..obs.tracer import current_stage, spans_from_log
 from .faults import CrashSpec, FaultPlan, RankFailure, RecvTimeout
 from .sanitizer import DeterminismError, HappensBefore, happens_before
 from .scheduler import EventEngine, SchedulerDeadlock, _PeerFailure
@@ -164,9 +177,7 @@ def payload_bytes(obj: Any) -> int:
     are priced recursively element by element.  Anything else falls
     back to its pickled size.
     """
-    if isinstance(obj, np.ndarray):
-        return int(obj.nbytes)
-    if isinstance(obj, (np.generic, memoryview)):
+    if isinstance(obj, (np.ndarray, np.generic, memoryview)):
         return int(obj.nbytes)
     if isinstance(obj, (bytes, bytearray)):
         return len(obj)
@@ -207,11 +218,9 @@ class _Collective:
     expected: int
     arrived: int = 0
     data: dict[int, Any] = field(default_factory=dict)
-    # rank -> what that rank's arrival contributes to the price (for
-    # alltoall: its max chunk size and its row of loss draws), recorded
-    # at arrival so pricing never has to re-walk the payloads, or
-    # re-draw the losses, of every rank (both are O(P^2) walks).  Gone
-    # with the instance.
+    # rank -> its arrival's share of the price (alltoall: max chunk size
+    # and loss-draw row), so pricing never re-walks the payloads or
+    # re-draws the losses of every rank (both O(P^2)).  Gone with it.
     sizes: dict[int, Any] = field(default_factory=dict)
     t_start: float = 0.0
     t_done: float = 0.0
@@ -247,18 +256,18 @@ class VirtualCluster:
         self.verify = verify
         self.trace = trace
         self.faults = faults
-        # Critical-path recorder: a pure observer of the priced event
-        # graph (repro.obs.critpath).  Same charge-parity contract as
-        # the tracer: never touches virtual clocks, byte ledgers or the
-        # OpCounter.  Sanitizing needs the graph, so it attaches one
-        # when the caller passed none, and also logs declared shared
-        # accesses into it; the race check is a query on the graph at
+        # Critical-path recorder (repro.obs.critpath): builds the priced
+        # event graph from the run's event log once the ranks are done.
+        # Sanitizing needs the graph, so it attaches one when the caller
+        # passed none; the race check is a query on the graph at
         # finalize (``happens_before``, the last sanitized run's).
         self.sanitize = sanitize
         if sanitize and critpath is None:
             critpath = CritPathRecorder()
         self._critpath = critpath
         self.happens_before: HappensBefore | None = None
+        # The last observed run's priced events (see "Observers" above).
+        self.event_log: list[tuple] | None = None
         # Empty plan == no plan: every fault branch keys off this being
         # None, which is what makes the fault layer provably zero-cost.
         self._plan = None if faults is None or faults.is_empty else faults
@@ -434,7 +443,7 @@ class VirtualCluster:
         crashed = set(self._crashed)
         undelivered = 0.0
         for (src, dst, tag), q in sorted(self._mailbox.items()):
-            for _obj, _ready, nbytes, _cp in q:
+            for _obj, _ready, nbytes, _row in q:
                 undelivered += nbytes
                 msg = (
                     f"rank {src} -> rank {dst} tag={tag} "
@@ -469,25 +478,17 @@ class VirtualCluster:
                     problems.append(msg)
         ref = self.ranks[0].coll_kinds
         for r, st in enumerate(self.ranks[1:], start=1):
-            if not crashed:
-                if st.coll_kinds != ref:
-                    problems.append(
-                        f"collective ordering mismatch: rank 0 ran {ref} "
-                        f"but rank {r} ran {st.coll_kinds}"
-                        f"{_code('collective_order')}"
-                    )
-                    break
-            else:
-                # Crashed/aborted ranks legitimately ran a prefix of
-                # the schedule; only a *conflicting* prefix is an error.
-                n = min(len(ref), len(st.coll_kinds))
-                if st.coll_kinds[:n] != ref[:n]:
-                    problems.append(
-                        f"collective ordering mismatch: rank 0 ran {ref} "
-                        f"but rank {r} ran {st.coll_kinds}"
-                        f"{_code('collective_order')}"
-                    )
-                    break
+            # After a crash, crashed/aborted ranks legitimately ran a
+            # prefix of the schedule; only a *conflicting* prefix is an
+            # error.  Otherwise every rank ran the whole schedule.
+            n = min(len(ref), len(st.coll_kinds)) if crashed else None
+            if st.coll_kinds[:n] != ref[:n]:
+                problems.append(
+                    f"collective ordering mismatch: rank 0 ran {ref} "
+                    f"but rank {r} ran {st.coll_kinds}"
+                    f"{_code('collective_order')}"
+                )
+                break
         sent = sum(st.sent_bytes for st in self.ranks)
         recvd = sum(st.recv_bytes for st in self.ranks)
         if crashed:
@@ -530,19 +531,20 @@ class VirtualCluster:
         self._deadlock = None
         self._error_flag = False
         self.happens_before = None
-        if self._critpath is not None:
+        cp = self._critpath
+        # A fresh log per run, kept only when an observer will read it.
+        log: list[tuple] = []
+        self.event_log = None if self.trace is None and cp is None else log
+        if cp is not None:
             # Fresh event graph per run, anchored at the ranks' current
             # clocks (a reused cluster does not restart at zero).
-            self._critpath.on_run_begin(self)
+            cp.on_run_begin(self)
         comms = [VirtualComm(self, r) for r in range(self.nprocs)]
 
         def body(comm: "VirtualComm") -> None:
             st = self.ranks[comm.rank]
-            tracer = (
-                None
-                if self.trace is None
-                else self.trace.rank_tracer(comm.rank, clock=lambda: st.wall)
-            )
+            trace = self.trace
+            tracer = None if trace is None else trace.rank_tracer(comm.rank, lambda: st.wall)
             try:
                 with obs.install(tracer):
                     st.result = fn(comm, *args, **kwargs)
@@ -557,20 +559,18 @@ class VirtualCluster:
 
         try:
             self._engine.run_ranks(comms, body)
-        finally:  # also when the scheduler aborts: no declared object outlives its run
-            if self.sanitize:
-                table, self._critpath.accesses = self._critpath.accesses, []
-        if self._critpath is not None:
-            # Close every rank's final compute segment (including
-            # crashed ranks, frozen at their crash clocks).
-            self._critpath.on_run_finish(self)
+        finally:  # also when the scheduler aborts, the timeline shows it
+            if self.trace is not None:
+                spans_from_log(self.trace, log)
+        if cp is not None:
+            # Replays the log into the graph and closes every rank's
+            # final compute segment (crashed ranks at their crash clocks).
+            cp.on_run_finish(self)
         if self.sanitize:
             # Derived also when a rank raised, so its clocks stay inspectable.
-            self.happens_before = happens_before(self._critpath.graph, table)
-        # Host-scheduler statistics as first-class obs signals, so
-        # perf_report/trace_report show them uniformly (no-ops when no
-        # registry is active).  Deterministic host-side counts: they
-        # never touch the virtual clocks.
+            self.happens_before = happens_before(cp.graph, cp.accesses)
+        # Host-scheduler statistics as obs signals (no-ops when no registry
+        # is active): deterministic host-side counts, never virtual clocks.
         for _skey, _sval in sorted(self._engine.stats().items()):
             metrics.set_gauge(_skey, _sval)
         if self.trace is not None:
@@ -630,6 +630,7 @@ class VirtualComm:
         self._crash_spec: CrashSpec | None = (
             None if plan is None else plan.crash_for(rank)
         )
+        self._declared: list[Any] = []  # kept for the run: no id is reused
 
     # -- clock ------------------------------------------------------------------
 
@@ -704,8 +705,12 @@ class VirtualComm:
         if not cl.sanitize:
             return
         frame = sys._getframe(2)
-        site = f"{frame.f_code.co_filename}:{frame.f_lineno}"
-        cl._critpath.on_access(self.rank, op, label, site, obj)
+        self._declared.append(obj)
+        key = id(obj)
+        cl.event_log.append((
+            "access", self.rank, op, label or f"{type(obj).__name__}@0x{key:x}",
+            f"{frame.f_code.co_filename}:{frame.f_lineno}", key,
+        ))
 
     def shared_read(self, obj: Any, label: str | None = None) -> Any:
         """Declare a read of an object other ranks may also touch.
@@ -735,15 +740,12 @@ class VirtualComm:
         self._st.crashed = True
         cl._crashed[self.rank] = self._st.wall
         self._st.trace.append(("crashed", self._st.wall))
+        if cl.event_log is not None:
+            cl.event_log.append(("crash", self.rank, self._st.wall))
         # Broadcast: any rank blocked on the dead rank must wake to
         # observe the failure through its probe.
         cl._engine.notify_all()
         metrics.inc("faults.crashes")
-        tracer = obs.current()
-        if tracer is not None:
-            tracer.emit_instant(
-                "crash", "fault", {"rank": self.rank, "t": self._st.wall}
-            )
         raise _InjectedCrash(self.rank, self._st.wall)
 
     def _check_peer_alive(self, peer: int) -> None:
@@ -799,7 +801,6 @@ class VirtualComm:
         if plan is not None:
             self._maybe_crash()
             self._check_peer_alive(dest)
-        tracer = obs.current()
         net = cl.pair_network(self.rank, dest)
         nbytes = payload_bytes(obj)
         t_start = self._st.wall
@@ -809,11 +810,8 @@ class VirtualComm:
             factor, nret, delay = 1.0, 0, 0.0
         else:
             factor = plan.link_factor(self.rank, dest)
-            nret = (
-                plan.retransmits(self.rank, dest, tag, seq)
-                if plan.loss_applies(net)
-                else 0
-            )
+            lossy = plan.loss_applies(net)
+            nret = plan.retransmits(self.rank, dest, tag, seq) if lossy else 0
             delay = plan.retransmit_delay(nret)
         # Sender occupies the wire (store-and-forward into the NIC) and
         # pays the protocol stack's CPU cost.  A healthy link adds
@@ -836,45 +834,25 @@ class VirtualComm:
             self._st.cpu += resend_cpu
             metrics.inc("faults.retransmits", nret)
             metrics.inc("faults.retransmitted_bytes", nret * nbytes)
-            if tracer is not None:
-                tracer.emit_span(
-                    f"retransmit -> {dest}",
-                    "fault",
-                    t_start,
-                    t_start + delay + nret * wire,
-                    {"bytes": nbytes, "tag": tag, "retransmits": nret},
-                )
         # Ledger counts each message's logical bytes exactly once;
         # retransmitted copies are priced above but never re-counted,
         # so byte conservation holds under any loss rate.
         self._st.sent_bytes += nbytes
         self._st.messages += 1
-        cp = cl._critpath
-        cp_node = None
-        if cp is not None:
-            cp_node = cp.on_send(
-                rank=self.rank, dest=dest, tag=tag, nbytes=nbytes,
-                t_start=t_start, ready=ready,
-                wire=wire, overhead=overhead,
-                nret=nret, delay=delay, factor=factor,
-                resend_cpu=resend_cpu,
-            )
+        log = cl.event_log
+        row = None
+        if log is not None:
+            row = len(log)
+            log.append((
+                "send", self.rank, current_stage(), dest, tag, nbytes, t_start,
+                ready, wire, overhead, nret, delay, factor, resend_cpu, self._st.wall,
+            ))
         self._st.trace.append(("send", dest, tag, nbytes))
         key = (self.rank, dest, tag)
-        cl._mailbox.setdefault(key, deque()).append(
-            (obj, ready, nbytes, cp_node)
-        )
+        cl._mailbox.setdefault(key, deque()).append((obj, ready, nbytes, row))
         # Targeted wakeup: only the receiver's wait can be
         # satisfied by this enqueue.
         cl._engine.notify_rank(dest)
-        if tracer is not None:
-            tracer.emit_span(
-                f"send -> {dest}",
-                "comm",
-                t_start,
-                self._st.wall,
-                {"bytes": nbytes, "tag": tag, "dest": dest},
-            )
         metrics.observe("comm.message_bytes", nbytes)
         metrics.inc("comm.sends")
         metrics.inc("comm.bytes_sent", nbytes)
@@ -913,6 +891,7 @@ class VirtualComm:
         if plan is not None:
             self._maybe_crash()
         key = (source, self.rank, tag)
+        log = cl.event_log
         t_entry = self._st.wall
         attempts = 0
         cur_timeout = timeout
@@ -925,7 +904,7 @@ class VirtualComm:
                 source, tag, timed=timeout is not None
             ):
                 queue = cl._mailbox[key]
-                obj, ready, nbytes, send_node = queue[0]
+                obj, ready, nbytes, send_row = queue[0]
                 if cur_timeout is None or ready <= self._st.wall + cur_timeout:
                     queue.popleft()
                     if not queue:
@@ -941,19 +920,10 @@ class VirtualComm:
             t0 = self._st.wall
             self._st.wall += cur_timeout
             self._st.cpu += net_t.busy_wait_fraction * cur_timeout
-            if cl._critpath is not None:
-                cl._critpath.on_wait_burn(self.rank, cur_timeout)
             attempts += 1
+            if log is not None:
+                log.append(("timeout", self.rank, source, tag, t0, cur_timeout, attempts))
             metrics.inc("faults.recv_timeouts")
-            tracer = obs.current()
-            if tracer is not None:
-                tracer.emit_span(
-                    f"timeout: recv <- {source}",
-                    "fault",
-                    t0,
-                    self._st.wall,
-                    {"tag": tag, "attempt": attempts, "timeout": cur_timeout},
-                )
             if attempts > retries:
                 raise RecvTimeout(
                     source, tag, self._st.wall - t_entry, attempts
@@ -968,33 +938,12 @@ class VirtualComm:
         # near-equal CPU/wall columns on vendor MPIs and GM).
         self._st.cpu += overhead + net.busy_wait_fraction * waited
         self._st.recv_bytes += nbytes
-        if cl._critpath is not None:
-            cl._critpath.on_recv(
-                rank=self.rank, source=source, tag=tag, nbytes=nbytes,
-                t_busy_end=t_busy_end, t_after=self._st.wall,
-                overhead=overhead, send_node=send_node,
-            )
-        tracer = obs.current()
-        if tracer is not None:
-            if waited > 0.0:
-                tracer.emit_span(
-                    f"wait: recv <- {source}",
-                    "idle",
-                    t_entry,
-                    t_entry + waited,
-                    {
-                        "bytes": nbytes,
-                        "source": source,
-                        "busy_wait_fraction": net.busy_wait_fraction,
-                    },
-                )
-            tracer.emit_span(
-                f"recv <- {source}",
-                "comm",
-                t_entry,
-                self._st.wall,
-                {"bytes": nbytes, "tag": tag, "source": source, "waited": waited},
-            )
+        if log is not None:
+            log.append((
+                "recv", self.rank, current_stage(), source, tag, nbytes, t_entry,
+                t_busy_end, self._st.wall, overhead, waited,
+                net.busy_wait_fraction, send_row,
+            ))
         metrics.inc("comm.recvs")
         metrics.inc("comm.bytes_recv", nbytes)
         return obj
@@ -1038,9 +987,9 @@ class VirtualComm:
         rank to arrive prices the rendezvous from the network's
         ``collective_time(kind, P, nbytes)`` table; ``nbytes`` may be a
         function of the gathered data (``bcast``: only the root knows
-        the payload).  With a critical-path recorder attached the
-        duration splits into ``latency`` (the zero-byte evaluation) and
-        ``bandwidth`` (the rest).
+        the payload).  On an observed run the duration splits into
+        ``latency`` (the zero-byte evaluation) and ``bandwidth`` (the
+        rest), for the event log.
 
         A collective with surcharges of its own passes
         ``price(t_start, sizes, split) -> (t_done, (components, meta)
@@ -1093,19 +1042,19 @@ class VirtualComm:
             coll.sizes[self.rank] = entry_size
         coll.arrived += 1
         coll.t_start = max(coll.t_start, self._st.wall)
-        cp = cl._critpath
-        if cp is not None:
-            cp.on_collective_arrive(key, self.rank, self._st.wall)
+        log = cl.event_log
+        if log is not None:
+            log.append(("arrive", self.rank, current_stage(), kind, seq, t_entry))
         if coll.arrived == coll.expected:
             if price is not None:
-                coll.t_done, split = price(coll.t_start, coll.sizes, cp is not None)
+                coll.t_done, split = price(coll.t_start, coll.sizes, log is not None)
             else:
                 net = cl.network
                 if callable(nbytes):
                     nbytes = nbytes(coll.data)
                 total = net.collective_time(kind, self.size, nbytes)
                 coll.t_done = coll.t_start + total
-                if cp is not None:
+                if log is not None:
                     lat = net.collective_time(kind, self.size, 0)
                     split = (
                         {"latency": lat, "bandwidth": total - lat},
@@ -1113,8 +1062,8 @@ class VirtualComm:
                     )
             coll.out = combine(coll.data)
             cl._coll_seq[kind] = seq + 1
-            if cp is not None:
-                cp.on_collective_complete(key, coll.t_start, coll.t_done, *split)
+            if log is not None:
+                log.append(("complete", kind, seq, coll.t_start, coll.t_done, *split))
             # Everyone parked at this rendezvous is now releasable.
             cl._engine.notify_all()
         else:
@@ -1140,31 +1089,14 @@ class VirtualComm:
         coll.released += 1
         out, t_done = coll.out, coll.t_done
         t_sync = coll.t_start  # final: all ranks have arrived
-        if cl._critpath is not None:
-            cl._critpath.on_collective_release(key, self.rank)
         if coll.released == coll.expected:
             del cl._collectives[(key[0], key[1])]
         waited = max(0.0, t_done - self._st.wall)
         self._st.wall = t_done
-        self._st.cpu += cl.network.busy_wait_fraction * waited
-        tracer = obs.current()
-        if tracer is not None:
-            if t_sync > t_entry:
-                # Early arrivers wait at the rendezvous for the last rank.
-                tracer.emit_span(
-                    f"wait: {kind}",
-                    "idle",
-                    t_entry,
-                    t_sync,
-                    {"busy_wait_fraction": cl.network.busy_wait_fraction},
-                )
-            tracer.emit_span(
-                kind,
-                "comm",
-                t_entry,
-                t_done,
-                {"seq": seq, "waited": waited},
-            )
+        bwf = cl.network.busy_wait_fraction
+        self._st.cpu += bwf * waited
+        if log is not None:
+            log.append(("release", self.rank, kind, seq, t_entry, t_sync, t_done, waited, bwf))
         metrics.inc("comm.collectives")
         metrics.inc(f"comm.collective.{kind}")
         return out

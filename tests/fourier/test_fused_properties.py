@@ -210,7 +210,7 @@ def test_pipeline_matches_compositional_path(nf, nprocs, nz, seed):
     st.integers(0, 10_000),
 )
 @settings(max_examples=6, deadline=None)
-def test_fused_transpose_engine_parity(nf, nprocs, nmodes, seed):
+def test_fused_transpose_is_deterministic_and_conserves_bytes(nf, nprocs, nmodes, seed):
     """The fused path is deterministic and conservative: two runs agree
     on every observable, including traces and sanitizer vector clocks,
     and every byte sent is received."""

@@ -15,6 +15,11 @@ replaced it must agree with it *exactly* — not to a tolerance:
   unknown collective kinds and out-of-range anchors do too;
 * ``search_catalog`` over a recorded campaign predicts the makespans
   the one-pass-per-pair search did, with exactly one sweep per call.
+
+The cluster no longer calls a recorder's per-event hooks: it logs the
+events and the recorder replays the log.  ``_LogFedOracle`` calls the
+frozen recorder's hooks from that log, row by row, with the arguments
+simmpi passed them, so the oracle file itself is unchanged.
 """
 
 import json
@@ -29,6 +34,7 @@ from repro.campaign.search import CATALOG_CANDIDATES, load_graphs, search_catalo
 from repro.machines.catalog import MACHINES, NETWORKS
 from repro.obs import critpath
 from repro.obs.runlog import RunLedger
+from repro.obs.tracer import pop_stage, push_stage
 from repro.parallel.faults import FaultPlan
 from repro.parallel.simmpi import VirtualCluster
 
@@ -79,6 +85,50 @@ def _plan(name: str, seed: int, nprocs: int) -> FaultPlan | None:
     }[name]
 
 
+class _LogFedOracle(oracle.CritPathRecorder):
+    """The frozen recorder, fed from the cluster's event log.
+
+    The cluster calls only ``on_run_begin`` / ``on_run_finish`` now; the
+    live hooks the oracle still has are called here, one per row, in log
+    order, with the arguments simmpi passed them, and with the row's
+    stage on the stage stack where the hook reads ``current_stage()``.
+    """
+
+    def on_run_finish(self, cluster):
+        nodes = {}  # send row -> send node
+        for i, (what, *f) in enumerate(cluster.event_log):
+            if what in ("send", "recv", "arrive"):
+                push_stage(f[1])
+            if what == "send":
+                rank, _stage, dest, tag, nbytes, t_start, ready, wire, overhead = f[:9]
+                nret, delay, factor, resend_cpu = f[9:13]
+                nodes[i] = self.on_send(
+                    rank=rank, dest=dest, tag=tag, nbytes=nbytes, t_start=t_start,
+                    ready=ready, wire=wire, overhead=overhead, nret=nret,
+                    delay=delay, factor=factor, resend_cpu=resend_cpu,
+                )
+            elif what == "timeout":
+                self.on_wait_burn(f[0], f[4])
+            elif what == "recv":
+                rank, _stage, source, tag, nbytes, _t_entry, t_busy_end, t_after, overhead = f[:9]
+                self.on_recv(
+                    rank=rank, source=source, tag=tag, nbytes=nbytes,
+                    t_busy_end=t_busy_end, t_after=t_after, overhead=overhead,
+                    send_node=None if f[11] is None else nodes[f[11]],
+                )
+            elif what == "arrive":
+                rank, _stage, kind, seq, t = f
+                self.on_collective_arrive((kind, seq), rank, t)
+            elif what == "complete":
+                kind, seq, *rest = f
+                self.on_collective_complete((kind, seq), *rest)
+            elif what == "release":
+                self.on_collective_release((f[1], f[2]), f[0])
+            if what in ("send", "recv", "arrive"):
+                pop_stage()
+        super().on_run_finish(cluster)
+
+
 def _record(recorder, case):
     nprocs, program, plan, seed, reused = case
     cluster = VirtualCluster(
@@ -124,7 +174,7 @@ def assert_same(new, old, straggler):
 @given(runs)
 def test_recorded_runs_price_as_the_oracle(case):
     new = _record(critpath.CritPathRecorder(), case)
-    old = _record(oracle.CritPathRecorder(), case)
+    old = _record(_LogFedOracle(), case)
     straggler = {case[0] - 1: 1.0 / 2.5}
     assert_same(new, old, straggler)
     # What ``campaign search`` prices: the artifact read back.

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from repro.obs.export import (
-    idle_by_peer,
+    idle_by_rank,
     load_chrome_trace,
     stage_breakdown,
     to_chrome_trace,
@@ -87,7 +87,7 @@ def test_stage_breakdown_from_events(tmp_path):
     assert t.records["s"].wall == pytest.approx(2.0)
 
 
-def test_idle_by_peer(tmp_path):
+def test_idle_by_rank(tmp_path):
     path = write_chrome_trace(_sample_trace(), tmp_path / "t.json")
-    idle = idle_by_peer(load_chrome_trace(path))
+    idle = idle_by_rank(load_chrome_trace(path))
     assert idle == {1: pytest.approx(1.0)}

@@ -157,7 +157,7 @@ def _fingerprint(nprocs, program, recorder=None, faults=None, engine=None):
 
 @settings(max_examples=25, deadline=None)
 @given(programs)
-def test_random_programs_terminate_with_engine_parity(case):
+def test_random_programs_terminate_with_clocks_the_graph_rederives(case):
     """The engine's clocks agree with the event graph's own derivation
     (the recorder itself is charge-neutral: see test_critpath_parity)."""
     nprocs, program = case

@@ -35,6 +35,25 @@ def test_untraced_run_emits_nothing():
     cl, walls = _run_exchange()
     assert cl.trace is None
     assert walls[0] == walls[1]  # barrier synchronises
+    # Nothing reads an event log, so none is kept: only the verifier's
+    # bounded ring, even after more events than it holds.
+    assert cl.event_log is None
+
+    def chatter(comm):
+        for i in range(100):
+            comm.sendrecv(1 - comm.rank, i, 1 - comm.rank)
+
+    cl.run(chatter)
+    assert cl.event_log is None
+    assert [len(t) for t in cl.rank_traces().values()] == [64, 64]
+    # A traced re-run on the same cluster starts a fresh log.
+    cl.trace = Trace()
+    cl.run(chatter)
+    first = list(cl.event_log)
+    assert len(first) == 2 * 2 * 100
+    cl.run(chatter)
+    assert [row[0] for row in cl.event_log] == [row[0] for row in first]
+    assert cl.event_log[0] != first[0]  # later clocks, not the old rows
 
 
 def test_comm_spans_on_virtual_timeline():
@@ -112,3 +131,31 @@ def test_trace_reuse_across_runs_appends():
     n1 = len(trace.events())
     cl.run(ping)
     assert len(trace.events()) > n1
+
+
+def test_idle_span_after_timed_out_attempts_starts_when_they_end():
+    # Rank 1's first two attempts (5 ms, then 10 ms) expire before the
+    # message completes at 18.01 ms; the third takes it at 15 ms.  The
+    # idle span is that last wait, after both timeout spans.
+    net = NetworkModel("t", latency_us=10, bandwidth=1e6)
+    trace = Trace()
+
+    def fn(comm):
+        if comm.rank == 0:
+            comm.compute(0.010)
+            comm.send(1, bytes(8000))
+        else:
+            comm.recv(0, timeout=0.005, retries=3)
+
+    VirtualCluster(2, net, trace=trace).run(fn)
+    spans = {
+        (e.cat, e.name): (e.ts, e.ts + e.dur)
+        for e in trace.tracers[1].events
+        if e.cat in ("idle", "fault")
+    }
+    assert sorted(spans) == [("fault", "timeout: recv <- 0"), ("idle", "wait: recv <- 0")]
+    assert spans["idle", "wait: recv <- 0"] == pytest.approx((0.015, 0.01801))
+    timeouts = [e for e in trace.tracers[1].events if e.cat == "fault"]
+    assert [(e.ts, e.ts + e.dur) for e in timeouts] == pytest.approx(
+        [(0.0, 0.005), (0.005, 0.015)]
+    )
