@@ -1,7 +1,8 @@
 """Bluff-body wake DNS: the paper's serial application (Section 4.1).
 
 Simulates the 2-D flow past a circular cylinder on the Figure 11 (left)
-domain with the 7-stage splitting timestep, then prints the per-stage
+domain with the 7-stage splitting timestep, then prints the Strouhal
+number (once the lift has shed a full period) and the per-stage
 breakdown — the reduced-size version of the run behind Table 1 and
 Figure 12.  At this Reynolds number the wake is unsteady; watch the
 cross-stream velocity behind the body oscillate (vortex shedding).
@@ -61,6 +62,12 @@ def main(steps: int = 60):
                 f"{ns.divergence_norm():>10.2e} {v[probe]:>10.4f} "
                 f"{f.drag:>8.3f} {f.lift:>8.3f}"
             )
+
+    st = rec.strouhal(diameter=1.0, velocity=1.0)
+    if st is None:
+        print("\nno full shedding period seen yet, so no Strouhal number")
+    else:
+        print(f"\nStrouhal number St = f D / U = {st:.3f}")
 
     # Write the final field for ParaView inspection.
     from repro.io import vertex_velocity_fields, write_vtk

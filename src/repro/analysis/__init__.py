@@ -26,7 +26,6 @@ from .linter import (
     RULES,
     WAIVER_CODE,
     Diagnostic,
-    lint_file,
     lint_files,
     lint_paths,
     lint_source,
@@ -38,7 +37,6 @@ __all__ = [
     "WAIVER_CODE",
     "Diagnostic",
     "name_for",
-    "lint_file",
     "lint_files",
     "lint_paths",
     "lint_source",

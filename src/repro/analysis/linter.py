@@ -86,7 +86,6 @@ __all__ = [
     "Diagnostic",
     "name_for",
     "lint_source",
-    "lint_file",
     "lint_files",
     "lint_paths",
 ]
@@ -266,7 +265,6 @@ _BLAS_KERNELS = {
     "daxpy",
     "ddot",
     "ddot_batched",
-    "dscal",
     "dnrm2",
     "dgemv",
     "dgemv_batched",
@@ -1041,11 +1039,6 @@ def lint_source(source: str, path: str, select=None) -> list[Diagnostic]:
     forces them in scope on every file (audit mode).
     """
     return _run([_FileContext(path, source)], _normalize_select(select))
-
-
-def lint_file(path: str | Path, select=None) -> list[Diagnostic]:
-    p = Path(path)
-    return lint_files([p], select)
 
 
 def lint_files(files, select=None) -> list[Diagnostic]:

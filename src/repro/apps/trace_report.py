@@ -102,7 +102,6 @@ def run_traced(
         nprocs,
         net,
         cpu=spec.cpu,
-        procs_per_node=spec.procs_per_node,
         trace=trace,
         critpath=critpath,
     )

@@ -1,22 +1,14 @@
 """Assembly layer: dof maps, elemental operators, global systems."""
 
 from .dofmap import DofMap
-from .global_system import AssembledOperator, project_dirichlet
-from .operators import (
-    elemental_helmholtz,
-    elemental_laplacian,
-    elemental_load,
-    elemental_mass,
-)
+from .global_system import project_dirichlet
+from .operators import elemental_laplacian, elemental_mass
 from .space import FunctionSpace
 
 __all__ = [
     "DofMap",
     "FunctionSpace",
-    "AssembledOperator",
     "project_dirichlet",
     "elemental_mass",
     "elemental_laplacian",
-    "elemental_helmholtz",
-    "elemental_load",
 ]

@@ -31,13 +31,13 @@ __all__ = ["CondensedOperator"]
 
 
 class CondensedOperator:
-    """Statically condensed global SPD operator.
+    """Statically condensed global SPD operator: every direct solve.
 
-    Same interface as :class:`~repro.assembly.global_system.AssembledOperator`
-    (solve(rhs, dirichlet_values) over full global vectors), but the
-    direct factorisation lives on the boundary Schur complement only.
-    Dirichlet dofs must be boundary dofs (vertex/edge), which velocity
-    and pressure boundary conditions always are.
+    ``solve(rhs, dirichlet_values)`` works over full global vectors; the
+    factorisation lives on the boundary Schur complement only, RCM
+    banded (:func:`~repro.assembly.global_system.rcm_band`).  Dirichlet
+    dofs must be boundary dofs (vertex/edge), which velocity and
+    pressure boundary conditions always are.
     """
 
     def __init__(self, space, elem_mats, dirichlet_dofs=()):

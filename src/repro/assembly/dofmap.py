@@ -286,17 +286,8 @@ class DofMap:
             out.update(int(d) for d in self.edge_dofs(eid))
         return np.array(sorted(out), dtype=np.int64)
 
-    # -- gather/scatter -------------------------------------------------------
+    # -- gather ----------------------------------------------------------------
 
     def gather(self, elem: int, uglobal: np.ndarray) -> np.ndarray:
         """Global coefficient vector -> signed element-local coefficients."""
         return self.elem_signs[elem] * uglobal[self.elem_dofs[elem]]
-
-    def scatter_add(self, elem: int, ulocal: np.ndarray, uglobal: np.ndarray) -> None:
-        """Accumulate signed element-local values into the global vector."""
-        np.add.at(uglobal, self.elem_dofs[elem], self.elem_signs[elem] * ulocal)
-
-    def multiplicity(self) -> np.ndarray:
-        """How many elements touch each global dof (1 for interiors)."""
-        flat = np.concatenate([st.dofs.ravel() for st in self.stacks])
-        return np.bincount(flat, minlength=self.ndof).astype(np.float64)

@@ -1,13 +1,12 @@
-"""Global assembled operators with Dirichlet lifting and banded solves.
+"""Pieces of a global direct solve shared by its operators.
 
 "The Poisson and Helmholtz-type equations are solved using direct
 solves, considering the banded and symmetric nature of the Laplacian
-matrices" (Section 4).  :class:`AssembledOperator` assembles the global
-symmetric matrix, eliminates Dirichlet dofs by lifting, reorders the
-free dofs with reverse Cuthill-McKee to minimise bandwidth, and factors
-once with the banded Cholesky substrate; every subsequent ``solve`` is
-two banded triangular sweeps — exactly the production structure whose
-per-step cost Table 1 measures.
+matrices" (Section 4).  Every such solve in a run is statically
+condensed (:class:`~repro.assembly.condensation.CondensedOperator`):
+:func:`rcm_band` reorders its boundary Schur complement with reverse
+Cuthill-McKee into the band the Cholesky substrate factors, and
+:func:`dirichlet_block` shapes the prescribed values of a solve.
 
 :func:`project_dirichlet` turns a boundary function into modal edge
 coefficients (exact for polynomial traces) so inhomogeneous BCs work at
@@ -19,88 +18,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
-from ..linalg.banded import BandedSPDSolver
-from ..linalg.counters import charge
-
-__all__ = ["AssembledOperator", "project_dirichlet"]
-
-
-class AssembledOperator:
-    """A = sum_e Q_e^T A_e Q_e, factored for repeated solves.
-
-    Parameters
-    ----------
-    space:
-        The :class:`~repro.assembly.space.FunctionSpace`.
-    elem_mats:
-        One symmetric (nmodes x nmodes) matrix per element.
-    dirichlet_dofs:
-        Global dofs whose values are prescribed; they are eliminated and
-        their coupling lifted to the right-hand side.
-    """
-
-    def __init__(self, space, elem_mats, dirichlet_dofs=()):
-        self.space = space
-        self.a_full = space.assemble(elem_mats)
-        ndof = space.ndof
-        self.dirichlet = np.asarray(sorted(set(int(d) for d in dirichlet_dofs)), dtype=np.int64)
-        if self.dirichlet.size and (
-            self.dirichlet.min() < 0 or self.dirichlet.max() >= ndof
-        ):
-            raise ValueError("dirichlet dof out of range")
-        self.free = np.setdiff1d(np.arange(ndof), self.dirichlet)
-        self.a_uk = self.a_full[np.ix_(self.free, self.dirichlet)].tocsr()
-        self.perm, ab = rcm_band(self.a_full[np.ix_(self.free, self.free)].tocsr())
-        self.solver = BandedSPDSolver.from_banded(ab)
-        self.bandwidth = self.solver.kd
-
-    @property
-    def ndof(self) -> int:
-        return self.space.ndof
-
-    def matvec(self, u: np.ndarray) -> np.ndarray:
-        # Sparse matvec: 2 flops per stored entry, value+index+vector traffic.
-        charge(2.0 * self.a_full.nnz, 12.0 * self.a_full.nnz + 16.0 * self.ndof, "spmv")
-        return self.a_full @ u
-
-    def solve(
-        self,
-        rhs: np.ndarray,
-        dirichlet_values: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """Solve A u = rhs with u fixed on the Dirichlet dofs.
-
-        ``rhs`` is the assembled load vector over *all* dofs;
-        ``dirichlet_values`` are the prescribed values in the order of
-        the (sorted) dirichlet dof list.  Returns the full solution
-        vector including the prescribed values.
-
-        ``rhs`` may also be a row-stacked (nrhs, ndof) block (a vector
-        is a one-row block): one vectorised lift and RCM permutation,
-        one banded Cholesky sweep over the block, charging exactly nrhs
-        column-by-column solves; ``dirichlet_values`` then broadcasts
-        (one shared (nd,) vector or one row per RHS).
-        """
-        rhs = np.asarray(rhs, dtype=np.float64)
-        block = rhs[None] if rhs.ndim == 1 else rhs
-        if block.ndim != 2 or block.shape[1] != self.ndof:
-            raise ValueError("rhs must cover all global dofs")
-        nrhs = block.shape[0]
-        dv = dirichlet_block(dirichlet_values, nrhs, self.dirichlet.size)
-        b = block[:, self.free]
-        if self.dirichlet.size:
-            charge(
-                nrhs * 2.0 * self.a_uk.nnz,
-                nrhs * 12.0 * self.a_uk.nnz,
-                "dirichlet-lift",
-            )
-            b = b - (self.a_uk @ dv.T).T
-        x = np.empty_like(b)
-        x[:, self.perm] = self.solver.solve_many(b[:, self.perm])
-        u = np.zeros((nrhs, self.ndof))
-        u[:, self.free] = x
-        u[:, self.dirichlet] = dv
-        return u[0] if rhs.ndim == 1 else u
+__all__ = ["project_dirichlet"]
 
 
 def rcm_band(a) -> tuple[np.ndarray, np.ndarray]:

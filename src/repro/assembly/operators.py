@@ -1,4 +1,4 @@
-"""Elemental operators: mass, Laplacian (stiffness), Helmholtz, load.
+"""Elemental operators: mass, Laplacian (stiffness) and, batched, Helmholtz.
 
 All are dense (nmodes x nmodes) matrices built by quadrature against the
 element's :class:`~repro.mesh.mapping.GeomFactors`, using the counted
@@ -19,8 +19,6 @@ from ..spectral.expansions import Expansion2D
 __all__ = [
     "elemental_mass",
     "elemental_laplacian",
-    "elemental_helmholtz",
-    "elemental_load",
     "elemental_mass_batched",
     "elemental_laplacian_batched",
     "elemental_helmholtz_batched",
@@ -42,28 +40,6 @@ def elemental_laplacian(exp: Expansion2D, gf: GeomFactors) -> np.ndarray:
     """L_ij = int_elem grad(phi_i) . grad(phi_j) dx (Figure 10)."""
     dx, dy = gf.physical_gradients(exp.dphi1, exp.dphi2)
     return _weighted_outer(dx, gf.jw, dx) + _weighted_outer(dy, gf.jw, dy)
-
-
-def elemental_helmholtz(
-    exp: Expansion2D, gf: GeomFactors, lam: float
-) -> np.ndarray:
-    """H = L + lam M, the operator of the paper's steps 5 and 7."""
-    if lam < 0.0:
-        raise ValueError("Helmholtz constant must be >= 0")
-    h = elemental_laplacian(exp, gf)
-    if lam != 0.0:
-        h += lam * elemental_mass(exp, gf)
-    return h
-
-
-def elemental_load(exp: Expansion2D, gf: GeomFactors, fvals: np.ndarray) -> np.ndarray:
-    """(f, phi_i) for f given at the element quadrature points."""
-    fvals = np.ravel(np.asarray(fvals, dtype=np.float64))
-    if fvals.size != gf.nq:
-        raise ValueError("fvals must be given at the quadrature points")
-    out = np.zeros(exp.nmodes)
-    blas.dgemv(1.0, exp.phi, gf.jw * fvals, 0.0, out)
-    return out
 
 
 # --- stacked (batched) operator setup ----------------------------------------

@@ -20,7 +20,6 @@ import math
 from collections.abc import Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from ..linalg import blas
 from ..linalg.counters import charge_tape
@@ -494,23 +493,6 @@ class FunctionSpace:
             # cancels the one the assembly applies.
             parts.append(b.signs * d)
         return self._assemble(parts)
-
-    def assemble(self, elem_mats: list[np.ndarray]) -> sp.csr_matrix:
-        """Scatter elemental matrices into the global sparse operator."""
-        rows, cols, vals = [], [], []
-        for ei, a in enumerate(elem_mats):
-            dofs = self.dofmap.elem_dofs[ei]
-            signs = self.dofmap.elem_signs[ei]
-            sa = (signs[:, None] * a) * signs[None, :]
-            n = dofs.size
-            rows.append(np.repeat(dofs, n))
-            cols.append(np.tile(dofs, n))
-            vals.append(sa.ravel())
-        m = sp.coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(self.ndof, self.ndof),
-        )
-        return m.tocsr()
 
     def eval_at_vertices(self, u_hat: np.ndarray) -> np.ndarray:
         """Field values at mesh vertices (vertex dofs are nodal)."""

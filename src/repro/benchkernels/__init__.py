@@ -1,6 +1,6 @@
 """Kernel-level benchmark drivers (Figures 1-8)."""
 
-from .alltoall import figure8_series, message_sizes, simulated_alltoall
+from .alltoall import figure8_series, message_sizes
 from .blas_bench import (
     FIGURES,
     figure_series,
@@ -13,7 +13,6 @@ from .netpipe import (
     bandwidth_sizes,
     latency_series,
     latency_sizes,
-    simulated_pingpong,
 )
 
 __all__ = [
@@ -26,8 +25,6 @@ __all__ = [
     "bandwidth_sizes",
     "latency_series",
     "bandwidth_series",
-    "simulated_pingpong",
     "message_sizes",
     "figure8_series",
-    "simulated_alltoall",
 ]

@@ -2,10 +2,10 @@
 
 The paper times a globally synchronised loop of MPI_Alltoall calls and
 reports the average per-process bandwidth against message size, for 4
-and 8 processors.  The model mode sweeps the collective cost models;
-the simulated mode performs the paper's measurement protocol literally
-on simmpi (barrier, loop of alltoalls, per-rank statistics over the
-repetitions).
+and 8 processors.  The curves sweep the collective cost models; the
+tests perform the paper's measurement protocol literally on simmpi
+(barrier, loop of alltoalls, per-rank statistics over the repetitions)
+and hold the two to each other.
 """
 
 from __future__ import annotations
@@ -13,9 +13,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..machines.catalog import ALLTOALL_FIGURE_NETWORKS, NETWORKS
-from ..parallel.simmpi import VirtualCluster
 
-__all__ = ["message_sizes", "figure8_series", "simulated_alltoall"]
+__all__ = ["message_sizes", "figure8_series"]
 
 
 def message_sizes() -> np.ndarray:
@@ -41,33 +40,3 @@ def figure8_series(nprocs: int, names=None) -> dict[str, tuple]:
             ),
         )
     return out
-
-
-def simulated_alltoall(
-    network_name: str, nprocs: int, nbytes: int, reps: int = 5
-) -> dict[str, float]:
-    """The paper's protocol on simmpi: globally synchronise, then time a
-    loop calling MPI_Alltoall; statistics over the repetitions."""
-    net = NETWORKS[network_name]
-
-    def fn(comm):
-        chunks = [np.zeros(max(1, nbytes // 8)) for _ in range(comm.size)]
-        comm.barrier()
-        t0 = comm.wall
-        times = []
-        for _ in range(reps):
-            t_before = comm.wall
-            comm.alltoall(chunks)
-            times.append(comm.wall - t_before)
-        total = comm.wall - t0
-        return times, total
-
-    res = VirtualCluster(nprocs, net).run(fn)
-    times = np.array([t for times, _ in res for t in times])
-    mean = float(times.mean())
-    return {
-        "mean_seconds": mean,
-        "min_seconds": float(times.min()),
-        "max_seconds": float(times.max()),
-        "avg_bandwidth_mb": (nprocs - 1) * nbytes / mean / 1e6,
-    }

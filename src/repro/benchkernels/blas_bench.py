@@ -19,7 +19,7 @@ import numpy as np
 
 from ..linalg import blas
 from ..machines.catalog import BLAS_FIGURE_MACHINES, MACHINES
-from ..machines.cpu import ROUTINES, routine_flops, routine_traffic
+from ..machines.cpu import ROUTINES
 
 __all__ = [
     "FIGURES",
@@ -118,13 +118,13 @@ def host_measure(
         reps += 1
         elapsed = time.perf_counter() - t0
     per_call = elapsed / reps
-    flops = routine_flops(routine, n)
+    flops = blas.flop_count(routine, n)
     out = {
         "routine": routine,
         "n": n,
         "reps": reps,
         "seconds_per_call": per_call,
         "mflops": flops / per_call / 1e6 if flops else 0.0,
-        "mb_per_s": routine_traffic(routine, n) / per_call / 1e6,
+        "mb_per_s": blas.byte_count(routine, n) / per_call / 1e6,
     }
     return out

@@ -1,10 +1,9 @@
 """NetPIPE-style ping-pong driver (Figure 7).
 
 "Simple unidirectional (Ping-Pong) latency and bandwidth testing is
-performed with NetPIPE 2.3."  Two modes again: evaluate the network
-models directly, or actually run the ping-pong on a two-rank simmpi
-cluster and time it with the virtual clock (the consistency of the two
-is itself a test).
+performed with NetPIPE 2.3."  The curves evaluate the network models'
+ping-pong latency and bandwidth directly; the tests run the ping-pong
+on a two-rank simmpi cluster and hold the two to each other.
 """
 
 from __future__ import annotations
@@ -12,14 +11,12 @@ from __future__ import annotations
 import numpy as np
 
 from ..machines.catalog import NETWORKS, PINGPONG_FIGURE_NETWORKS
-from ..parallel.simmpi import VirtualCluster
 
 __all__ = [
     "latency_sizes",
     "bandwidth_sizes",
     "latency_series",
     "bandwidth_series",
-    "simulated_pingpong",
 ]
 
 
@@ -55,23 +52,3 @@ def bandwidth_series(names=None) -> dict[str, tuple]:
         )
         for name in names
     }
-
-
-def simulated_pingpong(network_name: str, nbytes: int, reps: int = 10) -> float:
-    """Run the ping-pong on simmpi; returns measured one-way seconds."""
-    net = NETWORKS[network_name]
-
-    def fn(comm):
-        msg = np.zeros(max(1, nbytes // 8))
-        for _ in range(reps):
-            if comm.rank == 0:
-                comm.send(1, msg)
-                comm.recv(1)
-            else:
-                comm.recv(0)
-                comm.send(0, msg)
-        return comm.wall
-
-    cluster = VirtualCluster(2, net)
-    res = cluster.run(fn)
-    return res[0] / (2 * reps)

@@ -8,7 +8,6 @@ from .blas import (
     dgemm,
     dgemv,
     dnrm2,
-    dscal,
     dvmul,
 )
 from .cg import CGResult, pcg
@@ -21,7 +20,6 @@ __all__ = [
     "dcopy",
     "daxpy",
     "ddot",
-    "dscal",
     "dnrm2",
     "dgemv",
     "dgemm",

@@ -28,7 +28,6 @@ __all__ = [
     "daxpy",
     "ddot",
     "ddot_batched",
-    "dscal",
     "dnrm2",
     "dgemv",
     "dgemv_batched",
@@ -90,14 +89,6 @@ def ddot(x: np.ndarray, y: np.ndarray) -> float:
         raise ValueError("ddot: shape mismatch")
     _charge_vector("ddot", x.size)
     return float(np.dot(x, y))
-
-
-def dscal(alpha: float, x: np.ndarray) -> np.ndarray:
-    """x *= alpha, in place.  (1 flop, 16 bytes per element.)"""
-    x = _as1d(x)
-    x *= alpha
-    _charge_vector("dscal", x.size)
-    return x
 
 
 def dnrm2(x: np.ndarray) -> float:
@@ -357,11 +348,13 @@ def ddot_batched(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
-# --- analytic op-count helpers (used by cost-model drivers) -----------------
+# --- the one cost table ----------------------------------------------------
 #
-# The level-1 rows are also what the level-1 kernels charge
-# (``_charge_vector``, ``vector_tape``); the level-2/3 rows are the square
-# case of the dgemv / dgemm charges.
+# The level-1 rows are what the level-1 kernels charge (``_charge_vector``,
+# ``vector_tape``; ``dscal`` only as a row of PCG's iteration tape); the
+# level-2/3 rows are the square case of the dgemv / dgemm charges.  The
+# CPU model (:mod:`repro.machines.cpu`) prices the paper's five routines
+# from the same rows, through :func:`flop_count` / :func:`byte_count`.
 
 _FLOPS = {
     "dcopy": lambda n: 0.0,

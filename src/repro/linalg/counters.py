@@ -37,36 +37,6 @@ class _Slots(threading.local):
 _tls = _Slots()
 
 
-@dataclass(frozen=True)
-class OpSnapshot:
-    """Immutable copy of an :class:`OpCounter`'s state at one instant.
-
-    Produced by :meth:`OpCounter.snapshot` and :meth:`OpCounter.delta`;
-    the accessor helpers replace the ad-hoc dict building the bench
-    harnesses used to copy-paste.
-    """
-
-    flops: float
-    bytes: float
-    calls: int
-    by_label: dict[str, tuple[float, float, int]]
-
-    def totals(self) -> tuple[float, float]:
-        """(flops, bytes) — the whole-run charge pair."""
-        return (self.flops, self.bytes)
-
-    def label_charges(self, with_calls: bool = False) -> dict:
-        """Per-label charges: ``{label: (flops, bytes[, calls])}``.
-
-        ``with_calls=False`` (the default) drops call counts — the
-        comparison the multi-RHS benches need, since a blocked path
-        legitimately makes fewer (bigger) calls for the same work.
-        """
-        if with_calls:
-            return dict(self.by_label)
-        return {k: (v[0], v[1]) for k, v in self.by_label.items()}
-
-
 @dataclass
 class OpCounter:
     """Accumulates flops and memory traffic, optionally per label.
@@ -118,33 +88,6 @@ class OpCounter:
             node.flops, node.bytes = total_f, total_b
             node.calls += len(tape)
             node = node._parent
-
-    def snapshot(self) -> OpSnapshot:
-        """Immutable copy of the current totals and per-label charges."""
-        return OpSnapshot(
-            flops=self.flops,
-            bytes=self.bytes,
-            calls=self.calls,
-            by_label=dict(self.by_label),
-        )
-
-    def delta(self, since: OpSnapshot) -> OpSnapshot:
-        """Charges accumulated after ``since`` (an earlier snapshot).
-
-        Labels whose charges did not change are dropped, so the result
-        reads like a fresh counter covering just the interval.
-        """
-        by_label: dict[str, tuple[float, float, int]] = {}
-        for label, (f, b, c) in self.by_label.items():
-            f0, b0, c0 = since.by_label.get(label, (0.0, 0.0, 0))
-            if (f, b, c) != (f0, b0, c0):
-                by_label[label] = (f - f0, b - b0, c - c0)
-        return OpSnapshot(
-            flops=self.flops - since.flops,
-            bytes=self.bytes - since.bytes,
-            calls=self.calls - since.calls,
-            by_label=by_label,
-        )
 
     def __enter__(self) -> "OpCounter":
         prev = _tls.active

@@ -11,7 +11,7 @@ from .catalog import (
     machine,
     network,
 )
-from .cpu import CPUModel, ROUTINES, routine_flops, routine_traffic, working_set
+from .cpu import CPUModel, ROUTINES, working_set
 from .network import NetworkModel
 
 __all__ = [
@@ -24,8 +24,6 @@ __all__ = [
     "machine",
     "network",
     "ROUTINES",
-    "routine_flops",
-    "routine_traffic",
     "working_set",
     "BLAS_FIGURE_MACHINES",
     "PINGPONG_FIGURE_NETWORKS",

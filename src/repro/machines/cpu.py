@@ -21,31 +21,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-__all__ = ["CPUModel", "ROUTINES", "routine_flops", "routine_traffic", "working_set"]
+from ..linalg.blas import byte_count, flop_count
 
+__all__ = ["CPUModel", "ROUTINES", "working_set"]
+
+#: The routines Figures 1-6 time; their flops and bytes per call are the
+#: counted kernels' own (:func:`repro.linalg.blas.flop_count` /
+#: :func:`~repro.linalg.blas.byte_count`, n = vector length or matrix
+#: dimension).
 ROUTINES = ("dcopy", "daxpy", "ddot", "dgemv", "dgemm")
-
-
-def routine_flops(routine: str, n: int) -> float:
-    """Flops for one call; n = vector length or matrix dimension."""
-    return {
-        "dcopy": 0.0,
-        "daxpy": 2.0 * n,
-        "ddot": 2.0 * n,
-        "dgemv": 2.0 * n * n,
-        "dgemm": 2.0 * n**3,
-    }[routine]
-
-
-def routine_traffic(routine: str, n: int) -> float:
-    """Bytes moved per call (each operand element touched once)."""
-    return {
-        "dcopy": 16.0 * n,
-        "daxpy": 24.0 * n,
-        "ddot": 16.0 * n,
-        "dgemv": 8.0 * (n * n + 3.0 * n),
-        "dgemm": 8.0 * 4.0 * n * n,
-    }[routine]
 
 
 def working_set(routine: str, n: int) -> float:
@@ -134,8 +118,8 @@ class CPUModel:
             raise ValueError(f"unknown routine {routine!r}")
         if n < 1:
             raise ValueError("operand size must be >= 1")
-        mem = routine_traffic(routine, n) / self.bandwidth_at(working_set(routine, n))
-        flops = routine_flops(routine, n)
+        mem = byte_count(routine, n) / self.bandwidth_at(working_set(routine, n))
+        flops = flop_count(routine, n)
         ft = flops / self.flop_ceiling(routine, n) if flops else 0.0
         return self.overhead_us * 1e-6 + max(mem, ft)
 
@@ -144,8 +128,8 @@ class CPUModel:
         second), Mflop/s for everything else."""
         t = self.blas_time(routine, n)
         if routine == "dcopy":
-            return routine_traffic(routine, n) / t / 1e6
-        return routine_flops(routine, n) / t / 1e6
+            return byte_count(routine, n) / t / 1e6
+        return flop_count(routine, n) / t / 1e6
 
     # -- application pricing ------------------------------------------------------------
 

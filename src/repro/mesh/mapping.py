@@ -96,10 +96,6 @@ class ElementMap:
         j[:, 1, 1] = d2.T @ self.coords[:, 1]
         return j
 
-    def det_jacobian(self, xi1: Array, xi2: Array) -> Array:
-        j = self.jacobian(xi1, xi2)
-        return j[:, 0, 0] * j[:, 1, 1] - j[:, 0, 1] * j[:, 1, 0]
-
 
 @dataclass
 class GeomFactors:

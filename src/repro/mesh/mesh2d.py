@@ -162,10 +162,6 @@ class Mesh2D:
             return list(self.boundary_tags[tag])
         return [e.elements[0] for e in self.boundary_edges()]
 
-    def untagged_boundary_sides(self) -> list[tuple[int, int]]:
-        tagged = {s for sides in self.boundary_tags.values() for s in sides}
-        return [s for s in self.boundary_sides() if s not in tagged]
-
     # -- geometry ----------------------------------------------------------------
 
     def element_coords(self, elem: int) -> np.ndarray:

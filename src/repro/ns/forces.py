@@ -128,9 +128,6 @@ class ForceRecorder:
         self.history.append(f)
         return f
 
-    def drag_series(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.array(self.times), np.array([f.drag for f in self.history])
-
     def lift_series(self) -> tuple[np.ndarray, np.ndarray]:
         return np.array(self.times), np.array([f.lift for f in self.history])
 
@@ -139,6 +136,10 @@ class ForceRecorder:
         St = f D / U; None until a full period has been seen."""
         t, lift = self.lift_series()
         if t.size < 8:
+            return None
+        # A symmetric wake's lift is round-off around zero: its sign
+        # changes are noise, not shedding.
+        if np.ptp(lift) <= 1e-9 * max(abs(f.drag) for f in self.history):
             return None
         sign = np.sign(lift - lift.mean())
         crossings = t[1:][np.diff(sign) != 0]

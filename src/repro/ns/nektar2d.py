@@ -203,10 +203,6 @@ class NavierStokes2D:
         _, dvdy = self.space.gradient(self.v_hat)
         return self.space.norm_l2(dudx + dvdy)
 
-    def max_velocity(self) -> float:
-        u, v = self.velocity()
-        return float(np.sqrt(u * u + v * v).max())
-
     def stage_percentages(self, kind: str = "cpu") -> dict[str, float]:
         """Figure-12-style per-stage share of the time loop."""
         return self.timer.percentages(kind)
@@ -219,6 +215,3 @@ class NavierStokes2D:
 
     def stage_flops(self) -> dict[str, float]:
         return {s: c.flops for s, c in self.stage_ops.items()}
-
-    def stage_bytes(self) -> dict[str, float]:
-        return {s: c.bytes for s, c in self.stage_ops.items()}

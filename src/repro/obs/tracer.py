@@ -162,12 +162,6 @@ class Tracer:
                 },
             )
 
-    def kernel_totals(self) -> dict[str, tuple[int, float, float]]:
-        """label -> (calls, flops, bytes) seen while installed."""
-        return {
-            k: (int(v[0]), v[1], v[2]) for k, v in self.kernel_charges.items()
-        }
-
 
 @dataclass
 class Trace:

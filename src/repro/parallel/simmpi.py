@@ -63,7 +63,10 @@ host order, holding the values the pricing used.  Comm/idle/fault spans
 access table (``CritPathRecorder.on_run_finish``) are views of it, so
 no observer can perturb a clock.  An unobserved run keeps no log, only
 the verifier's ring of each rank's last 64 events.  The row layouts are
-listed in :mod:`repro.obs`.
+listed in :mod:`repro.obs`.  A message still queued from an earlier run
+has its send row in that run's log, so a run with a recorder or the
+sanitizer attached refuses to start on one (:class:`CommVerificationError`,
+``REPRO010``); untraced and trace-only runs deliver it.
 """
 
 from __future__ import annotations
@@ -229,17 +232,15 @@ class _Collective:
 
 
 class VirtualCluster:
-    """A simulated machine: P ranks, a network model, an optional CPU
-    model for pricing compute, and a node topology for intra/internode
-    network selection."""
+    """A simulated machine: P ranks, one network model that prices every
+    message and collective, and an optional CPU model for pricing
+    compute."""
 
     def __init__(
         self,
         nprocs: int,
         network: NetworkModel,
         cpu: CPUModel | None = None,
-        procs_per_node: int = 1,
-        intranode: NetworkModel | None = None,
         verify: bool = True,
         trace: obs.Trace | None = None,
         faults: FaultPlan | None = None,
@@ -251,8 +252,6 @@ class VirtualCluster:
         self.nprocs = nprocs
         self.network = network
         self.cpu = cpu
-        self.procs_per_node = max(1, procs_per_node)
-        self.intranode = intranode
         self.verify = verify
         self.trace = trace
         self.faults = faults
@@ -298,16 +297,6 @@ class VirtualCluster:
         # of rank states in the overwhelmingly common no-error case.
         self._error_flag = False
         self.ranks = [_RankState() for _ in range(nprocs)]
-
-    # -- topology ---------------------------------------------------------------
-
-    def node_of(self, rank: int) -> int:
-        return rank // self.procs_per_node
-
-    def pair_network(self, a: int, b: int) -> NetworkModel:
-        if self.intranode is not None and self.node_of(a) == self.node_of(b):
-            return self.intranode
-        return self.network
 
     # -- verification -----------------------------------------------------------
 
@@ -521,6 +510,18 @@ class VirtualCluster:
 
     def run(self, fn: Callable[["VirtualComm"], Any], *args, **kwargs) -> list[Any]:
         """Run ``fn(comm, *args)`` on every rank; returns per-rank results."""
+        cp = self._critpath
+        if cp is not None and self._mailbox:
+            raise CommVerificationError(
+                [
+                    f"rank {src} -> rank {dst} tag={tag} ({nbytes} bytes) was "
+                    f"sent by an earlier run, whose send a recorded run cannot "
+                    f"replay{_code('unmatched_send')}"
+                    for (src, dst, tag), q in sorted(self._mailbox.items())
+                    for _obj, _ready, nbytes, _row in q
+                ],
+                self.rank_traces(),
+            )
         for st in self.ranks:
             st.done = False
             st.error = None
@@ -531,7 +532,6 @@ class VirtualCluster:
         self._deadlock = None
         self._error_flag = False
         self.happens_before = None
-        cp = self._critpath
         # A fresh log per run, kept only when an observer will read it.
         log: list[tuple] = []
         self.event_log = None if self.trace is None and cp is None else log
@@ -801,7 +801,7 @@ class VirtualComm:
         if plan is not None:
             self._maybe_crash()
             self._check_peer_alive(dest)
-        net = cl.pair_network(self.rank, dest)
+        net = cl.network
         nbytes = payload_bytes(obj)
         t_start = self._st.wall
         seq = self._send_seq
@@ -916,10 +916,9 @@ class VirtualComm:
                 # stays queued for a later attempt.
             # Virtual timeout: burn the deadline on the wall clock.
             assert cur_timeout is not None
-            net_t = cl.pair_network(source, self.rank)
             t0 = self._st.wall
             self._st.wall += cur_timeout
-            self._st.cpu += net_t.busy_wait_fraction * cur_timeout
+            self._st.cpu += cl.network.busy_wait_fraction * cur_timeout
             attempts += 1
             if log is not None:
                 log.append(("timeout", self.rank, source, tag, t0, cur_timeout, attempts))
@@ -929,7 +928,7 @@ class VirtualComm:
                     source, tag, self._st.wall - t_entry, attempts
                 )
             cur_timeout = cur_timeout * backoff
-        net = cl.pair_network(source, self.rank)
+        net = cl.network
         overhead = net.cpu_time_for_bytes(nbytes)
         t_busy_end = self._st.wall  # receiver's clock before blocking binds
         waited = max(0.0, ready - self._st.wall)
@@ -969,11 +968,6 @@ class VirtualComm:
             timed=timed,
             failure=crash_probe,
         )
-
-    def sendrecv(self, dest: int, obj: Any, source: int, tag: int = 0) -> Any:
-        """Exchange with distinct partners without deadlock."""
-        self.send(dest, obj, tag)
-        return self.recv(source, tag)
 
     # -- collectives -----------------------------------------------------------------
 

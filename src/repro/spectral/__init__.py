@@ -10,19 +10,13 @@ from .basis import (
     modified_a_deriv,
 )
 from .expansions import Expansion2D, Mode, QuadExpansion, TriExpansion
-from .jacobi import (
-    gauss_jacobi,
-    gauss_lobatto_jacobi,
-    jacobi,
-    jacobi_derivative,
-)
+from .jacobi import gauss_jacobi, jacobi, jacobi_derivative
 from .quadrature import Rule1D, TensorRule2D, quad_rule, tri_rule
 
 __all__ = [
     "jacobi",
     "jacobi_derivative",
     "gauss_jacobi",
-    "gauss_lobatto_jacobi",
     "Rule1D",
     "TensorRule2D",
     "quad_rule",

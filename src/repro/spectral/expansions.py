@@ -195,18 +195,6 @@ class Expansion2D:
             self._mass = mass
         return self._mass
 
-    def reference_stiffness(self) -> Array:
-        """Reference-element Laplacian, int grad(phi_i) . grad(phi_j).
-
-        With boundary-first mode ordering this is the matrix whose
-        structure the paper plots in Figure 10.
-        """
-        w = self.weights
-        stiff = np.empty((self.nmodes, self.nmodes))
-        blas.dgemm(1.0, self.dphi1 * w, self.dphi1, 0.0, stiff, transb=True)
-        blas.dgemm(1.0, self.dphi2 * w, self.dphi2, 1.0, stiff, transb=True)
-        return stiff
-
     def backward(self, coeffs: Array) -> Array:
         """Modal coefficients -> values at the quadrature points."""
         coeffs = np.asarray(coeffs, dtype=np.float64)
@@ -224,16 +212,6 @@ class Expansion2D:
 
     def integrate(self, fvals: Array) -> float:
         return self.rule.integrate(fvals)
-
-    def eval_basis(self, xi1: Array, xi2: Array) -> Array:
-        """(nmodes, npts) table of mode values at arbitrary reference points."""
-        xi1 = np.atleast_1d(np.asarray(xi1, dtype=np.float64))
-        xi2 = np.atleast_1d(np.asarray(xi2, dtype=np.float64))
-        A, B = self.collapse(xi1, xi2)
-        out = np.empty((self.nmodes, xi1.size))
-        for m, mode in enumerate(self.modes):
-            out[m] = mode.f(A) * mode.g(B)
-        return out
 
     def eval_basis_full(
         self, xi1: Array, xi2: Array
@@ -258,11 +236,6 @@ class Expansion2D:
             phi[m] = fa * gb
             d1[m], d2[m] = self._ref_deriv(fa, dfa, gb, dgb, A, B)
         return phi, d1, d2
-
-    # repro: waive[accounting] point-probe diagnostic, not a solver hot path
-    def eval_at(self, coeffs: Array, xi1: Array, xi2: Array) -> Array:
-        """Evaluate the expansion with given coefficients at points."""
-        return self.eval_basis(xi1, xi2).T @ np.asarray(coeffs, dtype=np.float64)
 
     def mode_labels(self) -> list[str]:
         return [m.label for m in self.modes]

@@ -21,7 +21,6 @@ __all__ = [
     "jacobi",
     "jacobi_derivative",
     "gauss_jacobi",
-    "gauss_lobatto_jacobi",
 ]
 
 
@@ -90,43 +89,4 @@ def _gauss_jacobi(n: int, alpha: float, beta: float):
     x, w = (np.array(a, dtype=np.float64) for a in roots_jacobi(n, alpha, beta))
     x.setflags(write=False)
     w.setflags(write=False)
-    return x, w
-
-
-# repro: waive[accounting] one-time quadrature-rule setup, not solver work
-def _weights_by_moment_matching(
-    x: np.ndarray, alpha: float, beta: float
-) -> np.ndarray:
-    """Weights making the rule with nodes x exact for degree < len(x).
-
-    Solves the Vandermonde moment system in the Jacobi^{alpha,beta}
-    orthogonal basis (well conditioned for the modest orders used here).
-    Moments of P_k^{a,b} against the weight are zero except k=0.
-    """
-    n = x.size
-    v = np.empty((n, n))
-    for k in range(n):
-        v[k] = jacobi(k, alpha, beta, x)
-    mu0_x, mu0_w = roots_jacobi(max(1, n), alpha, beta)
-    mu0 = float(np.sum(mu0_w))  # integral of the weight itself
-    rhs = np.zeros(n)
-    rhs[0] = mu0
-    return np.linalg.solve(v, rhs)
-
-
-def gauss_lobatto_jacobi(n: int, alpha: float = 0.0, beta: float = 0.0):
-    """n-point Gauss-Lobatto-Jacobi rule including both endpoints.
-
-    Exact for polynomial degree <= 2n-3 against the weight
-    (1-x)^alpha (1+x)^beta.  Interior nodes are the roots of
-    P_{n-2}^{alpha+1, beta+1}.
-    """
-    if n < 2:
-        raise ValueError("Lobatto rules need at least two points")
-    if n == 2:
-        x = np.array([-1.0, 1.0])
-    else:
-        xi, _ = roots_jacobi(n - 2, alpha + 1.0, beta + 1.0)
-        x = np.concatenate(([-1.0], np.sort(xi), [1.0]))
-    w = _weights_by_moment_matching(x, alpha, beta)
     return x, w

@@ -1,6 +1,6 @@
 """Quadrature rules on the reference line, quadrilateral and triangle.
 
-The quadrilateral uses a tensor Gauss-Legendre (or Gauss-Lobatto) grid.
+The quadrilateral uses a tensor Gauss-Legendre grid.
 The triangle is integrated in collapsed (Duffy) coordinates
 (a, b) in [-1,1]^2 with
 

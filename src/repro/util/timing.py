@@ -92,13 +92,6 @@ class StageTimer:
             for name, rec in self.records.items()
         }
 
-    def merge(self, other: "StageTimer") -> None:
-        for name, rec in other.records.items():
-            mine = self.records.setdefault(name, StageRecord(name))
-            mine.cpu += rec.cpu
-            mine.wall += rec.wall
-            mine.calls += rec.calls
-
     def reset(self) -> None:
         self.records.clear()
 

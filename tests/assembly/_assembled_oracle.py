@@ -1,0 +1,134 @@
+"""Frozen reference: the fully assembled direct solve and the per-element
+operators it was first checked with.
+
+None of this is on a run's path — every direct solve in ``src/`` goes
+through the statically condensed ``CondensedOperator`` — so it lives
+here, verbatim but for methods turned into functions, as what the live
+code is compared against:
+
+* ``assemble(space, elem_mats)`` (was ``FunctionSpace.assemble``): the
+  signed elemental matrices scattered into one global CSR matrix;
+* ``AssembledOperator``: that matrix with its Dirichlet dofs lifted out,
+  reverse Cuthill-McKee ordered and banded-Cholesky factored (through the
+  live ``rcm_band`` / ``BandedSPDSolver``), so a ``solve`` is one banded
+  sweep over every free dof;
+* ``elemental_helmholtz`` / ``elemental_load``: one element's H = L + lam M
+  and load vector by counted ``dgemm`` / ``dgemv``, the per-element twins
+  of the batched set-up and ``FunctionSpace.load_vector``.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import scipy.sparse as sp
+
+from repro.assembly.global_system import dirichlet_block, rcm_band
+from repro.assembly.operators import elemental_laplacian, elemental_mass
+from repro.linalg import blas
+from repro.linalg.banded import BandedSPDSolver
+from repro.linalg.counters import charge
+
+
+def assemble(space, elem_mats) -> sp.csr_matrix:
+    """Scatter elemental matrices into the global sparse operator."""
+    rows, cols, vals = [], [], []
+    for ei, a in enumerate(elem_mats):
+        dofs = space.dofmap.elem_dofs[ei]
+        signs = space.dofmap.elem_signs[ei]
+        sa = (signs[:, None] * a) * signs[None, :]
+        n = dofs.size
+        rows.append(np.repeat(dofs, n))
+        cols.append(np.tile(dofs, n))
+        vals.append(sa.ravel())
+    m = sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(space.ndof, space.ndof),
+    )
+    return m.tocsr()
+
+
+def scatter_add(dofmap, elem: int, ulocal: np.ndarray, uglobal: np.ndarray) -> None:
+    """Accumulate signed element-local values into the global vector."""
+    np.add.at(uglobal, dofmap.elem_dofs[elem], dofmap.elem_signs[elem] * ulocal)
+
+
+class AssembledOperator:
+    """A = sum_e Q_e^T A_e Q_e, factored for repeated solves.
+
+    ``elem_mats`` holds one symmetric (nmodes x nmodes) matrix per
+    element; ``dirichlet_dofs`` are eliminated and their coupling lifted
+    to the right-hand side.
+    """
+
+    def __init__(self, space, elem_mats, dirichlet_dofs=()):
+        self.space = space
+        self.a_full = assemble(space, elem_mats)
+        ndof = space.ndof
+        self.dirichlet = np.asarray(sorted(set(int(d) for d in dirichlet_dofs)), dtype=np.int64)
+        if self.dirichlet.size and (
+            self.dirichlet.min() < 0 or self.dirichlet.max() >= ndof
+        ):
+            raise ValueError("dirichlet dof out of range")
+        self.free = np.setdiff1d(np.arange(ndof), self.dirichlet)
+        self.a_uk = self.a_full[np.ix_(self.free, self.dirichlet)].tocsr()
+        self.perm, ab = rcm_band(self.a_full[np.ix_(self.free, self.free)].tocsr())
+        self.solver = BandedSPDSolver.from_banded(ab)
+        self.bandwidth = self.solver.kd
+
+    @property
+    def ndof(self) -> int:
+        return self.space.ndof
+
+    def matvec(self, u: np.ndarray) -> np.ndarray:
+        # Sparse matvec: 2 flops per stored entry, value+index+vector traffic.
+        charge(2.0 * self.a_full.nnz, 12.0 * self.a_full.nnz + 16.0 * self.ndof, "spmv")
+        return self.a_full @ u
+
+    def solve(self, rhs: np.ndarray, dirichlet_values: np.ndarray | None = None) -> np.ndarray:
+        """Solve A u = rhs with u fixed on the Dirichlet dofs.
+
+        ``rhs`` is the assembled load vector over all dofs, or a
+        row-stacked (nrhs, ndof) block; ``dirichlet_values`` follow the
+        sorted Dirichlet dof list (one shared vector or one row per RHS).
+        Returns the full solution including the prescribed values.
+        """
+        rhs = np.asarray(rhs, dtype=np.float64)
+        block = rhs[None] if rhs.ndim == 1 else rhs
+        if block.ndim != 2 or block.shape[1] != self.ndof:
+            raise ValueError("rhs must cover all global dofs")
+        nrhs = block.shape[0]
+        dv = dirichlet_block(dirichlet_values, nrhs, self.dirichlet.size)
+        b = block[:, self.free]
+        if self.dirichlet.size:
+            charge(
+                nrhs * 2.0 * self.a_uk.nnz,
+                nrhs * 12.0 * self.a_uk.nnz,
+                "dirichlet-lift",
+            )
+            b = b - (self.a_uk @ dv.T).T
+        x = np.empty_like(b)
+        x[:, self.perm] = self.solver.solve_many(b[:, self.perm])
+        u = np.zeros((nrhs, self.ndof))
+        u[:, self.free] = x
+        u[:, self.dirichlet] = dv
+        return u[0] if rhs.ndim == 1 else u
+
+
+def elemental_helmholtz(exp, gf, lam: float) -> np.ndarray:
+    """H = L + lam M, the operator of the paper's steps 5 and 7."""
+    if lam < 0.0:
+        raise ValueError("Helmholtz constant must be >= 0")
+    h = elemental_laplacian(exp, gf)
+    if lam != 0.0:
+        h += lam * elemental_mass(exp, gf)
+    return h
+
+
+def elemental_load(exp, gf, fvals: np.ndarray) -> np.ndarray:
+    """(f, phi_i) for f given at the element quadrature points."""
+    fvals = np.ravel(np.asarray(fvals, dtype=np.float64))
+    if fvals.size != gf.nq:
+        raise ValueError("fvals must be given at the quadrature points")
+    out = np.zeros(exp.nmodes)
+    blas.dgemv(1.0, exp.phi, gf.jw * fvals, 0.0, out)
+    return out

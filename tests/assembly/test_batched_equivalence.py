@@ -15,14 +15,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.assembly.condensation import CondensedOperator
-from repro.assembly.global_system import AssembledOperator
-from repro.assembly.operators import elemental_helmholtz, elemental_load, elemental_mass
+from repro.assembly.operators import elemental_mass
 from repro.assembly.space import FunctionSpace
 from repro.linalg.counters import OpCounter, charge, set_kernel_sampler
 from repro.mesh.generators import bluff_body_mesh, rectangle_quads, rectangle_tris
 from repro.mesh.mesh2d import Mesh2D
 
 from ..golden import check
+from ..linalg._snapshot import snapshot
+from ._assembled_oracle import (
+    AssembledOperator,
+    elemental_helmholtz,
+    elemental_load,
+    scatter_add,
+)
 
 
 def mixed_mesh() -> Mesh2D:
@@ -53,8 +59,8 @@ def per_element_transforms(space, u):
         local = dm.gather(ei, u)
         dx, dy = gf.physical_gradients(exp.dphi1, exp.dphi2)
         vals[ei], gx[ei], gy[ei] = exp.phi.T @ local, dx.T @ local, dy.T @ local
-        dm.scatter_add(ei, elemental_load(exp, gf, vals[ei]), load)
-        dm.scatter_add(ei, dx @ (gf.jw * gx[ei]) + dy @ (gf.jw * gy[ei]), gload)
+        scatter_add(dm, ei, elemental_load(exp, gf, vals[ei]), load)
+        scatter_add(dm, ei, dx @ (gf.jw * gx[ei]) + dy @ (gf.jw * gy[ei]), gload)
         integral += float(gf.jw @ vals[ei])
     return vals, gx, gy, load, gload, integral
 
@@ -67,8 +73,8 @@ def per_element_matrices(space, fn, *args):
 
 
 def assert_same_charges(ca: OpCounter, cb: OpCounter) -> None:
-    assert ca.snapshot().totals() == cb.snapshot().totals()
-    assert ca.snapshot().label_charges() == cb.snapshot().label_charges()
+    assert snapshot(ca).totals() == snapshot(cb).totals()
+    assert snapshot(ca).label_charges() == snapshot(cb).label_charges()
 
 
 def observed(fn):
@@ -80,7 +86,7 @@ def observed(fn):
             result = fn()
     finally:
         set_kernel_sampler(None)
-    return result, seq, counter.snapshot()
+    return result, seq, snapshot(counter)
 
 
 def mass_setup(space):
@@ -188,7 +194,7 @@ def test_multi_field_matches_single_field(order, nfields, seed):
     _, setup, _ = observed(lambda: mass_setup(space))
     multi, seq_m, snap_m = observed(lambda: sweep(u))
     assert multi[0].shape == (nfields, space.nelem, space.nq)
-    assert snap_m == replayed(seq_m).snapshot()
+    assert snap_m == snapshot(replayed(seq_m))
     runs = [observed(lambda i=i: sweep(u[i])) for i in range(nfields)]
     for i, (single, _, _) in enumerate(runs):
         for m, s in zip(multi, single):
@@ -206,7 +212,7 @@ def test_forward_projection_matches_per_element():
     load = np.zeros(space.ndof)
     for ei in range(space.nelem):
         exp, gf = space.dofmap.expansion(ei), space.geom[ei]
-        space.dofmap.scatter_add(ei, elemental_load(exp, gf, vals[ei]), load)
+        scatter_add(space.dofmap, ei, elemental_load(exp, gf, vals[ei]), load)
     mass = AssembledOperator(space, per_element_matrices(space, elemental_mass))
     np.testing.assert_allclose(
         space.forward(vals), mass.solve(load), rtol=0.0, atol=1e-10
@@ -243,7 +249,7 @@ def method_charges(mesh, order, sumfact=None):
     for name, fn in ops.items():
         with OpCounter() as c:
             fn()
-        snap = c.snapshot()
+        snap = snapshot(c)
         out[name] = [snap.flops, snap.bytes, snap.label_charges()]
     return {"elements": mesh.nelements, "ndof": space.ndof, "ops": out}
 

@@ -40,6 +40,7 @@ from repro.ns.ale import ALENavierStokes2D
 from repro.spectral.basis import bubble
 from repro.spectral.jacobi import gauss_jacobi
 
+from ._assembled_oracle import scatter_add
 from .test_batched_equivalence import mixed_mesh
 
 # -- the per-side references -------------------------------------------------------
@@ -125,7 +126,7 @@ def pressure_bc_per_side(space, quads, minv, bcs, rhs_p, w_extrap, nu, scale, t_
                 ]
             )
             term = -nu * n_curl - scale * ubn
-            dm.scatter_add(ei, eq.load(term), rhs_p)
+            scatter_add(dm, ei, eq.load(term), rhs_p)
 
 
 def pressure_bc_per_side_mode(

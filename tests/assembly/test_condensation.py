@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from repro.assembly.condensation import CondensedOperator
-from repro.assembly.global_system import AssembledOperator, project_dirichlet
-from repro.assembly.operators import elemental_helmholtz
+from repro.assembly.global_system import project_dirichlet
 from repro.assembly.space import FunctionSpace
 from repro.linalg import blas
 from repro.linalg.counters import OpCounter
@@ -15,6 +14,8 @@ from repro.mesh.generators import (
 )
 from repro.solvers.helmholtz import HelmholtzDirect
 
+from ..linalg._snapshot import snapshot
+from ._assembled_oracle import AssembledOperator, elemental_helmholtz
 from .test_batched_equivalence import mixed_mesh
 
 
@@ -125,7 +126,7 @@ PRESCRIBED = {"none": lambda nb: [], "some": lambda nb: range(0, nb, 3), "all": 
 
 
 def label_charges(counter):
-    return counter.snapshot().label_charges()
+    return snapshot(counter).label_charges()
 
 
 @pytest.mark.parametrize("bc", PRESCRIBED)

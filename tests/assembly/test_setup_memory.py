@@ -19,7 +19,6 @@ import scipy.linalg as sla
 
 from repro.assembly import condensation
 from repro.assembly.condensation import CondensedOperator
-from repro.assembly.global_system import AssembledOperator
 from repro.assembly.space import FunctionSpace
 from repro.linalg.banded import BandedSPDSolver
 from repro.machines.network import NetworkModel
@@ -29,6 +28,7 @@ from repro.ns.nektar2d import NavierStokes2D
 from repro.ns.nektar_f import NekTarF
 from repro.parallel.simmpi import VirtualCluster
 
+from ._assembled_oracle import AssembledOperator
 from .test_batched_equivalence import mass_setup, mixed_mesh, observed
 
 NET = NetworkModel("t", latency_us=5, bandwidth=1e9)

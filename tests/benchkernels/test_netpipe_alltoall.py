@@ -1,17 +1,11 @@
 import numpy as np
 import pytest
 
-from repro.benchkernels.alltoall import (
-    figure8_series,
-    message_sizes,
-    simulated_alltoall,
-)
-from repro.benchkernels.netpipe import (
-    bandwidth_series,
-    latency_series,
-    simulated_pingpong,
-)
+from repro.benchkernels.alltoall import figure8_series, message_sizes
+from repro.benchkernels.netpipe import bandwidth_series, latency_series
 from repro.machines.catalog import NETWORKS, PINGPONG_FIGURE_NETWORKS
+
+from ._simulated_oracle import simulated_alltoall, simulated_pingpong
 
 
 def test_latency_series_covers_all_networks():

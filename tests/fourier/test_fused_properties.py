@@ -24,6 +24,8 @@ from repro.machines.network import NetworkModel
 from repro.obs import MetricsRegistry, Trace, scoped
 from repro.parallel.simmpi import VirtualCluster
 
+from ..linalg._snapshot import snapshot
+
 NET = NetworkModel("t", latency_us=5, bandwidth=1e9)
 
 
@@ -100,14 +102,14 @@ def test_batched_fft_property(nf, npts, nz, seed):
     with OpCounter() as cl:
         modes_l = np.stack([fft_z(planes[i]) for i in range(nf)])
     assert modes.tobytes() == modes_l.tobytes()
-    assert cf.snapshot().label_charges() == cl.snapshot().label_charges()
+    assert snapshot(cf).label_charges() == snapshot(cl).label_charges()
 
     with OpCounter() as cf:
         back = ifft_z(modes, nz)
     with OpCounter() as cl:
         back_l = np.stack([ifft_z(modes[i], nz) for i in range(nf)])
     assert back.tobytes() == back_l.tobytes()
-    assert cf.snapshot().label_charges() == cl.snapshot().label_charges()
+    assert snapshot(cf).label_charges() == snapshot(cl).label_charges()
     np.testing.assert_allclose(back, planes, atol=1e-12)
 
 
@@ -191,7 +193,7 @@ def test_pipeline_matches_compositional_path(nf, nprocs, nz, seed):
                 back.tobytes()
                 == np.ascontiguousarray(ref_back.transpose(0, 2, 1)).tobytes()
             )
-            assert cp.snapshot().label_charges() == co.snapshot().label_charges()
+            assert snapshot(cp).label_charges() == snapshot(co).label_charges()
             assert wire_p == wire_o, "pipeline must conserve wire traffic"
         return True
 

@@ -11,6 +11,8 @@ from repro.fourier.transforms import (
     wavenumbers,
 )
 
+from ..linalg._snapshot import snapshot
+
 
 def test_nmodes_validation():
     assert nmodes_for(8) == 4
@@ -95,10 +97,10 @@ def test_fft_charges_split_by_direction():
     vals = np.random.default_rng(0).standard_normal((nbatch, nz))
     with OpCounter() as ops:
         modes = fft_z(vals)
-    fwd = ops.snapshot().label_charges()["rfft-z"]
+    fwd = snapshot(ops).label_charges()["rfft-z"]
     with OpCounter() as ops2:
         ifft_z(modes, nz)
-    inv = ops2.snapshot().label_charges()["irfft-z"]
+    inv = snapshot(ops2).label_charges()["irfft-z"]
     # Golden-pinned formulas (per line of length nz = 16, nbatch = 3).
     assert fwd == (
         nbatch * (2.5 * nz * 4.0 + 2.0 * (nz // 2)),
@@ -125,12 +127,12 @@ def test_batched_fft_charges_equal_per_field_sum():
     with OpCounter() as ops_p:
         per = np.stack([fft_z(stack[i]) for i in range(nf)])
     assert fused.tobytes() == per.tobytes()
-    assert ops_f.snapshot().label_charges() == ops_p.snapshot().label_charges()
+    assert snapshot(ops_f).label_charges() == snapshot(ops_p).label_charges()
     with OpCounter() as ops_fi:
         back_f = ifft_z(fused, nz)
     with OpCounter() as ops_pi:
         back_p = np.stack([ifft_z(per[i], nz) for i in range(nf)])
     assert back_f.tobytes() == back_p.tobytes()
     assert (
-        ops_fi.snapshot().label_charges() == ops_pi.snapshot().label_charges()
+        snapshot(ops_fi).label_charges() == snapshot(ops_pi).label_charges()
     )

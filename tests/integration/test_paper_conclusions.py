@@ -13,6 +13,7 @@ from repro.apps.serial_bluff import table1
 from repro.machines.catalog import CPUS, NETWORKS
 
 from ..golden import check
+from ..linalg._snapshot import snapshot
 
 
 def test_1_pc_kernel_level_competitive_but_below_t3e_p2sc():
@@ -152,7 +153,7 @@ def nektar_f_step_flops():
         nf.set_initial(one, zero, zero)
         with OpCounter() as c:
             nf.run(2)
-        snap = c.snapshot()
+        snap = snapshot(c)
         return {
             "charges": [snap.flops, snap.bytes, snap.label_charges()],
             "state": [float(np.abs(f).sum()) for f in (nf.u_hat, nf.p_hat)],

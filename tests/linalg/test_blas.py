@@ -51,13 +51,6 @@ def test_ddot_flop_count():
     assert c.flops == 200
 
 
-def test_dscal_in_place():
-    x = np.arange(1.0, 5.0)
-    out = blas.dscal(2.0, x)
-    assert out is x
-    np.testing.assert_array_equal(x, [2.0, 4.0, 6.0, 8.0])
-
-
 def test_dnrm2():
     assert blas.dnrm2(np.array([3.0, 4.0])) == pytest.approx(5.0)
 
@@ -130,7 +123,6 @@ def test_analytic_counts_match_kernels():
         "dcopy": lambda: blas.dcopy(x, y.copy()),
         "daxpy": lambda: blas.daxpy(0.5, x, y.copy()),
         "ddot": lambda: blas.ddot(x, y),
-        "dscal": lambda: blas.dscal(2.0, y.copy()),
         "dnrm2": lambda: blas.dnrm2(x),
         "dvmul": lambda: blas.dvmul(x, y, np.empty(n)),
     }
@@ -142,6 +134,31 @@ def test_analytic_counts_match_kernels():
     finally:
         set_kernel_sampler(None)
     assert tuple(seq) == blas.vector_tape(tuple(calls), n)
+
+
+@pytest.mark.parametrize("n", [1, 7, 64])
+def test_cost_table_is_what_each_figure_routine_charges(n):
+    # The CPU model prices Figures 1-6 from flop_count / byte_count; they
+    # must be the charges of one counted call on size-n (square) operands.
+    from repro.machines.cpu import ROUTINES
+
+    x, y = np.ones(n), np.ones(n)
+    a, b, c = np.ones((n, n)), np.ones((n, n)), np.zeros((n, n))
+    calls = {
+        "dcopy": lambda: blas.dcopy(x, y),
+        "daxpy": lambda: blas.daxpy(0.5, x, y),
+        "ddot": lambda: blas.ddot(x, y),
+        "dgemv": lambda: blas.dgemv(1.0, a, x, 0.0, y),
+        "dgemm": lambda: blas.dgemm(1.0, a, b, 0.0, c),
+    }
+    assert tuple(calls) == ROUTINES
+    for routine, call in calls.items():
+        with OpCounter() as counter:
+            call()
+        assert (counter.flops, counter.bytes) == (
+            blas.flop_count(routine, n),
+            blas.byte_count(routine, n),
+        ), routine
 
 
 def test_unknown_routine_rejected():

@@ -24,6 +24,7 @@ from repro.mesh.mesh2d import Mesh2D
 from repro.solvers.helmholtz import HelmholtzCG
 
 from . import _cg_oracle as oracle
+from ._snapshot import snapshot
 
 
 def observed(fn):
@@ -39,7 +40,7 @@ def observed(fn):
                 result = exc
     finally:
         set_kernel_sampler(None)
-    return result, seq, (outer.snapshot(), inner.snapshot())
+    return result, seq, (snapshot(outer), snapshot(inner))
 
 
 def random_spd(n, seed):

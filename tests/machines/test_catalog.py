@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.benchkernels.netpipe import simulated_pingpong
 from repro.machines.catalog import (
     ALLTOALL_FIGURE_NETWORKS,
     BLAS_FIGURE_MACHINES,
@@ -11,6 +10,8 @@ from repro.machines.catalog import (
     NETWORKS,
     PINGPONG_FIGURE_NETWORKS,
 )
+
+from ..benchkernels._simulated_oracle import simulated_pingpong
 
 
 def test_every_machine_has_default_network():

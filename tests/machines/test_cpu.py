@@ -4,12 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.machines.catalog import CPUS
-from repro.machines.cpu import (
-    CPUModel,
-    routine_flops,
-    routine_traffic,
-    working_set,
-)
+from repro.machines.cpu import CPUModel, working_set
 
 PII = CPUS["pentium-ii-450"]
 T3E = CPUS["alpha21164-450"]
@@ -148,6 +143,4 @@ def test_app_time_scaling():
 
 
 def test_routine_helpers():
-    assert routine_flops("dgemm", 10) == 2000
-    assert routine_traffic("dcopy", 100) == 1600
     assert working_set("dgemv", 10) == 8 * 120

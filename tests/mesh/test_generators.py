@@ -14,6 +14,11 @@ from repro.mesh.generators import (
 )
 
 
+def every_boundary_side_is_tagged(mesh) -> bool:
+    tagged = {s for sides in mesh.boundary_tags.values() for s in sides}
+    return set(mesh.boundary_sides()) <= tagged
+
+
 @given(st.integers(1, 6), st.integers(1, 6))
 @settings(max_examples=15, deadline=None)
 def test_rectangle_quads_counts_and_area(nx, ny):
@@ -24,7 +29,7 @@ def test_rectangle_quads_counts_and_area(nx, ny):
     assert mesh.element_areas().sum() == pytest.approx(2.0)
     assert len(mesh.boundary_tags["left"]) == ny
     assert len(mesh.boundary_tags["bottom"]) == nx
-    assert len(mesh.untagged_boundary_sides()) == 0
+    assert every_boundary_side_is_tagged(mesh)
 
 
 @given(st.integers(1, 5), st.integers(1, 5))
@@ -34,7 +39,7 @@ def test_rectangle_tris_counts_and_area(nx, ny):
     assert mesh.nelements == 2 * nx * ny
     assert np.all(mesh.element_areas() > 0)
     assert mesh.element_areas().sum() == pytest.approx(4.0)
-    assert len(mesh.untagged_boundary_sides()) == 0
+    assert every_boundary_side_is_tagged(mesh)
 
 
 def test_rectangle_invalid():
@@ -75,7 +80,7 @@ def test_bluff_body_mesh_valid():
     body = np.pi * 0.5**2
     # Straight-sided polygonal body: area within a few percent.
     assert mesh.element_areas().sum() == pytest.approx(domain - body, rel=0.02)
-    assert len(mesh.untagged_boundary_sides()) == 0
+    assert every_boundary_side_is_tagged(mesh)
     for tag in ("inflow", "outflow", "side", "wall"):
         assert mesh.boundary_tags[tag]
     # Wall edges all lie on the cylinder.
@@ -101,7 +106,7 @@ def test_bluff_body_mesh_connected():
 def test_wing_mesh_valid():
     mesh = wing_mesh()
     assert np.all(mesh.element_areas() > 0)
-    assert len(mesh.untagged_boundary_sides()) == 0
+    assert every_boundary_side_is_tagged(mesh)
     assert mesh.boundary_tags["wall"]
 
 

@@ -24,6 +24,7 @@ from repro.obs import scoped
 from repro.parallel.simmpi import VirtualCluster
 
 from ..golden import check
+from ..linalg._snapshot import snapshot
 from .test_nektar_f import Beltrami
 
 NET = NetworkModel("t", latency_us=5, bandwidth=1e9)
@@ -59,7 +60,7 @@ def blocked_step():
         for _ in range(3):
             with OpCounter() as c:
                 nf.step()
-            snap = c.snapshot()
+            snap = snapshot(c)
             steps.append([snap.flops, snap.bytes, snap.label_charges()])
         config = {
             "elements": nf.space.nelem,
@@ -116,7 +117,7 @@ def trajectory(nprocs):
             )
             nf.set_initial(amp_u, zero, amp_w0)
             nf.run(nsteps)
-        snap = c.snapshot()
+        snap = snapshot(c)
         ledger = {
             "virtual_wall": comm.wall,
             "virtual_cpu": comm.cpu_time,

@@ -94,7 +94,8 @@ def test_divergence_small_after_projection():
     ns.run(5)
     assert ns.divergence_norm() < 1e-2
     # and compared to the velocity scale
-    assert ns.divergence_norm() < 0.01 * ns.max_velocity()
+    u, v = ns.velocity()
+    assert ns.divergence_norm() < 0.01 * np.sqrt(u * u + v * v).max()
 
 
 def test_taylor_vortex_energy_decay():
@@ -144,8 +145,6 @@ def test_stage_instrumentation():
     assert flops["5:pressure-solve"] > 0
     assert flops["7:viscous-solve"] > 0
     assert flops["1:transform"] > 0
-    b = ns.stage_bytes()
-    assert all(v >= 0 for v in b.values())
 
 
 def test_pressure_pin_path():

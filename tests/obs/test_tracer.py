@@ -78,7 +78,7 @@ def test_kernel_sampling_aggregates_and_samples():
     tr = Tracer(sample_every=4)
     for _ in range(10):
         tr.kernel_sample(100.0, 800.0, "dgemv")
-    assert tr.kernel_totals() == {"dgemv": (10, 1000.0, 8000.0)}
+    assert tr.kernel_charges == {"dgemv": [10, 1000.0, 8000.0]}
     # Events at calls 1, 5, 9 -> three sampled instants.
     kernel_events = [e for e in tr.events if e.cat == "kernel"]
     assert len(kernel_events) == 3
@@ -169,7 +169,7 @@ def test_fresh_raw_thread_reads_empty_slots():
     assert seen["reads"] == (None, None, None)
     assert seen["own_stage"] == "worker"
     assert (c.flops, c.calls) == (0.0, 0)
-    assert tr.kernel_totals() == {} and tr.events == []
+    assert tr.kernel_charges == {} and tr.events == []
 
 
 def test_install_hooks_kernel_sampler():
@@ -183,7 +183,7 @@ def test_install_hooks_kernel_sampler():
         with obs.install(tr):
             blas.ddot(x, y)
         blas.ddot(x, y)  # after uninstall: not sampled
-    assert tr.kernel_totals()["ddot"][0] == 1
+    assert tr.kernel_charges["ddot"][0] == 1
 
 
 def test_trace_event_defaults():

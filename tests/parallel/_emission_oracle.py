@@ -61,7 +61,7 @@ def send(self, dest: int, obj: Any, tag: int = 0) -> None:
         self._maybe_crash()
         self._check_peer_alive(dest)
     tracer = obs.current()
-    net = cl.pair_network(self.rank, dest)
+    net = cl.network
     nbytes = payload_bytes(obj)
     t_start = self._st.wall
     seq = self._send_seq
@@ -152,7 +152,7 @@ def recv(
                 self._st.trace.append(("recv", source, tag, nbytes))
                 break
         assert cur_timeout is not None
-        net_t = cl.pair_network(source, self.rank)
+        net_t = cl.network
         t0 = self._st.wall
         self._st.wall += cur_timeout
         self._st.cpu += net_t.busy_wait_fraction * cur_timeout
@@ -170,7 +170,7 @@ def recv(
         if attempts > retries:
             raise RecvTimeout(source, tag, self._st.wall - t_entry, attempts)
         cur_timeout = cur_timeout * backoff
-    net = cl.pair_network(source, self.rank)
+    net = cl.network
     overhead = net.cpu_time_for_bytes(nbytes)
     t_busy_end = self._st.wall
     waited = max(0.0, ready - self._st.wall)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from repro.machines.network import NetworkModel
+from repro.obs import CritPathRecorder, Trace
 from repro.parallel.simmpi import (
     CommVerificationError,
     VirtualCluster,
@@ -70,7 +71,8 @@ def test_clean_patterns_verify_ok():
     def fn(comm):
         right = (comm.rank + 1) % comm.size
         left = (comm.rank - 1) % comm.size
-        got = comm.sendrecv(right, float(comm.rank), left)
+        comm.send(right, float(comm.rank))
+        got = comm.recv(left)
         comm.barrier()
         total = comm.allreduce(got)
         return total
@@ -173,6 +175,48 @@ def test_cluster_reusable_after_clean_run():
 
 
 # ------------------------------------------------------------- payload pricing
+
+
+def _send_two(comm):
+    if comm.rank == 0:
+        comm.send(1, 1.0, tag=5)
+        comm.send(1, np.zeros(3), tag=6)
+
+
+def _recv_two(comm):
+    if comm.rank == 1:
+        return comm.recv(0, tag=5), float(comm.recv(0, tag=6).sum())
+
+
+@pytest.mark.parametrize(
+    "observer",
+    [lambda: {"critpath": CritPathRecorder()}, lambda: {"sanitize": True}],
+    ids=["critpath", "sanitize"],
+)
+def test_recorded_run_refuses_messages_from_an_earlier_run(observer):
+    cl = cluster(2, verify=False, **observer())
+    cl.run(_send_two)
+    walls = [st.wall for st in cl.ranks]
+    with pytest.raises(CommVerificationError) as exc:
+        cl.run(_recv_two)
+    assert exc.value.problems == [
+        "rank 0 -> rank 1 tag=5 (8 bytes) was sent by an earlier run, whose "
+        "send a recorded run cannot replay [REPRO010]",
+        "rank 0 -> rank 1 tag=6 (24 bytes) was sent by an earlier run, whose "
+        "send a recorded run cannot replay [REPRO010]",
+    ]
+    # Refused before any rank started: no clock moved, nothing dequeued.
+    assert [st.wall for st in cl.ranks] == walls
+    assert sum(len(q) for q in cl._mailbox.values()) == 2
+
+
+@pytest.mark.parametrize(
+    "observer", [dict, lambda: {"trace": Trace()}], ids=["untraced", "trace-only"]
+)
+def test_unrecorded_rerun_delivers_messages_from_an_earlier_run(observer):
+    cl = cluster(2, verify=False, **observer())
+    cl.run(_send_two)
+    assert cl.run(_recv_two)[1] == (1.0, 0.0)
 
 
 def test_payload_bytes_bool_and_scalars():

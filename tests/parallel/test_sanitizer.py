@@ -396,7 +396,8 @@ def _workload(comm, ops):
     with OpCounter() as c:
         for op in ops:
             if op == "exchange":
-                x = x + comm.sendrecv(right, x, left, tag=11)
+                comm.send(right, x, tag=11)
+                x = x + comm.recv(left, tag=11)
             elif op == "allreduce":
                 comm.allreduce(float(x.sum()))
             elif op == "barrier":

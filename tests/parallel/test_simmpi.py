@@ -285,23 +285,6 @@ def test_error_propagates():
         cluster(2).run(fn)
 
 
-def test_intranode_network_selected():
-    slow = NetworkModel("slow", latency_us=1000, bandwidth=1e6)
-    fast = NetworkModel("fast", latency_us=1, bandwidth=1e9)
-
-    def fn(comm):
-        if comm.rank == 0:
-            comm.send(1, np.zeros(1000))  # same node
-            comm.send(2, np.zeros(1000))  # other node
-        elif comm.rank in (1, 2):
-            comm.recv(0)
-        return comm.wall
-
-    cl = VirtualCluster(4, slow, procs_per_node=2, intranode=fast)
-    res = cl.run(fn)
-    assert res[1] < res[2]  # intranode delivery is much faster
-
-
 def test_clock_monotonic_per_rank():
     def fn(comm):
         ws = [comm.wall]

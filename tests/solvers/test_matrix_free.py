@@ -10,13 +10,15 @@ on every element mix, and a row-stacked block must be its rows.
 import numpy as np
 import pytest
 
-from repro.assembly.global_system import AssembledOperator
 from repro.assembly.space import FunctionSpace
 from repro.linalg.counters import OpCounter
 from repro.mesh.generators import rectangle_quads, rectangle_tris
 from repro.mesh.mesh2d import Mesh2D
 from repro.obs import tracer as obs
 from repro.solvers.helmholtz import HelmholtzCG, HelmholtzDirect
+
+from ..assembly._assembled_oracle import AssembledOperator, assemble
+from ..linalg._snapshot import snapshot
 
 
 def mixed_mesh() -> Mesh2D:
@@ -32,7 +34,7 @@ def mixed_mesh() -> Mesh2D:
 def test_operator_apply_matches_assembled(order, kind, lam):
     space = FunctionSpace(rectangle_quads(2, 2, 0.0, 1.0, 0.5, 2.0), order)
     assert space.sumfact  # all-quad mesh defaults on
-    a = space.assemble(space.elemental_matrices(kind, lam))
+    a = assemble(space, space.elemental_matrices(kind, lam))
     rng = np.random.default_rng(order)
     u = rng.standard_normal(space.ndof)
     got = space.operator_apply(kind, u, lam)
@@ -63,7 +65,7 @@ def test_operator_apply_mixed_mesh_fallback():
     """Explicit sumfact on a mixed mesh: quad batches go matrix-free,
     tri batches through cached tabulated stacks — same assembled answer."""
     space = FunctionSpace(mixed_mesh(), 6, sumfact=True)
-    a = space.assemble(space.elemental_matrices("helmholtz", 1.0))
+    a = assemble(space, space.elemental_matrices("helmholtz", 1.0))
     rng = np.random.default_rng(11)
     u = rng.standard_normal(space.ndof)
     want = a @ u
@@ -163,7 +165,7 @@ def _counted_solves(solve):
     with obs.install(tr), OpCounter() as c:
         out = solve()
     iters = [e.args["iterations"] for e in tr.events if e.name == "pcg"]
-    return out, c.snapshot().label_charges(), iters
+    return out, snapshot(c).label_charges(), iters
 
 
 @pytest.mark.parametrize("mesh", ["tri", "mixed"])

@@ -13,12 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.assembly.condensation import CondensedOperator
-from repro.assembly.global_system import AssembledOperator
 from repro.assembly.space import FunctionSpace
 from repro.linalg.counters import OpCounter
 from repro.mesh.generators import rectangle_quads, rectangle_tris
 from repro.mesh.mesh2d import Mesh2D
 from repro.solvers.helmholtz import HelmholtzCG
+
+from ..assembly._assembled_oracle import AssembledOperator
 
 
 def mixed_mesh() -> Mesh2D:

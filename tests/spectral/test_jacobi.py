@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from repro.spectral.jacobi import (
     gauss_jacobi,
-    gauss_lobatto_jacobi,
     jacobi,
     jacobi_derivative,
 )
@@ -83,8 +82,6 @@ def test_invalid_arguments():
         jacobi_derivative(2, 0.0, 0.0, np.array([0.0]), k=-1)
     with pytest.raises(ValueError):
         gauss_jacobi(0)
-    with pytest.raises(ValueError):
-        gauss_lobatto_jacobi(1)
 
 
 @given(st.integers(1, 12))
@@ -95,35 +92,6 @@ def test_gauss_exactness(n):
     for d in range(2 * n):
         exact = 2.0 / (d + 1) if d % 2 == 0 else 0.0
         assert float(np.sum(w * x**d)) == pytest.approx(exact, abs=1e-12)
-
-
-@given(st.integers(2, 12))
-@settings(max_examples=22, deadline=None)
-def test_lobatto_exactness_and_endpoints(n):
-    x, w = gauss_lobatto_jacobi(n, 0.0, 0.0)
-    assert x[0] == pytest.approx(-1.0)
-    assert x[-1] == pytest.approx(1.0)
-    assert np.all(np.diff(x) > 0)
-    for d in range(2 * n - 2):
-        exact = 2.0 / (d + 1) if d % 2 == 0 else 0.0
-        assert float(np.sum(w * x**d)) == pytest.approx(exact, abs=1e-10)
-
-
-def test_lobatto_jacobi_10_weighted_exactness():
-    # Weight (1 - x): integral of x^d (1-x) over [-1,1].
-    n = 6
-    x, w = gauss_lobatto_jacobi(n, 1.0, 0.0)
-    for d in range(2 * n - 3):
-        even = 2.0 / (d + 1) if d % 2 == 0 else 0.0
-        odd = 2.0 / (d + 2) if (d + 1) % 2 == 0 else 0.0
-        assert float(np.sum(w * x**d)) == pytest.approx(even - odd, abs=1e-10)
-
-
-def test_gll_weights_positive_and_symmetric():
-    x, w = gauss_lobatto_jacobi(8, 0.0, 0.0)
-    assert np.all(w > 0)
-    np.testing.assert_allclose(w, w[::-1], rtol=1e-12)
-    np.testing.assert_allclose(x, -x[::-1], rtol=1e-12)
 
 
 def test_gauss_jacobi_rules_are_shared_and_read_only():

@@ -45,36 +45,12 @@ def test_stage_timer_percentages_empty():
     assert t.percentages() == {"z": 0.0}
 
 
-def test_stage_timer_merge():
-    a, b = StageTimer(), StageTimer()
-    a.add("s", cpu=1.0)
-    b.add("s", cpu=2.0)
-    b.add("t", cpu=4.0)
-    a.merge(b)
-    assert a.records["s"].cpu == pytest.approx(3.0)
-    assert a.records["t"].cpu == pytest.approx(4.0)
-
-
 def test_stage_timer_reset():
     t = StageTimer()
     t.add("s", cpu=1.0)
     t.reset()
     assert t.records == {}
     assert t.total() == 0.0
-
-
-def test_stage_timer_merge_wall_and_calls():
-    a, b = StageTimer(), StageTimer()
-    a.add("s", cpu=1.0, wall=2.0)
-    b.add("s", cpu=0.5, wall=3.0)
-    b.add("s", cpu=0.5, wall=1.0)
-    a.merge(b)
-    assert a.records["s"].cpu == pytest.approx(2.0)
-    assert a.records["s"].wall == pytest.approx(6.0)
-    assert a.records["s"].calls == 3
-    # Merging an empty timer is a no-op.
-    a.merge(StageTimer())
-    assert a.records["s"].calls == 3
 
 
 def test_stage_timer_percentages_wall_zero_total():
