@@ -184,12 +184,10 @@ def table3() -> list[tuple]:
     return rows
 
 
-def figure15_16(
-    nprocs: int = 16, systems=("NCSA", "RoadRunner myr.")
-) -> dict[str, dict[str, float]]:
+def figure15_16(nprocs: int = 16) -> dict[str, dict[str, float]]:
     """Stage-group (a/b/c) percentage shares, CPU and wall (Figs 15-16)."""
     out = {}
-    for system in systems:
+    for system in ("NCSA", "RoadRunner myr."):
         t = step_times(system, nprocs)
         for kind in ("cpu", "wall"):
             stages = t[f"stage_{kind}"]

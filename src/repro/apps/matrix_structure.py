@@ -24,11 +24,14 @@ __all__ = ["figure9", "figure10", "figure11", "main"]
 REF_TRI = np.array([[-1.0, -1.0], [1.0, -1.0], [-1.0, 1.0]])
 REF_QUAD = np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
 
+#: Expansion order of Figures 9 and 10.
+ORDER = 4
 
-def figure9(order: int = 4) -> str:
+
+def figure9() -> str:
     """Mode ordering tables for both element shapes."""
     out = []
-    for exp, name in ((TriExpansion(order), "triangle"), (QuadExpansion(order), "quadrilateral")):
+    for exp, name in ((TriExpansion(ORDER), "triangle"), (QuadExpansion(ORDER), "quadrilateral")):
         rows = [
             (i, m.kind, m.entity if m.entity >= 0 else "-", str(m.k), m.label)
             for i, m in enumerate(exp.modes)
@@ -39,7 +42,7 @@ def figure9(order: int = 4) -> str:
                 rows,
                 title=(
                     f"Figure 9: modified expansion ordering, {name}, "
-                    f"order {order} ({exp.nmodes} modes)"
+                    f"order {ORDER} ({exp.nmodes} modes)"
                 ),
             )
         )
@@ -56,12 +59,12 @@ def _spy(matrix: np.ndarray, tol: float = 1e-10) -> str:
     return "\n".join(lines)
 
 
-def figure10(order: int = 4) -> str:
+def figure10() -> str:
     """Elemental Laplacian structure, boundary dofs first (Figure 10)."""
     out = []
     for exp, coords, name in (
-        (TriExpansion(order), REF_TRI, "triangular"),
-        (QuadExpansion(order), REF_QUAD, "quadrilateral"),
+        (TriExpansion(ORDER), REF_TRI, "triangular"),
+        (QuadExpansion(ORDER), REF_QUAD, "quadrilateral"),
     ):
         gf = GeomFactors.compute(exp, coords)
         from ..assembly.operators import elemental_laplacian
@@ -70,7 +73,7 @@ def figure10(order: int = 4) -> str:
         nb = len(exp.boundary_modes)
         out.append(
             f"Figure 10: elemental Laplacian, standard modal {name} "
-            f"expansion, order {order}\n"
+            f"expansion, order {ORDER}\n"
             f"(boundary dofs first: {nb} boundary + "
             f"{exp.nmodes - nb} interior)\n" + _spy(lap)
         )

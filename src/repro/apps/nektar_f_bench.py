@@ -196,13 +196,10 @@ def table2() -> list[tuple]:
     return rows
 
 
-def figure13_14(
-    systems=("NCSA", "SP2-Silver", "RoadRunner eth.", "RoadRunner myr."),
-    nprocs: int = 4,
-) -> dict[str, dict[str, float]]:
+def figure13_14(nprocs: int = 4) -> dict[str, dict[str, float]]:
     """Per-stage CPU and wall percentages (Figures 13 and 14)."""
     out = {}
-    for system in systems:
+    for system in ("NCSA", "SP2-Silver", "RoadRunner eth.", "RoadRunner myr."):
         t = step_times(system, nprocs)
         for kind in ("cpu", "wall"):
             stages = t[f"stage_{kind}"]

@@ -31,11 +31,7 @@ STAGE_KINDS = {
 }
 
 
-def price_stages(
-    cpu: CPUModel,
-    stage_flops: dict[str, float],
-    solver_ws_bytes: float = 2e6,
-) -> dict[str, float]:
+def price_stages(cpu: CPUModel, stage_flops: dict[str, float]) -> dict[str, float]:
     """Seconds per stage on a machine, from per-stage flop counts."""
     out = {}
     for stage in STAGES:
@@ -43,7 +39,7 @@ def price_stages(
         if flops < 0:
             raise ValueError(f"negative flops for stage {stage}")
         kind = STAGE_KINDS[stage]
-        rate = cpu.stage_rate(kind, solver_ws_bytes=solver_ws_bytes)
+        rate = cpu.stage_rate(kind)
         out[stage] = flops / (rate * 1e6)
     return out
 

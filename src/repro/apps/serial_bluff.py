@@ -58,7 +58,7 @@ TABLE1_PAPER = {
 TABLE1_MACHINES = list(TABLE1_PAPER)
 
 
-def reduced_solver(m: int = 3, nr: int = 1, order: int = 5, dt: float = 5e-3):
+def reduced_solver(m: int = 3, nr: int = 1, order: int = 5):
     """The reduced-size bluff-body run (same physics, tractable size).
 
     The Table-1 flop-scaling protocol is calibrated against the
@@ -72,7 +72,7 @@ def reduced_solver(m: int = 3, nr: int = 1, order: int = 5, dt: float = 5e-3):
     ns = NavierStokes2D(
         space,
         nu=0.01,
-        dt=dt,
+        dt=5e-3,
         velocity_bcs={"inflow": (one, zero), "wall": (zero, zero)},
         pressure_dirichlet=("outflow",),
     )
@@ -80,15 +80,17 @@ def reduced_solver(m: int = 3, nr: int = 1, order: int = 5, dt: float = 5e-3):
     return ns
 
 
-def measure_reduced(steps: int = 3, warmup: int = 2, **kw) -> dict:
+def measure_reduced() -> dict:
     """Instrumented reduced run: per-step per-stage flops + geometry.
 
-    Warm-up steps run first so the startup-ramp factorisations (one-time
-    setup, outside the production time loop) are excluded.
+    Two warm-up steps run first so the startup-ramp factorisations
+    (one-time setup, outside the production time loop) are excluded;
+    the flops are the mean of the three steps after them.
     """
-    ns = reduced_solver(**kw)
-    ns.run(warmup)
+    ns = reduced_solver()
+    ns.run(2)
     ns.reset_instrumentation()
+    steps = 3
     ns.run(steps)
     flops = {s: f / steps for s, f in ns.stage_flops().items()}
     return {
@@ -190,24 +192,19 @@ def _solve_flops(stats: dict) -> float:
 _CACHE: dict = {}
 
 
-def paper_stage_flops(measured: dict | None = None) -> dict[str, float]:
-    """Per-stage flops of one paper-size timestep.
+def paper_stage_flops() -> dict[str, float]:
+    """Per-stage flops of one paper-size timestep, scaled from
+    :func:`measure_reduced` (both measured once per process).
 
     Transform/gradient-heavy stages (1, 2, 4, 6) scale with elements x
     modes x quadrature points; the pure-vector stage 3 with quadrature
     points; the solve stages use the analytic condensed-solve count at
     both sizes (validated against the measured reduced-run counts).
     """
-    default_run = measured is None
-    if default_run:
-        if "paper_flops" in _CACHE:
-            return dict(_CACHE["paper_flops"])
-        if "measured" not in _CACHE:
-            _CACHE["measured"] = measure_reduced()
-        measured = _CACHE["measured"]
-    if "paper_stats" not in _CACHE:
-        _CACHE["paper_stats"] = _paper_dofmap_stats()
-    stats_p = _CACHE["paper_stats"]
+    if "paper_flops" in _CACHE:
+        return dict(_CACHE["paper_flops"])
+    measured = measure_reduced()
+    stats_p = _paper_dofmap_stats()
     ns = measured["solver"]
     order_r = measured["order"]
     stats_r = {
@@ -235,8 +232,7 @@ def paper_stage_flops(measured: dict | None = None) -> dict[str, float]:
             out[stage] = flops * solve_ratio
         else:
             out[stage] = flops * ratios[stage]
-    if default_run:
-        _CACHE["paper_flops"] = out
+    _CACHE["paper_flops"] = out
     return dict(out)
 
 
@@ -261,11 +257,11 @@ def table1() -> list[tuple]:
     return rows
 
 
-def figure12(machines=("Onyx2", "Muses")) -> dict[str, dict[str, float]]:
-    """Per-stage percentage breakdown per machine (Figure 12)."""
+def figure12() -> dict[str, dict[str, float]]:
+    """Per-stage percentage breakdown on the Onyx2 and the PC (Figure 12)."""
     flops = paper_stage_flops()
     out = {}
-    for mkey in machines:
+    for mkey in ("Onyx2", "Muses"):
         cpu = MACHINES[mkey].cpu
         secs = price_stages(cpu, flops)
         tot = total_time(secs)

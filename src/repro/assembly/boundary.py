@@ -110,15 +110,13 @@ def _reference_edges(kind: str, order: int, n1d: int) -> tuple:
     return tuple(edges)
 
 
-def build_edge_quadrature(
-    space, sides: list[tuple[int, int]], nq: int | None = None
-) -> list[EdgeQuadrature]:
-    """Edge quadrature for the given (element, local_edge) sides."""
+def build_edge_quadrature(space, sides: list[tuple[int, int]]) -> list[EdgeQuadrature]:
+    """Edge quadrature (``order + 2`` Gauss points a side) for the given
+    (element, local_edge) sides."""
     out = []
-    n1d = nq if nq is not None else space.order + 2
     for ei, le in sides:
         kind = space.mesh.elements[ei].kind
-        pts, w, phi, d1, d2 = _reference_edges(kind, space.order, n1d)[le]
+        pts, w, phi, d1, d2 = _reference_edges(kind, space.order, space.order + 2)[le]
         ccw_sign = _PARAM[kind][le][1]
         emap = make_element_map(space.mesh, ei)
         x, y = emap.x(*pts)

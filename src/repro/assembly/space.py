@@ -392,15 +392,25 @@ class FunctionSpace:
 
     # -- integrals ---------------------------------------------------------------
 
+    def _field(self, values: np.ndarray, who: str) -> np.ndarray:
+        """One field at the quadrature points: a float64 ``(nelem, nq)``
+        array, or ``ValueError``."""
+        values = self._quadrature_values(values, who, "values")
+        if values.ndim != 2:
+            raise ValueError(f"{who}: values must be one field (nelem, nq), got {values.shape}")
+        return values
+
     def integrate(self, values: np.ndarray) -> float:
-        values = np.asarray(values, dtype=np.float64)
+        """Integral over the domain of one field given at the quadrature
+        points."""
+        values = self._field(values, "integrate")
         total = 0.0
         for b in self.batches():
             total += float(np.sum(blas.ddot_batched(b.jw, values[b.elems])))
         return total
 
     def norm_l2(self, values: np.ndarray) -> float:
-        return float(np.sqrt(max(0.0, self.integrate(np.asarray(values) ** 2))))
+        return float(np.sqrt(max(0.0, self.integrate(self._field(values, "norm_l2") ** 2))))
 
     # -- assembly ------------------------------------------------------------------
 
@@ -496,4 +506,4 @@ class FunctionSpace:
 
     def eval_at_vertices(self, u_hat: np.ndarray) -> np.ndarray:
         """Field values at mesh vertices (vertex dofs are nodal)."""
-        return np.asarray(u_hat, dtype=np.float64)[: self.mesh.nvertices]
+        return self._coefficients(u_hat, "eval_at_vertices")[..., : self.mesh.nvertices]

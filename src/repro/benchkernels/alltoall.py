@@ -22,14 +22,13 @@ def message_sizes() -> np.ndarray:
     return np.unique(np.logspace(0, np.log10(6.4e6), 30).astype(int))
 
 
-def figure8_series(nprocs: int, names=None) -> dict[str, tuple]:
+def figure8_series(nprocs: int) -> dict[str, tuple]:
     """Average Alltoall bandwidth curves for one processor count."""
     if nprocs < 2:
         raise ValueError("alltoall needs at least two processors")
-    names = ALLTOALL_FIGURE_NETWORKS if names is None else names
     sizes = message_sizes()
     out = {}
-    for name in names:
+    for name in ALLTOALL_FIGURE_NETWORKS:
         if name == "Muses, LAM" and nprocs > 4:
             continue  # Muses has 4 nodes
         net = NETWORKS[name]

@@ -30,25 +30,23 @@ def bandwidth_sizes() -> np.ndarray:
     return np.unique(np.logspace(0, np.log10(64 << 20), 40).astype(int))
 
 
-def latency_series(names=None) -> dict[str, tuple]:
-    names = PINGPONG_FIGURE_NETWORKS if names is None else names
+def latency_series() -> dict[str, tuple]:
     sizes = latency_sizes()
     return {
         name: (
             sizes,
             np.array([NETWORKS[name].pingpong_latency_us(int(s)) for s in sizes]),
         )
-        for name in names
+        for name in PINGPONG_FIGURE_NETWORKS
     }
 
 
-def bandwidth_series(names=None) -> dict[str, tuple]:
-    names = PINGPONG_FIGURE_NETWORKS if names is None else names
+def bandwidth_series() -> dict[str, tuple]:
     sizes = bandwidth_sizes()
     return {
         name: (
             sizes,
             np.array([NETWORKS[name].pingpong_bandwidth(int(s)) for s in sizes]),
         )
-        for name in names
+        for name in PINGPONG_FIGURE_NETWORKS
     }

@@ -45,6 +45,7 @@ from .workloads import WORKLOADS
 
 __all__ = ["CampaignEngine", "campaign_report"]
 
+#: The ledger ``bench`` name of every campaign job record.
 BENCH = "campaign"
 
 
@@ -56,14 +57,12 @@ class CampaignEngine:
         ledger: RunLedger | str | Path,
         matrix: dict[str, Any],
         workers: int = 4,
-        bench: str = BENCH,
         artifacts_dir: str | Path | None = None,
     ):
         self.ledger = ledger if isinstance(ledger, RunLedger) else RunLedger(ledger)
         self.matrix = matrix
         self.jobs = expand_matrix(matrix)
         self.workers = max(1, int(workers))
-        self.bench = bench
         self.artifacts_dir = Path(artifacts_dir) if artifacts_dir else None
         self.cache = OperatorCache()
 
@@ -114,7 +113,7 @@ class CampaignEngine:
         that have not started yet stop picking up jobs, so the ledger
         is left mid-queue exactly as a killed process would leave it.
         """
-        completed = self.ledger.completed(bench=self.bench)
+        completed = self.ledger.completed(bench=BENCH)
         skipped = [j for j in self.jobs if j.fingerprint in completed]
         queue = [j for j in self.jobs if j.fingerprint not in completed]
         recorded = 0
@@ -134,7 +133,7 @@ class CampaignEngine:
                     if abort.is_set():
                         return
                     self.ledger.append(
-                        self.bench,
+                        BENCH,
                         job.config(),
                         values={},
                         timings={},
@@ -155,7 +154,7 @@ class CampaignEngine:
                 if abort.is_set():
                     return
                 self.ledger.append(
-                    self.bench,
+                    BENCH,
                     job.config(),
                     values=payload["values"],
                     timings=payload["timings"],
@@ -172,7 +171,7 @@ class CampaignEngine:
             list(pool.map(worker, queue))
         failed = sorted(k for k, v in outcomes.items() if v == "failed")
         return {
-            "config": {"matrix": self.matrix, "bench": self.bench},
+            "config": {"matrix": self.matrix, "bench": BENCH},
             "jobs": len(self.jobs),
             "skipped": len(skipped),
             "ran": len(outcomes),
@@ -197,9 +196,7 @@ def _write_atomic(path: Path, text: str) -> None:
         raise
 
 
-def campaign_report(
-    ledger: RunLedger, matrix: dict[str, Any], bench: str = BENCH
-) -> dict[str, Any]:
+def campaign_report(ledger: RunLedger, matrix: dict[str, Any]) -> dict[str, Any]:
     """Resume-invariant campaign report from the ledger's latest records.
 
     Built purely from each job's **latest** ledger record, so a campaign
@@ -210,7 +207,7 @@ def campaign_report(
     not configuration-shaped.
     """
     jobs = expand_matrix(matrix)
-    latest = ledger.latest(bench)
+    latest = ledger.latest(BENCH)
     per_job: dict[str, Any] = {}
     analyses: dict[str, dict[str, Any]] = {}
     missing: list[str] = []
@@ -227,7 +224,7 @@ def campaign_report(
         if rec.get("critpath"):
             analyses[job.job_id] = rec["critpath"]
     return {
-        "config": {"matrix": matrix, "bench": bench},
+        "config": {"matrix": matrix, "bench": BENCH},
         "jobs": {
             "total": len(jobs),
             "completed": len(per_job),

@@ -26,6 +26,7 @@ from typing import Any
 from ..machines.catalog import MACHINES, NETWORKS, PRICES_1999
 from ..obs.critpath import EventGraph, swap_makespans
 from ..obs.runlog import RunLedger
+from .engine import BENCH
 
 __all__ = [
     "CATALOG_CANDIDATES",
@@ -67,9 +68,7 @@ class GraphArtifactError(ValueError):
     """A recorded graph artifact that cannot be read back."""
 
 
-def load_graphs(
-    ledger: RunLedger, artifacts_dir: str | Path, bench: str = "campaign"
-) -> list[dict[str, Any]]:
+def load_graphs(ledger: RunLedger, artifacts_dir: str | Path) -> list[dict[str, Any]]:
     """Pair each completed job's latest ledger record with its graph.
 
     Returns ``[{"config": ..., "fingerprint": ..., "graph": EventGraph}]``
@@ -78,7 +77,7 @@ def load_graphs(
     """
     artifacts = Path(artifacts_dir)
     out = []
-    for fp, rec in ledger.latest(bench).items():
+    for fp, rec in ledger.latest(BENCH).items():
         if rec.get("status", "ok") != "ok":
             continue
         path = artifacts / f"graph-{fp}.json"

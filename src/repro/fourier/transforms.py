@@ -29,9 +29,13 @@ def nmodes_for(nz: int) -> int:
     return nz // 2
 
 
-def wavenumbers(nz: int, lz: float = 2.0 * np.pi) -> np.ndarray:
+#: Spanwise period L_z of the Fourier direction (the paper's 2 pi).
+LZ = 2.0 * np.pi
+
+
+def wavenumbers(nz: int) -> np.ndarray:
     """Spanwise wavenumbers k_m = 2 pi m / L_z of the kept modes."""
-    return 2.0 * np.pi * np.arange(nmodes_for(nz)) / lz
+    return 2.0 * np.pi * np.arange(nmodes_for(nz)) / LZ
 
 
 def _charge_rfft(nbatch: int, nz: int) -> None:

@@ -33,7 +33,6 @@ def write_vtk(
     path: str | Path,
     mesh: Mesh2D,
     point_fields: dict[str, np.ndarray] | None = None,
-    title: str = "repro field output",
 ) -> Path:
     """Write a legacy-ASCII VTK file of the mesh and vertex fields.
 
@@ -49,7 +48,7 @@ def write_vtk(
             raise ValueError(f"field {name!r} must have one value per vertex")
     lines = [
         "# vtk DataFile Version 3.0",
-        title,
+        "repro field output",
         "ASCII",
         "DATASET UNSTRUCTURED_GRID",
         f"POINTS {nv} double",
@@ -125,20 +124,17 @@ class Checkpoint:
         return path
 
     @staticmethod
-    def load(directory: str | Path, solver, step: int | None = None) -> int:
-        """Restore this rank's state in place; returns the step restored.
+    def load(directory: str | Path, solver) -> int:
+        """Restore this rank's state in place from the newest complete set
+        in ``directory``; returns the step restored.
 
-        ``step=None`` picks the newest complete set in ``directory``.
         The solver must be built like the one that saved it (same mesh
         topology, order and rank layout).
         """
         rank, size = Checkpoint._rank(solver)
+        step = Checkpoint.latest_step(directory, size)
         if step is None:
-            step = Checkpoint.latest_step(directory, size)
-            if step is None:
-                raise FileNotFoundError(
-                    f"no complete {size}-rank checkpoint set in {directory}"
-                )
+            raise FileNotFoundError(f"no complete {size}-rank checkpoint set in {directory}")
         path = Checkpoint.path(directory, step, rank)
         data = Checkpoint._read(path)
         if "my_modes" in data and data["my_modes"].tolist() != list(solver.my_modes):

@@ -133,28 +133,26 @@ def dgemm(
     b: np.ndarray,
     beta: float,
     c: np.ndarray,
-    transa: bool = False,
     transb: bool = False,
 ) -> np.ndarray:
-    """C = alpha * op(A) op(B) + beta * C, in place.  (2*m*n*k flops.)"""
+    """C = alpha * A op(B) + beta * C, in place.  (2*m*n*k flops.)"""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     c = np.asarray(c, dtype=np.float64)
-    opa = a.T if transa else a
     opb = b.T if transb else b
-    if opa.ndim != 2 or opb.ndim != 2 or c.ndim != 2:
+    if a.ndim != 2 or opb.ndim != 2 or c.ndim != 2:
         raise ValueError("dgemm: operands must be 2-D")
-    m, k = opa.shape
+    m, k = a.shape
     k2, n = opb.shape
     if k != k2 or c.shape != (m, n):
         raise ValueError("dgemm: dimension mismatch")
     if beta == 0.0:
-        np.matmul(opa, opb, out=c)
+        np.matmul(a, opb, out=c)
         if alpha != 1.0:
             c *= alpha
     else:
         c *= beta
-        c += alpha * (opa @ opb)
+        c += alpha * (a @ opb)
     charge(2.0 * m * n * k, 8.0 * (m * k + k * n + 2 * m * n), "dgemm")
     return c
 
@@ -292,10 +290,9 @@ def dgemm_batched(
     b: np.ndarray,
     beta: float,
     c: np.ndarray,
-    transa: bool = False,
     transb: bool = False,
 ) -> np.ndarray:
-    """Stacked dgemm: C[i] = alpha * op(A[i]) op(B[i]) + beta * C[i].
+    """Stacked dgemm: C[i] = alpha * A[i] op(B[i]) + beta * C[i].
 
     ``a``/``b`` may each be a shared 2-D matrix or a (..., m, k) /
     (..., k, n) stack; ``c`` is the full (..., m, n) stack.  Charges
@@ -305,7 +302,7 @@ def dgemm_batched(
     b = np.asarray(b, dtype=np.float64)
     if c.dtype != np.float64:
         raise ValueError("dgemm_batched: C must be float64")
-    opa = _op2d(a, transa)
+    opa = _op2d(a, False)
     opb = _op2d(b, transb)
     if c.ndim < 2:
         raise ValueError("dgemm_batched: C must be >= 2-D")

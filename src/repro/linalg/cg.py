@@ -78,11 +78,10 @@ def pcg(
     apply_a: Callable[[np.ndarray], np.ndarray],
     b: np.ndarray,
     diag: np.ndarray,
-    x0: np.ndarray | None = None,
     tol: float = 1.0e-10,
     maxiter: int | None = None,
 ) -> CGResult:
-    """Solve A x = b with Jacobi-preconditioned CG.
+    """Solve A x = b with Jacobi-preconditioned CG from x = 0.
 
     Parameters
     ----------
@@ -104,9 +103,8 @@ def pcg(
     tape = blas.vector_tape(_ITERATION, n)
 
     inv_diag = 1.0 / diag
-    x = np.zeros(n) if x0 is None else np.array(x0, dtype=np.float64)
-
-    r = b - apply_a(x) if x0 is not None else b.copy()
+    x = np.zeros(n)
+    r = b.copy()
     z = np.empty(n)
     blas.dvmul(inv_diag, r, z)
     p = z.copy()

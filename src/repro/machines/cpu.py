@@ -31,6 +31,14 @@ __all__ = ["CPUModel", "ROUTINES", "working_set"]
 #: dimension).
 ROUTINES = ("dcopy", "daxpy", "ddot", "dgemv", "dgemm")
 
+#: Bytes of banded factor a solve streams through.  Per-kind stage pricing
+#: (``stage_rate("solve")``, read by Table 1 / Fig 12's ``price_stages``)
+#: uses the 2 MB one; the DNS mix (``dns_sustained_mflops``, read by
+#: ``app_time`` for simmpi's ``compute_flops`` and by Table 3's ALE
+#: pricing) uses the 256 kB one.
+STAGE_SOLVER_WS_BYTES = 2e6
+MIX_SOLVER_WS_BYTES = 256e3
+
 
 def working_set(routine: str, n: int) -> float:
     """Resident bytes during the call (decides the cache level)."""
@@ -133,7 +141,7 @@ class CPUModel:
 
     # -- application pricing ------------------------------------------------------------
 
-    def stage_rate(self, kind: str, solver_ws_bytes: float = 2e6) -> float:
+    def stage_rate(self, kind: str) -> float:
         """Sustained Mflop/s for one DNS stage *kind*:
 
         * 'solve'  — banded forward/back substitution (stages 5 and 7):
@@ -144,9 +152,7 @@ class CPUModel:
         * 'transform' — stage 1's small dense products: dgemm at n=10.
         """
         if kind == "solve":
-            import math
-
-            n = max(8, int(math.sqrt(solver_ws_bytes / 8.0)))
+            n = max(8, int(math.sqrt(STAGE_SOLVER_WS_BYTES / 8.0)))
             rate = self.blas_rate("dgemv", n)
             if self.solve_mflops is not None:
                 rate = min(rate, self.solve_mflops)
@@ -157,30 +163,26 @@ class CPUModel:
             return self.blas_rate("dgemm", 10)
         raise ValueError(f"unknown stage kind {kind!r}")
 
-    def dns_sustained_mflops(self, solver_ws_bytes: float = 256e3) -> float:
+    def dns_sustained_mflops(self) -> float:
         """Sustained application rate for the DNS stage mix.
 
         The serial timestep is ~60% banded solves (dgemv-like streaming
         through the factor), ~25% vector kernels on long vectors, ~15%
         small dgemm (Section 4.1 / Figure 12).  The sustained rate is
         the work-weighted harmonic mean of the model's rates at those
-        regimes, with the solver working set supplied by the caller
-        (the factor does not fit in L1).
+        regimes, at the mix's solver working set (the factor does not fit
+        in L1).
         """
-        n_gemv = max(8, int(math.sqrt(solver_ws_bytes / 8.0)))
+        n_gemv = max(8, int(math.sqrt(MIX_SOLVER_WS_BYTES / 8.0)))
         r_solve = self.blas_rate("dgemv", n_gemv)
         r_vec = self.blas_rate("daxpy", 15000)  # paper: 15k-long vectors
         r_gemm = self.blas_rate("dgemm", 10)  # "most calls ... small n (10 or less)"
         weights = ((0.60, r_solve), (0.25, r_vec), (0.15, r_gemm))
         return 1.0 / sum(w / r for w, r in weights)
 
-    def app_time(self, flops: float, solver_ws_bytes: float = 256e3) -> float:
+    def app_time(self, flops: float) -> float:
         """Seconds to execute `flops` of DNS-mix work."""
         if flops < 0:
             raise ValueError("negative flops")
-        rate = (
-            self.app_mflops
-            if self.app_mflops is not None
-            else self.dns_sustained_mflops(solver_ws_bytes)
-        )
+        rate = self.app_mflops if self.app_mflops is not None else self.dns_sustained_mflops()
         return flops / (rate * 1e6)

@@ -54,13 +54,10 @@ _DBLEND = {  # (d/dxi1, d/dxi2) of the blend
 _DS = {0: (1.0, 0.0), 1: (0.0, 1.0), 2: (1.0, 0.0), 3: (0.0, 1.0)}
 
 
-def circular_arc(
-    p0: np.ndarray, p1: np.ndarray, center=(0.0, 0.0)
-) -> CurveFn:
-    """The minor circle arc through p0 -> p1 about ``center`` (constant
-    radius, angles interpolated linearly in s)."""
-    c = np.asarray(center, dtype=np.float64)
-    v0, v1 = np.asarray(p0) - c, np.asarray(p1) - c
+def circular_arc(p0: np.ndarray, p1: np.ndarray) -> CurveFn:
+    """The minor arc through p0 -> p1 of a circle about the origin
+    (constant radius, angles interpolated linearly in s)."""
+    v0, v1 = np.asarray(p0, dtype=np.float64), np.asarray(p1, dtype=np.float64)
     r0, r1 = np.hypot(*v0), np.hypot(*v1)
     a0 = np.arctan2(v0[1], v0[0])
     a1 = np.arctan2(v1[1], v1[0])
@@ -71,7 +68,7 @@ def circular_arc(
         t = 0.5 * (1.0 + s)
         ang = a0 + t * da
         rad = r0 + t * (r1 - r0)
-        return c[0] + rad * np.cos(ang), c[1] + rad * np.sin(ang)
+        return rad * np.cos(ang), rad * np.sin(ang)
 
     return curve
 

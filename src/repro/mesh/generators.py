@@ -108,24 +108,20 @@ def rectangle_tris(
     return Mesh2D(quad.vertices, elems, tags)
 
 
-def circle_profile(radius: float = 0.5, center: tuple[float, float] = (0.0, 0.0)) -> Profile:
-    """Circular body of given radius (the paper's cylinder, diameter 1)."""
+def circle_profile() -> Profile:
+    """The paper's cylinder: diameter 1, centred at the origin."""
 
     def profile(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         theta = 2.0 * np.pi * np.asarray(t, dtype=np.float64) + _T0
-        return center[0] + radius * np.cos(theta), center[1] + radius * np.sin(theta)
+        return 0.5 * np.cos(theta), 0.5 * np.sin(theta)
 
     return profile
 
 
-def naca_profile(
-    code: str = "4420",
-    chord: float = 1.0,
-    center: tuple[float, float] = (0.0, 0.0),
-    npts: int = 721,
-) -> Profile:
-    """Closed NACA 4-digit profile, parametrised by angle about the
-    0.4-chord point (star-shaped for thick sections like 4420).
+def naca_profile(code: str = "4420") -> Profile:
+    """Closed unit-chord NACA 4-digit profile, parametrised by angle about
+    its 0.4-chord point, which sits at the origin (star-shaped for thick
+    sections like 4420).
 
     The returned callable maps t in [0, 1) (same angular origin as
     :func:`circle_profile`) to boundary points, so the wing drops into
@@ -137,7 +133,7 @@ def naca_profile(
     p = int(code[1]) / 10.0
     th = int(code[2:]) / 100.0
 
-    x = 0.5 * (1.0 - np.cos(np.linspace(0.0, np.pi, npts)))  # cosine clustering
+    x = 0.5 * (1.0 - np.cos(np.linspace(0.0, np.pi, 721)))  # cosine clustering
     yt = 5 * th * (
         0.2969 * np.sqrt(x)
         - 0.1260 * x
@@ -156,9 +152,8 @@ def naca_profile(
     upper = np.stack([x, yc + yt], axis=1)
     lower = np.stack([x, yc - yt], axis=1)
     poly = np.vstack([upper, lower[::-1][1:-1]])  # closed CCW-ish loop
-    # Recentre on the 0.4-chord point and scale by chord.
-    ref = np.array([0.4, 0.0])
-    poly = (poly - ref) * chord
+    # Recentre on the 0.4-chord point.
+    poly = poly - np.array([0.4, 0.0])
     ang = np.arctan2(poly[:, 1], poly[:, 0])
     rad = np.hypot(poly[:, 0], poly[:, 1])
     order = np.argsort(ang)
@@ -170,7 +165,7 @@ def naca_profile(
     def profile(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         theta = np.mod(2.0 * np.pi * np.asarray(t, dtype=np.float64) + _T0 + np.pi, 2 * np.pi) - np.pi
         r = np.interp(theta, ang, rad)
-        return center[0] + r * np.cos(theta), center[1] + r * np.sin(theta)
+        return r * np.cos(theta), r * np.sin(theta)
 
     return profile
 
@@ -198,13 +193,13 @@ def body_fitted_mesh(
     n_up: int = 4,
     n_down: int = 8,
     n_side: int = 2,
-    grade: float = 1.35,
     curved: bool = False,
 ) -> Mesh2D:
     """Conforming all-quad mesh around a body: O-grid ring inside the
     central square of half-width ``half_width`` (m cells per side,
-    nr radial rings), embedded in a graded structured frame covering
-    [x_up, x_down] x [-y_half, y_half] — the Figure 11 (left) layout.
+    nr radial rings), embedded in a structured frame covering
+    [x_up, x_down] x [-y_half, y_half] whose cells grow by 1.35 per cell
+    away from the square — the Figure 11 (left) layout.
 
     Boundary tags: "inflow" (x = x_up), "outflow" (x = x_down),
     "side" (y = +-y_half), "wall" (body surface).  ``curved=True``
@@ -217,6 +212,7 @@ def body_fitted_mesh(
     if m < 1 or nr < 1:
         raise ValueError("m and nr must be >= 1")
 
+    grade = 1.35
     xs = np.concatenate(
         [
             _graded(x_up, -hw, n_up, 1.0 / grade)[:-1],
@@ -321,16 +317,15 @@ def bluff_body_mesh(
     m: int = 4,
     nr: int = 2,
     refine: int = 1,
-    radius: float = 0.5,
     curved: bool = False,
 ) -> Mesh2D:
     """The paper's bluff-body (circular cylinder) wake domain,
-    Figure 11 left: [-15, 25] x [-5, 5] with a diameter-2*radius body
-    at the origin.  ``refine`` scales the cell counts everywhere;
+    Figure 11 left: [-15, 25] x [-5, 5] with a diameter-1 body at the
+    origin.  ``refine`` scales the cell counts everywhere;
     ``curved=True`` attaches exact circular arcs to the wall edges
     (iso-parametric body representation)."""
     mesh = body_fitted_mesh(
-        circle_profile(radius),
+        circle_profile(),
         m=m * refine,
         nr=nr * refine,
         n_up=4 * refine,
@@ -338,25 +333,18 @@ def bluff_body_mesh(
         n_side=2 * refine,
     )
     if curved:
-        attach_circular_wall(mesh, radius=radius)
+        attach_circular_wall(mesh)
     return mesh
 
 
-def attach_circular_wall(
-    mesh: Mesh2D,
-    radius: float = 0.5,
-    center: tuple[float, float] = (0.0, 0.0),
-    tag: str = "wall",
-) -> None:
-    """Register exact circle arcs on every tagged wall edge (the edges'
-    vertices must already lie on the circle)."""
+def attach_circular_wall(mesh: Mesh2D) -> None:
+    """Register exact arcs of the circle about the origin on every "wall"
+    edge (the edges' vertices must already lie on that circle)."""
     from .curved import circular_arc
 
-    for ei, le in mesh.boundary_sides(tag):
+    for ei, le in mesh.boundary_sides("wall"):
         a, b = mesh.elements[ei].edge_vertices(le)
-        mesh.curves[(ei, le)] = circular_arc(
-            mesh.vertices[a], mesh.vertices[b], center
-        )
+        mesh.curves[(ei, le)] = circular_arc(mesh.vertices[a], mesh.vertices[b])
 
 
 def annulus_mesh(
@@ -405,18 +393,13 @@ def annulus_mesh(
     return mesh
 
 
-def wing_mesh(
-    m: int = 6,
-    nr: int = 2,
-    code: str = "4420",
-    chord: float = 1.0,
-    curved: bool = False,
-) -> Mesh2D:
-    """Body-fitted mesh around a NACA wing (the paper's flapping-wing
-    geometry, Figure 11 right), on a 10 x 5-proportioned domain."""
+def wing_mesh(m: int = 6, nr: int = 2, curved: bool = False) -> Mesh2D:
+    """Body-fitted mesh around a unit-chord NACA 4420 wing (the paper's
+    flapping-wing geometry, Figure 11 right), on a 10 x 5-proportioned
+    domain."""
     return body_fitted_mesh(
-        naca_profile(code, chord),
-        half_width=1.25 * chord,
+        naca_profile("4420"),
+        half_width=1.25,
         m=m,
         nr=nr,
         x_up=-3.5,

@@ -44,7 +44,8 @@ CG_TOL = 1e-9
 
 
 class ALENavierStokes2D:
-    """Incompressible NS on a moving mesh, PCG solvers, 7-stage timestep."""
+    """Incompressible NS on a moving mesh, PCG solvers, 7-stage timestep
+    of the second-order splitting scheme."""
 
     def __init__(
         self,
@@ -56,10 +57,7 @@ class ALENavierStokes2D:
         pressure_dirichlet: tuple[str, ...] = (),
         motion: MotionFn | str | None = None,
         body_velocity: tuple[BCFn, BCFn] | None = None,
-        wall_tag: str = "wall",
         outer_tags: tuple[str, ...] = (),
-        time_order: int = 2,
-        ale_convection: bool = True,
     ):
         if nu <= 0 or dt <= 0:
             raise ValueError("nu and dt must be positive")
@@ -67,15 +65,13 @@ class ALENavierStokes2D:
         self.order = order
         self.nu = float(nu)
         self.dt = float(dt)
-        self.history = SplittingHistory(time_order)
+        self.history = SplittingHistory(2)
         self.scheme = self.history.target
         self.velocity_bcs = dict(velocity_bcs)
         self.vel_tags = tuple(sorted(velocity_bcs))
         self.pressure_dirichlet = tuple(pressure_dirichlet)
-        self.ale_convection = ale_convection
         self.motion = motion
         self.body_velocity = body_velocity
-        self.wall_tag = wall_tag
         self.outer_tags = tuple(outer_tags)
         if motion == "solve" and body_velocity is None:
             raise ValueError("motion='solve' needs body_velocity")
@@ -104,7 +100,7 @@ class ALENavierStokes2D:
             # The pinned Laplacian, factored once per geometry.
             self.p_op = pressure_operator(self.space)
         if self.motion == "solve":
-            tags = (self.wall_tag,) + self.outer_tags
+            tags = ("wall",) + self.outer_tags
             self.mesh_solver = HelmholtzCG(self.space, 0.0, tags, tol=CG_TOL)
         # Pressure-BC machinery on the fresh geometry.
         self._edges = EdgeBatch(self.space, self.vel_tags)
@@ -216,8 +212,8 @@ class ALENavierStokes2D:
         with StageScope(self, STAGES[1]):
             dudx, dudy = space.gradient(self.u_hat)
             dvdx, dvdy = space.gradient(self.v_hat)
-            cu = u_vals - wx if self.ale_convection else u_vals
-            cv = v_vals - wy if self.ale_convection else v_vals
+            cu = u_vals - wx
+            cv = v_vals - wy
             nu_term = -(cu * dudx + cv * dudy)
             nv_term = -(cu * dvdx + cv * dvdy)
             omega = dvdx - dudy

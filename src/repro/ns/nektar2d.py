@@ -66,11 +66,9 @@ class NavierStokes2D:
         velocity_bcs: dict[str, tuple[BCFn, BCFn]],
         pressure_dirichlet: tuple[str, ...] = (),
         time_order: int = 2,
-        force: tuple[BCFn, BCFn] | None = None,
     ):
         if nu <= 0.0 or dt <= 0.0:
             raise ValueError("nu and dt must be positive")
-        self.force = force
         self.space = space
         self.nu = float(nu)
         self.dt = float(dt)
@@ -130,11 +128,6 @@ class NavierStokes2D:
             dvdx, dvdy = space.gradient(self.v_hat)
             nu_term = -(u_vals * dudx + v_vals * dudy)
             nv_term = -(u_vals * dvdx + v_vals * dvdy)
-            if self.force is not None:
-                xq, yq = space.coords()
-                fx, fy = self.force
-                nu_term = nu_term + fx(xq, yq, self.t) * np.ones_like(xq)
-                nv_term = nv_term + fy(xq, yq, self.t) * np.ones_like(xq)
             omega = dvdx - dudy
             npts = u_vals.size
             charge(9.0 * npts, 9.0 * 24.0 * npts)  # pointwise products/sums

@@ -34,7 +34,7 @@ import numpy as np
 from ..assembly.boundary import EdgeBatch
 from ..assembly.space import FunctionSpace
 from ..fourier.pipeline import FusedFourierPipeline
-from ..fourier.transforms import ifft_z, mode_blocks, nmodes_for, wavenumbers
+from ..fourier.transforms import LZ, ifft_z, mode_blocks, nmodes_for, wavenumbers
 from ..io.writers import Checkpoint
 from ..linalg.counters import OpCounter
 from ..obs import metrics
@@ -62,7 +62,6 @@ class NekTarF:
         dt: float,
         velocity_bcs: dict[str, tuple[AmpFn, AmpFn, AmpFn]],
         pressure_dirichlet: tuple[str, ...] = (),
-        lz: float = 2.0 * np.pi,
         time_order: int = 2,
         charge_compute: bool = False,
     ):
@@ -73,7 +72,6 @@ class NekTarF:
         self.nz = nz
         self.nu = float(nu)
         self.dt = float(dt)
-        self.lz = float(lz)
         self.history = SplittingHistory(time_order)
         self.scheme = self.history.target
         self.charge_compute = charge_compute
@@ -83,7 +81,7 @@ class NekTarF:
         self.pressure_dirichlet = tuple(pressure_dirichlet)
 
         nm = nmodes_for(nz)
-        self.all_k = wavenumbers(nz, lz)
+        self.all_k = wavenumbers(nz)
         self.my_modes = list(mode_blocks(nm, comm.size)[comm.rank])
         self.k = self.all_k[self.my_modes]
 
@@ -384,11 +382,11 @@ class NekTarF:
         """Write this rank's full stepping state (see :class:`Checkpoint`)."""
         Checkpoint.save(directory, self)
 
-    def restore_checkpoint(self, directory: str, step: int | None = None) -> int:
-        """Restore from the newest complete checkpoint set (or ``step``);
-        returns the step restored.  Continuation is bit-for-bit on
-        fault-free runs: coefficients and scheme history both round-trip."""
-        return Checkpoint.load(directory, self, step)
+    def restore_checkpoint(self, directory: str) -> int:
+        """Restore from the newest complete checkpoint set; returns the
+        step restored.  Continuation is bit-for-bit on fault-free runs:
+        coefficients and scheme history both round-trip."""
+        return Checkpoint.load(directory, self)
 
     # -- diagnostics -----------------------------------------------------------------
 
@@ -411,7 +409,7 @@ class NekTarF:
             e += 0.5 * self.space.integrate(
                 u[:, :, iz] ** 2 + v[:, :, iz] ** 2 + w[:, :, iz] ** 2
             )
-        return e * (self.lz / self.nz)
+        return e * (LZ / self.nz)
 
     def mode_energies(self) -> np.ndarray:
         """Spanwise kinetic-energy spectrum E_m (all modes, every rank).
@@ -427,7 +425,7 @@ class NekTarF:
                     hat[i].imag
                 )
                 e2 = self.space.integrate(np.abs(vals) ** 2)
-                local[m] += 0.5 * self.lz * e2 * (1.0 if m == 0 else 2.0)
+                local[m] += 0.5 * LZ * e2 * (1.0 if m == 0 else 2.0)
         return np.asarray(self.comm.allreduce(local, op="sum"))
 
     def stage_percentages(self, kind: str = "cpu") -> dict[str, float]:

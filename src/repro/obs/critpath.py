@@ -348,16 +348,17 @@ class EventGraph:
         )
         return g
 
-    def validate(self, rel: float = 1e-6) -> None:
+    def validate(self) -> None:
         """Assert recorded anchors match edge-implied times.
 
         Tolerates float re-association between the simulator's
-        incremental clock updates and the single-pass summation here.
+        incremental clock updates and the single-pass summation here
+        (1e-6 of the latest anchor).
         """
         c = self._columns()
         t = _sweep(c, c.total[None, :])[0]
         span = float(np.abs(c.t).max()) if len(self) else 1.0
-        tol = rel * max(1e-30, span)
+        tol = 1e-6 * max(1e-30, span)
         bad = np.flatnonzero(np.abs(t - c.t) > tol)
         if bad.size:
             i = int(bad[0])

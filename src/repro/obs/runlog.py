@@ -21,8 +21,7 @@ Record schema (``schema: 1``)::
       "status":  "ok" | "failed",               # job outcome (default "ok")
       "values":  {flat key: number},            # deterministic quantities
       "timings": {flat key: seconds},           # host timings (drift warns)
-      "critpath": {...} | null,                 # critical-path summary
-      "metrics": {...} | null                   # metrics snapshot
+      "critpath": {...} | null                  # critical-path summary
     }
 
 Records may carry an ``"error"`` string when ``status`` is ``failed``
@@ -75,11 +74,11 @@ def config_fingerprint(config: dict[str, Any]) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 
-def git_rev(root: str | Path | None = None) -> str | None:
-    """Short git revision of the tree at ``root`` (default: the working
-    directory), or None outside a repo.  Resolved once per process and
-    directory: every record carries it, and ``git`` costs 100 appends."""
-    return _git_rev(os.getcwd() if root is None else str(root))
+def git_rev() -> str | None:
+    """Short git revision of the working directory's tree, or None
+    outside a repo.  Resolved once per process and directory: every
+    record carries it, and ``git`` costs 100 appends."""
+    return _git_rev(os.getcwd())
 
 
 @functools.lru_cache(maxsize=None)
@@ -169,7 +168,6 @@ class RunLedger:
         values: dict[str, Any] | None = None,
         timings: dict[str, float] | None = None,
         critpath: dict[str, Any] | None = None,
-        metrics: dict[str, Any] | None = None,
         status: str = "ok",
         error: str | None = None,
     ) -> dict[str, Any]:
@@ -198,7 +196,6 @@ class RunLedger:
             "values": values if values is not None else auto_values,
             "timings": timings if timings is not None else auto_timings,
             "critpath": critpath,
-            "metrics": metrics,
         }
         if error is not None:
             record["error"] = str(error)
@@ -227,12 +224,8 @@ class RunLedger:
         finally:
             os.close(fd)
 
-    def records(
-        self,
-        bench: str | None = None,
-        fingerprint: str | None = None,
-    ) -> list[dict[str, Any]]:
-        """All records, oldest first, optionally filtered."""
+    def records(self, bench: str | None = None) -> list[dict[str, Any]]:
+        """All records, oldest first, optionally of one bench."""
         if not self.path.exists():
             return []
         out: list[dict[str, Any]] = []
@@ -248,8 +241,6 @@ class RunLedger:
                         f"{self.path}:{lineno}: corrupt ledger line: {exc}"
                     ) from exc
                 if bench is not None and rec.get("bench") != bench:
-                    continue
-                if fingerprint is not None and rec.get("fingerprint") != fingerprint:
                     continue
                 out.append(rec)
         return out

@@ -69,13 +69,10 @@ class RankFailure(RuntimeError):
     this to abandon the step and restart from a checkpoint.
     """
 
-    def __init__(self, rank: int, when: float, detail: str = ""):
+    def __init__(self, rank: int, when: float):
         self.rank = int(rank)
         self.when = float(when)
-        msg = f"rank {rank} crashed at virtual t={when:.6g}s"
-        if detail:
-            msg += f" ({detail})"
-        super().__init__(msg)
+        super().__init__(f"rank {rank} crashed at virtual t={when:.6g}s")
 
 
 class RecvTimeout(RuntimeError):

@@ -864,7 +864,6 @@ class VirtualComm:
         *,
         timeout: float | None = None,
         retries: int = 0,
-        backoff: float = 2.0,
     ) -> Any:
         """Blocking receive, with an optional virtual-timeout API.
 
@@ -872,7 +871,7 @@ class VirtualComm:
         virtual seconds for a message from ``source``; an expired
         attempt charges the timeout to the wall clock (plus the
         network's busy-wait CPU fraction) and retries up to ``retries``
-        times, multiplying the timeout by ``backoff`` each retry,
+        times, doubling the timeout each retry,
         before raising :class:`~repro.parallel.faults.RecvTimeout`.
         Without ``timeout`` the behaviour (and pricing) is exactly the
         classic blocking receive.
@@ -927,7 +926,7 @@ class VirtualComm:
                 raise RecvTimeout(
                     source, tag, self._st.wall - t_entry, attempts
                 )
-            cur_timeout = cur_timeout * backoff
+            cur_timeout = cur_timeout * 2.0
         net = cl.network
         overhead = net.cpu_time_for_bytes(nbytes)
         t_busy_end = self._st.wall  # receiver's clock before blocking binds

@@ -245,10 +245,7 @@ class ViscousHolder:
 
 
 def solve_poisson(
-    space: FunctionSpace,
-    f: ScalarFn | np.ndarray,
-    dirichlet_tags: tuple[str, ...],
-    g: ScalarFn | None = None,
+    space: FunctionSpace, f: ScalarFn | np.ndarray, dirichlet_tags: tuple[str, ...]
 ) -> np.ndarray:
-    """One-shot direct Poisson solve: -lap u = f, u = g on tagged boundaries."""
-    return HelmholtzDirect(space, 0.0, tuple(dirichlet_tags)).solve(f, g)
+    """One-shot direct Poisson solve: -lap u = f, u = 0 on tagged boundaries."""
+    return HelmholtzDirect(space, 0.0, tuple(dirichlet_tags)).solve(f)

@@ -92,14 +92,14 @@ class Expansion2D:
     nedges: int = 0
     collapsed: bool = False  # True when (a, b) are Duffy coordinates
 
-    def __init__(self, order: int, nq: int | None = None):
+    def __init__(self, order: int):
         if order < 2:
             raise ValueError(
                 "spectral/hp expansions need order >= 2 "
                 "(order 1 has no edge or interior modes)"
             )
         self.order = order
-        self.nq1d = nq if nq is not None else order + 2
+        self.nq1d = order + 2
         self.rule: TensorRule2D = self._make_rule(self.nq1d)
         self.modes: list[Mode] = self._build_modes()
         self._index_modes()

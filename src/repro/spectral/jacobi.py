@@ -48,26 +48,13 @@ def jacobi(n: int, alpha: float, beta: float, x: np.ndarray) -> np.ndarray:
     return p1
 
 
-def jacobi_derivative(
-    n: int, alpha: float, beta: float, x: np.ndarray, k: int = 1
-) -> np.ndarray:
-    """k-th derivative of P_n^{alpha,beta} at x.
-
-    Uses d/dx P_n^{a,b} = ((n + a + b + 1) / 2) P_{n-1}^{a+1,b+1} repeatedly.
-    """
-    if k < 0:
-        raise ValueError("derivative order must be >= 0")
+def jacobi_derivative(n: int, alpha: float, beta: float, x: np.ndarray) -> np.ndarray:
+    """First derivative of P_n^{alpha,beta} at x:
+    d/dx P_n^{a,b} = ((n + a + b + 1) / 2) P_{n-1}^{a+1,b+1}."""
     x = np.asarray(x, dtype=np.float64)
-    if k == 0:
-        return jacobi(n, alpha, beta, x)
-    if n < k:
+    if n < 1:
         return np.zeros_like(x)
-    # After k derivatives: degree n-k, parameters (alpha+k, beta+k), with
-    # the telescoping scale prod_{j=0}^{k-1} (n + alpha + beta + 1 + j)/2.
-    scale = 1.0
-    for j in range(k):
-        scale *= 0.5 * (n + alpha + beta + 1 + j)
-    return scale * jacobi(n - k, alpha + k, beta + k, x)
+    return 0.5 * (n + alpha + beta + 1) * jacobi(n - 1, alpha + 1, beta + 1, x)
 
 
 def gauss_jacobi(n: int, alpha: float = 0.0, beta: float = 0.0):

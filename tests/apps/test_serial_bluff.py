@@ -14,7 +14,7 @@ from repro.ns.stages import STAGES
 
 @pytest.fixture(scope="module")
 def measured():
-    return measure_reduced(steps=2, warmup=2, m=3, nr=1, order=4)
+    return measure_reduced()
 
 
 def test_measure_reduced_structure(measured):
@@ -38,16 +38,19 @@ def test_stage_kinds_cover_all_stages():
     assert set(STAGE_KINDS) == set(STAGES)
 
 
-def test_paper_stage_flops_larger_than_reduced():
-    measured = measure_reduced(steps=2)
-    paper = paper_stage_flops(measured)
+def test_paper_stage_flops_larger_than_reduced(monkeypatch, measured):
+    from repro.apps import serial_bluff
+
+    monkeypatch.setattr(serial_bluff, "_CACHE", {})
+    monkeypatch.setattr(serial_bluff, "measure_reduced", lambda: measured)
+    paper = paper_stage_flops()
     for s in STAGES:
         assert paper[s] > measured["stage_flops"][s]
 
 
 def test_paper_stage_flops_builds_each_cached_input_once(monkeypatch, measured):
-    """An explicit ``measured`` reuses the cached paper-size statistics,
-    and the default run measures once: nothing cached is rebuilt."""
+    """The reduced run and the paper-size statistics are each built once
+    per process: nothing cached is rebuilt."""
     from repro.apps import serial_bluff
 
     calls = {"stats": 0, "measure": 0}
@@ -64,8 +67,7 @@ def test_paper_stage_flops_builds_each_cached_input_once(monkeypatch, measured):
     monkeypatch.setattr(serial_bluff, "_CACHE", {})
     monkeypatch.setattr(serial_bluff, "_paper_dofmap_stats", stats)
     monkeypatch.setattr(serial_bluff, "measure_reduced", measure)
-    first = paper_stage_flops(measured)
-    assert paper_stage_flops(measured) == first
+    first = paper_stage_flops()
     assert paper_stage_flops() == first
     assert paper_stage_flops() == first
     assert calls == {"stats": 1, "measure": 1}

@@ -65,7 +65,7 @@ def _contract_batched(exp, c, left, right):
     tmp = np.zeros(c.shape[:-2] + (tl.np1, tl.n1))
     blas.dgemm_batched(1.0, c, right, 0.0, tmp)
     out = np.zeros(c.shape[:-2] + (tl.n1, tl.n1))
-    blas.dgemm_batched(1.0, left, tmp, 0.0, out, transa=True)
+    blas.dgemm_batched(1.0, np.swapaxes(left, -1, -2), tmp, 0.0, out)
     return out
 
 

@@ -82,6 +82,25 @@ def test_norm_l2():
     assert space.norm_l2(vals) == pytest.approx(2.0)
 
 
+def test_integrate_norm_and_vertex_values_refuse_malformed_input():
+    # An extra element row used to be dropped (integrating to the area,
+    # 1.0), a complex field cast with only a warning, and a coefficient
+    # vector of any length read short.
+    space = FunctionSpace(rectangle_quads(2, 2, 0, 1, 0, 1), 3)
+    ones = np.ones((space.nelem, space.nq))
+    for bad, match in (
+        (np.ones((space.nelem + 1, space.nq)), "quadrature points"),
+        (np.stack([ones, ones]), "one field"),
+        (ones + 0j, "complex"),
+    ):
+        for method in ("integrate", "norm_l2"):
+            with pytest.raises(ValueError, match=f"^{method}: .*{match}"):
+                getattr(space, method)(bad)
+    for bad, match in ((np.ones(space.ndof + 1), "ndof"), (np.ones(space.ndof) + 0j, "complex")):
+        with pytest.raises(ValueError, match=f"^eval_at_vertices: .*{match}"):
+            space.eval_at_vertices(bad)
+
+
 def test_assemble_symmetry_with_sign_flips():
     verts = np.array([[0, 0], [1, 0], [2, 0], [0, 1], [1, 1], [2, 1]], dtype=float)
     elems = [(0, 1, 4, 3), (5, 4, 1, 2)]  # second is rotated: edge flip

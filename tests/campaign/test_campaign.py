@@ -190,7 +190,7 @@ def test_campaign_records_planted_rank_failure_as_failed(tmp_path):
     assert sorted(out["failed"]) == sorted(j.job_id for j in crashed)
     ledger = RunLedger(tmp_path / "lg.jsonl")
     for job in crashed:
-        rec = ledger.records(fingerprint=job.fingerprint)[-1]
+        rec = ledger.latest()[job.fingerprint]
         assert rec["status"] == "failed"
         assert "RankFailure" in rec["error"]
     # Failed fingerprints are not complete: a resume re-runs them.

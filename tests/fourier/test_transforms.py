@@ -24,7 +24,6 @@ def test_nmodes_validation():
 
 def test_wavenumbers_default_box():
     np.testing.assert_allclose(wavenumbers(8), [0, 1, 2, 3])
-    np.testing.assert_allclose(wavenumbers(4, lz=np.pi), [0, 2])
 
 
 @given(st.integers(1, 4), st.integers(0, 999))

@@ -113,14 +113,10 @@ def table1_stage_flops():
     """Paper-size per-stage flops scaled up from the instrumented
     reduced run, and the Table 1 column they price to."""
     from repro.apps.pricing import price_stages, total_time
-    from repro.apps.serial_bluff import (
-        TABLE1_MACHINES,
-        measure_reduced,
-        paper_stage_flops,
-    )
+    from repro.apps.serial_bluff import TABLE1_MACHINES, paper_stage_flops
     from repro.machines.catalog import MACHINES
 
-    flops = paper_stage_flops(measure_reduced())
+    flops = paper_stage_flops()
     return {
         "stage_flops": flops,
         "table1_s": {

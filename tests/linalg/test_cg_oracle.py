@@ -65,10 +65,6 @@ def dense_cases():
         b = np.random.default_rng(seed + 10).standard_normal(n)
         yield f"spd-{n}", (counted(a), b, np.diag(a)), {"tol": 1e-12}
     a = random_spd(12, 4)
-    x0 = np.random.default_rng(5).standard_normal(12)
-    b = np.random.default_rng(6).standard_normal(12)
-    yield "x0", (counted(a), b, np.diag(a)), {"x0": x0, "tol": 1e-11}
-    yield "x0-exact", (counted(a), a @ x0, np.diag(a)), {"x0": x0}
     yield "bnorm-zero", (counted(a), np.zeros(12), np.diag(a)), {}
     a = random_spd(30, 7)
     yield "maxiter", (counted(a), np.ones(30), np.diag(a)), {"tol": 1e-14, "maxiter": 3}

@@ -128,7 +128,7 @@ def test_app_rate_consistent_with_kernel_model():
     # kernel model spans (sanity: not above peak, not below a tenth of
     # the kernel mix).
     for key, cpu in CPUS.items():
-        mix = cpu.dns_sustained_mflops(2e6)
+        mix = cpu.dns_sustained_mflops()
         assert cpu.app_mflops <= cpu.peak_mflops
         assert cpu.app_mflops > 0.1 * mix
         assert cpu.app_mflops < 10 * mix

@@ -9,7 +9,7 @@ from repro.mesh.generators import body_fitted_mesh, circle_profile, wing_mesh
 
 
 def test_generic_curved_wall_matches_circle():
-    mesh = body_fitted_mesh(circle_profile(0.5), m=3, nr=1, curved=True)
+    mesh = body_fitted_mesh(circle_profile(), m=3, nr=1, curved=True)
     space = FunctionSpace(mesh, 5)
     area = space.integrate(np.ones((space.nelem, space.nq)))
     assert area == pytest.approx(400.0 - np.pi * 0.25, rel=1e-8)

@@ -48,7 +48,7 @@ def test_rectangle_invalid():
 
 
 def test_circle_profile_radius():
-    prof = circle_profile(0.5)
+    prof = circle_profile()
     t = np.linspace(0, 1, 17, endpoint=False)
     x, y = prof(t)
     np.testing.assert_allclose(np.hypot(x, y), 0.5, rtol=1e-12)

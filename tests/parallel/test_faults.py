@@ -254,7 +254,7 @@ def test_recv_timeout_expires_and_prices_the_wait():
     def rank_fn(comm):
         if comm.rank == 0:
             with pytest.raises(RecvTimeout) as exc:
-                comm.recv(1, tag=0, timeout=0.5, retries=2, backoff=2.0)
+                comm.recv(1, tag=0, timeout=0.5, retries=2)
             e = exc.value
             return e.waited, e.attempts, comm.wall, comm.cpu_time
         comm.compute(100.0)

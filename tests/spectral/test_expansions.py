@@ -209,7 +209,7 @@ def test_projection_spectral_convergence():
 
     errs = {}
     for P in (3, 5, 7, 9):
-        exp = QuadExpansion(P, nq=P + 4)
+        exp = QuadExpansion(P)
         A, B = exp.rule.points
         coeffs = exp.forward(f(A, B))
         err = exp.backward(coeffs) - f(A, B)
@@ -226,7 +226,7 @@ def test_tri_projection_spectral_convergence():
 
     errs = {}
     for P in (2, 4, 6, 8):
-        exp = TriExpansion(P, nq=P + 4)
+        exp = TriExpansion(P)
         A, B = exp.rule.points
         xi1 = 0.5 * (1 + A) * (1 - B) - 1
         coeffs = exp.forward(f(xi1, B))
