@@ -28,7 +28,6 @@ from .linter import (
     Diagnostic,
     lint_files,
     lint_paths,
-    lint_source,
     name_for,
 )
 
@@ -39,5 +38,4 @@ __all__ = [
     "name_for",
     "lint_files",
     "lint_paths",
-    "lint_source",
 ]

@@ -1,11 +1,10 @@
-"""CLI for the static-analysis suite: ``python -m repro.analysis [paths...]``.
+"""CLI for the static-analysis suite: ``python -m repro.analysis paths...``.
 
 Exits 0 when every checked file is clean, 1 when any diagnostic is
-emitted, 2 on usage errors — including a ``--select``/waiver token that
-names no known rule.  Default path is ``src`` when run from the
-repository root, falling back to the installed ``repro`` package tree.
+emitted, 2 on usage errors — no path named, or a ``--select``/waiver
+token that names no known rule.  CI lints ``src/``.
 
-``--format json`` emits one object per diagnostic.
+``--format json`` emits one object per diagnostic (its fields).
 ``--select RULE[,RULE...]`` restricts the run to the named rules and
 forces them in scope on every file — the seed audit runs
 ``--select REPRO004 tests benchmarks examples``.  An accepted finding is waived
@@ -18,32 +17,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
-from .linter import RULES, WAIVER_CODE, Diagnostic, lint_paths
-
-
-def _default_paths() -> list[str]:
-    if Path("src/repro").is_dir():
-        return ["src"]
-    return [str(Path(__file__).resolve().parents[1])]
-
-
-def _to_json(diags: list[Diagnostic]) -> str:
-    return json.dumps(
-        [
-            {
-                "path": d.path,
-                "line": d.line,
-                "col": d.col,
-                "code": d.code,
-                "rule": d.rule,
-                "message": d.message,
-            }
-            for d in diags
-        ],
-        indent=2,
-    )
+from .linter import RULES, WAIVER_CODE, lint_paths
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -55,7 +32,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "paths",
         nargs="*",
-        help="files or directories to lint (default: src/ or the installed package)",
+        help="files or directories to lint",
     )
     parser.add_argument(
         "--list-rules",
@@ -86,7 +63,9 @@ def main(argv: list[str] | None = None) -> int:
     if args.select:
         select = [t.strip() for t in args.select.split(",") if t.strip()]
 
-    paths = args.paths or _default_paths()
+    paths = args.paths
+    if not paths:
+        parser.error("name the files or directories to lint")
     for p in paths:
         if not Path(p).exists():
             print(f"error: no such path: {p}", file=sys.stderr)
@@ -99,7 +78,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     if args.format == "json":
-        print(_to_json(diags))
+        print(json.dumps([asdict(d) for d in diags], indent=2))
     else:
         for d in diags:
             print(d.format())

@@ -85,7 +85,6 @@ __all__ = [
     "WAIVER_CODE",
     "Diagnostic",
     "name_for",
-    "lint_source",
     "lint_files",
     "lint_paths",
 ]
@@ -1030,15 +1029,6 @@ def _run(ctxs: list[_FileContext], select: set[str] | None) -> list[Diagnostic]:
                 )
     diags.sort()
     return diags
-
-
-def lint_source(source: str, path: str, select=None) -> list[Diagnostic]:
-    """Lint one file's source text; ``path`` determines the rule scope.
-
-    ``select`` restricts the run to the given rule names/codes and
-    forces them in scope on every file (audit mode).
-    """
-    return _run([_FileContext(path, source)], _normalize_select(select))
 
 
 def lint_files(files, select=None) -> list[Diagnostic]:

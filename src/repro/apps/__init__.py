@@ -1,23 +1,10 @@
-"""Application-level drivers: Tables 1-3 and Figures 9-16."""
+"""The applications: Tables 1-3 and Figures 9-16.
 
-from . import (
-    ale_bench,
-    cost_of_ownership,
-    kernel_report,
-    matrix_structure,
-    nektar_f_bench,
-    serial_bluff,
-)
+Each application is its own module (``python -m repro.apps.serial_bluff``,
+``from repro.apps import serial_bluff``); the package imports none of
+them, so running one as ``__main__`` finds it not yet loaded.
+"""
+
 from .pricing import STAGE_KINDS, price_stages, total_time
 
-__all__ = [
-    "serial_bluff",
-    "nektar_f_bench",
-    "ale_bench",
-    "kernel_report",
-    "matrix_structure",
-    "cost_of_ownership",
-    "STAGE_KINDS",
-    "price_stages",
-    "total_time",
-]
+__all__ = ["STAGE_KINDS", "price_stages", "total_time"]

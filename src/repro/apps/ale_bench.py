@@ -122,11 +122,10 @@ def step_times(system: str, nprocs: int) -> dict:
     cpu_model = _ncsa_cpu(nprocs) if system == "NCSA" else spec.cpu
     net = spec.network(nkind)
 
-    rate = (cpu_model.app_mflops or cpu_model.dns_sustained_mflops()) * 1e6
     required = PAPER_ALE["dofs"] * PAPER_ALE["bytes_per_dof"] / nprocs
     available = 0.75 * spec.ram_per_proc  # OS and code leave ~75% usable
     penalty = max(1.0, required / available)
-    single = PAPER_ALE["total_flops"] / rate
+    single = cpu_model.app_time(PAPER_ALE["total_flops"])
     compute = (
         single / nprocs * penalty + PAPER_ALE["serial_fraction"] * single
     )

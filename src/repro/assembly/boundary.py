@@ -80,12 +80,6 @@ class EdgeQuadrature:
     def integrate(self, fvals: np.ndarray) -> float:
         return blas.ddot(self.jw, np.asarray(fvals, dtype=np.float64))
 
-    def load(self, fvals: np.ndarray) -> np.ndarray:
-        """(f, phi_i) over this edge, local (unsigned) coefficients."""
-        m, n = self.phi.shape
-        charge(2.0 * m * n, 8.0 * (m * n + n + m), "edge-load")
-        return self.phi @ (self.jw * fvals)
-
 
 @functools.cache
 def _reference_edges(kind: str, order: int, n1d: int) -> tuple:

@@ -17,7 +17,6 @@ C0 vector of length ``ndof``.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 
 import numpy as np
 
@@ -48,16 +47,14 @@ def _real_array(a, who: str, name: str) -> np.ndarray:
     return np.asarray(a, dtype=np.float64)
 
 
-class ElementalMatrices(Sequence):
+class ElementalMatrices:
     """Per-element operator matrices held as one stack per element kind.
 
     ``stacks[i]`` is the (n, nmodes, nmodes) stack of the dof map's
     ``i``-th kind stack, rows in its ``elems`` order (batch ``i`` of the
     space: the stack :meth:`FunctionSpace._batch_operator_stack`
-    builds).  Item ``e`` is element ``e``'s row of its stack, a view,
-    so the sequence reads as the per-element list in mesh element
-    order; a batch-wise consumer (static condensation) slices
-    ``stacks`` instead and copies only what it keeps.
+    builds).  Its consumer (static condensation) slices ``stacks`` and
+    copies only what it keeps.
     """
 
     def __init__(self, dofmap: DofMap, stacks):
@@ -78,13 +75,6 @@ class ElementalMatrices(Sequence):
                 for st in dofmap.stacks
             ],
         )
-
-    def __len__(self) -> int:
-        return self.dofmap.mesh.nelements
-
-    def __getitem__(self, e) -> np.ndarray:
-        dm = self.dofmap
-        return self.stacks[dm._stack_of[e]][dm._row_of[e]]
 
 
 class FunctionSpace:

@@ -4,7 +4,6 @@ from .alltoall import figure8_series, message_sizes
 from .blas_bench import (
     FIGURES,
     figure_series,
-    host_measure,
     model_curve,
     sweep_sizes,
 )
@@ -20,7 +19,6 @@ __all__ = [
     "sweep_sizes",
     "model_curve",
     "figure_series",
-    "host_measure",
     "latency_sizes",
     "bandwidth_sizes",
     "latency_series",

@@ -1,32 +1,19 @@
-"""Kernel-level CPU benchmark driver (Figures 1-6).
-
-Two modes:
-
-* **model** — evaluate each machine's CPU model over the paper's
-  working-set sweep, regenerating the multi-machine curves of
-  Figures 1-6;
-* **host** — actually time the :mod:`repro.linalg.blas` kernels on this
-  machine (the "PC" stand-in), the measurement protocol of Section 3.1:
-  repeated calls on in-cache/or-not operands, reporting MB/s or
-  Mflop/s "as seen by the user".
+"""Kernel-level CPU benchmark (Figures 1-6): each machine's CPU
+model evaluated over the paper's working-set sweep, regenerating the
+multi-machine curves of Figures 1-6.
 """
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
-from ..linalg import blas
 from ..machines.catalog import BLAS_FIGURE_MACHINES, MACHINES
-from ..machines.cpu import ROUTINES
 
 __all__ = [
     "FIGURES",
     "sweep_sizes",
     "model_curve",
     "figure_series",
-    "host_measure",
 ]
 
 # Figure number -> (routine, x-axis regime).
@@ -77,54 +64,3 @@ def figure_series(figure: int, panel: str = "left") -> dict[str, tuple]:
     return {
         key: model_curve(key, figure) for key in BLAS_FIGURE_MACHINES[panel]
     }
-
-
-def host_measure(
-    routine: str, n: int, min_time: float = 0.01
-) -> dict[str, float]:
-    """Time the real numpy kernel on this host (Section 3.1 protocol).
-
-    Returns the plotted metric (MB/s for dcopy, Mflop/s otherwise) plus
-    raw reps/seconds.  No warm-cache compensation — "the figures
-    presented correspond to the performance as seen by the user".
-    """
-    if routine not in ROUTINES:
-        raise ValueError(f"unknown routine {routine!r}")
-    rng = np.random.default_rng(0)
-    if routine in ("dcopy", "daxpy", "ddot"):
-        x = rng.standard_normal(n)
-        y = rng.standard_normal(n)
-        call = {
-            "dcopy": lambda: blas.dcopy(x, y),
-            "daxpy": lambda: blas.daxpy(1.0001, x, y),
-            "ddot": lambda: blas.ddot(x, y),
-        }[routine]
-    elif routine == "dgemv":
-        a = rng.standard_normal((n, n))
-        x = rng.standard_normal(n)
-        y = np.zeros(n)
-        call = lambda: blas.dgemv(1.0, a, x, 0.0, y)  # noqa: E731
-    else:
-        a = rng.standard_normal((n, n))
-        b = rng.standard_normal((n, n))
-        c = np.zeros((n, n))
-        call = lambda: blas.dgemm(1.0, a, b, 0.0, c)  # noqa: E731
-
-    call()  # first-touch
-    reps, elapsed = 0, 0.0
-    t0 = time.perf_counter()
-    while elapsed < min_time:
-        call()
-        reps += 1
-        elapsed = time.perf_counter() - t0
-    per_call = elapsed / reps
-    flops = blas.flop_count(routine, n)
-    out = {
-        "routine": routine,
-        "n": n,
-        "reps": reps,
-        "seconds_per_call": per_call,
-        "mflops": flops / per_call / 1e6 if flops else 0.0,
-        "mb_per_s": blas.byte_count(routine, n) / per_call / 1e6,
-    }
-    return out

@@ -1,9 +1,7 @@
 """BLAS/LAPACK-level substrate: counted kernels, banded Cholesky, PCG."""
 
-from .banded import BandedSPDSolver, bandwidth, to_banded
+from .banded import BandedSPDSolver
 from .blas import (
-    daxpy,
-    dcopy,
     ddot,
     dgemm,
     dgemv,
@@ -11,14 +9,10 @@ from .blas import (
     dvmul,
 )
 from .cg import CGResult, pcg
-from .counters import OpCounter, active_counter, charge
+from .counters import OpCounter, charge
 
 __all__ = [
     "BandedSPDSolver",
-    "bandwidth",
-    "to_banded",
-    "dcopy",
-    "daxpy",
     "ddot",
     "dnrm2",
     "dgemv",
@@ -27,6 +21,5 @@ __all__ = [
     "CGResult",
     "pcg",
     "OpCounter",
-    "active_counter",
     "charge",
 ]

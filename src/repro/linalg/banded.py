@@ -4,8 +4,8 @@ Section 4.1: "Solution of the Laplacian ... A direct solver (LAPACK),
 utilising the symmetric and banded nature of the matrix, is used."
 The global Helmholtz/Poisson matrices assembled with boundary-first
 ordering are symmetric positive definite and banded (Figure 10); this
-module wraps scipy's banded Cholesky with (a) a dense<->banded layout
-converter, (b) exact factor/solve flop counts charged to the active
+module wraps scipy's banded Cholesky with exact factor/solve flop
+counts charged to the active
 :class:`~repro.linalg.counters.OpCounter`, so solve stages can be priced
 on the simulated machines.
 
@@ -29,34 +29,7 @@ import scipy.linalg as sla
 
 from .counters import charge
 
-__all__ = ["bandwidth", "to_banded", "BandedSPDSolver"]
-
-
-def bandwidth(a: np.ndarray, tol: float = 0.0) -> int:
-    """Half-bandwidth of a symmetric matrix: max |i-j| with |a_ij| > tol."""
-    a = np.asarray(a)
-    n = a.shape[0]
-    if a.shape != (n, n):
-        raise ValueError("bandwidth: matrix must be square")
-    rows, cols = np.nonzero(np.abs(a) > tol)
-    if rows.size == 0:
-        return 0
-    return int(np.max(np.abs(rows - cols)))
-
-
-def to_banded(a: np.ndarray, kd: int) -> np.ndarray:
-    """Pack the upper triangle of symmetric ``a`` into LAPACK banded storage.
-
-    Returns the (kd+1, n) array expected by ``scipy.linalg.cholesky_banded``
-    (upper form: ab[kd + i - j, j] = a[i, j] for max(0, j-kd) <= i <= j).
-    """
-    a = np.asarray(a, dtype=np.float64)
-    n = a.shape[0]
-    ab = np.zeros((kd + 1, n))
-    for j in range(n):
-        i0 = max(0, j - kd)
-        ab[kd - (j - i0) : kd + 1, j] = a[i0 : j + 1, j]
-    return ab
+__all__ = ["BandedSPDSolver"]
 
 
 @dataclass
@@ -77,9 +50,13 @@ class BandedSPDSolver:
         a = np.asarray(a, dtype=np.float64)
         n = a.shape[0]
         if kd is None:
-            kd = bandwidth(a, tol=1e-14 * max(1.0, float(np.abs(a).max())))
+            rows, cols = np.nonzero(np.abs(a) > 1e-14 * max(1.0, float(np.abs(a).max())))
+            kd = int(np.max(np.abs(rows - cols), initial=0))
         self = cls(n=n, kd=kd)
-        ab = to_banded(a, kd)
+        ab = np.zeros((kd + 1, n))
+        for j in range(n):
+            i0 = max(0, j - kd)
+            ab[kd - (j - i0) : kd + 1, j] = a[i0 : j + 1, j]
         self._cb = sla.cholesky_banded(ab, lower=False, check_finite=False)
         # ~n*kd^2 flops for banded Cholesky (kd << n regime).
         charge(float(n) * kd * kd, 8.0 * (kd + 1) * n, "dpbtrf")
@@ -87,7 +64,8 @@ class BandedSPDSolver:
 
     @classmethod
     def from_banded(cls, ab: np.ndarray) -> "BandedSPDSolver":
-        """Factor the upper band ``ab`` (:func:`to_banded`'s layout).
+        """Factor the upper band ``ab`` (LAPACK upper storage,
+        ``ab[kd + i - j, j] = a[i, j]``).
 
         A writeable Fortran-ordered float64 ``ab`` is factored in place and
         owned by the solver from then on: the caller must not reuse it.

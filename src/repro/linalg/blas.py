@@ -1,9 +1,11 @@
 """BLAS substrate: the kernels the paper benchmarks and the DNS code uses.
 
 "BLAS routines account for most of the work in the codes presented"
-(Section 3.1).  We provide the five routines the paper times — ``dcopy``,
-``daxpy``, ``ddot``, ``dgemv``, ``dgemm`` — plus the handful of others the
-solver needs, as thin numpy wrappers that (a) follow BLAS calling
+(Section 3.1).  Of the five routines the paper times — ``dcopy``,
+``daxpy``, ``ddot``, ``dgemv``, ``dgemm`` — the solver calls the last
+three (the first two are priced by the CPU model, ``flop_count`` /
+``byte_count`` below); they and the handful of others the solver needs
+are thin numpy wrappers that (a) follow BLAS calling
 semantics closely enough to be drop-in, and (b) report exact flop and
 byte counts to :mod:`repro.linalg.counters` so application stages can be
 priced on the simulated machines.
@@ -24,8 +26,6 @@ import numpy as np
 from .counters import Tape, charge
 
 __all__ = [
-    "dcopy",
-    "daxpy",
     "ddot",
     "ddot_batched",
     "dnrm2",
@@ -59,27 +59,6 @@ def vector_tape(kernels: tuple[str, ...], n: int) -> Tape:
     on n-element vectors, for :func:`repro.linalg.counters.charge_tape`:
     the charges those calls make, from the same formulas."""
     return tuple((_FLOPS[k](n), _BYTES[k](n), k) for k in kernels)
-
-
-def dcopy(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """y[:] = x.  Returns y.  (0 flops, 16 bytes/element.)"""
-    x, y = _as1d(x), _as1d(y)
-    if x.shape != y.shape:
-        raise ValueError("dcopy: shape mismatch")
-    np.copyto(y, x)
-    _charge_vector("dcopy", x.size)
-    return y
-
-
-def daxpy(alpha: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """y += alpha * x, in place.  (2 flops and 24 bytes per element.)"""
-    x, y = _as1d(x), _as1d(y)
-    if x.shape != y.shape:
-        raise ValueError("daxpy: shape mismatch")
-    # In-place multiply-add: one temporary-free path per the numpy guide.
-    y += alpha * x
-    _charge_vector("daxpy", x.size)
-    return y
 
 
 def ddot(x: np.ndarray, y: np.ndarray) -> float:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NoReturn
 
 import numpy as np
 
@@ -65,10 +65,10 @@ def _observe(res: CGResult) -> CGResult:
     return res
 
 
-def _not_positive(pap: float) -> np.linalg.LinAlgError:
+def _not_positive(pap: float) -> NoReturn:
     if np.isfinite(pap):
-        return np.linalg.LinAlgError(f"pcg: operator not positive definite (p^T A p = {pap!r})")
-    return np.linalg.LinAlgError(
+        raise np.linalg.LinAlgError(f"pcg: operator not positive definite (p^T A p = {pap!r})")
+    raise np.linalg.LinAlgError(
         f"pcg: non-finite p^T A p ({pap!r}): the operator or the right-hand side "
         "holds NaN or inf"
     )
@@ -122,7 +122,7 @@ def pcg(
         pap = float(np.dot(p, ap))
         if not pap > 0.0:  # also NaN: it fails every comparison
             charge_tape(tape[:1])
-            raise _not_positive(pap)
+            _not_positive(pap)
         alpha = rz / pap
         x += alpha * p
         r += (-alpha) * ap

@@ -104,11 +104,6 @@ class OpCounter:
             self._parent = None
 
 
-def active_counter() -> OpCounter | None:
-    """The innermost active counter on this thread, or None."""
-    return _tls.active
-
-
 def set_kernel_sampler(sampler: SamplerFn | None) -> None:
     """Install a read-only observer of module-level :func:`charge` calls.
 

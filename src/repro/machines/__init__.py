@@ -8,8 +8,6 @@ from .catalog import (
     NETWORKS,
     PINGPONG_FIGURE_NETWORKS,
     MachineSpec,
-    machine,
-    network,
 )
 from .cpu import CPUModel, ROUTINES, working_set
 from .network import NetworkModel
@@ -21,8 +19,6 @@ __all__ = [
     "CPUS",
     "NETWORKS",
     "MACHINES",
-    "machine",
-    "network",
     "ROUTINES",
     "working_set",
     "BLAS_FIGURE_MACHINES",

@@ -25,8 +25,6 @@ __all__ = [
     "NETWORKS",
     "MACHINES",
     "PRICES_1999",
-    "machine",
-    "network",
     "BLAS_FIGURE_MACHINES",
     "PINGPONG_FIGURE_NETWORKS",
     "ALLTOALL_FIGURE_NETWORKS",
@@ -434,21 +432,3 @@ ALLTOALL_FIGURE_NETWORKS = [
     "NCSA",
     "Muses, LAM",
 ]
-
-
-def machine(name: str) -> MachineSpec:
-    try:
-        return MACHINES[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown machine {name!r}; known: {sorted(MACHINES)}"
-        ) from None
-
-
-def network(name: str) -> NetworkModel:
-    try:
-        return NETWORKS[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown network {name!r}; known: {sorted(NETWORKS)}"
-        ) from None

@@ -31,13 +31,10 @@ __all__ = ["CPUModel", "ROUTINES", "working_set"]
 #: dimension).
 ROUTINES = ("dcopy", "daxpy", "ddot", "dgemv", "dgemm")
 
-#: Bytes of banded factor a solve streams through.  Per-kind stage pricing
-#: (``stage_rate("solve")``, read by Table 1 / Fig 12's ``price_stages``)
-#: uses the 2 MB one; the DNS mix (``dns_sustained_mflops``, read by
-#: ``app_time`` for simmpi's ``compute_flops`` and by Table 3's ALE
-#: pricing) uses the 256 kB one.
+#: Bytes of banded factor a solve streams through, for per-kind stage
+#: pricing (``stage_rate("solve")``, read by Table 1 / Fig 12's
+#: ``price_stages``).
 STAGE_SOLVER_WS_BYTES = 2e6
-MIX_SOLVER_WS_BYTES = 256e3
 
 
 def working_set(routine: str, n: int) -> float:
@@ -75,10 +72,11 @@ class CPUModel:
     dgemm_n_half: float = 8.0
     flop_caps: dict[str, float] = field(default_factory=dict)
     # Measured application-level sustained rate (Mflop/s) for the DNS
-    # stage mix, when known; None falls back to the kernel-mix estimate.
-    # Table-1-style serial timings are calibrated through this knob — the
-    # kernel model alone cannot see latency-bound effects like the banded
-    # back-substitution's dependency chains.
+    # stage mix, which ``app_time`` prices with (simmpi's
+    # ``compute_flops``, Table 3's ALE pricing); every catalog CPU has
+    # one.  Table-1-style serial timings are calibrated through this
+    # knob — the kernel model alone cannot see latency-bound effects like
+    # the banded back-substitution's dependency chains.
     app_mflops: float | None = None
     # Sustained rate (Mflop/s) of the banded triangular solves (the
     # paper's dominant stage 5/7 work).  Recurrence-bound, so it tracks
@@ -163,26 +161,10 @@ class CPUModel:
             return self.blas_rate("dgemm", 10)
         raise ValueError(f"unknown stage kind {kind!r}")
 
-    def dns_sustained_mflops(self) -> float:
-        """Sustained application rate for the DNS stage mix.
-
-        The serial timestep is ~60% banded solves (dgemv-like streaming
-        through the factor), ~25% vector kernels on long vectors, ~15%
-        small dgemm (Section 4.1 / Figure 12).  The sustained rate is
-        the work-weighted harmonic mean of the model's rates at those
-        regimes, at the mix's solver working set (the factor does not fit
-        in L1).
-        """
-        n_gemv = max(8, int(math.sqrt(MIX_SOLVER_WS_BYTES / 8.0)))
-        r_solve = self.blas_rate("dgemv", n_gemv)
-        r_vec = self.blas_rate("daxpy", 15000)  # paper: 15k-long vectors
-        r_gemm = self.blas_rate("dgemm", 10)  # "most calls ... small n (10 or less)"
-        weights = ((0.60, r_solve), (0.25, r_vec), (0.15, r_gemm))
-        return 1.0 / sum(w / r for w, r in weights)
-
     def app_time(self, flops: float) -> float:
         """Seconds to execute `flops` of DNS-mix work."""
         if flops < 0:
             raise ValueError("negative flops")
-        rate = self.app_mflops if self.app_mflops is not None else self.dns_sustained_mflops()
-        return flops / (rate * 1e6)
+        if self.app_mflops is None:
+            raise ValueError(f"{self.name}: no measured application rate (app_mflops)")
+        return flops / (self.app_mflops * 1e6)

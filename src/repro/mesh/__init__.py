@@ -2,14 +2,12 @@
 
 from .curved import BlendedQuadMap, circular_arc, make_element_map
 from .generators import (
-    annulus_mesh,
     attach_circular_wall,
     bluff_body_mesh,
     body_fitted_mesh,
     circle_profile,
     naca_profile,
     rectangle_quads,
-    rectangle_tris,
     wing_mesh,
 )
 from .mapping import ElementMap, GeomFactors
@@ -24,12 +22,10 @@ __all__ = [
     "ElementMap",
     "GeomFactors",
     "rectangle_quads",
-    "rectangle_tris",
     "circle_profile",
     "naca_profile",
     "body_fitted_mesh",
     "bluff_body_mesh",
-    "annulus_mesh",
     "attach_circular_wall",
     "wing_mesh",
     "BlendedQuadMap",

@@ -4,8 +4,8 @@ Figure 11 shows the two domains used at the application level: a
 rectangular bluff-body wake domain (x in [-15, 25], y in [-5, 5]) with a
 body at the origin, and a flapping NACA 4420 wing.  Both are produced
 here as conforming all-quad meshes: an O-grid ring around the body
-blended into a structured outer frame.  Plain rectangle meshes (quads
-and triangles) support convergence tests and the channel examples.
+blended into a structured outer frame.  Plain rectangle quad meshes
+carry the channel and box examples.
 
 All generators return counterclockwise elements and tagged boundaries
 ("inflow", "outflow", "side", "wall" for body-fitted meshes; "left",
@@ -23,7 +23,6 @@ from .mesh2d import Mesh2D
 
 __all__ = [
     "rectangle_quads",
-    "rectangle_tris",
     "circle_profile",
     "naca_profile",
     "body_fitted_mesh",
@@ -65,47 +64,6 @@ def rectangle_quads(
         "right": [(eidx(nx - 1, j), 1) for j in range(ny)],
     }
     return Mesh2D(verts, elems, tags)
-
-
-def rectangle_tris(
-    nx: int,
-    ny: int,
-    x0: float = -1.0,
-    x1: float = 1.0,
-    y0: float = -1.0,
-    y1: float = 1.0,
-) -> Mesh2D:
-    """Structured triangle mesh: each quad cell split along its diagonal."""
-    quad = rectangle_quads(nx, ny, x0, x1, y0, y1)
-    elems = []
-    for e in quad.elements:
-        v0, v1, v2, v3 = e.vertices
-        elems.append((v0, v1, v2))
-        elems.append((v0, v2, v3))
-    # Tag boundaries by re-deriving from coordinates.
-    mesh = Mesh2D(quad.vertices, elems)
-    tol = 1e-12
-
-    def side_tag(ei: int, le: int) -> str:
-        a, b = mesh.elements[ei].edge_vertices(le)
-        xy = 0.5 * (mesh.vertices[a] + mesh.vertices[b])
-        if abs(xy[1] - y0) < tol:
-            return "bottom"
-        if abs(xy[1] - y1) < tol:
-            return "top"
-        if abs(xy[0] - x0) < tol:
-            return "left"
-        return "right"
-
-    tags: dict[str, list[tuple[int, int]]] = {
-        "bottom": [],
-        "top": [],
-        "left": [],
-        "right": [],
-    }
-    for ei, le in mesh.boundary_sides():
-        tags[side_tag(ei, le)].append((ei, le))
-    return Mesh2D(quad.vertices, elems, tags)
 
 
 def circle_profile() -> Profile:
@@ -193,7 +151,6 @@ def body_fitted_mesh(
     n_up: int = 4,
     n_down: int = 8,
     n_side: int = 2,
-    curved: bool = False,
 ) -> Mesh2D:
     """Conforming all-quad mesh around a body: O-grid ring inside the
     central square of half-width ``half_width`` (m cells per side,
@@ -202,9 +159,8 @@ def body_fitted_mesh(
     away from the square — the Figure 11 (left) layout.
 
     Boundary tags: "inflow" (x = x_up), "outflow" (x = x_down),
-    "side" (y = +-y_half), "wall" (body surface).  ``curved=True``
-    attaches the exact body profile to the wall edges (iso-parametric
-    body representation for any profile, cylinder or wing).
+    "side" (y = +-y_half), "wall" (body surface).  Wall edges are
+    straight; :func:`bluff_body_mesh` curves the cylinder's.
     """
     hw = half_width
     if not (x_up < -hw < hw < x_down and y_half > hw):
@@ -298,19 +254,7 @@ def body_fitted_mesh(
     remap = {old: new for new, old in enumerate(used)}
     verts_arr = np.asarray(verts)[used]
     elems = [tuple(remap[v] for v in e) for e in elems]
-    mesh = Mesh2D(verts_arr, elems, tags)
-    if curved:
-        # The k-th wall edge spans body parameters [k, k+1] / nper along
-        # its intrinsic (v0 -> v3) direction.
-        for idx, (ei, le) in enumerate(mesh.boundary_tags["wall"]):
-            t0, t1 = idx / nper, (idx + 1) / nper
-
-            def curve(s, t0=t0, t1=t1):
-                s = np.asarray(s, dtype=np.float64)
-                return profile(t0 + (t1 - t0) * 0.5 * (1.0 + s))
-
-            mesh.curves[(ei, le)] = curve
-    return mesh
+    return Mesh2D(verts_arr, elems, tags)
 
 
 def bluff_body_mesh(
@@ -347,53 +291,7 @@ def attach_circular_wall(mesh: Mesh2D) -> None:
         mesh.curves[(ei, le)] = circular_arc(mesh.vertices[a], mesh.vertices[b])
 
 
-def annulus_mesh(
-    ntheta: int = 8,
-    nr: int = 2,
-    r0: float = 0.5,
-    r1: float = 1.0,
-    curved: bool = True,
-) -> Mesh2D:
-    """All-quad annulus between radii r0 and r1, tags "inner"/"outer";
-    with ``curved`` the ring edges are exact circle arcs — the standard
-    curved-geometry convergence testbed."""
-    if not (0 < r0 < r1) or ntheta < 3 or nr < 1:
-        raise ValueError("bad annulus parameters")
-    verts = []
-    for i in range(nr + 1):
-        r = r0 + (r1 - r0) * i / nr
-        for k in range(ntheta):
-            th = 2 * np.pi * k / ntheta
-            verts.append((r * np.cos(th), r * np.sin(th)))
-    nid = lambda i, k: i * ntheta + (k % ntheta)  # noqa: E731
-    elems = []
-    tags: dict[str, list[tuple[int, int]]] = {"inner": [], "outer": []}
-    for i in range(nr):
-        for k in range(ntheta):
-            e = len(elems)
-            elems.append((nid(i, k), nid(i + 1, k), nid(i + 1, k + 1), nid(i, k + 1)))
-            if i == 0:
-                tags["inner"].append((e, 3))  # edge (v0, v3) on r = r0
-            if i == nr - 1:
-                tags["outer"].append((e, 1))  # edge (v1, v2) on r = r1
-    mesh = Mesh2D(np.asarray(verts), elems, tags)
-    if curved:
-        from .curved import circular_arc
-
-        for eid, edge in enumerate(mesh.edges):
-            a, b = edge.vertices
-            ra = np.hypot(*mesh.vertices[a])
-            rb = np.hypot(*mesh.vertices[b])
-            if abs(ra - rb) < 1e-12:  # circumferential edge -> arc
-                for ei, le in edge.elements:
-                    va, vb = mesh.elements[ei].edge_vertices(le)
-                    mesh.curves[(ei, le)] = circular_arc(
-                        mesh.vertices[va], mesh.vertices[vb]
-                    )
-    return mesh
-
-
-def wing_mesh(m: int = 6, nr: int = 2, curved: bool = False) -> Mesh2D:
+def wing_mesh(m: int = 6, nr: int = 2) -> Mesh2D:
     """Body-fitted mesh around a unit-chord NACA 4420 wing (the paper's
     flapping-wing geometry, Figure 11 right), on a 10 x 5-proportioned
     domain."""
@@ -408,5 +306,4 @@ def wing_mesh(m: int = 6, nr: int = 2, curved: bool = False) -> Mesh2D:
         n_up=2,
         n_down=4,
         n_side=1,
-        curved=curved,
     )

@@ -139,10 +139,6 @@ class GeomFactors:
         dxi_dx = np.transpose(inv, (1, 2, 0))
         return cls(jw=expansion.weights * det, dxi_dx=dxi_dx)
 
-    @property
-    def nq(self) -> int:
-        return self.jw.size
-
     def physical_gradients(
         self, dphi1: Array, dphi2: Array
     ) -> tuple[Array, Array]:

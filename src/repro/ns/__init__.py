@@ -2,7 +2,6 @@
 ALE moving-mesh (NekTar-ALE) analogues."""
 
 from .ale import ALENavierStokes2D
-from .exact import Kovasznay, TaylorVortex
 from .forces import BodyForces, ForceRecorder, body_forces
 from .nektar2d import NavierStokes2D
 from .nektar_f import NekTarF
@@ -22,6 +21,4 @@ __all__ = [
     "STAGE_DESCRIPTIONS",
     "ALE_GROUPS",
     "group_ale",
-    "Kovasznay",
-    "TaylorVortex",
 ]

@@ -130,10 +130,11 @@ class ALENavierStokes2D:
                 xp = np.array(self.motion(x0, y0, self.t + h))
                 xm = np.array(self.motion(x0, y0, self.t - h))
                 vel[i] = (xp - xm) / (2 * h)
-            # Quadrature-point mesh velocity: interpolate the vertex field
-            # through the space (mesh velocity is bilinear per element).
-            wx = self._vertex_field_to_quad(vel[:, 0])
-            wy = self._vertex_field_to_quad(vel[:, 1])
+            # Quadrature-point mesh velocity: the vertex-mode interpolant
+            # of the vertex field (mesh velocity is bilinear per element).
+            w_hat = np.zeros((2, self.space.ndof))
+            w_hat[:, : self.mesh.nvertices] = vel.T
+            wx, wy = self.space.backward(w_hat)
             return vel, wx, wy
         # motion == "solve": Laplace solve with body velocity on the wall.
         wx_hat = self._solve_mesh_component(0)
@@ -155,13 +156,6 @@ class ALENavierStokes2D:
         w_hat = self.mesh_solver.solve_rhs(self.space.load_vector(zero), bc)
         self.cg_iterations["mesh"] += self.mesh_solver.last_iterations
         return w_hat
-
-    def _vertex_field_to_quad(self, vvals: np.ndarray) -> np.ndarray:
-        """Evaluate the vertex-interpolant of a vertex field at the
-        quadrature points (uses only the vertex modes)."""
-        u_hat = np.zeros(self.space.ndof)
-        u_hat[: self.mesh.nvertices] = vvals
-        return self.space.backward(u_hat)
 
     def _move_mesh(self, vertex_vel: np.ndarray) -> None:
         if self.motion is None:

@@ -428,7 +428,3 @@ class NekTarF:
                 local[m] += 0.5 * LZ * e2 * (1.0 if m == 0 else 2.0)
         return np.asarray(self.comm.allreduce(local, op="sum"))
 
-    def stage_percentages(self, kind: str = "cpu") -> dict[str, float]:
-        timer = self.virtual if self.charge_compute else self.timer
-        return timer.percentages(kind)
-

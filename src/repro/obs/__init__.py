@@ -48,10 +48,8 @@ from .critpath import (
     CriticalPath,
     EventGraph,
     analyze,
-    critical_path,
     render_critpath_report,
     swap_network,
-    whatif,
 )
 from .export import (
     idle_by_rank,
@@ -100,10 +98,8 @@ __all__ = [
     "CriticalPath",
     "EventGraph",
     "analyze",
-    "critical_path",
     "render_critpath_report",
     "swap_network",
-    "whatif",
     "RunLedger",
     "config_fingerprint",
 ]

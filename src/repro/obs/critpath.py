@@ -51,7 +51,7 @@ bit for bit what a Python pass over the edges gives.
 
 Counterfactuals
 ---------------
-:func:`whatif` re-weights edge components (zero latency, infinite
+:func:`analyze` re-weights edge components (zero latency, infinite
 bandwidth, remove-straggler via per-rank cpu scaling);
 :func:`swap_network` re-prices communication edges under a different
 :class:`~repro.machines.network.NetworkModel` using the byte counts and
@@ -71,7 +71,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain, repeat
-from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -87,8 +86,6 @@ __all__ = [
     "CritPathRecorder",
     "PathSegment",
     "CriticalPath",
-    "critical_path",
-    "whatif",
     "swap_network",
     "swap_makespans",
     "analyze",
@@ -165,11 +162,10 @@ class EventGraph:
     Node columns are parallel lists indexed by node id (ids are a valid
     topological order); ``edges`` holds schema-1 rows
     ``(dst, src, cpu, overhead, latency, bandwidth, idle, kind, nbytes,
-    ebytes, obytes, n, stretch, factor)``.  Rows normally arrive in
-    target order (the recorder and :meth:`from_dict` guarantee it); a
-    hand-built graph that adds them out of order is regrouped by target
-    when its columns are built.  A graph read by :meth:`from_dict` holds
-    columns only and lists its rows again when someone asks for them.
+    ebytes, obytes, n, stretch, factor)``, in target order (the recorder
+    and :meth:`from_dict` append them that way).  A graph read by
+    :meth:`from_dict` holds columns only and lists its rows again when
+    someone asks for them.
     """
 
     def __init__(self, nprocs: int, network: "NetworkModel | None" = None):
@@ -185,7 +181,6 @@ class EventGraph:
         self.node_t: list[float] = []
         self.node_depth: list[int] = []
         self._edges: list[tuple] | None = []
-        self._ordered = True
         self._cols: _Columns | None = None
 
     def __len__(self) -> int:
@@ -226,23 +221,6 @@ class EventGraph:
         self._changed()
         return len(self.node_t) - 1
 
-    def add_edge(self, dst: int, edge: Edge) -> Edge:
-        src = edge.src
-        if not 0 <= src < len(self.node_t):
-            raise ValueError(f"edge source {src} does not exist")
-        if src >= dst:
-            raise ValueError(f"edge {src} -> {dst} violates topological node order")
-        if dst >= len(self.node_t):
-            raise ValueError(f"edge target {dst} does not exist")
-        rows = self.edges
-        if rows and dst < rows[-1][0]:
-            self._ordered = False
-        rows.append((dst, *edge))
-        depth = self.node_depth
-        depth[dst] = max(depth[dst], depth[src] + 1)
-        self._changed()
-        return edge
-
     def _changed(self) -> None:
         """Drop the columns, listing the rows first if they stood in for
         them."""
@@ -253,28 +231,8 @@ class EventGraph:
     def _columns(self) -> "_Columns":
         """The graph's numpy columns and sweep plan, built once."""
         if self._cols is None:
-            if not self._ordered:
-                self.edges.sort(key=itemgetter(0))  # stable: in-edge order kept
-                self.node_depth = _depths(
-                    len(self), [r[0] for r in self.edges], [r[1] for r in self.edges]
-                )
-                self._ordered = True
             self._cols = _Columns.of_rows(self)
         return self._cols
-
-    def makespan(self) -> float:
-        """Virtual makespan implied by the edges.
-
-        Measured from the earliest source anchor, so graphs recorded on
-        reused clusters (nonzero starting clocks) stay comparable.
-        """
-        c = self._columns()
-        return _makespans(_sweep(c, c.total[None, :]), [c])[0][0]
-
-    @property
-    def t0(self) -> float:
-        """Earliest source anchor (0.0 on a fresh cluster)."""
-        return self._columns().t0
 
     # -- serialization (campaign artifacts) ------------------------------------
 
@@ -282,7 +240,7 @@ class EventGraph:
         """JSON-able form of the recorded graph.
 
         The campaign engine persists each job's graph next to the run
-        ledger so ``campaign search`` can re-weight it (``whatif`` /
+        ledger so ``campaign search`` can re-weight it (``analyze`` /
         ``swap_network``) long after the run, without re-running the
         cluster.  The network rides along by name only — counterfactual
         passes supply their own :class:`NetworkModel`.
@@ -782,10 +740,6 @@ class PathSegment:
     def kind(self) -> str:
         return self.edge.kind
 
-    @property
-    def end(self) -> float:
-        return self.start + self.edge.total()
-
     def total(self) -> float:
         return self.edge.total()
 
@@ -833,17 +787,6 @@ class CriticalPath:
 
     def top_segments(self, k: int = 10) -> list[PathSegment]:
         return sorted(self.segments, key=lambda s: -s.total())[:k]
-
-
-def critical_path(graph: EventGraph) -> CriticalPath:
-    """Longest virtual-time path from any start anchor to the last finish.
-
-    Ties break deterministically (larger edge cost, then lower source
-    id).  Collective release edges are attributed to the binding (last
-    arriving) rank and its stage.
-    """
-    c = graph._columns()
-    return _walk(graph, c, _sweep(c, c.total[None, :])[0])
 
 
 def _walk(graph: EventGraph, c: _Columns, t: np.ndarray) -> CriticalPath:
@@ -906,8 +849,9 @@ def _walk(graph: EventGraph, c: _Columns, t: np.ndarray) -> CriticalPath:
 
 
 def _whatif_weights(c: _Columns, scalings: list[dict[str, Any]]) -> np.ndarray:
-    """One weight row per set of :func:`whatif` keywords: each component
-    times its scale, summed in resource order."""
+    """One weight row per set of component scalings (``cpu_scale=``,
+    ``latency_scale=``, ...): each component times its scale, summed in
+    resource order."""
     scales = np.array(
         [[kw.get(f"{r}_scale", 1.0) for r in RESOURCES] for kw in scalings]
     )
@@ -925,31 +869,6 @@ def _whatif_weights(c: _Columns, scalings: list[dict[str, Any]]) -> np.ndarray:
     for j, col in enumerate((c.overhead, c.latency, c.bandwidth, c.idle), 1):
         W += col * scales[:, j, None]
     return W
-
-
-def whatif(
-    graph: EventGraph,
-    *,
-    cpu_scale: float = 1.0,
-    overhead_scale: float = 1.0,
-    latency_scale: float = 1.0,
-    bandwidth_scale: float = 1.0,
-    idle_scale: float = 1.0,
-    rank_cpu_scale: dict[int, float] | None = None,
-) -> float:
-    """Makespan under component scaling (e.g. ``latency_scale=0``).
-
-    ``rank_cpu_scale`` scales the cpu component of edges whose target
-    node belongs to the given rank — ``{straggler: 1/stretch}`` is the
-    remove-straggler counterfactual.
-    """
-    c = graph._columns()
-    w = _whatif_weights(c, [dict(
-        cpu_scale=cpu_scale, overhead_scale=overhead_scale,
-        latency_scale=latency_scale, bandwidth_scale=bandwidth_scale,
-        idle_scale=idle_scale, rank_cpu_scale=rank_cpu_scale,
-    )])
-    return _makespans(_sweep(c, w), [c])[0][0]
 
 
 def _swap_weights(c: _Columns, new: "NetworkModel", cpu_scale: Any) -> np.ndarray:

@@ -162,17 +162,6 @@ class MetricsRegistry:
             items = list(self._instruments.items())
         return {name: inst.snapshot() for name, inst in sorted(items)}
 
-    def reset(self) -> None:
-        """Drop every instrument, returning the registry to birth state.
-
-        For long-lived registries observing back-to-back clusters in
-        one process (the campaign-engine pattern): reset between runs
-        instead of replacing the registry, so handles held by callers
-        keep pointing at the live store.
-        """
-        with self._lock:
-            self._instruments.clear()
-
     def hit_rate(self, prefix: str) -> float | None:
         """Hit rate of a ``<prefix>.hits`` / ``<prefix>.misses`` pair."""
         with self._lock:
@@ -216,7 +205,8 @@ def scoped(registry: MetricsRegistry | None = None) -> _RegistryScope:
     if registry is None:
         registry = MetricsRegistry()
     else:
-        registry.reset()
+        with registry._lock:
+            registry._instruments.clear()
     return _RegistryScope(registry)
 
 

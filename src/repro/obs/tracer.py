@@ -195,10 +195,6 @@ class Trace:
         merged.sort(key=lambda e: (e.ts, e.rank, -e.dur))
         return merged
 
-    @property
-    def nranks(self) -> int:
-        return len(self.tracers)
-
 
 def spans_from_log(trace: Trace, log: list[tuple]) -> None:
     """Draw a virtual-cluster run's comm, idle and fault spans and its

@@ -59,15 +59,6 @@ class Race:
     first: Access
     second: Access
 
-    def describe(self) -> str:
-        return (
-            f"data race on {self.label}: rank {self.first.rank} "
-            f"{self.first.op} at {self.first.site} (vc={self.first.vc}) and "
-            f"rank {self.second.rank} {self.second.op} at "
-            f"{self.second.site} (vc={self.second.vc}) are unordered by "
-            "happens-before [REPRO006]"
-        )
-
 
 class DeterminismError(RuntimeError):
     """Raised at finalize when a sanitized run observed data races."""
@@ -75,7 +66,14 @@ class DeterminismError(RuntimeError):
     def __init__(self, races: list[Race]):
         self.races = races
         lines = [f"{len(races)} data race(s) detected"]
-        lines += [r.describe() for r in races]
+        lines += [
+            f"data race on {r.label}: rank {r.first.rank} "
+            f"{r.first.op} at {r.first.site} (vc={r.first.vc}) and "
+            f"rank {r.second.rank} {r.second.op} at "
+            f"{r.second.site} (vc={r.second.vc}) are unordered by "
+            "happens-before [REPRO006]"
+            for r in races
+        ]
         super().__init__("\n".join(lines))
 
 

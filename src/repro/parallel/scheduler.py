@@ -164,9 +164,6 @@ class _JoinHandle:
     def retire(self) -> None:
         self._running.release()
 
-    def is_alive(self) -> bool:
-        return self._running.locked()
-
     def join(self) -> None:
         self._running.acquire()
         self._running.release()

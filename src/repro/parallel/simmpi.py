@@ -75,6 +75,7 @@ import pickle
 import sys
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partialmethod
 from operator import attrgetter
 from typing import Any, Callable
 
@@ -314,8 +315,7 @@ class VirtualCluster:
           N payload bytes;
         * ``"recv <- S tag=T (NB)"`` — completed receive from rank S;
         * ``"KIND #SEQ"`` — collective entry (``barrier``,
-          ``alltoall``, ``allreduce-OP``, ``bcast``, ``gather``,
-          ``allgather``), with its per-kind sequence number;
+          ``alltoall``, ``allreduce-OP``, ``bcast``, ``allgather``), with its per-kind sequence number;
         * ``"CRASHED at t=T"`` — the rank died per the fault plan at
           virtual time T;
         * ``"BLOCKED: DESC"`` — appended by the deadlock detector to
@@ -700,34 +700,30 @@ class VirtualComm:
 
     # -- sanitizer ------------------------------------------------------------------
 
-    def _record_shared(self, obj: Any, op: str, label: str | None) -> None:
-        cl = self.cluster
-        if not cl.sanitize:
-            return
-        frame = sys._getframe(2)
-        self._declared.append(obj)
-        key = id(obj)
-        cl.event_log.append((
-            "access", self.rank, op, label or f"{type(obj).__name__}@0x{key:x}",
-            f"{frame.f_code.co_filename}:{frame.f_lineno}", key,
-        ))
-
-    def shared_read(self, obj: Any, label: str | None = None) -> Any:
-        """Declare a read of an object other ranks may also touch.
+    def _declare(self, op: str, obj: Any, label: str | None = None) -> Any:
+        """``shared_read(obj, label=None)`` / ``shared_write(...)``: declare
+        a read or a write of an object other ranks may also touch.
 
         Returns ``obj`` unchanged.  A no-op (zero virtual cost) unless
         the cluster runs with ``sanitize=True``, in which case the
         access joins the race check: a cross-rank write to the same
-        object that the run's event graph does not order against this
-        read is reported as a data race at finalize.
+        object that the run's event graph does not order against the
+        access is reported as a data race at finalize.
         """
-        self._record_shared(obj, "read", label)
+        cl = self.cluster
+        if cl.sanitize:
+            frame = sys._getframe(1)  # the caller: a partial adds no frame
+            self._declared.append(obj)
+            key = id(obj)
+            cl.event_log.append((
+                "access", self.rank, op, label or f"{type(obj).__name__}@0x{key:x}",
+                f"{frame.f_code.co_filename}:{frame.f_lineno}", key,
+            ))
         return obj
 
-    def shared_write(self, obj: Any, label: str | None = None) -> Any:
-        """Declare a write; see :meth:`shared_read`."""
-        self._record_shared(obj, "write", label)
-        return obj
+    # The race sanitizer's user API (see :meth:`_declare`).
+    shared_read = partialmethod(_declare, "read")
+    shared_write = partialmethod(_declare, "write")
 
     def _maybe_crash(self) -> None:
         """Die if this rank's wall clock has reached its crash time."""
@@ -1243,16 +1239,6 @@ class VirtualComm:
             lambda data: data[root],
             nbytes=lambda data: payload_bytes(data[root]),
         )
-
-    def gather(self, value: Any, root: int = 0) -> list[Any] | None:
-        self._check_rank(root, "root")
-        out = self._collective(
-            "gather",
-            value,
-            lambda data: [data[r] for r in sorted(data)],
-            nbytes=payload_bytes(value),
-        )
-        return out if self.rank == root else None
 
     def allgather(self, value: Any) -> list[Any]:
         return self._collective(

@@ -27,8 +27,6 @@ from typing import Callable
 
 import numpy as np
 
-from ..linalg import blas
-from ..linalg.counters import charge
 from . import basis as b1
 from .jacobi import jacobi, jacobi_derivative
 from .quadrature import TensorRule2D, quad_rule, tri_rule
@@ -158,7 +156,6 @@ class Expansion2D:
             self.phi[m] = fa * gb
             self.dphi1[m], self.dphi2[m] = self._ref_deriv(fa, dfa, gb, dgb, A, B)
         self.weights = self.rule.weights
-        self._mass: Array | None = None
 
     # -- public API ------------------------------------------------------------
 
@@ -179,39 +176,6 @@ class Expansion2D:
     @property
     def boundary_modes(self) -> list[int]:
         return list(self._boundary_modes)
-
-    def edge_modes(self, edge: int) -> list[int]:
-        """Edge-interior mode ids of local edge ``edge``, ascending k."""
-        if not 0 <= edge < self.nedges:
-            raise ValueError(f"edge {edge} out of range")
-        return self.edge_mode_table[edge].tolist()
-
-    def mass_matrix(self) -> Array:
-        """Reference-element mass matrix (exact by quadrature)."""
-        if self._mass is None:
-            wphi = self.phi * self.weights
-            mass = np.empty((self.nmodes, self.nmodes))
-            blas.dgemm(1.0, wphi, self.phi, 0.0, mass, transb=True)
-            self._mass = mass
-        return self._mass
-
-    def backward(self, coeffs: Array) -> Array:
-        """Modal coefficients -> values at the quadrature points."""
-        coeffs = np.asarray(coeffs, dtype=np.float64)
-        vals = np.empty(self.rule.nq)
-        return blas.dgemv(1.0, self.phi, coeffs, 0.0, vals, trans=True)
-
-    def forward(self, fvals: Array) -> Array:
-        """L2 projection: values at quadrature points -> modal coefficients."""
-        fvals = np.asarray(fvals, dtype=np.float64)
-        rhs = np.empty(self.nmodes)
-        blas.dgemv(1.0, self.phi, self.weights * np.ravel(fvals), 0.0, rhs)
-        n = self.nmodes
-        charge(2.0 * n**3 / 3.0, 8.0 * n * n, "mass-solve")
-        return np.linalg.solve(self.mass_matrix(), rhs)
-
-    def integrate(self, fvals: Array) -> float:
-        return self.rule.integrate(fvals)
 
     def eval_basis_full(
         self, xi1: Array, xi2: Array

@@ -20,7 +20,6 @@ from functools import cached_property
 
 import numpy as np
 
-from ..linalg import blas
 from .jacobi import gauss_jacobi
 
 __all__ = ["Rule1D", "TensorRule2D", "quad_rule", "tri_rule"]
@@ -36,9 +35,6 @@ class Rule1D:
     @property
     def n(self) -> int:
         return self.points.size
-
-    def integrate(self, fvals: np.ndarray) -> float:
-        return blas.ddot(self.weights, np.asarray(fvals, dtype=np.float64))
 
 
 @dataclass(frozen=True)
@@ -78,9 +74,6 @@ class TensorRule2D:
         A.setflags(write=False)
         B.setflags(write=False)
         return A, B
-
-    def integrate(self, fvals: np.ndarray) -> float:
-        return blas.ddot(self.weights, np.ravel(np.asarray(fvals, dtype=np.float64)))
 
 
 def quad_rule(nq: int) -> TensorRule2D:

@@ -8,7 +8,14 @@ so no files need to exist on disk.
 
 import textwrap
 
-from repro.analysis import RULES, lint_source
+from repro.analysis import RULES
+from repro.analysis.linter import _FileContext, _normalize_select, _run
+
+
+def lint_source(source: str, path: str, select=None):
+    """Lint one file's source text; ``path`` determines the rule scope and
+    ``select`` forces the given rules in scope (audit mode)."""
+    return _run([_FileContext(path, source)], _normalize_select(select))
 
 
 def _lint(src, path):

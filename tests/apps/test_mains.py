@@ -1,6 +1,13 @@
 """Smoke tests: every CLI entry point runs and prints its artifact."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 def test_serial_bluff_main(capsys):
@@ -48,3 +55,27 @@ def test_repro_module_menu(capsys):
     assert main([]) == 0
     captured = capsys.readouterr()
     assert "Fact or Fiction" in captured.out
+
+
+@pytest.mark.parametrize(
+    "app",
+    [
+        "ale_bench",
+        "cost_of_ownership",
+        "kernel_report",
+        "matrix_structure",
+        "nektar_f_bench",
+        "serial_bluff",
+    ],
+)
+def test_app_runs_as_main_without_a_double_import(app):
+    """``python -m repro.apps.<app>`` must find the module not yet
+    imported by its package: runpy warns (here: fails) otherwise."""
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", f"repro.apps.{app}", "--help"],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "RuntimeWarning" not in proc.stderr

@@ -24,15 +24,25 @@ import scipy.sparse as sp
 
 from repro.assembly.global_system import dirichlet_block, rcm_band
 from repro.assembly.operators import elemental_laplacian, elemental_mass
+from repro.assembly.space import ElementalMatrices
 from repro.linalg import blas
 from repro.linalg.banded import BandedSPDSolver
 from repro.linalg.counters import charge
 
 
+def element_rows(mats) -> list:
+    """Per-element matrices in mesh element order: an
+    :class:`ElementalMatrices`' stack rows (views), or the list as given."""
+    if not isinstance(mats, ElementalMatrices):
+        return mats
+    dm = mats.dofmap
+    return [mats.stacks[dm._stack_of[e]][dm._row_of[e]] for e in range(dm.mesh.nelements)]
+
+
 def assemble(space, elem_mats) -> sp.csr_matrix:
     """Scatter elemental matrices into the global sparse operator."""
     rows, cols, vals = [], [], []
-    for ei, a in enumerate(elem_mats):
+    for ei, a in enumerate(element_rows(elem_mats)):
         dofs = space.dofmap.elem_dofs[ei]
         signs = space.dofmap.elem_signs[ei]
         sa = (signs[:, None] * a) * signs[None, :]
@@ -50,6 +60,14 @@ def assemble(space, elem_mats) -> sp.csr_matrix:
 def scatter_add(dofmap, elem: int, ulocal: np.ndarray, uglobal: np.ndarray) -> None:
     """Accumulate signed element-local values into the global vector."""
     np.add.at(uglobal, dofmap.elem_dofs[elem], dofmap.elem_signs[elem] * ulocal)
+
+
+def edge_load(eq, fvals: np.ndarray) -> np.ndarray:
+    """(f, phi_i) over one side's :class:`EdgeQuadrature`, local
+    (unsigned) coefficients; runs load a whole ``EdgeBatch`` at once."""
+    m, n = eq.phi.shape
+    charge(2.0 * m * n, 8.0 * (m * n + n + m), "edge-load")
+    return eq.phi @ (eq.jw * fvals)
 
 
 class AssembledOperator:
@@ -127,7 +145,7 @@ def elemental_helmholtz(exp, gf, lam: float) -> np.ndarray:
 def elemental_load(exp, gf, fvals: np.ndarray) -> np.ndarray:
     """(f, phi_i) for f given at the element quadrature points."""
     fvals = np.ravel(np.asarray(fvals, dtype=np.float64))
-    if fvals.size != gf.nq:
+    if fvals.size != gf.jw.size:
         raise ValueError("fvals must be given at the quadrature points")
     out = np.zeros(exp.nmodes)
     blas.dgemv(1.0, exp.phi, gf.jw * fvals, 0.0, out)

@@ -3,9 +3,11 @@ import pytest
 
 from repro.assembly.boundary import build_edge_quadrature
 from repro.assembly.space import FunctionSpace
-from repro.mesh.generators import bluff_body_mesh, rectangle_quads, rectangle_tris
+from repro.mesh.generators import bluff_body_mesh, rectangle_quads
 
+from .._meshes import rectangle_tris
 from ..spectral._eval_basis import eval_basis
+from ._assembled_oracle import edge_load
 
 
 def test_edge_lengths_unit_square():
@@ -78,7 +80,7 @@ def test_edge_basis_matches_volume_tabulation():
 def test_edge_load_constant():
     space = FunctionSpace(rectangle_quads(1, 1), 3)
     (eq,) = build_edge_quadrature(space, space.mesh.boundary_sides("bottom"))
-    load = eq.load(np.ones(eq.npts))
+    load = edge_load(eq, np.ones(eq.npts))
     exp = space.dofmap.expansion(eq.elem)
     # Vertex-mode entries sum to the edge length.
     assert sum(load[i] for i in exp.vertex_modes) == pytest.approx(2.0)

@@ -30,17 +30,13 @@ from repro.assembly.operators import elemental_mass
 from repro.assembly.space import FunctionSpace
 from repro.linalg import blas
 from repro.linalg.counters import OpCounter, charge
-from repro.mesh.generators import (
-    annulus_mesh,
-    bluff_body_mesh,
-    rectangle_quads,
-    rectangle_tris,
-)
+from repro.mesh.generators import bluff_body_mesh, rectangle_quads
 from repro.ns.ale import ALENavierStokes2D
 from repro.spectral.basis import bubble
 from repro.spectral.jacobi import gauss_jacobi
 
-from ._assembled_oracle import scatter_add
+from .._meshes import annulus_mesh, rectangle_tris
+from ._assembled_oracle import edge_load, scatter_add
 from .test_batched_equivalence import mixed_mesh
 
 # -- the per-side references -------------------------------------------------------
@@ -126,7 +122,7 @@ def pressure_bc_per_side(space, quads, minv, bcs, rhs_p, w_extrap, nu, scale, t_
                 ]
             )
             term = -nu * n_curl - scale * ubn
-            scatter_add(dm, ei, eq.load(term), rhs_p)
+            scatter_add(dm, ei, edge_load(eq, term), rhs_p)
 
 
 def pressure_bc_per_side_mode(

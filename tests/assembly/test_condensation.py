@@ -6,14 +6,10 @@ from repro.assembly.global_system import project_dirichlet
 from repro.assembly.space import FunctionSpace
 from repro.linalg import blas
 from repro.linalg.counters import OpCounter
-from repro.mesh.generators import (
-    bluff_body_mesh,
-    rectangle_quads,
-    rectangle_tris,
-    wing_mesh,
-)
+from repro.mesh.generators import bluff_body_mesh, rectangle_quads, wing_mesh
 from repro.solvers.helmholtz import HelmholtzDirect
 
+from .._meshes import rectangle_tris
 from ..linalg._snapshot import snapshot
 from ._assembled_oracle import AssembledOperator, elemental_helmholtz
 from .test_batched_equivalence import mixed_mesh

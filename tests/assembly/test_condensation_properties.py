@@ -6,8 +6,9 @@ from hypothesis import strategies as st
 
 from repro.assembly.condensation import CondensedOperator
 from repro.assembly.space import FunctionSpace
-from repro.mesh.generators import rectangle_quads, rectangle_tris
+from repro.mesh.generators import rectangle_quads
 
+from .._meshes import rectangle_tris
 from ._assembled_oracle import AssembledOperator, assemble, elemental_helmholtz
 
 

@@ -30,9 +30,11 @@ from repro.assembly.condensation import CondensedOperator
 from repro.assembly.space import ElementalMatrices, FunctionSpace
 from repro.linalg.banded import BandedSPDSolver
 from repro.linalg.counters import charge
-from repro.mesh.generators import rectangle_quads, rectangle_tris
+from repro.mesh.generators import rectangle_quads
 from repro.solvers.helmholtz import HelmholtzDirect
 
+from .._meshes import rectangle_tris
+from ._assembled_oracle import element_rows
 from .test_batched_equivalence import mixed_mesh, observed
 
 
@@ -40,6 +42,7 @@ class RestackingOperator(CondensedOperator):
     """``CondensedOperator`` with the re-stacking set-up body."""
 
     def _setup(self, elem_mats):
+        elem_mats = element_rows(elem_mats)
         nelem = len(elem_mats)
         groups = []
         group_schur = []
@@ -189,14 +192,14 @@ def test_a_per_element_list_is_stacked_once_at_the_boundary():
     space = FunctionSpace(MESHES["mixed"](), 4)
     mats = space.elemental_matrices("helmholtz", 1.5)
     assert isinstance(mats, ElementalMatrices)
-    assert len(mats) == space.nelem
+    assert len(element_rows(mats)) == space.nelem
     assert ElementalMatrices.of(space.dofmap, mats) is mats
-    as_list = [m.copy() for m in mats]
+    as_list = [m.copy() for m in element_rows(mats)]
     stacked = ElementalMatrices.of(space.dofmap, as_list)
     for a, b in zip(stacked.stacks, mats.stacks):
         assert np.array_equal(a, b)
-    for e in range(space.nelem):
-        assert np.array_equal(stacked[e], as_list[e])
+    for e, row in enumerate(element_rows(stacked)):
+        assert np.array_equal(row, as_list[e])
     rhs = np.random.default_rng(5).standard_normal(space.ndof)
     np.testing.assert_array_equal(
         CondensedOperator(space, as_list).solve(rhs),

@@ -2,8 +2,11 @@ import numpy as np
 import pytest
 
 from repro.assembly.dofmap import DofMap
-from repro.mesh.generators import rectangle_quads, rectangle_tris
+from repro.mesh.generators import rectangle_quads
 from repro.mesh.mesh2d import Mesh2D
+
+from .._meshes import rectangle_tris
+from ..spectral._reference import edge_modes
 
 
 def rotated_two_quads():
@@ -52,8 +55,8 @@ def test_shared_edge_same_global_dofs():
     shared = [e for e in mesh.edges if len(e.elements) == 2][0]
     (e0, le0), (e1, le1) = shared.elements
     exp0, exp1 = dm.expansion(e0), dm.expansion(e1)
-    d0 = dm.elem_dofs[e0][exp0.edge_modes(le0)]
-    d1 = dm.elem_dofs[e1][exp1.edge_modes(le1)]
+    d0 = dm.elem_dofs[e0][edge_modes(exp0, le0)]
+    d1 = dm.elem_dofs[e1][edge_modes(exp1, le1)]
     np.testing.assert_array_equal(d0, d1)
 
 
@@ -68,7 +71,7 @@ def test_reversed_edge_sign_flip():
     flipped = e0 if o0 < 0 else e1
     le = le0 if o0 < 0 else le1
     exp = dm.expansion(flipped)
-    signs = dm.elem_signs[flipped][exp.edge_modes(le)]
+    signs = dm.elem_signs[flipped][edge_modes(exp, le)]
     np.testing.assert_array_equal(signs, [1.0, -1.0, 1.0])  # (-1)^k
 
 

@@ -22,17 +22,11 @@ from hypothesis import strategies as st
 
 from repro.apps import serial_bluff
 from repro.assembly.dofmap import DofMap
-from repro.mesh.generators import (
-    annulus_mesh,
-    bluff_body_mesh,
-    rectangle_quads,
-    rectangle_tris,
-    wing_mesh,
-)
+from repro.mesh.generators import bluff_body_mesh, rectangle_quads, wing_mesh
 from repro.mesh.mesh2d import Element, Mesh2D
-from repro.spectral.expansions import Expansion2D
 from tests import golden
 
+from .._meshes import annulus_mesh, rectangle_tris
 from . import _dofmap_oracle as oracle
 from .test_batched_equivalence import mixed_mesh
 from .test_dofmap import rotated_two_quads
@@ -193,24 +187,6 @@ def test_degenerate_periodic_identification_raises_as_before(periodic):
 
 
 # -- structural guards ---------------------------------------------------------
-
-
-def test_numbering_reads_the_edge_mode_table_not_the_getter(monkeypatch):
-    calls = []
-    getter = Expansion2D.edge_modes
-
-    def counting(self, edge):
-        calls.append(edge)
-        return getter(self, edge)
-
-    monkeypatch.setattr(Expansion2D, "edge_modes", counting)
-    for name in ("paper", "mixed"):
-        mesh = mesh_of(name)
-        calls.clear()
-        DofMap(mesh, 8)
-        # The per-element loop asked once per element side: 4 864 times
-        # on the paper mesh.
-        assert len(calls) <= sum({e.kind: e.nedges for e in mesh.elements}.values())
 
 
 def test_paper_statistics_never_ask_for_an_element_expansion(monkeypatch):

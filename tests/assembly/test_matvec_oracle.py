@@ -32,8 +32,9 @@ from repro.assembly import matrix_free
 from repro.assembly.space import FunctionSpace
 from repro.linalg import blas
 from repro.linalg.counters import OpCounter, set_kernel_sampler
-from repro.mesh.generators import annulus_mesh, bluff_body_mesh, rectangle_quads
+from repro.mesh.generators import bluff_body_mesh, rectangle_quads
 
+from .._meshes import annulus_mesh
 from ..linalg._snapshot import snapshot
 from ._assembled_oracle import assemble
 from ._sumfact_oracle import (

@@ -75,7 +75,7 @@ def test_helmholtz_negative_lambda_rejected():
 
 def test_load_vector_constant():
     for exp, gf in cases():
-        f = elemental_load(exp, gf, np.ones(gf.nq))
+        f = elemental_load(exp, gf, np.ones(gf.jw.size))
         # sum over vertex modes of (1, phi_v) = integral of 1 = area
         total = sum(f[i] for i in exp.vertex_modes)
         # plus edge/interior contributions integrate the same function:

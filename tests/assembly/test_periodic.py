@@ -96,7 +96,7 @@ def test_periodic_solution_continuous_across_seam():
 def test_fully_periodic_taylor_green():
     """The paper's 'box code' workload: doubly periodic Taylor-Green
     decay with no Dirichlet data at all (pressure pinned)."""
-    from repro.ns.exact import TaylorVortex
+    from .._exact import TaylorVortex
     from repro.ns.nektar2d import NavierStokes2D
 
     tv = TaylorVortex(nu=0.05)

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from repro.assembly.space import FunctionSpace
-from repro.mesh.generators import rectangle_quads, rectangle_tris
+from repro.mesh.generators import rectangle_quads
 from repro.mesh.mesh2d import Mesh2D
 
+from .._meshes import rectangle_tris
 from ._assembled_oracle import assemble
 
 

@@ -26,14 +26,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.assembly.space import FunctionSpace
-from repro.mesh.generators import (
-    annulus_mesh,
-    bluff_body_mesh,
-    rectangle_quads,
-    rectangle_tris,
-)
+from repro.mesh.generators import bluff_body_mesh, rectangle_quads
 from repro.mesh.mesh2d import Mesh2D
 
+from .._meshes import annulus_mesh, rectangle_tris
 from . import _sumfact_oracle as oracle
 from .test_matvec_oracle import observed
 from .test_space import mixed_mesh

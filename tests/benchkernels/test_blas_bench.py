@@ -4,11 +4,12 @@ import pytest
 from repro.benchkernels.blas_bench import (
     FIGURES,
     figure_series,
-    host_measure,
     model_curve,
     sweep_sizes,
     x_axis,
 )
+
+from ._host_measure import host_measure
 
 
 @pytest.mark.parametrize("figure", sorted(FIGURES))

@@ -3,18 +3,20 @@
 import numpy as np
 import pytest
 
-from repro.machines.catalog import MACHINES, machine, network
+from repro.machines.catalog import MACHINES, NETWORKS
 from repro.machines.network import NetworkModel
 from repro.parallel.simmpi import VirtualCluster
+
+from ..assembly._assembled_oracle import element_rows
 
 NET = NetworkModel("t", latency_us=5, bandwidth=1e9)
 
 
 def test_machine_and_network_lookup_errors():
     with pytest.raises(KeyError):
-        machine("Cray-1")
+        MACHINES["Cray-1"]
     with pytest.raises(KeyError):
-        network("token-ring")
+        NETWORKS["token-ring"]
     with pytest.raises(KeyError):
         MACHINES["Muses"].network("myrinet")
     assert MACHINES["RoadRunner"].network("myrinet").bandwidth > 0
@@ -103,7 +105,7 @@ def test_elemental_operator_error_branches():
     exp = space.dofmap.expansion(0)
     gf = space.geom[0]
     with pytest.raises(ValueError, match="quadrature points"):
-        elemental_load(exp, gf, np.zeros(gf.nq + 1))
+        elemental_load(exp, gf, np.zeros(gf.jw.size + 1))
     with pytest.raises(ValueError, match="Helmholtz constant"):
         elemental_helmholtz(exp, gf, -1.0)
     b = space.batches()[0]
@@ -142,7 +144,7 @@ def test_condensation_error_branches():
     with pytest.raises(ValueError, match="global dofs"):
         op.solve(np.zeros(space.ndof - 1))
     # A singular interior block must fail loudly.
-    bad = [m.copy() for m in mats]
+    bad = [m.copy() for m in element_rows(mats)]
     nb = len(space.dofmap.expansion(0).boundary_modes)
     bad[0][nb:, nb:] = 0.0
     with pytest.raises(np.linalg.LinAlgError):

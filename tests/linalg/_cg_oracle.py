@@ -15,6 +15,8 @@ from repro.linalg import blas
 from repro.linalg.cg import CGResult
 from repro.linalg.counters import charge
 
+from ._vector_kernels import daxpy
+
 
 def dscal(alpha, x):
     """x *= alpha, in place.  (1 flop, 16 bytes per element.)"""
@@ -54,15 +56,15 @@ def pcg(apply_a, b, diag, x0=None, tol=1.0e-10, maxiter=None):
         if pap <= 0.0:
             raise np.linalg.LinAlgError("pcg: operator not positive definite")
         alpha = rz / pap
-        blas.daxpy(alpha, p, x)
-        blas.daxpy(-alpha, ap, r)
+        daxpy(alpha, p, x)
+        daxpy(-alpha, ap, r)
         blas.dvmul(inv_diag, r, z)
         rz_new = blas.ddot(r, z)
         beta = rz_new / rz
         rz = rz_new
         # p = z + beta p
         dscal(beta, p)
-        blas.daxpy(1.0, z, p)
+        daxpy(1.0, z, p)
         resid = blas.dnrm2(r) / bnorm
 
     return CGResult(x, maxiter, resid, resid <= tol)

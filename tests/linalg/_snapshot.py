@@ -1,13 +1,21 @@
 """Immutable copies of an ``OpCounter``'s state, for comparing charges.
 
 A run reads its counters' fields directly; only the tests compare two
-counters (or one counter at two instants) as values, so the copy lives
-here.
+counters (or one counter at two instants) as values, or ask which
+counter a thread is charging, so both live here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+from repro.linalg import counters
+
+
+def active_counter() -> counters.OpCounter | None:
+    """The innermost active counter on this thread, or None (a run only
+    charges it; the tests look at it)."""
+    return counters._tls.active
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,35 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.linalg.banded import BandedSPDSolver, bandwidth, to_banded
+from repro.linalg.banded import BandedSPDSolver
 from repro.linalg.counters import OpCounter
+
+
+def bandwidth(a: np.ndarray, tol: float = 0.0) -> int:
+    """Half-bandwidth of a symmetric matrix: max |i-j| with |a_ij| > tol."""
+    a = np.asarray(a)
+    n = a.shape[0]
+    if a.shape != (n, n):
+        raise ValueError("bandwidth: matrix must be square")
+    rows, cols = np.nonzero(np.abs(a) > tol)
+    if rows.size == 0:
+        return 0
+    return int(np.max(np.abs(rows - cols)))
+
+
+def to_banded(a: np.ndarray, kd: int) -> np.ndarray:
+    """Pack the upper triangle of symmetric ``a`` into LAPACK banded storage.
+
+    Returns the (kd+1, n) array expected by ``scipy.linalg.cholesky_banded``
+    (upper form: ab[kd + i - j, j] = a[i, j] for max(0, j-kd) <= i <= j).
+    """
+    a = np.asarray(a, dtype=np.float64)
+    n = a.shape[0]
+    ab = np.zeros((kd + 1, n))
+    for j in range(n):
+        i0 = max(0, j - kd)
+        ab[kd - (j - i0) : kd + 1, j] = a[i0 : j + 1, j]
+    return ab
 
 
 def spd_banded(n: int, kd: int, seed: int = 0) -> np.ndarray:

@@ -7,6 +7,9 @@ from hypothesis.extra import numpy as hnp
 from repro.linalg import blas
 from repro.linalg.counters import OpCounter, set_kernel_sampler
 
+from ._vector_kernels import daxpy, dcopy
+
+
 vec = hnp.arrays(
     np.float64,
     st.integers(1, 64),
@@ -18,7 +21,7 @@ def test_dcopy_copies_and_counts():
     x = np.arange(5.0)
     y = np.zeros(5)
     with OpCounter() as c:
-        blas.dcopy(x, y)
+        dcopy(x, y)
     assert np.array_equal(y, x)
     assert c.flops == 0.0
     assert c.bytes == 16 * 5
@@ -26,7 +29,7 @@ def test_dcopy_copies_and_counts():
 
 def test_dcopy_shape_mismatch():
     with pytest.raises(ValueError):
-        blas.dcopy(np.zeros(3), np.zeros(4))
+        dcopy(np.zeros(3), np.zeros(4))
 
 
 @given(vec, st.floats(-10, 10, allow_nan=False))
@@ -34,7 +37,7 @@ def test_dcopy_shape_mismatch():
 def test_daxpy_matches_reference(x, alpha):
     y = np.ones_like(x)
     expect = alpha * x + np.ones_like(x)
-    blas.daxpy(alpha, x, y)
+    daxpy(alpha, x, y)
     np.testing.assert_allclose(y, expect, rtol=1e-13, atol=1e-9)
 
 
@@ -109,7 +112,7 @@ def test_vector_kernels():
 def test_analytic_counts_match_kernels():
     n = 37
     with OpCounter() as c:
-        blas.daxpy(1.0, np.ones(n), np.ones(n))
+        daxpy(1.0, np.ones(n), np.ones(n))
     assert c.flops == blas.flop_count("daxpy", n)
     assert c.bytes == blas.byte_count("daxpy", n)
     with OpCounter() as c:
@@ -118,8 +121,8 @@ def test_analytic_counts_match_kernels():
     # vector_tape (the CG iteration's charges) is what the kernels charge.
     x, y = np.ones(n), np.ones(n)
     calls = {
-        "dcopy": lambda: blas.dcopy(x, y.copy()),
-        "daxpy": lambda: blas.daxpy(0.5, x, y.copy()),
+        "dcopy": lambda: dcopy(x, y.copy()),
+        "daxpy": lambda: daxpy(0.5, x, y.copy()),
         "ddot": lambda: blas.ddot(x, y),
         "dnrm2": lambda: blas.dnrm2(x),
         "dvmul": lambda: blas.dvmul(x, y, np.empty(n)),
@@ -143,8 +146,8 @@ def test_cost_table_is_what_each_figure_routine_charges(n):
     x, y = np.ones(n), np.ones(n)
     a, b, c = np.ones((n, n)), np.ones((n, n)), np.zeros((n, n))
     calls = {
-        "dcopy": lambda: blas.dcopy(x, y),
-        "daxpy": lambda: blas.daxpy(0.5, x, y),
+        "dcopy": lambda: dcopy(x, y),
+        "daxpy": lambda: daxpy(0.5, x, y),
         "ddot": lambda: blas.ddot(x, y),
         "dgemv": lambda: blas.dgemv(1.0, a, x, 0.0, y),
         "dgemm": lambda: blas.dgemm(1.0, a, b, 0.0, c),

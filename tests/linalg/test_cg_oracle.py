@@ -19,10 +19,11 @@ import repro.solvers.helmholtz as helmholtz
 from repro.assembly.space import FunctionSpace
 from repro.linalg.cg import pcg
 from repro.linalg.counters import OpCounter, charge, set_kernel_sampler
-from repro.mesh.generators import rectangle_quads, rectangle_tris
+from repro.mesh.generators import rectangle_quads
 from repro.mesh.mesh2d import Mesh2D
 from repro.solvers.helmholtz import HelmholtzCG
 
+from .._meshes import rectangle_tris
 from . import _cg_oracle as oracle
 from ._snapshot import snapshot
 

@@ -9,13 +9,12 @@ from hypothesis import strategies as st
 
 from repro.linalg.counters import (
     OpCounter,
-    active_counter,
     charge,
     charge_tape,
     set_kernel_sampler,
 )
 
-from ._snapshot import snapshot
+from ._snapshot import active_counter, snapshot
 
 
 def test_charge_without_active_counter_is_noop():

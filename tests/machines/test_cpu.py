@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -123,12 +125,28 @@ def test_table1_ordering_from_app_rates():
     assert r["ultrasparc-300"] > r["ppc604e-332"] > r["power2-66"]
 
 
+def dns_sustained_mflops(cpu) -> float:
+    """The kernel model's estimate of the DNS stage mix, which no run
+    prices with (runs use the measured ``app_mflops``).
+
+    The serial timestep is ~60% banded solves (dgemv-like streaming
+    through a 256 kB factor, past L1), ~25% vector kernels on long
+    vectors, ~15% small dgemm (Section 4.1 / Figure 12): the
+    work-weighted harmonic mean of the model's rates at those regimes.
+    """
+    r_solve = cpu.blas_rate("dgemv", max(8, int(math.sqrt(256e3 / 8.0))))
+    r_vec = cpu.blas_rate("daxpy", 15000)  # paper: 15k-long vectors
+    r_gemm = cpu.blas_rate("dgemm", 10)  # "most calls ... small n (10 or less)"
+    weights = ((0.60, r_solve), (0.25, r_vec), (0.15, r_gemm))
+    return 1.0 / sum(w / r for w, r in weights)
+
+
 def test_app_rate_consistent_with_kernel_model():
     # The calibrated application rate must lie within the envelope the
     # kernel model spans (sanity: not above peak, not below a tenth of
     # the kernel mix).
     for key, cpu in CPUS.items():
-        mix = cpu.dns_sustained_mflops()
+        mix = dns_sustained_mflops(cpu)
         assert cpu.app_mflops <= cpu.peak_mflops
         assert cpu.app_mflops > 0.1 * mix
         assert cpu.app_mflops < 10 * mix
@@ -140,6 +158,11 @@ def test_app_time_scaling():
     assert t2 == pytest.approx(2 * t1)
     with pytest.raises(ValueError):
         PII.app_time(-1.0)
+
+
+def test_app_time_needs_a_measured_rate():
+    with pytest.raises(ValueError, match="no measured application rate"):
+        CPUModel("x", 100, 100, (1024,), (1e9, 1e8)).app_time(1.0)
 
 
 def test_routine_helpers():

@@ -3,8 +3,10 @@ import pytest
 
 from repro.assembly.space import FunctionSpace
 from repro.mesh.curved import BlendedQuadMap, circular_arc, make_element_map
-from repro.mesh.generators import annulus_mesh, bluff_body_mesh
+from repro.mesh.generators import bluff_body_mesh
 from repro.mesh.mapping import ElementMap
+
+from .._meshes import annulus_mesh
 
 
 def test_circular_arc_interpolates_and_stays_on_circle():

@@ -9,9 +9,10 @@ from repro.mesh.generators import (
     circle_profile,
     naca_profile,
     rectangle_quads,
-    rectangle_tris,
     wing_mesh,
 )
+
+from .._meshes import rectangle_tris
 
 
 def every_boundary_side_is_tagged(mesh) -> bool:

@@ -6,9 +6,9 @@ import pytest
 from repro.io.writers import Checkpoint
 from repro.mesh.generators import rectangle_quads
 from repro.ns.ale import ALENavierStokes2D
-from repro.ns.exact import TaylorVortex
 from repro.ns.stages import ALE_GROUPS, STAGES, group_ale
 
+from .._exact import TaylorVortex
 from ..golden import check, load
 
 

@@ -81,7 +81,7 @@ def stage_cost_model():
         nf.run(2)
         return {
             "records": {s: [r.cpu, r.wall] for s, r in nf.virtual.records.items()},
-            "percentages": nf.stage_percentages("cpu"),
+            "percentages": nf.virtual.percentages("cpu"),
         }
 
     return VirtualCluster(1, NET, cpu=CPUS["pentium-ii-450"]).run(rank_fn)[0]

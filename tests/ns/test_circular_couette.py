@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from repro.assembly.space import FunctionSpace
-from repro.mesh.generators import annulus_mesh
 from repro.ns.nektar2d import NavierStokes2D
+
+from .._meshes import annulus_mesh
 
 R0, R1, OMEGA = 0.5, 1.0, 1.0
 # u_theta = A r + B / r with u_theta(R0) = OMEGA R0, u_theta(R1) = 0.

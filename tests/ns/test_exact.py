@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from repro.ns.exact import Kovasznay, TaylorVortex
+from .._exact import Kovasznay, TaylorVortex
+
 
 
 def fd_grad(f, x, y, h=1e-6):

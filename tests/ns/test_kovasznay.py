@@ -32,10 +32,11 @@ from repro.assembly.space import FunctionSpace
 from repro.machines.network import NetworkModel
 from repro.mesh.generators import rectangle_quads
 from repro.ns import ale
-from repro.ns.exact import Kovasznay
 from repro.ns.nektar2d import NavierStokes2D
 from repro.ns.nektar_f import NekTarF
 from repro.parallel.simmpi import VirtualCluster
+
+from .._exact import Kovasznay
 
 KV = Kovasznay(40.0)
 TAGS = ("left", "right", "top", "bottom")

@@ -6,10 +6,11 @@ import pytest
 
 from repro.assembly.space import FunctionSpace
 from repro.mesh.generators import rectangle_quads
-from repro.ns.exact import Kovasznay, TaylorVortex
 from repro.ns.nektar2d import NavierStokes2D
 from repro.ns.stages import STAGES
 from repro.obs import scoped
+
+from .._exact import Kovasznay, TaylorVortex
 
 
 def kovasznay_solver(P=7, dt=2e-3, outflow=True):

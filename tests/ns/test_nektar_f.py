@@ -8,13 +8,14 @@ from repro.assembly.space import FunctionSpace
 from repro.machines.catalog import CPUS
 from repro.machines.network import NetworkModel
 from repro.mesh.generators import rectangle_quads
-from repro.ns.exact import Kovasznay
 from repro.ns.nektar2d import NavierStokes2D
 from repro.ns.nektar_f import NekTarF
 from repro.ns.stages import STAGES
 from repro.obs import scoped
 from repro.parallel.simmpi import VirtualCluster
 from repro.solvers import helmholtz
+
+from .._exact import Kovasznay
 
 NET = NetworkModel("t", latency_us=5, bandwidth=1e9)
 

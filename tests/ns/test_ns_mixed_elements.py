@@ -4,10 +4,11 @@ tests run on quads; the paper's meshes are hybrid)."""
 import numpy as np
 
 from repro.assembly.space import FunctionSpace
-from repro.mesh.generators import rectangle_tris
 from repro.mesh.mesh2d import Mesh2D
-from repro.ns.exact import Kovasznay, TaylorVortex
 from repro.ns.nektar2d import NavierStokes2D
+
+from .._exact import Kovasznay, TaylorVortex
+from .._meshes import rectangle_tris
 
 
 def test_kovasznay_on_triangles():

@@ -10,7 +10,7 @@ import pytest
 
 from repro.apps.serial_bluff import reduced_solver
 from repro.assembly.space import FunctionSpace
-from repro.linalg.counters import OpCounter, active_counter, charge
+from repro.linalg.counters import OpCounter, charge
 from repro.machines.catalog import CPUS
 from repro.machines.network import NetworkModel
 from repro.mesh.generators import rectangle_quads
@@ -22,7 +22,7 @@ from repro.parallel.faults import CrashSpec, FaultPlan, RankFailure
 from repro.parallel.simmpi import VirtualCluster
 from repro.util.timing import StageTimer
 
-from ..linalg._snapshot import snapshot
+from ..linalg._snapshot import active_counter, snapshot
 from .test_ale import make_solver, wobble
 
 NET = NetworkModel("t", latency_us=10, bandwidth=100e6)

@@ -15,12 +15,15 @@ from hypothesis import strategies as st
 from types import SimpleNamespace
 
 from repro.linalg import blas
-from repro.linalg.counters import OpCounter, active_counter
+from repro.linalg.counters import OpCounter
 from repro.ns.stages import StageScope
 from repro.obs import MetricsRegistry, scoped
 from repro.obs import tracer as obs
 from repro.obs.tracer import Tracer
 from repro.util.timing import StageTimer
+
+from ..linalg._snapshot import active_counter
+from ..linalg._vector_kernels import daxpy
 
 KERNELS = ("ddot", "daxpy", "dvmul", "dnrm2")
 
@@ -34,7 +37,7 @@ def _run_kernels(ops: list[tuple[str, int]]) -> OpCounter:
             if name == "ddot":
                 blas.ddot(x, y)
             elif name == "daxpy":
-                blas.daxpy(0.5, x, y)
+                daxpy(0.5, x, y)
             elif name == "dvmul":
                 blas.dvmul(x, y, np.empty(n))
             elif name == "dnrm2":

@@ -18,12 +18,13 @@ from hypothesis import strategies as st
 
 from repro.machines.network import NetworkModel
 from repro.obs import metrics
-from repro.obs.critpath import CritPathRecorder, critical_path
+from repro.obs.critpath import CritPathRecorder
 from repro.parallel.faults import FaultPlan
 from repro.parallel.simmpi import VirtualCluster, VirtualComm, payload_bytes
 
 from ..parallel._race_oracle import replay
 from ..parallel.test_scheduler_properties import _round, _run_program
+from ._graphs import critical_path, makespan
 
 NET = NetworkModel(
     "critpath-parity-net",
@@ -73,7 +74,7 @@ def test_recorder_is_charge_parity_clean(case):
         assert on[key] == off[key], f"recorder perturbed {key}"
     # The observer's graph re-derives the clocks it watched.
     rec.graph.validate()
-    assert rec.graph.makespan() == pytest.approx(
+    assert makespan(rec.graph) == pytest.approx(
         cluster.max_wall, rel=1e-9, abs=1e-15
     )
     cp = critical_path(rec.graph)

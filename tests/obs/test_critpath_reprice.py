@@ -27,11 +27,12 @@ from repro.obs.critpath import (
     EventGraph,
     analyze,
     swap_network,
-    whatif,
 )
 from repro.parallel.faults import FaultPlan
 from repro.parallel.simmpi import VirtualCluster
 from tests import golden
+
+from ._graphs import whatif
 
 ARTIFACT = Path(__file__).with_name("data") / "graph-schema1.json"
 

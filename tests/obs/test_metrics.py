@@ -124,18 +124,6 @@ def test_helpers_from_two_threads_count_into_the_one_active_registry():
     assert snap["h"]["count"] == per_thread * nthreads
 
 
-def test_registry_reset_returns_to_birth_state():
-    reg = MetricsRegistry()
-    reg.counter("n").inc(3)
-    reg.histogram("h").observe(2.0)
-    assert reg.snapshot() != {}
-    reg.reset()
-    assert reg.snapshot() == {}
-    # Instruments created after a reset start from zero.
-    reg.counter("n").inc(1)
-    assert reg.snapshot()["n"]["value"] == 1.0
-
-
 def test_scoped_fresh_registry_per_scope():
     with metrics.scoped() as first:
         metrics.inc("n", 2)

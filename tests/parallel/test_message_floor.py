@@ -33,7 +33,6 @@ def _every_event_kind(comm):
     comm.allreduce(1.0)
     comm.alltoall([b"ab"] * comm.size)
     comm.bcast(comm.rank, root=1)
-    comm.gather(1)
     comm.allgather(2)
     comm.allreduce(1.0, op="max")
     comm.barrier()
@@ -47,7 +46,6 @@ def _ring_trace(rank, size=3):
         "allreduce-sum #0",
         "alltoall #0",
         "bcast #0",
-        "gather #0",
         "allgather #0",
         "allreduce-max #0",
         "barrier #1",

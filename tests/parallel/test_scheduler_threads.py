@@ -23,12 +23,14 @@ import time
 import pytest
 
 from repro.apps.scaling_bench import _ring_program, alltoall_program
-from repro.linalg.counters import OpCounter, active_counter
+from repro.linalg.counters import OpCounter
 from repro.machines.network import NetworkModel
 from repro.obs import tracer as obs
 from repro.parallel.faults import CrashSpec, FaultPlan
 from repro.parallel.scheduler import EventEngine
 from repro.parallel.simmpi import VirtualCluster
+
+from ..linalg._snapshot import active_counter
 
 NET = NetworkModel("threads-net", latency_us=10, bandwidth=100e6)
 
@@ -38,7 +40,7 @@ def _no_thread_outlives(cluster, before, seconds=5.0):
     is back at ``before``.  A handle is released by the thread's last
     ``finally``; the interpreter drops its count a few instructions
     later, hence the short poll."""
-    assert not any(t.is_alive() for t in cluster._engine._threads)
+    assert not any(t._running.locked() for t in cluster._engine._threads)
     deadline = time.perf_counter() + seconds
     while _thread._count() != before and time.perf_counter() < deadline:
         time.sleep(0.001)

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from repro.assembly.space import FunctionSpace
-from repro.mesh.generators import rectangle_quads, rectangle_tris
+from repro.mesh.generators import rectangle_quads
 from repro.solvers.helmholtz import HelmholtzCG, HelmholtzDirect, solve_poisson
+
+from .._meshes import rectangle_tris
 
 
 def l2_error(space, u_hat, exact):

@@ -12,11 +12,12 @@ import pytest
 
 from repro.assembly.space import FunctionSpace
 from repro.linalg.counters import OpCounter
-from repro.mesh.generators import rectangle_quads, rectangle_tris
+from repro.mesh.generators import rectangle_quads
 from repro.mesh.mesh2d import Mesh2D
 from repro.obs import tracer as obs
 from repro.solvers.helmholtz import HelmholtzCG, HelmholtzDirect
 
+from .._meshes import rectangle_tris
 from ..assembly._assembled_oracle import AssembledOperator, assemble
 from ..linalg._snapshot import snapshot
 

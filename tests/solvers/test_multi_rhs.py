@@ -15,10 +15,11 @@ from hypothesis import strategies as st
 from repro.assembly.condensation import CondensedOperator
 from repro.assembly.space import FunctionSpace
 from repro.linalg.counters import OpCounter
-from repro.mesh.generators import rectangle_quads, rectangle_tris
+from repro.mesh.generators import rectangle_quads
 from repro.mesh.mesh2d import Mesh2D
 from repro.solvers.helmholtz import HelmholtzCG
 
+from .._meshes import rectangle_tris
 from ..assembly._assembled_oracle import AssembledOperator
 
 

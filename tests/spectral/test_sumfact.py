@@ -87,7 +87,7 @@ def test_space_sumfact_matches_plain():
 def test_ns_solver_identical_with_sumfact():
     from repro.assembly.space import FunctionSpace
     from repro.mesh.generators import rectangle_quads
-    from repro.ns.exact import TaylorVortex
+    from .._exact import TaylorVortex
     from repro.ns.nektar2d import NavierStokes2D
 
     tv = TaylorVortex(nu=0.05)

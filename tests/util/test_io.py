@@ -3,9 +3,11 @@ import pytest
 
 from repro.assembly.space import FunctionSpace
 from repro.io.writers import Checkpoint, vertex_velocity_fields, write_vtk
-from repro.mesh.generators import rectangle_quads, rectangle_tris
-from repro.ns.exact import TaylorVortex
+from repro.mesh.generators import rectangle_quads
 from repro.ns.nektar2d import NavierStokes2D
+
+from .._exact import TaylorVortex
+from .._meshes import rectangle_tris
 
 
 def test_write_vtk_structure(tmp_path):
