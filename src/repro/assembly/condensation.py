@@ -18,6 +18,8 @@ dense matrices.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import scipy.sparse as sp
 
@@ -27,7 +29,12 @@ from ..linalg.counters import charge
 from .global_system import dirichlet_block, rcm_band
 from .space import ElementalMatrices
 
-__all__ = ["CondensedOperator"]
+__all__ = ["CondensedOperator", "InteriorFactorReleased"]
+
+
+class InteriorFactorReleased(RuntimeError):
+    """A substitution solve on an operator whose first :meth:`~CondensedOperator.solve`
+    has replaced the interior Cholesky factor by its inverse."""
 
 
 class CondensedOperator:
@@ -38,6 +45,15 @@ class CondensedOperator:
     banded (:func:`~repro.assembly.global_system.rcm_band`).  Dirichlet
     dofs must be boundary dofs (vertex/edge), which velocity and
     pressure boundary conditions always are.
+
+    ``elem_mats`` is an :class:`~repro.assembly.space.ElementalOperator`
+    (a production set-up: the matrices are built and condensed chunk by
+    chunk, never a whole kind stack at once), stored
+    :class:`~repro.assembly.space.ElementalMatrices`, or a per-element
+    sequence.  The operator keeps, per group, ``abi``, ``aii_inv_aib``
+    and one interior factor — ``low`` until the first :meth:`solve`,
+    ``linv`` from then on — plus the banded boundary factor (DESIGN.md
+    section 9, "What a condensed operator keeps").
     """
 
     def __init__(self, space, elem_mats, dirichlet_dofs=()):
@@ -50,6 +66,7 @@ class CondensedOperator:
         if self.dirichlet.size and self.dirichlet.max() >= self.nb_glob:
             raise ValueError("Dirichlet dofs must be boundary (vertex/edge) dofs")
 
+        self._factor_lock = threading.Lock()
         self._groups, schur = self._setup(ElementalMatrices.of(dm, elem_mats))
         s_glob = self._assemble_schur(schur)
         del schur
@@ -88,61 +105,67 @@ class CondensedOperator:
 
     def _setup(self, mats) -> tuple[list[dict], list[np.ndarray]]:
         """Per element kind (one group per dof-map stack), factor the
-        interior blocks with one stacked Cholesky and eliminate them with
-        stacked solves.  Returns ``(groups, schur)`` with one stacked
+        interior blocks with stacked Cholesky calls and eliminate them
+        with stacked solves, one chunk of the kind's elemental matrices
+        at a time.  Returns ``(groups, schur)`` with one stacked
         (ng, nb, nb) Schur complement per group.
 
-        ``mats`` is an :class:`~repro.assembly.space.ElementalMatrices`;
-        its kind stacks are sliced, not copied, and a group keeps only
-        what a solve reads: ``abi`` (copied out, so no view pins the
-        stack), ``aii_inv_aib``, the interior factor ``low`` and, after
-        the first solve, ``linv``.
+        ``mats`` is read through ``mats.chunks(i)``: an
+        :class:`~repro.assembly.space.ElementalOperator` builds each
+        chunk there (so no whole kind stack is ever alive), a stored
+        :class:`~repro.assembly.space.ElementalMatrices` hands out row
+        slices.  The stacked LAPACK and ``matmul`` calls work per item,
+        so chunking moves no bit.  A group keeps only what a solve
+        reads, each in its own memory: ``abi``, ``aii_inv_aib``, the
+        interior Cholesky factor ``low`` and, after the first
+        :meth:`solve`, ``linv`` in place of ``low``.
 
-        Charges one ``sc-setup`` per element, in element order (the
-        value is not an integer, so a single ng-times charge would
-        round differently).
+        Charges one ``sc-setup`` per element, in element order, after
+        every chunk's build (the value is not an integer, so a single
+        ng-times charge would round differently).
         """
         groups: list[dict] = []
         group_schur: list[np.ndarray] = []
         setup_charges: list[tuple[float, float] | None] = [None] * self.space.nelem
-        for stack, a in zip(self.space.dofmap.stacks, mats.stacks):
+        for i, stack in enumerate(self.space.dofmap.stacks):
             exp, elems = stack.exp, stack.elems
             nb = len(exp.boundary_modes)
             if exp.boundary_modes != list(range(nb)):
                 raise ValueError("expansion must order boundary modes first")
-            abb = a[:, :nb, :nb]
-            abi = a[:, :nb, nb:]
-            aii = a[:, nb:, nb:]
-            ni = aii.shape[-1]
+            ni = exp.nmodes - nb
             g = len(elems)
-            bdofs = np.ascontiguousarray(stack.dofs[:, :nb])
-            bsigns = np.ascontiguousarray(stack.signs[:, :nb])
-            idofs = np.ascontiguousarray(stack.dofs[:, nb:])
-            if ni:
-                low = np.linalg.cholesky(aii)  # stacked dpotrf, lower
+            abi = np.empty((g, nb, ni))
+            s = np.empty((g, nb, nb))
+            low = np.empty((g, ni, ni)) if ni else None
+            aii_inv_aib = np.empty((g, ni, nb)) if ni else np.zeros((g, 0, nb))
+            for rows, a in mats.chunks(i):
+                a_bb, a_bi, a_ii = a[:, :nb, :nb], a[:, :nb, nb:], a[:, nb:, nb:]
+                abi[rows] = a_bi
+                if not ni:
+                    s[rows] = a_bb
+                    continue
+                low[rows] = np.linalg.cholesky(a_ii)  # stacked dpotrf, lower
                 # Aii X = Aib, one stacked LAPACK solve (the interior
                 # blocks are SPD and tiny, so the LU detour costs nothing
                 # and beats a Python-level substitution sweep by far).
-                aii_inv_aib = np.linalg.solve(aii, np.swapaxes(abi, -1, -2))
-                s = abb - np.matmul(abi, aii_inv_aib)
+                x = np.linalg.solve(a_ii, np.swapaxes(a_bi, -1, -2))
+                aii_inv_aib[rows] = x
+                s[rows] = a_bb - np.matmul(a_bi, x)
+            if ni:
                 for e in elems:
                     setup_charges[e] = (
                         2.0 * ni * ni * nb + ni**3 / 3.0,
                         8.0 * (ni + nb) ** 2,
                     )
-            else:
-                low = None
-                aii_inv_aib = np.zeros((g, 0, nb))
-                s = abb
             groups.append(
                 {
                     "low": low,
-                    "linv": None,  # lazy L^{-1}, built on first solve
-                    "abi": abi.copy(),
+                    "linv": None,  # L^{-1}, built on first solve
+                    "abi": abi,
                     "aii_inv_aib": aii_inv_aib,
-                    "bdofs": bdofs,
-                    "bsigns": bsigns,
-                    "idofs": idofs,
+                    "bdofs": np.ascontiguousarray(stack.dofs[:, :nb]),
+                    "bsigns": np.ascontiguousarray(stack.signs[:, :nb]),
+                    "idofs": np.ascontiguousarray(stack.dofs[:, nb:]),
                     "nb": nb,
                     "ni": ni,
                     "ng": g,
@@ -182,15 +205,23 @@ class CondensedOperator:
         for grp in self._groups:
             if grp["ni"] == 0:
                 continue
-            if grp["linv"] is None:
-                grp["linv"] = np.linalg.inv(grp["low"])
+            # L^{-1} replaces ``low`` at the first solve: a solved operator
+            # keeps one interior factor.  Under the lock, so no thread
+            # reads a ``low`` another thread's first solve has dropped
+            # (the campaign's OperatorCache shares operators across
+            # worker threads).
+            with self._factor_lock:
+                if grp["linv"] is None:
+                    grp["linv"] = np.linalg.inv(grp["low"])
+                    grp["low"] = None
+                linv = grp["linv"]
             # Aii^{-1} fi over elements x RHS: the two triangular sweeps
             # as Level-3 multiplies by the cached L^{-1} (the interior
             # blocks are tiny and well-conditioned, so the explicit
             # inverse loses nothing); two dtrsm charges price one
             # cho_solve per item-RHS.
-            y = blas.dtrsm_batched(grp["linv"], block[:, grp["idofs"]], label="sc-chol")
-            ui = blas.dtrsm_batched(grp["linv"], y, trans=True, label="sc-chol")
+            y = blas.dtrsm_batched(linv, block[:, grp["idofs"]], label="sc-chol")
+            ui = blas.dtrsm_batched(linv, y, trans=True, label="sc-chol")
             swept.append((grp, ui))
             corr = np.zeros((nrhs, grp["ng"], grp["nb"]))
             blas.dgemv_batched(1.0, grp["abi"], ui, 0.0, corr)
@@ -244,7 +275,14 @@ class CondensedOperator:
         the L^{-1} path does not pass ``ale_cg``'s golden: the projection
         seeds that run, whose pinned PCG counts move 260 -> 250 (3.8 %,
         tolerance 2 %) on the last-bit difference between the two.
+        ``forward``'s operator is fresh; after a :meth:`solve` the factor
+        is gone and this raises :class:`InteriorFactorReleased`.
         """
+        if any(grp["ni"] and grp["low"] is None for grp in self._groups):
+            raise InteriorFactorReleased(
+                "the interior Cholesky factors went at the first solve(); "
+                "substitution runs on a fresh operator only"
+            )
         rhs = np.asarray(rhs, dtype=np.float64)
         if rhs.shape != (self.ndof,):
             raise ValueError("rhs must cover all global dofs")

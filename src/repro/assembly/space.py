@@ -33,7 +33,7 @@ from .operators import (
     elemental_mass_batched,
 )
 
-__all__ = ["ElementalMatrices", "FunctionSpace"]
+__all__ = ["CHUNK", "ElementalMatrices", "ElementalOperator", "FunctionSpace"]
 
 
 def _real_array(a, who: str, name: str) -> np.ndarray:
@@ -47,14 +47,22 @@ def _real_array(a, who: str, name: str) -> np.ndarray:
     return np.asarray(a, dtype=np.float64)
 
 
+#: Elements per tabulated operator chunk: the (chunk, nmodes, nq)
+#: temporaries of a build stay cache-resident, and a reader that consumes
+#: chunk by chunk never holds a whole kind stack.
+CHUNK = 16
+
+
 class ElementalMatrices:
     """Per-element operator matrices held as one stack per element kind.
 
     ``stacks[i]`` is the (n, nmodes, nmodes) stack of the dof map's
     ``i``-th kind stack, rows in its ``elems`` order (batch ``i`` of the
     space: the stack :meth:`FunctionSpace._batch_operator_stack`
-    builds).  Its consumer (static condensation) slices ``stacks`` and
-    copies only what it keeps.
+    builds).  This is the stored form, for readers that keep or reuse
+    the matrices; :meth:`chunks` hands a kind stack out as views of
+    :data:`CHUNK` rows, the way :class:`ElementalOperator` builds it, so
+    static condensation reads both forms through one loop.
     """
 
     def __init__(self, dofmap: DofMap, stacks):
@@ -62,11 +70,12 @@ class ElementalMatrices:
         self.stacks = tuple(stacks)
 
     @classmethod
-    def of(cls, dofmap: DofMap, mats) -> "ElementalMatrices":
+    def of(cls, dofmap: DofMap, mats) -> "ElementalMatrices | ElementalOperator":
         """``mats`` as kind stacks of ``dofmap``, the way ``np.asarray``
-        converts its input: an instance on the same dof map is returned
-        as is, a per-element sequence is stacked once per kind."""
-        if isinstance(mats, cls) and mats.dofmap is dofmap:
+        converts its input: an instance, or an :class:`ElementalOperator`,
+        on the same dof map is returned as is, a per-element sequence is
+        stacked once per kind."""
+        if isinstance(mats, (cls, ElementalOperator)) and mats.dofmap is dofmap:
             return mats
         return cls(
             dofmap,
@@ -75,6 +84,41 @@ class ElementalMatrices:
                 for st in dofmap.stacks
             ],
         )
+
+    def chunks(self, i: int):
+        """``(rows, matrices)`` of kind stack ``i``, :data:`CHUNK` rows at
+        a time, as views."""
+        a = self.stacks[i]
+        for start in range(0, len(a), CHUNK):
+            rows = slice(start, start + CHUNK)
+            yield rows, a[rows]
+
+
+class ElementalOperator:
+    """The per-element matrices of one operator of a space, by recipe.
+
+    ``kind`` and ``lam`` are :meth:`FunctionSpace.elemental_matrices`'.
+    Nothing is stored: :meth:`chunks` tabulates (and charges) each
+    :data:`CHUNK` of a kind stack when it is read, so a reader that
+    consumes chunk by chunk — static condensation's set-up — never holds
+    a whole stack (DESIGN.md section 9, "What a condensed operator
+    keeps").  Reading it twice builds and charges twice.
+    """
+
+    def __init__(self, space: "FunctionSpace", kind: str, lam: float = 0.0):
+        matrix_free.check_kind(kind)
+        self.space = space
+        self.kind = kind
+        self.lam = lam
+
+    @property
+    def dofmap(self) -> DofMap:
+        return self.space.dofmap
+
+    def chunks(self, i: int):
+        """``(rows, matrices)`` of kind stack ``i``, :data:`CHUNK` rows at
+        a time, each built fresh."""
+        return self.space._batch_operator_chunks(self.space.batches()[i], self.kind, self.lam)
 
 
 class FunctionSpace:
@@ -346,7 +390,7 @@ class FunctionSpace:
         out = np.empty(lead + (self.ndof,))
         if out.size == 0:
             return out
-        mass = CondensedOperator(self, self.elemental_matrices("mass"))
+        mass = CondensedOperator(self, ElementalOperator(self, "mass"))
         for idx in np.ndindex(*lead):
             # Substitution, not CondensedOperator.solve: these bits seed
             # ale_cg's pinned PCG counts (see _solve_by_substitution).
@@ -404,35 +448,43 @@ class FunctionSpace:
 
     # -- assembly ------------------------------------------------------------------
 
-    def _batch_operator_stack(self, b, kind: str, lam: float) -> np.ndarray:
-        """Tabulated (ng, nmodes, nmodes) operator stack of one batch.
+    def _batch_operator_chunks(self, b, kind: str, lam: float):
+        """Tabulated operator stack of one batch as ``(rows, matrices)``
+        pairs, :data:`CHUNK` elements at a time, each built when asked.
 
-        Built in chunks so the (chunk, nmodes, nq) temporaries stay
-        cache-resident: one huge stack per batch is memory-bound and
-        slower than a loop over elements.  Charges are integer
-        per-element counts, so chunking sums them exactly.
+        Chunks keep the (chunk, nmodes, nq) temporaries cache-resident:
+        one huge stack per batch is memory-bound and slower than a loop
+        over elements.  Charges are integer per-element counts, so
+        chunking sums them exactly.
         """
-        mats = np.empty((b.ng, b.exp.nmodes, b.exp.nmodes))
-        chunk = 16
-        for start in range(0, b.ng, chunk):
-            sl = slice(start, start + chunk)
+        for start in range(0, b.ng, CHUNK):
+            rows = slice(start, start + CHUNK)
             if kind == "mass":
-                mats[sl] = elemental_mass_batched(b.exp, b.jw[sl])
+                yield rows, elemental_mass_batched(b.exp, b.jw[rows])
             elif kind == "laplacian":
-                mats[sl] = elemental_laplacian_batched(b.exp, b.jw[sl], b.dxi[sl])
+                yield rows, elemental_laplacian_batched(b.exp, b.jw[rows], b.dxi[rows])
             else:
-                mats[sl] = elemental_helmholtz_batched(
-                    b.exp, b.jw[sl], b.dxi[sl], lam
-                )
+                yield rows, elemental_helmholtz_batched(b.exp, b.jw[rows], b.dxi[rows], lam)
+
+    def _batch_operator_stack(self, b, kind: str, lam: float) -> np.ndarray:
+        """Tabulated (ng, nmodes, nmodes) operator stack of one batch,
+        filled chunk by chunk."""
+        mats = np.empty((b.ng, b.exp.nmodes, b.exp.nmodes))
+        for rows, chunk in self._batch_operator_chunks(b, kind, lam):
+            mats[rows] = chunk
         return mats
 
     def elemental_matrices(self, kind: str, lam: float = 0.0) -> ElementalMatrices:
-        """Per-element operator matrices, in mesh element order.
+        """Per-element operator matrices, in mesh element order, stored.
 
         ``kind`` is "mass", "laplacian" or "helmholtz" (the latter takes
         the Helmholtz constant ``lam``).  The matrices are built as
         stacked dgemm_batched calls per element batch and handed out as
-        those batch stacks (``.stacks``), indexable per element.
+        those batch stacks (``.stacks``), indexable per element.  A
+        whole stack per kind is alive for as long as the result is:
+        a set-up that only condenses them passes an
+        :class:`ElementalOperator` instead, which builds them chunk by
+        chunk, with the same bits and charges.
         """
         matrix_free.check_kind(kind)
         return ElementalMatrices(

@@ -27,7 +27,7 @@ import numpy as np
 
 from ..assembly.condensation import CondensedOperator
 from ..assembly.global_system import dirichlet_block
-from ..assembly.space import FunctionSpace
+from ..assembly.space import ElementalOperator, FunctionSpace
 from ..linalg.cg import pcg
 from ..obs import metrics
 
@@ -98,21 +98,23 @@ class HelmholtzDirect(_HelmholtzBase):
     (NekTar's structure; Figure 10) over the tabulated elemental
     Helmholtz matrices.
 
-    The solver keeps only the condensed operator ``op``: the elemental
-    stacks it is built from are dropped once it is set up (DESIGN.md
-    section 9, "What a condensed operator keeps").
+    The solver keeps only the condensed operator ``op``, whose set-up
+    builds the elemental matrices chunk by chunk and condenses each
+    chunk as it comes (DESIGN.md section 9, "What a condensed operator
+    keeps").
     """
 
     def __init__(self, space, lam=0.0, dirichlet_tags=()):
         super().__init__(space, lam, dirichlet_tags)
         self.op = CondensedOperator(
-            space, space.elemental_matrices("helmholtz", self.lam), self.dirichlet_dofs
+            space, ElementalOperator(space, "helmholtz", self.lam), self.dirichlet_dofs
         )
 
     @property
     def elem_mats(self):
-        """The elemental matrices the operator was built from, rebuilt
-        (and charged) on every access: the solver does not keep them."""
+        """The elemental matrices the operator was built from, as stored
+        stacks, rebuilt (and charged) on every access: the solver never
+        holds them."""
         return self.space.elemental_matrices("helmholtz", self.lam)
 
     def solve(
@@ -215,7 +217,7 @@ def pressure_operator(
     if dirichlet_tags or lam > 0.0:
         return HelmholtzDirect(space, lam, dirichlet_tags).op
     pin = int(space.dofmap.boundary_dofs()[0])
-    return CondensedOperator(space, space.elemental_matrices("laplacian"), [pin])
+    return CondensedOperator(space, ElementalOperator(space, "laplacian"), [pin])
 
 
 class ViscousHolder:
