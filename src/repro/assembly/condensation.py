@@ -18,8 +18,6 @@ dense matrices.
 
 from __future__ import annotations
 
-import threading
-
 import numpy as np
 import scipy.sparse as sp
 
@@ -27,14 +25,8 @@ from ..linalg import blas
 from ..linalg.banded import BandedSPDSolver
 from ..linalg.counters import charge
 from .global_system import dirichlet_block, rcm_band
-from .space import ElementalMatrices
 
-__all__ = ["CondensedOperator", "InteriorFactorReleased"]
-
-
-class InteriorFactorReleased(RuntimeError):
-    """A substitution solve on an operator whose first :meth:`~CondensedOperator.solve`
-    has replaced the interior Cholesky factor by its inverse."""
+__all__ = ["CondensedOperator", "MassProjector"]
 
 
 class CondensedOperator:
@@ -46,19 +38,25 @@ class CondensedOperator:
     dofs must be boundary dofs (vertex/edge), which velocity and
     pressure boundary conditions always are.
 
-    ``elem_mats`` is an :class:`~repro.assembly.space.ElementalOperator`
-    (a production set-up: the matrices are built and condensed chunk by
-    chunk, never a whole kind stack at once), stored
-    :class:`~repro.assembly.space.ElementalMatrices`, or a per-element
-    sequence.  The operator keeps, per group, ``abi``, ``aii_inv_aib``
-    and one interior factor — ``low`` until the first :meth:`solve`,
-    ``linv`` from then on — plus the banded boundary factor (DESIGN.md
-    section 9, "What a condensed operator keeps").
+    ``elem_mats`` is ``space.elemental_matrices(kind, lam)``, an
+    :class:`~repro.assembly.space.ElementalOperator` of the same dof map
+    (another space's is a ``ValueError``): the set-up builds and condenses
+    the matrices chunk by chunk, never a whole kind stack at once.  The
+    operator keeps, per group, ``abi``, ``aii_inv_aib``, the interior
+    factor ``linv`` and the boundary scatter, plus the banded boundary
+    factor (DESIGN.md section 9, "What a condensed operator keeps").  All
+    of it is built in ``__init__`` and never written again, so threads
+    may share one operator (the campaign's ``OperatorCache`` does).
     """
 
     def __init__(self, space, elem_mats, dirichlet_dofs=()):
         self.space = space
         dm = space.dofmap
+        if elem_mats.dofmap is not dm:
+            raise ValueError(
+                "elem_mats are another space's elemental matrices: pass "
+                "space.elemental_matrices(...) of the space being condensed"
+            )
         self.nb_glob = dm.nboundary
         self.dirichlet = np.asarray(
             sorted(set(int(d) for d in dirichlet_dofs)), dtype=np.int64
@@ -66,8 +64,7 @@ class CondensedOperator:
         if self.dirichlet.size and self.dirichlet.max() >= self.nb_glob:
             raise ValueError("Dirichlet dofs must be boundary (vertex/edge) dofs")
 
-        self._factor_lock = threading.Lock()
-        self._groups, schur = self._setup(ElementalMatrices.of(dm, elem_mats))
+        self._groups, schur = self._setup(elem_mats)
         s_glob = self._assemble_schur(schur)
         del schur
         self.free = np.setdiff1d(np.arange(self.nb_glob), self.dirichlet)
@@ -103,6 +100,15 @@ class CondensedOperator:
 
     # -- pre-factorisation ----------------------------------------------------
 
+    # repro: waive[accounting] priced by _setup's per-element sc-setup charge
+    @staticmethod
+    def _interior_factor(a_ii: np.ndarray) -> np.ndarray:
+        """The interior factor a group keeps of a stack of interior
+        blocks: L^{-1} of their Cholesky factors L, the operand of
+        :meth:`solve`'s Level-3 sweeps (the blocks are tiny and
+        well-conditioned, so the explicit inverse loses nothing)."""
+        return np.linalg.inv(np.linalg.cholesky(a_ii))
+
     def _setup(self, mats) -> tuple[list[dict], list[np.ndarray]]:
         """Per element kind (one group per dof-map stack), factor the
         interior blocks with stacked Cholesky calls and eliminate them
@@ -110,15 +116,13 @@ class CondensedOperator:
         at a time.  Returns ``(groups, schur)`` with one stacked
         (ng, nb, nb) Schur complement per group.
 
-        ``mats`` is read through ``mats.chunks(i)``: an
-        :class:`~repro.assembly.space.ElementalOperator` builds each
-        chunk there (so no whole kind stack is ever alive), a stored
-        :class:`~repro.assembly.space.ElementalMatrices` hands out row
-        slices.  The stacked LAPACK and ``matmul`` calls work per item,
-        so chunking moves no bit.  A group keeps only what a solve
-        reads, each in its own memory: ``abi``, ``aii_inv_aib``, the
-        interior Cholesky factor ``low`` and, after the first
-        :meth:`solve`, ``linv`` in place of ``low``.
+        ``mats.chunks(i)`` builds each chunk when it is read, so no
+        whole kind stack is ever alive.  The stacked LAPACK and
+        ``matmul`` calls work per item, so chunking moves no bit.  A
+        group keeps only what a solve reads, each in its own memory:
+        ``abi``, ``aii_inv_aib``, the interior factor
+        (:meth:`_interior_factor`) and the boundary scatter
+        (:meth:`_group_scatter`).
 
         Charges one ``sc-setup`` per element, in element order, after
         every chunk's build (the value is not an integer, so a single
@@ -136,7 +140,7 @@ class CondensedOperator:
             g = len(elems)
             abi = np.empty((g, nb, ni))
             s = np.empty((g, nb, nb))
-            low = np.empty((g, ni, ni)) if ni else None
+            factor = np.empty((g, ni, ni)) if ni else None
             aii_inv_aib = np.empty((g, ni, nb)) if ni else np.zeros((g, 0, nb))
             for rows, a in mats.chunks(i):
                 a_bb, a_bi, a_ii = a[:, :nb, :nb], a[:, :nb, nb:], a[:, nb:, nb:]
@@ -144,7 +148,7 @@ class CondensedOperator:
                 if not ni:
                     s[rows] = a_bb
                     continue
-                low[rows] = np.linalg.cholesky(a_ii)  # stacked dpotrf, lower
+                factor[rows] = self._interior_factor(a_ii)
                 # Aii X = Aib, one stacked LAPACK solve (the interior
                 # blocks are SPD and tiny, so the LU detour costs nothing
                 # and beats a Python-level substitution sweep by far).
@@ -157,14 +161,16 @@ class CondensedOperator:
                         2.0 * ni * ni * nb + ni**3 / 3.0,
                         8.0 * (ni + nb) ** 2,
                     )
+            bdofs = np.ascontiguousarray(stack.dofs[:, :nb])
+            bsigns = np.ascontiguousarray(stack.signs[:, :nb])
             groups.append(
                 {
-                    "low": low,
-                    "linv": None,  # L^{-1}, built on first solve
+                    "factor": factor,
                     "abi": abi,
                     "aii_inv_aib": aii_inv_aib,
-                    "bdofs": np.ascontiguousarray(stack.dofs[:, :nb]),
-                    "bsigns": np.ascontiguousarray(stack.signs[:, :nb]),
+                    "scatter": self._group_scatter(bdofs, bsigns) if ni else None,
+                    "bdofs": bdofs,
+                    "bsigns": bsigns,
                     "idofs": np.ascontiguousarray(stack.dofs[:, nb:]),
                     "nb": nb,
                     "ni": ni,
@@ -176,6 +182,15 @@ class CondensedOperator:
             if charges is not None:
                 charge(charges[0], charges[1], "sc-setup")
         return groups, group_schur
+
+    def _group_scatter(self, bdofs: np.ndarray, bsigns: np.ndarray) -> sp.csr_matrix:
+        """CSR gather/scatter Q_e^T of one group's boundary dofs (signs
+        folded in), so the condense correction is one spmv over the whole
+        stack instead of an ``np.subtract.at`` per RHS."""
+        return sp.csr_matrix(
+            (bsigns.ravel().astype(np.float64), (bdofs.ravel(), np.arange(bdofs.size))),
+            shape=(self.nb_glob, bdofs.size),
+        )
 
     @property
     def ndof(self) -> int:
@@ -205,27 +220,16 @@ class CondensedOperator:
         for grp in self._groups:
             if grp["ni"] == 0:
                 continue
-            # L^{-1} replaces ``low`` at the first solve: a solved operator
-            # keeps one interior factor.  Under the lock, so no thread
-            # reads a ``low`` another thread's first solve has dropped
-            # (the campaign's OperatorCache shares operators across
-            # worker threads).
-            with self._factor_lock:
-                if grp["linv"] is None:
-                    grp["linv"] = np.linalg.inv(grp["low"])
-                    grp["low"] = None
-                linv = grp["linv"]
             # Aii^{-1} fi over elements x RHS: the two triangular sweeps
-            # as Level-3 multiplies by the cached L^{-1} (the interior
-            # blocks are tiny and well-conditioned, so the explicit
-            # inverse loses nothing); two dtrsm charges price one
-            # cho_solve per item-RHS.
+            # as Level-3 multiplies by L^{-1}; two dtrsm charges price
+            # one cho_solve per item-RHS.
+            linv = grp["factor"]
             y = blas.dtrsm_batched(linv, block[:, grp["idofs"]], label="sc-chol")
             ui = blas.dtrsm_batched(linv, y, trans=True, label="sc-chol")
             swept.append((grp, ui))
             corr = np.zeros((nrhs, grp["ng"], grp["nb"]))
             blas.dgemv_batched(1.0, grp["abi"], ui, 0.0, corr)
-            gb -= (self._group_scatter(grp) @ corr.reshape(nrhs, -1).T).T
+            gb -= (grp["scatter"] @ corr.reshape(nrhs, -1).T).T
         # Boundary solve.
         b = gb[:, self.free]
         if self.dirichlet.size:
@@ -250,47 +254,36 @@ class CondensedOperator:
             u[:, grp["idofs"]] = ui
         return u[0] if rhs.ndim == 1 else u
 
-    def _group_scatter(self, grp: dict) -> sp.csr_matrix:
-        """CSR gather/scatter Q_e^T of one group's boundary dofs (signs
-        folded in), so the condense correction is one spmv over the whole
-        stack instead of an ``np.subtract.at`` per RHS."""
-        if "scatter" not in grp:
-            nitems = grp["ng"] * grp["nb"]
-            grp["scatter"] = sp.csr_matrix(
-                (
-                    grp["bsigns"].ravel().astype(np.float64),
-                    (grp["bdofs"].ravel(), np.arange(nitems)),
-                ),
-                shape=(self.nb_glob, nitems),
-            )
-        return grp["scatter"]
 
-    def _solve_by_substitution(
-        self, rhs: np.ndarray, dirichlet_values: np.ndarray | None = None
-    ) -> np.ndarray:
-        """:meth:`solve` for one (ndof,) vector with Aii^{-1} fi swept row
-        by row through the stacked Cholesky factor; same charges.
+class MassProjector(CondensedOperator):
+    """The condensed mass operator of ``space``, for
+    :meth:`FunctionSpace.forward`'s one-call L2 projection.
 
-        Kept for :meth:`FunctionSpace.forward`, its only caller, because
-        the L^{-1} path does not pass ``ale_cg``'s golden: the projection
-        seeds that run, whose pinned PCG counts move 260 -> 250 (3.8 %,
-        tolerance 2 %) on the last-bit difference between the two.
-        ``forward``'s operator is fresh; after a :meth:`solve` the factor
-        is gone and this raises :class:`InteriorFactorReleased`.
-        """
-        if any(grp["ni"] and grp["low"] is None for grp in self._groups):
-            raise InteriorFactorReleased(
-                "the interior Cholesky factors went at the first solve(); "
-                "substitution runs on a fresh operator only"
-            )
+    Its groups keep the interior Cholesky factor ``L`` itself, and
+    :meth:`solve` sweeps Aii^{-1} fi row by row through it: the same
+    charges as :meth:`CondensedOperator.solve`, other last bits.  Those
+    bits seed ``ale_cg``, whose pinned PCG counts move 260 -> 250 (3.8 %,
+    tolerance 2 %) under the L^{-1} sweep (DESIGN.md section 10, "The
+    forward exception").
+    """
+
+    def __init__(self, space):
+        super().__init__(space, space.elemental_matrices("mass"))
+
+    # repro: waive[accounting] priced by _setup's per-element sc-setup charge
+    @staticmethod
+    def _interior_factor(a_ii: np.ndarray) -> np.ndarray:
+        return np.linalg.cholesky(a_ii)  # stacked dpotrf, lower
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """Solve M u = rhs for one (ndof,) assembled load vector."""
         rhs = np.asarray(rhs, dtype=np.float64)
         if rhs.shape != (self.ndof,):
             raise ValueError("rhs must cover all global dofs")
-        dv = dirichlet_block(dirichlet_values, 1, self.dirichlet.size)[0]
         gb = rhs[: self.nb_glob].copy()
         swept: list[tuple[dict, np.ndarray]] = []
         for grp in self._groups:
-            low, ni = grp["low"], grp["ni"]
+            low, ni = grp["factor"], grp["ni"]
             if ni == 0:
                 continue
             fi = rhs[grp["idofs"]]  # (ng, ni)
@@ -310,14 +303,10 @@ class CondensedOperator:
             blas.dgemv_batched(1.0, grp["abi"], ui, 0.0, corr)
             np.subtract.at(gb, grp["bdofs"], grp["bsigns"] * corr)
         b = gb[self.free]
-        if self.dirichlet.size:
-            b = b - self.s_fk @ dv
         x = np.empty_like(b)
-        if self.solver is not None:
-            x[self.perm] = self.solver.solve(b[self.perm])
+        x[self.perm] = self.solver.solve(b[self.perm])
         u = np.zeros(self.ndof)
         u[self.free] = x
-        u[self.dirichlet] = dv
         for grp, ui in swept:
             ni = grp["ni"]
             ub = grp["bsigns"] * u[grp["bdofs"]]

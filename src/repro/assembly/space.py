@@ -33,7 +33,7 @@ from .operators import (
     elemental_mass_batched,
 )
 
-__all__ = ["CHUNK", "ElementalMatrices", "ElementalOperator", "FunctionSpace"]
+__all__ = ["CHUNK", "ElementalOperator", "FunctionSpace"]
 
 
 def _real_array(a, who: str, name: str) -> np.ndarray:
@@ -53,51 +53,11 @@ def _real_array(a, who: str, name: str) -> np.ndarray:
 CHUNK = 16
 
 
-class ElementalMatrices:
-    """Per-element operator matrices held as one stack per element kind.
-
-    ``stacks[i]`` is the (n, nmodes, nmodes) stack of the dof map's
-    ``i``-th kind stack, rows in its ``elems`` order (batch ``i`` of the
-    space: the stack :meth:`FunctionSpace._batch_operator_stack`
-    builds).  This is the stored form, for readers that keep or reuse
-    the matrices; :meth:`chunks` hands a kind stack out as views of
-    :data:`CHUNK` rows, the way :class:`ElementalOperator` builds it, so
-    static condensation reads both forms through one loop.
-    """
-
-    def __init__(self, dofmap: DofMap, stacks):
-        self.dofmap = dofmap
-        self.stacks = tuple(stacks)
-
-    @classmethod
-    def of(cls, dofmap: DofMap, mats) -> "ElementalMatrices | ElementalOperator":
-        """``mats`` as kind stacks of ``dofmap``, the way ``np.asarray``
-        converts its input: an instance, or an :class:`ElementalOperator`,
-        on the same dof map is returned as is, a per-element sequence is
-        stacked once per kind."""
-        if isinstance(mats, (cls, ElementalOperator)) and mats.dofmap is dofmap:
-            return mats
-        return cls(
-            dofmap,
-            [
-                np.stack([np.asarray(mats[e], dtype=np.float64) for e in st.elems])
-                for st in dofmap.stacks
-            ],
-        )
-
-    def chunks(self, i: int):
-        """``(rows, matrices)`` of kind stack ``i``, :data:`CHUNK` rows at
-        a time, as views."""
-        a = self.stacks[i]
-        for start in range(0, len(a), CHUNK):
-            rows = slice(start, start + CHUNK)
-            yield rows, a[rows]
-
-
 class ElementalOperator:
-    """The per-element matrices of one operator of a space, by recipe.
+    """The per-element matrices of one operator of a space, by recipe:
+    what :meth:`FunctionSpace.elemental_matrices` returns, and the one
+    form :class:`~repro.assembly.condensation.CondensedOperator` reads.
 
-    ``kind`` and ``lam`` are :meth:`FunctionSpace.elemental_matrices`'.
     Nothing is stored: :meth:`chunks` tabulates (and charges) each
     :data:`CHUNK` of a kind stack when it is read, so a reader that
     consumes chunk by chunk — static condensation's set-up — never holds
@@ -379,22 +339,22 @@ class FunctionSpace:
         """Global L2 projection: values -> modal coefficients (condensed
         mass solve, like every other direct solve in the code).
 
-        The mass operator lives for this one call: set-up, then one
-        :meth:`load_vector` and one solve per leading row, in row order.
+        The mass operator (a
+        :class:`~repro.assembly.condensation.MassProjector`) lives for
+        this one call: set-up, then one :meth:`load_vector` and one solve
+        per leading row, in row order.
         A stacked call is the per-row calls, bits and charges, less their
         repeated set-ups, so project a whole state at once."""
-        from .condensation import CondensedOperator
+        from .condensation import MassProjector
 
         values = self._quadrature_values(values, "forward", "values")
         lead = values.shape[:-2]
         out = np.empty(lead + (self.ndof,))
         if out.size == 0:
             return out
-        mass = CondensedOperator(self, ElementalOperator(self, "mass"))
+        mass = MassProjector(self)
         for idx in np.ndindex(*lead):
-            # Substitution, not CondensedOperator.solve: these bits seed
-            # ale_cg's pinned PCG counts (see _solve_by_substitution).
-            out[idx] = mass._solve_by_substitution(self.load_vector(values[idx]))
+            out[idx] = mass.solve(self.load_vector(values[idx]))
         return out
 
     def gradient(self, u_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -466,40 +426,27 @@ class FunctionSpace:
             else:
                 yield rows, elemental_helmholtz_batched(b.exp, b.jw[rows], b.dxi[rows], lam)
 
-    def _batch_operator_stack(self, b, kind: str, lam: float) -> np.ndarray:
-        """Tabulated (ng, nmodes, nmodes) operator stack of one batch,
-        filled chunk by chunk."""
-        mats = np.empty((b.ng, b.exp.nmodes, b.exp.nmodes))
-        for rows, chunk in self._batch_operator_chunks(b, kind, lam):
-            mats[rows] = chunk
-        return mats
-
-    def elemental_matrices(self, kind: str, lam: float = 0.0) -> ElementalMatrices:
-        """Per-element operator matrices, in mesh element order, stored.
+    def elemental_matrices(self, kind: str, lam: float = 0.0) -> ElementalOperator:
+        """Per-element operator matrices, by kind stack, as a recipe.
 
         ``kind`` is "mass", "laplacian" or "helmholtz" (the latter takes
         the Helmholtz constant ``lam``).  The matrices are built as
-        stacked dgemm_batched calls per element batch and handed out as
-        those batch stacks (``.stacks``), indexable per element.  A
-        whole stack per kind is alive for as long as the result is:
-        a set-up that only condenses them passes an
-        :class:`ElementalOperator` instead, which builds them chunk by
-        chunk, with the same bits and charges.
+        stacked dgemm_batched calls, :data:`CHUNK` elements of a batch at
+        a time, when the result's :meth:`~ElementalOperator.chunks` are
+        read: static condensation's set-up, the one reader, never holds a
+        whole stack.
         """
-        matrix_free.check_kind(kind)
-        return ElementalMatrices(
-            self.dofmap,
-            [self._batch_operator_stack(b, kind, lam) for b in self.batches()],
-        )
+        return ElementalOperator(self, kind, lam)
 
     def _dense_batch_mats(self, bi: int, kind: str, lam: float) -> np.ndarray:
         """Operator stack of batch ``bi`` — the matrix-free path's
-        fallback for non-tensor-product elements, built once per
-        (batch, kind, lam) and cached."""
+        fallback for non-tensor-product elements, its chunks built once
+        per (batch, kind, lam), joined and cached."""
         key = (bi, kind, round(float(lam), 12))
         mats = self._op_mats.get(key)
         if mats is None:
-            mats = self._batch_operator_stack(self.batches()[bi], kind, lam)
+            chunks = self._batch_operator_chunks(self.batches()[bi], kind, lam)
+            mats = np.concatenate([chunk for _, chunk in chunks])
             self._op_mats[key] = mats
         return mats
 

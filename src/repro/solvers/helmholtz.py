@@ -27,7 +27,7 @@ import numpy as np
 
 from ..assembly.condensation import CondensedOperator
 from ..assembly.global_system import dirichlet_block
-from ..assembly.space import ElementalOperator, FunctionSpace
+from ..assembly.space import FunctionSpace
 from ..linalg.cg import pcg
 from ..obs import metrics
 
@@ -81,15 +81,9 @@ class _HelmholtzBase:
         """Assembled load vector of the forcing (weak form of -lap u + lam u = f)."""
         return self.space.load_vector(_sample(self.space, f))
 
-    def bc_values(self, g: ScalarFn | None) -> np.ndarray | None:
-        if not self.dirichlet_dofs.size:
-            return None
-        if g is None:
-            return np.zeros(self.dirichlet_dofs.size)
-        return self.bc_plan.project(g)
-
     def bc_values_by_tag(self, fns, *args) -> np.ndarray | None:
-        """As :meth:`bc_values`, one fn(x, y, *args) per tag (a later tag wins a corner)."""
+        """Dirichlet values of one fn(x, y, *args) per tag, projected onto
+        the boundary dofs (a later tag wins a corner)."""
         return self.bc_plan.project_by_tag(fns, *args) if self.dirichlet_tags else None
 
 
@@ -106,22 +100,17 @@ class HelmholtzDirect(_HelmholtzBase):
 
     def __init__(self, space, lam=0.0, dirichlet_tags=()):
         super().__init__(space, lam, dirichlet_tags)
-        self.op = CondensedOperator(
-            space, ElementalOperator(space, "helmholtz", self.lam), self.dirichlet_dofs
-        )
+        self.op = CondensedOperator(space, self.elem_mats, self.dirichlet_dofs)
 
     @property
     def elem_mats(self):
-        """The elemental matrices the operator was built from, as stored
-        stacks, rebuilt (and charged) on every access: the solver never
-        holds them."""
+        """The elemental matrices the operator is built from: the space's
+        recipe, which builds (and charges) them again on every read."""
         return self.space.elemental_matrices("helmholtz", self.lam)
 
-    def solve(
-        self, f: ScalarFn | np.ndarray, g: ScalarFn | None = None
-    ) -> np.ndarray:
-        """Solve (L + lam M) u = (f, phi) with u = g on the Dirichlet part."""
-        return self.op.solve(self.rhs_for(f), self.bc_values(g))
+    def solve(self, f: ScalarFn | np.ndarray) -> np.ndarray:
+        """Solve (L + lam M) u = (f, phi) with u = 0 on the Dirichlet part."""
+        return self.op.solve(self.rhs_for(f))
 
     def solve_rhs(
         self, rhs: np.ndarray, dirichlet_values: np.ndarray | None = None
@@ -173,8 +162,9 @@ class HelmholtzCG(_HelmholtzBase):
         by extending them by zero."""
         return rhs_free - self._apply_extended(self.dirichlet_dofs, dv)
 
-    def solve(self, f, g=None) -> np.ndarray:
-        return self.solve_rhs(self.rhs_for(f), self.bc_values(g))
+    def solve(self, f) -> np.ndarray:
+        """Solve (L + lam M) u = (f, phi) with u = 0 on the Dirichlet part."""
+        return self.solve_rhs(self.rhs_for(f))
 
     def solve_rhs(self, rhs, dirichlet_values=None) -> np.ndarray:
         """Solve with a pre-assembled global load vector: one (ndof,)
@@ -217,7 +207,7 @@ def pressure_operator(
     if dirichlet_tags or lam > 0.0:
         return HelmholtzDirect(space, lam, dirichlet_tags).op
     pin = int(space.dofmap.boundary_dofs()[0])
-    return CondensedOperator(space, ElementalOperator(space, "laplacian"), [pin])
+    return CondensedOperator(space, space.elemental_matrices("laplacian"), [pin])
 
 
 class ViscousHolder:

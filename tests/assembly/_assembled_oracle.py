@@ -14,7 +14,11 @@ code is compared against:
   sweep over every free dof;
 * ``elemental_helmholtz`` / ``elemental_load``: one element's H = L + lam M
   and load vector by counted ``dgemm`` / ``dgemv``, the per-element twins
-  of the batched set-up and ``FunctionSpace.load_vector``.
+  of the batched set-up and ``FunctionSpace.load_vector``;
+* ``StoredMatrices``: per-element matrices held whole (stored stacks, a
+  per-element list), handed to ``CondensedOperator`` in the one form it
+  reads (``.dofmap`` and ``.chunks(i)``, what ``elemental_matrices``
+  returns).
 """
 
 from __future__ import annotations
@@ -24,19 +28,55 @@ import scipy.sparse as sp
 
 from repro.assembly.global_system import dirichlet_block, rcm_band
 from repro.assembly.operators import elemental_laplacian, elemental_mass
-from repro.assembly.space import ElementalMatrices
+from repro.assembly.space import CHUNK
 from repro.linalg import blas
 from repro.linalg.banded import BandedSPDSolver
 from repro.linalg.counters import charge
 
 
+def kind_stacks(mats) -> list[np.ndarray]:
+    """The whole (n, nmodes, nmodes) stack of each dof-map kind stack of
+    ``mats`` (anything with ``.dofmap`` and ``.chunks(i)``): a recipe's
+    chunks are built, and charged, once."""
+    return [
+        np.concatenate([chunk for _, chunk in mats.chunks(i)])
+        for i in range(len(mats.dofmap.stacks))
+    ]
+
+
 def element_rows(mats) -> list:
-    """Per-element matrices in mesh element order: an
-    :class:`ElementalMatrices`' stack rows (views), or the list as given."""
-    if not isinstance(mats, ElementalMatrices):
+    """Per-element matrices in mesh element order: a list as given, or
+    the rows of :func:`kind_stacks` (views)."""
+    if isinstance(mats, list):
         return mats
     dm = mats.dofmap
-    return [mats.stacks[dm._stack_of[e]][dm._row_of[e]] for e in range(dm.mesh.nelements)]
+    stacks = kind_stacks(mats)
+    return [stacks[dm._stack_of[e]][dm._row_of[e]] for e in range(dm.mesh.nelements)]
+
+
+class StoredMatrices:
+    """Per-element matrices held whole, read the way
+    ``CondensedOperator`` reads a space's recipe: ``.dofmap`` and
+    ``.chunks(i)``, :data:`CHUNK` rows of kind stack ``i`` at a time (as
+    views).  The one adapter through which a test condenses matrices it
+    built, changed or wants to reuse: ``mats`` is a per-element list in
+    mesh element order, or a recipe, read once."""
+
+    def __init__(self, dofmap, mats):
+        self.dofmap = dofmap
+        if isinstance(mats, list):
+            self.stacks = [
+                np.stack([np.asarray(mats[e], dtype=np.float64) for e in st.elems])
+                for st in dofmap.stacks
+            ]
+        else:
+            self.stacks = kind_stacks(mats)
+
+    def chunks(self, i: int):
+        a = self.stacks[i]
+        for start in range(0, len(a), CHUNK):
+            rows = slice(start, start + CHUNK)
+            yield rows, a[rows]
 
 
 def assemble(space, elem_mats) -> sp.csr_matrix:

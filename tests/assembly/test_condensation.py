@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from repro.assembly.condensation import CondensedOperator
+from repro.assembly.condensation import CondensedOperator, MassProjector
 from repro.assembly.global_system import project_dirichlet
 from repro.assembly.space import FunctionSpace
 from repro.linalg import blas
@@ -11,16 +11,16 @@ from repro.solvers.helmholtz import HelmholtzDirect
 
 from .._meshes import rectangle_tris
 from ..linalg._snapshot import snapshot
-from ._assembled_oracle import AssembledOperator, elemental_helmholtz
+from ._assembled_oracle import AssembledOperator, StoredMatrices, elemental_helmholtz
 from .test_batched_equivalence import mixed_mesh
 
 
 def build(mesh, order, lam, tags):
     space = FunctionSpace(mesh, order)
-    mats = [
-        elemental_helmholtz(space.dofmap.expansion(e), space.geom[e], lam)
-        for e in range(space.nelem)
-    ]
+    mats = StoredMatrices(
+        space.dofmap,
+        [elemental_helmholtz(space.dofmap.expansion(e), space.geom[e], lam) for e in range(space.nelem)],
+    )
     dofs, _ = (
         project_dirichlet(space, tags, lambda x, y: 0.0)
         if tags
@@ -135,9 +135,6 @@ def test_vector_solve_is_the_one_row_block_solve(mesh, bc):
     rng = np.random.default_rng(3)
     rhs = rng.standard_normal(space.ndof)
     g = rng.standard_normal(cond.dirichlet.size)
-    # Substitution first: it reads the Cholesky factor the first solve drops.
-    with OpCounter() as c_sub:
-        u_sub = cond._solve_by_substitution(rhs, g)
     with OpCounter() as c_vec:
         u = cond.solve(rhs, g)
     with OpCounter() as c_row:
@@ -145,8 +142,21 @@ def test_vector_solve_is_the_one_row_block_solve(mesh, bc):
     assert u.shape == (space.ndof,)
     assert np.array_equal(u, u_row)
     assert label_charges(c_vec) == label_charges(c_row)
-    # The substitution body FunctionSpace.forward keeps: same answer to
-    # rounding, and the same (flops, bytes) under every label.
+
+
+@pytest.mark.parametrize("mesh", MESHES)
+def test_projector_substitution_is_the_mass_solve_to_rounding(mesh):
+    """The substitution body FunctionSpace.forward keeps: the condensed
+    mass solve's answer to rounding, and the same (flops, bytes) under
+    every label."""
+    space = FunctionSpace(MESHES[mesh](), 5)
+    rhs = np.random.default_rng(3).standard_normal(space.ndof)
+    projector = MassProjector(space)
+    op = CondensedOperator(space, space.elemental_matrices("mass"))
+    with OpCounter() as c_sub:
+        u_sub = projector.solve(rhs)
+    with OpCounter() as c_vec:
+        u = op.solve(rhs)
     np.testing.assert_allclose(u, u_sub, rtol=0.0, atol=1e-12 * np.abs(u_sub).max())
     assert label_charges(c_vec) == label_charges(c_sub)
     assert (c_vec.flops, c_vec.bytes) == (c_sub.flops, c_sub.bytes)
@@ -206,12 +216,12 @@ def forward_reference(space, values):
     """The L2 projection as ``FunctionSpace.forward`` computed it when
     ``ale_cg``'s golden PCG counts were recorded: condensed mass solve
     with the interior sweep run twice (condense, back-substitute)."""
-    op = CondensedOperator(space, space.elemental_matrices("mass"))
+    op = MassProjector(space)
     rhs = space.load_vector(values)
     gb = rhs[: op.nb_glob].copy()
     for grp in op._groups:
         if grp["ni"]:
-            tmp = cho_solve_group_reference(grp["low"], rhs[grp["idofs"]])
+            tmp = cho_solve_group_reference(grp["factor"], rhs[grp["idofs"]])
             corr = np.zeros((grp["ng"], grp["nb"]))
             blas.dgemv_batched(1.0, grp["abi"], tmp, 0.0, corr)
             np.subtract.at(gb, grp["bdofs"], grp["bsigns"] * corr)
@@ -222,7 +232,7 @@ def forward_reference(space, values):
     for grp in op._groups:
         if grp["ni"]:
             ub = grp["bsigns"] * u[grp["bdofs"]]
-            ui = cho_solve_group_reference(grp["low"], rhs[grp["idofs"]])
+            ui = cho_solve_group_reference(grp["factor"], rhs[grp["idofs"]])
             blas.dgemv_batched(-1.0, grp["aii_inv_aib"], ub, 1.0, ui)
             u[grp["idofs"]] = ui
     return u

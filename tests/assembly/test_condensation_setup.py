@@ -3,9 +3,12 @@
 ``RestackingOperator`` is ``CondensedOperator`` with ``_setup`` frozen as
 it stood while the operator re-stacked the per-element matrices it was
 given (one ``np.stack`` copy per element kind, with the ``abb`` /
-``abi`` / ``aii`` blocks left as views of that copy).  The operator in
-``src/`` slices the space's batch stacks instead and copies out only
-``abi``, so
+``abi`` / ``aii`` blocks left as views of that copy), followed by what
+that operator's first solve added to each group: ``L^{-1}`` of the whole
+stack in place of ``low``, and the boundary scatter.  The operator in
+``src/`` condenses its elemental matrices chunk by chunk as they are
+built, inverts each chunk's factor there, and copies out only ``abi``,
+so
 
 * groups, RCM permutation, bandwidth, the banded boundary matrix and its
   Cholesky factor are equal, exactly, on any numpy (tier-1);
@@ -15,9 +18,9 @@ given (one ``np.stack`` copy per element kind, with the ``abb`` /
 * solves agree to 1e-13 in tier-1 and bit for bit on the goldens' numpy
   build (``same_bits``).
 
-The memory contract: a group retains ``abi``, ``aii_inv_aib`` and
-``low`` (``linv`` in its place once solved), each owning its memory,
-and no solver builds a whole elemental stack.
+The memory contract: a group retains ``abi``, ``aii_inv_aib`` and one
+interior factor (``linv`` from set-up on, ``low`` in a ``MassProjector``),
+each owning its memory, and no solver keeps an elemental matrix.
 """
 
 import gc
@@ -26,22 +29,34 @@ import weakref
 import numpy as np
 import pytest
 
-from repro.assembly.condensation import CondensedOperator
-from repro.assembly.space import ElementalMatrices, FunctionSpace
+from repro.assembly.condensation import CondensedOperator, MassProjector
+from repro.assembly.space import FunctionSpace
 from repro.linalg.banded import BandedSPDSolver
 from repro.linalg.counters import charge
 from repro.mesh.generators import rectangle_quads
 from repro.solvers.helmholtz import HelmholtzDirect
 
 from .._meshes import rectangle_tris
-from ._assembled_oracle import element_rows
+from ._assembled_oracle import element_rows, kind_stacks
 from .test_batched_equivalence import mixed_mesh, observed
 
 
 class RestackingOperator(CondensedOperator):
-    """``CondensedOperator`` with the re-stacking set-up body."""
+    """``CondensedOperator`` with the re-stacking set-up body, then what
+    its first solve added to every group with interior modes."""
 
     def _setup(self, elem_mats):
+        groups, group_schur = self._restacking_setup(elem_mats)
+        for grp in groups:
+            low = grp.pop("low")
+            del grp["linv"]
+            grp["factor"] = None if low is None else np.linalg.inv(low)
+            grp["scatter"] = (
+                self._group_scatter(grp["bdofs"], grp["bsigns"]) if grp["ni"] else None
+            )
+        return groups, group_schur
+
+    def _restacking_setup(self, elem_mats):
         elem_mats = element_rows(elem_mats)
         nelem = len(elem_mats)
         groups = []
@@ -131,6 +146,11 @@ def pairs(mesh, order, bc, monkeypatch):
     return space, got, want
 
 
+def same_sparse(a, b) -> bool:
+    """Equal shape, sparsity pattern and values."""
+    return a.shape == b.shape and (a != b).nnz == 0
+
+
 def solves(op, space):
     rng = np.random.default_rng(7 * space.order + space.nelem)
     rhs = rng.standard_normal((3, space.ndof))
@@ -155,6 +175,8 @@ def test_setup_matches_the_restacking_body(mesh, order, bc, monkeypatch):
                 if val is not None:
                     assert val.shape == ref_grp[key].shape, key
                     assert np.array_equal(val, ref_grp[key]), key
+            elif key == "scatter":
+                assert same_sparse(val, ref_grp[key])
             else:
                 assert val == ref_grp[key], key
     assert np.array_equal(op.perm, ref.perm)
@@ -188,25 +210,6 @@ def test_solves_same_bits_as_the_restacking_body(mesh, order, monkeypatch):
     assert np.array_equal(ub, rb)
 
 
-def test_a_per_element_list_is_stacked_once_at_the_boundary():
-    space = FunctionSpace(MESHES["mixed"](), 4)
-    mats = space.elemental_matrices("helmholtz", 1.5)
-    assert isinstance(mats, ElementalMatrices)
-    assert len(element_rows(mats)) == space.nelem
-    assert ElementalMatrices.of(space.dofmap, mats) is mats
-    as_list = [m.copy() for m in element_rows(mats)]
-    stacked = ElementalMatrices.of(space.dofmap, as_list)
-    for a, b in zip(stacked.stacks, mats.stacks):
-        assert np.array_equal(a, b)
-    for e, row in enumerate(element_rows(stacked)):
-        assert np.array_equal(row, as_list[e])
-    rhs = np.random.default_rng(5).standard_normal(space.ndof)
-    np.testing.assert_array_equal(
-        CondensedOperator(space, as_list).solve(rhs),
-        CondensedOperator(space, mats).solve(rhs),
-    )
-
-
 # -- the memory contract --------------------------------------------------------
 
 
@@ -224,56 +227,75 @@ def retained_bytes(grp: dict, dofmap) -> int:
     return sum(r.nbytes for key, r in roots.items() if key not in shared)
 
 
+def assert_keeps_one_factor(op, space, solve):
+    def index_bytes(grp):  # the dof-map rows a group copies out
+        return sum(
+            grp[k].nbytes for k in ("bdofs", "bsigns", "idofs") if grp[k].base is None
+        )
+
+    def expected(grp):
+        return sum(grp[k].nbytes for k in ("abi", "aii_inv_aib", "factor")) + index_bytes(grp)
+
+    for grp in op._groups:
+        assert grp["ni"] > 0
+        assert retained_bytes(grp, space.dofmap) == expected(grp)
+        assert grp["abi"].flags.c_contiguous
+    factors = [grp["factor"] for grp in op._groups]
+    solve()
+    for grp, factor in zip(op._groups, factors):  # a solve adds and drops nothing
+        assert grp["factor"] is factor
+        assert retained_bytes(grp, space.dofmap) == expected(grp)
+
+
 @pytest.mark.parametrize("order", [3, 8])
 @pytest.mark.parametrize("mesh", MESHES)
 def test_a_group_retains_only_what_its_solves_read(mesh, order):
+    """``abi``, ``aii_inv_aib`` and ``linv``, from set-up on."""
     space = FunctionSpace(MESHES[mesh](), order)
     op = CondensedOperator(
         space,
         space.elemental_matrices("helmholtz", 1.5),
         PRESCRIBED["some"](space.dofmap.nboundary),
     )
+    assert_keeps_one_factor(
+        op, space, lambda: op.solve(np.ones(space.ndof), np.zeros(op.dirichlet.size))
+    )
 
-    def index_bytes(grp):  # the dof-map rows a group copies out
-        return sum(
-            grp[k].nbytes for k in ("bdofs", "bsigns", "idofs") if grp[k].base is None
-        )
 
-    def expected(grp, keys):
-        return sum(grp[k].nbytes for k in keys) + index_bytes(grp)
-
-    for grp in op._groups:
-        assert grp["ni"] > 0
-        assert retained_bytes(grp, space.dofmap) == expected(
-            grp, ("abi", "aii_inv_aib", "low")
-        )
-        assert grp["abi"].flags.c_contiguous
-    op.solve(np.ones(space.ndof), np.zeros(op.dirichlet.size))
-    for grp in op._groups:
-        assert grp["low"] is None  # L^{-1} replaced it
-        assert retained_bytes(grp, space.dofmap) == expected(
-            grp, ("abi", "aii_inv_aib", "linv")
-        )
+@pytest.mark.parametrize("mesh", MESHES)
+def test_a_projector_group_retains_low_in_place_of_linv(mesh):
+    space = FunctionSpace(MESHES[mesh](), 5)
+    op = MassProjector(space)
+    assert_keeps_one_factor(op, space, lambda: op.solve(np.ones(space.ndof)))
+    # The factor is L itself: lower triangular, L L^T the interior blocks.
+    grp, aii = op._groups[0], kind_stacks(space.elemental_matrices("mass"))[0]
+    low, aii = grp["factor"], aii[:, grp["nb"] :, grp["nb"] :]
+    assert np.array_equal(low, np.tril(low))
+    np.testing.assert_allclose(
+        low @ np.swapaxes(low, -1, -2), aii, rtol=0.0, atol=1e-12 * np.abs(aii).max()
+    )
 
 
 def test_no_elemental_stack_outlives_a_direct_solver(monkeypatch):
-    stacks = []
-    real = FunctionSpace._batch_operator_stack
+    chunks = []
+    real = FunctionSpace._batch_operator_chunks
 
     def recorded(self, b, kind, lam):
-        out = real(self, b, kind, lam)
-        stacks.append(weakref.ref(out))
-        return out
+        for rows, mats in real(self, b, kind, lam):
+            chunks.append(weakref.ref(mats))
+            yield rows, mats
+            del mats
 
-    monkeypatch.setattr(FunctionSpace, "_batch_operator_stack", recorded)
+    monkeypatch.setattr(FunctionSpace, "_batch_operator_chunks", recorded)
     space = FunctionSpace(MESHES["mixed"](), 5)
     solver = HelmholtzDirect(space, 2.0)
-    assert stacks == []  # set-up builds chunks, never a whole stack
-    # ``elem_mats`` rebuilds on access: the same matrices, fresh stacks.
-    mats = solver.elem_mats
-    assert len(stacks) == 2  # one per element kind
-    fresh = space.elemental_matrices("helmholtz", 2.0)
-    assert all(np.array_equal(a, b) for a, b in zip(mats.stacks, fresh.stacks))
+    assert chunks and all(ref() is None for ref in chunks)  # set-up keeps no chunk
+    # ``elem_mats`` is the recipe: every read builds the same matrices afresh.
+    built = len(chunks)
+    mats = kind_stacks(solver.elem_mats)
+    assert len(chunks) == 2 * built
+    fresh = kind_stacks(space.elemental_matrices("helmholtz", 2.0))
+    assert all(np.array_equal(a, b) for a, b in zip(mats, fresh))
     del mats, fresh
     gc.collect()
-    assert all(ref() is None for ref in stacks)
+    assert all(ref() is None for ref in chunks)

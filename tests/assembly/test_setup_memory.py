@@ -11,16 +11,15 @@
   one to the bit.
 * A production condensed set-up (``HelmholtzDirect``, ``pressure_operator``,
   ``forward``) condenses its elemental matrices chunk by chunk as they are
-  built and never has a whole kind stack alive; the stored-stack form
-  gives the same operator, bits and charges.
-* A solved operator keeps one interior factor: the first ``solve()``
-  replaces ``low`` by ``linv``, race-free, and a substitution after it is
-  a typed error.
+  built and never has a whole kind stack alive; stored stacks (the tests'
+  ``StoredMatrices``) give the same operator, bits and charges.
+* An operator is fixed at construction: it takes only its own space's
+  elemental matrices, and threads solving on one shared operator get one
+  answer and change nothing in it.
 """
 
 import sys
 import threading
-import time
 import weakref
 
 import numpy as np
@@ -28,8 +27,8 @@ import pytest
 import scipy.linalg as sla
 
 from repro.assembly import condensation
-from repro.assembly.condensation import CondensedOperator, InteriorFactorReleased
-from repro.assembly.space import CHUNK, ElementalOperator, FunctionSpace
+from repro.assembly.condensation import CondensedOperator, MassProjector
+from repro.assembly.space import CHUNK, FunctionSpace
 from repro.linalg.banded import BandedSPDSolver
 from repro.machines.network import NetworkModel
 from repro.mesh.generators import rectangle_quads
@@ -40,8 +39,9 @@ from repro.ns.nektar_f import NekTarF
 from repro.parallel.simmpi import VirtualCluster
 from repro.solvers.helmholtz import HelmholtzDirect, pressure_operator
 
-from ._assembled_oracle import AssembledOperator
+from ._assembled_oracle import AssembledOperator, StoredMatrices
 from .test_batched_equivalence import mass_setup, mixed_mesh, observed
+from .test_condensation_setup import same_sparse
 
 NET = NetworkModel("t", latency_us=5, bandwidth=1e9)
 SPACES = {
@@ -79,7 +79,7 @@ def test_forward_charges_one_setup_then_load_and_solve_per_row(name, lead):
     mass, want, _ = observed(lambda: mass_setup(space))
     for idx in np.ndindex(*lead):
         rhs, load, _ = observed(lambda: space.load_vector(vals[idx]))
-        _, solve, _ = observed(lambda: mass._solve_by_substitution(rhs))
+        _, solve, _ = observed(lambda: mass.solve(rhs))
         want += load + solve
     assert got == want
 
@@ -93,15 +93,15 @@ def test_forward_of_no_rows_builds_nothing():
 
 @pytest.fixture
 def built_operators(monkeypatch):
-    """Weak references to every ``CondensedOperator`` built meanwhile."""
+    """Weak references to every ``MassProjector`` built meanwhile."""
     refs = []
 
-    class Tracked(CondensedOperator):
+    class Tracked(MassProjector):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
             refs.append(weakref.ref(self))
 
-    monkeypatch.setattr(condensation, "CondensedOperator", Tracked)
+    monkeypatch.setattr(condensation, "MassProjector", Tracked)
     return refs
 
 
@@ -279,11 +279,10 @@ MAX_CHUNKS_ALIVE = 2
 
 
 def chunk_watch(monkeypatch):
-    """Every chunk the tabulating builder hands out (weak references),
-    the most alive at once, and every whole-stack build."""
-    seen = {"chunks": [], "max_alive": 0, "stacks": 0}
+    """Every chunk the tabulating builder hands out (weak references) and
+    the most alive at once."""
+    seen = {"chunks": [], "max_alive": 0}
     real_chunks = FunctionSpace._batch_operator_chunks
-    real_stack = FunctionSpace._batch_operator_stack
 
     def chunks(self, b, kind, lam):
         for rows, mats in real_chunks(self, b, kind, lam):
@@ -294,12 +293,7 @@ def chunk_watch(monkeypatch):
             yield rows, mats
             del mats
 
-    def stack(self, b, kind, lam):
-        seen["stacks"] += 1
-        return real_stack(self, b, kind, lam)
-
     monkeypatch.setattr(FunctionSpace, "_batch_operator_chunks", chunks)
-    monkeypatch.setattr(FunctionSpace, "_batch_operator_stack", stack)
     return seen
 
 
@@ -311,7 +305,6 @@ def test_production_setup_never_holds_a_whole_kind_stack(name, setup, monkeypatc
     seen = chunk_watch(monkeypatch)
     built = PRODUCTION_SETUPS[setup](space)
     monkeypatch.undo()
-    assert seen["stacks"] == 0
     assert len(seen["chunks"]) == sum(-(-b.ng // CHUNK) for b in space.batches())
     assert seen["max_alive"] <= MAX_CHUNKS_ALIVE
     # Every chunk is dead while what the set-up built is still alive:
@@ -321,12 +314,17 @@ def test_production_setup_never_holds_a_whole_kind_stack(name, setup, monkeypatc
 
 
 def stored_and_streamed(space, kind, lam, dofs):
-    """The operator from stored stacks and from the production recipe,
-    each with its set-up's sampler sequence and counter snapshot."""
+    """The operator from stored stacks (one read of the recipe) and from
+    the production recipe, each with its set-up's sampler sequence and
+    counter snapshot."""
     stored = observed(
+        lambda: CondensedOperator(
+            space, StoredMatrices(space.dofmap, space.elemental_matrices(kind, lam)), dofs
+        )
+    )
+    streamed = observed(
         lambda: CondensedOperator(space, space.elemental_matrices(kind, lam), dofs)
     )
-    streamed = observed(lambda: CondensedOperator(space, ElementalOperator(space, kind, lam), dofs))
     return stored, streamed
 
 
@@ -338,6 +336,8 @@ def assert_same_operator(op, ref):
             if isinstance(val, np.ndarray):
                 assert val.flags.c_contiguous, key
                 assert np.array_equal(val, ref_grp[key]), key
+            elif key == "scatter" and val is not None:
+                assert same_sparse(val, ref_grp[key])
             else:
                 assert val == ref_grp[key] if val is not None else ref_grp[key] is None, key
     assert np.array_equal(op.perm, ref.perm)
@@ -373,105 +373,94 @@ def test_stored_stacks_give_the_streamed_operator(name, op_kind):
         assert (seq, snap) == (ref_seq, ref_snap)
 
 
-# -- a solved operator keeps one interior factor -----------------------------------
+# -- an operator is fixed at construction ------------------------------------------
 
 
-def fresh_operator():
+def group_arrays(op) -> dict:
+    """What every group entry is bound to (its id) and, for an array or a
+    sparse scatter's three arrays, the bytes and the arrays' ids."""
+    out = {}
+    for g, grp in enumerate(op._groups):
+        for key, val in grp.items():
+            out[g, key] = id(val)
+            if isinstance(val, np.ndarray):
+                out[g, key, "bytes"] = val.tobytes()
+            elif val is not None and key == "scatter":
+                for part in ("data", "indices", "indptr"):
+                    a = getattr(val, part)
+                    out[g, key, part] = (id(a), a.tobytes())
+    return out
+
+
+def test_threads_share_one_operator():
+    """Threads solving at once on one operator get one answer, bit for
+    bit, and no group array is rebound or written: nothing is left to
+    lock."""
     space = STREAM_SPACES["mixed"]()
-    return space, CondensedOperator(
-        space, ElementalOperator(space, "helmholtz", 1.5), space.dirichlet_plan(TAGS).dofs
+    op = CondensedOperator(
+        space, space.elemental_matrices("helmholtz", 1.5), space.dirichlet_plan(TAGS).dofs
     )
-
-
-def random_rhs(space, op, nrhs=2):
     rng = np.random.default_rng(11)
-    return rng.standard_normal((nrhs, space.ndof)), rng.standard_normal((nrhs, op.dirichlet.size))
+    rhs = rng.standard_normal((2, space.ndof))
+    g = rng.standard_normal((2, op.dirichlet.size))
+    before = group_arrays(op)
+    want = op.solve(rhs, g)
+    nthreads, rounds = 4, 3
+    start = threading.Barrier(nthreads)
+    results, errors = [[] for _ in range(nthreads)], []
 
+    def solves(i):
+        try:
+            start.wait(timeout=30)
+            for _ in range(rounds):
+                results[i].append(op.solve(rhs, g))
+        except BaseException as exc:  # reported below
+            errors.append(exc)
 
-def test_first_solve_replaces_low_by_linv():
-    space, op = fresh_operator()
-    assert all(grp["low"] is not None and grp["linv"] is None for grp in op._groups)
-    rhs, g = random_rhs(space, op)
-    first = op.solve(rhs, g)
-    for grp in op._groups:
-        assert grp["low"] is None
-        assert {"linv", "abi", "aii_inv_aib"} <= {
-            k for k, v in grp.items() if isinstance(v, np.ndarray)
-        }
-    # The release moves no bit: later solves, and another operator's
-    # first, equal the first.
-    assert np.array_equal(op.solve(rhs, g), first)
-    _, other = fresh_operator()
-    assert np.array_equal(other.solve(rhs, g), first)
-
-
-class SlowFactorReads(dict):
-    """A group whose ``low`` takes a while to read: it widens the window
-    between a first solve's "no ``linv`` yet" and its read of ``low``,
-    in which another thread's first solve may drop ``low``."""
-
-    def __getitem__(self, key):
-        if key == "low":
-            time.sleep(0.005)
-        return super().__getitem__(key)
-
-
-def test_concurrent_first_solves_agree():
-    """Threads racing to one fresh operator's first solve: no error, one
-    answer.  More threads than cores, a short switch interval and slow
-    reads of ``low`` make the interleaving that a dropped ``low`` would
-    break likely."""
-    space, _ = fresh_operator()
-    nthreads, rounds = 6, 3
+    threads = [threading.Thread(target=solves, args=(i,)) for i in range(nthreads)]
     interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
+    sys.setswitchinterval(1e-5)  # switch threads inside the solves
     try:
-        for _ in range(rounds):
-            _, op = fresh_operator()
-            op._groups = [SlowFactorReads(grp) for grp in op._groups]
-            rhs, g = random_rhs(space, op)
-            start = threading.Barrier(nthreads)
-            results, errors = [None] * nthreads, []
-
-            def first_solve(i):
-                try:
-                    start.wait(timeout=30)
-                    results[i] = op.solve(rhs, g)
-                except BaseException as exc:  # reported below
-                    errors.append(exc)
-
-            threads = [threading.Thread(target=first_solve, args=(i,)) for i in range(nthreads)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-            assert not any(t.is_alive() for t in threads)
-            assert errors == []
-            assert all(np.array_equal(res, results[0]) for res in results)
-            assert all(grp["low"] is None for grp in op._groups)
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
     finally:
         sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert all(np.array_equal(res, want) for mine in results for res in mine)
+    assert group_arrays(op) == before
 
 
-def test_substitution_after_a_solve_is_a_typed_error():
-    space, op = fresh_operator()
-    rhs, g = random_rhs(space, op, nrhs=1)
-    op._solve_by_substitution(rhs[0], g[0])  # fresh: the forward path
-    op.solve(rhs[0], g[0])
-    with pytest.raises(InteriorFactorReleased):
-        op._solve_by_substitution(rhs[0], g[0])
+def test_another_spaces_elemental_matrices_are_a_typed_error():
+    """A second space on the same mesh and order has its own dof map:
+    its matrices are refused, not condensed against the wrong one."""
+    space, other = (FunctionSpace(mixed_mesh(), 4) for _ in range(2))
+    with pytest.raises(ValueError, match="another space"):
+        CondensedOperator(space, other.elemental_matrices("mass"))
+    with pytest.raises(ValueError, match="another space"):
+        CondensedOperator(space, StoredMatrices(other.dofmap, other.elemental_matrices("mass")))
+
+
+class StoredProjector(MassProjector):
+    """A ``MassProjector`` set up from stored stacks."""
+
+    def __init__(self, space):
+        mats = StoredMatrices(space.dofmap, space.elemental_matrices("mass"))
+        CondensedOperator.__init__(self, space, mats)
 
 
 @pytest.mark.parametrize("name", STREAM_SPACES)
 def test_fresh_substitution_is_the_stored_forms_to_the_bit(name):
-    """``forward``'s path: the streamed mass operator's substitution is
-    the stored-stack operator's, bits and charges."""
+    """``forward``'s path: the streamed mass projector's substitution is
+    the stored-stack projector's, bits and charges."""
     space = STREAM_SPACES[name]()
     rhs = space.load_vector(stacked_values(space, ()))
-    stored = CondensedOperator(space, space.elemental_matrices("mass"))
-    streamed = CondensedOperator(space, ElementalOperator(space, "mass"))
-    got, seq, snap = observed(lambda: streamed._solve_by_substitution(rhs))
-    want, ref_seq, ref_snap = observed(lambda: stored._solve_by_substitution(rhs))
+    stored = StoredProjector(space)
+    streamed = MassProjector(space)
+    got, seq, snap = observed(lambda: streamed.solve(rhs))
+    want, ref_seq, ref_snap = observed(lambda: stored.solve(rhs))
     assert np.array_equal(got, want)
     assert (seq, snap) == (ref_seq, ref_snap)
     assert np.array_equal(space.forward(stacked_values(space, ())), got)

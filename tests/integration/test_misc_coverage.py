@@ -7,7 +7,7 @@ from repro.machines.catalog import MACHINES, NETWORKS
 from repro.machines.network import NetworkModel
 from repro.parallel.simmpi import VirtualCluster
 
-from ..assembly._assembled_oracle import element_rows
+from ..assembly._assembled_oracle import StoredMatrices, element_rows
 
 NET = NetworkModel("t", latency_us=5, bandwidth=1e9)
 
@@ -80,8 +80,8 @@ def test_solvers_expose_bandwidth_and_lambda():
     solver = HelmholtzDirect(space, 2.5, ("left",))
     assert solver.lam == 2.5
     assert solver.op.bandwidth >= 0
-    # bc_values for a function.
-    vals = solver.bc_values(lambda x, y: x + 2 * y)
+    # Dirichlet values of a function.
+    vals = solver.bc_plan.project(lambda x, y: x + 2 * y)
     assert vals is not None and vals.size == solver.dirichlet_dofs.size
 
 
@@ -148,7 +148,7 @@ def test_condensation_error_branches():
     nb = len(space.dofmap.expansion(0).boundary_modes)
     bad[0][nb:, nb:] = 0.0
     with pytest.raises(np.linalg.LinAlgError):
-        CondensedOperator(space, bad)
+        CondensedOperator(space, StoredMatrices(space.dofmap, bad))
 
 
 def test_condensation_rejects_interior_first_ordering(monkeypatch):

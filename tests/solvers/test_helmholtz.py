@@ -20,7 +20,10 @@ def test_poisson_polynomial_exact():
     u_exact = lambda x, y: x**2 * y + y**3  # noqa: E731
     f = lambda x, y: -8.0 * y  # noqa: E731  (-lap u; solver does -lap u = f)
     tags = ("left", "right", "top", "bottom")
-    u_hat = HelmholtzDirect(space, 0.0, tags).solve(lambda x, y: 8.0 * y * -1.0, u_exact)
+    solver = HelmholtzDirect(space, 0.0, tags)
+    u_hat = solver.solve_rhs(
+        solver.rhs_for(lambda x, y: 8.0 * y * -1.0), solver.bc_plan.project(u_exact)
+    )
     # -lap u = f means f = -8y
     assert l2_error(space, u_hat, u_exact) < 1e-10
     _ = f
@@ -110,7 +113,8 @@ def test_inhomogeneous_dirichlet_polynomial():
     u_exact = lambda x, y: x**2 - y**2  # noqa: E731
     space = FunctionSpace(rectangle_quads(2, 2, 0, 1, 0, 1), 4)
     tags = ("left", "right", "top", "bottom")
-    u_hat = HelmholtzDirect(space, 0.0, tags).solve(lambda x, y: 0.0, u_exact)
+    solver = HelmholtzDirect(space, 0.0, tags)
+    u_hat = solver.solve_rhs(solver.rhs_for(lambda x, y: 0.0), solver.bc_plan.project(u_exact))
     assert l2_error(space, u_hat, u_exact) < 1e-10
 
 
@@ -131,7 +135,8 @@ def test_mixed_dirichlet_neumann():
     # Dirichlet at left/top/bottom. -lap u = 2.
     u_exact = lambda x, y: x * (2.0 - x)  # noqa: E731
     space = FunctionSpace(rectangle_quads(2, 2, 0, 1, 0, 1), 4)
-    u_hat = HelmholtzDirect(space, 0.0, ("left", "top", "bottom")).solve(lambda x, y: 2.0, u_exact)
+    solver = HelmholtzDirect(space, 0.0, ("left", "top", "bottom"))
+    u_hat = solver.solve_rhs(solver.rhs_for(lambda x, y: 2.0), solver.bc_plan.project(u_exact))
     assert l2_error(space, u_hat, u_exact) < 1e-10
 
 

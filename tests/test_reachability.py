@@ -97,8 +97,8 @@ ALLOWED_NAMES = {
     "repro.apps.perf_report:_findings_lines": "the ledger report's drift and "
     "regression lines: a finding needs a history the roots' fresh ledgers lack",
     "repro.assembly.boundary:DirichletPlan.project": "one function's projection over "
-    "all tagged sides: HelmholtzDirect.solve's g, which no run passes, and two harness "
-    "pins ROADMAP item 9 removes",
+    "all tagged sides: only the project_dirichlet harness pin reaches it, which ROADMAP "
+    "item 9 removes",
 }
 
 
