@@ -50,6 +50,8 @@ class ElementBatch:
     dxi:
         (ng, 2, 2, nq) stacked inverse-Jacobian factors
         (``dxi[e, i, j]`` is d(xi_i)/d(x_j) on element ``elems[e]``).
+        Both are the space's :class:`~repro.mesh.mapping.GeomFactors` of
+        the kind stack, not copies.
 
     A quad batch also lays out, at first use, what the sum-factorised
     calls read in their element-middle layout (``dofs_em``,
@@ -63,8 +65,8 @@ class ElementBatch:
         self.elems = stack.elems
         self.dofs = stack.dofs
         self.signs = stack.signs
-        self.jw = np.stack([geom[e].jw for e in self.elems])
-        self.dxi = np.stack([geom[e].dxi_dx for e in self.elems])
+        self.jw = geom.jw
+        self.dxi = geom.dxi_dx
         self._scaled_jw: dict[float, np.ndarray] = {}
         #: Charge tapes of the sum-factorised calls on this batch
         #: (:func:`repro.assembly.matrix_free.call_tape`); immutable tuples.
@@ -159,4 +161,4 @@ def build_batches(space) -> list[ElementBatch]:
     element order within each group, so per-element results reassembled
     from batches line up with the sequential loops they replace.
     """
-    return [ElementBatch(stack, space.geom) for stack in space.dofmap.stacks]
+    return [ElementBatch(stack, gf) for stack, gf in zip(space.dofmap.stacks, space.geom)]

@@ -32,8 +32,8 @@ import numpy as np
 
 from ..linalg import blas
 from ..linalg.counters import charge
-from ..mesh.curved import make_element_map
-from ..mesh.mapping import vertex_shape
+from ..mesh.curved import element_stack
+from ..mesh.mapping import map_jacobians, map_points, vertex_shape
 from ..spectral.basis import bubble
 from ..spectral.expansions import QuadExpansion, TriExpansion
 from ..spectral.jacobi import gauss_jacobi
@@ -81,90 +81,129 @@ class EdgeQuadrature:
         return blas.ddot(self.jw, np.asarray(fvals, dtype=np.float64))
 
 
+#: d(xi1, xi2)/ds of each local edge's parametrisation, and the sign
+#: that makes the outward normal +(t_y, -t_x), by kind and local edge.
+_PARAM_DERIV = {
+    "quad": np.array([(1.0, 0.0), (0.0, 1.0), (1.0, 0.0), (0.0, 1.0)]),
+    "tri": np.array([(1.0, 0.0), (-1.0, 1.0), (0.0, 1.0)]),
+}
+_CCW = {kind: np.array([float(p[1]) for p in params.values()]) for kind, params in _PARAM.items()}
+
+
+@functools.cache
+def _edge_points(kind: str, n1d: int) -> tuple:
+    """The ``n1d`` Gauss points of every local edge of a ``kind``, the
+    edge run in its intrinsic direction (``[le, 0]``) and reversed
+    (``[le, 1]``): ``(xi1, xi2, vertex shape tables)``, (nedges, 2, n1d)
+    and (nedges, 2, nv, n1d).  A side group's stacked map picks its rows
+    from them.  Tabulated once per process and read-only.
+    """
+    s, _ = gauss_jacobi(n1d)
+    nedges = len(_PARAM[kind])
+    pts = [_PARAM[kind][le][0](t) for le in range(nedges) for t in (s, -s)]
+    shapes = [vertex_shape(kind, xi1, xi2) for xi1, xi2 in pts]
+    xi1, xi2 = (np.array([p[i] for p in pts]).reshape(nedges, 2, n1d) for i in (0, 1))
+    shape = tuple(
+        np.array([sh[i] for sh in shapes]).reshape((nedges, 2) + shapes[0][i].shape)
+        for i in range(3)
+    )
+    for table in (xi1, xi2, *shape):
+        table.setflags(write=False)
+    return xi1, xi2, shape
+
+
 @functools.cache
 def _reference_edges(kind: str, order: int, n1d: int) -> tuple:
-    """What a side's quadrature owes to the reference element alone, per
-    local edge: the ``n1d`` Gauss points of the edge as (xi1, xi2,
-    vertex shape tables there), their weights, and the order-``order``
-    basis with its reference derivatives there (modes do not depend on
-    the element's own quadrature order, so it is no part of the key).
-    Tabulated once per process and read-only: every space of that kind
-    and order shares it.
+    """What a side's quadrature owes to the reference element alone: the
+    ``n1d`` Gauss weights of an edge, and the order-``order`` basis with
+    its reference derivatives at the Gauss points of each local edge,
+    (nedges, nmodes, n1d) each (modes do not depend on the element's own
+    quadrature order, so it is no part of the key).  Tabulated once per
+    process and read-only: every space of that kind and order shares it.
     """
-    s, w = gauss_jacobi(n1d)
+    _, w = gauss_jacobi(n1d)
     exp = (TriExpansion if kind == "tri" else QuadExpansion)(order)
-    edges = []
-    for le in range(exp.nedges):
-        xi1, xi2 = _PARAM[kind][le][0](s)
-        shape = vertex_shape(kind, xi1, xi2)
-        basis = exp.eval_basis_full(xi1, xi2)
-        for table in (xi1, xi2, *shape, *basis):
-            table.setflags(write=False)
-        edges.append(((xi1, xi2, shape), w, *basis))
-    return tuple(edges)
+    xi1, xi2, _ = _edge_points(kind, n1d)
+    basis = [exp.eval_basis_full(xi1[le, 0], xi2[le, 0]) for le in range(exp.nedges)]
+    tables = tuple(np.array([b[i] for b in basis]) for i in range(3))
+    for table in tables:
+        table.setflags(write=False)
+    return (w, *tables)
+
+
+@functools.cache
+def _edge_lift(order: int) -> tuple:
+    """What a Dirichlet projection of order ``order`` owes to the
+    reference edge alone: the linear interpolant's two tables, the
+    ``order - 1`` edge bubbles and the weights at the ``order + 2``
+    Gauss points.  Tabulated once per process and read-only."""
+    xg, wg = gauss_jacobi(order + 2)
+    lin = np.array([0.5 * (1 - xg), 0.5 * (1 + xg)])
+    bub = np.array([bubble(k, xg) for k in range(order - 1)])
+    for table in (lin, bub):
+        table.setflags(write=False)
+    return lin, bub, wg
+
+
+def _kind_groups(mesh, sides):
+    """``(kind, positions, elements, local edges)`` of each element kind
+    among ``sides``, positions in side order."""
+    kinds = [mesh.elements[ei].kind for ei, _ in sides]
+    for kind in dict.fromkeys(kinds):
+        pos = [i for i, k in enumerate(kinds) if k == kind]
+        yield kind, pos, [sides[i][0] for i in pos], np.array([sides[i][1] for i in pos])
 
 
 def build_edge_quadrature(space, sides: list[tuple[int, int]]) -> list[EdgeQuadrature]:
     """Edge quadrature (``order + 2`` Gauss points a side) for the given
-    (element, local_edge) sides."""
-    out = []
-    for ei, le in sides:
-        kind = space.mesh.elements[ei].kind
-        pts, w, phi, d1, d2 = _reference_edges(kind, space.order, space.order + 2)[le]
-        ccw_sign = _PARAM[kind][le][1]
-        emap = make_element_map(space.mesh, ei)
-        x, y = emap.x(*pts)
+    (element, local_edge) sides.
+
+    One stacked pass per element kind: points and Jacobians by
+    :func:`~repro.mesh.mapping.map_points` / ``map_jacobians`` with each
+    side's row of
+    :func:`_edge_points`, then tangents, normals and inverse Jacobians
+    elementwise.  Each side's fields are row views of those stacks.
+    """
+    mesh, n1d = space.mesh, space.order + 2
+    out: list = [None] * len(sides)
+    for kind, pos, elems, les in _kind_groups(mesh, sides):
+        xi1, xi2, shape = _edge_points(kind, n1d)
+        ref = (xi1[les, 0], xi2[les, 0], tuple(t[les, 0] for t in shape))
+        coords, curved = element_stack(mesh, elems)
+        x, y = map_points(coords, ref, curved)
+        j = map_jacobians(coords, ref, curved)
+        w, phi, d1, d2 = _reference_edges(kind, space.order, n1d)
         # Tangent along the parameter s by the chain rule on the map.
-        j = emap.jacobian(*pts)
-        dxi1, dxi2 = _param_derivative(kind, le)
-        tx = j[:, 0, 0] * dxi1 + j[:, 0, 1] * dxi2
-        ty = j[:, 1, 0] * dxi1 + j[:, 1, 1] * dxi2
+        dxi1, dxi2 = (_PARAM_DERIV[kind][les, c, None] for c in (0, 1))
+        tx = j[..., 0, 0] * dxi1 + j[..., 0, 1] * dxi2
+        ty = j[..., 1, 0] * dxi1 + j[..., 1, 1] * dxi2
         norm = np.hypot(tx, ty)
+        ccw_sign = _CCW[kind][les, None]
         nx = ccw_sign * ty / norm
         ny = -ccw_sign * tx / norm
         # Physical derivatives at the edge points.
-        det = j[:, 0, 0] * j[:, 1, 1] - j[:, 0, 1] * j[:, 1, 0]
-        dxi1_dx = j[:, 1, 1] / det
-        dxi1_dy = -j[:, 0, 1] / det
-        dxi2_dx = -j[:, 1, 0] / det
-        dxi2_dy = j[:, 0, 0] / det
-        dphi_x = d1 * dxi1_dx + d2 * dxi2_dx
-        dphi_y = d1 * dxi1_dy + d2 * dxi2_dy
-        out.append(
-            EdgeQuadrature(
-                elem=ei,
-                local_edge=le,
-                x=x,
-                y=y,
-                nx=nx,
-                ny=ny,
-                jw=w * norm,
-                phi=phi,
-                dphi_x=dphi_x,
-                dphi_y=dphi_y,
+        det = j[..., 0, 0] * j[..., 1, 1] - j[..., 0, 1] * j[..., 1, 0]
+        dxi1_dx = (j[..., 1, 1] / det)[:, None]
+        dxi1_dy = (-j[..., 0, 1] / det)[:, None]
+        dxi2_dx = (-j[..., 1, 0] / det)[:, None]
+        dxi2_dy = (j[..., 0, 0] / det)[:, None]
+        dphi_x = d1[les] * dxi1_dx + d2[les] * dxi2_dx
+        dphi_y = d1[les] * dxi1_dy + d2[les] * dxi2_dy
+        jw = w * norm
+        for r, i in enumerate(pos):
+            out[i] = EdgeQuadrature(
+                elem=int(elems[r]),
+                local_edge=int(les[r]),
+                x=x[r],
+                y=y[r],
+                nx=nx[r],
+                ny=ny[r],
+                jw=jw[r],
+                phi=phi[les[r]],
+                dphi_x=dphi_x[r],
+                dphi_y=dphi_y[r],
             )
-        )
     return out
-
-
-def _param_derivative(kind: str, le: int) -> tuple[float, float]:
-    """d(xi1, xi2)/ds of the edge parametrisation."""
-    if kind == "quad":
-        return {0: (1.0, 0.0), 1: (0.0, 1.0), 2: (1.0, 0.0), 3: (0.0, 1.0)}[le]
-    return {0: (1.0, 0.0), 1: (-1.0, 1.0), 2: (0.0, 1.0)}[le]
-
-
-def edge_physical_points(
-    mesh, elem: int, local_edge: int, s_canonical: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Physical coordinates along an element edge at canonical
-    (low->high vertex id) parameter values, honouring curved geometry."""
-    param, _ = _PARAM[mesh.elements[elem].kind][local_edge]
-    s = np.asarray(s_canonical, dtype=np.float64)
-    if mesh.edge_orientation(elem, local_edge) < 0:
-        s = -s
-    xi1, xi2 = param(s)
-    return make_element_map(mesh, elem).x(xi1, xi2)
 
 
 def _sample(fns, slices, x, y, args, dtype) -> np.ndarray:
@@ -199,9 +238,9 @@ class DirichletPlan:
 
     def __init__(self, space, tags):
         self.tags = tuple(tags)
+        self._lin, self._bub, self._wg = _edge_lift(space.order)
         if len(self.tags) > 1:
             parts = [space.dirichlet_plan((tag,)) for tag in self.tags]
-            self._lin, self._bub, self._wg = parts[0]._lin, parts[0]._bub, parts[0]._wg
             self._x, self._y, self._targets = (
                 np.concatenate([getattr(p, name) for p in parts])
                 for name in ("_x", "_y", "_targets")
@@ -209,21 +248,28 @@ class DirichletPlan:
         else:
             parts = [self]
             mesh, dm = space.mesh, space.dofmap
-            xg, wg = gauss_jacobi(space.order + 2)
-            self._bub = np.array([bubble(k, xg) for k in range(space.order - 1)])
-            self._wg = wg
-            self._lin = np.array([0.5 * (1 - xg), 0.5 * (1 + xg)])
-            x, y, targets = [], [], []
-            for ei, le in mesh.boundary_sides(self.tags[0]):
-                ends = sorted(mesh.elements[ei].edge_vertices(le))
-                ex, ey = edge_physical_points(mesh, ei, le, xg)
-                x.append(np.concatenate((mesh.vertices[ends, 0], ex)))
-                y.append(np.concatenate((mesh.vertices[ends, 1], ey)))
-                edge = dm.edge_dofs(dm.elem_edge_id(ei, le))
-                targets.append(np.concatenate(([dm.vertex_dof(v) for v in ends], edge)))
-            self._x = np.array(x).reshape(-1, xg.size + 2)
-            self._y = np.array(y).reshape(-1, xg.size + 2)
-            self._targets = np.array(targets, dtype=np.int64).reshape(-1, space.order + 1)
+            n1d = self._wg.size
+            sides = mesh.boundary_sides(self.tags[0])
+            ends = [sorted(mesh.elements[ei].edge_vertices(le)) for ei, le in sides]
+            ends = np.array(ends, dtype=np.int64).reshape(-1, 2)
+            self._x = np.empty((len(sides), n1d + 2))
+            self._y = np.empty((len(sides), n1d + 2))
+            self._x[:, :2], self._y[:, :2] = mesh.vertices[ends, 0], mesh.vertices[ends, 1]
+            # Gauss points along the true (possibly curved) edge, low ->
+            # high: a side running against that direction takes its
+            # edge's reversed points.
+            reverse = np.array(
+                [mesh.edge_orientation(ei, le) < 0 for ei, le in sides], dtype=np.int64
+            )
+            for kind, pos, elems, les in _kind_groups(mesh, sides):
+                xi1, xi2, shape = _edge_points(kind, n1d)
+                rows = (les, reverse[pos])
+                ref = (xi1[rows], xi2[rows], tuple(t[rows] for t in shape))
+                coords, curved = element_stack(mesh, elems)
+                ex, ey = map_points(coords, ref, curved)
+                self._x[pos, 2:], self._y[pos, 2:] = ex, ey
+            eids = np.array([dm.elem_edge_id(ei, le) for ei, le in sides], dtype=np.int64)
+            self._targets = np.concatenate((dm.vrep[ends], dm.edge_dofs(eids)), axis=1)
         self._slices = _tag_slices([len(p._x) for p in parts])
         flat = self._targets.ravel()
         self.dofs, last = np.unique(flat[::-1], return_index=True)
@@ -291,15 +337,10 @@ class EdgeBatch:
     # repro: waive[accounting] M_e^-1 is set-up, never charged by the solvers' loops either
     def __init__(self, space, tags):
         dm = space.dofmap
-        per_tag = [build_edge_quadrature(space, space.mesh.boundary_sides(t)) for t in tags]
-        self._slices = _tag_slices([len(q) for q in per_tag])
-        quads = [eq for q in per_tag for eq in q]
-        # One mass matrix per distinct element, in first-appearance
-        # order (the order the per-solver set-up loops charged them in).
-        mass: dict[int, np.ndarray] = {}
-        for eq in quads:
-            if eq.elem not in mass:
-                mass[eq.elem] = elemental_mass(dm.expansion(eq.elem), space.geom[eq.elem])
+        per_tag = [space.mesh.boundary_sides(t) for t in tags]
+        self._slices = _tag_slices([len(sides) for sides in per_tag])
+        sides = [side for sides in per_tag for side in sides]
+        quads = build_edge_quadrature(space, sides)
 
         def stack(name, sel=range(len(quads))):
             return np.array([getattr(quads[i], name) for i in sel])
@@ -307,11 +348,25 @@ class EdgeBatch:
         self.x, self.y, self.nx, self.ny = (
             stack(name).reshape(-1, space.order + 2) for name in ("x", "y", "nx", "ny")
         )
-        kinds = [space.mesh.elements[eq.elem].kind for eq in quads]
-        self.groups = []
+        # Per element kind: its sides, and their elements' kind stack
+        # and rows in it.
+        kinds = [space.mesh.elements[ei].kind for ei, _ in sides]
+        parts, where = [], {}
         for kind in dict.fromkeys(kinds):
             sel = [i for i, k in enumerate(kinds) if k == kind]
-            elems, phi = stack("elem", sel), dm.expansion(quads[sel[0]].elem).phi
+            elems = stack("elem", sel)
+            i, rows = dm.locate(elems)
+            where.update((e, (i, r)) for e, r in zip(elems.tolist(), rows.tolist()))
+            parts.append((sel, elems, i, rows))
+        # One mass matrix per distinct element, in first-appearance
+        # order (the order the per-solver set-up loops charged them in).
+        mass = {}
+        for e in dict.fromkeys(eq.elem for eq in quads):
+            i, r = where[e]
+            mass[e] = elemental_mass(dm.expansion(e), space.geom[i].row(r))
+        self.groups = []
+        for sel, elems, i, rows in parts:
+            phi = dm.stacks[i].exp.phi
             # exp_phi is a zero-stride stack, not a shared matrix: the
             # stacked kernels then run one dgemv per side as the loops
             # did (a shared matrix would go through dgemm: other bits).
@@ -319,17 +374,16 @@ class EdgeBatch:
             # mode form's zgemv needs: cast once here, not by every
             # matmul (three per step) over all ns copies.
             stacked = (len(sel),) + phi.shape
-            dofs, signs = dm.rows(elems)
             self.groups.append(
                 SimpleNamespace(
                     sel=np.array(sel),
                     elems=elems,
                     exp_phi=np.broadcast_to(phi, stacked),
                     exp_phi_c=np.broadcast_to(phi.astype(np.complex128), stacked),
-                    ejw=np.array([space.geom[e].jw for e in elems]),
-                    minv=np.linalg.inv([mass[e] for e in elems]),
-                    dofs=dofs,
-                    signs=signs,
+                    ejw=space.geom[i].jw[rows],
+                    minv=np.linalg.inv([mass[e] for e in elems.tolist()]),
+                    dofs=dm.stacks[i].dofs[rows],
+                    signs=dm.stacks[i].signs[rows],
                     **{n: stack(n, sel) for n in ("phi", "dphi_x", "dphi_y", "nx", "ny", "jw")},
                 )
             )

@@ -259,8 +259,9 @@ class MassProjector(CondensedOperator):
     """The condensed mass operator of ``space``, for
     :meth:`FunctionSpace.forward`'s one-call L2 projection.
 
-    Its groups keep the interior Cholesky factor ``L`` itself, and
-    :meth:`solve` sweeps Aii^{-1} fi row by row through it: the same
+    Its groups keep the interior Cholesky factor ``L`` itself and no
+    boundary scatter, and :meth:`solve` sweeps Aii^{-1} fi row by row
+    through it: the same
     charges as :meth:`CondensedOperator.solve`, other last bits.  Those
     bits seed ``ale_cg``, whose pinned PCG counts move 260 -> 250 (3.8 %,
     tolerance 2 %) under the L^{-1} sweep (DESIGN.md section 10, "The
@@ -274,6 +275,11 @@ class MassProjector(CondensedOperator):
     @staticmethod
     def _interior_factor(a_ii: np.ndarray) -> np.ndarray:
         return np.linalg.cholesky(a_ii)  # stacked dpotrf, lower
+
+    def _group_scatter(self, bdofs: np.ndarray, bsigns: np.ndarray) -> None:
+        """None: :meth:`solve` scatters its one RHS with ``np.subtract.at``,
+        so a projector's groups keep no boundary-scatter CSR."""
+        return None
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve M u = rhs for one (ndof,) assembled load vector."""

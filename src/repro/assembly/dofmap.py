@@ -243,15 +243,14 @@ class DofMap:
     def expansion(self, elem: int) -> Expansion2D:
         return self.expansions[self.mesh.elements[elem].kind]
 
-    def rows(self, elems) -> tuple[np.ndarray, np.ndarray]:
-        """(len(elems), nmodes) dofs and signs of same-kind elements
-        (repeats allowed), gathered from their kind's stacks."""
+    def locate(self, elems) -> tuple[int, np.ndarray]:
+        """``(i, rows)``: the kind stack ``stacks[i]`` of same-kind
+        elements (repeats allowed) and their rows in it."""
         elems = np.asarray(elems, dtype=np.int64)
         which = np.unique(self._stack_of[elems])
         if which.size != 1:
-            raise ValueError("rows() takes a non-empty set of same-kind elements")
-        st, r = self.stacks[which[0]], self._row_of[elems]
-        return st.dofs[r], st.signs[r]
+            raise ValueError("locate() takes a non-empty set of same-kind elements")
+        return int(which[0]), self._row_of[elems]
 
     def vertex_dof(self, v: int) -> int:
         """Global dof of mesh vertex v (its periodic representative)."""
@@ -262,11 +261,12 @@ class DofMap:
         periodic meshes)."""
         return int(self._edge_ids[elem][local_edge])
 
-    def edge_dofs(self, eid: int) -> np.ndarray:
-        """Global dofs interior to dof-map edge ``eid`` (canonical order)."""
+    def edge_dofs(self, eid) -> np.ndarray:
+        """Global dofs interior to dof-map edge ``eid`` (canonical order):
+        (order - 1,) of one edge id, a row per id of an array of them."""
         n = self.order - 1
-        base = self.edge_offset + eid * n
-        return np.arange(base, base + n, dtype=np.int64)
+        base = self.edge_offset + np.asarray(eid, dtype=np.int64)[..., None] * n
+        return base + np.arange(n, dtype=np.int64)
 
     def boundary_dofs(self, tags: list[str] | None = None) -> np.ndarray:
         """Global dofs (vertices + edge-interiors) on the given boundary

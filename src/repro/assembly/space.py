@@ -22,7 +22,8 @@ import numpy as np
 
 from ..linalg import blas
 from ..linalg.counters import charge_tape
-from ..mesh.mapping import GeomFactors, quadrature_reference
+from ..mesh.curved import element_stack
+from ..mesh.mapping import GeomFactors
 from ..mesh.mesh2d import Mesh2D
 from . import matrix_free
 from .boundary import DirichletPlan
@@ -115,20 +116,18 @@ class FunctionSpace:
         self._op_mats: dict[tuple, np.ndarray] = {}
         self._dirichlet_plans: dict[tuple[str, ...], DirichletPlan] = {}
         self.dofmap = DofMap(mesh, order, periodic=periodic)
-        from ..mesh.curved import make_element_map
-
-        self.geom: list[GeomFactors] = []
-        xq, yq = [], []
-        for ei, elem in enumerate(mesh.elements):
-            exp = self.dofmap.expansion(ei)
-            coords = mesh.element_coords(ei)
-            emap = make_element_map(mesh, ei)
-            self.geom.append(GeomFactors.compute(exp, coords, emap))
-            x, y = emap.x(*quadrature_reference(elem.kind, exp.nq1d))
-            xq.append(x)
-            yq.append(y)
-        self.xq = np.array(xq)
-        self.yq = np.array(yq)
+        # The metric, one stacked pass per dof-map kind stack.
+        self.geom: list[GeomFactors] = [
+            GeomFactors.compute(st.exp, *element_stack(mesh, st.elems))
+            for st in self.dofmap.stacks
+        ]
+        if len(self.geom) == 1:  # one kind: its stack is in mesh order
+            self.xq, self.yq = self.geom[0].x, self.geom[0].y
+        else:
+            nq = self.geom[0].x.shape[1]
+            self.xq, self.yq = np.empty((self.nelem, nq)), np.empty((self.nelem, nq))
+            for st, gf in zip(self.dofmap.stacks, self.geom):
+                self.xq[st.elems], self.yq[st.elems] = gf.x, gf.y
 
     # -- sizes ---------------------------------------------------------------
 

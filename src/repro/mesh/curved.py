@@ -28,7 +28,7 @@ import numpy as np
 from .mapping import ElementMap
 from .mesh2d import Mesh2D
 
-__all__ = ["CurveFn", "BlendedQuadMap", "make_element_map", "circular_arc"]
+__all__ = ["CurveFn", "BlendedQuadMap", "make_element_map", "circular_arc", "element_stack"]
 
 CurveFn = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 
@@ -156,3 +156,14 @@ def make_element_map(mesh: Mesh2D, elem: int) -> ElementMap:
     if not local:
         return ElementMap(coords)
     return BlendedQuadMap(coords, local)
+
+
+def element_stack(mesh: Mesh2D, elems) -> tuple[np.ndarray, dict[int, ElementMap]]:
+    """What :func:`~repro.mesh.mapping.map_points` takes for the
+    same-kind elements ``elems`` (repeats allowed): their (n, nv, 2)
+    vertex coordinates and, for the rows on an element with a curved
+    edge, that element's own map.  A straight mesh builds no map."""
+    coords = mesh.vertices[np.array([mesh.elements[e].vertices for e in elems])]
+    bent = {ei for ei, _ in mesh.curves}
+    curved = {r: make_element_map(mesh, int(e)) for r, e in enumerate(elems) if e in bent}
+    return coords, curved

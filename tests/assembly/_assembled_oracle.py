@@ -15,6 +15,8 @@ code is compared against:
 * ``elemental_helmholtz`` / ``elemental_load``: one element's H = L + lam M
   and load vector by counted ``dgemm`` / ``dgemv``, the per-element twins
   of the batched set-up and ``FunctionSpace.load_vector``;
+* ``element_geom``: one element's ``GeomFactors``, the row of its kind
+  stack's (a space holds the metric per kind stack);
 * ``StoredMatrices``: per-element matrices held whole (stored stacks, a
   per-element list), handed to ``CondensedOperator`` in the one form it
   reads (``.dofmap`` and ``.chunks(i)``, what ``elemental_matrices``
@@ -32,6 +34,13 @@ from repro.assembly.space import CHUNK
 from repro.linalg import blas
 from repro.linalg.banded import BandedSPDSolver
 from repro.linalg.counters import charge
+
+
+def element_geom(space, e: int):
+    """Element ``e``'s :class:`~repro.mesh.mapping.GeomFactors`: its row
+    of the space's kind-stack factors (views)."""
+    i, (r,) = space.dofmap.locate([e])
+    return space.geom[i].row(r)
 
 
 def kind_stacks(mats) -> list[np.ndarray]:

@@ -11,7 +11,7 @@ from repro.assembly.space import FunctionSpace
 from repro.mesh.generators import rectangle_quads
 from repro.mesh.mesh2d import Mesh2D
 
-from ._assembled_oracle import assemble
+from ._assembled_oracle import assemble, element_geom
 
 
 def rotated_mesh(nx, ny, rotations):
@@ -38,7 +38,7 @@ def test_rotated_elements_preserve_assembly(nx, ny, rotations, order):
     mesh = rotated_mesh(nx, ny, rotations)
     space = FunctionSpace(mesh, order)
     mats = [
-        elemental_laplacian(space.dofmap.expansion(e), space.geom[e])
+        elemental_laplacian(space.dofmap.expansion(e), element_geom(space, e))
         for e in range(space.nelem)
     ]
     a = assemble(space, mats).toarray()
@@ -75,7 +75,7 @@ def test_mass_matrix_row_sums_are_areas(order):
     mesh = rectangle_quads(2, 1, 0.0, 3.0, 0.0, 1.0)
     space = FunctionSpace(mesh, order)
     mats = [
-        elemental_mass(space.dofmap.expansion(e), space.geom[e])
+        elemental_mass(space.dofmap.expansion(e), element_geom(space, e))
         for e in range(space.nelem)
     ]
     m = assemble(space, mats)

@@ -27,9 +27,10 @@ from ..linalg._snapshot import snapshot
 from ._assembled_oracle import (
     AssembledOperator,
     StoredMatrices,
+    element_geom,
+    element_rows,
     elemental_helmholtz,
     elemental_load,
-    element_rows,
     kind_stacks,
     scatter_add,
 )
@@ -59,7 +60,7 @@ def per_element_transforms(space, u):
     gx, gy = np.empty_like(vals), np.empty_like(vals)
     load, gload, integral = np.zeros(space.ndof), np.zeros(space.ndof), 0.0
     for ei in range(space.nelem):
-        exp, gf = dm.expansion(ei), space.geom[ei]
+        exp, gf = dm.expansion(ei), element_geom(space, ei)
         local = dm.gather(ei, u)
         dx, dy = gf.physical_gradients(exp.dphi1, exp.dphi2)
         vals[ei], gx[ei], gy[ei] = exp.phi.T @ local, dx.T @ local, dy.T @ local
@@ -71,7 +72,7 @@ def per_element_transforms(space, u):
 
 def per_element_matrices(space, fn, *args):
     return [
-        fn(space.dofmap.expansion(e), space.geom[e], *args)
+        fn(space.dofmap.expansion(e), element_geom(space, e), *args)
         for e in range(space.nelem)
     ]
 
@@ -215,7 +216,7 @@ def test_forward_projection_matches_per_element():
     vals = np.random.default_rng(3).standard_normal((space.nelem, space.nq))
     load = np.zeros(space.ndof)
     for ei in range(space.nelem):
-        exp, gf = space.dofmap.expansion(ei), space.geom[ei]
+        exp, gf = space.dofmap.expansion(ei), element_geom(space, ei)
         scatter_add(space.dofmap, ei, elemental_load(exp, gf, vals[ei]), load)
     mass = AssembledOperator(space, per_element_matrices(space, elemental_mass))
     np.testing.assert_allclose(

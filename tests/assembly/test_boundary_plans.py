@@ -20,11 +20,7 @@ by the CI bench job next to the e2e goldens with numpy pinned.
 import numpy as np
 import pytest
 
-from repro.assembly.boundary import (
-    EdgeBatch,
-    build_edge_quadrature,
-    edge_physical_points,
-)
+from repro.assembly.boundary import EdgeBatch, build_edge_quadrature
 from repro.assembly.global_system import project_dirichlet
 from repro.assembly.operators import elemental_mass
 from repro.assembly.space import FunctionSpace
@@ -36,7 +32,8 @@ from repro.spectral.basis import bubble
 from repro.spectral.jacobi import gauss_jacobi
 
 from .._meshes import annulus_mesh, rectangle_tris
-from ._assembled_oracle import edge_load, scatter_add
+from ..mesh._metric_oracle import old_edge_physical_points as edge_physical_points
+from ._assembled_oracle import edge_load, element_geom, scatter_add
 from .test_batched_equivalence import mixed_mesh
 
 # -- the per-side references -------------------------------------------------------
@@ -92,7 +89,7 @@ def edge_setup_per_side(space, tags):
     for tag_quads in quads.values():
         for eq in tag_quads:
             if eq.elem not in minv:
-                m = elemental_mass(space.dofmap.expansion(eq.elem), space.geom[eq.elem])
+                m = elemental_mass(space.dofmap.expansion(eq.elem), element_geom(space, eq.elem))
                 minv[eq.elem] = np.linalg.inv(m)
     return quads, minv
 
@@ -105,7 +102,7 @@ def pressure_bc_per_side(space, quads, minv, bcs, rhs_p, w_extrap, nu, scale, t_
         for eq in tag_quads:
             ei = eq.elem
             exp = dm.expansion(ei)
-            gf = space.geom[ei]
+            gf = element_geom(space, ei)
             tmp = np.empty(exp.phi.shape[0])
             blas.dgemv(1.0, exp.phi, gf.jw * w_extrap[ei], 0.0, tmp)
             w_loc = np.empty_like(tmp)
@@ -141,7 +138,7 @@ def pressure_bc_per_side_mode(
         for eq in tag_quads:
             ei = eq.elem
             exp = dm.expansion(ei)
-            gf = space.geom[ei]
+            gf = element_geom(space, ei)
             mi = minv[ei]
             for mat in (exp.phi, mi, exp.phi, mi, exp.phi, mi):
                 charge_zgemv(mat)
@@ -426,11 +423,11 @@ def test_pressure_bc_modes_match_per_side(case):
 def clear_reference_tables():
     """Put the interpreter back to "no space built yet": every table that
     depends on the reference element alone is tabulated once per process."""
-    from repro.assembly.boundary import _reference_edges
+    from repro.assembly.boundary import _edge_lift, _edge_points, _reference_edges
     from repro.mesh.mapping import quadrature_reference
     from repro.spectral.jacobi import _gauss_jacobi
 
-    for cached in (_gauss_jacobi, quadrature_reference, _reference_edges):
+    for cached in (_gauss_jacobi, quadrature_reference, _edge_points, _reference_edges, _edge_lift):
         cached.cache_clear()
 
 
@@ -460,7 +457,7 @@ def test_space_built_after_a_process_mate_has_the_fresh_interpreter_bytes(case):
 
 
 def test_reference_edge_tables_are_read_only():
-    from repro.assembly.boundary import _reference_edges
+    from repro.assembly.boundary import _edge_lift, _edge_points, _reference_edges
     from repro.mesh.mapping import quadrature_reference
 
     space, tags = make_space("mixed")
@@ -469,6 +466,8 @@ def test_reference_edge_tables_are_read_only():
         quads[0].phi[0, 0] = 0.0  # the shared reference table itself
     for kind in ("tri", "quad"):
         xi1, xi2, shape = quadrature_reference(kind, 8)
-        (edge_pts, w, *basis), *_ = _reference_edges(kind, 6, 8)
-        for arr in (xi1, xi2, *shape, *edge_pts[:2], *edge_pts[2], w, *basis):
+        edge_xi1, edge_xi2, edge_shape = _edge_points(kind, 8)
+        w, *basis = _reference_edges(kind, 6, 8)
+        lift = _edge_lift(6)
+        for arr in (xi1, xi2, *shape, edge_xi1, edge_xi2, *edge_shape, w, *basis, *lift):
             assert not arr.flags.writeable

@@ -11,7 +11,12 @@ from repro.solvers.helmholtz import HelmholtzDirect
 
 from .._meshes import rectangle_tris
 from ..linalg._snapshot import snapshot
-from ._assembled_oracle import AssembledOperator, StoredMatrices, elemental_helmholtz
+from ._assembled_oracle import (
+    AssembledOperator,
+    StoredMatrices,
+    element_geom,
+    elemental_helmholtz,
+)
 from .test_batched_equivalence import mixed_mesh
 
 
@@ -19,7 +24,7 @@ def build(mesh, order, lam, tags):
     space = FunctionSpace(mesh, order)
     mats = StoredMatrices(
         space.dofmap,
-        [elemental_helmholtz(space.dofmap.expansion(e), space.geom[e], lam) for e in range(space.nelem)],
+        [elemental_helmholtz(space.dofmap.expansion(e), element_geom(space, e), lam) for e in range(space.nelem)],
     )
     dofs, _ = (
         project_dirichlet(space, tags, lambda x, y: 0.0)

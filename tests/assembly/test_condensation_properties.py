@@ -9,7 +9,13 @@ from repro.assembly.space import FunctionSpace
 from repro.mesh.generators import rectangle_quads
 
 from .._meshes import rectangle_tris
-from ._assembled_oracle import AssembledOperator, StoredMatrices, assemble, elemental_helmholtz
+from ._assembled_oracle import (
+    AssembledOperator,
+    StoredMatrices,
+    assemble,
+    element_geom,
+    elemental_helmholtz,
+)
 
 
 @given(
@@ -26,7 +32,7 @@ def test_condensed_equals_full_random(nx, ny, order, lam, tris, seed):
     mesh = rectangle_tris(nx, ny) if tris else rectangle_quads(nx, ny)
     space = FunctionSpace(mesh, order)
     mats = [
-        elemental_helmholtz(space.dofmap.expansion(e), space.geom[e], lam)
+        elemental_helmholtz(space.dofmap.expansion(e), element_geom(space, e), lam)
         for e in range(space.nelem)
     ]
     rng = np.random.default_rng(seed)
@@ -57,7 +63,7 @@ def test_condensed_solve_is_exact_inverse(order, seed):
     mesh = rectangle_quads(2, 2)
     space = FunctionSpace(mesh, order)
     mats = [
-        elemental_helmholtz(space.dofmap.expansion(e), space.geom[e], 1.0)
+        elemental_helmholtz(space.dofmap.expansion(e), element_geom(space, e), 1.0)
         for e in range(space.nelem)
     ]
     rng = np.random.default_rng(seed)

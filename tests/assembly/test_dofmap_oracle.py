@@ -213,11 +213,12 @@ def test_element_rows_are_read_only_views_of_the_kind_stacks():
         for row, e in enumerate(st_.elems):
             assert np.shares_memory(dm.elem_dofs[e], st_.dofs)
             np.testing.assert_array_equal(dm.elem_dofs[e], st_.dofs[row])
-    dofs, signs = dm.rows([2, 1, 2])
+    i, rows = dm.locate([2, 1, 2])
+    dofs, signs = dm.stacks[i].dofs[rows], dm.stacks[i].signs[rows]
     np.testing.assert_array_equal(dofs, [dm.elem_dofs[e] for e in (2, 1, 2)])
     np.testing.assert_array_equal(signs, [dm.elem_signs[e] for e in (2, 1, 2)])
     with pytest.raises(ValueError, match="same-kind"):
-        dm.rows([0, 1])
+        dm.locate([0, 1])
 
 
 # -- golden ----------------------------------------------------------------------

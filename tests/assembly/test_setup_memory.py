@@ -114,6 +114,20 @@ def test_no_mass_operator_survives_the_call(built_operators, lead):
     assert built_operators[0]() is None
 
 
+def test_a_projector_keeps_no_boundary_scatter():
+    """``MassProjector.solve`` scatters with ``np.subtract.at``: its
+    groups hold no CSR scatter, a plain operator's interior groups do."""
+    space = SPACES["mixed-dense"]()
+    projector = MassProjector(space)
+    assert all(grp["scatter"] is None for grp in projector._groups)
+    assert any(grp["ni"] for grp in projector._groups)
+    plain = CondensedOperator(space, space.elemental_matrices("mass"))
+    assert all((grp["scatter"] is None) == (grp["ni"] == 0) for grp in plain._groups)
+    xq, yq = space.coords()
+    rhs = space.load_vector(np.sin(xq) * np.cos(yq))
+    np.testing.assert_allclose(projector.solve(rhs), plain.solve(rhs), rtol=0.0, atol=1e-12)
+
+
 # -- each solver projects its initial state in one call ----------------------------
 
 

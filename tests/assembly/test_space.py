@@ -6,7 +6,7 @@ from repro.mesh.generators import rectangle_quads
 from repro.mesh.mesh2d import Mesh2D
 
 from .._meshes import rectangle_tris
-from ._assembled_oracle import assemble
+from ._assembled_oracle import assemble, element_geom
 
 
 def mixed_mesh():
@@ -109,7 +109,7 @@ def test_assemble_symmetry_with_sign_flips():
     from repro.assembly.operators import elemental_laplacian
 
     mats = [
-        elemental_laplacian(space.dofmap.expansion(e), space.geom[e])
+        elemental_laplacian(space.dofmap.expansion(e), element_geom(space, e))
         for e in range(2)
     ]
     a = assemble(space, mats).toarray()

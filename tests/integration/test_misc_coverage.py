@@ -97,13 +97,13 @@ def test_group_ale_missing_stage_keys():
 def test_elemental_operator_error_branches():
     from repro.assembly.operators import elemental_helmholtz_batched
 
-    from ..assembly._assembled_oracle import elemental_helmholtz, elemental_load
+    from ..assembly._assembled_oracle import element_geom, elemental_helmholtz, elemental_load
     from repro.assembly.space import FunctionSpace
     from repro.mesh.generators import rectangle_quads
 
     space = FunctionSpace(rectangle_quads(1, 1), 3)
     exp = space.dofmap.expansion(0)
-    gf = space.geom[0]
+    gf = element_geom(space, 0)
     with pytest.raises(ValueError, match="quadrature points"):
         elemental_load(exp, gf, np.zeros(gf.jw.size + 1))
     with pytest.raises(ValueError, match="Helmholtz constant"):
