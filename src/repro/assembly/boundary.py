@@ -118,14 +118,22 @@ def _reference_edges(kind: str, order: int, n1d: int) -> tuple:
     ``n1d`` Gauss weights of an edge, and the order-``order`` basis with
     its reference derivatives at the Gauss points of each local edge,
     (nedges, nmodes, n1d) each (modes do not depend on the element's own
-    quadrature order, so it is no part of the key).  Tabulated once per
+    quadrature order, so it is no part of the key).  A quad's tables are
+    outer products of its 1-D factors; a triangle's are evaluated one
+    mode at a time at each edge's collapsed points.  Tabulated once per
     process and read-only: every space of that kind and order shares it.
     """
-    _, w = gauss_jacobi(n1d)
-    exp = (TriExpansion if kind == "tri" else QuadExpansion)(order)
-    xi1, xi2, _ = _edge_points(kind, n1d)
-    basis = [exp.eval_basis_full(xi1[le, 0], xi2[le, 0]) for le in range(exp.nedges)]
-    tables = tuple(np.array([b[i] for b in basis]) for i in range(3))
+    s, w = gauss_jacobi(n1d)
+    if kind == "quad":
+        tables = QuadExpansion(order).edge_tables(s)
+    else:
+        exp = TriExpansion(order)
+        xi1, xi2, _ = _edge_points(kind, n1d)
+        basis = [
+            exp.collapsed_tables(*exp.collapse(xi1[le, 0], xi2[le, 0]))
+            for le in range(exp.nedges)
+        ]
+        tables = tuple(np.array([b[i] for b in basis]) for i in range(3))
     for table in tables:
         table.setflags(write=False)
     return (w, *tables)
@@ -154,18 +162,19 @@ def _kind_groups(mesh, sides):
         yield kind, pos, [sides[i][0] for i in pos], np.array([sides[i][1] for i in pos])
 
 
-def build_edge_quadrature(space, sides: list[tuple[int, int]]) -> list[EdgeQuadrature]:
-    """Edge quadrature (``order + 2`` Gauss points a side) for the given
-    (element, local_edge) sides.
+def _edge_stacks(space, sides):
+    """Edge quadrature (``order + 2`` Gauss points a side) of the given
+    (element, local_edge) sides, one stacked pass per element kind.
 
-    One stacked pass per element kind: points and Jacobians by
-    :func:`~repro.mesh.mapping.map_points` / ``map_jacobians`` with each
-    side's row of
-    :func:`_edge_points`, then tangents, normals and inverse Jacobians
-    elementwise.  Each side's fields are row views of those stacks.
+    Points and Jacobians by :func:`~repro.mesh.mapping.map_points` /
+    ``map_jacobians`` with each side's row of :func:`_edge_points`, then
+    tangents, normals and inverse Jacobians elementwise.  Yields per
+    kind ``(positions, elements, local edges, fields)``: ``fields`` has
+    the :class:`EdgeQuadrature` stacks ``x, y, nx, ny, jw`` (ns, npts)
+    and ``dphi_x, dphi_y`` (ns, nmodes, npts), and the kind's reference
+    basis ``phi`` (nedges, nmodes, npts).
     """
     mesh, n1d = space.mesh, space.order + 2
-    out: list = [None] * len(sides)
     for kind, pos, elems, les in _kind_groups(mesh, sides):
         xi1, xi2, shape = _edge_points(kind, n1d)
         ref = (xi1[les, 0], xi2[les, 0], tuple(t[les, 0] for t in shape))
@@ -189,19 +198,31 @@ def build_edge_quadrature(space, sides: list[tuple[int, int]]) -> list[EdgeQuadr
         dxi2_dy = (j[..., 0, 0] / det)[:, None]
         dphi_x = d1[les] * dxi1_dx + d2[les] * dxi2_dx
         dphi_y = d1[les] * dxi1_dy + d2[les] * dxi2_dy
-        jw = w * norm
+        fields = SimpleNamespace(
+            x=x, y=y, nx=nx, ny=ny, jw=w * norm, phi=phi, dphi_x=dphi_x, dphi_y=dphi_y
+        )
+        yield pos, elems, les, fields
+
+
+def build_edge_quadrature(space, sides: list[tuple[int, int]]) -> list[EdgeQuadrature]:
+    """Edge quadrature (``order + 2`` Gauss points a side) for the given
+    (element, local_edge) sides: each side's fields are row views of the
+    kind stacks :func:`_edge_stacks` computes, ``phi`` its local edge's
+    reference table."""
+    out: list = [None] * len(sides)
+    for pos, elems, les, f in _edge_stacks(space, sides):
         for r, i in enumerate(pos):
             out[i] = EdgeQuadrature(
                 elem=int(elems[r]),
                 local_edge=int(les[r]),
-                x=x[r],
-                y=y[r],
-                nx=nx[r],
-                ny=ny[r],
-                jw=jw[r],
-                phi=phi[les[r]],
-                dphi_x=dphi_x[r],
-                dphi_y=dphi_y[r],
+                x=f.x[r],
+                y=f.y[r],
+                nx=f.nx[r],
+                ny=f.ny[r],
+                jw=f.jw[r],
+                phi=f.phi[les[r]],
+                dphi_x=f.dphi_x[r],
+                dphi_y=f.dphi_y[r],
             )
     return out
 
@@ -340,32 +361,26 @@ class EdgeBatch:
         per_tag = [space.mesh.boundary_sides(t) for t in tags]
         self._slices = _tag_slices([len(sides) for sides in per_tag])
         sides = [side for sides in per_tag for side in sides]
-        quads = build_edge_quadrature(space, sides)
-
-        def stack(name, sel=range(len(quads))):
-            return np.array([getattr(quads[i], name) for i in sel])
-
-        self.x, self.y, self.nx, self.ny = (
-            stack(name).reshape(-1, space.order + 2) for name in ("x", "y", "nx", "ny")
-        )
-        # Per element kind: its sides, and their elements' kind stack
-        # and rows in it.
-        kinds = [space.mesh.elements[ei].kind for ei, _ in sides]
+        npts = space.order + 2
+        self.x, self.y, self.nx, self.ny = (np.empty((len(sides), npts)) for _ in range(4))
+        # Per element kind: its sides' edge quadrature stacks, and their
+        # elements' kind stack and rows in it.
         parts, where = [], {}
-        for kind in dict.fromkeys(kinds):
-            sel = [i for i, k in enumerate(kinds) if k == kind]
-            elems = stack("elem", sel)
+        for pos, elems, les, f in _edge_stacks(space, sides):
+            for name in ("x", "y", "nx", "ny"):
+                getattr(self, name)[pos] = getattr(f, name)
+            elems = np.array(elems)
             i, rows = dm.locate(elems)
             where.update((e, (i, r)) for e, r in zip(elems.tolist(), rows.tolist()))
-            parts.append((sel, elems, i, rows))
+            parts.append((pos, elems, i, rows, les, f))
         # One mass matrix per distinct element, in first-appearance
         # order (the order the per-solver set-up loops charged them in).
         mass = {}
-        for e in dict.fromkeys(eq.elem for eq in quads):
+        for e in dict.fromkeys(ei for ei, _ in sides):
             i, r = where[e]
             mass[e] = elemental_mass(dm.expansion(e), space.geom[i].row(r))
         self.groups = []
-        for sel, elems, i, rows in parts:
+        for sel, elems, i, rows, les, f in parts:
             phi = dm.stacks[i].exp.phi
             # exp_phi is a zero-stride stack, not a shared matrix: the
             # stacked kernels then run one dgemv per side as the loops
@@ -384,7 +399,12 @@ class EdgeBatch:
                     minv=np.linalg.inv([mass[e] for e in elems.tolist()]),
                     dofs=dm.stacks[i].dofs[rows],
                     signs=dm.stacks[i].signs[rows],
-                    **{n: stack(n, sel) for n in ("phi", "dphi_x", "dphi_y", "nx", "ny", "jw")},
+                    phi=f.phi[les],
+                    dphi_x=f.dphi_x,
+                    dphi_y=f.dphi_y,
+                    nx=f.nx,
+                    ny=f.ny,
+                    jw=f.jw,
                 )
             )
 

@@ -15,12 +15,32 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from ..mesh.mesh2d import Mesh2D
 from ..spectral.basis import edge_reversal_sign
 from ..spectral.expansions import Expansion2D, QuadExpansion, TriExpansion
 
 __all__ = ["DofMap", "KindStack"]
+
+
+def _edge_keys(ends: np.ndarray, nverts: int) -> np.ndarray:
+    """One integer per (n, 2) vertex pair, the same in either order."""
+    return ends.min(axis=1) * nverts + ends.max(axis=1)
+
+
+def _smallest_identified(n: int, pairs: list[np.ndarray]) -> np.ndarray:
+    """For ids 0..n-1 joined by the (k, 2) ``pairs``, the smallest id
+    each one is joined to."""
+    if not pairs:
+        return np.arange(n)
+    a, b = np.concatenate(pairs).T
+    graph = sp.coo_matrix((np.ones(a.size), (a, b)), shape=(n, n))
+    _, label = connected_components(graph, directed=False)
+    smallest = np.full(label.max() + 1, n)
+    np.minimum.at(smallest, label, np.arange(n))
+    return smallest[label]
 
 
 _EXPANSIONS = {"tri": TriExpansion, "quad": QuadExpansion}
@@ -67,56 +87,26 @@ class DofMap:
         self.periodic = tuple(periodic)
         # One expansion per element kind the mesh has, no more: an
         # all-quad mesh builds no triangle tables.
+        groups = mesh.kind_groups()
         self.expansions: dict[str, Expansion2D] = {
-            kind: _EXPANSIONS[kind](order)
-            for kind in dict.fromkeys(e.kind for e in mesh.elements)
+            kind: _EXPANSIONS[kind](order) for kind in groups
         }
         self._build_identifications()
-        self._number()
+        self._number(groups)
 
     # -- periodic identification ------------------------------------------------
 
     def _build_identifications(self) -> None:
-        """Union vertices across periodic tag pairs; vrep[v] is each
-        vertex's representative id."""
+        """Identify vertices and edges across periodic tag pairs:
+        ``vrep_raw[v]`` / ``_edge_class[e]`` is the smallest vertex /
+        mesh edge id identified with ``v`` / ``e`` (the root a union-find
+        that hangs the larger root under the smaller one would give)."""
         mesh = self.mesh
-        parent = list(range(mesh.nvertices))
-
-        def find(v):
-            while parent[v] != v:
-                parent[v] = parent[parent[v]]
-                v = parent[v]
-            return v
-
-        def union(a, b):
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
-
-        # Edge identification union-find (mesh edge ids).
-        eparent = list(range(mesh.nedges))
-
-        def efind(e):
-            while eparent[e] != e:
-                eparent[e] = eparent[eparent[e]]
-                e = eparent[e]
-            return e
-
+        vpairs, epairs = [], []
         for tag_a, tag_b in self.periodic:
-            va = sorted(
-                {
-                    v
-                    for ei, le in mesh.boundary_sides(tag_a)
-                    for v in mesh.elements[ei].edge_vertices(le)
-                }
-            )
-            vb = sorted(
-                {
-                    v
-                    for ei, le in mesh.boundary_sides(tag_b)
-                    for v in mesh.elements[ei].edge_vertices(le)
-                }
-            )
+            sides_a, sides_b = mesh.boundary_sides(tag_a), mesh.boundary_sides(tag_b)
+            ends_a, ends_b = mesh.side_vertices(sides_a), mesh.side_vertices(sides_b)
+            va, vb = np.unique(ends_a), np.unique(ends_b)
             if len(va) != len(vb):
                 raise ValueError(
                     f"periodic tags {tag_a!r}/{tag_b!r} have unequal vertex counts"
@@ -125,43 +115,42 @@ class DofMap:
             cb = mesh.vertices[vb]
             t = cb.mean(axis=0) - ca.mean(axis=0)
             scale = max(1.0, float(np.abs(mesh.vertices).max()))
-            partner: dict[int, int] = {}
-            for v, xy in zip(va, ca):
-                d = np.linalg.norm(cb - (xy + t), axis=1)
-                j = int(np.argmin(d))
-                if d[j] > 1e-8 * scale:
-                    raise ValueError(
-                        f"periodic tags {tag_a!r}/{tag_b!r}: vertex {v} has "
-                        "no translated partner"
-                    )
-                union(v, vb[j])
-                partner[v] = vb[j]
+            d = np.linalg.norm(cb[None, :, :] - (ca + t)[:, None, :], axis=2)
+            j = np.argmin(d, axis=1)
+            lost = np.flatnonzero(d[np.arange(va.size), j] > 1e-8 * scale)
+            if lost.size:
+                raise ValueError(
+                    f"periodic tags {tag_a!r}/{tag_b!r}: vertex {va[lost[0]]} has "
+                    "no translated partner"
+                )
+            vpairs.append(np.stack([va, vb[j]], axis=1))
             # Match the boundary edges of the pair through the vertex map.
-            b_edges = {
-                frozenset(mesh.elements[ei].edge_vertices(le)): mesh.elem_edges[ei][le]
-                for ei, le in mesh.boundary_sides(tag_b)
-            }
-            for ei, le in mesh.boundary_sides(tag_a):
-                a1, a2 = mesh.elements[ei].edge_vertices(le)
-                key = frozenset((partner[a1], partner[a2]))
-                if key not in b_edges:
-                    raise ValueError(
-                        f"periodic tags {tag_a!r}/{tag_b!r}: edge "
-                        f"({a1}, {a2}) has no translated partner edge"
-                    )
-                ea = mesh.elem_edges[ei][le]
-                eb = b_edges[key]
-                ra, rb = efind(ea), efind(eb)
-                if ra != rb:
-                    eparent[max(ra, rb)] = min(ra, rb)
-        self._edge_class = [efind(e) for e in range(mesh.nedges)]
-        self.vrep_raw = np.array([find(v) for v in range(mesh.nvertices)])
+            partner = np.full(mesh.nvertices, -1, dtype=np.int64)
+            partner[va] = vb[j]
+            key_b = _edge_keys(ends_b, mesh.nvertices)
+            key_a = _edge_keys(partner[ends_a], mesh.nvertices)
+            known, at = np.unique(key_b, return_index=True)
+            pos = np.minimum(np.searchsorted(known, key_a), known.size - 1)
+            lost = np.flatnonzero(known[pos] != key_a)
+            if lost.size:
+                a1, a2 = ends_a[lost[0]]
+                raise ValueError(
+                    f"periodic tags {tag_a!r}/{tag_b!r}: edge "
+                    f"({a1}, {a2}) has no translated partner edge"
+                )
+            ea, eb = (
+                mesh.elem_edges[tuple(np.asarray(s, dtype=np.int64).reshape(-1, 2).T)]
+                for s in (sides_a, sides_b)
+            )
+            epairs.append(np.stack([ea, eb[at[pos]]], axis=1))
+        self._edge_class = _smallest_identified(mesh.nedges, epairs)
+        self.vrep_raw = _smallest_identified(mesh.nvertices, vpairs)
         # Compress representatives to 0..n_classes-1.
         reps, vrep = np.unique(self.vrep_raw, return_inverse=True)
         self.vrep = vrep.astype(np.int64)
         self.n_vertex_dofs = reps.size
 
-    def _number(self) -> None:
+    def _number(self, groups: dict[str, np.ndarray]) -> None:
         """Number every element kind in one pass over its stacks.
 
         Edges are numbered over *identified* edges: distinct physical
@@ -174,16 +163,13 @@ class DofMap:
         """
         mesh, P = self.mesh, self.order
         n_edge_dofs = P - 1
-        edge_class = np.asarray(self._edge_class, dtype=np.int64)
+        edge_class = self._edge_class
         classes = np.unique(edge_class)
         self.n_edges = classes.size
         self.vertex_offset = 0
         self.edge_offset = self.n_vertex_dofs
         self.interior_offset = self.edge_offset + n_edge_dofs * self.n_edges
 
-        groups: dict[str, list[int]] = {}
-        for ei, elem in enumerate(mesh.elements):
-            groups.setdefault(elem.kind, []).append(ei)
         ni = np.empty(mesh.nelements, dtype=np.int64)
         for kind, elems in groups.items():
             ni[elems] = len(self.expansions[kind].interior_modes)
@@ -193,10 +179,10 @@ class DofMap:
 
         flip = np.array([edge_reversal_sign(k) for k in range(n_edge_dofs)], dtype=np.float64)
         self.stacks: list[KindStack] = []
-        for kind, elem_list in groups.items():
+        for kind, elems in groups.items():
             exp = self.expansions[kind]
-            local = np.array(mesh.elements[elem_list[0]].local_edges)
-            rep = self.vrep[np.array([mesh.elements[e].vertices for e in elem_list])]
+            local = np.array(mesh.elements[elems[0]].local_edges)
+            rep = self.vrep[mesh.elem_vertices[elems, : exp.nverts]]
             ra, rb = rep[:, local[:, 0]], rep[:, local[:, 1]]
             if (ra == rb).any():
                 raise ValueError(
@@ -204,9 +190,7 @@ class DofMap:
                     "endpoints are identified; use >= 2 cells per "
                     "periodic direction)"
                 )
-            mesh_edges = np.array([mesh.elem_edges[e] for e in elem_list])
-            eid = np.searchsorted(classes, edge_class[mesh_edges])
-            elems = np.array(elem_list, dtype=np.int64)
+            eid = np.searchsorted(classes, edge_class[mesh.elem_edges[elems, : exp.nedges]])
             edge_modes = exp.edge_mode_table
             dofs = np.empty((elems.size, exp.nmodes), dtype=np.int64)
             signs = np.ones((elems.size, exp.nmodes))

@@ -19,12 +19,13 @@ higher global vertex id.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import chain
 
 import networkx as nx
 import numpy as np
 
-__all__ = ["TRI_EDGES", "QUAD_EDGES", "Element", "Edge", "Mesh2D"]
+__all__ = ["TRI_EDGES", "QUAD_EDGES", "Element", "Mesh2D"]
 
 TRI_EDGES = ((0, 1), (1, 2), (0, 2))
 QUAD_EDGES = ((0, 1), (1, 2), (3, 2), (0, 3))
@@ -61,21 +62,22 @@ class Element:
         return self.vertices[a], self.vertices[b]
 
 
-@dataclass
-class Edge:
-    """A global mesh edge: canonical direction is low -> high vertex id."""
-
-    id: int
-    vertices: tuple[int, int]  # (low, high)
-    elements: list[tuple[int, int]] = field(default_factory=list)  # (elem, local edge)
-
-    @property
-    def on_boundary(self) -> bool:
-        return len(self.elements) == 1
+#: Local edge endpoints by side count, a triangle's row padded to four.
+_LOCAL_EDGES = {4: np.array(QUAD_EDGES), 3: np.array(TRI_EDGES + ((0, 0),))}
 
 
 class Mesh2D:
-    """An unstructured conforming mesh of triangles and quadrilaterals."""
+    """An unstructured conforming mesh of triangles and quadrilaterals.
+
+    The topology is integer tables, built in array passes:
+    ``elem_vertices`` (nelements, 4) and ``elem_edges`` (nelements, 4)
+    hold each element's vertex and global edge ids (-1 past a
+    triangle's third); ``edge_sides`` (nedges, 2, 2) holds each edge's
+    (element, local edge) sides in element order, the second (-1, -1)
+    on the boundary; ``edge_nsides`` (nedges,) counts them.  Edges are
+    numbered in order of first appearance, walking elements in order
+    and each element's local edges ascending.
+    """
 
     def __init__(
         self,
@@ -86,11 +88,14 @@ class Mesh2D:
         self.vertices = np.asarray(vertices, dtype=np.float64)
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
             raise ValueError("vertices must be an (n, 2) array")
-        self.elements = [Element(tuple(int(v) for v in e)) for e in elements]
-        nv = self.vertices.shape[0]
-        for e in self.elements:
-            if any(v < 0 or v >= nv for v in e.vertices):
-                raise ValueError("element references unknown vertex")
+        self.elements = [Element(tuple(map(int, e))) for e in elements]
+        sizes = np.array([len(e.vertices) for e in self.elements], dtype=np.int64)
+        real = np.arange(4) < sizes[:, None]
+        ids = np.fromiter(chain.from_iterable(e.vertices for e in self.elements), np.int64)
+        if (ids < 0).any() or (ids >= self.nvertices).any():
+            raise ValueError("element references unknown vertex")
+        self.elem_vertices = np.full(real.shape, -1, dtype=np.int64)
+        self.elem_vertices[real] = ids
         self._build_edges()
         self.boundary_tags = dict(boundary_tags or {})
         self._validate_tags()
@@ -101,37 +106,50 @@ class Mesh2D:
     # -- topology ---------------------------------------------------------------
 
     def _build_edges(self) -> None:
-        table: dict[tuple[int, int], Edge] = {}
-        self.elem_edges: list[list[int]] = []
-        for ei, elem in enumerate(self.elements):
-            ids = []
-            for le in range(elem.nedges):
-                a, b = elem.edge_vertices(le)
-                key = (min(a, b), max(a, b))
-                edge = table.get(key)
-                if edge is None:
-                    edge = Edge(len(table), key)
-                    table[key] = edge
-                if len(edge.elements) >= 2:
-                    raise ValueError(
-                        f"edge {key} shared by more than two elements "
-                        "(non-manifold mesh)"
-                    )
-                edge.elements.append((ei, le))
-                ids.append(edge.id)
-            self.elem_edges.append(ids)
-        self.edges: list[Edge] = sorted(table.values(), key=lambda e: e.id)
+        """Number the edges with one ``np.unique`` over the sides'
+        (low, high) vertex keys, ids in first-appearance order."""
+        ev = self.elem_vertices
+        real = ev >= 0  # a side per vertex
+        local = np.where(real[:, 3, None, None], _LOCAL_EDGES[4], _LOCAL_EDGES[3])
+        ends = np.take_along_axis(ev, local.reshape(-1, 8), axis=1).reshape(-1, 4, 2)
+        elem, le = np.nonzero(real)  # every side, in walk order
+        lo, hi = ends[real].min(axis=1), ends[real].max(axis=1)
+        _, first, inverse, counts = np.unique(
+            lo * self.nvertices + hi, return_index=True, return_inverse=True, return_counts=True
+        )
+        # Each side's occurrence of its edge so far (0 first, 1 second).
+        walk = np.argsort(inverse, kind="stable")
+        occ = np.empty_like(walk)
+        occ[walk] = np.arange(walk.size) - (np.cumsum(counts) - counts)[inverse[walk]]
+        if counts.size and counts.max() > 2:
+            s = int(np.flatnonzero(occ >= 2)[0])
+            key = (int(lo[s]), int(hi[s]))
+            raise ValueError(f"edge {key} shared by more than two elements (non-manifold mesh)")
+        order = np.argsort(first)
+        rank = np.empty_like(first)
+        rank[order] = np.arange(first.size)
+        side_edge = rank[inverse]
+        self.elem_edges = np.full(ev.shape, -1, dtype=np.int64)
+        self.elem_edges[real] = side_edge
+        sides = np.full((first.size, 2, 2), -1, dtype=np.int64)
+        sides[side_edge, occ] = np.stack([elem, le], axis=1)
+        self.edge_sides = sides
+        self.edge_nsides = counts[order]
 
     def _validate_tags(self) -> None:
         for tag, sides in self.boundary_tags.items():
-            for ei, le in sides:
-                if not 0 <= ei < self.nelements:
-                    raise ValueError(f"tag {tag!r}: element {ei} out of range")
-                edge = self.edges[self.elem_edges[ei][le]]
-                if not edge.on_boundary:
-                    raise ValueError(
-                        f"tag {tag!r}: ({ei}, {le}) is not a boundary side"
-                    )
+            ei, le = np.asarray(sides, dtype=np.int64).reshape(-1, 2).T
+            known = (ei >= 0) & (ei < self.nelements)
+            valid = known & (le >= 0) & (le < 4)
+            eid = np.full(ei.shape, -1)
+            eid[valid] = self.elem_edges[ei[valid], le[valid]]
+            boundary = (eid >= 0) & (self.edge_nsides[eid] == 1)
+            bad = np.flatnonzero(~boundary)
+            if bad.size:
+                i = bad[0]
+                if not known[i]:
+                    raise ValueError(f"tag {tag!r}: element {ei[i]} out of range")
+                raise ValueError(f"tag {tag!r}: ({ei[i]}, {le[i]}) is not a boundary side")
 
     @property
     def nvertices(self) -> int:
@@ -143,7 +161,7 @@ class Mesh2D:
 
     @property
     def nedges(self) -> int:
-        return len(self.edges)
+        return len(self.edge_sides)
 
     def edge_orientation(self, elem: int, local_edge: int) -> int:
         """+1 if the element's intrinsic edge direction matches the
@@ -151,16 +169,29 @@ class Mesh2D:
         a, b = self.elements[elem].edge_vertices(local_edge)
         return 1 if a < b else -1
 
-    def boundary_edges(self) -> list[Edge]:
-        return [e for e in self.edges if e.on_boundary]
-
     def boundary_sides(self, tag: str | None = None) -> list[tuple[int, int]]:
-        """(element, local_edge) pairs on the boundary; all if tag is None."""
+        """(element, local_edge) pairs on the boundary; all, in edge id
+        order, if tag is None."""
         if tag is not None:
             if tag not in self.boundary_tags:
                 raise KeyError(f"unknown boundary tag {tag!r}")
             return list(self.boundary_tags[tag])
-        return [e.elements[0] for e in self.boundary_edges()]
+        return list(map(tuple, self.edge_sides[self.edge_nsides == 1, 0].tolist()))
+
+    def side_vertices(self, sides) -> np.ndarray:
+        """(n, 2) global vertex ids of the (element, local edge) ``sides``,
+        each in its side's intrinsic direction."""
+        ei, le = np.asarray(sides, dtype=np.int64).reshape(-1, 2).T
+        quad = (self.elem_vertices[ei, 3] >= 0)[:, None]
+        local = np.where(quad, _LOCAL_EDGES[4][le], _LOCAL_EDGES[3][le])
+        return np.take_along_axis(self.elem_vertices[ei], local, axis=1)
+
+    def kind_groups(self) -> dict[str, np.ndarray]:
+        """Each element kind's element ids in mesh order, kinds in order
+        of first appearance."""
+        quad = self.elem_vertices[:, 3] >= 0
+        groups = [(kind, np.flatnonzero(mask)) for kind, mask in (("quad", quad), ("tri", ~quad))]
+        return dict(sorted((g for g in groups if g[1].size), key=lambda g: g[1][0]))
 
     # -- geometry ----------------------------------------------------------------
 
@@ -183,8 +214,5 @@ class Mesh2D:
         """Element adjacency graph (shared edge => graph edge)."""
         g = nx.Graph()
         g.add_nodes_from(range(self.nelements))
-        for edge in self.edges:
-            if len(edge.elements) == 2:
-                (e0, _), (e1, _) = edge.elements
-                g.add_edge(e0, e1)
+        g.add_edges_from(self.edge_sides[self.edge_nsides == 2, :, 0].tolist())
         return g

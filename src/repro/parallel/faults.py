@@ -29,8 +29,9 @@ Everything is seeded and deterministic: the retransmit count of message
 of ``(seed, s, d, t, n)``, so a faulty run replays bit-for-bit.
 Because the draws are pure, who makes them is a question of host cost
 only: inside a collective instance each ``(source, dest)`` loss is
-drawn once, by the source rank at entry (for its own resend CPU), and
-the row travels to the rendezvous where the last arriver prices the
+drawn once, by the source rank at entry (for its own resend CPU), as
+one row in one ``uint64`` array pass (:meth:`FaultPlan.collective_row`),
+and the row travels to the rendezvous where the last arriver prices the
 shared completion delay from the P rows
 (:meth:`VirtualComm.alltoall`).  Nothing is cached on the plan.
 
@@ -44,6 +45,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import TYPE_CHECKING, Mapping
+
+import numpy as np
 
 if TYPE_CHECKING:
     from ..machines.network import NetworkModel
@@ -59,6 +62,7 @@ _MASK64 = (1 << 64) - 1
 # splitmix64 constants: a tiny, stable, well-mixed generator that keeps
 # the loss draws identical across Python versions and platforms.
 _GOLDEN = 0x9E3779B97F4A7C15
+_MUL1, _MUL2 = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
 
 
 class RankFailure(RuntimeError):
@@ -119,9 +123,9 @@ def _mix(*vals: int) -> int:
     for v in vals:
         h = (h + (v & _MASK64) + _GOLDEN) & _MASK64
         h ^= h >> 30
-        h = (h * 0xBF58476D1CE4E5B9) & _MASK64
+        h = (h * _MUL1) & _MASK64
         h ^= h >> 27
-        h = (h * 0x94D049BB133111EB) & _MASK64
+        h = (h * _MUL2) & _MASK64
         h ^= h >> 31
     return h
 
@@ -131,11 +135,28 @@ def _next(h: int) -> tuple[int, float]:
     h = (h + _GOLDEN) & _MASK64
     x = h
     x ^= x >> 30
-    x = (x * 0xBF58476D1CE4E5B9) & _MASK64
+    x = (x * _MUL1) & _MASK64
     x ^= x >> 27
-    x = (x * 0x94D049BB133111EB) & _MASK64
+    x = (x * _MUL2) & _MASK64
     x ^= x >> 31
     return h, (x >> 11) / float(1 << 53)
+
+
+#: ``uint64`` operands of the array draws (0-d arrays: cheaper per
+#: ufunc call than numpy scalars on the short rows a collective draws).
+_U = {k: np.array(k, dtype=np.uint64) for k in (1, 11, 27, 30, 31, _MUL1, _MUL2, _GOLDEN)}
+
+
+def _mix_array(h: np.ndarray) -> np.ndarray:
+    """The finaliser of :func:`_mix` / :func:`_next` on a ``uint64``
+    array: numpy's unsigned arithmetic wraps mod 2**64, as the masked
+    Python integers do."""
+    h = h ^ (h >> _U[30])
+    h *= _U[_MUL1]
+    h ^= h >> _U[27]
+    h *= _U[_MUL2]
+    h ^= h >> _U[31]
+    return h
 
 
 @lru_cache(maxsize=None)
@@ -239,19 +260,33 @@ class FaultPlan:
             return 0.0
         return self.retransmit_timeout * float((1 << nretrans) - 1)
 
-    def collective_retransmits(
-        self, kind: str, seq: int, src: int, dst: int
-    ) -> int:
-        """Deterministic retransmit count of one pairwise message inside
-        collective instance ``(kind, seq)``.
+    def collective_row(self, kind: str, seq: int, src: int, size: int) -> list[int]:
+        """Deterministic retransmit counts of ``src``'s messages to every
+        other rank below ``size`` inside collective instance ``(kind,
+        seq)``, in destination order.
 
-        The draw chain is disjoint from the point-to-point one (the
-        kind string is folded into the tag slot), so interleaving
-        collectives with sends never perturbs either stream.
+        Each is :meth:`retransmits` ``(src, dst, tag, seq)`` with the kind
+        string folded into the tag slot, so the draw chain is disjoint
+        from the point-to-point one and interleaving collectives with
+        sends never perturbs either stream.  The row is drawn in one
+        ``uint64`` array pass over (destination, attempt): attempt k's
+        uniform is the finaliser of the chain's state advanced k golden
+        steps, and a count is the number of leading lost attempts.
         """
         if self.loss_rate <= 0.0:
-            return 0
-        return self.retransmits(src, dst, _kind_tag(kind), seq)
+            return [0] * (size - 1)
+        dst = np.arange(size - 1, dtype=np.uint64)
+        dst[src:] += _U[1]
+        # The rest of the (seed, src, dst, tag, seq) chain of _mix,
+        # each step's constants summed mod 2**64 first.
+        h = _mix_array(dst + np.uint64((_mix(self.seed, src) + _GOLDEN) & _MASK64))
+        for v in (_kind_tag(kind), seq):
+            h = _mix_array(h + np.uint64(((v & _MASK64) + _GOLDEN) & _MASK64))
+        steps = np.arange(1, self.max_retransmits + 1, dtype=np.uint64) * _U[_GOLDEN]
+        # u = (x >> 11) / 2**53 < loss_rate, compared exactly in integers
+        # below 2**53 (scaling by a power of two is exact).
+        lost = (_mix_array(h[:, None] + steps) >> _U[11]) < self.loss_rate * float(1 << 53)
+        return np.cumprod(lost, axis=1).sum(axis=1).tolist()
 
     # -- degradation / stragglers ------------------------------------------------
 

@@ -1143,11 +1143,7 @@ class VirtualComm:
             # row goes to the rendezvous with the chunk size, where the
             # last arriver prices the shared completion delay from the
             # P rows — one draw per (source, dest) pair per instance.
-            resends = [
-                plan.collective_retransmits("alltoall", seq_f, me, d)
-                for d in range(self.size)
-                if d != me
-            ]
+            resends = plan.collective_row("alltoall", seq_f, me, self.size)
             mine = sum(resends)
             if mine:
                 self._st.cpu += net.cpu_time_for_bytes(mine * nbytes)

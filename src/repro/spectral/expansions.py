@@ -12,12 +12,16 @@ coordinates (a, b) with
 
     a = 2 (1 + xi1)/(1 - xi2) - 1,      b = xi2,
 
-so every mode is stored as a pair of 1-D factors, and evaluation on the
-tensor quadrature grid is a pair of outer products.  The triangle's
-per-mode powers of (1-b)/2 clear the Duffy denominators, keeping each
-mode a polynomial of total degree <= P on the reference triangle; the
-three expansions' edge traces are the *same* 1-D modified basis, which
-is what makes C0 assembly across tri/quad interfaces work.
+so every mode is stored as a pair of 1-D factors.  On the quadrilateral
+the factors are the P+1 modified-basis functions in each direction, so
+every table on a tensor grid (the quadrature grid, or one local edge
+held at xi = +-1) is an outer product of two 1-D tables indexed by the
+modes' (p, q) pairs.  The triangle's per-mode powers of (1-b)/2 clear
+the Duffy denominators, keeping each mode a polynomial of total degree
+<= P on the reference triangle; its b-factor depends on p as well as q,
+so it is not a tensor of two tables and is tabulated one mode at a
+time.  The two expansions' edge traces are the *same* 1-D modified
+basis, which is what makes C0 assembly across tri/quad interfaces work.
 """
 
 from __future__ import annotations
@@ -88,7 +92,6 @@ class Expansion2D:
 
     nverts: int = 0
     nedges: int = 0
-    collapsed: bool = False  # True when (a, b) are Duffy coordinates
 
     def __init__(self, order: int):
         if order < 2:
@@ -101,7 +104,8 @@ class Expansion2D:
         self.rule: TensorRule2D = self._make_rule(self.nq1d)
         self.modes: list[Mode] = self._build_modes()
         self._index_modes()
-        self._tabulate()
+        self.phi, self.dphi1, self.dphi2 = self._tabulate()
+        self.weights = self.rule.weights
 
     # -- subclass hooks ------------------------------------------------------
 
@@ -111,14 +115,9 @@ class Expansion2D:
     def _build_modes(self) -> list[Mode]:
         raise NotImplementedError
 
-    def collapse(self, xi1: Array, xi2: Array) -> tuple[Array, Array]:
-        """(xi1, xi2) -> separable coordinates (a, b)."""
-        raise NotImplementedError
-
-    def _ref_deriv(
-        self, fa: Array, dfa: Array, gb: Array, dgb: Array, A: Array, B: Array
-    ) -> tuple[Array, Array]:
-        """Chain rule (a, b)-factors -> (d/dxi1, d/dxi2) at points (A, B)."""
+    def _tabulate(self) -> tuple[Array, Array, Array]:
+        """(phi, dphi/dxi1, dphi/dxi2), (nmodes, nq) each, on the
+        quadrature grid."""
         raise NotImplementedError
 
     # -- mode-id tables ------------------------------------------------------
@@ -142,21 +141,6 @@ class Expansion2D:
         table.setflags(write=False)
         self.edge_mode_table = table
 
-    # -- tabulation on the quadrature grid ------------------------------------
-
-    def _tabulate(self) -> None:
-        A, B = self.rule.points
-        nm, nq = self.nmodes, self.rule.nq
-        self.phi = np.empty((nm, nq))
-        self.dphi1 = np.empty((nm, nq))
-        self.dphi2 = np.empty((nm, nq))
-        for m, mode in enumerate(self.modes):
-            fa, dfa = mode.f(A), mode.df(A)
-            gb, dgb = mode.g(B), mode.dg(B)
-            self.phi[m] = fa * gb
-            self.dphi1[m], self.dphi2[m] = self._ref_deriv(fa, dfa, gb, dgb, A, B)
-        self.weights = self.rule.weights
-
     # -- public API ------------------------------------------------------------
 
     @property
@@ -177,32 +161,32 @@ class Expansion2D:
     def boundary_modes(self) -> list[int]:
         return list(self._boundary_modes)
 
-    def eval_basis_full(
-        self, xi1: Array, xi2: Array
-    ) -> tuple[Array, Array, Array]:
-        """(phi, dphi/dxi1, dphi/dxi2) tables at arbitrary reference points.
-
-        Points must avoid the triangle's collapsed vertex (xi2 = 1),
-        where the chain-rule factors blow up.
-        """
-        xi1 = np.atleast_1d(np.asarray(xi1, dtype=np.float64))
-        xi2 = np.atleast_1d(np.asarray(xi2, dtype=np.float64))
-        A, B = self.collapse(xi1, xi2)
-        if self.collapsed and np.any(1.0 - B < 1e-12):
-            raise ValueError("derivative evaluation at the collapsed vertex")
-        n = xi1.size
-        phi = np.empty((self.nmodes, n))
-        d1 = np.empty((self.nmodes, n))
-        d2 = np.empty((self.nmodes, n))
-        for m, mode in enumerate(self.modes):
-            fa, dfa = mode.f(A), mode.df(A)
-            gb, dgb = mode.g(B), mode.dg(B)
-            phi[m] = fa * gb
-            d1[m], d2[m] = self._ref_deriv(fa, dfa, gb, dgb, A, B)
-        return phi, d1, d2
-
     def mode_labels(self) -> list[str]:
         return [m.label for m in self.modes]
+
+
+def _factors(order: int, x: Array) -> tuple[Array, Array]:
+    """The order + 1 modified-basis functions and their derivatives at
+    the abscissae ``x``, (order + 1, x.size) each."""
+    return (
+        np.array([b1.modified_a(p, order, x) for p in range(order + 1)]),
+        np.array([b1.modified_a_deriv(p, order, x) for p in range(order + 1)]),
+    )
+
+
+def _tensor_tables(
+    pq: Array, f: Array, df: Array, g: Array, dg: Array
+) -> tuple[Array, Array, Array]:
+    """(phi, dphi/dxi1, dphi/dxi2) of the modes ``pq`` (one (p, q) row
+    each) on the tensor grid of the xi1 factors ``f, df`` and the xi2
+    factors ``g, dg``, xi1 fastest: per mode and point the product
+    f_p(xi1) g_q(xi2) that evaluating the mode's own factors there
+    forms, so the tables are those values bit for bit."""
+    p, q = pq[:, 0], pq[:, 1]
+    return tuple(
+        (b[q][:, :, None] * a[p][:, None, :]).reshape(len(pq), -1)
+        for a, b in ((f, g), (df, g), (f, dg))
+    )
 
 
 def _dgemm_charge(m: int, n: int, k: int) -> tuple[float, float]:
@@ -217,11 +201,7 @@ class _TensorLayout:
 
     def __init__(self, exp: "QuadExpansion"):
         P, n1 = exp.order, exp.nq1d
-        pts = exp.rule.rule_a.points
-        from .basis import modified_a, modified_a_deriv
-
-        self.b1 = np.array([modified_a(p, P, pts) for p in range(P + 1)])
-        self.d1 = np.array([modified_a_deriv(p, P, pts) for p in range(P + 1)])
+        self.b1, self.d1 = _factors(P, exp.rule.rule_a.points)
         self.pq = np.empty((exp.nmodes, 2), dtype=np.int64)
         vert_pq = {0: (0, 0), 1: (P, 0), 2: (P, P), 3: (0, P)}
         for m, mode in enumerate(exp.modes):
@@ -268,8 +248,13 @@ class _TensorLayout:
         self.adjoint_charges = (_dgemm_charge(n, q, q), _dgemm_charge(n, n, q))
 
 
-class QuadExpansionMixin:
-    """Sum-factorisation data of tensor-product (quad) expansions.
+class QuadExpansion(Expansion2D):
+    """Tensor-product modified expansion on the reference quadrilateral.
+
+    Local vertices: V0(-1,-1), V1(1,-1), V2(1,1), V3(-1,1).
+    Local edges (with intrinsic direction): e0 = V0->V1 (+xi1 at
+    xi2 = -1), e1 = V1->V2 (+xi2 at xi1 = 1), e2 = V3->V2 (+xi1 at
+    xi2 = 1), e3 = V0->V3 (+xi2 at xi1 = -1).
 
     NekTar evaluates transforms and derivatives by two small dense
     contractions per element — O(P^3) instead of the O(P^4) of a
@@ -278,22 +263,8 @@ class QuadExpansionMixin:
     <-> tensor index maps, the per-element charge of each dgemm); the
     contractions themselves run over whole element batches in
     :mod:`repro.assembly.matrix_free` and
-    :class:`~repro.assembly.space.FunctionSpace`.
-    """
-
-    def tensor_layout(self) -> _TensorLayout:
-        if not hasattr(self, "_tensor_layout"):
-            self._tensor_layout = _TensorLayout(self)
-        return self._tensor_layout
-
-
-class QuadExpansion(QuadExpansionMixin, Expansion2D):
-    """Tensor-product modified expansion on the reference quadrilateral.
-
-    Local vertices: V0(-1,-1), V1(1,-1), V2(1,1), V3(-1,1).
-    Local edges (with intrinsic direction): e0 = V0->V1 (+xi1 at
-    xi2 = -1), e1 = V1->V2 (+xi2 at xi1 = 1), e2 = V3->V2 (+xi1 at
-    xi2 = 1), e3 = V0->V3 (+xi2 at xi1 = -1).
+    :class:`~repro.assembly.space.FunctionSpace`.  Its tables on the
+    quadrature grid are outer products of those same 1-D tables.
     """
 
     nverts = 4
@@ -302,11 +273,28 @@ class QuadExpansion(QuadExpansionMixin, Expansion2D):
     def _make_rule(self, nq: int) -> TensorRule2D:
         return quad_rule(nq)
 
-    def collapse(self, xi1: Array, xi2: Array) -> tuple[Array, Array]:
-        return np.asarray(xi1, dtype=np.float64), np.asarray(xi2, dtype=np.float64)
+    def _tabulate(self) -> tuple[Array, Array, Array]:
+        tl = self._tensor_layout = _TensorLayout(self)
+        return _tensor_tables(tl.pq, tl.b1, tl.d1, tl.b1, tl.d1)
 
-    def _ref_deriv(self, fa, dfa, gb, dgb, A, B):
-        return dfa * gb, fa * dgb
+    def tensor_layout(self) -> _TensorLayout:
+        return self._tensor_layout
+
+    def edge_tables(self, s: Array) -> tuple[Array, Array, Array]:
+        """(phi, dphi/dxi1, dphi/dxi2) at the abscissae ``s`` along each
+        local edge in its intrinsic direction, (nedges, nmodes, s.size)
+        each: outer products of the 1-D factors at ``s`` and at the
+        edge's fixed coordinate, -1 or +1."""
+        pq = self._tensor_layout.pq
+        run = _factors(self.order, s)
+        lo, hi = (
+            tuple(t[:, i : i + 1] for t in _factors(self.order, np.array([-1.0, 1.0])))
+            for i in (0, 1)
+        )
+        # (xi1 factors, xi2 factors) of e0 .. e3.
+        sides = ((run, lo), (hi, run), (run, hi), (lo, run))
+        tables = [_tensor_tables(pq, *f, *g) for f, g in sides]
+        return tuple(np.stack([t[i] for t in tables]) for i in range(3))
 
     def _build_modes(self) -> list[Mode]:
         P = self.order
@@ -360,24 +348,38 @@ class TriExpansion(Expansion2D):
 
     nverts = 3
     nedges = 3
-    collapsed = True
 
     def _make_rule(self, nq: int) -> TensorRule2D:
         return tri_rule(nq)
 
+    def _tabulate(self) -> tuple[Array, Array, Array]:
+        return self.collapsed_tables(*self.rule.points)
+
     def collapse(self, xi1: Array, xi2: Array) -> tuple[Array, Array]:
+        """(xi1, xi2) -> collapsed coordinates (a, b)."""
         xi1 = np.asarray(xi1, dtype=np.float64)
         xi2 = np.asarray(xi2, dtype=np.float64)
         denom = 1.0 - xi2
         a = np.where(denom > 1e-14, 2.0 * (1.0 + xi1) / np.maximum(denom, 1e-300) - 1.0, -1.0)
         return a, xi2
 
-    def _ref_deriv(self, fa, dfa, gb, dgb, A, B):
+    def collapsed_tables(self, A: Array, B: Array) -> tuple[Array, Array, Array]:
+        """(phi, dphi/dxi1, dphi/dxi2) at collapsed points (A, B), one
+        mode at a time.  The points must avoid the collapsed vertex
+        (b = 1), where the chain-rule factors blow up: Gauss rules never
+        reach it."""
+        phi = np.empty((self.nmodes, A.size))
+        d1 = np.empty((self.nmodes, A.size))
+        d2 = np.empty((self.nmodes, A.size))
         # d a/d xi1 = 2/(1-b);  d a/d xi2 = (1+a)/(1-b);  b = xi2.
         inv = 2.0 / (1.0 - B)
-        d1 = dfa * gb * inv
-        d2 = dfa * gb * 0.5 * (1.0 + A) * inv + fa * dgb
-        return d1, d2
+        for m, mode in enumerate(self.modes):
+            fa, dfa = mode.f(A), mode.df(A)
+            gb, dgb = mode.g(B), mode.dg(B)
+            phi[m] = fa * gb
+            d1[m] = dfa * gb * inv
+            d2[m] = dfa * gb * 0.5 * (1.0 + A) * inv + fa * dgb
+        return phi, d1, d2
 
     def _build_modes(self) -> list[Mode]:
         P = self.order

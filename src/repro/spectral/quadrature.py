@@ -32,10 +32,6 @@ class Rule1D:
     points: np.ndarray
     weights: np.ndarray
 
-    @property
-    def n(self) -> int:
-        return self.points.size
-
 
 @dataclass(frozen=True)
 class TensorRule2D:
@@ -53,10 +49,6 @@ class TensorRule2D:
     rule_a: Rule1D
     rule_b: Rule1D
     scale: float = 1.0
-
-    @property
-    def nq(self) -> int:
-        return self.rule_a.n * self.rule_b.n
 
     @cached_property
     def weights(self) -> np.ndarray:

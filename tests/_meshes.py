@@ -9,6 +9,8 @@ from repro.mesh.curved import circular_arc
 from repro.mesh.generators import rectangle_quads
 from repro.mesh.mesh2d import Mesh2D
 
+from .mesh._topology_oracle import edges
+
 
 def rectangle_tris(
     nx: int,
@@ -83,7 +85,7 @@ def annulus_mesh(
                 tags["outer"].append((e, 1))  # edge (v1, v2) on r = r1
     mesh = Mesh2D(np.asarray(verts), elems, tags)
     if curved:
-        for eid, edge in enumerate(mesh.edges):
+        for edge in edges(mesh):
             a, b = edge.vertices
             ra = np.hypot(*mesh.vertices[a])
             rb = np.hypot(*mesh.vertices[b])

@@ -6,6 +6,7 @@ from repro.mesh.generators import rectangle_quads
 from repro.mesh.mesh2d import Mesh2D
 
 from .._meshes import rectangle_tris
+from ..mesh._topology_oracle import edges
 from ..spectral._reference import edge_modes
 
 
@@ -52,7 +53,7 @@ def test_order_one_rejected():
 def test_shared_edge_same_global_dofs():
     mesh = rotated_two_quads()
     dm = DofMap(mesh, 4)
-    shared = [e for e in mesh.edges if len(e.elements) == 2][0]
+    shared = [e for e in edges(mesh) if len(e.elements) == 2][0]
     (e0, le0), (e1, le1) = shared.elements
     exp0, exp1 = dm.expansion(e0), dm.expansion(e1)
     d0 = dm.elem_dofs[e0][edge_modes(exp0, le0)]
@@ -63,7 +64,7 @@ def test_shared_edge_same_global_dofs():
 def test_reversed_edge_sign_flip():
     mesh = rotated_two_quads()
     dm = DofMap(mesh, 4)
-    shared = [e for e in mesh.edges if len(e.elements) == 2][0]
+    shared = [e for e in edges(mesh) if len(e.elements) == 2][0]
     (e0, le0), (e1, le1) = shared.elements
     o0 = mesh.edge_orientation(e0, le0)
     o1 = mesh.edge_orientation(e1, le1)

@@ -18,9 +18,10 @@ names prefixed ``Old``), as what the stacked code is compared against:
 * ``old_edge_quadrature``: ``build_edge_quadrature``, side by side;
 * ``old_edge_batch``: ``EdgeBatch.__init__``'s operands over it.
 
-The reference tables (quadrature points, edge Gauss points, the edge
-basis) and the counted ``elemental_mass`` are the live ones: the oracle
-freezes how the metric is walked, not the tables it reads.
+The reference tables (quadrature points, edge Gauss points) and the
+counted ``elemental_mass`` are the live ones: the oracle freezes how the
+metric is walked, not the tables it reads.  The edge basis comes from
+the per-mode evaluation frozen in ``tests/spectral/_tabulation_oracle``.
 """
 
 from __future__ import annotations
@@ -37,6 +38,8 @@ from repro.mesh.mesh2d import QUAD_EDGES
 from repro.spectral.basis import bubble
 from repro.spectral.expansions import QuadExpansion, TriExpansion
 from repro.spectral.jacobi import gauss_jacobi
+
+from ..spectral._tabulation_oracle import eval_basis_full
 
 
 class OldElementMap:
@@ -200,7 +203,7 @@ def old_edge_quadrature(space, sides):
         exp = (TriExpansion if kind == "tri" else QuadExpansion)(space.order)
         xi1, xi2 = _PARAM[kind][le][0](s)
         pts = (xi1, xi2, vertex_shape(kind, xi1, xi2))
-        phi, d1, d2 = exp.eval_basis_full(xi1, xi2)
+        phi, d1, d2 = eval_basis_full(exp, xi1, xi2)
         ccw_sign = _PARAM[kind][le][1]
         emap = old_element_map(space.mesh, ei)
         x, y = emap.x(*pts)

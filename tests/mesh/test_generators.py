@@ -123,6 +123,6 @@ def test_body_fitted_ring_conforms_to_frame():
     # raise otherwise); additionally no hanging nodes:
     mesh = body_fitted_mesh(circle_profile(), m=3, nr=1)
     # Count boundary edges = perimeter cells of domain + body wall cells.
-    nb = len(mesh.boundary_edges())
+    nb = int((mesh.edge_nsides == 1).sum())
     ntags = sum(len(v) for v in mesh.boundary_tags.values())
     assert nb == ntags

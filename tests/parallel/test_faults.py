@@ -3,6 +3,8 @@ verifier's behaviour under fault storms."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.machines.catalog import NETWORKS
 from repro.machines.network import NetworkModel
@@ -13,6 +15,8 @@ from repro.parallel.simmpi import (
     CommVerificationError,
     VirtualCluster,
 )
+
+from ._faults_oracle import collective_retransmits
 
 ETH = NETWORKS["RoadRunner, eth-internode"]
 MYR = NETWORKS["RoadRunner, myr-internode"]
@@ -67,6 +71,28 @@ def test_retransmit_draws_are_deterministic_and_seeded():
     # Distinct (src, dst, tag) streams are independent.
     assert draws != [plan.retransmits(1, 0, 7, i) for i in range(200)]
     assert max(draws) <= plan.max_retransmits
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(-(2**63), 2**64 - 1),  # seed
+    st.floats(0.0, 0.99),  # loss_rate
+    st.integers(0, 12),  # max_retransmits
+    st.integers(1, 40),  # size
+    st.data(),
+)
+def test_collective_row_is_the_per_pair_draws(seed, loss_rate, max_retransmits, size, data):
+    """A rank's row, drawn in one uint64 array pass, equals the per-pair
+    masked-integer chain it replaced, destination by destination."""
+    plan = FaultPlan(seed=seed, loss_rate=loss_rate, max_retransmits=max_retransmits)
+    src = data.draw(st.integers(0, size - 1))
+    seq = data.draw(st.integers(0, 2**40))
+    kind = data.draw(st.sampled_from(["alltoall", "bcast", ""]))
+    row = plan.collective_row(kind, seq, src, size)
+    assert row == [
+        collective_retransmits(plan, kind, seq, src, d) for d in range(size) if d != src
+    ]
+    assert all(type(n) is int for n in row)
 
 
 def test_retransmit_delay_is_exponential_backoff():

@@ -34,7 +34,7 @@ def mass_matrix(exp) -> np.ndarray:
 def backward(exp, coeffs) -> np.ndarray:
     """Modal coefficients -> values at the quadrature points."""
     coeffs = np.asarray(coeffs, dtype=np.float64)
-    vals = np.empty(exp.rule.nq)
+    vals = np.empty(exp.rule.weights.size)
     return blas.dgemv(1.0, exp.phi, coeffs, 0.0, vals, trans=True)
 
 

@@ -10,12 +10,12 @@ from ._reference import integrate
 
 def test_quad_rule_area():
     r = quad_rule(3)
-    assert integrate(r, np.ones(r.nq)) == pytest.approx(4.0)
+    assert integrate(r, np.ones(r.weights.size)) == pytest.approx(4.0)
 
 
 def test_tri_rule_area():
     r = tri_rule(3)
-    assert integrate(r, np.ones(r.nq)) == pytest.approx(2.0)
+    assert integrate(r, np.ones(r.weights.size)) == pytest.approx(2.0)
 
 
 def test_points_flattening_convention():
@@ -24,7 +24,7 @@ def test_points_flattening_convention():
     # a index fastest: first 3 entries share b.
     assert np.allclose(B[:3], B[0])
     assert not np.allclose(A[:3], A[0])
-    assert A.size == B.size == r.nq == 9
+    assert A.size == B.size == r.weights.size == 9
 
 
 @given(st.integers(0, 5), st.integers(0, 5))
