@@ -45,13 +45,7 @@ def main(steps: int = 20):
     )
     ns.set_initial(one, zero)
 
-    wall_vids = sorted(
-        {
-            v
-            for ei, le in mesh.boundary_sides("wall")
-            for v in mesh.elements[ei].edge_vertices(le)
-        }
-    )
+    wall_vids = np.unique(mesh.side_vertices(mesh.boundary_sides("wall")))
 
     print(f"\n{'step':>5} {'t':>7} {'KE':>10} {'wing y-shift':>13} {'CG iters':>20}")
     for k in range(steps):

@@ -16,8 +16,9 @@ kind ("tri"/"quad"), so a batch is one of the dof map's per-kind stacks
 (:class:`~repro.assembly.dofmap.KindStack`) plus its elements' metric.
 Batches preserve element order within each group, and the signed
 gather here and the signed, accumulating assembly in
-``FunctionSpace._assemble`` reproduce the per-element
-:class:`~repro.assembly.dofmap.DofMap` semantics exactly.
+``FunctionSpace._assemble`` do, per element, exactly what a one-element
+gather and scatter would.  :class:`FunctionSpace` builds its batches
+with itself, one per kind stack.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 
 from .matrix_free import _element_middle
 
-__all__ = ["ElementBatch", "build_batches"]
+__all__ = ["ElementBatch"]
 
 
 class ElementBatch:
@@ -45,13 +46,15 @@ class ElementBatch:
     dofs, signs:
         (ng, nmodes) stacked global dof numbers and C0 edge signs: the
         dof map's read-only stacks of the kind, not copies.
+    geom:
+        The kind stack's :class:`~repro.mesh.mapping.GeomFactors` (its
+        elements' metric, one stacked pass).
     jw:
         (ng, nq) stacked physical quadrature weights.
     dxi:
         (ng, 2, 2, nq) stacked inverse-Jacobian factors
         (``dxi[e, i, j]`` is d(xi_i)/d(x_j) on element ``elems[e]``).
-        Both are the space's :class:`~repro.mesh.mapping.GeomFactors` of
-        the kind stack, not copies.
+        Both are fields of ``geom``, not copies.
 
     A quad batch also lays out, at first use, what the sum-factorised
     calls read in their element-middle layout (``dofs_em``,
@@ -65,6 +68,7 @@ class ElementBatch:
         self.elems = stack.elems
         self.dofs = stack.dofs
         self.signs = stack.signs
+        self.geom = geom
         self.jw = geom.jw
         self.dxi = geom.dxi_dx
         self._scaled_jw: dict[float, np.ndarray] = {}
@@ -152,13 +156,3 @@ class ElementBatch:
         uglobal = np.asarray(uglobal, dtype=np.float64)
         return uglobal[..., self.dofs] * self.signs
 
-
-def build_batches(space) -> list[ElementBatch]:
-    """One batch per element kind of the space's dof map.
-
-    A kind has one expansion, so it is one (shape, order, quadrature)
-    group.  Batches come out in first-appearance order and keep mesh
-    element order within each group, so per-element results reassembled
-    from batches line up with the sequential loops they replace.
-    """
-    return [ElementBatch(stack, gf) for stack, gf in zip(space.dofmap.stacks, space.geom)]

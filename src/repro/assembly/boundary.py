@@ -6,10 +6,11 @@ side carries the surface integral
 
     oint phi [ -nu n.(curl omega)_extrap - gamma0 (u_b^{n+1} . n)/dt ]
 
-over the velocity-Dirichlet boundary.  :class:`EdgeQuadrature` holds,
-for one (element, local edge) side, the physical edge points, outward
-normal, edge weights, and the element basis (values and physical
-derivatives) tabulated at those points.
+over the velocity-Dirichlet boundary.  :func:`build_edge_quadrature`
+gives, for a list of (element, local edge) sides, the physical edge
+points, outward normals, edge weights and the element basis (values and
+physical derivatives) at those points, one stacked group per element
+kind.
 
 What does not change from step to step is walked once per space and
 kept in two *plans*: :class:`DirichletPlan` (the Dirichlet projection
@@ -25,7 +26,6 @@ call — so states, ledgers and virtual clocks do not see them.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
@@ -34,12 +34,13 @@ from ..linalg import blas
 from ..linalg.counters import charge
 from ..mesh.curved import element_stack
 from ..mesh.mapping import map_jacobians, map_points, vertex_shape
+from ..mesh.mesh2d import _kind_positions
 from ..spectral.basis import bubble
 from ..spectral.expansions import QuadExpansion, TriExpansion
 from ..spectral.jacobi import gauss_jacobi
 from .operators import elemental_mass
 
-__all__ = ["EdgeQuadrature", "build_edge_quadrature", "DirichletPlan", "EdgeBatch"]
+__all__ = ["build_edge_quadrature", "DirichletPlan", "EdgeBatch"]
 
 # Reference parametrisation of each local edge (intrinsic direction),
 # and whether that direction agrees with CCW traversal of the element
@@ -56,29 +57,6 @@ _TRI_PARAM = {
     2: (lambda s: (-np.ones_like(s), s), -1),
 }
 _PARAM = {"tri": _TRI_PARAM, "quad": _QUAD_PARAM}
-
-
-@dataclass
-class EdgeQuadrature:
-    """Quadrature data of one boundary side."""
-
-    elem: int
-    local_edge: int
-    x: np.ndarray  # physical points (n,)
-    y: np.ndarray
-    nx: np.ndarray  # outward unit normal
-    ny: np.ndarray
-    jw: np.ndarray  # arc-length weights
-    phi: np.ndarray  # (nmodes, n) element basis at the edge points
-    dphi_x: np.ndarray  # physical derivative tables
-    dphi_y: np.ndarray
-
-    @property
-    def npts(self) -> int:
-        return self.x.size
-
-    def integrate(self, fvals: np.ndarray) -> float:
-        return blas.ddot(self.jw, np.asarray(fvals, dtype=np.float64))
 
 
 #: d(xi1, xi2)/ds of each local edge's parametrisation, and the sign
@@ -155,27 +133,32 @@ def _edge_lift(order: int) -> tuple:
 
 def _kind_groups(mesh, sides):
     """``(kind, positions, elements, local edges)`` of each element kind
-    among ``sides``, positions in side order."""
-    kinds = [mesh.elements[ei].kind for ei, _ in sides]
-    for kind in dict.fromkeys(kinds):
-        pos = [i for i, k in enumerate(kinds) if k == kind]
-        yield kind, pos, [sides[i][0] for i in pos], np.array([sides[i][1] for i in pos])
+    among ``sides``, kinds in order of first appearance, positions in
+    side order."""
+    ei, le = np.asarray(sides, dtype=np.int64).reshape(-1, 2).T
+    groups = _kind_positions(mesh.elem_vertices[ei, 3] >= 0)
+    return [(kind, pos, ei[pos], le[pos]) for kind, pos in groups.items()]
 
 
-def _edge_stacks(space, sides):
+def build_edge_quadrature(space, sides: list[tuple[int, int]]) -> list[SimpleNamespace]:
     """Edge quadrature (``order + 2`` Gauss points a side) of the given
     (element, local_edge) sides, one stacked pass per element kind.
 
     Points and Jacobians by :func:`~repro.mesh.mapping.map_points` /
     ``map_jacobians`` with each side's row of :func:`_edge_points`, then
-    tangents, normals and inverse Jacobians elementwise.  Yields per
-    kind ``(positions, elements, local edges, fields)``: ``fields`` has
-    the :class:`EdgeQuadrature` stacks ``x, y, nx, ny, jw`` (ns, npts)
-    and ``dphi_x, dphi_y`` (ns, nmodes, npts), and the kind's reference
-    basis ``phi`` (nedges, nmodes, npts).
+    tangents, normals and inverse Jacobians elementwise.  Returns one
+    group per element kind among ``sides``, kinds in order of first
+    appearance, with ``sel`` (its sides' positions in ``sides``),
+    ``elems`` and ``les`` (their elements and local edges), ``stack`` and
+    ``rows`` (the elements' dof-map kind stack and rows in it:
+    :meth:`~repro.assembly.dofmap.DofMap.locate`), the outward unit normal
+    ``nx, ny``, points ``x, y`` and arc-length weights ``jw`` (ns, npts),
+    and the element basis ``phi`` with its physical derivatives
+    ``dphi_x, dphi_y`` at the points (ns, nmodes, npts).
     """
     mesh, n1d = space.mesh, space.order + 2
-    for kind, pos, elems, les in _kind_groups(mesh, sides):
+    groups = []
+    for kind, sel, elems, les in _kind_groups(mesh, sides):
         xi1, xi2, shape = _edge_points(kind, n1d)
         ref = (xi1[les, 0], xi2[les, 0], tuple(t[les, 0] for t in shape))
         coords, curved = element_stack(mesh, elems)
@@ -188,43 +171,23 @@ def _edge_stacks(space, sides):
         ty = j[..., 1, 0] * dxi1 + j[..., 1, 1] * dxi2
         norm = np.hypot(tx, ty)
         ccw_sign = _CCW[kind][les, None]
-        nx = ccw_sign * ty / norm
-        ny = -ccw_sign * tx / norm
         # Physical derivatives at the edge points.
         det = j[..., 0, 0] * j[..., 1, 1] - j[..., 0, 1] * j[..., 1, 0]
         dxi1_dx = (j[..., 1, 1] / det)[:, None]
         dxi1_dy = (-j[..., 0, 1] / det)[:, None]
         dxi2_dx = (-j[..., 1, 0] / det)[:, None]
         dxi2_dy = (j[..., 0, 0] / det)[:, None]
-        dphi_x = d1[les] * dxi1_dx + d2[les] * dxi2_dx
-        dphi_y = d1[les] * dxi1_dy + d2[les] * dxi2_dy
-        fields = SimpleNamespace(
-            x=x, y=y, nx=nx, ny=ny, jw=w * norm, phi=phi, dphi_x=dphi_x, dphi_y=dphi_y
-        )
-        yield pos, elems, les, fields
-
-
-def build_edge_quadrature(space, sides: list[tuple[int, int]]) -> list[EdgeQuadrature]:
-    """Edge quadrature (``order + 2`` Gauss points a side) for the given
-    (element, local_edge) sides: each side's fields are row views of the
-    kind stacks :func:`_edge_stacks` computes, ``phi`` its local edge's
-    reference table."""
-    out: list = [None] * len(sides)
-    for pos, elems, les, f in _edge_stacks(space, sides):
-        for r, i in enumerate(pos):
-            out[i] = EdgeQuadrature(
-                elem=int(elems[r]),
-                local_edge=int(les[r]),
-                x=f.x[r],
-                y=f.y[r],
-                nx=f.nx[r],
-                ny=f.ny[r],
-                jw=f.jw[r],
-                phi=f.phi[les[r]],
-                dphi_x=f.dphi_x[r],
-                dphi_y=f.dphi_y[r],
+        stack, rows = space.dofmap.locate(elems)
+        groups.append(
+            SimpleNamespace(
+                sel=sel, elems=elems, les=les, stack=stack, rows=rows,
+                x=x, y=y, nx=ccw_sign * ty / norm, ny=-ccw_sign * tx / norm, jw=w * norm,
+                phi=phi[les],
+                dphi_x=d1[les] * dxi1_dx + d2[les] * dxi2_dx,
+                dphi_y=d1[les] * dxi1_dy + d2[les] * dxi2_dy,
             )
-    return out
+        )
+    return groups
 
 
 def _sample(fns, slices, x, y, args, dtype) -> np.ndarray:
@@ -271,17 +234,16 @@ class DirichletPlan:
             mesh, dm = space.mesh, space.dofmap
             n1d = self._wg.size
             sides = mesh.boundary_sides(self.tags[0])
-            ends = [sorted(mesh.elements[ei].edge_vertices(le)) for ei, le in sides]
-            ends = np.array(ends, dtype=np.int64).reshape(-1, 2)
-            self._x = np.empty((len(sides), n1d + 2))
-            self._y = np.empty((len(sides), n1d + 2))
-            self._x[:, :2], self._y[:, :2] = mesh.vertices[ends, 0], mesh.vertices[ends, 1]
+            ends = mesh.side_vertices(sides)
             # Gauss points along the true (possibly curved) edge, low ->
             # high: a side running against that direction takes its
             # edge's reversed points.
-            reverse = np.array(
-                [mesh.edge_orientation(ei, le) < 0 for ei, le in sides], dtype=np.int64
-            )
+            reverse = (ends[:, 0] > ends[:, 1]).astype(np.int64)
+            ends = np.sort(ends, axis=1)
+            self._x = np.empty((len(sides), n1d + 2))
+            self._y = np.empty((len(sides), n1d + 2))
+            self._x[:, :2], self._y[:, :2] = mesh.vertices[ends, 0], mesh.vertices[ends, 1]
+            eids = np.empty(len(sides), dtype=np.int64)
             for kind, pos, elems, les in _kind_groups(mesh, sides):
                 xi1, xi2, shape = _edge_points(kind, n1d)
                 rows = (les, reverse[pos])
@@ -289,7 +251,8 @@ class DirichletPlan:
                 coords, curved = element_stack(mesh, elems)
                 ex, ey = map_points(coords, ref, curved)
                 self._x[pos, 2:], self._y[pos, 2:] = ex, ey
-            eids = np.array([dm.elem_edge_id(ei, le) for ei, le in sides], dtype=np.int64)
+                i, elem_rows = dm.locate(elems)
+                eids[pos] = dm.stacks[i].edge_ids[elem_rows, les]
             self._targets = np.concatenate((dm.vrep[ends], dm.edge_dofs(eids)), axis=1)
         self._slices = _tag_slices([len(p._x) for p in parts])
         flat = self._targets.ravel()
@@ -343,68 +306,55 @@ class EdgeBatch:
     """Stacked operands of the rotational pressure BC over the sides of
     ``tags`` (in tag order).
 
-    ``x, y, nx, ny`` are (nsides, npts) over all sides.  ``groups`` has,
-    per element kind, its ``ns`` sides stacked: ``sel`` (positions in
-    the side order), ``elems``; the elements' basis ``exp_phi`` (ns,
-    nmodes, nq; ``exp_phi_c`` is the same stack as complex), weights
-    ``ejw`` (ns, nq), inverse mass ``minv`` (ns, nmodes, nmodes);
-    the :class:`EdgeQuadrature` fields ``phi, dphi_x, dphi_y`` (ns,
-    nmodes, npts) and ``nx, ny, jw`` (ns, npts); ``dofs, signs``.  The
-    surface term is two short functions over them, real field and
-    complex Fourier modes, because their charge labels differ
-    (``dgemv``/``edge-load`` against ``zgemv``).
+    ``x, y, nx, ny`` are (nsides, npts) over all sides.  ``groups`` are
+    the :func:`build_edge_quadrature` groups of those sides, each also
+    holding its elements' basis ``exp_phi`` (ns, nmodes, nq; ``exp_phi_c``
+    is the same stack as complex), weights ``ejw`` (ns, nq), inverse mass
+    ``minv`` (ns, nmodes, nmodes) and ``dofs, signs``, read from the
+    space's batch of their kind stack.  The surface term is two short
+    functions over them, real field and complex Fourier modes, because
+    their charge labels differ (``dgemv``/``edge-load`` against
+    ``zgemv``).
     """
 
     # repro: waive[accounting] M_e^-1 is set-up, never charged by the solvers' loops either
     def __init__(self, space, tags):
-        dm = space.dofmap
         per_tag = [space.mesh.boundary_sides(t) for t in tags]
         self._slices = _tag_slices([len(sides) for sides in per_tag])
         sides = [side for sides in per_tag for side in sides]
         npts = space.order + 2
         self.x, self.y, self.nx, self.ny = (np.empty((len(sides), npts)) for _ in range(4))
-        # Per element kind: its sides' edge quadrature stacks, and their
-        # elements' kind stack and rows in it.
-        parts, where = [], {}
-        for pos, elems, les, f in _edge_stacks(space, sides):
+        groups, batches = build_edge_quadrature(space, sides), space.batches()
+        where = {}
+        for g in groups:
             for name in ("x", "y", "nx", "ny"):
-                getattr(self, name)[pos] = getattr(f, name)
-            elems = np.array(elems)
-            i, rows = dm.locate(elems)
-            where.update((e, (i, r)) for e, r in zip(elems.tolist(), rows.tolist()))
-            parts.append((pos, elems, i, rows, les, f))
+                getattr(self, name)[g.sel] = getattr(g, name)
+            where.update((e, (g.stack, r)) for e, r in zip(g.elems.tolist(), g.rows.tolist()))
         # One mass matrix per distinct element, in first-appearance
         # order (the order the per-solver set-up loops charged them in).
         mass = {}
         for e in dict.fromkeys(ei for ei, _ in sides):
             i, r = where[e]
-            mass[e] = elemental_mass(dm.expansion(e), space.geom[i].row(r))
+            mass[e] = elemental_mass(batches[i].exp, batches[i].geom.row(r))
         self.groups = []
-        for sel, elems, i, rows, les, f in parts:
-            phi = dm.stacks[i].exp.phi
+        for g in groups:
+            b = batches[g.stack]
             # exp_phi is a zero-stride stack, not a shared matrix: the
             # stacked kernels then run one dgemv per side as the loops
             # did (a shared matrix would go through dgemm: other bits).
             # exp_phi_c is the same stack as the complex operand the
             # mode form's zgemv needs: cast once here, not by every
             # matmul (three per step) over all ns copies.
-            stacked = (len(sel),) + phi.shape
+            stacked = (g.sel.size,) + b.exp.phi.shape
             self.groups.append(
                 SimpleNamespace(
-                    sel=np.array(sel),
-                    elems=elems,
-                    exp_phi=np.broadcast_to(phi, stacked),
-                    exp_phi_c=np.broadcast_to(phi.astype(np.complex128), stacked),
-                    ejw=space.geom[i].jw[rows],
-                    minv=np.linalg.inv([mass[e] for e in elems.tolist()]),
-                    dofs=dm.stacks[i].dofs[rows],
-                    signs=dm.stacks[i].signs[rows],
-                    phi=f.phi[les],
-                    dphi_x=f.dphi_x,
-                    dphi_y=f.dphi_y,
-                    nx=f.nx,
-                    ny=f.ny,
-                    jw=f.jw,
+                    **vars(g),
+                    exp_phi=np.broadcast_to(b.exp.phi, stacked),
+                    exp_phi_c=np.broadcast_to(b.exp.phi.astype(np.complex128), stacked),
+                    ejw=b.jw[g.rows],
+                    minv=np.linalg.inv([mass[e] for e in g.elems.tolist()]),
+                    dofs=b.dofs[g.rows],
+                    signs=b.signs[g.rows],
                 )
             )
 

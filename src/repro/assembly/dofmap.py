@@ -18,7 +18,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
-from ..mesh.mesh2d import Mesh2D
+from ..mesh.mesh2d import QUAD_EDGES, TRI_EDGES, Mesh2D
 from ..spectral.basis import edge_reversal_sign
 from ..spectral.expansions import Expansion2D, QuadExpansion, TriExpansion
 
@@ -44,6 +44,7 @@ def _smallest_identified(n: int, pairs: list[np.ndarray]) -> np.ndarray:
 
 
 _EXPANSIONS = {"tri": TriExpansion, "quad": QuadExpansion}
+_LOCAL_EDGES = {"tri": np.array(TRI_EDGES), "quad": np.array(QUAD_EDGES)}
 
 
 class KindStack(NamedTuple):
@@ -52,8 +53,8 @@ class KindStack(NamedTuple):
     ``elems`` are the kind's (n,) mesh element ids, ``dofs`` / ``signs``
     (n, nmodes) global dofs and C0 edge signs (+-1.0), ``edge_ids``
     (n, nedges) dof-map edge ids.  The arrays are read-only (a space is
-    shared by the campaign's worker threads), and
-    ``DofMap.elem_dofs[e]`` / ``elem_signs[e]`` are row views of them.
+    shared by the campaign's worker threads).  They are the one
+    per-element layout: :meth:`DofMap.locate` finds an element's row.
     """
 
     kind: str
@@ -163,8 +164,7 @@ class DofMap:
         """
         mesh, P = self.mesh, self.order
         n_edge_dofs = P - 1
-        edge_class = self._edge_class
-        classes = np.unique(edge_class)
+        classes, self._edge_id = np.unique(self._edge_class, return_inverse=True)
         self.n_edges = classes.size
         self.vertex_offset = 0
         self.edge_offset = self.n_vertex_dofs
@@ -181,7 +181,7 @@ class DofMap:
         self.stacks: list[KindStack] = []
         for kind, elems in groups.items():
             exp = self.expansions[kind]
-            local = np.array(mesh.elements[elems[0]].local_edges)
+            local = _LOCAL_EDGES[kind]
             rep = self.vrep[mesh.elem_vertices[elems, : exp.nverts]]
             ra, rb = rep[:, local[:, 0]], rep[:, local[:, 1]]
             if (ra == rb).any():
@@ -190,7 +190,7 @@ class DofMap:
                     "endpoints are identified; use >= 2 cells per "
                     "periodic direction)"
                 )
-            eid = np.searchsorted(classes, edge_class[mesh.elem_edges[elems, : exp.nedges]])
+            eid = self._edge_id[mesh.elem_edges[elems, : exp.nedges]]
             edge_modes = exp.edge_mode_table
             dofs = np.empty((elems.size, exp.nmodes), dtype=np.int64)
             signs = np.ones((elems.size, exp.nmodes))
@@ -212,20 +212,8 @@ class DofMap:
         for i, st in enumerate(self.stacks):
             self._stack_of[st.elems] = i
             self._row_of[st.elems] = np.arange(st.elems.size)
-        order = np.argsort(np.concatenate([st.elems for st in self.stacks]))
-
-        def in_mesh_order(name: str) -> list[np.ndarray]:
-            flat = [row for st in self.stacks for row in getattr(st, name)]
-            return [flat[i] for i in order]
-
-        self.elem_dofs: list[np.ndarray] = in_mesh_order("dofs")
-        self.elem_signs: list[np.ndarray] = in_mesh_order("signs")
-        self._edge_ids: list[np.ndarray] = in_mesh_order("edge_ids")
 
     # -- queries -------------------------------------------------------------
-
-    def expansion(self, elem: int) -> Expansion2D:
-        return self.expansions[self.mesh.elements[elem].kind]
 
     def locate(self, elems) -> tuple[int, np.ndarray]:
         """``(i, rows)``: the kind stack ``stacks[i]`` of same-kind
@@ -236,15 +224,6 @@ class DofMap:
             raise ValueError("locate() takes a non-empty set of same-kind elements")
         return int(which[0]), self._row_of[elems]
 
-    def vertex_dof(self, v: int) -> int:
-        """Global dof of mesh vertex v (its periodic representative)."""
-        return int(self.vrep[v])
-
-    def elem_edge_id(self, elem: int, local_edge: int) -> int:
-        """Dof-map edge id of an element side (identified edges for
-        periodic meshes)."""
-        return int(self._edge_ids[elem][local_edge])
-
     def edge_dofs(self, eid) -> np.ndarray:
         """Global dofs interior to dof-map edge ``eid`` (canonical order):
         (order - 1,) of one edge id, a row per id of an array of them."""
@@ -254,24 +233,14 @@ class DofMap:
 
     def boundary_dofs(self, tags: list[str] | None = None) -> np.ndarray:
         """Global dofs (vertices + edge-interiors) on the given boundary
-        tags; on the whole boundary when ``tags`` is None."""
+        tags, sorted; on the whole boundary when ``tags`` is None."""
+        mesh = self.mesh
         sides = (
-            self.mesh.boundary_sides()
+            mesh.boundary_sides()
             if tags is None
-            else [s for t in tags for s in self.mesh.boundary_sides(t)]
+            else [s for t in tags for s in mesh.boundary_sides(t)]
         )
-        out: set[int] = set()
-        for ei, le in sides:
-            elem = self.mesh.elements[ei]
-            a, b = elem.edge_vertices(le)
-            out.add(self.vertex_dof(a))
-            out.add(self.vertex_dof(b))
-            eid = self.elem_edge_id(ei, le)
-            out.update(int(d) for d in self.edge_dofs(eid))
-        return np.array(sorted(out), dtype=np.int64)
-
-    # -- gather ----------------------------------------------------------------
-
-    def gather(self, elem: int, uglobal: np.ndarray) -> np.ndarray:
-        """Global coefficient vector -> signed element-local coefficients."""
-        return self.elem_signs[elem] * uglobal[self.elem_dofs[elem]]
+        ei, le = np.asarray(sides, dtype=np.int64).reshape(-1, 2).T
+        verts = self.vrep[mesh.side_vertices(sides)]
+        edges = self.edge_dofs(self._edge_id[mesh.elem_edges[ei, le]])
+        return np.unique(np.concatenate((verts.ravel(), edges.ravel())))

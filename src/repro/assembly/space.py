@@ -1,7 +1,8 @@
 """FunctionSpace: the discrete field layer of the spectral/hp method.
 
-Bundles a mesh + uniform polynomial order with the dof map, per-element
-geometric factors and physical quadrature coordinates, and provides the
+Bundles a mesh + uniform polynomial order with the dof map, one element
+batch per dof-map kind stack (its elements' stacked geometric factors)
+and physical quadrature coordinates, and provides the
 field operations every application stage is built from:
 
 * ``backward``  — modal coefficients -> quadrature values (the paper's
@@ -26,6 +27,7 @@ from ..mesh.curved import element_stack
 from ..mesh.mapping import GeomFactors
 from ..mesh.mesh2d import Mesh2D
 from . import matrix_free
+from .batching import ElementBatch
 from .boundary import DirichletPlan
 from .dofmap import DofMap
 from .operators import (
@@ -109,25 +111,24 @@ class FunctionSpace:
         self.mesh = mesh
         self.order = order
         if sumfact is None:
-            sumfact = all(e.kind == "quad" for e in mesh.elements)
+            sumfact = list(mesh.kind_groups()) == ["quad"]
         self.sumfact = bool(sumfact)
-        self._batches = None
         self._flat_dofs = None
         self._op_mats: dict[tuple, np.ndarray] = {}
         self._dirichlet_plans: dict[tuple[str, ...], DirichletPlan] = {}
         self.dofmap = DofMap(mesh, order, periodic=periodic)
-        # The metric, one stacked pass per dof-map kind stack.
-        self.geom: list[GeomFactors] = [
-            GeomFactors.compute(st.exp, *element_stack(mesh, st.elems))
+        # One batch per dof-map kind stack, its metric one stacked pass.
+        self._batches = [
+            ElementBatch(st, GeomFactors.compute(st.exp, *element_stack(mesh, st.elems)))
             for st in self.dofmap.stacks
         ]
-        if len(self.geom) == 1:  # one kind: its stack is in mesh order
-            self.xq, self.yq = self.geom[0].x, self.geom[0].y
+        if len(self._batches) == 1:  # one kind: its stack is in mesh order
+            self.xq, self.yq = self._batches[0].geom.x, self._batches[0].geom.y
         else:
-            nq = self.geom[0].x.shape[1]
+            nq = self._batches[0].jw.shape[1]
             self.xq, self.yq = np.empty((self.nelem, nq)), np.empty((self.nelem, nq))
-            for st, gf in zip(self.dofmap.stacks, self.geom):
-                self.xq[st.elems], self.yq[st.elems] = gf.x, gf.y
+            for b in self._batches:
+                self.xq[b.elems], self.yq[b.elems] = b.geom.x, b.geom.y
 
     # -- sizes ---------------------------------------------------------------
 
@@ -148,13 +149,9 @@ class FunctionSpace:
     def coords(self) -> tuple[np.ndarray, np.ndarray]:
         return self.xq, self.yq
 
-    def batches(self):
-        """Same-shape element batches (built lazily; element order is
-        preserved within each batch)."""
-        if self._batches is None:
-            from .batching import build_batches
-
-            self._batches = build_batches(self)
+    def batches(self) -> list[ElementBatch]:
+        """Same-shape element batches, one per dof-map kind stack in its
+        order (element order is preserved within each batch)."""
         return self._batches
 
     def dirichlet_plan(self, tags) -> DirichletPlan:
@@ -493,5 +490,6 @@ class FunctionSpace:
         return self._assemble(parts)
 
     def eval_at_vertices(self, u_hat: np.ndarray) -> np.ndarray:
-        """Field values at mesh vertices (vertex dofs are nodal)."""
-        return self._coefficients(u_hat, "eval_at_vertices")[..., : self.mesh.nvertices]
+        """Field values at mesh vertices (vertex dofs are nodal; a
+        periodic vertex reads its representative's dof)."""
+        return self._coefficients(u_hat, "eval_at_vertices")[..., self.dofmap.vrep]

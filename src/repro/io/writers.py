@@ -55,13 +55,11 @@ def write_vtk(
     ]
     for x, y in mesh.vertices:
         lines.append(f"{x:.12g} {y:.12g} 0.0")
-    size = sum(e.nedges + 1 for e in mesh.elements)
-    lines.append(f"CELLS {mesh.nelements} {size}")
-    for e in mesh.elements:
-        lines.append(" ".join([str(len(e.vertices))] + [str(v) for v in e.vertices]))
+    cells = [[v for v in row if v >= 0] for row in mesh.elem_vertices.tolist()]
+    lines.append(f"CELLS {mesh.nelements} {sum(len(c) + 1 for c in cells)}")
+    lines.extend(" ".join(map(str, [len(c)] + c)) for c in cells)
     lines.append(f"CELL_TYPES {mesh.nelements}")
-    for e in mesh.elements:
-        lines.append(str(_VTK_CELL[len(e.vertices)]))
+    lines.extend(str(_VTK_CELL[len(c)]) for c in cells)
     if point_fields:
         lines.append(f"POINT_DATA {nv}")
         for name, vals in point_fields.items():

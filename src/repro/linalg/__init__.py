@@ -4,7 +4,6 @@ from .banded import BandedSPDSolver
 from .blas import (
     ddot,
     dgemm,
-    dgemv,
     dnrm2,
     dvmul,
 )
@@ -15,7 +14,6 @@ __all__ = [
     "BandedSPDSolver",
     "ddot",
     "dnrm2",
-    "dgemv",
     "dgemm",
     "dvmul",
     "CGResult",

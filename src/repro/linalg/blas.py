@@ -2,9 +2,11 @@
 
 "BLAS routines account for most of the work in the codes presented"
 (Section 3.1).  Of the five routines the paper times — ``dcopy``,
-``daxpy``, ``ddot``, ``dgemv``, ``dgemm`` — the solver calls the last
-three (the first two are priced by the CPU model, ``flop_count`` /
-``byte_count`` below); they and the handful of others the solver needs
+``daxpy``, ``ddot``, ``dgemv``, ``dgemm`` — runs call ``ddot`` and
+``dgemm`` one at a time and ``dgemv`` only stacked (``dgemv_batched``
+charges one ``dgemv`` per item); ``dcopy`` and ``daxpy`` are priced by
+the CPU model (``flop_count`` / ``byte_count`` below); they and the
+handful of others the solver needs
 are thin numpy wrappers that (a) follow BLAS calling
 semantics closely enough to be drop-in, and (b) report exact flop and
 byte counts to :mod:`repro.linalg.counters` so application stages can be
@@ -29,7 +31,6 @@ __all__ = [
     "ddot",
     "ddot_batched",
     "dnrm2",
-    "dgemv",
     "dgemv_batched",
     "dgemm",
     "dgemm_batched",
@@ -75,35 +76,6 @@ def dnrm2(x: np.ndarray) -> float:
     x = _as1d(x)
     _charge_vector("dnrm2", x.size)
     return float(np.linalg.norm(x))
-
-
-def dgemv(
-    alpha: float,
-    a: np.ndarray,
-    x: np.ndarray,
-    beta: float,
-    y: np.ndarray,
-    trans: bool = False,
-) -> np.ndarray:
-    """y = alpha * op(A) x + beta * y, in place.  op(A) = A or A^T.
-
-    (2*m*n flops; traffic dominated by the matrix, 8*m*n bytes.)
-    """
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2:
-        raise ValueError("dgemv: A must be 2-D")
-    x, y = _as1d(x), _as1d(y)
-    op = a.T if trans else a
-    m, n = op.shape
-    if x.size != n or y.size != m:
-        raise ValueError("dgemv: dimension mismatch")
-    if beta == 0.0:
-        y[:] = alpha * (op @ x)
-    else:
-        y *= beta
-        y += alpha * (op @ x)
-    charge(2.0 * m * n, 8.0 * (m * n + n + 2 * m), "dgemv")
-    return y
 
 
 def dgemm(

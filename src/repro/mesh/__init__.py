@@ -11,11 +11,10 @@ from .generators import (
     wing_mesh,
 )
 from .mapping import ElementMap, GeomFactors
-from .mesh2d import QUAD_EDGES, TRI_EDGES, Element, Mesh2D
+from .mesh2d import QUAD_EDGES, TRI_EDGES, Mesh2D
 
 __all__ = [
     "Mesh2D",
-    "Element",
     "TRI_EDGES",
     "QUAD_EDGES",
     "ElementMap",

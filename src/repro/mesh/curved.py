@@ -148,7 +148,8 @@ class BlendedQuadMap(ElementMap):
 def make_element_map(mesh: Mesh2D, elem: int) -> ElementMap:
     """The element's geometric map: blended if any of its edges carry a
     registered curve, plain straight-sided otherwise."""
-    coords = mesh.element_coords(elem)
+    ev = mesh.elem_vertices[elem]
+    coords = mesh.vertices[ev[ev >= 0]]
     curves = getattr(mesh, "curves", None) or {}
     local = {
         le: fn for (ei, le), fn in curves.items() if ei == elem
@@ -163,7 +164,9 @@ def element_stack(mesh: Mesh2D, elems) -> tuple[np.ndarray, dict[int, ElementMap
     same-kind elements ``elems`` (repeats allowed): their (n, nv, 2)
     vertex coordinates and, for the rows on an element with a curved
     edge, that element's own map.  A straight mesh builds no map."""
-    coords = mesh.vertices[np.array([mesh.elements[e].vertices for e in elems])]
-    bent = {ei for ei, _ in mesh.curves}
-    curved = {r: make_element_map(mesh, int(e)) for r, e in enumerate(elems) if e in bent}
+    elems = np.asarray(elems, dtype=np.int64)
+    ev = mesh.elem_vertices[elems]
+    coords = mesh.vertices[ev if ev[0, 3] >= 0 else ev[:, :3]]
+    rows = np.flatnonzero(np.isin(elems, [ei for ei, _ in mesh.curves]))
+    curved = {int(r): make_element_map(mesh, int(elems[r])) for r in rows}
     return coords, curved

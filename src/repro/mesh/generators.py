@@ -286,9 +286,9 @@ def attach_circular_wall(mesh: Mesh2D) -> None:
     edge (the edges' vertices must already lie on that circle)."""
     from .curved import circular_arc
 
-    for ei, le in mesh.boundary_sides("wall"):
-        a, b = mesh.elements[ei].edge_vertices(le)
-        mesh.curves[(ei, le)] = circular_arc(mesh.vertices[a], mesh.vertices[b])
+    sides = mesh.boundary_sides("wall")
+    for side, (a, b) in zip(sides, mesh.side_vertices(sides)):
+        mesh.curves[side] = circular_arc(mesh.vertices[a], mesh.vertices[b])
 
 
 def wing_mesh(m: int = 6, nr: int = 2) -> Mesh2D:

@@ -48,10 +48,6 @@ class Element:
         return "tri" if len(self.vertices) == 3 else "quad"
 
     @property
-    def nedges(self) -> int:
-        return len(self.vertices)
-
-    @property
     def local_edges(self) -> tuple[tuple[int, int], ...]:
         return TRI_EDGES if self.kind == "tri" else QUAD_EDGES
 
@@ -64,6 +60,14 @@ class Element:
 
 #: Local edge endpoints by side count, a triangle's row padded to four.
 _LOCAL_EDGES = {4: np.array(QUAD_EDGES), 3: np.array(TRI_EDGES + ((0, 0),))}
+
+
+def _kind_positions(quad: np.ndarray) -> dict[str, np.ndarray]:
+    """The positions where ``quad`` is true ("quad") and false ("tri"),
+    ascending, kinds in order of first appearance; an absent kind has
+    no entry."""
+    groups = [(kind, np.flatnonzero(mask)) for kind, mask in (("quad", quad), ("tri", ~quad))]
+    return dict(sorted((g for g in groups if g[1].size), key=lambda g: g[1][0]))
 
 
 class Mesh2D:
@@ -137,6 +141,7 @@ class Mesh2D:
         self.edge_nsides = counts[order]
 
     def _validate_tags(self) -> None:
+        keys, owners = [], []
         for tag, sides in self.boundary_tags.items():
             ei, le = np.asarray(sides, dtype=np.int64).reshape(-1, 2).T
             known = (ei >= 0) & (ei < self.nelements)
@@ -150,6 +155,17 @@ class Mesh2D:
                 if not known[i]:
                     raise ValueError(f"tag {tag!r}: element {ei[i]} out of range")
                 raise ValueError(f"tag {tag!r}: ({ei[i]}, {le[i]}) is not a boundary side")
+            keys.append(ei * 4 + le)
+            owners += [tag] * ei.size
+        # A side tagged twice would be integrated twice by every surface term.
+        if keys:
+            keys = np.concatenate(keys)
+            _, first, counts = np.unique(keys, return_index=True, return_counts=True)
+            if counts.max(initial=0) > 1:
+                key = keys[min(first[counts > 1])]
+                tags = [owners[i] for i in np.flatnonzero(keys == key)]
+                side = divmod(int(key), 4)
+                raise ValueError(f"boundary side {side} is tagged more than once: {tags}")
 
     @property
     def nvertices(self) -> int:
@@ -157,17 +173,11 @@ class Mesh2D:
 
     @property
     def nelements(self) -> int:
-        return len(self.elements)
+        return len(self.elem_vertices)
 
     @property
     def nedges(self) -> int:
         return len(self.edge_sides)
-
-    def edge_orientation(self, elem: int, local_edge: int) -> int:
-        """+1 if the element's intrinsic edge direction matches the
-        canonical (low -> high vertex id) direction, else -1."""
-        a, b = self.elements[elem].edge_vertices(local_edge)
-        return 1 if a < b else -1
 
     def boundary_sides(self, tag: str | None = None) -> list[tuple[int, int]]:
         """(element, local_edge) pairs on the boundary; all, in edge id
@@ -189,24 +199,17 @@ class Mesh2D:
     def kind_groups(self) -> dict[str, np.ndarray]:
         """Each element kind's element ids in mesh order, kinds in order
         of first appearance."""
-        quad = self.elem_vertices[:, 3] >= 0
-        groups = [(kind, np.flatnonzero(mask)) for kind, mask in (("quad", quad), ("tri", ~quad))]
-        return dict(sorted((g for g in groups if g[1].size), key=lambda g: g[1][0]))
+        return _kind_positions(self.elem_vertices[:, 3] >= 0)
 
     # -- geometry ----------------------------------------------------------------
 
-    def element_coords(self, elem: int) -> np.ndarray:
-        """(nverts, 2) vertex coordinates of one element."""
-        return self.vertices[list(self.elements[elem].vertices)]
-
     def element_areas(self) -> np.ndarray:
-        """Signed (shoelace) areas; positive for counterclockwise elements."""
-        out = np.empty(self.nelements)
-        for i, elem in enumerate(self.elements):
-            xy = self.element_coords(i)
-            x, y = xy[:, 0], xy[:, 1]
-            out[i] = 0.5 * np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y)
-        return out
+        """Signed (shoelace) areas; positive for counterclockwise elements.
+        A triangle's row repeats its first vertex, whose term is zero."""
+        ev = self.elem_vertices
+        xy = self.vertices[np.where(ev >= 0, ev, ev[:, :1])]
+        x, y = xy[..., 0], xy[..., 1]
+        return 0.5 * np.sum(x * np.roll(y, -1, axis=1) - np.roll(x, -1, axis=1) * y, axis=1)
 
     # -- graphs -------------------------------------------------------------------
 

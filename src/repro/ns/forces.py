@@ -11,8 +11,8 @@ into the fluid) — the opposite of the edge quadrature's fluid-outward
 normal, so a stagnation front produces positive drag.  The body force
 is the traction integral over the wall.  Evaluation uses the element
 modal coefficients directly on the edge quadrature of
-:mod:`repro.assembly.boundary` — no interpolation or mass solves
-needed.
+:mod:`repro.assembly.boundary`, one element kind's sides at a time —
+no interpolation or mass solves needed.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..assembly.boundary import EdgeQuadrature, build_edge_quadrature
+from ..assembly.boundary import build_edge_quadrature
 from ..assembly.space import FunctionSpace
 from ..linalg import blas
 
@@ -42,26 +42,25 @@ class BodyForces:
 
 def traction(
     space: FunctionSpace,
-    eq: EdgeQuadrature,
+    group,
     u_hat: np.ndarray,
     v_hat: np.ndarray,
     p_hat: np.ndarray,
     nu: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Pointwise traction on one edge: (tx_p, ty_p, tx_v, ty_v)."""
-    dm = space.dofmap
-    ei = eq.elem
-    u_loc = dm.gather(ei, u_hat)
-    v_loc = dm.gather(ei, v_hat)
-    p_loc = dm.gather(ei, p_hat)
-    p, dudx, dudy, dvdx, dvdy = (np.empty(eq.npts) for _ in range(5))
-    blas.dgemv(1.0, eq.phi, p_loc, 0.0, p, trans=True)
-    blas.dgemv(1.0, eq.dphi_x, u_loc, 0.0, dudx, trans=True)
-    blas.dgemv(1.0, eq.dphi_y, u_loc, 0.0, dudy, trans=True)
-    blas.dgemv(1.0, eq.dphi_x, v_loc, 0.0, dvdx, trans=True)
-    blas.dgemv(1.0, eq.dphi_y, v_loc, 0.0, dvdy, trans=True)
+    """Pointwise traction on one kind group of
+    :func:`~repro.assembly.boundary.build_edge_quadrature`:
+    (tx_p, ty_p, tx_v, ty_v), each (ns, npts)."""
+    b, rows = space.batches()[group.stack], group.rows
+    u_loc, v_loc, p_loc = (b.signs[rows] * f[b.dofs[rows]] for f in (u_hat, v_hat, p_hat))
+    p, dudx, dudy, dvdx, dvdy = (np.empty(group.jw.shape) for _ in range(5))
+    blas.dgemv_batched(1.0, group.phi, p_loc, 0.0, p, trans=True)
+    blas.dgemv_batched(1.0, group.dphi_x, u_loc, 0.0, dudx, trans=True)
+    blas.dgemv_batched(1.0, group.dphi_y, u_loc, 0.0, dudy, trans=True)
+    blas.dgemv_batched(1.0, group.dphi_x, v_loc, 0.0, dvdx, trans=True)
+    blas.dgemv_batched(1.0, group.dphi_y, v_loc, 0.0, dvdy, trans=True)
     # Body-outward normal = -(fluid-outward normal of the edge rule).
-    nx, ny = -eq.nx, -eq.ny
+    nx, ny = -group.nx, -group.ny
     tx_p = -p * nx
     ty_p = -p * ny
     tx_v = nu * (2.0 * dudx * nx + (dudy + dvdx) * ny)
@@ -76,18 +75,19 @@ def body_forces(
     p_hat: np.ndarray,
     nu: float,
     tag: str = "wall",
-    edge_quads: list[EdgeQuadrature] | None = None,
+    edge_quads: list | None = None,
 ) -> BodyForces:
-    """Integrate the traction over the tagged boundary."""
+    """Integrate the traction over the tagged boundary (``edge_quads``:
+    its :func:`~repro.assembly.boundary.build_edge_quadrature` groups,
+    when the caller keeps them)."""
     if edge_quads is None:
         edge_quads = build_edge_quadrature(space, space.mesh.boundary_sides(tag))
-    pd = pl = vd = vl = 0.0
-    for eq in edge_quads:
-        tx_p, ty_p, tx_v, ty_v = traction(space, eq, u_hat, v_hat, p_hat, nu)
-        pd += eq.integrate(tx_p)
-        pl += eq.integrate(ty_p)
-        vd += eq.integrate(tx_v)
-        vl += eq.integrate(ty_v)
+    totals = np.zeros(4)
+    for g in edge_quads:
+        t = np.stack(traction(space, g, u_hat, v_hat, p_hat, nu))
+        # One ddot per side and component: the (4, ns) integrals.
+        totals += blas.ddot_batched(np.broadcast_to(g.jw, t.shape), t).sum(axis=1)
+    pd, pl, vd, vl = totals.tolist()
     return BodyForces(
         drag=pd + vd,
         lift=pl + vl,
@@ -103,8 +103,9 @@ class ForceRecorder:
 
     Works with any solver exposing ``space``, ``u_hat``, ``v_hat``,
     ``p_hat``, ``nu`` and ``t`` (both the serial and ALE solvers do).
-    The edge quadrature is cached, so recording is cheap per step —
-    rebuild with ``refresh_geometry()`` after ALE mesh motion.
+    The edge quadrature is cached for the solver's current space, so
+    recording is cheap per step; an ALE solver builds a new space after
+    every mesh move, and the next record builds the quadrature anew.
     """
 
     def __init__(self, solver, tag: str = "wall"):
@@ -112,15 +113,13 @@ class ForceRecorder:
         self.tag = tag
         self.times: list[float] = []
         self.history: list[BodyForces] = []
-        self.refresh_geometry()
-
-    def refresh_geometry(self) -> None:
-        self._quads = build_edge_quadrature(
-            self.solver.space, self.solver.space.mesh.boundary_sides(self.tag)
-        )
+        self._space = self._quads = None
 
     def record(self) -> BodyForces:
         s = self.solver
+        if s.space is not self._space:
+            self._space = s.space
+            self._quads = build_edge_quadrature(s.space, s.space.mesh.boundary_sides(self.tag))
         f = body_forces(
             s.space, s.u_hat, s.v_hat, s.p_hat, s.nu, self.tag, self._quads
         )

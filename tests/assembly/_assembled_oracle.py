@@ -16,7 +16,7 @@ code is compared against:
   and load vector by counted ``dgemm`` / ``dgemv``, the per-element twins
   of the batched set-up and ``FunctionSpace.load_vector``;
 * ``element_geom``: one element's ``GeomFactors``, the row of its kind
-  stack's (a space holds the metric per kind stack);
+  stack's (a space holds the metric per kind stack, on its batches);
 * ``StoredMatrices``: per-element matrices held whole (stored stacks, a
   per-element list), handed to ``CondensedOperator`` in the one form it
   reads (``.dofmap`` and ``.chunks(i)``, what ``elemental_matrices``
@@ -31,16 +31,18 @@ import scipy.sparse as sp
 from repro.assembly.global_system import dirichlet_block, rcm_band
 from repro.assembly.operators import elemental_laplacian, elemental_mass
 from repro.assembly.space import CHUNK
-from repro.linalg import blas
 from repro.linalg.banded import BandedSPDSolver
 from repro.linalg.counters import charge
+
+from ..linalg._vector_kernels import dgemv
+from . import _dofmap_oracle as dmo
 
 
 def element_geom(space, e: int):
     """Element ``e``'s :class:`~repro.mesh.mapping.GeomFactors`: its row
     of the space's kind-stack factors (views)."""
     i, (r,) = space.dofmap.locate([e])
-    return space.geom[i].row(r)
+    return space.batches()[i].geom.row(r)
 
 
 def kind_stacks(mats) -> list[np.ndarray]:
@@ -91,9 +93,10 @@ class StoredMatrices:
 def assemble(space, elem_mats) -> sp.csr_matrix:
     """Scatter elemental matrices into the global sparse operator."""
     rows, cols, vals = [], [], []
+    elem_dofs, elem_signs = dmo.elem_dofs(space.dofmap), dmo.elem_signs(space.dofmap)
     for ei, a in enumerate(element_rows(elem_mats)):
-        dofs = space.dofmap.elem_dofs[ei]
-        signs = space.dofmap.elem_signs[ei]
+        dofs = elem_dofs[ei]
+        signs = elem_signs[ei]
         sa = (signs[:, None] * a) * signs[None, :]
         n = dofs.size
         rows.append(np.repeat(dofs, n))
@@ -108,12 +111,15 @@ def assemble(space, elem_mats) -> sp.csr_matrix:
 
 def scatter_add(dofmap, elem: int, ulocal: np.ndarray, uglobal: np.ndarray) -> None:
     """Accumulate signed element-local values into the global vector."""
-    np.add.at(uglobal, dofmap.elem_dofs[elem], dofmap.elem_signs[elem] * ulocal)
+    i, (r,) = dofmap.locate([elem])
+    st = dofmap.stacks[i]
+    np.add.at(uglobal, st.dofs[r], st.signs[r] * ulocal)
 
 
 def edge_load(eq, fvals: np.ndarray) -> np.ndarray:
-    """(f, phi_i) over one side's :class:`EdgeQuadrature`, local
-    (unsigned) coefficients; runs load a whole ``EdgeBatch`` at once."""
+    """(f, phi_i) over one side's ``EdgeQuadrature`` (the per-side record
+    of ``tests/mesh/_metric_oracle``), local (unsigned) coefficients;
+    runs load a whole ``EdgeBatch`` at once."""
     m, n = eq.phi.shape
     charge(2.0 * m * n, 8.0 * (m * n + n + m), "edge-load")
     return eq.phi @ (eq.jw * fvals)
@@ -197,5 +203,5 @@ def elemental_load(exp, gf, fvals: np.ndarray) -> np.ndarray:
     if fvals.size != gf.jw.size:
         raise ValueError("fvals must be given at the quadrature points")
     out = np.zeros(exp.nmodes)
-    blas.dgemv(1.0, exp.phi, gf.jw * fvals, 0.0, out)
+    dgemv(1.0, exp.phi, gf.jw * fvals, 0.0, out)
     return out

@@ -1,5 +1,6 @@
-"""Frozen reference: the per-element, per-mode ``DofMap`` numbering and
-the COO paper-size pattern it replaced.
+"""Frozen reference: the per-element, per-mode ``DofMap`` numbering, the
+COO paper-size pattern it replaced, and the per-element views of the
+numbering that ``DofMap`` kept beside its kind stacks.
 
 ``edge_tables`` / ``number`` are the bodies of ``DofMap._edge_tables`` /
 ``DofMap._number`` before numbering became one pass per element kind,
@@ -7,7 +8,13 @@ and ``paper_pattern`` / ``rcm_bandwidth`` the pattern, RCM permutation
 and bandwidth ``serial_bluff._paper_dofmap_stats`` computed before it
 became array-only.  Mode ids are read by scanning the expansion's mode
 list, as the old ``Expansion2D`` getters did, so the oracle does not
-lean on the tables it checks.  Test-only; do not import from ``src/``.
+lean on the tables it checks.
+
+``elem_dofs`` / ``elem_signs`` / ``edge_ids`` (mesh-order lists of row
+views of the kind stacks), ``expansion``, ``gather``, ``vertex_dof`` and
+``elem_edge_id`` are those views, methods turned into functions of the
+dof map: ``src/`` reads the numbering only through ``DofMap.stacks`` and
+``locate``.  Test-only; do not import from ``src/``.
 """
 
 from __future__ import annotations
@@ -19,6 +26,60 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from repro.spectral.basis import edge_reversal_sign
+
+
+# -- the per-element views --------------------------------------------------------
+
+
+def _in_mesh_order(dm, name: str) -> list[np.ndarray]:
+    order = np.argsort(np.concatenate([st.elems for st in dm.stacks]))
+    flat = [row for st in dm.stacks for row in getattr(st, name)]
+    return [flat[i] for i in order]
+
+
+def elem_dofs(dm) -> list[np.ndarray]:
+    """Each element's global dofs, in mesh element order (row views)."""
+    return _in_mesh_order(dm, "dofs")
+
+
+def elem_signs(dm) -> list[np.ndarray]:
+    """Each element's C0 edge signs, in mesh element order (row views)."""
+    return _in_mesh_order(dm, "signs")
+
+
+def edge_ids(dm) -> list[np.ndarray]:
+    """Each element's dof-map edge ids, in mesh element order (row views)."""
+    return _in_mesh_order(dm, "edge_ids")
+
+
+def expansion(dm, elem: int):
+    return dm.expansions[dm.mesh.elements[elem].kind]
+
+
+def _row(dm, elem: int):
+    i, (r,) = dm.locate([elem])
+    return dm.stacks[i], r
+
+
+def gather(dm, elem: int, uglobal: np.ndarray) -> np.ndarray:
+    """Global coefficient vector -> signed element-local coefficients."""
+    st, r = _row(dm, elem)
+    return st.signs[r] * uglobal[st.dofs[r]]
+
+
+def vertex_dof(dm, v: int) -> int:
+    """Global dof of mesh vertex v (its periodic representative)."""
+    return int(dm.vrep[v])
+
+
+def elem_edge_id(dm, elem: int, local_edge: int) -> int:
+    """Dof-map edge id of an element side (identified edges for
+    periodic meshes)."""
+    st, r = _row(dm, elem)
+    return int(st.edge_ids[r][local_edge])
+
+
+# -- the per-element numbering ------------------------------------------------------
 
 
 def _ids(exp, kind):
@@ -51,7 +112,7 @@ def edge_tables(dm, vrep):
     elem_edge_orient: list[list[int]] = []
     for ei, elem in enumerate(mesh.elements):
         ids, orients = [], []
-        for le in range(elem.nedges):
+        for le in range(len(elem.vertices)):
             a, b = elem.edge_vertices(le)
             ra, rb = int(vrep[a]), int(vrep[b])
             if ra == rb:
@@ -85,7 +146,7 @@ def number(dm) -> SimpleNamespace:
         signs = np.ones(exp.nmodes)
         for v, mid in enumerate(_ids(exp, "vertex")):
             dofs[mid] = vrep[elem.vertices[v]]
-        for le in range(elem.nedges):
+        for le in range(len(elem.vertices)):
             eid = elem_edge_ids[ei][le]
             orient = elem_edge_orient[ei][le]
             base = edge_offset + eid * n_edge_dofs
@@ -116,9 +177,10 @@ def paper_pattern(dm) -> sp.csr_matrix:
     clique at a time (the old ``_paper_dofmap_stats`` loop)."""
     nb = dm.nboundary
     rows, cols = [], []
+    dofs_of = elem_dofs(dm)
     for e in range(dm.mesh.nelements):
-        exp = dm.expansions[dm.mesh.elements[e].kind]
-        d = dm.elem_dofs[e][: len(_ids(exp, "vertex")) + len(_ids(exp, "edge"))]
+        exp = expansion(dm, e)
+        d = dofs_of[e][: len(_ids(exp, "vertex")) + len(_ids(exp, "edge"))]
         n = d.size
         rows.append(np.repeat(d, n))
         cols.append(np.tile(d, n))

@@ -34,6 +34,7 @@ from ._assembled_oracle import (
     kind_stacks,
     scatter_add,
 )
+from ._dofmap_oracle import expansion, gather
 
 
 def mixed_mesh() -> Mesh2D:
@@ -60,8 +61,8 @@ def per_element_transforms(space, u):
     gx, gy = np.empty_like(vals), np.empty_like(vals)
     load, gload, integral = np.zeros(space.ndof), np.zeros(space.ndof), 0.0
     for ei in range(space.nelem):
-        exp, gf = dm.expansion(ei), element_geom(space, ei)
-        local = dm.gather(ei, u)
+        exp, gf = expansion(dm, ei), element_geom(space, ei)
+        local = gather(dm, ei, u)
         dx, dy = gf.physical_gradients(exp.dphi1, exp.dphi2)
         vals[ei], gx[ei], gy[ei] = exp.phi.T @ local, dx.T @ local, dy.T @ local
         scatter_add(dm, ei, elemental_load(exp, gf, vals[ei]), load)
@@ -72,7 +73,7 @@ def per_element_transforms(space, u):
 
 def per_element_matrices(space, fn, *args):
     return [
-        fn(space.dofmap.expansion(e), element_geom(space, e), *args)
+        fn(expansion(space.dofmap, e), element_geom(space, e), *args)
         for e in range(space.nelem)
     ]
 
@@ -216,7 +217,7 @@ def test_forward_projection_matches_per_element():
     vals = np.random.default_rng(3).standard_normal((space.nelem, space.nq))
     load = np.zeros(space.ndof)
     for ei in range(space.nelem):
-        exp, gf = space.dofmap.expansion(ei), element_geom(space, ei)
+        exp, gf = expansion(space.dofmap, ei), element_geom(space, ei)
         scatter_add(space.dofmap, ei, elemental_load(exp, gf, vals[ei]), load)
     mass = AssembledOperator(space, per_element_matrices(space, elemental_mass))
     np.testing.assert_allclose(

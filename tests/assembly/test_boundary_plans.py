@@ -24,7 +24,6 @@ from repro.assembly.boundary import EdgeBatch, build_edge_quadrature
 from repro.assembly.global_system import project_dirichlet
 from repro.assembly.operators import elemental_mass
 from repro.assembly.space import FunctionSpace
-from repro.linalg import blas
 from repro.linalg.counters import OpCounter, charge
 from repro.mesh.generators import bluff_body_mesh, rectangle_quads
 from repro.ns.ale import ALENavierStokes2D
@@ -32,7 +31,9 @@ from repro.spectral.basis import bubble
 from repro.spectral.jacobi import gauss_jacobi
 
 from .._meshes import annulus_mesh, rectangle_tris
-from ..mesh._metric_oracle import old_edge_physical_points as edge_physical_points
+from ..linalg._vector_kernels import dgemv
+from ..mesh._metric_oracle import old_edge_physical_points, old_edge_quadrature
+from . import _dofmap_oracle as dmo
 from ._assembled_oracle import edge_load, element_geom, scatter_add
 from .test_batched_equivalence import mixed_mesh
 
@@ -55,15 +56,15 @@ def project_dirichlet_per_side(space, tags, fn):
         lo, hi = (a, b) if a < b else (b, a)
         xa, xb = mesh.vertices[lo], mesh.vertices[hi]
         ga, gb = float(fn(*xa)), float(fn(*xb))
-        values[dm.vertex_dof(lo)] = ga
-        values[dm.vertex_dof(hi)] = gb
-        ex, ey = edge_physical_points(mesh, ei, le, xg)
+        values[dmo.vertex_dof(dm, lo)] = ga
+        values[dmo.vertex_dof(dm, hi)] = gb
+        ex, ey = old_edge_physical_points(mesh, ei, le, xg)
         g = np.array([float(fn(x, y)) for x, y in zip(ex, ey)])
         lin = 0.5 * (1 - xg) * ga + 0.5 * (1 + xg) * gb
         rhs = bub @ (wg * (g - lin))
         charge(2.0 * nb * xg.size + 2.0 * nb**3 / 3.0, 8.0 * nb * (xg.size + nb), "edge-project")
         coeff = np.linalg.solve(mass_1d, rhs)
-        eid = dm.elem_edge_id(ei, le)
+        eid = dmo.elem_edge_id(dm, ei, le)
         for k, dof in enumerate(dm.edge_dofs(eid)):
             values[int(dof)] = float(coeff[k])
     dofs = np.array(sorted(values), dtype=np.int64)
@@ -84,12 +85,12 @@ def merged_per_tag(space, tags, fns):
 def edge_setup_per_side(space, tags):
     """The solvers' set-up loop: edge quadrature per tag and one local
     mass inverse per distinct boundary element."""
-    quads = {tag: build_edge_quadrature(space, space.mesh.boundary_sides(tag)) for tag in tags}
+    quads = {tag: old_edge_quadrature(space, space.mesh.boundary_sides(tag)) for tag in tags}
     minv: dict[int, np.ndarray] = {}
     for tag_quads in quads.values():
         for eq in tag_quads:
             if eq.elem not in minv:
-                m = elemental_mass(space.dofmap.expansion(eq.elem), element_geom(space, eq.elem))
+                m = elemental_mass(dmo.expansion(space.dofmap, eq.elem), element_geom(space, eq.elem))
                 minv[eq.elem] = np.linalg.inv(m)
     return quads, minv
 
@@ -101,16 +102,16 @@ def pressure_bc_per_side(space, quads, minv, bcs, rhs_p, w_extrap, nu, scale, t_
         fu, fv = bcs[tag]
         for eq in tag_quads:
             ei = eq.elem
-            exp = dm.expansion(ei)
+            exp = dmo.expansion(dm, ei)
             gf = element_geom(space, ei)
             tmp = np.empty(exp.phi.shape[0])
-            blas.dgemv(1.0, exp.phi, gf.jw * w_extrap[ei], 0.0, tmp)
+            dgemv(1.0, exp.phi, gf.jw * w_extrap[ei], 0.0, tmp)
             w_loc = np.empty_like(tmp)
-            blas.dgemv(1.0, minv[ei], tmp, 0.0, w_loc)
+            dgemv(1.0, minv[ei], tmp, 0.0, w_loc)
             dwdx = np.empty(eq.npts)
             dwdy = np.empty(eq.npts)
-            blas.dgemv(1.0, eq.dphi_x, w_loc, 0.0, dwdx, trans=True)
-            blas.dgemv(1.0, eq.dphi_y, w_loc, 0.0, dwdy, trans=True)
+            dgemv(1.0, eq.dphi_x, w_loc, 0.0, dwdx, trans=True)
+            dgemv(1.0, eq.dphi_y, w_loc, 0.0, dwdy, trans=True)
             n_curl = eq.nx * dwdy - eq.ny * dwdx
             ubn = np.array(
                 [
@@ -137,7 +138,7 @@ def pressure_bc_per_side_mode(
         fu, fv = bcs[tag]
         for eq in tag_quads:
             ei = eq.elem
-            exp = dm.expansion(ei)
+            exp = dmo.expansion(dm, ei)
             gf = element_geom(space, ei)
             mi = minv[ei]
             for mat in (exp.phi, mi, exp.phi, mi, exp.phi, mi):
@@ -161,7 +162,7 @@ def pressure_bc_per_side_mode(
             term = -nu * n_curl - scale * ubn
             charge_zgemv(eq.phi)
             local = eq.phi @ (eq.jw * term)
-            np.add.at(rhs, dm.elem_dofs[ei], dm.elem_signs[ei] * local)
+            np.add.at(rhs, dmo.elem_dofs(dm)[ei], dmo.elem_signs(dm)[ei] * local)
 
 
 # -- cases ---------------------------------------------------------------------------
@@ -264,8 +265,8 @@ def test_later_tag_wins_shared_corner(case):
     assert_same_charges(ops, ref_ops)
     if case == "quad":
         # Vertex (0, 0) is on "left" and "bottom"; "bottom" comes later.
-        corner = space.dofmap.vertex_dof(
-            int(np.argmin(np.hypot(*space.mesh.vertices.T)))
+        corner = dmo.vertex_dof(
+            space.dofmap, int(np.argmin(np.hypot(*space.mesh.vertices.T)))
         )
         assert vals[np.searchsorted(plan.dofs, corner)] == g2(0.0, 0.0) != g1(0.0, 0.0)
 
@@ -435,8 +436,8 @@ def geometry_bytes(case: str) -> dict:
     space, tags = make_space(case)
     batch = EdgeBatch(space, tags)
     fields = {"xq": space.xq, "yq": space.yq, "x": batch.x, "y": batch.y}
-    fields.update({f"jw{i}": gf.jw for i, gf in enumerate(space.geom)})
-    fields.update({f"dxi{i}": gf.dxi_dx for i, gf in enumerate(space.geom)})
+    fields.update({f"jw{i}": b.geom.jw for i, b in enumerate(space.batches())})
+    fields.update({f"dxi{i}": b.geom.dxi_dx for i, b in enumerate(space.batches())})
     for gi, g in enumerate(batch.groups):
         for name in ("phi", "dphi_x", "dphi_y", "nx", "ny", "jw", "ejw", "minv"):
             fields[f"group{gi}.{name}"] = getattr(g, name)
@@ -461,9 +462,10 @@ def test_reference_edge_tables_are_read_only():
     from repro.mesh.mapping import quadrature_reference
 
     space, tags = make_space("mixed")
-    quads = build_edge_quadrature(space, space.mesh.boundary_sides(tags[0]))
-    with pytest.raises(ValueError, match="read-only"):
-        quads[0].phi[0, 0] = 0.0  # the shared reference table itself
+    g = build_edge_quadrature(space, space.mesh.boundary_sides(tags[0]))[0]
+    kind = space.dofmap.stacks[g.stack].kind
+    # A group holds its sides' rows of the shared table, copied out of it.
+    assert not np.shares_memory(g.phi, _reference_edges(kind, space.order, space.order + 2)[1])
     for kind in ("tri", "quad"):
         xi1, xi2, shape = quadrature_reference(kind, 8)
         edge_xi1, edge_xi2, edge_shape = _edge_points(kind, 8)

@@ -17,6 +17,7 @@ from ._assembled_oracle import (
     element_geom,
     elemental_helmholtz,
 )
+from ._dofmap_oracle import expansion
 from .test_batched_equivalence import mixed_mesh
 
 
@@ -24,7 +25,7 @@ def build(mesh, order, lam, tags):
     space = FunctionSpace(mesh, order)
     mats = StoredMatrices(
         space.dofmap,
-        [elemental_helmholtz(space.dofmap.expansion(e), element_geom(space, e), lam) for e in range(space.nelem)],
+        [elemental_helmholtz(expansion(space.dofmap, e), element_geom(space, e), lam) for e in range(space.nelem)],
     )
     dofs, _ = (
         project_dirichlet(space, tags, lambda x, y: 0.0)

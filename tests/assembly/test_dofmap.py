@@ -6,8 +6,9 @@ from repro.mesh.generators import rectangle_quads
 from repro.mesh.mesh2d import Mesh2D
 
 from .._meshes import rectangle_tris
-from ..mesh._topology_oracle import edges
+from ..mesh._topology_oracle import edge_orientation, edges
 from ..spectral._reference import edge_modes
+from ._dofmap_oracle import elem_dofs, elem_signs, expansion, gather
 
 
 def rotated_two_quads():
@@ -55,9 +56,9 @@ def test_shared_edge_same_global_dofs():
     dm = DofMap(mesh, 4)
     shared = [e for e in edges(mesh) if len(e.elements) == 2][0]
     (e0, le0), (e1, le1) = shared.elements
-    exp0, exp1 = dm.expansion(e0), dm.expansion(e1)
-    d0 = dm.elem_dofs[e0][edge_modes(exp0, le0)]
-    d1 = dm.elem_dofs[e1][edge_modes(exp1, le1)]
+    exp0, exp1 = expansion(dm, e0), expansion(dm, e1)
+    d0 = elem_dofs(dm)[e0][edge_modes(exp0, le0)]
+    d1 = elem_dofs(dm)[e1][edge_modes(exp1, le1)]
     np.testing.assert_array_equal(d0, d1)
 
 
@@ -66,13 +67,13 @@ def test_reversed_edge_sign_flip():
     dm = DofMap(mesh, 4)
     shared = [e for e in edges(mesh) if len(e.elements) == 2][0]
     (e0, le0), (e1, le1) = shared.elements
-    o0 = mesh.edge_orientation(e0, le0)
-    o1 = mesh.edge_orientation(e1, le1)
+    o0 = edge_orientation(mesh, e0, le0)
+    o1 = edge_orientation(mesh, e1, le1)
     assert o0 != o1  # the rotated numbering reverses one side
     flipped = e0 if o0 < 0 else e1
     le = le0 if o0 < 0 else le1
-    exp = dm.expansion(flipped)
-    signs = dm.elem_signs[flipped][edge_modes(exp, le)]
+    exp = expansion(dm, flipped)
+    signs = elem_signs(dm)[flipped][edge_modes(exp, le)]
     np.testing.assert_array_equal(signs, [1.0, -1.0, 1.0])  # (-1)^k
 
 
@@ -80,7 +81,7 @@ def test_interior_dofs_unique():
     mesh = rectangle_quads(2, 2)
     dm = DofMap(mesh, 3)
     ints = np.concatenate(
-        [dm.elem_dofs[e][dm.expansion(e).interior_modes] for e in range(4)]
+        [elem_dofs(dm)[e][expansion(dm, e).interior_modes] for e in range(4)]
     )
     assert len(set(ints.tolist())) == ints.size
     assert ints.min() == dm.interior_offset
@@ -94,15 +95,15 @@ def test_gather_scatter_roundtrip():
     # scatter(gather) accumulates multiplicity on shared dofs.
     acc = np.zeros(dm.ndof)
     for e in range(mesh.nelements):
-        np.add.at(acc, dm.elem_dofs[e], dm.elem_signs[e] * dm.gather(e, ug))
-    mult = np.bincount(np.concatenate(dm.elem_dofs), minlength=dm.ndof)
+        np.add.at(acc, elem_dofs(dm)[e], elem_signs(dm)[e] * gather(dm, e, ug))
+    mult = np.bincount(np.concatenate(elem_dofs(dm)), minlength=dm.ndof)
     np.testing.assert_allclose(acc, mult * ug, rtol=1e-13)
 
 
 def test_multiplicity_structure():
     mesh = rectangle_quads(2, 1)
     dm = DofMap(mesh, 3)
-    mult = np.bincount(np.concatenate(dm.elem_dofs), minlength=dm.ndof)
+    mult = np.bincount(np.concatenate(elem_dofs(dm)), minlength=dm.ndof)
     # Interior dofs belong to exactly one element.
     assert np.all(mult[dm.interior_offset :] == 1)
     # The two middle vertices are shared by two elements.

@@ -2,7 +2,8 @@
 against their frozen per-element references (``_dofmap_oracle``).
 
 Every output of the numbering is an integer or a +-1.0, so the check is
-equality, not a tolerance: ``elem_dofs``, ``elem_signs``, the edge ids,
+equality, not a tolerance: each element's row of the kind stacks (dofs,
+signs and edge ids, read through the oracle's per-element views),
 ``ndof``, ``nboundary`` and ``interior_offset`` over quad, tri and mixed
 meshes, rotated and reflected vertex cycles, periodic boxes, a curved
 annulus and the four e2e workload meshes, orders 2-8; and the condensed
@@ -89,12 +90,12 @@ def recycled(mesh: Mesh2D, seed: int) -> Mesh2D:
     rng = np.random.default_rng(seed)
     elems = []
     for elem in mesh.elements:
-        v = np.roll(elem.vertices, int(rng.integers(elem.nedges)))
+        v = np.roll(elem.vertices, int(rng.integers(len(elem.vertices))))
         elems.append(Element(tuple(int(x) for x in (v[::-1] if rng.random() < 0.5 else v))))
 
     def side(ei, le):
         ends = set(mesh.elements[ei].edge_vertices(le))
-        return next(k for k in range(elems[ei].nedges) if set(elems[ei].edge_vertices(k)) == ends)
+        return next(k for k in range(len(elems[ei].vertices)) if set(elems[ei].edge_vertices(k)) == ends)
 
     tags = {
         tag: [(ei, side(ei, le)) for ei, le in sides]
@@ -113,13 +114,14 @@ def assert_same_numbering(dm: DofMap) -> None:
     )
     assert (dm.n_edges, dm.edge_offset) == (ref.n_edges, ref.edge_offset)
     nelem = dm.mesh.nelements
-    assert len(dm.elem_dofs) == len(dm.elem_signs) == len(dm._edge_ids) == nelem
+    dofs, signs, eids = oracle.elem_dofs(dm), oracle.elem_signs(dm), oracle.edge_ids(dm)
+    assert len(dofs) == len(signs) == len(eids) == nelem
     for e in range(nelem):
-        assert dm.elem_dofs[e].dtype == np.int64 and dm.elem_signs[e].dtype == np.float64
-        np.testing.assert_array_equal(dm.elem_dofs[e], ref.elem_dofs[e])
-        assert dm.elem_signs[e].tobytes() == ref.elem_signs[e].tobytes()
-        assert [int(i) for i in dm._edge_ids[e]] == ref.edge_ids[e]
-        assert [dm.elem_edge_id(e, le) for le in range(len(ref.edge_ids[e]))] == ref.edge_ids[e]
+        assert dofs[e].dtype == np.int64 and signs[e].dtype == np.float64
+        np.testing.assert_array_equal(dofs[e], ref.elem_dofs[e])
+        assert signs[e].tobytes() == ref.elem_signs[e].tobytes()
+        assert [int(i) for i in eids[e]] == ref.edge_ids[e]
+        assert [oracle.elem_edge_id(dm, e, le) for le in range(len(ref.edge_ids[e]))] == ref.edge_ids[e]
 
 
 def assert_same_pattern(dm: DofMap) -> None:
@@ -189,34 +191,32 @@ def test_degenerate_periodic_identification_raises_as_before(periodic):
 # -- structural guards ---------------------------------------------------------
 
 
-def test_paper_statistics_never_ask_for_an_element_expansion(monkeypatch):
-    calls = []
-    lookup = DofMap.expansion
-
-    def counting(self, elem):
-        calls.append(elem)
-        return lookup(self, elem)
-
-    monkeypatch.setattr(DofMap, "expansion", counting)
-    serial_bluff._paper_dofmap_stats()
-    assert calls == []
+def test_paper_statistics_never_ask_for_an_element_expansion():
+    """Nor can anything else: a dof map keeps no per-element view (they
+    live on in ``_dofmap_oracle``), its kind stacks are the one layout."""
+    dm = DofMap(mixed_mesh(), 4)
+    for name in (
+        "expansion", "gather", "vertex_dof", "elem_edge_id", "elem_dofs", "elem_signs", "_edge_ids"
+    ):
+        assert not hasattr(dm, name), name
 
 
 def test_element_rows_are_read_only_views_of_the_kind_stacks():
     dm = DofMap(mixed_mesh(), 4)
-    for rows in (dm.elem_dofs, dm.elem_signs, dm._edge_ids):
+    elem_dofs, elem_signs = oracle.elem_dofs(dm), oracle.elem_signs(dm)
+    for rows in (elem_dofs, elem_signs, oracle.edge_ids(dm)):
         with pytest.raises(ValueError, match="read-only"):
             rows[0][0] = 1
     for st_ in dm.stacks:
         for table in (st_.dofs, st_.signs, st_.edge_ids):
             assert not table.flags.writeable
         for row, e in enumerate(st_.elems):
-            assert np.shares_memory(dm.elem_dofs[e], st_.dofs)
-            np.testing.assert_array_equal(dm.elem_dofs[e], st_.dofs[row])
+            assert np.shares_memory(elem_dofs[e], st_.dofs)
+            np.testing.assert_array_equal(elem_dofs[e], st_.dofs[row])
     i, rows = dm.locate([2, 1, 2])
     dofs, signs = dm.stacks[i].dofs[rows], dm.stacks[i].signs[rows]
-    np.testing.assert_array_equal(dofs, [dm.elem_dofs[e] for e in (2, 1, 2)])
-    np.testing.assert_array_equal(signs, [dm.elem_signs[e] for e in (2, 1, 2)])
+    np.testing.assert_array_equal(dofs, [elem_dofs[e] for e in (2, 1, 2)])
+    np.testing.assert_array_equal(signs, [elem_signs[e] for e in (2, 1, 2)])
     with pytest.raises(ValueError, match="same-kind"):
         dm.locate([0, 1])
 
@@ -244,7 +244,7 @@ def numbering_fingerprint() -> dict:
         mesh = mesh_of(name)
         dm = DofMap(mesh, order, periodic=periodic)
         edge_ids = [
-            [dm.elem_edge_id(e, le) for le in range(elem.nedges)]
+            [oracle.elem_edge_id(dm, e, le) for le in range(len(elem.vertices))]
             for e, elem in enumerate(mesh.elements)
         ]
         out[key] = {
@@ -252,8 +252,8 @@ def numbering_fingerprint() -> dict:
             "ndof": dm.ndof,
             "nboundary": dm.nboundary,
             "interior_offset": dm.interior_offset,
-            "elem_dofs": _sha256(dm.elem_dofs, "<i8"),
-            "elem_signs": _sha256(dm.elem_signs, "<f8"),
+            "elem_dofs": _sha256(oracle.elem_dofs(dm), "<i8"),
+            "elem_signs": _sha256(oracle.elem_signs(dm), "<f8"),
             "edge_ids": _sha256(edge_ids, "<i8"),
         }
     return out

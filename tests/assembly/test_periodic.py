@@ -13,8 +13,10 @@ def test_nonperiodic_unchanged():
     mesh = rectangle_quads(2, 2)
     a = DofMap(mesh, 4)
     b = DofMap(mesh, 4, periodic=())
-    for e in range(mesh.nelements):
-        np.testing.assert_array_equal(a.elem_dofs[e], b.elem_dofs[e])
+    assert len(a.stacks) == len(b.stacks)
+    for sa, sb in zip(a.stacks, b.stacks):
+        np.testing.assert_array_equal(sa.elems, sb.elems)
+        np.testing.assert_array_equal(sa.dofs, sb.dofs)
 
 
 def test_periodic_dof_counts():
@@ -115,3 +117,17 @@ def test_fully_periodic_taylor_green():
     xq, yq = space.coords()
     u, _ = ns.velocity()
     assert space.norm_l2(u - tv.u(xq, yq, ns.t)) < 5e-3
+
+
+def test_eval_at_vertices_reads_each_vertex_representative():
+    """On a periodic space the vertex dofs are numbered by class, so
+    vertex v's value is at ``vrep[v]``, not at dof v."""
+    mesh = rectangle_quads(3, 2, 0.0, 1.0, 0.0, 1.0)
+    space = FunctionSpace(mesh, 6, periodic=[("left", "right")])
+    xq, yq = space.coords()
+    u_hat = space.forward(np.sin(2.0 * np.pi * xq) + yq)
+    x, y = mesh.vertices.T
+    np.testing.assert_allclose(space.eval_at_vertices(u_hat), np.sin(2.0 * np.pi * x) + y, atol=1e-4)
+    plain = FunctionSpace(mesh, 3)
+    u_hat = plain.forward(np.prod(plain.coords(), axis=0))
+    np.testing.assert_array_equal(plain.eval_at_vertices(u_hat), u_hat[: mesh.nvertices])

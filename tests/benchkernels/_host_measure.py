@@ -11,7 +11,7 @@ import numpy as np
 from repro.linalg import blas
 from repro.machines.cpu import ROUTINES
 
-from ..linalg._vector_kernels import daxpy, dcopy
+from ..linalg._vector_kernels import daxpy, dcopy, dgemv
 
 
 def host_measure(
@@ -38,7 +38,7 @@ def host_measure(
         a = rng.standard_normal((n, n))
         x = rng.standard_normal(n)
         y = np.zeros(n)
-        call = lambda: blas.dgemv(1.0, a, x, 0.0, y)  # noqa: E731
+        call = lambda: dgemv(1.0, a, x, 0.0, y)  # noqa: E731
     else:
         a = rng.standard_normal((n, n))
         b = rng.standard_normal((n, n))

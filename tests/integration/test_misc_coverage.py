@@ -8,6 +8,7 @@ from repro.machines.network import NetworkModel
 from repro.parallel.simmpi import VirtualCluster
 
 from ..assembly._assembled_oracle import StoredMatrices, element_rows
+from ..assembly._dofmap_oracle import expansion
 
 NET = NetworkModel("t", latency_us=5, bandwidth=1e9)
 
@@ -102,7 +103,7 @@ def test_elemental_operator_error_branches():
     from repro.mesh.generators import rectangle_quads
 
     space = FunctionSpace(rectangle_quads(1, 1), 3)
-    exp = space.dofmap.expansion(0)
+    exp = expansion(space.dofmap, 0)
     gf = element_geom(space, 0)
     with pytest.raises(ValueError, match="quadrature points"):
         elemental_load(exp, gf, np.zeros(gf.jw.size + 1))
@@ -145,7 +146,7 @@ def test_condensation_error_branches():
         op.solve(np.zeros(space.ndof - 1))
     # A singular interior block must fail loudly.
     bad = [m.copy() for m in element_rows(mats)]
-    nb = len(space.dofmap.expansion(0).boundary_modes)
+    nb = len(expansion(space.dofmap, 0).boundary_modes)
     bad[0][nb:, nb:] = 0.0
     with pytest.raises(np.linalg.LinAlgError):
         CondensedOperator(space, StoredMatrices(space.dofmap, bad))
@@ -158,7 +159,7 @@ def test_condensation_rejects_interior_first_ordering(monkeypatch):
 
     space = FunctionSpace(rectangle_quads(1, 1), 3)
     mats = space.elemental_matrices("mass")
-    exp = space.dofmap.expansion(0)
+    exp = expansion(space.dofmap, 0)
     bad_order = list(reversed(exp.boundary_modes))
     monkeypatch.setattr(
         type(exp), "boundary_modes", property(lambda self: bad_order)

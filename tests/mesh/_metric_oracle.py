@@ -15,31 +15,60 @@ names prefixed ``Old``), as what the stacked code is compared against:
   factors plus the (nelem, nq) quadrature-point coordinates;
 * ``old_edge_physical_points`` and ``old_dirichlet_arrays``: one tag's
   ``DirichletPlan`` sample points and target dofs, side by side;
-* ``old_edge_quadrature``: ``build_edge_quadrature``, side by side;
+* ``old_edge_quadrature``: ``build_edge_quadrature``, side by side,
+  one ``EdgeQuadrature`` (the per-side record it returned) a side;
 * ``old_edge_batch``: ``EdgeBatch.__init__``'s operands over it.
 
 The reference tables (quadrature points, edge Gauss points) and the
 counted ``elemental_mass`` are the live ones: the oracle freezes how the
 metric is walked, not the tables it reads.  The edge basis comes from
-the per-mode evaluation frozen in ``tests/spectral/_tabulation_oracle``.
+the per-mode evaluation frozen in ``tests/spectral/_tabulation_oracle``,
+and the per-element mesh and dof-map views from
+``tests/mesh/_topology_oracle`` and ``tests/assembly/_dofmap_oracle``.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
 
-from repro.assembly.boundary import _PARAM, EdgeQuadrature, _tag_slices
+from repro.assembly.boundary import _PARAM, _tag_slices
 from repro.assembly.operators import elemental_mass
+from repro.linalg import blas
 from repro.mesh.curved import _BLEND, _DBLEND, _DS, _EDGE_PARAM
 from repro.mesh.mapping import quadrature_reference, vertex_shape
 from repro.mesh.mesh2d import QUAD_EDGES
-from repro.spectral.basis import bubble
 from repro.spectral.expansions import QuadExpansion, TriExpansion
 from repro.spectral.jacobi import gauss_jacobi
 
+from ..assembly import _dofmap_oracle as dmo
 from ..spectral._tabulation_oracle import eval_basis_full
+from ._topology_oracle import edge_orientation, element_coords
+
+
+@dataclass
+class EdgeQuadrature:
+    """Quadrature data of one boundary side."""
+
+    elem: int
+    local_edge: int
+    x: np.ndarray  # physical points (n,)
+    y: np.ndarray
+    nx: np.ndarray  # outward unit normal
+    ny: np.ndarray
+    jw: np.ndarray  # arc-length weights
+    phi: np.ndarray  # (nmodes, n) element basis at the edge points
+    dphi_x: np.ndarray  # physical derivative tables
+    dphi_y: np.ndarray
+
+    @property
+    def npts(self) -> int:
+        return self.x.size
+
+    def integrate(self, fvals: np.ndarray) -> float:
+        return blas.ddot(self.jw, np.asarray(fvals, dtype=np.float64))
 
 
 class OldElementMap:
@@ -118,7 +147,7 @@ class OldBlendedQuadMap(OldElementMap):
 
 
 def old_element_map(mesh, elem):
-    coords = mesh.element_coords(elem)
+    coords = element_coords(mesh, elem)
     local = {le: fn for (ei, le), fn in mesh.curves.items() if ei == elem}
     if not local:
         return OldElementMap(coords)
@@ -145,9 +174,9 @@ def old_space_metric(space):
     mesh = space.mesh
     jw, dxi, xq, yq = [], [], [], []
     for ei, elem in enumerate(mesh.elements):
-        exp = space.dofmap.expansion(ei)
+        exp = dmo.expansion(space.dofmap, ei)
         emap = old_element_map(mesh, ei)
-        w, d = old_geom_factors(exp, mesh.element_coords(ei), emap)
+        w, d = old_geom_factors(exp, element_coords(mesh, ei), emap)
         jw.append(w)
         dxi.append(d)
         x, y = emap.x(*quadrature_reference(elem.kind, exp.nq1d))
@@ -159,7 +188,7 @@ def old_space_metric(space):
 def old_edge_physical_points(mesh, elem, local_edge, s_canonical):
     param, _ = _PARAM[mesh.elements[elem].kind][local_edge]
     s = np.asarray(s_canonical, dtype=np.float64)
-    if mesh.edge_orientation(elem, local_edge) < 0:
+    if edge_orientation(mesh, elem, local_edge) < 0:
         s = -s
     xi1, xi2 = param(s)
     return old_element_map(mesh, elem).x(xi1, xi2)
@@ -175,11 +204,11 @@ def old_dirichlet_arrays(space, tag):
         ex, ey = old_edge_physical_points(mesh, ei, le, xg)
         x.append(np.concatenate((mesh.vertices[ends, 0], ex)))
         y.append(np.concatenate((mesh.vertices[ends, 1], ey)))
-        eid = dm.elem_edge_id(ei, le)
+        eid = dmo.elem_edge_id(dm, ei, le)
         n = space.order - 1
         base = dm.edge_offset + eid * n
         edge = np.arange(base, base + n, dtype=np.int64)
-        targets.append(np.concatenate(([dm.vertex_dof(v) for v in ends], edge)))
+        targets.append(np.concatenate(([dmo.vertex_dof(dm, v) for v in ends], edge)))
     return (
         np.array(x).reshape(-1, xg.size + 2),
         np.array(y).reshape(-1, xg.size + 2),
@@ -242,7 +271,7 @@ def old_edge_batch(space, tags):
     for eq in quads:
         if eq.elem not in mass:
             gf = SimpleNamespace(jw=metric[0][eq.elem])
-            mass[eq.elem] = elemental_mass(dm.expansion(eq.elem), gf)
+            mass[eq.elem] = elemental_mass(dmo.expansion(dm, eq.elem), gf)
 
     def stack(name, sel=range(len(quads))):
         return np.array([getattr(quads[i], name) for i in sel])
@@ -252,6 +281,7 @@ def old_edge_batch(space, tags):
         stack(name).reshape(-1, space.order + 2) for name in ("x", "y", "nx", "ny")
     )
     kinds = [space.mesh.elements[eq.elem].kind for eq in quads]
+    elem_dofs, elem_signs = dmo.elem_dofs(dm), dmo.elem_signs(dm)
     out.groups = []
     for kind in dict.fromkeys(kinds):
         sel = [i for i, k in enumerate(kinds) if k == kind]
@@ -262,8 +292,8 @@ def old_edge_batch(space, tags):
                 elems=elems,
                 ejw=np.array([metric[0][e] for e in elems]),
                 minv=np.linalg.inv([mass[e] for e in elems]),
-                dofs=np.array([dm.elem_dofs[e] for e in elems]),
-                signs=np.array([dm.elem_signs[e] for e in elems]),
+                dofs=np.array([elem_dofs[e] for e in elems]),
+                signs=np.array([elem_signs[e] for e in elems]),
                 **{n: stack(n, sel) for n in ("phi", "dphi_x", "dphi_y", "nx", "ny", "jw")},
             )
         )

@@ -7,7 +7,10 @@ before the topology became integer tables: a dict from each side's
 ``identifications`` is ``DofMap._build_identifications`` before it
 became array passes: a per-vertex and a per-edge union-find over the
 periodic tag pairs.  :func:`edges` gives the live mesh's edges as the
-same :class:`Edge` objects, for tests that walk them.  Test-only; do
+same :class:`Edge` objects, for tests that walk them.
+``element_coords`` / ``edge_orientation`` are the per-element
+``Mesh2D`` methods of the same name, functions of the mesh here: ``src/``
+reads ``elem_vertices`` and ``side_vertices`` instead.  Test-only; do
 not import from ``src/``.
 """
 
@@ -41,6 +44,18 @@ def edges(mesh) -> list[Edge]:
     return out
 
 
+def element_coords(mesh, elem: int) -> np.ndarray:
+    """(nverts, 2) vertex coordinates of one element."""
+    return mesh.vertices[list(mesh.elements[elem].vertices)]
+
+
+def edge_orientation(mesh, elem: int, local_edge: int) -> int:
+    """+1 if the element's intrinsic edge direction matches the
+    canonical (low -> high vertex id) direction, else -1."""
+    a, b = mesh.elements[elem].edge_vertices(local_edge)
+    return 1 if a < b else -1
+
+
 def check_vertices(elements, nv) -> None:
     for e in elements:
         if any(v < 0 or v >= nv for v in e.vertices):
@@ -53,7 +68,7 @@ def build_edges(elements) -> tuple[list[Edge], list[list[int]]]:
     elem_edges: list[list[int]] = []
     for ei, elem in enumerate(elements):
         ids = []
-        for le in range(elem.nedges):
+        for le in range(len(elem.vertices)):
             a, b = elem.edge_vertices(le)
             key = (min(a, b), max(a, b))
             edge = table.get(key)

@@ -141,13 +141,13 @@ def test_curved_wall_boundary_quadrature():
 
     mesh = bluff_body_mesh(m=3, nr=1, curved=True)
     space = FunctionSpace(mesh, 4)
-    quads = build_edge_quadrature(space, space.mesh.boundary_sides("wall"))
+    groups = build_edge_quadrature(space, space.mesh.boundary_sides("wall"))
     # Curved edges: total wall length is the exact circle perimeter.
-    total = sum(eq.jw.sum() for eq in quads)
+    total = sum(g.jw.sum() for g in groups)
     assert total == pytest.approx(np.pi, rel=1e-8)
     # Normals are radial.
-    for eq in quads:
-        r = np.hypot(eq.x, eq.y)
+    for g in groups:
+        r = np.hypot(g.x, g.y)
         np.testing.assert_allclose(r, 0.5, atol=1e-12)
-        np.testing.assert_allclose(eq.nx, -eq.x / r, atol=1e-7)
-        np.testing.assert_allclose(eq.ny, -eq.y / r, atol=1e-7)
+        np.testing.assert_allclose(g.nx, -g.x / r, atol=1e-7)
+        np.testing.assert_allclose(g.ny, -g.y / r, atol=1e-7)

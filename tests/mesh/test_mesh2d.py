@@ -1,9 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 
+from repro.mesh.generators import rectangle_quads
 from repro.mesh.mesh2d import Element, Mesh2D
 
-from ._topology_oracle import edges
+from ._topology_oracle import edge_orientation, edges
 
 
 def two_quads():
@@ -43,12 +46,19 @@ def test_edge_table_two_quads():
 
 def test_edge_orientation_canonical():
     mesh = two_quads()
+    sides = [(0, 1), (1, 3), (0, 2), (1, 0)]
     # Element 0 edge 1 is (1, 4): intrinsic 1->4 matches canonical low->high.
-    assert mesh.edge_orientation(0, 1) == 1
     # Element 1 edge 3 is (1, 4) as intrinsic (v0, v3) = (1, 4): also 1->4.
-    assert mesh.edge_orientation(1, 3) == 1
-    # Element 0 edge 2 is (3, 4): intrinsic direction v3->v2 = 3->4: +1.
-    assert mesh.edge_orientation(0, 2) == 1
+    # Element 0 edge 2 is (3, 4): intrinsic direction v3->v2 = 3->4.
+    # Element 1 edge 0 is (1, 2): intrinsic 1->2.
+    ends = mesh.side_vertices(sides)
+    np.testing.assert_array_equal(ends, [(1, 4), (1, 4), (3, 4), (1, 2)])
+    forward = ends[:, 0] < ends[:, 1]
+    assert forward.tolist() == [edge_orientation(mesh, *s) == 1 for s in sides] == [True] * 4
+    rotated = Mesh2D(mesh.vertices, [(0, 1, 4, 3), (5, 4, 1, 2)])
+    # Its element 1 edge 2 runs v3->v2 = 2->1, against the canonical 1->2.
+    assert rotated.side_vertices([(1, 2)]).tolist() == [[2, 1]]
+    assert edge_orientation(rotated, 1, 2) == -1
 
 
 def test_mixed_tri_quad_mesh():
@@ -95,3 +105,25 @@ def test_dual_graph():
     assert g.number_of_nodes() == 2
     assert g.number_of_edges() == 1
     assert g.has_edge(0, 1)
+
+
+def test_element_areas_one_shoelace_pass():
+    verts = np.array(
+        [[0, 0], [2, 0], [2, 1], [0, 1], [3, 0.5], [5, 0], [6, 0], [6, 1], [5, 1]], dtype=float
+    )
+    mesh = Mesh2D(verts, [(0, 1, 2, 3), (1, 4, 2), (5, 8, 7, 6)])  # the last one clockwise
+    np.testing.assert_allclose(mesh.element_areas(), [2.0, 0.5, -1.0], rtol=1e-15)
+
+
+def test_a_side_tagged_twice_is_rejected():
+    """A repeated side would be integrated twice by every surface term."""
+    base = rectangle_quads(2, 2)
+    elems = [e.vertices for e in base.elements]
+    bottom = base.boundary_tags["bottom"]
+    for side, tags, named in (
+        (bottom[0], {**base.boundary_tags, "bottom": bottom + [bottom[0]]}, ["bottom", "bottom"]),
+        (bottom[1], {**base.boundary_tags, "wall": [bottom[1]]}, ["bottom", "wall"]),
+    ):
+        message = f"boundary side {side} is tagged more than once: {named}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Mesh2D(base.vertices, elems, tags)

@@ -1,8 +1,9 @@
 """The stacked metric == the per-element and per-side walks it replaced.
 
-``GeomFactors.compute`` over a kind stack, ``FunctionSpace.geom`` /
-``xq`` / ``yq``, ``DirichletPlan``'s sample points and target dofs, and
-the ``EdgeBatch`` operands are compared with the one-element /
+``GeomFactors.compute`` over a kind stack, each batch's ``geom`` and
+``FunctionSpace.xq`` / ``yq``, ``DirichletPlan``'s sample points and
+target dofs, the edge quadrature's kind groups and the ``EdgeBatch``
+operands are compared with the one-element /
 one-side bodies frozen in :mod:`._metric_oracle`, on the flapping-wing
 mesh at order 3 (``ale_cg``'s geometry), the curved bluff-body mesh at
 order 5 and a mixed tri/quad mesh whose kinds interleave in element
@@ -33,6 +34,7 @@ from ._metric_oracle import (
     old_geom_factors,
     old_space_metric,
 )
+from ._topology_oracle import element_coords
 
 
 def mixed_grid() -> Mesh2D:
@@ -75,7 +77,8 @@ def pairs(case: str):
     out = []
     jw, dxi, xq, yq = old_space_metric(space)
     out += [("xq", space.xq, xq), ("yq", space.yq, yq)]
-    for i, (st, gf) in enumerate(zip(dm.stacks, space.geom)):
+    for i, (st, b) in enumerate(zip(dm.stacks, space.batches())):
+        gf = b.geom
         out += [
             (f"geom{i}.jw", gf.jw, np.array([jw[e] for e in st.elems])),
             (f"geom{i}.dxi_dx", gf.dxi_dx, np.array([dxi[e] for e in st.elems])),
@@ -98,10 +101,16 @@ def pairs(case: str):
     flat = np.concatenate([p[2] for p in parts]).ravel()
     out.append((f"plan{tags}.dofs", plan.dofs, np.unique(flat)))
     sides = [s for tag in tags for s in mesh.boundary_sides(tag)]
-    for k, (eq, ref) in enumerate(zip(build_edge_quadrature(space, sides), old_edge_quadrature(space, sides))):
-        assert (eq.elem, eq.local_edge) == (ref.elem, ref.local_edge)
-        for name in ("x", "y", "nx", "ny", "jw", "phi", "dphi_x", "dphi_y"):
-            out.append((f"side{k}.{name}", getattr(eq, name), getattr(ref, name)))
+    refs = old_edge_quadrature(space, sides)
+    groups = build_edge_quadrature(space, sides)
+    assert sorted(k for g in groups for k in g.sel.tolist()) == list(range(len(sides)))
+    for g in groups:
+        for r, k in enumerate(g.sel.tolist()):
+            ref = refs[k]
+            assert (g.elems[r], g.les[r]) == (ref.elem, ref.local_edge)
+            assert (g.stack, g.rows[r]) == (dm.locate([ref.elem])[0], dm.locate([ref.elem])[1][0])
+            for name in ("x", "y", "nx", "ny", "jw", "phi", "dphi_x", "dphi_y"):
+                out.append((f"side{k}.{name}", getattr(g, name)[r], getattr(ref, name)))
     batch, ref = EdgeBatch(space, tags), old_edge_batch(space, tags)
     assert batch._slices == ref._slices
     for name in ("x", "y", "nx", "ny"):
@@ -161,10 +170,10 @@ def test_one_element_and_a_stack_share_the_path():
     mesh = wing_mesh(m=6, nr=1)
     space = FunctionSpace(mesh, 3)
     exp = space.dofmap.stacks[0].exp
-    gf = GeomFactors.compute(exp, mesh.element_coords(5))
+    gf = GeomFactors.compute(exp, element_coords(mesh, 5))
     assert gf.jw.shape == (exp.weights.size,)
     assert gf.dxi_dx.shape == (2, 2, exp.weights.size)
-    ref_jw, ref_dxi = old_geom_factors(exp, mesh.element_coords(5))
+    ref_jw, ref_dxi = old_geom_factors(exp, element_coords(mesh, 5))
     np.testing.assert_allclose(gf.jw, ref_jw, rtol=1e-14)
     np.testing.assert_allclose(gf.dxi_dx, ref_dxi, rtol=0.0, atol=1e-13)
 

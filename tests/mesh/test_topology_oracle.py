@@ -49,14 +49,14 @@ def shuffled(mesh: Mesh2D, seed: int) -> Mesh2D:
     perm = rng.permutation(mesh.nelements)
     elems = []
     for e in perm:
-        v = np.roll(mesh.elements[e].vertices, int(rng.integers(mesh.elements[e].nedges)))
+        v = np.roll(mesh.elements[e].vertices, int(rng.integers(len(mesh.elements[e].vertices))))
         elems.append(Element(tuple(int(x) for x in (v[::-1] if rng.random() < 0.5 else v))))
     where = {int(e): i for i, e in enumerate(perm)}
 
     def side(ei, le):
         ends = set(mesh.elements[ei].edge_vertices(le))
         new = elems[where[ei]]
-        return where[ei], next(k for k in range(new.nedges) if set(new.edge_vertices(k)) == ends)
+        return where[ei], next(k for k in range(len(new.vertices)) if set(new.edge_vertices(k)) == ends)
 
     tags = {tag: [side(ei, le) for ei, le in sides] for tag, sides in mesh.boundary_tags.items()}
     return Mesh2D(mesh.vertices, [e.vertices for e in elems], tags)
@@ -74,7 +74,7 @@ def assert_same_topology(mesh: Mesh2D) -> None:
     for tag in mesh.boundary_tags:
         assert mesh.boundary_sides(tag) == oracle.boundary_sides(edges, mesh.boundary_tags, tag)
     oracle.validate_tags(mesh.boundary_tags, edges, elem_edges, mesh.nelements)
-    sides = [(e, le) for e in range(mesh.nelements) for le in range(mesh.elements[e].nedges)]
+    sides = [(e, le) for e in range(mesh.nelements) for le in range(len(mesh.elements[e].vertices))]
     assert mesh.side_vertices(sides).tolist() == [
         list(mesh.elements[e].edge_vertices(le)) for e, le in sides
     ]

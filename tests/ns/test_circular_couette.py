@@ -63,21 +63,32 @@ def test_stays_on_exact_solution(couette):
 def test_torque_on_inner_cylinder(couette):
     """The viscous torque per unit length on the inner cylinder is
     4 pi nu B (classic Couette result); check the wall traction
-    machinery reproduces it on the curved wall."""
+    machinery reproduces it on the curved wall: the live traction, one
+    kind group at a time, and the frozen per-side loop."""
     from repro.assembly.boundary import build_edge_quadrature
+    from repro.linalg import blas
     from repro.ns.forces import traction
 
+    from ..mesh._metric_oracle import old_edge_quadrature
+    from ._forces_oracle import traction as traction_per_side
+
     ns, space = couette
-    quads = build_edge_quadrature(space, space.mesh.boundary_sides("inner"))
+    sides = space.mesh.boundary_sides("inner")
     torque = 0.0
-    for eq in quads:
-        tx_p, ty_p, tx_v, ty_v = traction(
+    for eq in old_edge_quadrature(space, sides):
+        tx_p, ty_p, tx_v, ty_v = traction_per_side(
             space, eq, ns.u_hat, ns.v_hat, ns.p_hat, ns.nu
         )
         tx, ty = tx_p + tx_v, ty_p + ty_v
         torque += eq.integrate(eq.x * ty - eq.y * tx)
     expect = -4.0 * np.pi * ns.nu * B
     assert torque == pytest.approx(expect, rel=0.02)
+    stacked = 0.0
+    for g in build_edge_quadrature(space, sides):
+        tx_p, ty_p, tx_v, ty_v = traction(space, g, ns.u_hat, ns.v_hat, ns.p_hat, ns.nu)
+        tx, ty = tx_p + tx_v, ty_p + ty_v
+        stacked += blas.ddot_batched(g.jw, g.x * ty - g.y * tx).sum()
+    assert stacked == pytest.approx(torque, rel=1e-12)
 
 
 def test_divergence_free(couette):

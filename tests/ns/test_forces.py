@@ -2,8 +2,17 @@ import numpy as np
 import pytest
 
 from repro.assembly.space import FunctionSpace
+from repro.linalg.counters import OpCounter
 from repro.mesh.generators import bluff_body_mesh, rectangle_quads
+from repro.ns.ale import ALENavierStokes2D
 from repro.ns.forces import ForceRecorder, body_forces
+
+from .._meshes import annulus_mesh
+from ..assembly.test_boundary_plans import tagged_mixed_mesh
+from . import _forces_oracle as oracle
+
+ONE = lambda x, y, t: 1.0  # noqa: E731
+ZERO = lambda x, y, t: 0.0  # noqa: E731
 
 
 def make_space(order=4):
@@ -119,3 +128,63 @@ def test_strouhal_ignores_a_round_off_lift():
     # A symmetric wake's lift (~1e-14 against a drag of ~1) flips sign
     # every step; that is no shedding period.
     assert synthetic_recorder(1e-14, period=0.02).strouhal() is None
+
+
+#: name -> (mesh factory, order, tag): straight and curved walls, and a
+#: tag whose sides are of both element kinds.
+FORCE_CASES = {
+    "straight-bluff": (lambda: bluff_body_mesh(m=3, nr=1), 4, "wall"),
+    "curved-bluff": (lambda: bluff_body_mesh(m=2, nr=1, curved=True), 5, "wall"),
+    "annulus": (lambda: annulus_mesh(6, 1), 4, "inner"),
+    "mixed": (tagged_mixed_mesh, 4, "b"),
+}
+
+
+@pytest.mark.parametrize("case", FORCE_CASES)
+def test_stacked_forces_match_the_per_side_loop(case):
+    """One kind group at a time == one side at a time: the forces to
+    1e-12 of the largest component, the charges label by label."""
+    make, order, tag = FORCE_CASES[case]
+    space = FunctionSpace(make(), order)
+    rng = np.random.default_rng(3)
+    u, v, p = rng.standard_normal((3, space.ndof))
+    with OpCounter() as ref_ops:
+        ref = oracle.body_forces(space, u, v, p, 0.03, tag)
+    with OpCounter() as ops:
+        got = body_forces(space, u, v, p, 0.03, tag)
+    fields = ref.__dataclass_fields__
+    scale = max(abs(getattr(ref, name)) for name in fields)
+    for name in fields:
+        assert getattr(got, name) == pytest.approx(getattr(ref, name), rel=0.0, abs=1e-12 * scale)
+    assert (ops.flops, ops.bytes) == (ref_ops.flops, ref_ops.bytes)
+    assert {k: v[:2] for k, v in ops.by_label.items()} == {
+        k: v[:2] for k, v in ref_ops.by_label.items()
+    }
+
+
+def test_an_ale_recorder_reads_the_current_space():
+    """ALE builds a new space after every move: the recorder's cached
+    edge quadrature follows it, so each record equals a fresh
+    ``body_forces`` on the solver's current space."""
+    heave = lambda x0, y0, t: (  # noqa: E731
+        x0,
+        y0 + 0.1 * np.sin(4.0 * t) * np.exp(-(x0**2 + y0**2)),
+    )
+    ns = ALENavierStokes2D(
+        bluff_body_mesh(m=3, nr=1), 3, nu=0.05, dt=2e-2,
+        velocity_bcs={"inflow": (ONE, ZERO), "wall": (ZERO, ZERO)},
+        pressure_dirichlet=("outflow",),
+        motion=heave,
+    )
+    ns.set_initial(ONE, ZERO)
+    rec = ForceRecorder(ns, "wall")
+    spaces = []
+    for _ in range(4):
+        ns.step()
+        got = rec.record()
+        assert got == body_forces(ns.space, ns.u_hat, ns.v_hat, ns.p_hat, ns.nu, "wall")
+        spaces.append(ns.space)
+        # A second record on the same space reuses its groups.
+        quads = rec._quads
+        assert rec.record() == got and rec._quads is quads
+    assert len({id(space) for space in spaces}) == 4

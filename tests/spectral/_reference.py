@@ -10,6 +10,8 @@ import numpy as np
 from repro.linalg import blas
 from repro.linalg.counters import charge
 
+from ..linalg._vector_kernels import dgemv
+
 
 def integrate(rule, fvals) -> float:
     """Quadrature of values at a 1-D or tensor rule's points."""
@@ -35,14 +37,14 @@ def backward(exp, coeffs) -> np.ndarray:
     """Modal coefficients -> values at the quadrature points."""
     coeffs = np.asarray(coeffs, dtype=np.float64)
     vals = np.empty(exp.rule.weights.size)
-    return blas.dgemv(1.0, exp.phi, coeffs, 0.0, vals, trans=True)
+    return dgemv(1.0, exp.phi, coeffs, 0.0, vals, trans=True)
 
 
 def forward(exp, fvals) -> np.ndarray:
     """L2 projection: values at quadrature points -> modal coefficients."""
     fvals = np.asarray(fvals, dtype=np.float64)
     rhs = np.empty(exp.nmodes)
-    blas.dgemv(1.0, exp.phi, exp.weights * np.ravel(fvals), 0.0, rhs)
+    dgemv(1.0, exp.phi, exp.weights * np.ravel(fvals), 0.0, rhs)
     n = exp.nmodes
     charge(2.0 * n**3 / 3.0, 8.0 * n * n, "mass-solve")
     return np.linalg.solve(mass_matrix(exp), rhs)
