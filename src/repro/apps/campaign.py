@@ -6,7 +6,9 @@ the run ledger on a bounded worker pool, records per-job values and
 critical-path attribution, and writes a resume-invariant campaign
 report.  ``search`` re-prices the recorded event graphs over the
 machine catalog to find the cheapest configuration meeting a target
-makespan — no re-running.
+makespan — no re-running.  ``--artifacts DIR`` holds one
+``graph-<fingerprint>.json`` per job, the graph as schema-2 base64
+columns (``EventGraph.to_dict``); ``search`` reads only that schema.
 
 Run::
 
@@ -18,8 +20,8 @@ Run::
 
 Exit codes follow the shared convention (:mod:`repro.util.cli`):
 0 = clean, 1 = gate failure (failed jobs; infeasible search target),
-2 = usage error (missing ledger/matrix/artifacts, a corrupt graph
-artifact).
+2 = usage error (missing ledger/matrix/artifacts, a corrupt or
+schema-1 graph artifact, named in the message).
 """
 
 from __future__ import annotations

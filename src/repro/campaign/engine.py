@@ -17,9 +17,12 @@ ledger *is* the state:
 * **attribution** — every job records its event graph; the engine
   aggregates per-job ``analyze()`` summaries across the campaign
   (:func:`~repro.obs.critpath.aggregate_analyses`) and can persist the
-  graphs for ``campaign search`` — each written to a temporary file in
-  the artifacts directory and renamed into place, so neither a failed
-  write nor a reader in another process ever meets a torn artifact.
+  graphs for ``campaign search`` as ``graph-<fingerprint>.json``
+  (``EventGraph.to_dict``: schema-2 base64 columns) — each serialised
+  only when an artifacts directory is set, written to a temporary file
+  there and renamed into place, so neither a failed write nor a reader
+  in another process ever meets a torn artifact.  The directory is made
+  once per run, not per job.
 
 Host wall-clock (queue time, per-job elapsed) rides in ``timings``
 where the drift detector merely warns; everything gated is virtual.
@@ -69,7 +72,9 @@ class CampaignEngine:
     # -- single job ----------------------------------------------------------
 
     def _run_job(self, job: JobSpec) -> dict[str, Any]:
-        """One virtual-cluster run; returns the job's ledger payload."""
+        """One virtual-cluster run; returns the job's ledger payload and
+        its event graph's ``to_dict`` (``None`` when no artifact is
+        written)."""
         machine = MACHINES[job.machine]
         network = NETWORKS[job.network]
         plan = FAULT_PLANS[job.fault_plan]
@@ -96,7 +101,7 @@ class CampaignEngine:
             },
             "timings": {"elapsed_s": elapsed},
             "critpath": summary,
-            "graph": recorder.graph.to_dict(),
+            "graph": recorder.graph.to_dict() if self.artifacts_dir is not None else None,
         }
 
     def _graph_path(self, job: JobSpec) -> Path:
@@ -146,7 +151,6 @@ class CampaignEngine:
                         abort.set()
                 return
             if self.artifacts_dir is not None:
-                self.artifacts_dir.mkdir(parents=True, exist_ok=True)
                 _write_atomic(
                     self._graph_path(job), json.dumps(payload["graph"], sort_keys=True)
                 )
@@ -167,6 +171,8 @@ class CampaignEngine:
                     abort.set()
 
         t0 = time.perf_counter()
+        if queue and self.artifacts_dir is not None:
+            self.artifacts_dir.mkdir(parents=True, exist_ok=True)
         with ThreadPoolExecutor(max_workers=self.workers) as pool:
             list(pool.map(worker, queue))
         failed = sorted(k for k, v in outcomes.items() if v == "failed")

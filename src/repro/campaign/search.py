@@ -9,7 +9,12 @@ every communication edge is re-priced under the candidate's fabric, and
 the compute edges are scaled by the ratio of the recorded machine's
 application rate to the candidate's.  All (graph, candidate) pairs are
 one weight matrix over the graphs taken as one, priced in one sweep
-(:func:`~repro.obs.critpath.swap_makespans`).
+(:func:`~repro.obs.critpath.swap_makespans`).  The graphs are read back
+from the engine's ``graph-<fingerprint>.json`` artifacts
+(``EventGraph.from_dict``, schema 2: each column one base64 block,
+decoded straight into numpy); an artifact that does not read back —
+torn JSON, a damaged column, a schema-1 file of rows — is a
+:class:`GraphArtifactError` naming the file.
 
 The result reproduces the paper's cost ordering: Ethernet nodes are
 cheaper but slower, Myrinet costs ~$1.8k/node more and buys its keep

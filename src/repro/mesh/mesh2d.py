@@ -20,7 +20,8 @@ higher global vertex id.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from functools import cached_property
+from itertools import chain, combinations
 
 import networkx as nx
 import numpy as np
@@ -62,6 +63,30 @@ class Element:
 _LOCAL_EDGES = {4: np.array(QUAD_EDGES), 3: np.array(TRI_EDGES + ((0, 0),))}
 
 
+def _vertex_table(elements: list, nvertices: int) -> np.ndarray:
+    """The (nelements, 4) vertex table of ``elements``, -1 past a
+    triangle's third, checked as :class:`Element` checks each element
+    (3 or 4 vertices, none repeated; the first failing element names
+    the error), then every id against ``nvertices``."""
+    sizes = np.fromiter(map(len, elements), np.int64, len(elements))
+    sized = (sizes == 3) | (sizes == 4)
+    n = len(sizes) if sized.all() else int(np.argmin(sized))  # first bad size
+    real = np.arange(4) < sizes[:n, None]
+    table = np.full(real.shape, -1, dtype=np.int64)
+    table[real] = np.fromiter(chain.from_iterable(elements[:n]), np.int64)
+    repeated = np.zeros(n, dtype=bool)
+    for i, j in combinations(range(4), 2):
+        repeated |= (table[:, i] == table[:, j]) & real[:, j]
+    if repeated.any():
+        raise ValueError("repeated vertex in element")
+    if n < len(sizes):
+        raise ValueError("elements must have 3 or 4 vertices")
+    ids = table[real]
+    if (ids < 0).any() or (ids >= nvertices).any():
+        raise ValueError("element references unknown vertex")
+    return table
+
+
 def _kind_positions(quad: np.ndarray) -> dict[str, np.ndarray]:
     """The positions where ``quad`` is true ("quad") and false ("tri"),
     ascending, kinds in order of first appearance; an absent kind has
@@ -92,14 +117,7 @@ class Mesh2D:
         self.vertices = np.asarray(vertices, dtype=np.float64)
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
             raise ValueError("vertices must be an (n, 2) array")
-        self.elements = [Element(tuple(map(int, e))) for e in elements]
-        sizes = np.array([len(e.vertices) for e in self.elements], dtype=np.int64)
-        real = np.arange(4) < sizes[:, None]
-        ids = np.fromiter(chain.from_iterable(e.vertices for e in self.elements), np.int64)
-        if (ids < 0).any() or (ids >= self.nvertices).any():
-            raise ValueError("element references unknown vertex")
-        self.elem_vertices = np.full(real.shape, -1, dtype=np.int64)
-        self.elem_vertices[real] = ids
+        self.elem_vertices = _vertex_table(list(elements), self.nvertices)
         self._build_edges()
         self.boundary_tags = dict(boundary_tags or {})
         self._validate_tags()
@@ -166,6 +184,13 @@ class Mesh2D:
                 tags = [owners[i] for i in np.flatnonzero(keys == key)]
                 side = divmod(int(key), 4)
                 raise ValueError(f"boundary side {side} is tagged more than once: {tags}")
+
+    @cached_property
+    def elements(self) -> list[Element]:
+        """One :class:`Element` per row of ``elem_vertices``, built on
+        first read (the solvers read the tables)."""
+        rows = self.elem_vertices.tolist()
+        return [Element(tuple(row[: 4 if row[3] >= 0 else 3])) for row in rows]
 
     @property
     def nvertices(self) -> int:

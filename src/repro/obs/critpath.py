@@ -34,13 +34,13 @@ P^2), which is what keeps 1024-rank graphs cheap.
 
 Storage and pricing
 -------------------
-The recorder appends plain schema-1 rows (the ``to_dict`` edge layout)
-and each node's *depth*, 1 + the largest depth among its in-edge
-sources; sources exist before their targets, so depths fall out of
-ingest.  The first pricing or serialisation turns the rows into numpy
-columns and a plan: edges grouped by target depth, sorted by target
-within a depth.  Every longest path is then one level-synchronous
-sweep (:func:`_sweep`) over a ``(k, E)`` weight matrix — per depth,
+The recorder appends plain edge rows ``(dst, *Edge)`` and each node's
+*depth*, 1 + the largest depth among its in-edge sources; sources
+exist before their targets, so depths fall out of ingest.  The first
+pricing or serialisation turns the rows into numpy columns and a plan:
+edges grouped by target depth, sorted by target within a depth.
+Every longest path is then one level-synchronous sweep
+(:func:`_sweep`) over a ``(k, E)`` weight matrix — per depth,
 ``t[:, tgt] = max.reduceat(t[:, src] + W[:, edges])`` — so ``k``
 counterfactuals cost one pass: :func:`analyze` prices the recorded run
 and its standard counterfactuals together, and :func:`swap_makespans`
@@ -69,9 +69,10 @@ from its node kinds and edges.
 
 from __future__ import annotations
 
+import base64
 from dataclasses import dataclass, field
 from itertools import chain, repeat
-from typing import TYPE_CHECKING, Any, Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Any, NamedTuple, Sequence
 
 import numpy as np
 
@@ -98,7 +99,7 @@ RESOURCES = ("cpu", "overhead", "latency", "bandwidth", "idle")
 
 
 class Edge(NamedTuple):
-    """One happens-before edge: a schema-1 edge row without its target.
+    """One happens-before edge: an edge row without its target.
 
     The byte/participant metadata (``nbytes``, ``ebytes``, ``obytes``,
     ``n``, ``stretch``, ``factor``) exists purely so counterfactual
@@ -141,10 +142,10 @@ class Edge(NamedTuple):
         }
 
 
-#: A schema-1 edge row is ``(dst, *Edge)``; a node row is
-#: ``(rank, kind, label, stage, t)``.
-EDGE_WIDTH, NODE_WIDTH = 1 + len(Edge._fields), 5
-#: The float edge fields, in schema order (``_Columns.floats``).
+#: An edge row is ``(dst, *Edge)``.
+EDGE_WIDTH = 1 + len(Edge._fields)
+#: The float edge fields, in schema order: ``_Columns.floats`` and the
+#: rows of a serialised graph's ``floats`` block.
 _FLOAT_FIELDS = (
     "cpu", "overhead", "latency", "bandwidth", "idle",
     "nbytes", "ebytes", "obytes", "stretch", "factor",
@@ -160,7 +161,7 @@ class EventGraph:
     """The recorded happens-before DAG of one ``VirtualCluster.run``.
 
     Node columns are parallel lists indexed by node id (ids are a valid
-    topological order); ``edges`` holds schema-1 rows
+    topological order); ``edges`` holds edge rows
     ``(dst, src, cpu, overhead, latency, bandwidth, idle, kind, nbytes,
     ebytes, obytes, n, stretch, factor)``, in target order (the recorder
     and :meth:`from_dict` append them that way).  A graph read by
@@ -188,9 +189,14 @@ class EventGraph:
 
     @property
     def edges(self) -> list[tuple]:
-        """The schema-1 edge rows, in target order."""
+        """The edge rows, in target order (listed from the columns of a
+        graph read by :meth:`from_dict`: counts int, weights float)."""
         if self._edges is None:
-            self._edges = list(_rows(self._cols))
+            c = self._cols
+            f = [col.tolist() for col in c.floats]
+            self._edges = list(zip(
+                c.dst.tolist(), c.src.tolist(), *f[:5], c.kind, *f[5:8], c.n.tolist(), *f[8:]
+            ))
         return self._edges
 
     @property
@@ -237,72 +243,106 @@ class EventGraph:
     # -- serialization (campaign artifacts) ------------------------------------
 
     def to_dict(self) -> dict[str, Any]:
-        """JSON-able form of the recorded graph.
+        """JSON-able form of the recorded graph (schema 2).
 
         The campaign engine persists each job's graph next to the run
         ledger so ``campaign search`` can re-weight it (``analyze`` /
         ``swap_network``) long after the run, without re-running the
         cluster.  The network rides along by name only — counterfactual
         passes supply their own :class:`NetworkModel`.
+
+        Every column is one string: a numeric one is the base64 of its
+        little-endian ``<i8`` / ``<f8`` bytes (the ten float edge fields
+        as one ``(10, E)`` block, rows in schema order), so floats
+        round-trip bit for bit; a string one is ``{"vocab", "codes"}``,
+        its distinct values in order of first appearance and a base64
+        ``<i4`` index per row.  Serialising a rebuilt graph is therefore
+        a byte-level fixed point.
         """
         c = self._columns()
         return {
-            "schema": 1,
+            "schema": 2,
             "nprocs": self.nprocs,
             "network": self.network_name,
-            # Numeric fields are normalised (counts int, weights float)
-            # so serialising a rebuilt graph is a byte-level fixed point.
-            "nodes": list(map(list, zip(
-                c.rank.tolist(), self.node_kind, self.node_label, self.node_stage,
-                c.t.tolist(),
-            ))),
-            "edges": list(map(list, _rows(c))),
+            "nodes": {
+                "rank": _encode(c.rank, "<i8"),
+                "t": _encode(c.t, "<f8"),
+                "kind": _encode_strings(self.node_kind),
+                "label": _encode_strings(self.node_label),
+                "stage": _encode_strings(self.node_stage),
+            },
+            "edges": {
+                "dst": _encode(c.dst, "<i8"),
+                "src": _encode(c.src, "<i8"),
+                "n": _encode(c.n, "<i8"),
+                "floats": _encode(np.stack(c.floats), "<f8"),
+                "kind": _encode_strings(c.kind),
+            },
         }
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "EventGraph":
         """Rebuild a graph serialised by :meth:`to_dict`.
 
-        Malformed input — a wrong row width, a non-number, an edge that
-        names a missing node or points backwards — is a ``ValueError``
-        naming the row.
+        Malformed input is a ``ValueError`` naming what is wrong: the
+        header field, the column (missing, not base64, not whole items,
+        a length other than its table's, a code outside its vocabulary)
+        or, for an edge that names a missing node or points backwards,
+        the row.
         """
         schema = data.get("schema") if isinstance(data, dict) else None
-        if schema != 1:
+        if type(schema) is not int or schema != 2:
             raise ValueError(f"unknown event-graph schema {schema!r}")
         try:
-            g = cls(int(data["nprocs"]))
-            nodes, edges = data["nodes"], data["edges"]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"event graph header: {exc!r}") from None
-        g._network_name = data.get("network")
-        ranks, kinds, labels, stages, ts = _transpose(nodes, NODE_WIDTH, "node")
-        rank = _numbers([ranks], np.int64, "node", ("rank",))[0]
-        t = _numbers([ts], float, "node", ("t",))[0]
-        cols = _transpose(edges, EDGE_WIDTH, "edge")
-        dst, src, n = _numbers(
-            [cols[0], cols[1], cols[11]], np.int64, "edge", ("dst", "src", "n")
-        )
-        bad = np.flatnonzero((src < 0) | (src >= dst) | (dst >= len(ts)))
+            nprocs, network, nodes, edges = (
+                data[key] for key in ("nprocs", "network", "nodes", "edges")
+            )
+        except KeyError as exc:
+            raise ValueError(f"event graph header: {exc.args[0]!r} is missing") from None
+        if type(nprocs) is not int or not (network is None or isinstance(network, str)):
+            raise ValueError(f"event graph header: nprocs {nprocs!r} / network {network!r}")
+        if not (isinstance(nodes, dict) and isinstance(edges, dict)):
+            raise ValueError("event graph header: nodes and edges are not column tables")
+        rank = _decode(nodes, "rank", "node column 'rank'", "<i8")
+        t = _decode(nodes, "t", "node column 't'", "<f8")
+        kinds = _decode_strings(nodes, "kind", "node column 'kind'")
+        labels = _decode_strings(nodes, "label", "node column 'label'")
+        stages = _decode_strings(nodes, "stage", "node column 'stage'", none=True)
+        _same_length("node", rank=rank, t=t, kind=kinds[1], label=labels[1], stage=stages[1])
+        dst = _decode(edges, "dst", "edge column 'dst'", "<i8")
+        src = _decode(edges, "src", "edge column 'src'", "<i8")
+        n = _decode(edges, "n", "edge column 'n'", "<i8")
+        f = _decode(edges, "floats", "edge column 'floats'", "<f8")
+        vocab, codes = _decode_strings(edges, "kind", "edge column 'kind'")
+        _same_length("edge", dst=dst, src=src, n=n, kind=codes)
+        if len(f) != len(_FLOAT_FIELDS) * len(dst):
+            raise ValueError(
+                f"event graph edge column 'floats' has {len(f)} values, not "
+                f"{len(_FLOAT_FIELDS)} per edge for {len(dst)} edges"
+            )
+        f = f.reshape(len(_FLOAT_FIELDS), len(dst))
+        bad = np.flatnonzero((src < 0) | (src >= dst) | (dst >= len(t)))
         if bad.size:
             i = int(bad[0])
             raise ValueError(
                 f"event graph edge row {i}: {src[i]} -> {dst[i]} is not an "
                 f"edge between existing nodes in topological order"
             )
-        f = _numbers(cols[2:7] + cols[8:11] + cols[12:], float, "edge", _FLOAT_FIELDS)
-        kind = tuple(map(str, cols[7]))
         if np.any(dst[1:] < dst[:-1]):  # regroup in-edges by target
             order = np.argsort(dst, kind="stable")
-            dst, src, f, n = dst[order], src[order], f[:, order], n[order]
-            kind = tuple(kind[i] for i in order.tolist())
+            dst, src, f, n, codes = dst[order], src[order], f[:, order], n[order], codes[order]
+        g = cls(nprocs)
+        g._network_name = network
         g.node_rank, g.node_t = rank.tolist(), t.tolist()
-        g.node_kind, g.node_label = list(map(str, kinds)), list(map(str, labels))
-        g.node_stage = list(stages)
-        g.node_depth = _depths(len(ts), dst.tolist(), src.tolist())
+        g.node_kind, g.node_label, g.node_stage = (
+            _strings(*kinds), _strings(*labels), _strings(*stages)
+        )
+        g.node_depth = _depths(len(t), dst.tolist(), src.tolist())
         g._edges = None
+        code = np.array([_KIND_CODE.get(k, 3) for k in vocab], dtype=np.int8)[codes]
         g._cols = _Columns(
-            t, rank, np.array(g.node_depth, dtype=np.int64), dst, src, tuple(f), n, kind
+            t, rank, np.array(g.node_depth, dtype=np.int64), dst, src, tuple(f), n,
+            tuple(_strings(vocab, codes)), code,
         )
         return g
 
@@ -327,50 +367,68 @@ class EventGraph:
             )
 
 
-def _transpose(rows: Any, width: int, what: str) -> list[tuple]:
-    """Columns of a list of ``width``-wide rows; a ``ValueError`` names
-    the first row that is not one."""
-    if not isinstance(rows, list):
-        raise ValueError(f"event graph {what}s are not a list")
+def _encode(a: np.ndarray, dtype: str) -> str:
+    """A numeric column as the base64 of its ``dtype`` bytes."""
+    return base64.b64encode(np.ascontiguousarray(a, dtype=dtype).tobytes()).decode("ascii")
+
+
+def _encode_strings(col: Sequence[str | None]) -> dict[str, Any]:
+    """A string column as its vocabulary, in order of first appearance,
+    and one ``<i4`` code per row."""
+    index: dict[str | None, int] = {}
+    codes = [index.setdefault(v, len(index)) for v in col]
+    return {"vocab": list(index), "codes": _encode(np.array(codes), "<i4")}
+
+
+def _decode(table: dict, key: str, where: str, dtype: str) -> np.ndarray:
+    """``table[key]``, the base64 of a ``dtype`` column, as a read-only
+    array; ``where`` names the column in errors."""
+    if key not in table:
+        raise ValueError(f"event graph {where} is missing")
     try:
-        ok = set(map(len, rows)) <= {width}
-    except TypeError:
-        ok = False
-    if not ok:
-        i = next(
-            i for i, r in enumerate(rows)
-            if not isinstance(r, list) or len(r) != width
-        )
+        raw = base64.b64decode(table[key], validate=True)
+    except (TypeError, ValueError) as exc:  # binascii.Error is a ValueError
+        raise ValueError(f"event graph {where} is not base64: {exc}") from None
+    size = np.dtype(dtype).itemsize
+    if len(raw) % size:
         raise ValueError(
-            f"event graph {what} row {i} is not a list of {width} fields: "
-            f"{rows[i]!r}"
+            f"event graph {where}: {len(raw)} bytes are not whole {size}-byte items"
         )
-    return list(zip(*rows)) if rows else [()] * width
+    return np.frombuffer(raw, dtype)
 
 
-def _numbers(cols: list[Sequence[Any]], dtype: Any, what: str, names: Sequence[str]) -> np.ndarray:
-    """``cols`` as one ``(len(cols), n)`` array; a ``ValueError`` names
-    the first row holding something that is not a number."""
-    try:
-        return np.array(cols, dtype=dtype)
-    except (TypeError, ValueError, OverflowError):
-        for col, name in zip(cols, names):
-            for i, v in enumerate(col):
-                try:
-                    np.array(v, dtype=dtype)
-                except (TypeError, ValueError, OverflowError):
-                    raise ValueError(
-                        f"event graph {what} row {i}: {name} {v!r} is not a number"
-                    ) from None
-        raise
+def _decode_strings(
+    table: dict, key: str, where: str, none: bool = False
+) -> tuple[list, np.ndarray]:
+    """``table[key]``, a string column, as its vocabulary and codes;
+    ``none`` admits a null value."""
+    col = table.get(key)
+    if not (isinstance(col, dict) and isinstance(col.get("vocab"), list)):
+        raise ValueError(f"event graph {where} is not a vocab/codes table")
+    vocab = col["vocab"]
+    if not all(isinstance(v, str) or (none and v is None) for v in vocab):
+        raise ValueError(f"event graph {where} has a vocabulary entry that is not a string")
+    codes = _decode(col, "codes", f"{where} codes", "<i4")
+    bad = np.flatnonzero((codes < 0) | (codes >= len(vocab)))
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(
+            f"event graph {where} row {i}: code {codes[i]} is outside its "
+            f"vocabulary of {len(vocab)}"
+        )
+    return vocab, codes
 
 
-def _rows(c: "_Columns") -> Iterator[tuple]:
-    """Schema-1 edge rows from columns: counts int, weights float."""
-    f = [col.tolist() for col in c.floats]
-    return zip(
-        c.dst.tolist(), c.src.tolist(), *f[:5], c.kind, *f[5:8], c.n.tolist(), *f[8:]
-    )
+def _same_length(what: str, **cols: np.ndarray) -> None:
+    """Every column of a table has one length."""
+    sizes = {name: len(col) for name, col in cols.items()}
+    if len(set(sizes.values())) > 1:
+        raise ValueError(f"event graph {what} columns differ in length: {sizes}")
+
+
+def _strings(vocab: list, codes: np.ndarray) -> list:
+    """A decoded string column."""
+    return list(map(vocab.__getitem__, codes.tolist()))
 
 
 def _depths(nnodes: int, dst: list[int], src: list[int]) -> list[int]:

@@ -158,6 +158,7 @@ class RunLedger:
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
+        self._dir_made = False  # the parent directory, made on first append
 
     def append(
         self,
@@ -211,7 +212,9 @@ class RunLedger:
         interleaving with another writer's line.
         """
         data = (line + "\n").encode("utf-8")
-        self.path.parent.mkdir(parents=True, exist_ok=True)
+        if not self._dir_made:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            self._dir_made = True
         fd = os.open(
             str(self.path), os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644
         )

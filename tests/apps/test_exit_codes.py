@@ -11,6 +11,7 @@ import json
 from repro.apps import campaign, trace_report
 from repro.campaign.client import run_cli
 from repro.util.cli import EXIT_GATE, EXIT_OK, EXIT_USAGE, usage_error
+from tests.obs._graphs import column, set_column
 
 # ------------------------------------------------------------------ run_cli
 
@@ -84,9 +85,13 @@ def test_campaign_search_truncated_graph_is_two(tmp_path, capsys):
 
 
 def test_campaign_search_short_edge_row_is_two(tmp_path, capsys):
+    """A damaged edge row is exit 2, naming the file and the row: row 3's
+    source is moved onto its target, so the edge no longer points forward."""
     argv, graph = _recorded_graph(tmp_path)
     data = json.loads(graph.read_text())
-    data["edges"][3] = data["edges"][3][:10]
+    src = column(data["edges"], "src", "<i8").copy()
+    src[3] = column(data["edges"], "dst", "<i8")[3]
+    set_column(data["edges"], "src", src, "<i8")
     graph.write_text(json.dumps(data))
     capsys.readouterr()
     assert campaign.main(argv) == EXIT_USAGE

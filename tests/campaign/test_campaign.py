@@ -182,6 +182,35 @@ def test_failed_artifact_rewrite_leaves_the_old_bytes(tmp_path, monkeypatch):
     assert [p.name for p in art.iterdir()] == [path.name]
 
 
+def test_directories_are_made_once_per_run_and_graphs_serialised_only_when_written(
+    tmp_path, monkeypatch
+):
+    """Per job, nothing but the job: the artifacts directory is made once
+    per run, the ledger's once per ledger object, and a graph with nowhere
+    to go is never serialised."""
+    from pathlib import Path
+
+    from repro.obs.critpath import EventGraph
+
+    made = []
+    real_mkdir = Path.mkdir
+    monkeypatch.setattr(
+        Path, "mkdir", lambda self, *a, **kw: made.append(self.name) or real_mkdir(self, *a, **kw)
+    )
+    out = CampaignEngine(
+        tmp_path / "runs" / "lg.jsonl", SMALL, workers=2, artifacts_dir=tmp_path / "g"
+    ).run()
+    assert out["ran"] == 8 and sorted(made) == ["g", "runs"]
+    assert len(list((tmp_path / "g").glob("graph-*.json"))) == 8
+
+    def refuse(self):
+        raise AssertionError("serialised a graph that is not written")
+
+    monkeypatch.setattr(EventGraph, "to_dict", refuse)
+    out = CampaignEngine(tmp_path / "bare.jsonl", SMALL, workers=2).run()
+    assert out["ran"] == 8 and not out["failed"]
+
+
 def test_campaign_records_planted_rank_failure_as_failed(tmp_path):
     matrix = dict(SMALL, fault_plans=["none", "crash"])
     eng = CampaignEngine(tmp_path / "lg.jsonl", matrix, workers=2)

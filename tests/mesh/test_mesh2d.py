@@ -27,6 +27,45 @@ def test_element_validation():
     assert Element((0, 1, 2, 3)).kind == "quad"
 
 
+@pytest.mark.parametrize(
+    "elements",
+    [
+        [(0, 1)],
+        [(0, 1, 1)],
+        [(0, 1, 2, 3, 4)],
+        [(0, 1, 2), (0, 1)],
+        [(0, 0, 1), (0, 1)],  # the first failing element names the error
+        [(0, 1), (0, 0, 1)],
+        [(0, 1, 2, 0), (4, 5)],
+        [(0, 1, 9)],
+        [(-1, 0, 1)],
+        [(2, 3, 4), (-1, 0, 1, 2)],
+        [(0, 1, 9), (0, 1)],  # shape checks come before the vertex check
+    ],
+)
+def test_mesh_checks_its_elements_as_element_does(elements):
+    """One array pass over the elements raises what building an
+    ``Element`` per element, then checking the ids, raised."""
+
+    def per_element():
+        elems = [Element(tuple(e)) for e in elements]
+        if any(not 0 <= v < 6 for e in elems for v in e.vertices):
+            raise ValueError("element references unknown vertex")
+
+    with pytest.raises(ValueError) as want:
+        per_element()
+    with pytest.raises(ValueError, match=re.escape(str(want.value))):
+        Mesh2D(np.zeros((6, 2)), elements)
+
+
+def test_elements_are_built_on_first_read():
+    mesh = rectangle_quads(3, 2)
+    assert "elements" not in vars(mesh)
+    rows = [tuple(v for v in row if v >= 0) for row in mesh.elem_vertices.tolist()]
+    assert [e.vertices for e in mesh.elements] == rows
+    assert mesh.elements is mesh.elements
+
+
 def test_vertices_shape_validation():
     with pytest.raises(ValueError):
         Mesh2D(np.zeros((3, 3)), [(0, 1, 2)])

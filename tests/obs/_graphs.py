@@ -3,10 +3,16 @@
 The recorder appends edge rows in target order and runs ask
 :func:`repro.obs.critpath.analyze` (and ``swap_network``); the unit
 tests build graphs edge by edge, in any order, and ask for the
-makespan, the path or one counterfactual alone.
+makespan, the path or one counterfactual alone.  :func:`schema1` reads
+a schema-2 artifact with nothing but ``base64`` and ``np.frombuffer``,
+into the row dict the frozen oracle (``_critpath_oracle``) reads and
+writes.
 """
 
+import base64
 from operator import itemgetter
+
+import numpy as np
 
 from repro.obs.critpath import (
     CriticalPath,
@@ -77,3 +83,38 @@ def whatif(
         idle_scale=idle_scale, rank_cpu_scale=rank_cpu_scale,
     )])
     return _makespans(_sweep(c, w), [c])[0][0]
+
+
+def column(table: dict, name: str, dtype: str) -> np.ndarray:
+    """Numeric column ``name`` of a schema-2 node or edge table."""
+    return np.frombuffer(base64.b64decode(table[name]), dtype)
+
+
+def set_column(table: dict, name: str, values: np.ndarray, dtype: str) -> None:
+    """Write ``values`` as numeric column ``name`` of a schema-2 table."""
+    table[name] = base64.b64encode(np.asarray(values, dtype=dtype).tobytes()).decode()
+
+
+def schema1(data: dict) -> dict:
+    """A schema-2 artifact as the schema-1 dict (node and edge rows,
+    counts int, weights float) that ``_critpath_oracle`` reads and writes."""
+    def strings(col):
+        return [col["vocab"][i] for i in column(col, "codes", "<i4").tolist()]
+
+    nodes, edges = data["nodes"], data["edges"]
+    f = column(edges, "floats", "<f8").reshape(10, -1).tolist()
+    node_rows = zip(
+        column(nodes, "rank", "<i8").tolist(), strings(nodes["kind"]),
+        strings(nodes["label"]), strings(nodes["stage"]), column(nodes, "t", "<f8").tolist(),
+    )
+    edge_rows = zip(
+        column(edges, "dst", "<i8").tolist(), column(edges, "src", "<i8").tolist(), *f[:5],
+        strings(edges["kind"]), *f[5:8], column(edges, "n", "<i8").tolist(), *f[8:],
+    )
+    return {
+        "schema": 1,
+        "nprocs": data["nprocs"],
+        "network": data["network"],
+        "nodes": [list(r) for r in node_rows],
+        "edges": [list(r) for r in edge_rows],
+    }

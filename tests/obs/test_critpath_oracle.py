@@ -8,7 +8,8 @@ replaced it must agree with it *exactly* — not to a tolerance:
 * recorded runs (P 2..16; ring shifts, some past the rendezvous
   threshold, and alltoall / allreduce / bcast / barrier /
   allgather rounds; lossy, straggler and degraded-link plans; reused
-  clusters) serialise to the same artifact bytes and give the same
+  clusters) serialise to artifacts that decode to the oracle's node
+  and edge rows, exactly, and give the same
   ``analyze()`` (every catalog fabric swapped, a straggler removed),
   ``whatif``, ``swap_network``, ``validate()`` and round trip;
 * hand-built graphs with edges added in any order, tied weights,
@@ -41,7 +42,7 @@ from repro.parallel.simmpi import VirtualCluster
 
 from ..parallel.test_scheduler_properties import _run_program
 from . import _critpath_oracle as oracle
-from ._graphs import add_edge, makespan, whatif
+from ._graphs import add_edge, column, makespan, schema1, set_column, whatif
 
 #: The four catalog fabrics; Ethernet is kernel-mediated (loss applies).
 FABRICS = {c["name"]: NETWORKS[c["network"]] for c in CATALOG_CANDIDATES}
@@ -155,9 +156,11 @@ def _validate(graph):
 
 
 def assert_same(new, old, straggler):
-    """Every priced answer of ``new`` is the oracle's for ``old``."""
-    assert _blob(new.to_dict()) == _blob(old.to_dict())
-    assert new.to_dict() == old.to_dict()
+    """Every priced answer of ``new`` is the oracle's for ``old``, and
+    ``new``'s artifact decodes to the oracle's node and edge rows."""
+    rows = schema1(json.loads(_blob(new.to_dict())))
+    assert _blob(rows) == _blob(old.to_dict())
+    assert rows == old.to_dict()
     assert len(new) == len(old) and new.nedges == old.nedges
     assert makespan(new) == old.makespan() and new._columns().t0 == old.t0
     for kw in ({}, {"swap_nets": FABRICS, "straggler_scale": straggler}):
@@ -182,12 +185,16 @@ def test_recorded_runs_price_as_the_oracle(case):
     # What ``campaign search`` prices: the artifact read back.
     data = json.loads(_blob(new.to_dict()))
     assert_same(
-        critpath.EventGraph.from_dict(data), oracle.EventGraph.from_dict(data), straggler
+        critpath.EventGraph.from_dict(data),
+        oracle.EventGraph.from_dict(schema1(data)),
+        straggler,
     )
     # A wrong anchor fails validate() on the same node with the same words.
-    data["nodes"][-1][4] += 1.0
+    t = column(data["nodes"], "t", "<f8").copy()
+    t[-1] += 1.0
+    set_column(data["nodes"], "t", t, "<f8")
     assert _validate(critpath.EventGraph.from_dict(data)) == _validate(
-        oracle.EventGraph.from_dict(data)
+        oracle.EventGraph.from_dict(schema1(data))
     )
 
 
@@ -278,7 +285,7 @@ def test_search_predicts_the_oracles_makespans_in_one_sweep(campaign, monkeypatc
     assert sweeps == [(4, sum(e["graph"].nedges for e in entries))]
 
     old = [
-        dict(e, graph=oracle.EventGraph.from_dict(e["graph"].to_dict()))
+        dict(e, graph=oracle.EventGraph.from_dict(schema1(e["graph"].to_dict())))
         for e in entries
     ]
     assert [c["predicted_makespan"] for c in result["candidates"]] == (

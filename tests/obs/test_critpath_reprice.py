@@ -2,16 +2,19 @@
 
 ``critpath.reprice`` in ``tests/goldens.json`` holds, exactly, what the
 event graph of a fixed 8-rank Ethernet run says about itself: the
-sha256 of its schema-1 serialisation, ``analyze()`` with the four
+sha256 of its serialisation, ``analyze()`` with the four
 catalog fabrics as swaps and the straggler removed, a set of
 ``whatif`` scalings and ``swap_network`` on every catalog fabric at
 two cpu scales.  The run mixes a ring (one message past the
 rendezvous threshold), a lossy Alltoall and an allreduce under a
 straggler plan, so every edge kind and every surcharge is priced.
 
-``data/graph-schema1.json`` is a graph artifact as ``CampaignEngine``
+``data/graph-schema2.json`` is a graph artifact as ``CampaignEngine``
 writes it (``graph-<fp>.json``): it must load, serialise back to the
-same bytes and analyse to the section's ``artifact`` entry.
+same bytes and analyse to the section's ``artifact`` entry.  It was
+converted from the schema-1 artifact that entry was recorded on (read
+by ``_critpath_oracle``'s frozen reader), so the entry holds the
+conversion to the bit; the oracle reads it back through ``schema1``.
 """
 
 import hashlib
@@ -32,9 +35,10 @@ from repro.parallel.faults import FaultPlan
 from repro.parallel.simmpi import VirtualCluster
 from tests import golden
 
-from ._graphs import whatif
+from . import _critpath_oracle as oracle
+from ._graphs import schema1, whatif
 
-ARTIFACT = Path(__file__).with_name("data") / "graph-schema1.json"
+ARTIFACT = Path(__file__).with_name("data") / "graph-schema2.json"
 
 #: The four catalog fabrics, by candidate name.
 FABRICS = {c["name"]: NETWORKS[c["network"]] for c in CATALOG_CANDIDATES}
@@ -116,3 +120,10 @@ def test_committed_artifact_roundtrips_byte_for_byte():
     graph = EventGraph.from_dict(json.loads(blob))
     graph.validate()
     assert _blob(graph) == blob
+
+
+def test_committed_artifact_prices_as_the_oracle():
+    data = json.loads(ARTIFACT.read_text())
+    assert analyze(EventGraph.from_dict(data), swap_nets=FABRICS) == oracle.analyze(
+        oracle.EventGraph.from_dict(schema1(data)), swap_nets=FABRICS
+    )
