@@ -44,6 +44,7 @@ __all__ = [
     "call_tape",
     "check_kind",
     "diagonal_operator_batched",
+    "diagonal_tape",
 ]
 
 KINDS = ("mass", "laplacian", "helmholtz")
@@ -259,6 +260,15 @@ def apply_operator_batched(
     return _modal(b, out, u.shape[:-1])
 
 
+def diagonal_tape(b, kind: str, lam: float = 0.0) -> Tape:
+    """The charges of one :func:`diagonal_operator_batched` call."""
+    if kind == "mass":
+        return call_tape(b, 1, "diagonal mass")
+    if kind == "helmholtz" and lam != 0.0:
+        return call_tape(b, 1, "diagonal helmholtz")
+    return call_tape(b, 1, "diagonal laplacian")
+
+
 def diagonal_operator_batched(b, kind: str, lam: float = 0.0) -> np.ndarray:
     """Per-element operator diagonals of a quad batch, (ng, nmodes),
     without forming the matrices.
@@ -276,7 +286,6 @@ def diagonal_operator_batched(b, kind: str, lam: float = 0.0) -> np.ndarray:
     jw = b.jw_em
     if kind == "mass":
         out = _adjoint(jw, b2, b2)
-        call = "diagonal mass"
     else:
         (g11, g12), (g21, g22) = b.dxi_em
         w_aa = jw * (g11**2 + g12**2)
@@ -285,9 +294,7 @@ def diagonal_operator_batched(b, kind: str, lam: float = 0.0) -> np.ndarray:
         out = _adjoint(w_aa, b2, d2)
         out += _adjoint(w_ab, bd, bd)
         out += _adjoint(w_bb, d2, b2)
-        call = "diagonal laplacian"
         if kind == "helmholtz" and lam != 0.0:
             out += lam * _adjoint(jw, b2, b2)
-            call = "diagonal helmholtz"
-    charge_tape(call_tape(b, 1, call))
+    charge_tape(diagonal_tape(b, kind, lam))
     return _modal(b, out, ())

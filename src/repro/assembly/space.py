@@ -115,6 +115,7 @@ class FunctionSpace:
         self.sumfact = bool(sumfact)
         self._flat_dofs = None
         self._op_mats: dict[tuple, np.ndarray] = {}
+        self._diagonals: dict[tuple[str, float], np.ndarray] = {}
         self._dirichlet_plans: dict[tuple[str, ...], DirichletPlan] = {}
         self.dofmap = DofMap(mesh, order, periodic=periodic)
         # One batch per dof-map kind stack, its metric one stacked pass.
@@ -475,8 +476,20 @@ class FunctionSpace:
     def operator_diagonal(self, kind: str, lam: float = 0.0) -> np.ndarray:
         """Assembled operator diagonal (Jacobi preconditioner) without
         assembling: sum-factorised on quad batches, tabulated stacks on
-        the rest."""
+        the rest.
+
+        Computed once per (kind, lam) and cached read-only: a repeat
+        request charges what a fresh one does, each quad batch's
+        diagonal tape (a triangle batch's stacks are cached either way).
+        """
         matrix_free.check_kind(kind)
+        key = (kind, float(lam))
+        diag = self._diagonals.get(key)
+        if diag is not None:
+            for b in self.batches():
+                if self.sumfact and b.kind == "quad":
+                    charge_tape(matrix_free.diagonal_tape(b, kind, lam))
+            return diag
         parts = []
         for bi, b in enumerate(self.batches()):
             if self.sumfact and b.kind == "quad":
@@ -487,7 +500,10 @@ class FunctionSpace:
             # Signs square to one on the diagonal; pre-multiplying
             # cancels the one the assembly applies.
             parts.append(b.signs * d)
-        return self._assemble(parts)
+        diag = self._assemble(parts)
+        diag.flags.writeable = False
+        self._diagonals[key] = diag
+        return diag
 
     def eval_at_vertices(self, u_hat: np.ndarray) -> np.ndarray:
         """Field values at mesh vertices (vertex dofs are nodal; a

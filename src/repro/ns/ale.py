@@ -10,6 +10,21 @@ diagonally preconditioned conjugate gradient iterative solver is
 predominantly used": the operators change with the geometry every step,
 so there is nothing to factor once.
 
+So :class:`ALENavierStokes2D` has no step body of its own: it runs
+:meth:`NavierStokes2D.step <repro.ns.nektar2d.NavierStokes2D.step>`
+and supplies its hooks —
+
+* the geometry advance before stage 1: the mesh velocity (a Laplace
+  PCG solve in ``motion="solve"`` mode) under stage 7's scope, the
+  vertex move, space rebuild and quadrature-point mesh velocity w under
+  stage 2's; the shared stage 2 subtracts w from the convective
+  velocity;
+* the PCG solver family: pressure, viscous and mesh
+  :class:`~repro.solvers.helmholtz.HelmholtzCG` rebuilt with every
+  geometry, their iterations counted in ``cg_iterations`` (an enclosed
+  flow's pinned pressure Laplacian is the one condensed operator);
+* no pointwise charges in stages 2, 3 and 6.
+
 Two mesh-motion modes:
 
 * ``motion=callable`` — prescribed analytic vertex motion
@@ -28,24 +43,26 @@ import numpy as np
 
 from ..assembly.boundary import EdgeBatch
 from ..assembly.space import FunctionSpace
-from ..linalg.counters import OpCounter
 from ..solvers.helmholtz import HelmholtzCG, pressure_operator
-from ..util.timing import StageTimer
-from .splitting import SplittingHistory
+from .nektar2d import BCFn, NavierStokes2D
 from .stages import STAGES, StageScope
 
 __all__ = ["ALENavierStokes2D"]
 
-BCFn = Callable[[float, float, float], float]
 MotionFn = Callable[[float, float, float], tuple[float, float]]
 
 #: Relative residual every PCG solve of the step stops at.
 CG_TOL = 1e-9
 
 
-class ALENavierStokes2D:
+class ALENavierStokes2D(NavierStokes2D):
     """Incompressible NS on a moving mesh, PCG solvers, 7-stage timestep
     of the second-order splitting scheme."""
+
+    #: The current geometry's viscous PCG solver at the scheme's lambda
+    #: (a plain attribute here, not the direct solver's holder).
+    vel_solver: HelmholtzCG | None = None
+    _CHARGES_POINTWISE = False
 
     def __init__(
         self,
@@ -59,70 +76,69 @@ class ALENavierStokes2D:
         body_velocity: tuple[BCFn, BCFn] | None = None,
         outer_tags: tuple[str, ...] = (),
     ):
-        if nu <= 0 or dt <= 0:
-            raise ValueError("nu and dt must be positive")
+        if motion == "solve" and body_velocity is None:
+            raise ValueError("motion='solve' needs body_velocity")
         self.mesh = mesh
         self.order = order
-        self.nu = float(nu)
-        self.dt = float(dt)
-        self.history = SplittingHistory(2)
-        self.scheme = self.history.target
-        self.velocity_bcs = dict(velocity_bcs)
-        self.vel_tags = tuple(sorted(velocity_bcs))
-        self.pressure_dirichlet = tuple(pressure_dirichlet)
         self.motion = motion
         self.body_velocity = body_velocity
         self.outer_tags = tuple(outer_tags)
-        if motion == "solve" and body_velocity is None:
-            raise ValueError("motion='solve' needs body_velocity")
-
         self.vertices0 = mesh.vertices.copy()
-        self.t = 0.0
-        self.step_count = 0
-        self.timer = StageTimer()
-        self.stage_ops: dict[str, OpCounter] = {s: OpCounter() for s in STAGES}
         self.cg_iterations: dict[str, int] = {"pressure": 0, "viscous": 0, "mesh": 0}
-        self._rebuild_space()
-        self.u_hat = np.zeros(self.space.ndof)
-        self.v_hat = np.zeros(self.space.ndof)
-        self.p_hat = np.zeros(self.space.ndof)
+        super().__init__(
+            FunctionSpace(mesh, order), nu, dt, velocity_bcs, pressure_dirichlet
+        )
+
+    # The shared projection and step, bound in this class too so that a
+    # per-class wrapper (a profiler, the e2e tracer) tells ALE calls from
+    # serial ones.
+    set_initial = NavierStokes2D.set_initial
+    step = NavierStokes2D.step
 
     # -- geometry ---------------------------------------------------------------
 
     def _rebuild_space(self) -> None:
         """Recompute all geometry-dependent objects on the current mesh."""
-        self.space = FunctionSpace(self.mesh, self.order)
+        self._set_space(FunctionSpace(self.mesh, self.order))
+
+    def _set_space(self, space: FunctionSpace) -> None:
+        self.space = space
         lam = self.scheme.gamma0 / (self.nu * self.dt)
-        self.vel_solver = HelmholtzCG(self.space, lam, self.vel_tags, tol=CG_TOL)
+        self.vel_solver = HelmholtzCG(space, lam, self.vel_tags, tol=CG_TOL)
         if self.pressure_dirichlet:
-            self.p_solver = HelmholtzCG(self.space, 0.0, self.pressure_dirichlet, tol=CG_TOL)
+            self.p_solver = HelmholtzCG(space, 0.0, self.pressure_dirichlet, tol=CG_TOL)
         else:
             # The pinned Laplacian, factored once per geometry.
-            self.p_op = pressure_operator(self.space)
+            self.p_op = pressure_operator(space)
         if self.motion == "solve":
             tags = ("wall",) + self.outer_tags
-            self.mesh_solver = HelmholtzCG(self.space, 0.0, tags, tol=CG_TOL)
+            self.mesh_solver = HelmholtzCG(space, 0.0, tags, tol=CG_TOL)
         # Pressure-BC machinery on the fresh geometry.
-        self._edges = EdgeBatch(self.space, self.vel_tags)
+        self._edges = EdgeBatch(space, self.vel_tags)
 
-    def set_initial(self, u_fn: BCFn, v_fn: BCFn) -> None:
-        xq, yq = self.space.coords()
-        uf = np.vectorize(lambda x, y: float(u_fn(x, y, 0.0)), otypes=[np.float64])
-        vf = np.vectorize(lambda x, y: float(v_fn(x, y, 0.0)), otypes=[np.float64])
-        self.u_hat, self.v_hat = self.space.forward(np.stack([uf(xq, yq), vf(xq, yq)]))
-        self.history.clear()
+    def _advance_geometry(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """Advance the mesh to t^{n+1} and return the discrete mesh
+        velocity of the (grid-riding) quadrature points.  The paper
+        charges the mesh-velocity Helmholtz solve to step 7 and the
+        vertex updates to step 2."""
+        if self.motion is None:
+            return None
+        old_xq, old_yq = self.space.coords()
+        with StageScope(self, STAGES[6]):
+            vertex_vel, _, _ = self._mesh_velocity()
+        with StageScope(self, STAGES[1]):
+            self._move_mesh(vertex_vel)
+            new_xq, new_yq = self.space.coords()
+            return (new_xq - old_xq) / self.dt, (new_yq - old_yq) / self.dt
 
     # -- mesh velocity -----------------------------------------------------------
 
     def _mesh_velocity(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Mesh velocity at vertices and quadrature points at time t.
+        """Mesh velocity at vertices and quadrature points at time t
+        (a moving mesh's).
 
         Returns (vertex_velocities (nv, 2), wx_quad, wy_quad).
         """
-        if self.motion is None:
-            nv = self.mesh.nvertices
-            zq = np.zeros((self.space.nelem, self.space.nq))
-            return np.zeros((nv, 2)), zq, zq
         if callable(self.motion):
             h = 1e-6
             vel = np.empty((self.mesh.nvertices, 2))
@@ -153,13 +169,9 @@ class ALENavierStokes2D:
         fns = [self.body_velocity[comp]] + [lambda x, y, t: 0.0] * len(self.outer_tags)
         bc = self.mesh_solver.bc_values_by_tag(fns, self.t)
         zero = np.zeros((self.space.nelem, self.space.nq))
-        w_hat = self.mesh_solver.solve_rhs(self.space.load_vector(zero), bc)
-        self.cg_iterations["mesh"] += self.mesh_solver.last_iterations
-        return w_hat
+        return self._cg("mesh", self.mesh_solver, self.space.load_vector(zero), bc)
 
     def _move_mesh(self, vertex_vel: np.ndarray) -> None:
-        if self.motion is None:
-            return
         if callable(self.motion):
             new = np.array(
                 [self.motion(x0, y0, self.t + self.dt) for x0, y0 in self.vertices0]
@@ -175,98 +187,23 @@ class ALENavierStokes2D:
         self.mesh.vertices[:] = vertices
         self._rebuild_space()
 
-    # -- timestep --------------------------------------------------------------------
+    # -- PCG solves ----------------------------------------------------------------
 
-    def step(self) -> None:
-        dt = self.dt
-        scheme = self.history.scheme()
-        t_new = self.t + dt
+    def _cg(self, kind: str, solver: HelmholtzCG, rhs: np.ndarray, bc=None) -> np.ndarray:
+        """One PCG solve, its iterations counted under ``kind``."""
+        x = solver.solve_rhs(rhs, bc)
+        self.cg_iterations[kind] += solver.last_iterations
+        return x
 
-        # ALE-specific work first: advance the mesh to t^{n+1} and form
-        # the discrete mesh velocity of the (grid-riding) quadrature
-        # points.  The paper charges the vertex updates to step 2 and the
-        # mesh-velocity Helmholtz solve to step 7.
-        if self.motion is not None:
-            old_xq, old_yq = self.space.coords()
-            with StageScope(self, STAGES[6]):
-                vertex_vel, _, _ = self._mesh_velocity()
-            with StageScope(self, STAGES[1]):
-                self._move_mesh(vertex_vel)
-                new_xq, new_yq = self.space.coords()
-                wx = (new_xq - old_xq) / dt
-                wy = (new_yq - old_yq) / dt
-        else:
-            wx = wy = 0.0
-        space = self.space
+    def _pressure_solve(self, rhs: np.ndarray) -> np.ndarray:
+        if self.pressure_dirichlet:
+            return self._cg("pressure", self.p_solver, rhs)
+        return super()._pressure_solve(rhs)
 
-        with StageScope(self, STAGES[0]):
-            u_vals = space.backward(self.u_hat)
-            v_vals = space.backward(self.v_hat)
-
-        with StageScope(self, STAGES[1]):
-            dudx, dudy = space.gradient(self.u_hat)
-            dvdx, dvdy = space.gradient(self.v_hat)
-            cu = u_vals - wx
-            cv = v_vals - wy
-            nu_term = -(cu * dudx + cv * dudy)
-            nv_term = -(cu * dvdx + cv * dvdy)
-            omega = dvdx - dudy
-
-        with StageScope(self, STAGES[2]):
-            vel, nl = (u_vals, v_vals), (nu_term, nv_term)
-            uhx, uhy = self.history.extrapolate(vel, nl, dt)
-            (w_extrap,) = self.history.vorticity((omega,))
-
-        with StageScope(self, STAGES[3]):
-            rhs_p = space.grad_load_vector(uhx, uhy)
-            rhs_p /= dt
-            bcs = [self.velocity_bcs[tag] for tag in self.vel_tags]
-            ubn = self._edges.normal_component(bcs, t_new)
-            self._edges.add_pressure_bc(rhs_p, w_extrap, ubn, self.nu, scheme.gamma0 / dt)
-
-        with StageScope(self, STAGES[4]):
-            if self.pressure_dirichlet:
-                self.p_hat = self.p_solver.solve_rhs(rhs_p)
-                self.cg_iterations["pressure"] += self.p_solver.last_iterations
-            else:
-                self.p_hat = self.p_op.solve(rhs_p)
-
-        with StageScope(self, STAGES[5]):
-            dpdx, dpdy = space.gradient(self.p_hat)
-            scale = 1.0 / (self.nu * dt)
-            rhs_u = space.load_vector(uhx - dt * dpdx) * scale
-            rhs_v = space.load_vector(uhy - dt * dpdy) * scale
-
-        with StageScope(self, STAGES[6]):
-            solver = self._viscous_solver(scheme.gamma0)
-            bc = solver.bc_values_by_tag
-            self.u_hat = solver.solve_rhs(rhs_u, bc([b[0] for b in bcs], t_new))
-            self.cg_iterations["viscous"] += solver.last_iterations
-            self.v_hat = solver.solve_rhs(rhs_v, bc([b[1] for b in bcs], t_new))
-            self.cg_iterations["viscous"] += solver.last_iterations
-
-        self.history.push(vel, nl, (omega,))
-        self.t = t_new
-        self.step_count += 1
-
-    def _viscous_solver(self, gamma0: float) -> HelmholtzCG:
-        lam = gamma0 / (self.nu * self.dt)
+    def _viscous_solver(self, lam: float) -> HelmholtzCG:
         if abs(lam - self.vel_solver.lam) < 1e-12 * max(1.0, lam):
             return self.vel_solver
         return HelmholtzCG(self.space, lam, self.vel_tags, tol=CG_TOL)
 
-    def run(self, nsteps: int) -> None:
-        for _ in range(nsteps):
-            self.step()
-
-    # -- diagnostics -------------------------------------------------------------
-
-    def velocity(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.space.backward(self.u_hat), self.space.backward(self.v_hat)
-
-    def kinetic_energy(self) -> float:
-        u, v = self.velocity()
-        return 0.5 * self.space.integrate(u * u + v * v)
-
-    def stage_percentages(self, kind: str = "cpu") -> dict[str, float]:
-        return self.timer.percentages(kind)
+    def _viscous_solve(self, solver: HelmholtzCG, rhs: np.ndarray, bc) -> np.ndarray:
+        return self._cg("viscous", solver, rhs, bc)

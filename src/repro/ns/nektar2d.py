@@ -15,6 +15,17 @@ timestep split into the seven instrumented stages of Figure 12:
 Each stage is timed (CPU + wall) and op-counted, so a run yields both
 the Figure 12 percentage breakdown and the flop/byte totals that the
 machine models price into Table 1.
+
+:meth:`NavierStokes2D.step` is the one non-Fourier step body: NekTar-ALE
+(:class:`repro.ns.ale.ALENavierStokes2D`) is a subclass that runs it on
+a moving geometry through four hooks — the geometry advance before
+stage 1 (:meth:`~NavierStokes2D._advance_geometry`, which returns the
+mesh velocity that stage 2 subtracts from the convective velocity), its
+PCG solver family (:meth:`~NavierStokes2D._set_space`,
+:meth:`~NavierStokes2D._pressure_solve`,
+:meth:`~NavierStokes2D._viscous_solver`,
+:meth:`~NavierStokes2D._viscous_solve`) and no pointwise charges
+(``_CHARGES_POINTWISE``).
 """
 
 from __future__ import annotations
@@ -69,34 +80,57 @@ class NavierStokes2D:
     ):
         if nu <= 0.0 or dt <= 0.0:
             raise ValueError("nu and dt must be positive")
-        self.space = space
         self.nu = float(nu)
         self.dt = float(dt)
         self.history = SplittingHistory(time_order)
         self.scheme = self.history.target
         self.velocity_bcs = dict(velocity_bcs)
         self.vel_tags = tuple(sorted(self.velocity_bcs))
-
-        # The viscous solver is built in stage 7 of the step that first
-        # needs its lambda; the start-up one is freed first.
-        self._viscous = ViscousHolder(space, self.vel_tags)
-        self.p_op = pressure_operator(space, tuple(pressure_dirichlet))
-
-        # High-order pressure BC operands on the velocity-Dirichlet boundary.
-        self._edges = EdgeBatch(space, self.vel_tags)
+        self.pressure_dirichlet = tuple(pressure_dirichlet)
 
         self.t = 0.0
         self.step_count = 0
+        self.timer = StageTimer()
+        self.stage_ops: dict[str, OpCounter] = {s: OpCounter() for s in STAGES}
+        self._set_space(space)
         self.u_hat = np.zeros(space.ndof)
         self.v_hat = np.zeros(space.ndof)
         self.p_hat = np.zeros(space.ndof)
-        self.timer = StageTimer()
-        self.stage_ops: dict[str, OpCounter] = {s: OpCounter() for s in STAGES}
 
     @property
     def vel_solver(self) -> HelmholtzDirect | None:
         """The current viscous solver (``None`` before the first step)."""
         return self._viscous.current
+
+    # -- solver family (the hooks ALENavierStokes2D replaces) -----------------
+
+    #: Stages 2, 3 and 6 charge their pointwise arithmetic.
+    _CHARGES_POINTWISE = True
+
+    def _set_space(self, space: FunctionSpace) -> None:
+        """Hold ``space`` and build the solvers on it.  The viscous
+        solver is built in stage 7 of the step that first needs its
+        lambda (the start-up one is freed first); the pressure operator
+        is condensed and factored here."""
+        self.space = space
+        self._viscous = ViscousHolder(space, self.vel_tags)
+        self.p_op = pressure_operator(space, self.pressure_dirichlet)
+        # High-order pressure BC operands on the velocity-Dirichlet boundary.
+        self._edges = EdgeBatch(space, self.vel_tags)
+
+    def _advance_geometry(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """Move the geometry to t + dt before stage 1; returns the mesh
+        velocity at the quadrature points, ``None`` on a fixed mesh."""
+        return None
+
+    def _pressure_solve(self, rhs: np.ndarray) -> np.ndarray:
+        return self.p_op.solve(rhs)
+
+    def _viscous_solver(self, lam: float) -> HelmholtzDirect:
+        return self._viscous.solver(lam)
+
+    def _viscous_solve(self, solver, rhs: np.ndarray, bc) -> np.ndarray:
+        return solver.solve_rhs(rhs, bc)
 
     # -- setup -----------------------------------------------------------------
 
@@ -113,32 +147,37 @@ class NavierStokes2D:
 
     def step(self) -> None:
         """Advance one timestep through the seven stages."""
-        space, dt = self.space, self.dt
         scheme = self.history.scheme()
-        lam_eff = scheme.gamma0 / (self.nu * dt)
+        lam_eff = scheme.gamma0 / (self.nu * self.dt)
+        w = self._advance_geometry()
+        space, dt = self.space, self.dt
+        pointwise = self._CHARGES_POINTWISE
 
         # Stage 1: modal -> quadrature transform.
         with StageScope(self, STAGES[0]):
             u_vals = space.backward(self.u_hat)
             v_vals = space.backward(self.v_hat)
 
-        # Stage 2: non-linear terms N = -(V . grad) V at quadrature points.
+        # Stage 2: non-linear terms N = -((V - w) . grad) V at quadrature
+        # points, w the mesh velocity (zero on a fixed mesh).
         with StageScope(self, STAGES[1]):
             dudx, dudy = space.gradient(self.u_hat)
             dvdx, dvdy = space.gradient(self.v_hat)
-            nu_term = -(u_vals * dudx + v_vals * dudy)
-            nv_term = -(u_vals * dvdx + v_vals * dvdy)
+            cu, cv = (u_vals, v_vals) if w is None else (u_vals - w[0], v_vals - w[1])
+            nu_term = -(cu * dudx + cv * dudy)
+            nv_term = -(cu * dvdx + cv * dvdy)
             omega = dvdx - dudy
             npts = u_vals.size
-            charge(9.0 * npts, 9.0 * 24.0 * npts)  # pointwise products/sums
+            if pointwise:
+                charge(9.0 * npts, 9.0 * 24.0 * npts)  # pointwise products/sums
 
         # Stage 3: weight-average with previous steps (alpha / beta sums).
         with StageScope(self, STAGES[2]):
             vel, nl = (u_vals, v_vals), (nu_term, nv_term)
             uhx, uhy = self.history.extrapolate(vel, nl, dt)
-            npts = uhx.size
             k = scheme.order
-            charge((8.0 * k + 4.0) * npts, (8.0 * k + 4.0) * 16.0 * npts)
+            if pointwise:
+                charge((8.0 * k + 4.0) * npts, (8.0 * k + 4.0) * 16.0 * npts)
 
         # Stage 4: weak pressure-Poisson RHS, (u_hat, grad phi)/dt, plus the
         # high-order rotational pressure BC surface term
@@ -154,24 +193,25 @@ class NavierStokes2D:
 
         # Stage 5: Poisson solve for the pressure.
         with StageScope(self, STAGES[4]):
-            self.p_hat = self.p_op.solve(rhs_p)
+            self.p_hat = self._pressure_solve(rhs_p)
 
         # Stage 6: project and set up the Helmholtz RHS.
         with StageScope(self, STAGES[5]):
             dpdx, dpdy = space.gradient(self.p_hat)
             ustar = uhx - dt * dpdx
             vstar = uhy - dt * dpdy
-            charge(4.0 * ustar.size, 4.0 * 24.0 * ustar.size)
+            if pointwise:
+                charge(4.0 * npts, 4.0 * 24.0 * npts)
             scale = 1.0 / (self.nu * dt)
             rhs_u = space.load_vector(ustar) * scale
             rhs_v = space.load_vector(vstar) * scale
 
         # Stage 7: Helmholtz solves for the new velocity.
         with StageScope(self, STAGES[6]):
-            solver = self._viscous.solver(lam_eff)
+            solver = self._viscous_solver(lam_eff)
             bc = solver.bc_values_by_tag  # project, solve, project, solve: the old order
-            self.u_hat = solver.solve_rhs(rhs_u, bc([b[0] for b in bcs], t_new))
-            self.v_hat = solver.solve_rhs(rhs_v, bc([b[1] for b in bcs], t_new))
+            self.u_hat = self._viscous_solve(solver, rhs_u, bc([b[0] for b in bcs], t_new))
+            self.v_hat = self._viscous_solve(solver, rhs_v, bc([b[1] for b in bcs], t_new))
 
         self.history.push(vel, nl, (omega,))
         self.t = t_new

@@ -3,8 +3,10 @@ import hashlib
 import numpy as np
 import pytest
 
+from repro.assembly import matrix_free
+from repro.assembly.space import FunctionSpace
 from repro.io.writers import Checkpoint
-from repro.mesh.generators import rectangle_quads
+from repro.mesh.generators import rectangle_quads, wing_mesh
 from repro.ns.ale import ALENavierStokes2D
 from repro.ns.stages import ALE_GROUPS, STAGES, group_ale
 
@@ -162,9 +164,8 @@ def test_cg_iteration_accounting():
 # arithmetic: the full-shape PCG counts are pinned only out of tier, in
 # benchmarks/e2e/golden.json.
 
-def ale_trajectory():
-    from repro.mesh.generators import wing_mesh
-
+def wing_solver() -> ALENavierStokes2D:
+    """The ``ale_cg`` flow on ``wing_mesh(4, 1)``, order 3, projected."""
     eps, amp, omega = 1.5e-3, 0.15, 2.0
 
     def one(x, y, t):
@@ -179,14 +180,19 @@ def ale_trajectory():
     def body_v(x, y, t):
         return amp * omega * np.cos(omega * t)
 
-    mesh = wing_mesh(4, 1)
     ns = ALENavierStokes2D(
-        mesh, order=3, nu=0.05, dt=1e-2,
+        wing_mesh(4, 1), order=3, nu=0.05, dt=1e-2,
         velocity_bcs={"inflow": (one, cross), "wall": (zero, body_v)},
         pressure_dirichlet=("outflow",), motion="solve",
         body_velocity=(zero, body_v), outer_tags=("inflow", "outflow", "side"),
     )
     ns.set_initial(one, cross)
+    return ns
+
+
+def ale_trajectory():
+    ns = wing_solver()
+    mesh = ns.mesh
     ns.run(3)
     return {
         "elements": mesh.nelements,
@@ -224,6 +230,53 @@ def test_trajectory_golden():
 @pytest.mark.same_bits
 def test_trajectory_golden_same_bits():
     check("ale.trajectory", ale_trajectory(), rel=0.0)
+
+
+def uncached_diagonal(space, kind, lam=0.0):
+    """``FunctionSpace.operator_diagonal`` as it was before its per-(kind,
+    lam) cache: every request computes the diagonal again."""
+    parts = []
+    for bi, b in enumerate(space.batches()):
+        if space.sumfact and b.kind == "quad":
+            d = matrix_free.diagonal_operator_batched(b, kind, lam)
+        else:
+            d = np.diagonal(space._dense_batch_mats(bi, kind, lam), axis1=-2, axis2=-1)
+        parts.append(b.signs * d)
+    return space._assemble(parts)
+
+
+def test_a_rebuild_computes_the_shared_zero_lambda_diagonal_once(monkeypatch):
+    # The pressure and mesh solvers share the Laplacian's diagonal: one
+    # rebuild computes it and the viscous one, and replays the shared
+    # one's charges for the second solver.
+    ns = wing_solver()
+    real = matrix_free.diagonal_operator_batched
+    calls = []
+
+    def counting(b, kind, lam=0.0):
+        calls.append((kind, lam))
+        return real(b, kind, lam)
+
+    monkeypatch.setattr(matrix_free, "diagonal_operator_batched", counting)
+    ns._rebuild_space()
+    assert len(ns.space.batches()) == 1
+    assert sorted(calls) == sorted([("helmholtz", ns.vel_solver.lam), ("helmholtz", 0.0)])
+    monkeypatch.undo()
+
+    # Diagonals, fields and the stage-2 ledger (where every moved
+    # geometry's solvers are built) equal the uncached run's, to the bit.
+    cached = wing_solver()
+    cached.run(2)
+    monkeypatch.setattr(FunctionSpace, "operator_diagonal", uncached_diagonal)
+    fresh = wing_solver()
+    fresh.run(2)
+    for name in ("vel_solver", "p_solver", "mesh_solver"):
+        got, want = getattr(cached, name).diag, getattr(fresh, name).diag
+        assert got.tobytes() == want.tobytes(), name
+    for name in ("u_hat", "v_hat", "p_hat"):
+        assert getattr(cached, name).tobytes() == getattr(fresh, name).tobytes(), name
+    got, want = cached.stage_ops["2:nonlinear"], fresh.stage_ops["2:nonlinear"]
+    assert (got.flops, got.bytes, got.calls) == (want.flops, want.bytes, want.calls)
 
 
 def test_checkpoint_restore_rebuilds_the_moved_geometry(tmp_path):
