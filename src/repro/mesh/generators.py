@@ -185,76 +185,53 @@ def body_fitted_mesh(
     )
     nx_tot, ny_tot = xs.size - 1, ys.size - 1
     ix0, iy0 = n_up, n_side  # grid index of the square's lower-left corner
-    nid = lambda i, j: j * (nx_tot + 1) + i  # noqa: E731
+    row = nx_tot + 1  # grid node (i, j) is j * row + i
+    grid = np.stack(np.meshgrid(xs, ys), axis=-1).reshape(-1, 2)
 
-    verts: list[tuple[float, float]] = [(x, y) for y in ys for x in xs]
-    elems: list[tuple[int, ...]] = []
-    tags: dict[str, list[tuple[int, int]]] = {
-        "inflow": [],
-        "outflow": [],
-        "side": [],
-        "wall": [],
+    # Frame cells row by row, skipping the central square.
+    j, i = np.divmod(np.arange(nx_tot * ny_tot), nx_tot)
+    keep = ~((ix0 <= i) & (i < ix0 + m) & (iy0 <= j) & (j < iy0 + m))
+    i, j = i[keep], j[keep]
+    n0 = j * row + i
+    frame = np.stack([n0, n0 + 1, n0 + row + 1, n0 + row], axis=1)
+    side = np.flatnonzero((j == 0) | (j == ny_tot - 1))
+    tags = {
+        "inflow": _sides(np.flatnonzero(i == 0), 3),
+        "outflow": _sides(np.flatnonzero(i == nx_tot - 1), 1),
+        "side": _sides(side, np.where(j[side] == 0, 0, 2)),
     }
 
-    inside = lambda i, j: ix0 <= i < ix0 + m and iy0 <= j < iy0 + m  # noqa: E731
-    for j in range(ny_tot):
-        for i in range(nx_tot):
-            if inside(i, j):
-                continue
-            e = len(elems)
-            elems.append((nid(i, j), nid(i + 1, j), nid(i + 1, j + 1), nid(i, j + 1)))
-            if i == 0:
-                tags["inflow"].append((e, 3))
-            if i == nx_tot - 1:
-                tags["outflow"].append((e, 1))
-            if j == 0:
-                tags["side"].append((e, 0))
-            if j == ny_tot - 1:
-                tags["side"].append((e, 2))
-
-    # Square perimeter nodes, CCW from the lower-left corner.
-    per: list[int] = []
-    for i in range(m):  # bottom, left -> right
-        per.append(nid(ix0 + i, iy0))
-    for j in range(m):  # right, bottom -> top
-        per.append(nid(ix0 + m, iy0 + j))
-    for i in range(m):  # top, right -> left
-        per.append(nid(ix0 + m - i, iy0 + m))
-    for j in range(m):  # left, top -> bottom
-        per.append(nid(ix0, iy0 + m - j))
+    # Square perimeter nodes, CCW from the lower-left corner: bottom
+    # left -> right, right bottom -> top, top right -> left, left top ->
+    # bottom.
+    k = np.arange(m)
+    lo, hi = np.zeros(m, dtype=np.int64), np.full(m, m)
+    per_i = ix0 + np.concatenate([k, hi, m - k, lo])
+    per_j = iy0 + np.concatenate([lo, k, hi, m - k])
+    per = per_j * row + per_i
     nper = 4 * m
 
-    tpar = np.arange(nper) / nper
-    bx, by = profile(tpar)
-    sq = np.array([verts[k] for k in per])
-    # Ring node ids: ring[i][k]; i = 0 on the body, i = nr on the square.
-    ring: list[list[int]] = []
-    for i in range(nr):
-        frac = i / nr
-        ids = []
-        for k in range(nper):
-            px = bx[k] + frac * (sq[k, 0] - bx[k])
-            py = by[k] + frac * (sq[k, 1] - by[k])
-            ids.append(len(verts))
-            verts.append((px, py))
-        ring.append(ids)
-    ring.append(list(per))
-
-    for i in range(nr):
-        for k in range(nper):
-            k1 = (k + 1) % nper
-            e = len(elems)
-            elems.append((ring[i][k], ring[i + 1][k], ring[i + 1][k1], ring[i][k1]))
-            if i == 0:
-                tags["wall"].append((e, 3))  # local edge (v0, v3) is on the body
+    bx, by = profile(np.arange(nper) / nper)
+    sq = grid[per]
+    # Ring node ids: ring[i, k]; i = 0 on the body, i = nr on the square.
+    frac = (np.arange(nr) / nr)[:, None]
+    ring_xy = np.stack([bx + frac * (sq[:, 0] - bx), by + frac * (sq[:, 1] - by)], axis=-1)
+    ring = np.vstack([grid.shape[0] + np.arange(nr * nper).reshape(nr, nper), per])
+    k1 = np.roll(np.arange(nper), -1)
+    rings = np.stack([ring[:-1], ring[1:], ring[1:, k1], ring[:-1, k1]], axis=-1)
+    # Local edge (v0, v3) of the innermost ring is on the body.
+    tags["wall"] = _sides(len(frame) + np.arange(nper), 3)
 
     # Frame nodes strictly inside the central square belong to no element;
     # compact them away so the dof map has no orphan (zero-row) vertices.
-    used = sorted({v for e in elems for v in e})
-    remap = {old: new for new, old in enumerate(used)}
-    verts_arr = np.asarray(verts)[used]
-    elems = [tuple(remap[v] for v in e) for e in elems]
-    return Mesh2D(verts_arr, elems, tags)
+    used, elems = np.unique(np.vstack([frame, rings.reshape(-1, 4)]), return_inverse=True)
+    verts = np.vstack([grid, ring_xy.reshape(-1, 2)])[used]
+    return Mesh2D(verts, elems.reshape(-1, 4).tolist(), tags)
+
+
+def _sides(elems: np.ndarray, local) -> list[tuple[int, int]]:
+    """Boundary-tag sides: (element, local edge) pairs as Python ints."""
+    return list(zip(elems.tolist(), np.broadcast_to(local, elems.shape).tolist()))
 
 
 def bluff_body_mesh(
