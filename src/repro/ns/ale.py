@@ -59,9 +59,6 @@ class ALENavierStokes2D(NavierStokes2D):
     """Incompressible NS on a moving mesh, PCG solvers, 7-stage timestep
     of the second-order splitting scheme."""
 
-    #: The current geometry's viscous PCG solver at the scheme's lambda
-    #: (a plain attribute here, not the direct solver's holder).
-    vel_solver: HelmholtzCG | None = None
     _CHARGES_POINTWISE = False
 
     def __init__(
@@ -95,6 +92,11 @@ class ALENavierStokes2D(NavierStokes2D):
     set_initial = NavierStokes2D.set_initial
     step = NavierStokes2D.step
 
+    @property
+    def vel_solver(self) -> HelmholtzCG:
+        """The current geometry's viscous PCG solver at the scheme's lambda."""
+        return self._vel_cg
+
     # -- geometry ---------------------------------------------------------------
 
     def _rebuild_space(self) -> None:
@@ -104,7 +106,7 @@ class ALENavierStokes2D(NavierStokes2D):
     def _set_space(self, space: FunctionSpace) -> None:
         self.space = space
         lam = self.scheme.gamma0 / (self.nu * self.dt)
-        self.vel_solver = HelmholtzCG(space, lam, self.vel_tags, tol=CG_TOL)
+        self._vel_cg = HelmholtzCG(space, lam, self.vel_tags, tol=CG_TOL)
         if self.pressure_dirichlet:
             self.p_solver = HelmholtzCG(space, 0.0, self.pressure_dirichlet, tol=CG_TOL)
         else:
@@ -201,9 +203,12 @@ class ALENavierStokes2D(NavierStokes2D):
         return super()._pressure_solve(rhs)
 
     def _viscous_solver(self, lam: float) -> HelmholtzCG:
-        if abs(lam - self.vel_solver.lam) < 1e-12 * max(1.0, lam):
-            return self.vel_solver
+        """The held solver at the scheme's lambda, else (a start-up step's
+        lower order) a throwaway one."""
+        held = self.vel_solver
+        if abs(lam - held.lam) < 1e-12 * max(1.0, lam):
+            return held
         return HelmholtzCG(self.space, lam, self.vel_tags, tol=CG_TOL)
 
-    def _viscous_solve(self, solver: HelmholtzCG, rhs: np.ndarray, bc) -> np.ndarray:
+    def _viscous_solve(self, solver, rhs: np.ndarray, bc) -> np.ndarray:
         return self._cg("viscous", solver, rhs, bc)

@@ -16,16 +16,10 @@ Each stage is timed (CPU + wall) and op-counted, so a run yields both
 the Figure 12 percentage breakdown and the flop/byte totals that the
 machine models price into Table 1.
 
-:meth:`NavierStokes2D.step` is the one non-Fourier step body: NekTar-ALE
-(:class:`repro.ns.ale.ALENavierStokes2D`) is a subclass that runs it on
-a moving geometry through four hooks — the geometry advance before
-stage 1 (:meth:`~NavierStokes2D._advance_geometry`, which returns the
-mesh velocity that stage 2 subtracts from the convective velocity), its
-PCG solver family (:meth:`~NavierStokes2D._set_space`,
-:meth:`~NavierStokes2D._pressure_solve`,
-:meth:`~NavierStokes2D._viscous_solver`,
-:meth:`~NavierStokes2D._viscous_solve`) and no pointwise charges
-(``_CHARGES_POINTWISE``).
+:meth:`NavierStokes2D.step` is the one non-Fourier step body:
+NekTar-ALE (:mod:`repro.ns.ale`) is a subclass that runs it on a moving
+geometry through the hooks marked below (geometry advance, solver
+family, pointwise charges).
 """
 
 from __future__ import annotations
@@ -37,7 +31,7 @@ import numpy as np
 from ..assembly.boundary import EdgeBatch
 from ..assembly.space import FunctionSpace
 from ..linalg.counters import OpCounter, charge
-from ..solvers.helmholtz import HelmholtzDirect, ViscousHolder, pressure_operator
+from ..solvers.helmholtz import HelmholtzCG, HelmholtzDirect, ViscousHolder, pressure_operator
 from ..util.timing import StageTimer
 from .splitting import SplittingHistory
 from .stages import STAGES, StageScope
@@ -98,11 +92,12 @@ class NavierStokes2D:
         self.p_hat = np.zeros(space.ndof)
 
     @property
-    def vel_solver(self) -> HelmholtzDirect | None:
-        """The current viscous solver (``None`` before the first step)."""
+    def vel_solver(self) -> HelmholtzDirect | HelmholtzCG | None:
+        """The current viscous solver (``None`` before the first step;
+        ALE's PCG family holds one per geometry)."""
         return self._viscous.current
 
-    # -- solver family (the hooks ALENavierStokes2D replaces) -----------------
+    # -- hooks (ALENavierStokes2D replaces each) --------------------------------
 
     #: Stages 2, 3 and 6 charge their pointwise arithmetic.
     _CHARGES_POINTWISE = True
@@ -119,14 +114,15 @@ class NavierStokes2D:
         self._edges = EdgeBatch(space, self.vel_tags)
 
     def _advance_geometry(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """Move the geometry to t + dt before stage 1; returns the mesh
-        velocity at the quadrature points, ``None`` on a fixed mesh."""
+        """Move the geometry to t + dt (before stage 1) and return the
+        mesh velocity at the quadrature points; a fixed mesh returns
+        ``None``."""
         return None
 
     def _pressure_solve(self, rhs: np.ndarray) -> np.ndarray:
         return self.p_op.solve(rhs)
 
-    def _viscous_solver(self, lam: float) -> HelmholtzDirect:
+    def _viscous_solver(self, lam: float) -> HelmholtzDirect | HelmholtzCG:
         return self._viscous.solver(lam)
 
     def _viscous_solve(self, solver, rhs: np.ndarray, bc) -> np.ndarray:
@@ -175,8 +171,8 @@ class NavierStokes2D:
         with StageScope(self, STAGES[2]):
             vel, nl = (u_vals, v_vals), (nu_term, nv_term)
             uhx, uhy = self.history.extrapolate(vel, nl, dt)
-            k = scheme.order
             if pointwise:
+                k = scheme.order
                 charge((8.0 * k + 4.0) * npts, (8.0 * k + 4.0) * 16.0 * npts)
 
         # Stage 4: weak pressure-Poisson RHS, (u_hat, grad phi)/dt, plus the
